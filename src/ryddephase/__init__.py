@@ -23,7 +23,6 @@ from .correlation import (
     AmplitudeSet,
     G2Point,
     G2Trace,
-    InitialStateSpec,
     brute_force_g2,
     g2_after_cycles,
     g2_asymptote,

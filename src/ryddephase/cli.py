@@ -818,12 +818,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _env_threads() -> int:
+    raw = os.environ.get(THREADS_ENV, "1")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"{THREADS_ENV}: expected an integer, got {raw!r}") from None
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get(THREADS_ENV, "1"))
     try:
+        threads = _env_threads() if args.threads is None else args.threads
         try:
             text = Path(args.config).read_text()
         except OSError as exc:

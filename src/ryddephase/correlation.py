@@ -4,21 +4,29 @@ The preparation stage leaves a coherent superposition of collective
 excitations with Poissonian weights of unit mean, truncated beyond two
 excitations: c_alpha = 1/sqrt(e alpha!) for alpha <= 2.  The normalized
 correlation of the phase-matched mode then reduces to a functional of the
-per-pair survival amplitudes A_munu:
+per-pair survival amplitudes A_munu, through their row sums
+S_mu = sum_{nu != mu} A_munu:
 
-    f = | (1/N^2) sum_mu sum_{nu != mu} A_munu |^2
-    h = (1/N^3) sum_mu | sum_{nu != mu} A_munu |^2
+    f = | (1/N^2) sum_mu S_mu |^2
+    h = (1/N^3) sum_mu | S_mu |^2
     g2 = 4 g2(0) f / (1 + h)^2,     g2(0) = e/4
 
 in the large-N limit (N-1)/N ~ 1.  A brute-force oracle evaluates the same
 correlator exactly on the explicit truncated state vector for small N.
 
-Summation order for f and h is fixed (ascending mu, then nu) and performed
-with exact compensated summation (math.fsum), so traces are bit-reproducible
-for a given seed regardless of how work was parallelized.
+Each point is reduced from condensed (mu < nu, row-major) pair amplitudes
+without forming the N x N matrix: np.bincount adds every pair into rows mu
+and nu in ascending pair order, and math.fsum combines the N row sums.  The
+order depends on N alone, never on how realizations were spread over worker
+processes, so traces are byte-identical for any worker count.  A realization
+evaluates analytic amplitudes one time point at a time, so its memory is
+O(N^2) rather than O(N^2 T); the multichannel kernel returns one batched
+(npairs, T) stack, because one eigendecomposition per pair serves all times.
 """
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,18 +49,6 @@ G2_ZERO = math.e / 4.0
 G2_ASYMPTOTE = G2_ZERO * 16.0 / 25.0
 
 TRUNCATED_AMPLITUDES = (1.0 / math.sqrt(math.e), 1.0 / math.sqrt(math.e), 1.0 / math.sqrt(2.0 * math.e))
-
-
-@dataclass(frozen=True)
-class InitialStateSpec:
-    """Truncated coherent preparation: unit mean, cut beyond two excitations."""
-
-    mean_excitations: float = 1.0
-    truncation: int = 2
-
-    @property
-    def amplitudes(self) -> tuple[float, float, float]:
-        return TRUNCATED_AMPLITUDES
 
 
 def g2_zero() -> float:
@@ -114,23 +110,33 @@ class G2Point:
     h: float
 
 
-def _assemble_f_h(values: np.ndarray, n: int) -> tuple[float, float]:
-    """f and h sums in fixed (ascending mu, then nu) compensated order.
+def _row_bins(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row-sum bins of a condensed complex column viewed as interleaved floats.
 
-    math.fsum is exactly rounded, so including the zeroed diagonal entries
-    changes nothing while keeping the row reductions branch-free.
+    Float 2k (real) and 2k + 1 (imaginary) of pair k = (mu, nu) go to bins
+    2 mu + {0, 1} in the first array and 2 nu + {0, 1} in the second.
     """
-    nodiag = values.copy()
-    np.fill_diagonal(nodiag, 0.0)
-    re_rows = nodiag.real
-    im_rows = nodiag.imag
-    row_re = [math.fsum(re_rows[mu].tolist()) for mu in range(n)]
-    row_im = [math.fsum(im_rows[mu].tolist()) for mu in range(n)]
-    total_re = math.fsum(row_re)
-    total_im = math.fsum(row_im)
+    mu, nu = pair_index_arrays(n)
+    part = np.array([0, 1])
+    return (2 * mu[:, None] + part).ravel(), (2 * nu[:, None] + part).ravel()
+
+
+def _reduce_pairs(condensed: np.ndarray, bins, n: int) -> tuple[float, float, float]:
+    """(g2, f, h) of one point from condensed pair amplitudes, in fixed order.
+
+    bins is _row_bins(n).  Each row sum S_mu accumulates in ascending pair
+    order (np.bincount); the n row sums are combined with math.fsum.
+    """
+    if not np.isfinite(condensed).all():
+        raise ValueError("missing pair amplitude (non-finite off-diagonal entry)")
+    floats = np.ascontiguousarray(condensed, dtype=complex).view(np.float64)
+    rows = np.bincount(bins[0], floats, 2 * n) + np.bincount(bins[1], floats, 2 * n)
+    row_re, row_im = rows[0::2], rows[1::2]
+    total_re = math.fsum(row_re.tolist())
+    total_im = math.fsum(row_im.tolist())
     f = (total_re * total_re + total_im * total_im) / float(n) ** 4
-    h = math.fsum(re * re + im * im for re, im in zip(row_re, row_im)) / float(n) ** 3
-    return f, h
+    h = math.fsum((row_re * row_re + row_im * row_im).tolist()) / float(n) ** 3
+    return 4.0 * G2_ZERO * f / (1.0 + h) ** 2, f, h
 
 
 def g2_from_amplitudes(amps: AmplitudeSet, n_atoms: int | None = None, time: float = 0.0) -> G2Point:
@@ -138,9 +144,8 @@ def g2_from_amplitudes(amps: AmplitudeSet, n_atoms: int | None = None, time: flo
     if n_atoms is not None and n_atoms != amps.n_atoms:
         raise ValueError(f"n_atoms {n_atoms} disagrees with amplitude set ({amps.n_atoms})")
     n = amps.n_atoms
-    f, h = _assemble_f_h(amps.values, n)
-    g2 = 4.0 * G2_ZERO * f / (1.0 + h) ** 2
-    return G2Point(time, g2, f, h)
+    mu, nu = pair_index_arrays(n)
+    return G2Point(time, *_reduce_pairs(amps.values[mu, nu], _row_bins(n), n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,55 +203,66 @@ def _pair_orientation_arrays(geometry: EnsembleGeometry):
     return r, theta, phi
 
 
-def _amplitude_stack(
-    geometry: EnsembleGeometry,
-    cycles,
-    grid: np.ndarray,
-    mode: str,
-    sweep_delta_t: bool,
-    initial_m: float,
-) -> np.ndarray:
-    """Condensed pair amplitudes, shape (npairs, T).
+def _amplitude_columns(geometry: EnsembleGeometry, cycles, grid, mode: str, initial_m: float):
+    """Condensed pair amplitudes of one realization, one (npairs,) column per point.
 
-    With sweep_delta_t each grid value replaces every cycle's free interval
-    (single-cycle trace semantics); otherwise grid must equal each cycle's
-    own delta_t sequence handled by the caller.
+    With a grid, each grid time replaces the free interval of every cycle.
+    With grid None, column q is the product of cycles 0..q, each at its own
+    free interval.
     """
     if mode == "analytic":
         r = pair_separations(geometry)
-        out = np.empty((len(r), len(grid)), dtype=complex)
-        for it, t in enumerate(grid):
-            products = [c.channel.c3 * (t if sweep_delta_t else c.delta_t) for c in cycles]
-            out[:, it] = analytic_pair_amplitudes(r, products)
-        return out
+        if grid is None:
+            per_cycle = (analytic_pair_amplitudes(r, [c.channel.c3 * c.delta_t]) for c in cycles)
+            return itertools.accumulate(per_cycle, operator.mul)
+        return (analytic_pair_amplitudes(r, [c.channel.c3 * t for c in cycles]) for t in grid)
     if mode == "multichannel":
         r, theta, phi = _pair_orientation_arrays(geometry)
-        out = np.ones((len(r), len(grid)), dtype=complex)
-        for q, c in enumerate(cycles):
-            times = grid if sweep_delta_t else np.full(len(grid), c.delta_t)
+
+        def cycle_stack(q, times):
             try:
-                out *= numeric_pair_amplitudes(r, theta, phi, c, times, initial_m)
+                return numeric_pair_amplitudes(r, theta, phi, cycles[q], times, initial_m)
             except NumericsError as exc:
                 raise NumericsError(f"cycle {q}: {exc}") from exc
-        return out
+
+        if grid is None:
+            per_cycle = (cycle_stack(q, np.array([c.delta_t]))[:, 0] for q, c in enumerate(cycles))
+            return itertools.accumulate(per_cycle, operator.mul)
+        stack = np.ones((len(r), len(grid)), dtype=complex)
+        for q in range(len(cycles)):
+            stack *= cycle_stack(q, grid)
+        return stack.T
     raise ValueError(f"unknown mode {mode!r}")
 
 
 def _trace_single_realization(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    ensemble, cycles, grid, mode, sweep, initial_m, index = args
+    """g2, f and h of one realization: sample positions, evaluate, reduce each column."""
+    ensemble, cycles, grid, mode, initial_m, index = args
     seed = realization_seed(ensemble.seed, index)
     spec_r = EnsembleSpec(ensemble.n_atoms, ensemble.box_side, seed, ensemble.min_separation)
     geometry = sample_positions(spec_r)
+    n = ensemble.n_atoms
+    bins = _row_bins(n)
     try:
-        amps = _amplitude_stack(geometry, cycles, grid, mode, sweep, initial_m)
+        points = [
+            _reduce_pairs(column, bins, n)
+            for column in _amplitude_columns(geometry, cycles, grid, mode, initial_m)
+        ]
     except NumericsError as exc:
         raise NumericsError(f"realization {index} (seed {seed}): {exc}") from exc
-    n = ensemble.n_atoms
-    g2s, fs, hs = np.empty(len(grid)), np.empty(len(grid)), np.empty(len(grid))
-    for it in range(len(grid)):
-        point = g2_from_amplitudes(AmplitudeSet.from_condensed(n, amps[:, it]), time=float(grid[it]))
-        g2s[it], fs[it], hs[it] = point.g2, point.f, point.h
+    g2s, fs, hs = np.array(points).T
     return g2s, fs, hs
+
+
+def _run_realizations(ensemble: EnsembleSpec, cycles, grid, mode, realizations, initial_m, pool):
+    """Stacked (g2, f, h) of every realization, and the realization seeds."""
+    if realizations < 1:
+        raise ValueError("realizations must be >= 1")
+    tasks = [(ensemble, cycles, grid, mode, initial_m, r) for r in range(realizations)]
+    results = list((map if pool is None else pool.map)(_trace_single_realization, tasks))
+    g2s, fs, hs = (np.stack(k) for k in zip(*results))
+    seeds = tuple(realization_seed(ensemble.seed, r) for r in range(realizations))
+    return g2s, fs, hs, seeds
 
 
 def g2_trace(
@@ -270,45 +286,8 @@ def g2_trace(
         raise ValueError("time grid must be nonempty")
     if np.any(np.diff(grid) <= 0) and grid.size > 1:
         raise ValueError("time grid must be strictly increasing")
-    if realizations < 1:
-        raise ValueError("realizations must be >= 1")
     cycles = tuple(schedule.cycles)
-    tasks = [
-        (ensemble, cycles, grid, mode, True, initial_m, r) for r in range(realizations)
-    ]
-    if pool is None:
-        results = [_trace_single_realization(t) for t in tasks]
-    else:
-        results = list(pool.map(_trace_single_realization, tasks))
-    g2s = np.stack([r[0] for r in results])
-    fs = np.stack([r[1] for r in results])
-    hs = np.stack([r[2] for r in results])
-    seeds = tuple(realization_seed(ensemble.seed, r) for r in range(realizations))
-    return G2Trace(grid, g2s, fs, hs, seeds)
-
-
-def _cycles_single_realization(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    ensemble, cycles, mode, initial_m, index = args
-    seed = realization_seed(ensemble.seed, index)
-    spec_r = EnsembleSpec(ensemble.n_atoms, ensemble.box_side, seed, ensemble.min_separation)
-    geometry = sample_positions(spec_r)
-    n = ensemble.n_atoms
-    nq = len(cycles)
-    try:
-        stacks = []
-        for c in cycles:
-            stacks.append(
-                _amplitude_stack(geometry, [c], np.array([c.delta_t]), mode, True, initial_m)[:, 0]
-            )
-        per_cycle = np.stack(stacks, axis=1)  # (npairs, nq)
-    except NumericsError as exc:
-        raise NumericsError(f"realization {index} (seed {seed}): {exc}") from exc
-    products = np.cumprod(per_cycle, axis=1)
-    g2s, fs, hs = np.empty(nq), np.empty(nq), np.empty(nq)
-    for q in range(nq):
-        point = g2_from_amplitudes(AmplitudeSet.from_condensed(n, products[:, q]))
-        g2s[q], fs[q], hs[q] = point.g2, point.f, point.h
-    return g2s, fs, hs
+    return G2Trace(grid, *_run_realizations(ensemble, cycles, grid, mode, realizations, initial_m, pool))
 
 
 def g2_after_cycles(
@@ -324,20 +303,9 @@ def g2_after_cycles(
     The trace grid is the cumulative wall-clock time (free intervals plus the
     2pi of pulse area per cycle).
     """
-    if realizations < 1:
-        raise ValueError("realizations must be >= 1")
     cycles = tuple(schedule.cycles)
     grid = np.cumsum([c.duration for c in cycles])
-    tasks = [(ensemble, cycles, mode, initial_m, r) for r in range(realizations)]
-    if pool is None:
-        results = [_cycles_single_realization(t) for t in tasks]
-    else:
-        results = list(pool.map(_cycles_single_realization, tasks))
-    g2s = np.stack([r[0] for r in results])
-    fs = np.stack([r[1] for r in results])
-    hs = np.stack([r[2] for r in results])
-    seeds = tuple(realization_seed(ensemble.seed, r) for r in range(realizations))
-    return G2Trace(grid, g2s, fs, hs, seeds)
+    return G2Trace(grid, *_run_realizations(ensemble, cycles, None, mode, realizations, initial_m, pool))
 
 
 DEFAULT_RETRIEVAL_K = np.array([0.0, 0.0, 7.902])  # rad/um, a typical optical k

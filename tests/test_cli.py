@@ -172,6 +172,32 @@ def test_thread_env_variable(tmp_path, monkeypatch):
     assert (out1 / "g2_trace.csv").read_bytes() == (out2 / "g2_trace.csv").read_bytes()
 
 
+def test_thread_env_variable_must_be_an_integer(tmp_path, monkeypatch, capsys):
+    path = write_config(tmp_path, MINIMAL)
+    monkeypatch.setenv("RYDDEPHASE_THREADS", "abc")
+    assert main(["g2-trace", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert "config error: RYDDEPHASE_THREADS" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cycles_threaded_run_matches_serial(tmp_path):
+    cfg = {
+        "ensemble": {"n_atoms": 12, "box_side_um": 60.0, "seed": 5},
+        "schedule": {
+            "cycles": [
+                {"s_n": 100, "p_n": 100, "p_j": 0.5, "delta_t_us": 1.0, "c3": 2.0e5},
+                {"s_n": 100, "p_n": 99, "p_j": 0.5, "delta_t_us": 0.5, "c3": 1.9e5},
+            ]
+        },
+        "realizations": 2,
+    }
+    path = write_config(tmp_path, cfg)
+    out1, out2 = tmp_path / "serial", tmp_path / "par"
+    assert main(["cycles", "--config", str(path), "--out", str(out1), "--threads", "1"]) == 0
+    assert main(["cycles", "--config", str(path), "--out", str(out2), "--threads", "2"]) == 0
+    assert (out1 / "cycles.csv").read_bytes() == (out2 / "cycles.csv").read_bytes()
+
+
 def test_seed_override_changes_data(tmp_path):
     cfg = json.loads(json.dumps(MINIMAL))
     cfg["realizations"] = 2

@@ -17,8 +17,13 @@ from ryddephase.correlation import (
     g2_zero,
     realization_seed,
 )
-from ryddephase.ensemble import EnsembleSpec, sample_positions
-from ryddephase.pairdyn import CycleSpec
+from ryddephase.ensemble import (
+    EnsembleSpec,
+    all_pair_geometries,
+    pair_separations,
+    sample_positions,
+)
+from ryddephase.pairdyn import CycleSpec, analytic_pair_amplitudes, numeric_pair_amplitudes
 from ryddephase.protocol import make_schedule
 
 
@@ -310,3 +315,118 @@ def test_cycles_first_point_matches_single_cycle_trace():
     by_cycles = g2_after_cycles(ens, sched, realizations=3)
     by_trace = g2_trace(ens, sched, [1.0], realizations=3)
     assert np.allclose(by_cycles.g2[:, 0], by_trace.g2[:, 0], atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# streamed row-sum reduction against an exactly rounded reference
+# ---------------------------------------------------------------------------
+
+REDUCTION_RTOL = 1e-13  # row sums add at most N - 1 terms of |A| <= 1 in float64
+
+
+def fsum_point(amps):
+    """(g2, f, h) with every row summed by math.fsum over the full matrix."""
+    n = amps.n_atoms
+    nodiag = amps.values.copy()
+    np.fill_diagonal(nodiag, 0.0)
+    row_re = [math.fsum(nodiag.real[mu].tolist()) for mu in range(n)]
+    row_im = [math.fsum(nodiag.imag[mu].tolist()) for mu in range(n)]
+    total_re, total_im = math.fsum(row_re), math.fsum(row_im)
+    f = (total_re * total_re + total_im * total_im) / float(n) ** 4
+    h = math.fsum(re * re + im * im for re, im in zip(row_re, row_im)) / float(n) ** 3
+    return 4.0 * G2_ZERO * f / (1.0 + h) ** 2, f, h
+
+
+def reference_columns(ensemble, cycles, grid, mode, index):
+    """Condensed amplitude columns of one realization, straight from the pairdyn kernels."""
+    spec = EnsembleSpec(ensemble.n_atoms, ensemble.box_side, realization_seed(ensemble.seed, index))
+    geometry = sample_positions(spec)
+    if mode == "analytic":
+        r = pair_separations(geometry)
+
+        def stack(cycle, times):
+            return np.stack([analytic_pair_amplitudes(r, [cycle.channel.c3 * t]) for t in times], axis=1)
+
+    else:
+        geos = all_pair_geometries(geometry)
+        r = np.array([g.separation for g in geos])
+        theta = np.array([g.polar_angle for g in geos])
+        phi = np.array([g.azimuth for g in geos])
+
+        def stack(cycle, times):
+            return numeric_pair_amplitudes(r, theta, phi, cycle, np.asarray(times))
+
+    if grid is None:  # after each cycle, at the cycles' own intervals
+        per_cycle = np.stack([stack(c, [c.delta_t])[:, 0] for c in cycles], axis=1)
+        return np.cumprod(per_cycle, axis=1)
+    return np.prod([stack(c, grid) for c in cycles], axis=0)
+
+
+def reference_trace(ensemble, cycles, grid, mode, realizations):
+    points = [
+        [fsum_point(AmplitudeSet.from_condensed(ensemble.n_atoms, col)) for col in columns.T]
+        for columns in (reference_columns(ensemble, cycles, grid, mode, r) for r in range(realizations))
+    ]
+    return np.moveaxis(np.array(points), 2, 0)  # (3, R, T): g2, f, h
+
+
+def two_channel_schedule():
+    return make_schedule(
+        [
+            CycleSpec(
+                RydbergChannel(Level(100, "s", 0.5), Level(100, "p", p_j), 2.0e5),
+                dt,
+                MicrowaveSpec(rabi=10.0),
+            )
+            for p_j, dt in [(0.5, 1.0), (1.5, 0.7)]
+        ]
+    )
+
+
+def assert_matches_reference(trace, reference):
+    for got, want in zip((trace.g2, trace.f, trace.h), reference):
+        np.testing.assert_allclose(got, want, rtol=REDUCTION_RTOL, atol=0.0)
+
+
+@pytest.mark.parametrize("mode, n", [("analytic", 30), ("multichannel", 12)])
+def test_trace_matches_fsum_reference(mode, n):
+    ens = EnsembleSpec(n, 60.0, seed=41)
+    sched = two_channel_schedule()
+    grid = np.geomspace(0.05, 20.0, 7)
+    trace = g2_trace(ens, sched, grid, mode=mode, realizations=3)
+    assert_matches_reference(trace, reference_trace(ens, sched.cycles, grid, mode, 3))
+
+
+@pytest.mark.parametrize("mode, n", [("analytic", 30), ("multichannel", 12)])
+def test_cycles_match_fsum_reference(mode, n):
+    ens = EnsembleSpec(n, 60.0, seed=42)
+    sched = two_channel_schedule()
+    trace = g2_after_cycles(ens, sched, mode=mode, realizations=3)
+    assert_matches_reference(trace, reference_trace(ens, sched.cycles, None, mode, 3))
+
+
+@pytest.mark.parametrize("n", [2, 7, 64])
+def test_point_from_amplitude_set_matches_fsum_reference(n):
+    amps = random_amplitudes(n, np.random.default_rng(n))
+    point = g2_from_amplitudes(amps)
+    want = fsum_point(amps)
+    np.testing.assert_allclose([point.g2, point.f, point.h], want, rtol=REDUCTION_RTOL, atol=0.0)
+
+
+@pytest.mark.parametrize("driver", ["trace", "cycles"])
+def test_non_finite_amplitude_raises(monkeypatch, driver):
+    import ryddephase.correlation as correlation
+
+    def with_nan(separations, phase_products):
+        amps = analytic_pair_amplitudes(separations, phase_products)
+        amps[3] = complex(math.nan, 0.0)
+        return amps
+
+    monkeypatch.setattr(correlation, "analytic_pair_amplitudes", with_nan)
+    ens = EnsembleSpec(8, 60.0, seed=5)
+    sched = single_cycle_schedule(2.0e5)
+    with pytest.raises(ValueError, match="missing pair amplitude"):
+        if driver == "trace":
+            g2_trace(ens, sched, [0.5, 1.0], realizations=1)
+        else:
+            g2_after_cycles(ens, sched, realizations=1)
