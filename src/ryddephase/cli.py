@@ -536,6 +536,7 @@ def _parse_entangle_config(raw) -> dict:
     epath = "entangle"
     _check_mapping(raw["entangle"], epath, ["n", "c3_prime", "c3_second"], [])
     ent = {
+        # n only labels the levels; the trace depends on c3_prime and c3_second
         "n": _as_int(raw["entangle"]["n"], f"{epath}.n", minimum=1),
         "c3_prime": _as_float(raw["entangle"]["c3_prime"], f"{epath}.c3_prime", strict_min=0.0),
         "c3_second": _as_float(raw["entangle"]["c3_second"], f"{epath}.c3_second", strict_min=0.0),
@@ -553,16 +554,21 @@ def _parse_entangle_config(raw) -> dict:
     }
 
 
-def run_entangle(parsed: dict, session: OutputSession) -> None:
+def run_entangle(parsed: dict, session: OutputSession, threads: int) -> None:
     ent = parsed["entangle"]
-    grid, f, m1, m2 = entangle_trace(
-        parsed["ensemble"],
-        ent["n"],
-        ent["c3_prime"],
-        ent["c3_second"],
-        parsed["grid"],
-        realizations=parsed["realizations"],
-    )
+    pool = _make_pool(threads)
+    try:
+        grid, f, m1, m2 = entangle_trace(
+            parsed["ensemble"],
+            ent["c3_prime"],
+            ent["c3_second"],
+            parsed["grid"],
+            realizations=parsed["realizations"],
+            pool=pool,
+        )
+    finally:
+        if pool is not None:
+            pool.shutdown()
     session.seeds = [
         realization_seed(parsed["ensemble"].seed, r) for r in range(parsed["realizations"])
     ]
@@ -776,7 +782,7 @@ def _dispatch_config(subcommand: str, raw: dict, session: OutputSession, threads
     elif subcommand == "cycles":
         run_cycles(_materialize_trace_config(raw, "cycles"), session, threads)
     elif subcommand == "entangle":
-        run_entangle(_parse_entangle_config(raw), session)
+        run_entangle(_parse_entangle_config(raw), session, threads)
     elif subcommand == "phasematch":
         run_phasematch(_parse_phasematch_config(raw), session)
     elif subcommand == "oracle":

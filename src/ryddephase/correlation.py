@@ -22,6 +22,9 @@ processes, so traces are byte-identical for any worker count.  A realization
 evaluates analytic amplitudes one time point at a time, so its memory is
 O(N^2) rather than O(N^2 T); the multichannel kernel returns one batched
 (npairs, T) stack, because one eigendecomposition per pair serves all times.
+run_realizations is the one realization loop (seed, sample, evaluate, stack
+in index order, serially or on a process pool); the entanglement trace in
+protocol runs through it as well.
 """
 
 import itertools
@@ -235,12 +238,17 @@ def _amplitude_columns(geometry: EnsembleGeometry, cycles, grid, mode: str, init
     raise ValueError(f"unknown mode {mode!r}")
 
 
+def sample_realization(ensemble: EnsembleSpec, index: int) -> tuple[int, EnsembleGeometry]:
+    """Seed and sampled positions of realization index of the ensemble."""
+    seed = realization_seed(ensemble.seed, index)
+    spec_r = EnsembleSpec(ensemble.n_atoms, ensemble.box_side, seed, ensemble.min_separation)
+    return seed, sample_positions(spec_r)
+
+
 def _trace_single_realization(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """g2, f and h of one realization: sample positions, evaluate, reduce each column."""
     ensemble, cycles, grid, mode, initial_m, index = args
-    seed = realization_seed(ensemble.seed, index)
-    spec_r = EnsembleSpec(ensemble.n_atoms, ensemble.box_side, seed, ensemble.min_separation)
-    geometry = sample_positions(spec_r)
+    seed, geometry = sample_realization(ensemble, index)
     n = ensemble.n_atoms
     bins = _row_bins(n)
     try:
@@ -254,15 +262,21 @@ def _trace_single_realization(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return g2s, fs, hs
 
 
-def _run_realizations(ensemble: EnsembleSpec, cycles, grid, mode, realizations, initial_m, pool):
-    """Stacked (g2, f, h) of every realization, and the realization seeds."""
+def run_realizations(worker, ensemble: EnsembleSpec, params: tuple, realizations: int, pool=None):
+    """Per-realization results of worker, stacked over realizations, and the seeds.
+
+    worker is called with (ensemble, *params, index) for each realization
+    index, in the calling process (pool None) or on the pool, and returns a
+    tuple of equal-shape arrays; result k stacks the k-th array of every
+    realization in index order, whatever the worker count.
+    """
     if realizations < 1:
         raise ValueError("realizations must be >= 1")
-    tasks = [(ensemble, cycles, grid, mode, initial_m, r) for r in range(realizations)]
-    results = list((map if pool is None else pool.map)(_trace_single_realization, tasks))
-    g2s, fs, hs = (np.stack(k) for k in zip(*results))
+    tasks = [(ensemble, *params, r) for r in range(realizations)]
+    results = list((map if pool is None else pool.map)(worker, tasks))
+    stacks = tuple(np.stack(k) for k in zip(*results))
     seeds = tuple(realization_seed(ensemble.seed, r) for r in range(realizations))
-    return g2s, fs, hs, seeds
+    return stacks, seeds
 
 
 def g2_trace(
@@ -286,8 +300,9 @@ def g2_trace(
         raise ValueError("time grid must be nonempty")
     if np.any(np.diff(grid) <= 0) and grid.size > 1:
         raise ValueError("time grid must be strictly increasing")
-    cycles = tuple(schedule.cycles)
-    return G2Trace(grid, *_run_realizations(ensemble, cycles, grid, mode, realizations, initial_m, pool))
+    params = (tuple(schedule.cycles), grid, mode, initial_m)
+    stacks, seeds = run_realizations(_trace_single_realization, ensemble, params, realizations, pool)
+    return G2Trace(grid, *stacks, seeds)
 
 
 def g2_after_cycles(
@@ -305,7 +320,9 @@ def g2_after_cycles(
     """
     cycles = tuple(schedule.cycles)
     grid = np.cumsum([c.duration for c in cycles])
-    return G2Trace(grid, *_run_realizations(ensemble, cycles, None, mode, realizations, initial_m, pool))
+    params = (cycles, None, mode, initial_m)
+    stacks, seeds = run_realizations(_trace_single_realization, ensemble, params, realizations, pool)
+    return G2Trace(grid, *stacks, seeds)
 
 
 DEFAULT_RETRIEVAL_K = np.array([0.0, 0.0, 7.902])  # rad/um, a typical optical k

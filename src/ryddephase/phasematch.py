@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 #: below this residual (rad/um) a mismatch counts as zero: the corresponding
 #: period exceeds 6e9 um, i.e. infinite on any realistic sample scale.
@@ -122,6 +121,8 @@ def solve_offaxis(wavelengths, signs, tol: float = EPS_K, seed: int = 7):
     PhaseMatchInfeasible when the best residual stays above tol, e.g. for
     sign patterns where no cancellation is possible.
     """
+    from scipy.optimize import minimize  # here, so that importing the package never loads scipy
+
     ks = np.array([_TWO_PI_NM_TO_UM / w for w in wavelengths], dtype=float)
     signs = np.asarray(signs, dtype=float)
     if ks.shape != signs.shape:

@@ -6,6 +6,15 @@ meaningful when every cycle couples the target s-level to a fresh, still
 unpopulated p-level: reusing a p-level carries coherence from one cycle into
 the next and the per-cycle amplitudes no longer multiply independently.
 make_schedule enforces that rule.
+
+The entanglement trace runs its position realizations through the same
+realization loop as the correlation traces (correlation.run_realizations),
+serially or on a process pool.  Each realization evaluates all pair phases of one
+time as one numpy divide C3 * t / R^3 and turns them into the coherence
+<e^{i phi}> = 2 <A(phi)> - 1 through the shared cycle-amplitude kernel
+pairdyn.analytic_cycle_amplitude; the mean is numpy's pairwise sum, whose
+order depends on the pair count alone, so outputs are byte-identical for
+any worker count.
 """
 
 import math
@@ -14,11 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atomdata import POPULATED_M, Level, RydbergChannel
-from .correlation import realization_seed
-from .ensemble import EnsembleGeometry, EnsembleSpec, pair_separations, sample_positions
+from .correlation import run_realizations, sample_realization
+from .ensemble import EnsembleGeometry, pair_separations
 from .pairdyn import (
     CycleSpec,
     _level_index,
+    analytic_cycle_amplitude,
     propagate,
     single_atom_dressing,
     single_atom_levels,
@@ -158,40 +168,45 @@ def entangle_fidelity(phi_prime, phi) -> float:
         raise ValueError("entangle_fidelity needs a nonempty pair set")
     if phi_prime.shape != phi.shape:
         raise ValueError("phase sequences must cover the same pair set")
-    m1 = _mean_coherence(phi_prime)
-    m2 = _mean_coherence(phi)
+    return _fidelity(_coherence(phi_prime.ravel()), _coherence(phi.ravel()))
+
+
+def _coherence(phases: np.ndarray) -> complex:
+    """Pair coherence <e^{i phi}> = 2 <A(phi)> - 1, A the cycle amplitude (1 + e^{i phi}) / 2.
+
+    The mean is numpy's pairwise sum, whose order depends on the pair count only.
+    """
+    return complex(2.0 * analytic_cycle_amplitude(phases).mean() - 1.0)
+
+
+def _fidelity(m1: complex, m2: complex) -> float:
     return 2.0 / (2.0 + abs(m1) ** 2 + abs(m2) ** 2)
 
 
-def _mean_coherence(phases: np.ndarray) -> complex:
-    n = phases.size
-    re = math.fsum(math.cos(p) for p in phases.ravel())
-    im = math.fsum(math.sin(p) for p in phases.ravel())
-    return complex(re / n, im / n)
+def _entangle_single_realization(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """F, |m1| and |m2| of one realization at every grid time, one time at a time."""
+    ensemble, c3_prime, c3_second, grid, index = args
+    _, geometry = sample_realization(ensemble, index)
+    r3 = pair_separations(geometry) ** 3
+    out = np.empty((3, len(grid)))
+    for it, t in enumerate(grid):
+        m1 = _coherence(c3_prime * t / r3)
+        m2 = _coherence(c3_second * t / r3)
+        out[:, it] = _fidelity(m1, m2), abs(m1), abs(m2)
+    return tuple(out)
 
 
-def entangle_trace(ensemble_spec, n: int, c3_prime: float, c3_second: float, grid, realizations: int = 100):
+def entangle_trace(
+    ensemble_spec, c3_prime: float, c3_second: float, grid, realizations: int = 100, pool=None
+):
     """Fidelity and coherence magnitudes versus interval length.
 
-    Returns (grid, F, |m1|, |m2|) averaged over position realizations.
+    Returns (grid, F, |m1|, |m2|) averaged over position realizations, which
+    run on the pool when one is given; the result does not depend on it.
     """
     grid = np.asarray(grid, dtype=float)
-    fs = np.zeros((realizations, len(grid)))
-    m1s = np.zeros((realizations, len(grid)))
-    m2s = np.zeros((realizations, len(grid)))
-    for r in range(realizations):
-        seed = realization_seed(ensemble_spec.seed, r)
-        spec_r = EnsembleSpec(
-            ensemble_spec.n_atoms, ensemble_spec.box_side, seed, ensemble_spec.min_separation
-        )
-        geometry = sample_positions(spec_r)
-        r3 = pair_separations(geometry) ** 3
-        for it, t in enumerate(grid):
-            phi_prime = c3_prime * t / r3
-            phi = c3_second * t / r3
-            m1 = _mean_coherence(phi_prime)
-            m2 = _mean_coherence(phi)
-            fs[r, it] = 2.0 / (2.0 + abs(m1) ** 2 + abs(m2) ** 2)
-            m1s[r, it] = abs(m1)
-            m2s[r, it] = abs(m2)
+    params = (c3_prime, c3_second, grid)
+    (fs, m1s, m2s), _ = run_realizations(
+        _entangle_single_realization, ensemble_spec, params, realizations, pool
+    )
     return grid, fs.mean(axis=0), m1s.mean(axis=0), m2s.mean(axis=0)

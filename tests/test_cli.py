@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -292,6 +295,28 @@ def test_entangle_run_csv_contract(tmp_path):
     first = lines[1].split(",")
     assert float(first[1]) == pytest.approx(0.5)
     assert float(first[2]) == pytest.approx(1.0)
+
+
+def test_entangle_threaded_run_matches_serial(tmp_path):
+    cfg = {
+        "ensemble": {"n_atoms": 15, "box_side_um": 60.0, "seed": 5},
+        "entangle": {"n": 99, "c3_prime": 2.0e5, "c3_second": 1.6e5},
+        "grid": {"start_us": 0.0, "stop_us": 2.0, "points": 4},
+        "realizations": 3,
+    }
+    path = write_config(tmp_path, cfg)
+    out1, out2 = tmp_path / "serial", tmp_path / "par"
+    assert main(["entangle", "--config", str(path), "--out", str(out1), "--threads", "1"]) == 0
+    assert main(["entangle", "--config", str(path), "--out", str(out2), "--threads", "2"]) == 0
+    assert (out1 / "entangle.csv").read_bytes() == (out2 / "entangle.csv").read_bytes()
+
+
+def test_importing_the_cli_does_not_load_scipy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    code = "import sys, ryddephase.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_phasematch_run_json_contract(tmp_path):

@@ -135,6 +135,15 @@ def test_pair_index_arrays_are_condensed_order():
     ]
 
 
+@pytest.mark.parametrize("n", [2, 3, 41, 300])
+def test_pair_separations_equal_scipy_pdist_bit_for_bit(n):
+    from scipy.spatial.distance import pdist
+
+    for seed in (0, 1, 11, 2**63 + 5):
+        geometry = sample_positions(EnsembleSpec(n, 60.0, seed))
+        assert pair_separations(geometry).tobytes() == pdist(geometry.positions).tobytes()
+
+
 def test_all_pair_geometries_matches_condensed_distances():
     geom = sample_positions(EnsembleSpec(10, 30.0, seed=3))
     geos = all_pair_geometries(geom)

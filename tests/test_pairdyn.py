@@ -429,6 +429,33 @@ def test_analytic_pair_amplitudes_matches_scalar():
         assert vec[i] == pytest.approx(expected, abs=1e-12)
 
 
+def test_cycle_amplitude_matches_scalar_cos_sin_at_large_phases():
+    rng = np.random.default_rng(21)
+    poles = math.pi * np.array([1.0, -3.0, 1001.0, 2.0**20 + 1.0])  # A = 0 where tan(phi / 2) diverges
+    phi = np.concatenate([[0.0, 1e7], poles, rng.uniform(-1e7, 1e7, 200)])
+    phi = np.concatenate([phi, 10.0 ** rng.uniform(-3.0, 7.0, 400)])
+    amps = analytic_cycle_amplitude(phi)
+    for a, p in zip(amps, phi):
+        tol = 1e-15 * (1.0 + abs(p))
+        assert abs(a.real - 0.5 * (1.0 + math.cos(p))) <= tol
+        assert abs(a.imag - 0.5 * math.sin(p)) <= tol
+
+
+def test_analytic_pair_amplitudes_phase_is_one_divide():
+    rng = np.random.default_rng(4)
+    r = rng.uniform(0.1, 60.0, 300)
+    products = [2.6e4 * 60.0, 1.9e4 * 0.02]
+    vec = analytic_pair_amplitudes(r, products)
+    r3 = r**3
+    for i in range(len(r)):
+        expected = 1.0 + 0.0j
+        for p in products:
+            phi = p / r3[i]
+            expected *= complex(0.5 * (1.0 + math.cos(phi)), 0.5 * math.sin(phi))
+        # a phase off by one ulp (e.g. p * (1 / R^3)) moves cos by up to 1e-7 here
+        assert abs(vec[i] - expected) <= 1e-15
+
+
 @pytest.mark.parametrize("pulse_model", ["instantaneous", "finite_duration"])
 @pytest.mark.parametrize("j", [0.5, 1.5])
 def test_numeric_pair_amplitudes_matches_loop(pulse_model, j):

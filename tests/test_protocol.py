@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ryddephase.atomdata import Level, MicrowaveSpec, RydbergChannel
-from ryddephase.ensemble import EnsembleSpec, sample_positions
+from ryddephase.correlation import realization_seed
+from ryddephase.ensemble import EnsembleSpec, pair_separations, sample_positions
 from ryddephase.pairdyn import CycleSpec
 from ryddephase.protocol import (
     EntangleSpec,
@@ -212,8 +213,52 @@ def test_entangle_fidelity_rejects_empty_or_mismatched():
 
 def test_entangle_trace_starts_at_half_and_dephases():
     ens = EnsembleSpec(40, 60.0, seed=20)
-    grid, f, m1, m2 = entangle_trace(ens, 99, 2.0e5, 1.6e5, [0.0, 50.0], realizations=5)
+    grid, f, m1, m2 = entangle_trace(ens, 2.0e5, 1.6e5, [0.0, 50.0], realizations=5)
     assert f[0] == pytest.approx(0.5, abs=1e-12)
     assert m1[0] == pytest.approx(1.0, abs=1e-12)
     assert f[1] > 0.9
     assert m1[1] < 0.2 and m2[1] < 0.2
+
+
+def _scalar_coherence(phases):
+    """Reference: the scalar math.fsum(math.cos ...) coherence loop."""
+    n = phases.size
+    re = math.fsum(math.cos(p) for p in phases.ravel())
+    im = math.fsum(math.sin(p) for p in phases.ravel())
+    return complex(re / n, im / n)
+
+
+def _scalar_entangle_trace(ens, c3_prime, c3_second, grid, realizations):
+    """Reference: one realization at a time, one pair at a time."""
+    fs, m1s, m2s = (np.zeros((realizations, len(grid))) for _ in range(3))
+    for r in range(realizations):
+        spec_r = EnsembleSpec(ens.n_atoms, ens.box_side, realization_seed(ens.seed, r), ens.min_separation)
+        r3 = pair_separations(sample_positions(spec_r)) ** 3
+        for it, t in enumerate(grid):
+            m1 = _scalar_coherence(c3_prime * t / r3)
+            m2 = _scalar_coherence(c3_second * t / r3)
+            fs[r, it] = 2.0 / (2.0 + abs(m1) ** 2 + abs(m2) ** 2)
+            m1s[r, it] = abs(m1)
+            m2s[r, it] = abs(m2)
+    return fs.mean(axis=0), m1s.mean(axis=0), m2s.mean(axis=0)
+
+
+def test_entangle_trace_matches_scalar_reference():
+    ens = EnsembleSpec(60, 60.0, seed=31)
+    grid = np.concatenate([[0.0], np.geomspace(1e-3, 200.0, 12)])
+    _, f, m1, m2 = entangle_trace(ens, 2.0e5, 1.6e5, grid, realizations=3)
+    ref_f, ref_m1, ref_m2 = _scalar_entangle_trace(ens, 2.0e5, 1.6e5, np.asarray(grid), 3)
+    assert np.max(np.abs(f - ref_f)) <= 1e-12
+    assert np.max(np.abs(m1 - ref_m1)) <= 1e-12
+    assert np.max(np.abs(m2 - ref_m2)) <= 1e-12
+    assert f[0] == 0.5 and m1[0] == 1.0 and m2[0] == 1.0
+
+
+def test_entangle_fidelity_matches_scalar_reference():
+    rng = np.random.default_rng(8)
+    for scale in (1.0, 1e3, 1e7):
+        phi_p = rng.uniform(0.0, scale, size=(7, 11))
+        phi = rng.uniform(0.0, scale, size=(7, 11))
+        m1, m2 = _scalar_coherence(phi_p), _scalar_coherence(phi)
+        expected = 2.0 / (2.0 + abs(m1) ** 2 + abs(m2) ** 2)
+        assert abs(entangle_fidelity(phi_p, phi) - expected) <= 1e-12
