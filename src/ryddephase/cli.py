@@ -16,7 +16,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -446,10 +445,22 @@ def _trace_json(trace: G2Trace) -> dict:
     }
 
 
-def _make_pool(threads: int):
-    if threads <= 1:
+def _worker_count(threads: int, realizations: int) -> int:
+    """Workers worth starting: never more than realizations or CPUs.
+
+    Under the fork start method the pool starts every worker at once, so an
+    unclamped --threads 500 would fork 500 processes for one realization.
+    """
+    return min(threads, realizations, os.cpu_count() or 1)
+
+
+def _make_pool(threads: int, realizations: int):
+    workers = _worker_count(threads, realizations)
+    if workers <= 1:
         return None
-    return ProcessPoolExecutor(max_workers=threads)
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing only when needed
+
+    return ProcessPoolExecutor(max_workers=workers)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +471,7 @@ TRACE_HEADER = ["t_us", "g2_mean", "g2_stderr", "f_mean", "h_mean", "n_realizati
 
 
 def run_g2_trace(cfg: RunConfig, session: OutputSession, threads: int) -> None:
-    pool = _make_pool(threads)
+    pool = _make_pool(threads, cfg.realizations)
     try:
         variants = [(None, cfg.schedule)]
         if cfg.scan_n:
@@ -486,7 +497,7 @@ def run_g2_trace(cfg: RunConfig, session: OutputSession, threads: int) -> None:
 
 
 def run_cycles(cfg: RunConfig, session: OutputSession, threads: int) -> None:
-    pool = _make_pool(threads)
+    pool = _make_pool(threads, cfg.realizations)
     try:
         trace = g2_after_cycles(
             cfg.ensemble,
@@ -556,7 +567,7 @@ def _parse_entangle_config(raw) -> dict:
 
 def run_entangle(parsed: dict, session: OutputSession, threads: int) -> None:
     ent = parsed["entangle"]
-    pool = _make_pool(threads)
+    pool = _make_pool(threads, parsed["realizations"])
     try:
         grid, f, m1, m2 = entangle_trace(
             parsed["ensemble"],
@@ -824,18 +835,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _positive_threads(threads: int, source: str) -> int:
+    if threads < 1:
+        raise ConfigError(f"{source}: expected an integer >= 1, got {threads}")
+    return threads
+
+
 def _env_threads() -> int:
     raw = os.environ.get(THREADS_ENV, "1")
     try:
-        return int(raw)
+        threads = int(raw)
     except ValueError:
         raise ConfigError(f"{THREADS_ENV}: expected an integer, got {raw!r}") from None
+    return _positive_threads(threads, THREADS_ENV)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        threads = _env_threads() if args.threads is None else args.threads
+        if args.threads is None:
+            threads = _env_threads()
+        else:
+            threads = _positive_threads(args.threads, "--threads")
         try:
             text = Path(args.config).read_text()
         except OSError as exc:

@@ -128,12 +128,14 @@ def _reduce_pairs(condensed: np.ndarray, bins, n: int) -> tuple[float, float, fl
     """(g2, f, h) of one point from condensed pair amplitudes, in fixed order.
 
     bins is _row_bins(n).  Each row sum S_mu accumulates in ascending pair
-    order (np.bincount); the n row sums are combined with math.fsum.
+    order (np.bincount); the n row sums are combined with math.fsum.  A NaN
+    or infinite amplitude makes its row sums non-finite, and |A| <= 1 keeps a
+    sum of finite amplitudes finite, so only the 2n row sums are checked.
     """
-    if not np.isfinite(condensed).all():
-        raise ValueError("missing pair amplitude (non-finite off-diagonal entry)")
     floats = np.ascontiguousarray(condensed, dtype=complex).view(np.float64)
     rows = np.bincount(bins[0], floats, 2 * n) + np.bincount(bins[1], floats, 2 * n)
+    if not np.isfinite(rows).all():
+        raise ValueError("missing pair amplitude (non-finite off-diagonal entry)")
     row_re, row_im = rows[0::2], rows[1::2]
     total_re = math.fsum(row_re.tolist())
     total_im = math.fsum(row_im.tolist())

@@ -17,6 +17,20 @@ within 1e-15 of the values built from math.cos and math.sin, whatever the
 size of phi.  analytic_pair_amplitudes forms each pair's phase as one divide
 C3 * dT / R^3 and multiplies the per-cycle factors.
 
+Buffer discipline.  The g2 drivers call analytic_pair_amplitudes once per
+grid point, on columns of several hundred kB (44850 pairs at N = 300).  glibc
+serves blocks that size from the top of the heap and gives them back to the
+kernel once the free space at the top passes its trim threshold (mallopt(3),
+M_TRIM_THRESHOLD, which follows the dynamic M_MMAP_THRESHOLD).  A kernel that
+frees a chain of fresh temporaries per call crosses it at every grid point,
+and every page of the next call faults in again: about 500 minor faults, two
+thirds of the call's time.  So the kernel holds as few large arrays as it
+can: R^3 is overwritten in place by the phase and then its tangent, the
+weight and its product with the tangent are written straight into the real
+and imaginary parts of the returned column (_cycle_amplitude_into), and only
+calls with several cycles take a phase and a factor buffer more.  A one-cycle
+call then holds R^3 and its result, too little to trigger a trim.
+
 Numeric route (multichannel): the resonant exchange part of the dipole-dipole
 operator is expanded in rank-2 spherical tensors over the full (s + p_j) pair
 basis and the cycle is propagated with eigendecomposition-based exponentials
@@ -121,15 +135,33 @@ def single_channel_phase(c3: float, r: float, delta_t: float) -> float:
     return c3 * delta_t / r**3
 
 
+def _cycle_amplitude_into(phase: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the closed-form cycle amplitude of phase into the complex array out.
+
+    phase is overwritten with t = tan(phase / 2); the weight w = 1 / (1 + t^2)
+    is built in out.real and t * w is written to out.imag, so no temporary
+    array is created.  Returns out.
+    """
+    phase *= 0.5
+    np.tan(phase, out=phase)
+    w = out.real
+    np.multiply(phase, phase, out=w)
+    w += 1.0
+    np.divide(1.0, w, out=w)
+    np.multiply(phase, w, out=out.imag)
+    return out
+
+
 def analytic_cycle_amplitude(phi):
     """Closed-form cycle survival amplitude (1 + e^{i phi}) / 2.
 
     Evaluated as (1 + i t) / (1 + t^2) with t = tan(phi / 2), the same
-    number as (1 + cos phi) / 2 + i sin(phi) / 2.  Accepts scalars or arrays.
+    number as (1 + cos phi) / 2 + i sin(phi) / 2.  Accepts scalars or arrays;
+    a scalar phase gives a scalar amplitude.
     """
-    t = np.tan(0.5 * np.asarray(phi, dtype=float))
-    w = 1.0 / (1.0 + t * t)
-    return w + 1j * (t * w)
+    phase = np.array(phi, dtype=float)
+    out = _cycle_amplitude_into(phase, np.empty(phase.shape, dtype=complex))
+    return out if out.ndim else out[()]
 
 
 # ---------------------------------------------------------------------------
@@ -410,12 +442,22 @@ def analytic_pair_amplitudes(separations: np.ndarray, phase_products) -> np.ndar
 
     separations has shape (npairs,); the result multiplies the closed-form
     cycle amplitude over all cycles, shape (npairs,).  Each cycle's phase is
-    one divide, p / R^3.
+    one divide, p / R^3.  The first cycle's amplitude is written straight into
+    the result, so a one-cycle call holds two arrays: R^3 (overwritten by the
+    phase and its tangent) and the result.
     """
+    products = list(phase_products)
     r3 = np.asarray(separations, dtype=float) ** 3
-    amps = np.ones(r3.shape, dtype=complex)
-    for p in phase_products:
-        amps *= analytic_cycle_amplitude(p / r3)
+    if not products:
+        return np.ones(r3.shape, dtype=complex)
+    first, *rest = products
+    # a lone phase may overwrite R^3, which no later cycle needs
+    phase = np.divide(first, r3, out=None if rest else r3)
+    amps = _cycle_amplitude_into(phase, np.empty(r3.shape, dtype=complex))
+    if rest:
+        factor = np.empty_like(amps)
+        for p in rest:
+            amps *= _cycle_amplitude_into(np.divide(p, r3, out=phase), factor)
     return amps
 
 

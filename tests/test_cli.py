@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ryddephase import cli
 from ryddephase.cli import ConfigError, main, parse_config
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -183,6 +184,43 @@ def test_thread_env_variable_must_be_an_integer(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("source", ["--threads", "RYDDEPHASE_THREADS"])
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_thread_count_below_one_is_a_config_error(tmp_path, monkeypatch, capsys, source, value):
+    path = write_config(tmp_path, MINIMAL)
+    argv = ["g2-trace", "--config", str(path), "--out", str(tmp_path / "o")]
+    if source == "--threads":
+        argv += ["--threads", value]
+    else:
+        monkeypatch.setenv("RYDDEPHASE_THREADS", value)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"config error: {source}: expected an integer >= 1, got {value}" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_worker_count_is_clamped_to_realizations_and_cpus(monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    assert cli._worker_count(500, 1) == 1
+    assert cli._worker_count(500, 3) == 3
+    assert cli._worker_count(500, 100) == 4
+    assert cli._worker_count(2, 100) == 2
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli._worker_count(8, 8) == 1
+
+
+def test_pool_starts_only_the_clamped_worker_count(monkeypatch):
+    import concurrent.futures
+
+    started = []
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda max_workers: started.append(max_workers))
+    assert cli._make_pool(500, 1) is None
+    cli._make_pool(500, 3)
+    cli._make_pool(500, 100)
+    assert started == [3, 4]
+
+
 def test_cycles_threaded_run_matches_serial(tmp_path):
     cfg = {
         "ensemble": {"n_atoms": 12, "box_side_um": 60.0, "seed": 5},
@@ -315,6 +353,17 @@ def test_importing_the_cli_does_not_load_scipy():
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     code = "import sys, ryddephase.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+def test_importing_the_cli_does_not_load_the_process_pool():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, ryddephase.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith(('concurrent.futures.process', 'multiprocessing'))))"
+    )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
 

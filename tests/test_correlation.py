@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -430,3 +434,32 @@ def test_non_finite_amplitude_raises(monkeypatch, driver):
             g2_trace(ens, sched, [0.5, 1.0], realizations=1)
         else:
             g2_after_cycles(ens, sched, realizations=1)
+
+
+FAULT_PROBE = """
+import resource
+import numpy as np
+from ryddephase.atomdata import Level, MicrowaveSpec, RydbergChannel
+from ryddephase.correlation import g2_trace
+from ryddephase.ensemble import EnsembleSpec
+from ryddephase.pairdyn import CycleSpec
+from ryddephase.protocol import make_schedule
+
+ch = RydbergChannel(Level(60, "s", 0.5), Level(60, "p", 0.5), 2.6e4)
+sched = make_schedule([CycleSpec(ch, 1.0, MicrowaveSpec(rabi=10.0))])
+grid = np.geomspace(0.02, 60.0, 120)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+g2_trace(EnsembleSpec(300, 60.0, seed=5), sched, grid, realizations=1)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor-fault counts as Linux reports them")
+def test_analytic_trace_does_not_fault_its_buffers_in_at_every_point():
+    # a fresh interpreter, so the test runner's heap cannot hide a regression;
+    # freeing and re-faulting the per-point arrays costs about 500 faults per point
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", FAULT_PROBE], env=env, capture_output=True, text=True, check=True)
+    faults = int(proc.stdout)
+    assert faults < 100 * 120

@@ -456,6 +456,40 @@ def test_analytic_pair_amplitudes_phase_is_one_divide():
         assert abs(vec[i] - expected) <= 1e-15
 
 
+def reference_pair_amplitudes(separations, phase_products):
+    """The kernel built from fresh temporaries: ones times each cycle factor."""
+    r3 = np.asarray(separations, dtype=float) ** 3
+    amps = np.ones(r3.shape, dtype=complex)
+    for p in phase_products:
+        t = np.tan(0.5 * (p / r3))
+        w = 1.0 / (1.0 + t * t)
+        amps *= w + 1j * (t * w)
+    return amps
+
+
+@pytest.mark.parametrize("cycles", [0, 1, 2, 3])
+def test_analytic_pair_amplitudes_bit_identical_to_reference(cycles):
+    rng = np.random.default_rng(40 + cycles)
+    r = rng.uniform(0.1, 60.0, 5000)
+    r_before = r.copy()
+    products = [2.6e4 * 60.0, 1.9e4 * 0.02, 3.1e5 * 7.0][:cycles]
+    want = reference_pair_amplitudes(r, products)
+    assert np.array_equal(analytic_pair_amplitudes(r, products), want)
+    assert np.array_equal(analytic_pair_amplitudes(r, iter(products)), want)
+    assert np.array_equal(r, r_before)
+
+
+def test_cycle_amplitude_of_a_float_is_a_scalar_equal_to_the_array_path():
+    phis = np.array([0.0, 0.3, -2.0, math.pi, 7.5e6])
+    phis_before = phis.copy()
+    arr = analytic_cycle_amplitude(phis)
+    assert np.array_equal(phis, phis_before)
+    for k, phi in enumerate(phis.tolist()):
+        a = analytic_cycle_amplitude(phi)
+        assert np.isscalar(a)
+        assert a == arr[k]
+
+
 @pytest.mark.parametrize("pulse_model", ["instantaneous", "finite_duration"])
 @pytest.mark.parametrize("j", [0.5, 1.5])
 def test_numeric_pair_amplitudes_matches_loop(pulse_model, j):
