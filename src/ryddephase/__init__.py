@@ -20,7 +20,6 @@ from .atomdata import (
     pair_dimension,
 )
 from .correlation import (
-    AmplitudeSet,
     G2Point,
     G2Trace,
     brute_force_g2,
@@ -40,10 +39,7 @@ from .ensemble import (
 from .pairdyn import (
     CycleSpec,
     NumericsError,
-    PairAmplitude,
-    PairHamiltonian,
     analytic_cycle_amplitude,
-    build_pair_hamiltonian,
     cycle_amplitude_numeric,
     multi_cycle_amplitude,
     propagate,

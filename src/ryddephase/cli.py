@@ -32,7 +32,6 @@ from .atomdata import (
     c3_of,
 )
 from .correlation import (
-    AmplitudeSet,
     G2Trace,
     brute_force_g2,
     g2_after_cycles,
@@ -40,7 +39,7 @@ from .correlation import (
     g2_trace,
     realization_seed,
 )
-from .ensemble import EnsembleSpec, sample_positions
+from .ensemble import EnsembleSpec, PackingError, pair_index_arrays, sample_positions
 from .pairdyn import CycleSpec, NumericsError
 from .phasematch import (
     Beam,
@@ -309,6 +308,8 @@ def _materialize_trace_config(raw, subcommand) -> RunConfig:
         values = _as_list(raw["scan_n"], "scan_n")
         scan_n = tuple(_as_int(v, f"scan_n[{i}]", minimum=1) for i, v in enumerate(values))
         for i, n in enumerate(scan_n):
+            if n in scan_n[:i]:
+                _fail(f"scan_n[{i}]", f"duplicate value {n}")
             _parse_schedule(raw["schedule"], "schedule", model, table, n_override=n)
     mode = _as_choice(raw.get("mode", "analytic"), "mode", ("analytic", "multichannel"))
     realizations = _as_int(raw.get("realizations", 100), "realizations", minimum=1)
@@ -374,9 +375,16 @@ def _file_sha256(path: Path) -> str:
 
 
 class OutputSession:
-    """Collects planned output files, enforces the overwrite policy, writes the manifest."""
+    """Collects planned output files, enforces the overwrite policy, writes the manifest.
 
-    def __init__(self, out_dir: Path, subcommand: str, raw_config: dict, force: bool):
+    Files, manifests included, are written under temporary names (claim
+    returns one) and commit renames them into place once the whole run has
+    succeeded, the top-level manifest last, so a failed run leaves no file
+    that would block a re-run.  A sweep's sub-sessions stage their files in
+    the top-level session's table.
+    """
+
+    def __init__(self, out_dir: Path, subcommand: str, raw_config: dict, force: bool, staged=None):
         self.out_dir = out_dir
         self.subcommand = subcommand
         self.raw_config = raw_config
@@ -384,18 +392,36 @@ class OutputSession:
         self.outputs: list[Path] = []
         self.seeds: list[int] = []
         self.started = time.perf_counter()
+        self._staged: dict[Path, Path] = {} if staged is None else staged  # final -> temporary
         if (out_dir / "manifest.json").exists() and not force:
             raise ConfigError(
                 f"refusing to overwrite {out_dir / 'manifest.json'}; pass --force"
             )
 
-    def claim(self, name: str) -> Path:
-        path = self.out_dir / name
+    def sub_session(self, label: str, subcommand: str, raw_config: dict) -> "OutputSession":
+        return OutputSession(self.out_dir / label, subcommand, raw_config, self.force, self._staged)
+
+    def _stage(self, path: Path) -> Path:
         if path.exists() and not self.force:
             raise ConfigError(f"refusing to overwrite {path}; pass --force")
+        if path in self._staged:
+            raise ConfigError(f"{path} would be written twice by one run")
         path.parent.mkdir(parents=True, exist_ok=True)
+        temporary = path.with_name(path.name + ".partial")
+        self._staged[path] = temporary
+        return temporary
+
+    def claim(self, name: str) -> Path:
+        """Temporary path to write output name to."""
+        path = self.out_dir / name
+        temporary = self._stage(path)
         self.outputs.append(path)
-        return path
+        return temporary
+
+    def discard(self) -> None:
+        """Delete staged files not renamed into place (after a failure)."""
+        for temporary in self._staged.values():
+            temporary.unlink(missing_ok=True)
 
     def finish(self) -> Path:
         manifest_path = self.out_dir / "manifest.json"
@@ -407,13 +433,17 @@ class OutputSession:
             "seeds": self.seeds,
             "duration_s": time.perf_counter() - self.started,
             "outputs": [
-                {"path": str(p.relative_to(self.out_dir)), "sha256": _file_sha256(p)}
+                {"path": str(p.relative_to(self.out_dir)), "sha256": _file_sha256(self._staged[p])}
                 for p in self.outputs
             ],
         }
-        manifest_path.parent.mkdir(parents=True, exist_ok=True)
-        _write_json(manifest_path, manifest)
+        _write_json(self._stage(manifest_path), manifest)
         return manifest_path
+
+    def commit(self) -> None:
+        """Rename every staged file into place, in the order staged."""
+        for final, temporary in self._staged.items():
+            os.replace(temporary, final)
 
 
 def _trace_rows(trace: G2Trace):
@@ -514,7 +544,7 @@ def run_cycles(cfg: RunConfig, session: OutputSession, threads: int) -> None:
     if tau is None:
         tau = cfg.schedule.total_time / len(cfg.schedule)
     n = cfg.ensemble.n_atoms
-    flat = g2_from_amplitudes(AmplitudeSet(n, np.ones((n, n), dtype=complex)))
+    flat = g2_from_amplitudes(np.ones(n * (n - 1) // 2), n)
     header = ["cycle", "t_us", "g2_mean", "g2_stderr", "f_mean", "h_mean", "reference"]
     rows = [["0", _fmt(0.0), _fmt(flat.g2), _fmt(0.0), _fmt(flat.f), _fmt(flat.h), _fmt(1.0)]]
     for q, t in enumerate(trace.grid, start=1):
@@ -680,6 +710,7 @@ def _parse_oracle_config(raw) -> dict:
 
 def run_oracle(parsed: dict, session: OutputSession) -> None:
     n = parsed["n_atoms"]
+    mu, nu = pair_index_arrays(n)
     rng = np.random.Generator(np.random.PCG64(parsed["seed"]))
     cases = []
     worst = 0.0
@@ -687,15 +718,13 @@ def run_oracle(parsed: dict, session: OutputSession) -> None:
         seed = realization_seed(parsed["seed"], draw)
         geometry = sample_positions(EnsembleSpec(n, parsed["box_side"], seed))
         if parsed["amplitude"] == "ones":
-            values = np.ones((n, n), dtype=complex)
+            amps = np.ones(len(mu))
         else:
+            # draw (n, n) values and keep the mu < nu ones: a seed's cases stay fixed
             mag = rng.uniform(0.0, 1.0, size=(n, n))
             phase = rng.uniform(0.0, 2.0 * math.pi, size=(n, n))
-            values = mag * np.exp(1j * phase)
-            values = np.triu(values, k=1)
-            values = values + values.T
-        amps = AmplitudeSet(n, values)
-        approx = g2_from_amplitudes(amps).g2
+            amps = (mag * np.exp(1j * phase))[mu, nu]
+        approx = g2_from_amplitudes(amps, n).g2
         exact = brute_force_g2(geometry, amps)
         rel = abs(approx - exact) / exact if exact else abs(approx)
         worst = max(worst, rel)
@@ -732,12 +761,21 @@ def _parse_sweep_config(raw) -> dict:
     return {"subcommand": sub, "base": raw["base"], "axes": axes, "dir": out_dir}
 
 
+def _list_index(node: list, part: str, dotted: str) -> int:
+    try:
+        index = int(part)
+        node[index]
+    except (ValueError, IndexError):
+        _fail(f"axes path {dotted!r}", f"segment {part!r} is not an index of a {len(node)}-entry list")
+    return index
+
+
 def _apply_override(cfg: dict, dotted: str, value):
     parts = dotted.split(".")
     node = cfg
     for part in parts[:-1]:
         if isinstance(node, list):
-            node = node[int(part)]
+            node = node[_list_index(node, part, dotted)]
         elif isinstance(node, dict):
             if part not in node:
                 _fail(f"axes path {dotted!r}", f"segment {part!r} not present in base config")
@@ -746,7 +784,7 @@ def _apply_override(cfg: dict, dotted: str, value):
             _fail(f"axes path {dotted!r}", f"cannot descend into {type(node).__name__}")
     leaf = parts[-1]
     if isinstance(node, list):
-        node[int(leaf)] = value
+        node[_list_index(node, leaf, dotted)] = value
     elif isinstance(node, dict):
         node[leaf] = value
     else:
@@ -772,9 +810,7 @@ def run_sweep(parsed: dict, session: OutputSession, threads: int) -> None:
         for (path, _), value in zip(axes, combo):
             _apply_override(base, path, value)
         label = _combo_label(axes, combo)
-        sub_session = OutputSession(
-            session.out_dir / label, parsed["subcommand"], base, session.force
-        )
+        sub_session = session.sub_session(label, parsed["subcommand"], base)
         _dispatch_config(parsed["subcommand"], base, sub_session, threads)
         manifest = sub_session.finish()
         session.outputs.extend(sub_session.outputs)
@@ -875,15 +911,22 @@ def main(argv=None) -> int:
         if out_dir is None:
             out_dir = "out"
         session = OutputSession(Path(out_dir), args.subcommand, raw, args.force)
-        if args.subcommand == "sweep":
-            run_sweep(_parse_sweep_config(raw), session, threads)
-        else:
-            _dispatch_config(args.subcommand, raw, session, threads)
-        manifest = session.finish()
+        try:
+            if args.subcommand == "sweep":
+                run_sweep(_parse_sweep_config(raw), session, threads)
+            else:
+                _dispatch_config(args.subcommand, raw, session, threads)
+            manifest = session.finish()
+            session.commit()
+        finally:
+            session.discard()
         print(f"wrote {len(session.outputs)} output file(s); manifest: {manifest}")
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except PackingError as exc:
+        print(f"config error: ensemble: {exc}", file=sys.stderr)
         return 1
     except NumericsError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

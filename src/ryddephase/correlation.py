@@ -38,6 +38,7 @@ from .ensemble import (
     EnsembleGeometry,
     EnsembleSpec,
     pair_index_arrays,
+    pair_orientations,
     pair_separations,
     sample_positions,
 )
@@ -46,7 +47,6 @@ from .pairdyn import (
     analytic_pair_amplitudes,
     numeric_pair_amplitudes,
 )
-from .atomdata import POPULATED_M
 
 G2_ZERO = math.e / 4.0
 G2_ASYMPTOTE = G2_ZERO * 16.0 / 25.0
@@ -64,50 +64,8 @@ def g2_asymptote() -> float:
     return G2_ASYMPTOTE
 
 
-@dataclass(frozen=True, eq=False)
-class AmplitudeSet:
-    """Symmetric matrix of per-pair survival amplitudes A_munu, diagonal unused."""
-
-    n_atoms: int
-    values: np.ndarray  # (N, N) complex
-
-    def __post_init__(self):
-        v = self.values
-        if v.shape != (self.n_atoms, self.n_atoms):
-            raise ValueError(f"amplitude matrix shape {v.shape} != ({self.n_atoms}, {self.n_atoms})")
-        off = ~np.eye(self.n_atoms, dtype=bool)
-        if np.any(~np.isfinite(v[off])):
-            raise ValueError("missing pair amplitude (non-finite off-diagonal entry)")
-        if np.max(np.abs(v - v.T)) > 1e-12:
-            raise ValueError("amplitude matrix must satisfy A_munu = A_numu")
-
-    @classmethod
-    def from_condensed(cls, n_atoms: int, condensed) -> "AmplitudeSet":
-        """Build from amplitudes in condensed (mu < nu, row-major) pair order."""
-        condensed = np.asarray(condensed)
-        mu, nu = pair_index_arrays(n_atoms)
-        if condensed.shape != mu.shape:
-            raise ValueError(f"expected {len(mu)} pair amplitudes, got {condensed.shape}")
-        values = np.zeros((n_atoms, n_atoms), dtype=complex)
-        values[mu, nu] = condensed
-        values[nu, mu] = condensed
-        return cls(n_atoms, values)
-
-    @classmethod
-    def from_pair_amplitudes(cls, n_atoms: int, items) -> "AmplitudeSet":
-        """Build from PairAmplitude records covering every mu < nu pair once."""
-        values = np.full((n_atoms, n_atoms), np.nan, dtype=complex)
-        np.fill_diagonal(values, 0.0)
-        for item in items:
-            mu, nu = item.pair
-            values[mu, nu] = item.value
-            values[nu, mu] = item.value
-        return cls(n_atoms, values)
-
-
 @dataclass(frozen=True)
 class G2Point:
-    time: float  # us
     g2: float
     f: float
     h: float
@@ -135,7 +93,7 @@ def _reduce_pairs(condensed: np.ndarray, bins, n: int) -> tuple[float, float, fl
     floats = np.ascontiguousarray(condensed, dtype=complex).view(np.float64)
     rows = np.bincount(bins[0], floats, 2 * n) + np.bincount(bins[1], floats, 2 * n)
     if not np.isfinite(rows).all():
-        raise ValueError("missing pair amplitude (non-finite off-diagonal entry)")
+        raise ValueError("missing pair amplitude (non-finite value)")
     row_re, row_im = rows[0::2], rows[1::2]
     total_re = math.fsum(row_re.tolist())
     total_im = math.fsum(row_im.tolist())
@@ -144,13 +102,20 @@ def _reduce_pairs(condensed: np.ndarray, bins, n: int) -> tuple[float, float, fl
     return 4.0 * G2_ZERO * f / (1.0 + h) ** 2, f, h
 
 
-def g2_from_amplitudes(amps: AmplitudeSet, n_atoms: int | None = None, time: float = 0.0) -> G2Point:
-    """Assemble one correlation point from a full amplitude set."""
-    if n_atoms is not None and n_atoms != amps.n_atoms:
-        raise ValueError(f"n_atoms {n_atoms} disagrees with amplitude set ({amps.n_atoms})")
-    n = amps.n_atoms
-    mu, nu = pair_index_arrays(n)
-    return G2Point(time, *_reduce_pairs(amps.values[mu, nu], _row_bins(n), n))
+def _condensed(amplitudes, n_atoms: int) -> np.ndarray:
+    """amplitudes as an array, checked to hold one value per mu < nu pair."""
+    amplitudes = np.asarray(amplitudes)
+    npairs = n_atoms * (n_atoms - 1) // 2
+    if amplitudes.shape != (npairs,):
+        raise ValueError(
+            f"expected {npairs} condensed pair amplitudes for {n_atoms} atoms, got shape {amplitudes.shape}"
+        )
+    return amplitudes
+
+
+def g2_from_amplitudes(condensed, n_atoms: int) -> G2Point:
+    """One correlation point from condensed (mu < nu, row-major) pair amplitudes."""
+    return G2Point(*_reduce_pairs(_condensed(condensed, n_atoms), _row_bins(n_atoms), n_atoms))
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,16 +164,7 @@ def realization_seed(base_seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _pair_orientation_arrays(geometry: EnsembleGeometry):
-    mu, nu = pair_index_arrays(geometry.n_atoms)
-    d = geometry.positions[mu] - geometry.positions[nu]
-    r = np.linalg.norm(d, axis=1)
-    theta = np.arccos(np.clip(d[:, 2] / r, -1.0, 1.0))
-    phi = np.mod(np.arctan2(d[:, 1], d[:, 0]), 2.0 * math.pi)
-    return r, theta, phi
-
-
-def _amplitude_columns(geometry: EnsembleGeometry, cycles, grid, mode: str, initial_m: float):
+def _amplitude_columns(geometry: EnsembleGeometry, cycles, grid, mode: str):
     """Condensed pair amplitudes of one realization, one (npairs,) column per point.
 
     With a grid, each grid time replaces the free interval of every cycle.
@@ -222,11 +178,11 @@ def _amplitude_columns(geometry: EnsembleGeometry, cycles, grid, mode: str, init
             return itertools.accumulate(per_cycle, operator.mul)
         return (analytic_pair_amplitudes(r, [c.channel.c3 * t for c in cycles]) for t in grid)
     if mode == "multichannel":
-        r, theta, phi = _pair_orientation_arrays(geometry)
+        r, theta, phi = pair_orientations(geometry)
 
         def cycle_stack(q, times):
             try:
-                return numeric_pair_amplitudes(r, theta, phi, cycles[q], times, initial_m)
+                return numeric_pair_amplitudes(r, theta, phi, cycles[q], times)
             except NumericsError as exc:
                 raise NumericsError(f"cycle {q}: {exc}") from exc
 
@@ -249,14 +205,14 @@ def sample_realization(ensemble: EnsembleSpec, index: int) -> tuple[int, Ensembl
 
 def _trace_single_realization(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """g2, f and h of one realization: sample positions, evaluate, reduce each column."""
-    ensemble, cycles, grid, mode, initial_m, index = args
+    ensemble, cycles, grid, mode, index = args
     seed, geometry = sample_realization(ensemble, index)
     n = ensemble.n_atoms
     bins = _row_bins(n)
     try:
         points = [
             _reduce_pairs(column, bins, n)
-            for column in _amplitude_columns(geometry, cycles, grid, mode, initial_m)
+            for column in _amplitude_columns(geometry, cycles, grid, mode)
         ]
     except NumericsError as exc:
         raise NumericsError(f"realization {index} (seed {seed}): {exc}") from exc
@@ -287,7 +243,6 @@ def g2_trace(
     grid,
     mode: str = "analytic",
     realizations: int = 100,
-    initial_m: float = POPULATED_M,
     pool=None,
 ) -> G2Trace:
     """Correlation trace versus the free-interval length of the schedule.
@@ -302,7 +257,7 @@ def g2_trace(
         raise ValueError("time grid must be nonempty")
     if np.any(np.diff(grid) <= 0) and grid.size > 1:
         raise ValueError("time grid must be strictly increasing")
-    params = (tuple(schedule.cycles), grid, mode, initial_m)
+    params = (tuple(schedule.cycles), grid, mode)
     stacks, seeds = run_realizations(_trace_single_realization, ensemble, params, realizations, pool)
     return G2Trace(grid, *stacks, seeds)
 
@@ -312,7 +267,6 @@ def g2_after_cycles(
     schedule,
     mode: str = "analytic",
     realizations: int = 100,
-    initial_m: float = POPULATED_M,
     pool=None,
 ) -> G2Trace:
     """Correlation after each successive cycle of a fixed schedule.
@@ -322,7 +276,7 @@ def g2_after_cycles(
     """
     cycles = tuple(schedule.cycles)
     grid = np.cumsum([c.duration for c in cycles])
-    params = (cycles, None, mode, initial_m)
+    params = (cycles, None, mode)
     stacks, seeds = run_realizations(_trace_single_realization, ensemble, params, realizations, pool)
     return G2Trace(grid, *stacks, seeds)
 
@@ -330,7 +284,7 @@ def g2_after_cycles(
 DEFAULT_RETRIEVAL_K = np.array([0.0, 0.0, 7.902])  # rad/um, a typical optical k
 
 
-def brute_force_g2(geometry: EnsembleGeometry, amps: AmplitudeSet, k0=None) -> float:
+def brute_force_g2(geometry: EnsembleGeometry, condensed, k0=None) -> float:
     """Exact correlator on the explicit truncated state, for N <= 10.
 
     Builds the state vector over {vacuum, single excitations, excited pairs}
@@ -342,8 +296,7 @@ def brute_force_g2(geometry: EnsembleGeometry, amps: AmplitudeSet, k0=None) -> f
     n = geometry.n_atoms
     if n > 10:
         raise ValueError(f"brute-force correlator limited to N <= 10, got {n}")
-    if amps.n_atoms != n:
-        raise ValueError("amplitude set does not match geometry")
+    pair_amp = _condensed(condensed, n)
     k0 = DEFAULT_RETRIEVAL_K if k0 is None else np.asarray(k0, dtype=float)
     c0, c1, c2 = TRUNCATED_AMPLITUDES
 
@@ -354,7 +307,6 @@ def brute_force_g2(geometry: EnsembleGeometry, amps: AmplitudeSet, k0=None) -> f
     # state vector: [vacuum, singles (N), pairs (npairs)]
     psi_vac = c0
     psi_single = c1 * phase / math.sqrt(n)
-    pair_amp = amps.values[mu, nu]
     psi_pair = c2 * phase[mu] * phase[nu] * pair_amp / math.sqrt(npairs)
 
     # S maps pairs -> singles and singles -> vacuum, with e^{-i k0 . r} factors

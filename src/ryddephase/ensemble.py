@@ -16,6 +16,10 @@ import numpy as np
 DEFAULT_MIN_SEPARATION = 0.1  # um; guards 1/R^3 against float blowup, not a physics cutoff
 
 
+class PackingError(RuntimeError):
+    """Rejection sampling stalled: the ensemble is too dense for its minimum separation."""
+
+
 @dataclass(frozen=True)
 class EnsembleSpec:
     n_atoms: int
@@ -64,7 +68,7 @@ def sample_positions(spec: EnsembleSpec) -> EnsembleGeometry:
     """Sample N atoms uniform in the cube, rejecting closer than min_separation.
 
     Sequential rejection keeps the stream deterministic for a given seed.
-    Raises RuntimeError when placement stalls (density too high for the
+    Raises PackingError when placement stalls (density too high for the
     requested minimum separation).
     """
     rng = np.random.Generator(np.random.PCG64(spec.seed))
@@ -75,7 +79,7 @@ def sample_positions(spec: EnsembleSpec) -> EnsembleGeometry:
     attempts = 0
     while placed < n:
         if attempts >= max_attempts:
-            raise RuntimeError(
+            raise PackingError(
                 f"could not place {n} atoms with min separation {eps} um in a "
                 f"{spec.box_side} um cube after {attempts} draws "
                 f"({placed} placed); lower the density or min_separation"
@@ -91,15 +95,20 @@ def sample_positions(spec: EnsembleSpec) -> EnsembleGeometry:
     return EnsembleGeometry(points, spec.box_side, eps)
 
 
+def _orientation_rows(d: np.ndarray):
+    """(R, polar angle from z, azimuth in [0, 2 pi)) of each displacement row of d, shape (n, 3)."""
+    r = np.linalg.norm(d, axis=1)
+    if np.any(r < 1e-12):
+        raise ValueError("coincident points have no pair geometry")
+    theta = np.arccos(np.clip(d[:, 2] / r, -1.0, 1.0))
+    phi = np.mod(np.arctan2(d[:, 1], d[:, 0]), 2.0 * math.pi)
+    return r, theta, phi
+
+
 def pair_geometry(a, b) -> PairGeometry:
     """Geometry of the pair (a, b): R = |a - b|, orientation of a - b."""
     d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
-    r = float(np.linalg.norm(d))
-    if r < 1e-12:
-        raise ValueError("coincident points have no pair geometry")
-    theta = math.acos(max(-1.0, min(1.0, d[2] / r)))
-    phi = math.atan2(d[1], d[0]) % (2.0 * math.pi)
-    return PairGeometry(r, theta, phi)
+    return PairGeometry(*(float(x[0]) for x in _orientation_rows(d[None, :])))
 
 
 def pair_separations(geometry: EnsembleGeometry) -> np.ndarray:
@@ -120,11 +129,16 @@ def pair_index_arrays(n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
     return mu, nu
 
 
+def pair_orientations(geometry: EnsembleGeometry):
+    """(R, theta, phi) arrays of every mu < nu pair, in condensed order."""
+    mu, nu = pair_index_arrays(geometry.n_atoms)
+    return _orientation_rows(geometry.positions[mu] - geometry.positions[nu])
+
+
 def all_pair_geometries(geometry: EnsembleGeometry) -> list[PairGeometry]:
     """PairGeometry for every mu < nu pair, in condensed order."""
-    mu, nu = pair_index_arrays(geometry.n_atoms)
-    pos = geometry.positions
-    return [pair_geometry(pos[i], pos[k]) for i, k in zip(mu, nu)]
+    r, theta, phi = pair_orientations(geometry)
+    return [PairGeometry(*row) for row in zip(r.tolist(), theta.tolist(), phi.tolist())]
 
 
 def save_positions_csv(path, geometry: EnsembleGeometry) -> None:

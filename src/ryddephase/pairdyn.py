@@ -94,38 +94,6 @@ class CycleSpec:
         return self.delta_t + 2.0 * math.pi / self.microwave.rabi
 
 
-@dataclass(frozen=True)
-class PairAmplitude:
-    """Survival amplitude of one atom pair, tagged with its (mu, nu) indices."""
-
-    value: complex
-    pair: tuple[int, int]
-
-    def __post_init__(self):
-        if abs(self.value) > 1.0 + 1e-10:
-            raise ValueError(
-                f"survival amplitude |A| = {abs(self.value):.12f} exceeds 1 for pair {self.pair}"
-            )
-        mu, nu = self.pair
-        if mu == nu:
-            raise ValueError("a pair needs two distinct atoms")
-
-
-@dataclass(frozen=True, eq=False)
-class PairHamiltonian:
-    """Dressing and interaction parts of a two-atom Hamiltonian, kept separate.
-
-    basis lists the product labels (Level, Level) in tensor order, atom 1
-    slow index.  Both parts are Hermitian; interaction_part contains only
-    excitation-exchange blocks and scales as C3 / R^3.
-    """
-
-    dimension: int
-    dressing_part: np.ndarray
-    interaction_part: np.ndarray
-    basis: tuple
-
-
 def single_channel_phase(c3: float, r: float, delta_t: float) -> float:
     """Isotropic single-channel phase phi = (C3 / R^3) * delta_t (hbar = 1)."""
     if delta_t < 0:
@@ -244,31 +212,38 @@ def exchange_tensor_operators(channel: RydbergChannel) -> np.ndarray:
     return out
 
 
-def rank2_angular_factors(theta: float, phi_axis: float) -> np.ndarray:
-    """Racah-normalized rank-2 spherical harmonics C^2_Q of the pair axis, Q=-2..2."""
-    st, ct = math.sin(theta), math.cos(theta)
-    e1 = np.exp(1j * phi_axis)
-    c0 = 0.5 * (3.0 * ct * ct - 1.0)
-    c1 = -math.sqrt(1.5) * st * ct * e1
-    cm1 = math.sqrt(1.5) * st * ct / e1
-    c2 = math.sqrt(3.0 / 8.0) * st * st * e1 * e1
-    cm2 = math.sqrt(3.0 / 8.0) * st * st / (e1 * e1)
-    return np.array([cm2, cm1, c0, c1, c2])
+def interaction_coefficients(thetas, phis, r, c3: float) -> np.ndarray:
+    """Complex weights multiplying W_Q for many pair geometries, shape (n, 5), Q = -2..2.
 
-
-def interaction_coefficients(geom: PairGeometry, c3: float) -> np.ndarray:
-    """Complex weights multiplying W_Q: -sqrt(6) (C3/R^3) (-1)^Q C^2_{-Q}."""
-    c2 = rank2_angular_factors(geom.polar_angle, geom.azimuth)
-    scale = -math.sqrt(6.0) * c3 / geom.separation**3
+    The weight of W_Q is -sqrt(6) (C3/R^3) (-1)^Q C^2_{-Q}(theta, phi), with
+    C^2_Q the Racah-normalized rank-2 spherical harmonics of the pair axis.
+    """
+    st, ct = np.sin(thetas), np.cos(thetas)
+    e1 = np.exp(1j * np.asarray(phis))
+    c2 = np.stack(
+        [
+            math.sqrt(3.0 / 8.0) * st * st / (e1 * e1),
+            math.sqrt(1.5) * st * ct / e1,
+            0.5 * (3.0 * ct * ct - 1.0) * np.ones_like(e1),
+            -math.sqrt(1.5) * st * ct * e1,
+            math.sqrt(3.0 / 8.0) * st * st * e1 * e1,
+        ],
+        axis=1,
+    )  # (n, 5) ordered Q = -2..2
     signs = np.array([(-1.0) ** q for q in range(-2, 3)])
-    return scale * signs * c2[::-1]
+    scale = -math.sqrt(6.0) * c3 / np.asarray(r, dtype=float) ** 3
+    return scale[:, None] * signs[None, :] * c2[:, ::-1]
+
+
+def _batched_interaction(thetas, phis, r, channel: RydbergChannel) -> np.ndarray:
+    """Stacked exchange Hamiltonians for many pair geometries, shape (n, d, d)."""
+    coeffs = interaction_coefficients(thetas, phis, r, channel.c3)
+    return np.tensordot(coeffs, exchange_tensor_operators(channel).astype(complex), axes=([1], [0]))
 
 
 def interaction_matrix(geom: PairGeometry, channel: RydbergChannel) -> np.ndarray:
     """Exchange part of the dipole-dipole operator over the pair basis."""
-    ops = exchange_tensor_operators(channel)
-    coeffs = interaction_coefficients(geom, channel.c3)
-    h = np.tensordot(coeffs, ops, axes=1)
+    h = _batched_interaction([geom.polar_angle], [geom.azimuth], [geom.separation], channel)[0]
     err = np.max(np.abs(h - h.conj().T))
     if err > HERMITICITY_TOL:
         raise NumericsError(f"interaction part lost Hermiticity: {err:.3e}")
@@ -298,26 +273,6 @@ def dressing_matrix(channel: RydbergChannel, spec: MicrowaveSpec) -> np.ndarray:
     h1 = single_atom_dressing(channel, spec)
     eye = np.eye(h1.shape[0])
     return np.kron(h1, eye) + np.kron(eye, h1)
-
-
-def build_pair_hamiltonian(
-    geom: PairGeometry,
-    channel: RydbergChannel,
-    microwave_on: bool,
-    spec: MicrowaveSpec,
-) -> PairHamiltonian:
-    """Assemble dressing and interaction parts in the frame rotating at the drive.
-
-    The dressing part is present only when microwave_on; the interaction part
-    is always the exchange operator for this geometry and channel.
-    """
-    dim = single_atom_dimension(channel) ** 2
-    interaction = interaction_matrix(geom, channel)
-    if microwave_on:
-        dressing = dressing_matrix(channel, spec).astype(complex)
-    else:
-        dressing = np.zeros((dim, dim), dtype=complex)
-    return PairHamiltonian(dim, dressing, interaction, pair_basis(channel))
 
 
 def propagate(h_sequence, dim: int | None = None) -> np.ndarray:
@@ -368,7 +323,6 @@ def _cycle_segments(h_drive, h_int, rabi: float, delta_t: float, instantaneous: 
 def cycle_unitary(
     geom: PairGeometry,
     cycle: CycleSpec,
-    initial_m: float = POPULATED_M,
     reduced: bool = False,
 ) -> tuple[np.ndarray, int]:
     """Unitary of one full cycle and the index of |s m0, s m0| in its basis."""
@@ -378,12 +332,12 @@ def cycle_unitary(
     levels = single_atom_levels(cycle.channel)
     dim = len(levels)
     if reduced:
-        idx = _reduced_indices(cycle.channel, spec, initial_m)
+        idx = _reduced_indices(cycle.channel, spec, POPULATED_M)
         h_int = h_int[np.ix_(idx, idx)]
         h_drive = h_drive[np.ix_(idx, idx)]
         start = 0  # |s m0, s m0> is first in the reduced ordering
     else:
-        i_s = _level_index(levels, ORBITAL_S, initial_m)
+        i_s = _level_index(levels, ORBITAL_S, POPULATED_M)
         start = i_s * dim + i_s
     segments = _cycle_segments(
         h_drive, h_int, spec.rabi, cycle.delta_t, spec.pulse_model == "instantaneous"
@@ -394,7 +348,6 @@ def cycle_unitary(
 def cycle_amplitude_numeric(
     geom: PairGeometry,
     cycle: CycleSpec,
-    initial_m: float = POPULATED_M,
     reduced: bool = False,
 ) -> complex:
     """<s m0, s m0| U_cycle |s m0, s m0> for one dressing cycle.
@@ -403,7 +356,7 @@ def cycle_amplitude_numeric(
     driven p sublevel, recovering the two-level-per-atom model used for
     cross-validation against the closed form.
     """
-    u, start = cycle_unitary(geom, cycle, initial_m, reduced)
+    u, start = cycle_unitary(geom, cycle, reduced)
     return complex(u[start, start])
 
 
@@ -411,7 +364,6 @@ def multi_cycle_amplitude(
     geom: PairGeometry,
     schedule: "CycleSchedule",
     mode: str = "analytic",
-    initial_m: float = POPULATED_M,
 ) -> complex:
     """Product of per-cycle survival amplitudes over a validated schedule.
 
@@ -427,7 +379,7 @@ def multi_cycle_amplitude(
     if mode == "multichannel":
         amp = 1.0 + 0.0j
         for cyc in schedule.cycles:
-            amp *= cycle_amplitude_numeric(geom, cyc, initial_m)
+            amp *= cycle_amplitude_numeric(geom, cyc)
         return amp
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -461,34 +413,12 @@ def analytic_pair_amplitudes(separations: np.ndarray, phase_products) -> np.ndar
     return amps
 
 
-def _batched_interaction(thetas, phis, r, channel: RydbergChannel) -> np.ndarray:
-    """Stacked exchange Hamiltonians for many pair geometries, shape (n, d, d)."""
-    ops = exchange_tensor_operators(channel)
-    st, ct = np.sin(thetas), np.cos(thetas)
-    e1 = np.exp(1j * np.asarray(phis))
-    c2 = np.stack(
-        [
-            math.sqrt(3.0 / 8.0) * st * st / (e1 * e1),
-            math.sqrt(1.5) * st * ct / e1,
-            0.5 * (3.0 * ct * ct - 1.0) * np.ones_like(e1),
-            -math.sqrt(1.5) * st * ct * e1,
-            math.sqrt(3.0 / 8.0) * st * st * e1 * e1,
-        ],
-        axis=1,
-    )  # (n, 5) ordered Q = -2..2
-    signs = np.array([(-1.0) ** q for q in range(-2, 3)])
-    scale = -math.sqrt(6.0) * channel.c3 / np.asarray(r, dtype=float) ** 3
-    coeffs = scale[:, None] * signs[None, :] * c2[:, ::-1]
-    return np.tensordot(coeffs, ops.astype(complex), axes=([1], [0]))
-
-
 def numeric_pair_amplitudes(
     separations: np.ndarray,
     thetas: np.ndarray,
     phis: np.ndarray,
     cycle: CycleSpec,
     times: np.ndarray,
-    initial_m: float = POPULATED_M,
     chunk: int = 512,
 ) -> np.ndarray:
     """Cycle survival amplitude of every pair at every free-interval length.
@@ -501,7 +431,7 @@ def numeric_pair_amplitudes(
     channel = cycle.channel
     levels = single_atom_levels(channel)
     dim = len(levels)
-    i_s = _level_index(levels, ORBITAL_S, initial_m)
+    i_s = _level_index(levels, ORBITAL_S, POPULATED_M)
     start = i_s * dim + i_s
     h_drive = dressing_matrix(channel, spec).astype(complex)
     t_half = 0.5 * math.pi / spec.rabi

@@ -83,7 +83,7 @@ def decay_reference(tau: float, t) -> float:
     return np.exp(-np.asarray(t, dtype=float) / tau) if np.ndim(t) else math.exp(-t / tau)
 
 
-def single_excitation_survival(schedule: CycleSchedule, initial_m: float = POPULATED_M) -> complex:
+def single_excitation_survival(schedule: CycleSchedule) -> complex:
     """Amplitude for a lone excited atom to return to |s m0> through the schedule.
 
     Each cycle is a full single-particle 2pi rotation, so the magnitude is 1
@@ -99,7 +99,7 @@ def single_excitation_survival(schedule: CycleSchedule, initial_m: float = POPUL
         zero = np.zeros((dim, dim), dtype=complex)
         u = propagate([(h1, t_half), (zero, cyc.delta_t), (h1, 3.0 * t_half)])
         levels = single_atom_levels(cyc.channel)
-        i_s = _level_index(levels, "s", initial_m)
+        i_s = _level_index(levels, "s", POPULATED_M)
         amp *= complex(u[i_s, i_s])
     return amp
 

@@ -111,6 +111,14 @@ def test_shipped_cycles_config_is_four_distinct_channels():
     assert cfg.schedule.total_time == pytest.approx(4.0 * (1.0 + 0.2 * math.pi))
 
 
+def test_duplicate_scan_n_rejected_with_index():
+    cfg = json.loads(json.dumps(MINIMAL))
+    cfg["interaction"] = {"model": {"reference_c3": 2.6e4, "reference_n": 60}}
+    cfg["scan_n"] = [60, 79, 60]
+    with pytest.raises(ConfigError, match=r"scan_n\[2\]: duplicate value 60"):
+        parse_config(json.dumps(cfg))
+
+
 def test_log_grid_requires_positive_start():
     bad = json.loads(json.dumps(MINIMAL))
     bad["grid"] = {"start_us": 0.0, "stop_us": 2.0, "points": 5, "spacing": "log"}
@@ -295,6 +303,42 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch):
     assert main(["g2-trace", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_failed_run_does_not_block_a_rerun(tmp_path, monkeypatch):
+    from ryddephase.pairdyn import NumericsError
+
+    calls = []
+    g2_trace = cli.g2_trace
+
+    def fails_on_second_call(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise NumericsError("synthetic propagator drift")
+        return g2_trace(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "g2_trace", fails_on_second_call)
+    cfg = json.loads(json.dumps(MINIMAL))
+    cfg["realizations"] = 2
+    del cfg["schedule"]["cycles"][0]["c3"]
+    cfg["interaction"] = {"model": {"reference_c3": 2.6e4, "reference_n": 60}}
+    cfg["scan_n"] = [60, 100]
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    argv = ["g2-trace", "--config", str(path), "--out", str(out)]
+    assert main(argv) == 2
+    assert sorted(p.name for p in out.iterdir()) == []  # the n = 60 trace is not left behind
+    assert main(argv) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["g2_trace_n100.csv", "g2_trace_n60.csv", "manifest.json"]
+
+
+def test_impossible_packing_is_a_config_error(tmp_path, capsys):
+    cfg = json.loads(json.dumps(MINIMAL))
+    cfg["ensemble"] = {"n_atoms": 500, "box_side_um": 4.0, "seed": 5, "min_separation_um": 2.0}
+    cfg["realizations"] = 1
+    path = write_config(tmp_path, cfg)
+    assert main(["g2-trace", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert "config error: ensemble: could not place 500 atoms" in capsys.readouterr().err
+
+
 def test_cycles_run_includes_reference_column(tmp_path):
     cfg = {
         "ensemble": {"n_atoms": 20, "box_side_um": 60.0, "seed": 3},
@@ -413,6 +457,17 @@ def test_sweep_runs_cartesian_product(tmp_path):
     assert len(top["outputs"]) == 4  # two traces + two sub-manifests
 
 
+def test_sweep_combinations_writing_one_file_twice_are_a_config_error(tmp_path, capsys):
+    base = json.loads(json.dumps(MINIMAL))
+    base["realizations"] = 2
+    sweep = {"subcommand": "g2-trace", "base": base, "axes": [{"path": "ensemble.n_atoms", "values": [10, 10]}]}
+    path = write_config(tmp_path, sweep)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 1
+    assert "n_atoms=10/g2_trace.csv would be written twice by one run" in capsys.readouterr().err
+    assert not any(p.is_file() for p in out.rglob("*"))
+
+
 def test_sweep_over_entangle(tmp_path):
     sweep = {
         "subcommand": "entangle",
@@ -447,11 +502,13 @@ def test_rerun_from_manifest_config_reproduces_outputs(tmp_path):
     assert m2["outputs"][0]["sha256"] == manifest["outputs"][0]["sha256"]
 
 
-def test_sweep_rejects_unknown_path(tmp_path):
-    sweep = {
-        "subcommand": "g2-trace",
-        "base": json.loads(json.dumps(MINIMAL)),
-        "axes": [{"path": "no.such.knob", "values": [1]}],
-    }
-    path = write_config(tmp_path, sweep)
-    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+def test_sweep_rejects_unknown_path(tmp_path, capsys):
+    for bad in ("no.such.knob", "schedule.cycles.x.delta_t_us", "schedule.cycles.5.delta_t_us", "grid.points.0"):
+        sweep = {
+            "subcommand": "g2-trace",
+            "base": json.loads(json.dumps(MINIMAL)),
+            "axes": [{"path": bad, "values": [1]}],
+        }
+        path = write_config(tmp_path, sweep)
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert f"config error: axes path {bad!r}: " in capsys.readouterr().err

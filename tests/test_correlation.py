@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from ryddephase.atomdata import Level, MicrowaveSpec, RydbergChannel
 from ryddephase.correlation import (
-    AmplitudeSet,
     G2_ASYMPTOTE,
     G2_ZERO,
     brute_force_g2,
@@ -32,16 +31,22 @@ from ryddephase.protocol import make_schedule
 
 
 def uniform_amplitudes(n, value):
-    m = np.full((n, n), value, dtype=complex)
-    np.fill_diagonal(m, 0.0)
-    return AmplitudeSet(n, m)
+    return np.full(n * (n - 1) // 2, value, dtype=complex)
 
 
 def random_amplitudes(n, rng):
+    """Condensed amplitudes: the mu < nu entries of (n, n) uniform draws."""
     mag = rng.uniform(0.0, 1.0, size=(n, n))
     phase = rng.uniform(0.0, 2.0 * math.pi, size=(n, n))
-    upper = np.triu(mag * np.exp(1j * phase), k=1)
-    return AmplitudeSet(n, upper + upper.T)
+    return (mag * np.exp(1j * phase))[np.triu_indices(n, 1)]
+
+
+def dense(condensed, n):
+    """The symmetric N x N matrix A_munu of condensed amplitudes, zero diagonal."""
+    mu, nu = np.triu_indices(n, 1)
+    full = np.zeros((n, n), dtype=complex)
+    full[mu, nu] = full[nu, mu] = condensed
+    return full
 
 
 def single_cycle_schedule(c3, dt=1.0, n=100, rabi=10.0):
@@ -84,17 +89,17 @@ def test_random_phase_mean_amplitude_is_half():
 def test_all_unit_amplitudes_finite_n():
     # f = h = ((N-1)/N)^2 exactly; g2 -> e/4 as N grows
     for n in (10, 100):
-        point = g2_from_amplitudes(uniform_amplitudes(n, 1.0))
+        point = g2_from_amplitudes(uniform_amplitudes(n, 1.0), n)
         q = ((n - 1) / n) ** 2
         assert point.f == pytest.approx(q, rel=1e-12)
         assert point.h == pytest.approx(q, rel=1e-12)
         assert point.g2 == pytest.approx(math.e * q / (1 + q) ** 2, rel=1e-12)
-    point = g2_from_amplitudes(uniform_amplitudes(100, 1.0))
+    point = g2_from_amplitudes(uniform_amplitudes(100, 1.0), 100)
     assert abs(point.g2 - G2_ZERO) / G2_ZERO < 0.02
 
 
 def test_all_half_amplitudes_approach_asymptote():
-    point = g2_from_amplitudes(uniform_amplitudes(5000, 0.5))
+    point = g2_from_amplitudes(uniform_amplitudes(5000, 0.5), 5000)
     assert point.f == pytest.approx(0.25, rel=1e-3)
     assert point.h == pytest.approx(0.25, rel=1e-3)
     assert point.g2 == pytest.approx(G2_ASYMPTOTE, rel=2e-3)
@@ -102,9 +107,7 @@ def test_all_half_amplitudes_approach_asymptote():
 
 def test_three_atom_hand_case():
     # A12 = 1, A13 = A23 = 0: f = |2/9|^2, h = 2/27, g2 = 36 e / 841
-    values = np.zeros((3, 3), dtype=complex)
-    values[0, 1] = values[1, 0] = 1.0
-    point = g2_from_amplitudes(AmplitudeSet(3, values))
+    point = g2_from_amplitudes([1.0, 0.0, 0.0], 3)  # pairs (0, 1), (0, 2), (1, 2)
     assert point.f == pytest.approx(4.0 / 81.0, rel=1e-12)
     assert point.h == pytest.approx(2.0 / 27.0, rel=1e-12)
     assert point.g2 == pytest.approx(36.0 * math.e / 841.0, rel=1e-12)
@@ -112,58 +115,45 @@ def test_three_atom_hand_case():
 
 def test_double_sum_against_direct_loops():
     rng = np.random.default_rng(5)
-    amps = random_amplitudes(6, rng)
-    point = g2_from_amplitudes(amps)
     n = 6
+    amps = random_amplitudes(n, rng)
+    point = g2_from_amplitudes(amps, n)
+    values = dense(amps, n)
     total = sum(
-        amps.values[mu, nu] for mu in range(n) for nu in range(n) if nu != mu
+        values[mu, nu] for mu in range(n) for nu in range(n) if nu != mu
     )
     f = abs(total / n**2) ** 2
     h = sum(
-        abs(sum(amps.values[mu, nu] for nu in range(n) if nu != mu)) ** 2
+        abs(sum(values[mu, nu] for nu in range(n) if nu != mu)) ** 2
         for mu in range(n)
     ) / n**3
     assert point.f == pytest.approx(f, rel=1e-12)
     assert point.h == pytest.approx(h, rel=1e-12)
 
 
-def test_amplitude_set_from_pair_records():
-    from ryddephase.pairdyn import PairAmplitude
-
-    items = [
-        PairAmplitude(1.0 + 0.0j, (0, 1)),
-        PairAmplitude(0.5j, (0, 2)),
-        PairAmplitude(0.0j, (1, 2)),
-    ]
-    amps = AmplitudeSet.from_pair_amplitudes(3, items)
-    assert amps.values[1, 0] == 1.0
-    assert amps.values[2, 0] == 0.5j
+def test_condensed_amplitudes_validation():
+    values = uniform_amplitudes(4, 1.0)
+    values[3] = np.nan
     with pytest.raises(ValueError, match="missing"):
-        AmplitudeSet.from_pair_amplitudes(3, items[:2])
-    with pytest.raises(ValueError, match="exceeds 1"):
-        PairAmplitude(1.5 + 0.0j, (0, 1))
-    with pytest.raises(ValueError, match="distinct"):
-        PairAmplitude(0.5, (2, 2))
-
-
-def test_amplitude_set_validation():
-    with pytest.raises(ValueError, match="missing"):
-        values = np.ones((4, 4), dtype=complex)
-        values[1, 2] = np.nan
-        AmplitudeSet(4, values)
-    with pytest.raises(ValueError, match="A_munu"):
-        values = np.ones((4, 4), dtype=complex)
-        values[1, 2] = 0.5
-        AmplitudeSet(4, values)
-    with pytest.raises(ValueError):
-        g2_from_amplitudes(uniform_amplitudes(5, 1.0), n_atoms=6)
+        g2_from_amplitudes(values, 4)
+    geometry = sample_positions(EnsembleSpec(5, 60.0, seed=1))
+    # one value per mu < nu pair: a wrong count or a dense N x N matrix is rejected
+    for wrong in (
+        uniform_amplitudes(6, 1.0),
+        uniform_amplitudes(5, 1.0)[:-1],
+        np.ones((5, 5), dtype=complex),
+    ):
+        with pytest.raises(ValueError, match="expected 10 condensed pair amplitudes for 5 atoms"):
+            g2_from_amplitudes(wrong, 5)
+        with pytest.raises(ValueError, match="expected 10 condensed pair amplitudes for 5 atoms"):
+            brute_force_g2(geometry, wrong)
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=2, max_value=9), st.integers(min_value=0, max_value=2**31))
 def test_g2_nonnegative_and_bounded_property(n, seed):
     amps = random_amplitudes(n, np.random.default_rng(seed))
-    point = g2_from_amplitudes(amps)
+    point = g2_from_amplitudes(amps, n)
     assert point.g2 >= 0.0
     assert point.f >= 0.0
     assert point.h >= 0.0
@@ -179,9 +169,7 @@ def test_g2_nonnegative_and_bounded_property(n, seed):
 def test_brute_force_three_atom_hand_value():
     # same A12-only case, exact correlator: g2 = 3 e / 50
     geometry = sample_positions(EnsembleSpec(3, 60.0, seed=2))
-    values = np.zeros((3, 3), dtype=complex)
-    values[0, 1] = values[1, 0] = 1.0
-    exact = brute_force_g2(geometry, AmplitudeSet(3, values))
+    exact = brute_force_g2(geometry, [1.0, 0.0, 0.0])
     assert exact == pytest.approx(3.0 * math.e / 50.0, rel=1e-12)
 
 
@@ -195,7 +183,7 @@ def test_brute_force_all_unit_amplitudes_within_spinwave_error():
     geometry = sample_positions(EnsembleSpec(8, 60.0, seed=4))
     amps = uniform_amplitudes(8, 1.0)
     exact = brute_force_g2(geometry, amps)
-    approx = g2_from_amplitudes(amps).g2
+    approx = g2_from_amplitudes(amps, 8).g2
     assert abs(approx - exact) / exact < 0.15
 
 
@@ -220,7 +208,7 @@ def test_pair_sum_formula_matches_oracle(n):
         geometry = sample_positions(EnsembleSpec(n, 60.0, seed=realization_seed(n, draw)))
         amps = random_amplitudes(n, rng)
         exact = brute_force_g2(geometry, amps)
-        approx = g2_from_amplitudes(amps).g2
+        approx = g2_from_amplitudes(amps, n).g2
         if exact == 0.0:
             assert approx == pytest.approx(0.0, abs=1e-12)
         else:
@@ -328,11 +316,9 @@ def test_cycles_first_point_matches_single_cycle_trace():
 REDUCTION_RTOL = 1e-13  # row sums add at most N - 1 terms of |A| <= 1 in float64
 
 
-def fsum_point(amps):
+def fsum_point(condensed, n):
     """(g2, f, h) with every row summed by math.fsum over the full matrix."""
-    n = amps.n_atoms
-    nodiag = amps.values.copy()
-    np.fill_diagonal(nodiag, 0.0)
+    nodiag = dense(condensed, n)
     row_re = [math.fsum(nodiag.real[mu].tolist()) for mu in range(n)]
     row_im = [math.fsum(nodiag.imag[mu].tolist()) for mu in range(n)]
     total_re, total_im = math.fsum(row_re), math.fsum(row_im)
@@ -368,7 +354,7 @@ def reference_columns(ensemble, cycles, grid, mode, index):
 
 def reference_trace(ensemble, cycles, grid, mode, realizations):
     points = [
-        [fsum_point(AmplitudeSet.from_condensed(ensemble.n_atoms, col)) for col in columns.T]
+        [fsum_point(col, ensemble.n_atoms) for col in columns.T]
         for columns in (reference_columns(ensemble, cycles, grid, mode, r) for r in range(realizations))
     ]
     return np.moveaxis(np.array(points), 2, 0)  # (3, R, T): g2, f, h
@@ -412,8 +398,8 @@ def test_cycles_match_fsum_reference(mode, n):
 @pytest.mark.parametrize("n", [2, 7, 64])
 def test_point_from_amplitude_set_matches_fsum_reference(n):
     amps = random_amplitudes(n, np.random.default_rng(n))
-    point = g2_from_amplitudes(amps)
-    want = fsum_point(amps)
+    point = g2_from_amplitudes(amps, n)
+    want = fsum_point(amps, n)
     np.testing.assert_allclose([point.g2, point.f, point.h], want, rtol=REDUCTION_RTOL, atol=0.0)
 
 

@@ -10,8 +10,8 @@ from ryddephase.pairdyn import (
     CycleSpec,
     analytic_cycle_amplitude,
     analytic_pair_amplitudes,
-    build_pair_hamiltonian,
     cycle_amplitude_numeric,
+    dressing_matrix,
     interaction_matrix,
     multi_cycle_amplitude,
     numeric_pair_amplitudes,
@@ -72,24 +72,18 @@ def test_analytic_amplitude_equals_half_angle_form(phi):
 
 @pytest.mark.parametrize("j,dim", [(0.5, 16), (1.5, 36)])
 def test_pair_hamiltonian_dimensions(j, dim):
-    ham = build_pair_hamiltonian(PairGeometry(3.0, 0.7, 0.3), channel(j), True, MW)
-    assert ham.dimension == dim
-    assert ham.dressing_part.shape == (dim, dim)
-    assert ham.interaction_part.shape == (dim, dim)
-    assert len(ham.basis) == dim
+    assert dressing_matrix(channel(j), MW).shape == (dim, dim)
+    assert interaction_matrix(PairGeometry(3.0, 0.7, 0.3), channel(j)).shape == (dim, dim)
+    assert len(pair_basis(channel(j))) == dim
 
 
 @pytest.mark.parametrize("j", [0.5, 1.5])
 def test_hermiticity(j):
+    dressing = dressing_matrix(channel(j), MW)
+    assert np.max(np.abs(dressing - dressing.conj().T)) <= 1e-12
     for theta, phi in [(0.0, 0.0), (0.4, 1.1), (math.pi / 2, 2.0), (2.7, 5.5)]:
-        ham = build_pair_hamiltonian(PairGeometry(2.5, theta, phi), channel(j), True, MW)
-        assert np.max(np.abs(ham.interaction_part - ham.interaction_part.conj().T)) <= 1e-12
-        assert np.max(np.abs(ham.dressing_part - ham.dressing_part.conj().T)) <= 1e-12
-
-
-def test_dressing_absent_when_microwave_off():
-    ham = build_pair_hamiltonian(PairGeometry(2.5, 0.3, 0.1), channel(), False, MW)
-    assert np.all(ham.dressing_part == 0.0)
+        h = interaction_matrix(PairGeometry(2.5, theta, phi), channel(j))
+        assert np.max(np.abs(h - h.conj().T)) <= 1e-12
 
 
 @pytest.mark.parametrize("j", [0.5, 1.5])
