@@ -14,14 +14,24 @@ S_mu = sum_{nu != mu} A_munu:
 in the large-N limit (N-1)/N ~ 1.  A brute-force oracle evaluates the same
 correlator exactly on the explicit truncated state vector for small N.
 
-Each point is reduced from condensed (mu < nu, row-major) pair amplitudes
-without forming the N x N matrix: np.bincount adds every pair into rows mu
-and nu in ascending pair order, and math.fsum combines the N row sums.  The
-order depends on N alone, never on how realizations were spread over worker
-processes, so traces are byte-identical for any worker count.  A realization
-evaluates analytic amplitudes one time point at a time, so its memory is
-O(N^2) rather than O(N^2 T); the multichannel kernel returns one batched
+Each point is reduced from per-pair amplitudes without forming the N x N
+matrix: np.bincount adds every pair into rows mu and nu, and math.fsum
+combines the N row sums.  Inside a realization the pairs are taken in
+anti-diagonal order, sorted by (mu + nu, mu), rather than in condensed
+(mu < nu, row-major) order: separations or orientations are gathered in that
+order once, and every amplitude column comes out in it.  For a fixed mu, nu
+ascending means mu + nu ascending, and for a fixed nu, mu ascending does
+too, so every row bin still receives its pairs in ascending condensed index
+and every S_mu is the same sequence of float additions: the bits are those
+of the condensed order.  Consecutive pairs, though, land in different
+bins, which avoids the store-to-load chain np.bincount runs into when it
+hits one bin again and again, as row-major order does.  The order depends on N alone, never on how
+realizations were spread over worker processes, so traces are
+byte-identical for any worker count.  A realization evaluates analytic
+amplitudes one time point at a time, with R^3 computed once, so its memory
+is O(N^2) rather than O(N^2 T); the multichannel kernel returns one batched
 (npairs, T) stack, because one eigendecomposition per pair serves all times.
+g2_from_amplitudes and brute_force_g2 take condensed input.
 run_realizations is the one realization loop (seed, sample, evaluate, stack
 in index order, serially or on a process pool); the entanglement trace in
 protocol runs through it as well.
@@ -31,6 +41,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -71,26 +82,37 @@ class G2Point:
     h: float
 
 
-def _row_bins(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row-sum bins of a condensed complex column viewed as interleaved floats.
+def _row_bins(mu: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-sum bins of a complex pair column viewed as interleaved floats.
 
-    Float 2k (real) and 2k + 1 (imaginary) of pair k = (mu, nu) go to bins
-    2 mu + {0, 1} in the first array and 2 nu + {0, 1} in the second.
+    Float 2k (real) and 2k + 1 (imaginary) of pair k = (mu[k], nu[k]) go to
+    bins 2 mu + {0, 1} in the first array and 2 nu + {0, 1} in the second.
     """
-    mu, nu = pair_index_arrays(n)
     part = np.array([0, 1])
     return (2 * mu[:, None] + part).ravel(), (2 * nu[:, None] + part).ravel()
 
 
-def _reduce_pairs(condensed: np.ndarray, bins, n: int) -> tuple[float, float, float]:
-    """(g2, f, h) of one point from condensed pair amplitudes, in fixed order.
+def _pair_layout(n: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Anti-diagonal pair order of a realization and its row-sum bins.
 
-    bins is _row_bins(n).  Each row sum S_mu accumulates in ascending pair
-    order (np.bincount); the n row sums are combined with math.fsum.  A NaN
-    or infinite amplitude makes its row sums non-finite, and |A| <= 1 keeps a
-    sum of finite amplitudes finite, so only the 2n row sums are checked.
+    order lists the condensed pair indices sorted by (mu + nu, mu); bins is
+    _row_bins of the pairs in that order.
     """
-    floats = np.ascontiguousarray(condensed, dtype=complex).view(np.float64)
+    mu, nu = pair_index_arrays(n)
+    order = np.argsort(mu + nu, kind="stable")
+    return order, _row_bins(mu[order], nu[order])
+
+
+def _reduce_pairs(column: np.ndarray, bins, n: int) -> tuple[float, float, float]:
+    """(g2, f, h) of one point from a column of pair amplitudes, in fixed order.
+
+    bins is _row_bins of the column's pairs.  Each row sum S_mu accumulates
+    in column order (np.bincount); the n row sums are combined with
+    math.fsum.  A NaN or infinite amplitude makes its row sums non-finite,
+    and |A| <= 1 keeps a sum of finite amplitudes finite, so only the 2n row
+    sums are checked.
+    """
+    floats = np.ascontiguousarray(column, dtype=complex).view(np.float64)
     rows = np.bincount(bins[0], floats, 2 * n) + np.bincount(bins[1], floats, 2 * n)
     if not np.isfinite(rows).all():
         raise ValueError("missing pair amplitude (non-finite value)")
@@ -115,7 +137,8 @@ def _condensed(amplitudes, n_atoms: int) -> np.ndarray:
 
 def g2_from_amplitudes(condensed, n_atoms: int) -> G2Point:
     """One correlation point from condensed (mu < nu, row-major) pair amplitudes."""
-    return G2Point(*_reduce_pairs(_condensed(condensed, n_atoms), _row_bins(n_atoms), n_atoms))
+    bins = _row_bins(*pair_index_arrays(n_atoms))
+    return G2Point(*_reduce_pairs(_condensed(condensed, n_atoms), bins, n_atoms))
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,30 +155,27 @@ class G2Trace:
     def realizations(self) -> int:
         return self.g2.shape[0]
 
-    def _mean(self, a: np.ndarray) -> np.ndarray:
-        return a.mean(axis=0)
+    # each summary reduces the whole (R, T) array, so it is computed once
+    # for a writer that reads it row by row
 
-    def _stderr(self, a: np.ndarray) -> np.ndarray:
-        r = a.shape[0]
-        if r < 2:
-            return np.zeros(a.shape[1])
-        return a.std(axis=0, ddof=1) / math.sqrt(r)
-
-    @property
+    @cached_property
     def g2_mean(self) -> np.ndarray:
-        return self._mean(self.g2)
+        return self.g2.mean(axis=0)
 
-    @property
+    @cached_property
     def g2_stderr(self) -> np.ndarray:
-        return self._stderr(self.g2)
+        r = self.realizations
+        if r < 2:
+            return np.zeros(self.g2.shape[1])
+        return self.g2.std(axis=0, ddof=1) / math.sqrt(r)
 
-    @property
+    @cached_property
     def f_mean(self) -> np.ndarray:
-        return self._mean(self.f)
+        return self.f.mean(axis=0)
 
-    @property
+    @cached_property
     def h_mean(self) -> np.ndarray:
-        return self._mean(self.h)
+        return self.h.mean(axis=0)
 
 
 def realization_seed(base_seed: int, index: int) -> int:
@@ -164,21 +184,27 @@ def realization_seed(base_seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _amplitude_columns(geometry: EnsembleGeometry, cycles, grid, mode: str):
-    """Condensed pair amplitudes of one realization, one (npairs,) column per point.
+def _amplitude_columns(geometry: EnsembleGeometry, cycles, grid, mode: str, order: np.ndarray):
+    """Pair amplitudes of one realization, one (npairs,) column per point.
 
-    With a grid, each grid time replaces the free interval of every cycle.
-    With grid None, column q is the product of cycles 0..q, each at its own
-    free interval.
+    order lists condensed pair indices; entry k of every column belongs to
+    pair order[k].  With a grid, each grid time replaces the free interval of
+    every cycle.  With grid None, column q is the product of cycles 0..q,
+    each at its own free interval.
     """
     if mode == "analytic":
-        r = pair_separations(geometry)
+        r = pair_separations(geometry)[order]
+        r3 = r**3
+
+        def amplitudes(products):
+            return analytic_pair_amplitudes(r, products, cubes=r3)
+
         if grid is None:
-            per_cycle = (analytic_pair_amplitudes(r, [c.channel.c3 * c.delta_t]) for c in cycles)
+            per_cycle = (amplitudes([c.channel.c3 * c.delta_t]) for c in cycles)
             return itertools.accumulate(per_cycle, operator.mul)
-        return (analytic_pair_amplitudes(r, [c.channel.c3 * t for c in cycles]) for t in grid)
+        return (amplitudes([c.channel.c3 * t for c in cycles]) for t in grid)
     if mode == "multichannel":
-        r, theta, phi = pair_orientations(geometry)
+        r, theta, phi = (x[order] for x in pair_orientations(geometry))
 
         def cycle_stack(q, times):
             try:
@@ -208,11 +234,11 @@ def _trace_single_realization(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     ensemble, cycles, grid, mode, index = args
     seed, geometry = sample_realization(ensemble, index)
     n = ensemble.n_atoms
-    bins = _row_bins(n)
+    order, bins = _pair_layout(n)
     try:
         points = [
             _reduce_pairs(column, bins, n)
-            for column in _amplitude_columns(geometry, cycles, grid, mode)
+            for column in _amplitude_columns(geometry, cycles, grid, mode, order)
         ]
     except NumericsError as exc:
         raise NumericsError(f"realization {index} (seed {seed}): {exc}") from exc

@@ -64,19 +64,60 @@ class PairGeometry:
     azimuth: float  # rad, in [0, 2 pi)
 
 
+SAMPLE_BLOCK = 256  # candidates drawn per block once the first n have been screened
+
+
+def _too_close(a: np.ndarray, b: np.ndarray, eps2: float) -> np.ndarray:
+    """(len(a), len(b)) mask of point pairs whose squared distance is below eps2.
+
+    The squares add as (dx^2 + dy^2) + dz^2, the order np.sum takes over a
+    row of three, so the test is the one sequential rejection makes.
+    """
+    d2 = np.zeros((len(a), len(b)))
+    for k in range(3):
+        d = np.subtract.outer(a[:, k], b[:, k])
+        d *= d
+        d2 += d
+    return d2 < eps2
+
+
+def _accepted_in_order(candidates: np.ndarray, placed: np.ndarray, eps2: float, need: int) -> np.ndarray:
+    """Rows of candidates that sequential rejection would accept after placed, at most need.
+
+    A candidate is accepted when it keeps eps from every placed point and
+    from every candidate accepted before it.  Only a candidate close to
+    another survivor of the placed points can be turned away by an earlier
+    one, so only those are decided one by one; in a dilute cloud there are
+    none.
+    """
+    survivors = np.flatnonzero(~_too_close(candidates, placed, eps2).any(axis=1))
+    close = _too_close(candidates[survivors], candidates[survivors], eps2)
+    np.fill_diagonal(close, False)
+    keep = np.ones(len(survivors), dtype=bool)
+    for i in np.flatnonzero(close.any(axis=1)):
+        keep[i] = not (close[i, :i] & keep[:i]).any()
+    return survivors[keep][:need]
+
+
 def sample_positions(spec: EnsembleSpec) -> EnsembleGeometry:
     """Sample N atoms uniform in the cube, rejecting closer than min_separation.
 
-    Sequential rejection keeps the stream deterministic for a given seed.
-    Raises PackingError when placement stalls (density too high for the
-    requested minimum separation).
+    The result is that of sequential rejection (one draw of 3 coordinates per
+    candidate, accepted if it keeps min_separation from every atom placed so
+    far), so the stream is deterministic for a given seed.  The candidates are
+    screened in blocks: the first n draws together, which in a dilute cloud
+    all pass, then SAMPLE_BLOCK at a time.  PCG64 yields the same numbers
+    whatever the block size.  Raises PackingError when placement stalls
+    (density too high for the requested minimum separation).
     """
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     n, eps = spec.n_atoms, spec.min_separation
+    eps2 = eps * eps
     max_attempts = 1000 * n
     points = np.empty((n, 3))
     placed = 0
     attempts = 0
+    block = n
     while placed < n:
         if attempts >= max_attempts:
             raise PackingError(
@@ -84,14 +125,13 @@ def sample_positions(spec: EnsembleSpec) -> EnsembleGeometry:
                 f"{spec.box_side} um cube after {attempts} draws "
                 f"({placed} placed); lower the density or min_separation"
             )
-        candidate = rng.uniform(0.0, spec.box_side, size=3)
-        attempts += 1
-        if placed:
-            d2 = np.sum((points[:placed] - candidate) ** 2, axis=1)
-            if d2.min() < eps * eps:
-                continue
-        points[placed] = candidate
-        placed += 1
+        k = min(block, max_attempts - attempts)
+        candidates = rng.uniform(0.0, spec.box_side, size=(k, 3))
+        attempts += k
+        accepted = _accepted_in_order(candidates, points[:placed], eps2, n - placed)
+        points[placed : placed + len(accepted)] = candidates[accepted]
+        placed += len(accepted)
+        block = SAMPLE_BLOCK
     return EnsembleGeometry(points, spec.box_side, eps)
 
 
@@ -118,8 +158,8 @@ def pair_separations(geometry: EnsembleGeometry) -> np.ndarray:
     distances are the same bits without importing scipy.
     """
     mu, nu = pair_index_arrays(geometry.n_atoms)
-    x = geometry.positions.T
-    d0, d1, d2 = x[:, mu] - x[:, nu]
+    x = np.ascontiguousarray(geometry.positions.T)
+    d0, d1, d2 = np.take(x, mu, axis=1) - np.take(x, nu, axis=1)
     return np.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
 
 

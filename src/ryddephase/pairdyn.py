@@ -25,11 +25,14 @@ M_TRIM_THRESHOLD, which follows the dynamic M_MMAP_THRESHOLD).  A kernel that
 frees a chain of fresh temporaries per call crosses it at every grid point,
 and every page of the next call faults in again: about 500 minor faults, two
 thirds of the call's time.  So the kernel holds as few large arrays as it
-can: R^3 is overwritten in place by the phase and then its tangent, the
-weight and its product with the tangent are written straight into the real
-and imaginary parts of the returned column (_cycle_amplitude_into), and only
-calls with several cycles take a phase and a factor buffer more.  A one-cycle
-call then holds R^3 and its result, too little to trigger a trim.
+can: the phase is one divide by R^3 and is overwritten in place by its
+tangent, the weight and its product with the tangent are written straight
+into the real and imaginary parts of the returned column
+(_cycle_amplitude_into), and only calls with several cycles take a factor
+buffer more.  The g2 drivers pass R^3 as cubes, computed once per
+realization (libm pow takes about a third of a call at N = 300), so a
+one-cycle call holds the phase and its result, too little to trigger a
+trim; without cubes, R^3 is computed per call and becomes the phase.
 
 Numeric route (multichannel): the resonant exchange part of the dipole-dipole
 operator is expanded in rank-2 spherical tensors over the full (s + p_j) pair
@@ -389,22 +392,24 @@ def multi_cycle_amplitude(
 # ---------------------------------------------------------------------------
 
 
-def analytic_pair_amplitudes(separations: np.ndarray, phase_products) -> np.ndarray:
+def analytic_pair_amplitudes(separations: np.ndarray, phase_products, *, cubes=None) -> np.ndarray:
     """Amplitude per pair for a list of per-cycle C3 * delta_t products.
 
     separations has shape (npairs,); the result multiplies the closed-form
     cycle amplitude over all cycles, shape (npairs,).  Each cycle's phase is
-    one divide, p / R^3.  The first cycle's amplitude is written straight into
-    the result, so a one-cycle call holds two arrays: R^3 (overwritten by the
-    phase and its tangent) and the result.
+    one divide, p / R^3.  cubes, if given, is separations ** 3, computed once
+    by a caller that evaluates many grid points of the same pairs; it is read,
+    never written.  The first cycle's amplitude is written straight into the
+    result, so a one-cycle call holds two arrays: the phase (without cubes,
+    R^3 overwritten in place) and the result.
     """
     products = list(phase_products)
-    r3 = np.asarray(separations, dtype=float) ** 3
+    r3 = np.asarray(separations, dtype=float) ** 3 if cubes is None else cubes
     if not products:
         return np.ones(r3.shape, dtype=complex)
     first, *rest = products
-    # a lone phase may overwrite R^3, which no later cycle needs
-    phase = np.divide(first, r3, out=None if rest else r3)
+    # a lone phase may overwrite an R^3 of this call's own, which no later cycle needs
+    phase = np.divide(first, r3, out=r3 if cubes is None and not rest else None)
     amps = _cycle_amplitude_into(phase, np.empty(r3.shape, dtype=complex))
     if rest:
         factor = np.empty_like(amps)

@@ -23,6 +23,7 @@ from ryddephase.correlation import (
 from ryddephase.ensemble import (
     EnsembleSpec,
     all_pair_geometries,
+    pair_index_arrays,
     pair_separations,
     sample_positions,
 )
@@ -403,12 +404,68 @@ def test_point_from_amplitude_set_matches_fsum_reference(n):
     np.testing.assert_allclose([point.g2, point.f, point.h], want, rtol=REDUCTION_RTOL, atol=0.0)
 
 
+def row_sums(column, bins, n):
+    floats = np.ascontiguousarray(column).view(np.float64)
+    return np.bincount(bins[0], floats, 2 * n) + np.bincount(bins[1], floats, 2 * n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 60, 300])
+def test_anti_diagonal_reduction_equals_condensed_order(n):
+    from ryddephase.correlation import _pair_layout, _reduce_pairs, _row_bins
+
+    amps = random_amplitudes(n, np.random.default_rng(100 + n))
+    amps[::5] = complex(-0.0, -0.0)  # signed zeros, whose sign a reordered sum could flip
+    condensed_bins = _row_bins(*pair_index_arrays(n))
+    order, bins = _pair_layout(n)
+    assert np.array_equal(np.sort(order), np.arange(len(amps)))
+    want_rows = row_sums(amps, condensed_bins, n)
+    got_rows = row_sums(amps[order], bins, n)
+    assert got_rows.tobytes() == want_rows.tobytes()
+    assert np.array_equal(np.signbit(got_rows), np.signbit(want_rows))
+    assert np.array_equal(_reduce_pairs(amps[order], bins, n), _reduce_pairs(amps, condensed_bins, n))
+    # every row bin takes its pairs in ascending condensed index
+    for row in (bins[0][0::2] // 2, bins[1][0::2] // 2):
+        by_row = np.argsort(row, kind="stable")
+        same_row = np.diff(row[by_row]) == 0
+        assert np.all(np.diff(order[by_row])[same_row] > 0)
+
+
+def exact_trace(ensemble, cycles, grid, mode, realizations):
+    """(g2, f, h) stacks from condensed columns through g2_from_amplitudes."""
+    points = [
+        [tuple(vars(g2_from_amplitudes(col, ensemble.n_atoms)).values()) for col in columns.T]
+        for columns in (reference_columns(ensemble, cycles, grid, mode, r) for r in range(realizations))
+    ]
+    return np.moveaxis(np.array(points), 2, 0)
+
+
+@pytest.mark.parametrize("mode, n", [("analytic", 60), ("multichannel", 12)])
+def test_drivers_bit_identical_to_condensed_order(mode, n):
+    ens = EnsembleSpec(n, 60.0, seed=43)
+    sched = two_channel_schedule()
+    grid = np.geomspace(0.05, 20.0, 7)
+    for trace, want in [
+        (g2_trace(ens, sched, grid, mode=mode, realizations=2), exact_trace(ens, sched.cycles, grid, mode, 2)),
+        (g2_after_cycles(ens, sched, mode=mode, realizations=2), exact_trace(ens, sched.cycles, None, mode, 2)),
+    ]:
+        for got, expected in zip((trace.g2, trace.f, trace.h), want):
+            assert np.array_equal(got, expected)
+
+
+def test_trace_summaries_are_computed_once():
+    trace = g2_trace(EnsembleSpec(10, 60.0, seed=44), single_cycle_schedule(2.0e5), [0.5, 1.0], realizations=3)
+    for name in ("g2_mean", "g2_stderr", "f_mean", "h_mean"):
+        assert getattr(trace, name) is getattr(trace, name)
+    assert np.array_equal(trace.g2_mean, trace.g2.mean(axis=0))
+    assert np.array_equal(trace.g2_stderr, trace.g2.std(axis=0, ddof=1) / math.sqrt(3))
+
+
 @pytest.mark.parametrize("driver", ["trace", "cycles"])
 def test_non_finite_amplitude_raises(monkeypatch, driver):
     import ryddephase.correlation as correlation
 
-    def with_nan(separations, phase_products):
-        amps = analytic_pair_amplitudes(separations, phase_products)
+    def with_nan(separations, phase_products, *, cubes=None):
+        amps = analytic_pair_amplitudes(separations, phase_products, cubes=cubes)
         amps[3] = complex(math.nan, 0.0)
         return amps
 

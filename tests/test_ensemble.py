@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ryddephase.ensemble import (
     EnsembleSpec,
+    PackingError,
     all_pair_geometries,
     load_positions_csv,
     pair_geometry,
@@ -56,6 +57,56 @@ def test_impossible_packing_raises_diagnostic():
     # 500 atoms with 2 um exclusion cannot fit a 4 um cube
     with pytest.raises(RuntimeError, match="could not place"):
         sample_positions(EnsembleSpec(500, 4.0, seed=5, min_separation=2.0))
+
+
+def sequential_sample_positions(spec):
+    """Rejection one candidate at a time: the stream sample_positions must reproduce."""
+    rng = np.random.Generator(np.random.PCG64(spec.seed))
+    n, eps = spec.n_atoms, spec.min_separation
+    points = np.empty((n, 3))
+    placed = attempts = 0
+    while placed < n:
+        if attempts >= 1000 * n:
+            raise PackingError(
+                f"could not place {n} atoms with min separation {eps} um in a "
+                f"{spec.box_side} um cube after {attempts} draws "
+                f"({placed} placed); lower the density or min_separation"
+            )
+        candidate = rng.uniform(0.0, spec.box_side, size=3)
+        attempts += 1
+        if placed and np.sum((points[:placed] - candidate) ** 2, axis=1).min() < eps * eps:
+            continue
+        points[placed] = candidate
+        placed += 1
+    return points
+
+
+@pytest.mark.parametrize(
+    "n, box, min_sep",
+    [
+        (2, 60.0, 0.1),
+        (100, 60.0, 0.1),  # dilute: the first n draws all pass
+        (300, 60.0, 0.1),
+        (100, 60.0, 3.0),  # some of the first n draws collide with each other
+        (200, 20.0, 1.5),  # dense: many blocks, many rejections
+        (30, 3.0, 1.0),  # barely possible
+    ],
+)
+def test_sample_positions_equal_sequential_rejection(n, box, min_sep):
+    for seed in (1, 11, 2**63 + 5):
+        spec = EnsembleSpec(n, box, seed, min_separation=min_sep)
+        assert np.array_equal(sample_positions(spec).positions, sequential_sample_positions(spec))
+
+
+@pytest.mark.parametrize("n, box, min_sep, seed", [(20, 2.0, 1.5, 7), (40, 2.0, 1.0, 3)])
+def test_impossible_packing_fails_as_sequential_rejection_does(n, box, min_sep, seed):
+    spec = EnsembleSpec(n, box, seed, min_separation=min_sep)
+    with pytest.raises(PackingError) as want:
+        sequential_sample_positions(spec)
+    with pytest.raises(PackingError) as got:
+        sample_positions(spec)
+    assert str(got.value) == str(want.value)
+    assert f"after {1000 * n} draws" in str(got.value)
 
 
 def test_all_separations_within_bounds():

@@ -473,6 +473,36 @@ def test_analytic_pair_amplitudes_bit_identical_to_reference(cycles):
     assert np.array_equal(r, r_before)
 
 
+@pytest.mark.parametrize("cycles", [0, 1, 2, 3])
+def test_analytic_pair_amplitudes_with_cubes_bit_identical(cycles):
+    rng = np.random.default_rng(50 + cycles)
+    r = rng.uniform(0.1, 60.0, 5000)
+    cubes = r**3
+    cubes_before = cubes.copy()
+    products = [2.6e4 * 60.0, 1.9e4 * 0.02, 3.1e5 * 7.0][:cycles]
+    want = analytic_pair_amplitudes(r, products)
+    assert np.array_equal(analytic_pair_amplitudes(r, products, cubes=cubes), want)
+    assert np.array_equal(cubes, cubes_before)
+
+
+@pytest.mark.parametrize("pulse_model", ["instantaneous", "finite_duration"])
+@pytest.mark.parametrize("j", [0.5, 1.5])
+def test_numeric_pair_amplitudes_do_not_depend_on_pair_order(j, pulse_model):
+    # correlation evaluates the pairs of a realization in a permuted order;
+    # every pair must come out the same bits wherever it sits in its chunk
+    rng = np.random.default_rng(60)
+    npairs = 780  # the pairs of 40 atoms, more than one chunk
+    r = rng.uniform(2.0, 60.0, npairs)
+    theta = rng.uniform(0.0, math.pi, npairs)
+    phi = rng.uniform(0.0, 2.0 * math.pi, npairs)
+    order = rng.permutation(npairs)
+    cyc = CycleSpec(channel(j), 1.0, MicrowaveSpec(rabi=10.0, pulse_model=pulse_model))
+    times = np.array([0.0, 0.3, 2.0])
+    want = numeric_pair_amplitudes(r, theta, phi, cyc, times)[order]
+    got = numeric_pair_amplitudes(r[order], theta[order], phi[order], cyc, times)
+    assert np.array_equal(got, want)
+
+
 def test_cycle_amplitude_of_a_float_is_a_scalar_equal_to_the_array_path():
     phis = np.array([0.0, 0.3, -2.0, math.pi, 7.5e6])
     phis_before = phis.copy()
