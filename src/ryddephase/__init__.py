@@ -24,10 +24,8 @@ from .correlation import (
     G2Trace,
     brute_force_g2,
     g2_after_cycles,
-    g2_asymptote,
     g2_from_amplitudes,
     g2_trace,
-    g2_zero,
 )
 from .ensemble import (
     EnsembleGeometry,
@@ -41,9 +39,7 @@ from .pairdyn import (
     NumericsError,
     analytic_cycle_amplitude,
     cycle_amplitude_numeric,
-    multi_cycle_amplitude,
     propagate,
-    single_channel_phase,
 )
 from .phasematch import (
     Beam,
@@ -55,9 +51,7 @@ from .phasematch import (
 )
 from .protocol import (
     CycleSchedule,
-    EntangleSpec,
     decay_reference,
-    entangle_amplitudes,
     entangle_fidelity,
     make_schedule,
     single_excitation_survival,

@@ -158,13 +158,6 @@ def pair_dimension(channel: RydbergChannel) -> int:
     return single_atom_dimension(channel) ** 2
 
 
-def pair_dimension_for_j(j: float) -> int:
-    """Same formula for a bare j, e.g. hypothetical higher fine structure."""
-    if not _is_half_integer(j) or j <= 0:
-        raise ValueError(f"j must be a positive half-integer, got {j}")
-    return (2 + int(round(2 * j + 1))) ** 2
-
-
 def _fact2(two_x: int):
     """Factorial of two_x/2; None when two_x is odd or negative (invalid term)."""
     if two_x < 0 or two_x % 2:

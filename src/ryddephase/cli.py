@@ -272,7 +272,6 @@ class RunConfig:
     grid: np.ndarray | None
     realizations: int
     output_format: str
-    output_dir: str | None
     reference_tau: float | None = None
     _interaction: tuple = (None, {})
 
@@ -313,12 +312,12 @@ def _materialize_trace_config(raw, subcommand) -> RunConfig:
             _parse_schedule(raw["schedule"], "schedule", model, table, n_override=n)
     mode = _as_choice(raw.get("mode", "analytic"), "mode", ("analytic", "multichannel"))
     realizations = _as_int(raw.get("realizations", 100), "realizations", minimum=1)
-    fmt, out_dir = _parse_output(raw.get("output", {}), "output")
+    fmt, _ = _parse_output(raw.get("output", {}), "output")
     grid = _parse_grid(raw["grid"], "grid") if subcommand == "g2-trace" else None
     tau = None
     if subcommand == "cycles" and "reference_tau_us" in raw:
         tau = _as_float(raw["reference_tau_us"], "reference_tau_us", strict_min=0.0)
-    cfg = RunConfig(
+    return RunConfig(
         raw=raw,
         ensemble=ensemble,
         schedule=schedule,
@@ -327,11 +326,9 @@ def _materialize_trace_config(raw, subcommand) -> RunConfig:
         grid=grid,
         realizations=realizations,
         output_format=fmt,
-        output_dir=out_dir,
         reference_tau=tau,
+        _interaction=(model, table),
     )
-    cfg._interaction = (model, table)
-    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -584,14 +581,13 @@ def _parse_entangle_config(raw) -> dict:
     }
     grid = _parse_grid(raw["grid"], "grid")
     realizations = _as_int(raw.get("realizations", 100), "realizations", minimum=1)
-    fmt, out_dir = _parse_output(raw.get("output", {}), "output")
+    fmt, _ = _parse_output(raw.get("output", {}), "output")
     return {
         "ensemble": ensemble,
         "entangle": ent,
         "grid": grid,
         "realizations": realizations,
         "format": fmt,
-        "dir": out_dir,
     }
 
 
@@ -654,8 +650,7 @@ def _parse_phasematch_config(raw) -> dict:
         beams.append(Beam(wavelength, sign, direction / norm))
     speed = _as_float(raw.get("speed_m_per_s", 0.1), "speed_m_per_s", strict_min=0.0)
     do_offaxis = _as_bool(raw.get("solve_offaxis", True), "solve_offaxis")
-    _, out_dir = _parse_output(raw.get("output", {}), "output")
-    return {"beams": beams, "speed": speed, "solve_offaxis": do_offaxis, "dir": out_dir}
+    return {"beams": beams, "speed": speed, "solve_offaxis": do_offaxis}
 
 
 def _period_json(x: float):
@@ -704,7 +699,6 @@ def _parse_oracle_config(raw) -> dict:
         "seed": _as_int(raw["seed"], "seed", minimum=0, maximum=2**64 - 1),
         "amplitude": _as_choice(raw.get("amplitude", "random"), "amplitude", ("random", "ones")),
         "box_side": _as_float(raw.get("box_side_um", 60.0), "box_side_um", strict_min=0.0),
-        "dir": _parse_output(raw.get("output", {}), "output")[1],
     }
 
 
@@ -757,8 +751,7 @@ def _parse_sweep_config(raw) -> dict:
         if not isinstance(axis["path"], str) or not axis["path"]:
             _fail(f"{apath}.path", "expected a nonempty dotted path")
         axes.append((axis["path"], _as_list(axis["values"], f"{apath}.values")))
-    _, out_dir = _parse_output(raw.get("output", {}), "output")
-    return {"subcommand": sub, "base": raw["base"], "axes": axes, "dir": out_dir}
+    return {"subcommand": sub, "base": raw["base"], "axes": axes}
 
 
 def _list_index(node: list, part: str, dotted: str) -> int:
@@ -905,9 +898,9 @@ def main(argv=None) -> int:
             raise ConfigError("top-level config must be a JSON object")
         if args.seed is not None:
             _override_seed(raw, args.subcommand, args.seed)
-        out_dir = args.out
-        if out_dir is None:
-            out_dir = raw.get("output", {}).get("dir") if isinstance(raw.get("output"), dict) else None
+        _, out_dir = _parse_output(raw.get("output", {}), "output")
+        if args.out is not None:
+            out_dir = args.out
         if out_dir is None:
             out_dir = "out"
         session = OutputSession(Path(out_dir), args.subcommand, raw, args.force)

@@ -65,16 +65,6 @@ G2_ASYMPTOTE = G2_ZERO * 16.0 / 25.0
 TRUNCATED_AMPLITUDES = (1.0 / math.sqrt(math.e), 1.0 / math.sqrt(math.e), 1.0 / math.sqrt(2.0 * math.e))
 
 
-def g2_zero() -> float:
-    """g2 of the truncated coherent preparation before any dephasing, e/4."""
-    return G2_ZERO
-
-
-def g2_asymptote() -> float:
-    """Fully dephased limit (e/4) * 16/25, reached when pair phases randomize."""
-    return G2_ASYMPTOTE
-
-
 @dataclass(frozen=True)
 class G2Point:
     g2: float

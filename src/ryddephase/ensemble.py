@@ -7,7 +7,6 @@ seeded directly with the 64-bit ensemble seed, so configurations are
 bit-reproducible across runs and platforms.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -173,28 +172,3 @@ def pair_orientations(geometry: EnsembleGeometry):
     """(R, theta, phi) arrays of every mu < nu pair, in condensed order."""
     mu, nu = pair_index_arrays(geometry.n_atoms)
     return _orientation_rows(geometry.positions[mu] - geometry.positions[nu])
-
-
-def all_pair_geometries(geometry: EnsembleGeometry) -> list[PairGeometry]:
-    """PairGeometry for every mu < nu pair, in condensed order."""
-    r, theta, phi = pair_orientations(geometry)
-    return [PairGeometry(*row) for row in zip(r.tolist(), theta.tolist(), phi.tolist())]
-
-
-def save_positions_csv(path, geometry: EnsembleGeometry) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["atom_index", "x_um", "y_um", "z_um"])
-        for i, (x, y, z) in enumerate(geometry.positions):
-            writer.writerow([i, repr(float(x)), repr(float(y)), repr(float(z))])
-
-
-def load_positions_csv(path, box_side: float, min_separation: float = DEFAULT_MIN_SEPARATION) -> EnsembleGeometry:
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            rows.append((int(row["atom_index"]), float(row["x_um"]), float(row["y_um"]), float(row["z_um"])))
-    rows.sort()
-    positions = np.array([[x, y, z] for _, x, y, z in rows])
-    return EnsembleGeometry(positions, box_side, min_separation)

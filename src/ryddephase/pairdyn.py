@@ -48,10 +48,8 @@ The interaction sign is fixed so that the frozen-channel analytic phase phi is
 positive for positive C3.
 """
 
-import csv
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -66,10 +64,7 @@ from .atomdata import (
     coupling_weight,
     single_atom_dimension,
 )
-from .ensemble import EnsembleGeometry, PairGeometry, all_pair_geometries, pair_index_arrays
-
-if TYPE_CHECKING:
-    from .protocol import CycleSchedule
+from .ensemble import PairGeometry
 
 UNITARITY_TOL = 1e-10
 HERMITICITY_TOL = 1e-12
@@ -95,15 +90,6 @@ class CycleSpec:
     def duration(self) -> float:
         """Wall-clock length of the cycle including the 2pi of pulse area."""
         return self.delta_t + 2.0 * math.pi / self.microwave.rabi
-
-
-def single_channel_phase(c3: float, r: float, delta_t: float) -> float:
-    """Isotropic single-channel phase phi = (C3 / R^3) * delta_t (hbar = 1)."""
-    if delta_t < 0:
-        raise ValueError("delta_t must be >= 0")
-    if not r > 0:
-        raise ValueError("separation must be positive")
-    return c3 * delta_t / r**3
 
 
 def _cycle_amplitude_into(phase: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -323,12 +309,17 @@ def _cycle_segments(h_drive, h_int, rabi: float, delta_t: float, instantaneous: 
     ]
 
 
-def cycle_unitary(
+def cycle_amplitude_numeric(
     geom: PairGeometry,
     cycle: CycleSpec,
     reduced: bool = False,
-) -> tuple[np.ndarray, int]:
-    """Unitary of one full cycle and the index of |s m0, s m0| in its basis."""
+) -> complex:
+    """<s m0, s m0| U_cycle |s m0, s m0> for one dressing cycle.
+
+    reduced=True freezes both atoms to the populated sublevel and the single
+    driven p sublevel, recovering the two-level-per-atom model used for
+    cross-validation against the closed form.
+    """
     spec = cycle.microwave
     h_int = interaction_matrix(geom, cycle.channel)
     h_drive = dressing_matrix(cycle.channel, spec).astype(complex)
@@ -345,46 +336,7 @@ def cycle_unitary(
     segments = _cycle_segments(
         h_drive, h_int, spec.rabi, cycle.delta_t, spec.pulse_model == "instantaneous"
     )
-    return propagate(segments), start
-
-
-def cycle_amplitude_numeric(
-    geom: PairGeometry,
-    cycle: CycleSpec,
-    reduced: bool = False,
-) -> complex:
-    """<s m0, s m0| U_cycle |s m0, s m0> for one dressing cycle.
-
-    reduced=True freezes both atoms to the populated sublevel and the single
-    driven p sublevel, recovering the two-level-per-atom model used for
-    cross-validation against the closed form.
-    """
-    u, start = cycle_unitary(geom, cycle, reduced)
-    return complex(u[start, start])
-
-
-def multi_cycle_amplitude(
-    geom: PairGeometry,
-    schedule: "CycleSchedule",
-    mode: str = "analytic",
-) -> complex:
-    """Product of per-cycle survival amplitudes over a validated schedule.
-
-    Cycles are independent because each uses a fresh, unpopulated p-level;
-    the schedule must come from protocol.make_schedule, which enforces that.
-    """
-    if mode == "analytic":
-        amp = 1.0 + 0.0j
-        for cyc in schedule.cycles:
-            phi = single_channel_phase(cyc.channel.c3, geom.separation, cyc.delta_t)
-            amp *= complex(analytic_cycle_amplitude(phi))
-        return amp
-    if mode == "multichannel":
-        amp = 1.0 + 0.0j
-        for cyc in schedule.cycles:
-            amp *= cycle_amplitude_numeric(geom, cyc)
-        return amp
-    raise ValueError(f"unknown mode {mode!r}")
+    return complex(propagate(segments)[start, start])
 
 
 # ---------------------------------------------------------------------------
@@ -480,26 +432,3 @@ def numeric_pair_amplitudes(
         phases = np.exp(-1j * lam[:, :, None] * times[None, None, :])
         out[lo:hi] = np.einsum("pi,pit,pi->pt", wt.conj(), phases, ut)
     return out
-
-
-def save_pair_amplitudes_csv(path, geometry: EnsembleGeometry, amplitudes) -> None:
-    """Dump per-pair amplitudes with their geometry, condensed (mu < nu) order."""
-    amplitudes = np.asarray(amplitudes)
-    mu, nu = pair_index_arrays(geometry.n_atoms)
-    if amplitudes.shape != mu.shape:
-        raise ValueError(f"expected {len(mu)} pair amplitudes, got {amplitudes.shape}")
-    geos = all_pair_geometries(geometry)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["mu", "nu", "R_um", "theta_rad", "re_A", "im_A"])
-        for k in range(len(mu)):
-            writer.writerow(
-                [
-                    int(mu[k]),
-                    int(nu[k]),
-                    repr(geos[k].separation),
-                    repr(geos[k].polar_angle),
-                    repr(float(amplitudes[k].real)),
-                    repr(float(amplitudes[k].imag)),
-                ]
-            )

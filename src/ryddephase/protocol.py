@@ -7,7 +7,11 @@ unpopulated p-level: reusing a p-level carries coherence from one cycle into
 the next and the per-cycle amplitudes no longer multiply independently.
 make_schedule enforces that rule.
 
-The entanglement trace runs its position realizations through the same
+The entanglement protocol stores two spin waves, one in (n+1)s dressed
+through np_{1/2} with strength C3', one in ns dressed through np_{3/2} with
+C3''.  Over a free interval t each pair picks up the phases C3' t / R^3 and
+C3'' t / R^3; entangle_trace takes the two strengths, and n only labels the
+levels.  The trace runs its position realizations through the same
 realization loop as the correlation traces (correlation.run_realizations),
 serially or on a process pool.  Each realization evaluates all pair phases of one
 time as one numpy divide C3 * t / R^3 and turns them into the coherence
@@ -22,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atomdata import POPULATED_M, Level, RydbergChannel
+from .atomdata import POPULATED_M
 from .correlation import run_realizations, sample_realization
-from .ensemble import EnsembleGeometry, pair_separations
+from .ensemble import pair_separations
 from .pairdyn import (
     CycleSpec,
     _level_index,
@@ -107,51 +111,6 @@ def single_excitation_survival(schedule: CycleSchedule) -> complex:
 # ---------------------------------------------------------------------------
 # two-spin-wave entanglement
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EntangleSpec:
-    """Two collective modes in adjacent s-levels dressed through disjoint p-levels.
-
-    channel_a couples the (n+1)s level to n p_{1/2} with strength c3_prime;
-    channel_b couples the n s level to n p_{3/2} with strength c3_second.
-    """
-
-    level_a: Level  # (n+1)s
-    level_b: Level  # n s
-    channel_a: RydbergChannel
-    channel_b: RydbergChannel
-    delta_t: float  # us
-
-    def __post_init__(self):
-        if self.level_a.l != "s" or self.level_b.l != "s":
-            raise ValueError("entanglement levels must be s levels")
-        if self.level_a.n != self.level_b.n + 1:
-            raise ValueError("level_a must sit one principal quantum number above level_b")
-        if self.channel_a.p_key == self.channel_b.p_key:
-            raise ValueError("the two dressing channels must use distinct p-levels")
-        if self.delta_t < 0:
-            raise ValueError("delta_t must be >= 0")
-
-
-def make_entangle_spec(n: int, c3_prime: float, c3_second: float, delta_t: float) -> EntangleSpec:
-    """Standard construction: (n+1)s - np_{1/2} and ns - np_{3/2} channels."""
-    level_a = Level(n + 1, "s", 0.5)
-    level_b = Level(n, "s", 0.5)
-    channel_a = RydbergChannel(level_a, Level(n, "p", 0.5), c3_prime)
-    channel_b = RydbergChannel(level_b, Level(n, "p", 1.5), c3_second)
-    return EntangleSpec(level_a, level_b, channel_a, channel_b, delta_t)
-
-
-def entangle_amplitudes(geometry: EnsembleGeometry, spec: EntangleSpec):
-    """Per-pair phases (phi_prime, phi) accumulated during the interval.
-
-    Condensed (mu < nu) order; phi' = C3' dT / R^3 and phi = C3'' dT / R^3.
-    """
-    r3 = pair_separations(geometry) ** 3
-    phi_prime = spec.channel_a.c3 * spec.delta_t / r3
-    phi = spec.channel_b.c3 * spec.delta_t / r3
-    return phi_prime, phi
 
 
 def entangle_fidelity(phi_prime, phi) -> float:

@@ -14,7 +14,6 @@ from ryddephase.atomdata import (
     clebsch_gordan,
     coupling_weight,
     pair_dimension,
-    pair_dimension_for_j,
     single_atom_dimension,
 )
 
@@ -100,10 +99,6 @@ def test_pair_dimensions():
     assert pair_dimension(_channel(j=1.5)) == 36
     assert single_atom_dimension(_channel(j=0.5)) == 4
     assert single_atom_dimension(_channel(j=1.5)) == 6
-
-
-def test_pair_dimension_formula_extension():
-    assert pair_dimension_for_j(2.5) == 64
 
 
 # ---------------------------------------------------------------------------

@@ -291,6 +291,13 @@ def test_config_error_exit_code(tmp_path):
     assert main(["g2-trace", "--config", str(tmp_path / "missing.json")]) == 1
 
 
+def test_non_string_output_dir_is_a_config_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, {"output": {"dir": 5}})
+    assert main(["phasematch", "--config", str(path)]) == 1
+    assert "config error: output.dir: expected a string path" in capsys.readouterr().err
+
+
 def test_numerical_failure_exit_code(tmp_path, monkeypatch):
     import ryddephase.cli as cli
     from ryddephase.pairdyn import NumericsError
@@ -362,6 +369,25 @@ def test_cycles_run_includes_reference_column(tmp_path):
     assert float(last[6]) == pytest.approx(math.exp(-2.0), rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "entangle, message",
+    [
+        ({"c3_prime": 2.0e5, "c3_second": 1.6e5}, "entangle.n: missing required key"),
+        ({"n": 0, "c3_prime": 2.0e5, "c3_second": 1.6e5}, "entangle.n: must be >= 1"),
+        ({"n": 99, "c3_prime": 0.0, "c3_second": 1.6e5}, "entangle.c3_prime: must be > 0.0"),
+    ],
+)
+def test_entangle_level_label_and_strengths_are_validated(tmp_path, capsys, entangle, message):
+    cfg = {
+        "ensemble": {"n_atoms": 15, "box_side_um": 60.0, "seed": 5},
+        "entangle": entangle,
+        "grid": {"start_us": 0.0, "stop_us": 2.0, "points": 3},
+    }
+    path = write_config(tmp_path, cfg)
+    assert main(["entangle", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
 def test_entangle_run_csv_contract(tmp_path):
     cfg = {
         "ensemble": {"n_atoms": 15, "box_side_um": 60.0, "seed": 5},
@@ -402,11 +428,13 @@ def test_importing_the_cli_does_not_load_scipy():
 
 
 def test_importing_the_cli_does_not_load_the_process_pool():
+    # nor csv or logging, which no CLI path needs at import time
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     code = (
         "import sys, ryddephase.cli; "
-        "print(sorted(m for m in sys.modules if m.startswith(('concurrent.futures.process', 'multiprocessing'))))"
+        "print(sorted(m for m in sys.modules if m in ('csv', 'logging') "
+        "or m.startswith(('concurrent.futures.process', 'multiprocessing'))))"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"

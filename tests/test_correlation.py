@@ -14,16 +14,14 @@ from ryddephase.correlation import (
     G2_ZERO,
     brute_force_g2,
     g2_after_cycles,
-    g2_asymptote,
     g2_from_amplitudes,
     g2_trace,
-    g2_zero,
     realization_seed,
 )
 from ryddephase.ensemble import (
     EnsembleSpec,
-    all_pair_geometries,
     pair_index_arrays,
+    pair_orientations,
     pair_separations,
     sample_positions,
 )
@@ -61,17 +59,17 @@ def single_cycle_schedule(c3, dt=1.0, n=100, rabi=10.0):
 
 
 def test_g2_zero_value():
-    assert g2_zero() == pytest.approx(math.e / 4.0, abs=1e-12)
-    assert g2_zero() == pytest.approx(0.679570, abs=1e-6)
+    assert G2_ZERO == pytest.approx(math.e / 4.0, abs=1e-12)
+    assert G2_ZERO == pytest.approx(0.679570, abs=1e-6)
 
 
 def test_g2_zero_consistency_relation():
-    assert 4.0 * g2_zero() * 1.0 / (1.0 + 1.0) ** 2 == pytest.approx(g2_zero())
+    assert 4.0 * G2_ZERO * 1.0 / (1.0 + 1.0) ** 2 == pytest.approx(G2_ZERO)
 
 
 def test_asymptote_value_and_ratio():
-    assert g2_asymptote() == pytest.approx(0.434925, abs=1e-6)
-    assert g2_asymptote() / g2_zero() == pytest.approx(16.0 / 25.0, rel=1e-12)
+    assert G2_ASYMPTOTE == pytest.approx(0.434925, abs=1e-6)
+    assert G2_ASYMPTOTE / G2_ZERO == pytest.approx(16.0 / 25.0, rel=1e-12)
 
 
 def test_random_phase_mean_amplitude_is_half():
@@ -339,10 +337,7 @@ def reference_columns(ensemble, cycles, grid, mode, index):
             return np.stack([analytic_pair_amplitudes(r, [cycle.channel.c3 * t]) for t in times], axis=1)
 
     else:
-        geos = all_pair_geometries(geometry)
-        r = np.array([g.separation for g in geos])
-        theta = np.array([g.polar_angle for g in geos])
-        phi = np.array([g.azimuth for g in geos])
+        r, theta, phi = pair_orientations(geometry)
 
         def stack(cycle, times):
             return numeric_pair_amplitudes(r, theta, phi, cycle, np.asarray(times))

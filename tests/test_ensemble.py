@@ -7,13 +7,11 @@ from hypothesis import given, settings, strategies as st
 from ryddephase.ensemble import (
     EnsembleSpec,
     PackingError,
-    all_pair_geometries,
-    load_positions_csv,
     pair_geometry,
     pair_index_arrays,
+    pair_orientations,
     pair_separations,
     sample_positions,
-    save_positions_csv,
 )
 
 
@@ -196,17 +194,11 @@ def test_pair_separations_equal_scipy_pdist_bit_for_bit(n):
 
 
 def test_all_pair_geometries_matches_condensed_distances():
+    # pair_orientations lists every mu < nu pair in condensed order
     geom = sample_positions(EnsembleSpec(10, 30.0, seed=3))
-    geos = all_pair_geometries(geom)
-    r = pair_separations(geom)
-    assert np.allclose([g.separation for g in geos], r)
-
-
-def test_csv_round_trip(tmp_path):
-    geom = sample_positions(EnsembleSpec(20, 60.0, seed=4))
-    path = tmp_path / "positions.csv"
-    save_positions_csv(path, geom)
-    loaded = load_positions_csv(path, box_side=60.0)
-    assert np.array_equal(loaded.positions, geom.positions)
-    header = path.read_text().splitlines()[0]
-    assert header == "atom_index,x_um,y_um,z_um"
+    r, theta, phi = pair_orientations(geom)
+    assert np.allclose(r, pair_separations(geom))
+    mu, nu = pair_index_arrays(geom.n_atoms)
+    for k in range(len(mu)):
+        g = pair_geometry(geom.positions[mu[k]], geom.positions[nu[k]])
+        assert (r[k], theta[k], phi[k]) == pytest.approx((g.separation, g.polar_angle, g.azimuth), rel=1e-12)

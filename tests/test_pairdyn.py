@@ -13,11 +13,9 @@ from ryddephase.pairdyn import (
     cycle_amplitude_numeric,
     dressing_matrix,
     interaction_matrix,
-    multi_cycle_amplitude,
     numeric_pair_amplitudes,
     pair_basis,
     propagate,
-    single_channel_phase,
     _reduced_indices,
 )
 from ryddephase.protocol import make_schedule
@@ -42,12 +40,20 @@ def frozen_exchange_element(ch, mw=MW, r=2.0):
 # ---------------------------------------------------------------------------
 
 
+def kernel_phase(c3, r, delta_t):
+    """The single-channel phase analytic_pair_amplitudes forms: np.divide(C3 * dT, R^3)."""
+    return np.divide(c3 * delta_t, np.asarray(r, dtype=float) ** 3)
+
+
 def test_single_channel_phase_arithmetic():
-    assert single_channel_phase(1.0, 2.0, 8.0) == pytest.approx(1.0)
-    assert single_channel_phase(5.0, 3.0, 0.0) == 0.0
-    phi1 = single_channel_phase(1.0, 1.0, 1.0)
-    phi2 = single_channel_phase(1.0, 2.0, 1.0)
+    assert kernel_phase(1.0, 2.0, 8.0) == pytest.approx(1.0)
+    assert kernel_phase(5.0, 3.0, 0.0) == 0.0
+    phi1 = kernel_phase(1.0, 1.0, 1.0)
+    phi2 = kernel_phase(1.0, 2.0, 1.0)
     assert phi1 / phi2 == pytest.approx(8.0)
+    r = np.array([0.5, 1.0, 2.0, 3.0])
+    expected = analytic_cycle_amplitude(kernel_phase(8.0, r, 1.0))
+    assert analytic_pair_amplitudes(r, [8.0]).tobytes() == expected.tobytes()
 
 
 def test_analytic_amplitude_values():
@@ -371,17 +377,22 @@ def _schedule(phases, r):
     return make_schedule(cycles)
 
 
+def schedule_amplitude(sched, r):
+    """Analytic amplitude of one pair at separation r through every cycle of sched."""
+    products = [c.channel.c3 * c.delta_t for c in sched.cycles]
+    return complex(analytic_pair_amplitudes(np.array([r]), products)[0])
+
+
 def test_single_cycle_schedule_reduces_to_cycle_amplitude():
     r = 2.0
     sched = _schedule([1.3], r)
-    geom = PairGeometry(r, 0.5, 0.5)
-    amp = multi_cycle_amplitude(geom, sched, mode="analytic")
+    amp = schedule_amplitude(sched, r)
     assert amp == pytest.approx(complex(analytic_cycle_amplitude(1.3)), abs=1e-12)
 
 
 def test_zero_phases_give_unity():
     sched = _schedule([0.0, 0.0, 0.0], 2.0)
-    amp = multi_cycle_amplitude(PairGeometry(2.0, 0.1, 0.2), sched, mode="analytic")
+    amp = schedule_amplitude(sched, 2.0)
     assert amp == pytest.approx(1.0 + 0.0j, abs=1e-12)
 
 
@@ -389,22 +400,9 @@ def test_two_cycle_right_angle_phases():
     # ((1 + i)/2)^2 = i/2
     r = 2.0
     sched = _schedule([math.pi / 2, math.pi / 2], r)
-    amp = multi_cycle_amplitude(PairGeometry(r, 0.0, 0.0), sched, mode="analytic")
+    amp = schedule_amplitude(sched, r)
     assert amp == pytest.approx(0.5j, abs=1e-12)
     assert abs(amp) == pytest.approx(0.5, rel=1e-12)
-
-
-def test_multi_cycle_numeric_mode_is_product_of_cycles():
-    r = 2.5
-    cycles = [
-        CycleSpec(channel(0.5, c3=2.0, p_n=100), 0.8, MW),
-        CycleSpec(channel(1.5, c3=3.0, p_n=99), 0.4, MW),
-    ]
-    sched = make_schedule(cycles)
-    geom = PairGeometry(r, 0.9, 0.3)
-    amp = multi_cycle_amplitude(geom, sched, mode="multichannel")
-    expected = cycle_amplitude_numeric(geom, cycles[0]) * cycle_amplitude_numeric(geom, cycles[1])
-    assert amp == pytest.approx(expected, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -538,21 +536,3 @@ def test_numeric_pair_amplitudes_matches_loop(pulse_model, j):
 def test_cycle_duration_includes_pulse_area():
     cyc = CycleSpec(channel(), 1.0, MicrowaveSpec(rabi=10.0))
     assert cyc.duration == pytest.approx(1.0 + 2.0 * math.pi / 10.0)
-
-
-def test_pair_amplitude_csv_dump(tmp_path):
-    from ryddephase.ensemble import EnsembleSpec, pair_separations, sample_positions
-    from ryddephase.pairdyn import save_pair_amplitudes_csv
-
-    geometry = sample_positions(EnsembleSpec(6, 40.0, seed=12))
-    r = pair_separations(geometry)
-    amps = analytic_pair_amplitudes(r, [2.0e5])
-    path = tmp_path / "amps.csv"
-    save_pair_amplitudes_csv(path, geometry, amps)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "mu,nu,R_um,theta_rad,re_A,im_A"
-    assert len(lines) == 1 + 15
-    first = lines[1].split(",")
-    assert first[0] == "0" and first[1] == "1"
-    assert float(first[2]) == pytest.approx(r[0], rel=1e-12)
-    assert complex(float(first[4]), float(first[5])) == pytest.approx(amps[0])

@@ -9,12 +9,9 @@ from ryddephase.correlation import realization_seed
 from ryddephase.ensemble import EnsembleSpec, pair_separations, sample_positions
 from ryddephase.pairdyn import CycleSpec
 from ryddephase.protocol import (
-    EntangleSpec,
     decay_reference,
-    entangle_amplitudes,
     entangle_fidelity,
     entangle_trace,
-    make_entangle_spec,
     make_schedule,
     single_excitation_survival,
 )
@@ -140,38 +137,25 @@ def test_single_excitation_survival_per_polarization():
 # ---------------------------------------------------------------------------
 
 
-def test_entangle_spec_construction_and_validation():
-    spec = make_entangle_spec(99, c3_prime=2.0e5, c3_second=1.6e5, delta_t=1.0)
-    assert spec.level_a.n == 100
-    assert spec.level_b.n == 99
-    assert spec.channel_a.p_key == (99, 0.5)
-    assert spec.channel_b.p_key == (99, 1.5)
-    with pytest.raises(ValueError):
-        EntangleSpec(
-            Level(100, "s", 0.5),
-            Level(98, "s", 0.5),
-            spec.channel_a,
-            spec.channel_b,
-            1.0,
-        )
-
-
 def test_entangle_amplitudes_zero_interval():
-    geom = sample_positions(EnsembleSpec(20, 60.0, seed=6))
-    spec = make_entangle_spec(99, 2.0e5, 1.6e5, delta_t=0.0)
-    phi_p, phi = entangle_amplitudes(geom, spec)
-    assert np.all(phi_p == 0.0)
-    assert np.all(phi == 0.0)
+    # zero phase on every pair: both coherences exactly 1, F exactly 1/2
+    ens = EnsembleSpec(20, 60.0, seed=6)
+    _, f, m1, m2 = entangle_trace(ens, 2.0e5, 1.6e5, [0.0], realizations=2)
+    assert np.all(m1 == 1.0)
+    assert np.all(m2 == 1.0)
+    assert np.all(f == 0.5)
 
 
 def test_entangle_amplitudes_equal_strengths_and_linearity():
-    geom = sample_positions(EnsembleSpec(20, 60.0, seed=6))
-    s1 = make_entangle_spec(99, 1.5e5, 1.5e5, delta_t=1.0)
-    phi_p, phi = entangle_amplitudes(geom, s1)
-    assert np.allclose(phi_p, phi)
-    s2 = make_entangle_spec(99, 1.5e5, 1.5e5, delta_t=2.0)
-    phi_p2, _ = entangle_amplitudes(geom, s2)
-    assert np.allclose(phi_p2, 2.0 * phi_p)
+    ens = EnsembleSpec(20, 60.0, seed=6)
+    grid = [0.0, 1.0, 2.0, 30.0]
+    _, f, m1, m2 = entangle_trace(ens, 1.5e5, 1.5e5, grid, realizations=2)
+    assert np.array_equal(m1, m2)
+    # the phase is C3 t / R^3: doubling t equals doubling C3
+    _, f2, m1_2, m2_2 = entangle_trace(ens, 3.0e5, 3.0e5, [0.5, 1.0], realizations=2)
+    assert np.allclose(f2, f[1:3])
+    assert np.allclose(m1_2, m1[1:3])
+    assert np.allclose(m2_2, m2[1:3])
 
 
 def test_entangle_fidelity_limits():
