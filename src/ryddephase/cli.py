@@ -1,7 +1,9 @@
 """Command line entry point: config parsing, run orchestration, output emission.
 
 Configs are JSON with a strict schema (unknown keys are rejected, errors name
-the offending field path).  Every run writes its data files plus a manifest
+the offending field path).  main plans a run before it runs it: every config,
+each sweep combination included, is parsed and validated first, then one
+worker pool serves all of them.  Every run writes its data files plus a manifest
 recording the config hash, the derived per-realization seeds, the package
 version and the wall-clock duration; re-running the same config and seed
 reproduces the data files byte for byte, regardless of the thread count.
@@ -10,13 +12,17 @@ Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 """
 
 import argparse
+import copy
 import hashlib
+import itertools
 import json
 import math
 import os
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +59,7 @@ from .phasematch import (
 from .protocol import CycleSchedule, decay_reference, entangle_trace, make_schedule
 
 THREADS_ENV = "RYDDEPHASE_THREADS"
+ENSEMBLE_SUBCOMMANDS = ("g2-trace", "cycles", "entangle")  # sample positions; a sweep varies one of them
 
 
 class ConfigError(ValueError):
@@ -264,34 +271,33 @@ def _parse_output(cfg, path):
 class RunConfig:
     """Materialized g2-trace / cycles configuration."""
 
-    raw: dict
     ensemble: EnsembleSpec
     schedule: CycleSchedule
-    scan_n: tuple | None
+    scan_schedules: dict  # n -> schedule with s_n = p_n = n, in scan_n order; empty without scan_n
     mode: str
     grid: np.ndarray | None
     realizations: int
     output_format: str
-    reference_tau: float | None = None
-    _interaction: tuple = (None, {})
-
-    def schedule_for_n(self, n: int) -> CycleSchedule:
-        model, table = self._interaction
-        return _parse_schedule(
-            self.raw["schedule"], "schedule", model, table, n_override=n
-        )
+    reference_tau: float | None = None  # cycles only: tau of the e^(-T/tau) reference column
 
 
 def parse_config(text: str, subcommand: str = "g2-trace") -> RunConfig:
     """Parse and validate a g2-trace or cycles configuration document."""
+    _, jobs = _plan(subcommand, _decode(text, ""))
+    return jobs[0].config
+
+
+def _decode(text: str, where: str) -> dict:
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON: {exc}") from exc
-    return _materialize_trace_config(raw, subcommand)
+        raise ConfigError(f"invalid JSON{where}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError("top-level config must be a JSON object")
+    return raw
 
 
-def _materialize_trace_config(raw, subcommand) -> RunConfig:
+def _parse_trace_config(raw, output_format, subcommand) -> RunConfig:
     required = ["ensemble", "schedule"]
     optional = ["interaction", "mode", "realizations", "output", "scan_n"]
     if subcommand == "g2-trace":
@@ -302,32 +308,31 @@ def _materialize_trace_config(raw, subcommand) -> RunConfig:
     model, table = _parse_interaction(raw.get("interaction", {}), "interaction")
     ensemble = _parse_ensemble(raw["ensemble"], "ensemble")
     schedule = _parse_schedule(raw["schedule"], "schedule", model, table)
-    scan_n = None
+    scan_schedules = {}
     if "scan_n" in raw:
         values = _as_list(raw["scan_n"], "scan_n")
-        scan_n = tuple(_as_int(v, f"scan_n[{i}]", minimum=1) for i, v in enumerate(values))
+        scan_n = [_as_int(v, f"scan_n[{i}]", minimum=1) for i, v in enumerate(values)]
         for i, n in enumerate(scan_n):
-            if n in scan_n[:i]:
+            if n in scan_schedules:
                 _fail(f"scan_n[{i}]", f"duplicate value {n}")
-            _parse_schedule(raw["schedule"], "schedule", model, table, n_override=n)
+            scan_schedules[n] = _parse_schedule(raw["schedule"], "schedule", model, table, n_override=n)
     mode = _as_choice(raw.get("mode", "analytic"), "mode", ("analytic", "multichannel"))
     realizations = _as_int(raw.get("realizations", 100), "realizations", minimum=1)
-    fmt, _ = _parse_output(raw.get("output", {}), "output")
     grid = _parse_grid(raw["grid"], "grid") if subcommand == "g2-trace" else None
     tau = None
-    if subcommand == "cycles" and "reference_tau_us" in raw:
-        tau = _as_float(raw["reference_tau_us"], "reference_tau_us", strict_min=0.0)
+    if subcommand == "cycles":  # the reference defaults to the mean cycle duration
+        tau = schedule.total_time / len(schedule)
+        if "reference_tau_us" in raw:
+            tau = _as_float(raw["reference_tau_us"], "reference_tau_us", strict_min=0.0)
     return RunConfig(
-        raw=raw,
         ensemble=ensemble,
         schedule=schedule,
-        scan_n=scan_n,
+        scan_schedules=scan_schedules,
         mode=mode,
         grid=grid,
         realizations=realizations,
-        output_format=fmt,
+        output_format=output_format,
         reference_tau=tau,
-        _interaction=(model, table),
     )
 
 
@@ -429,13 +434,16 @@ class OutputSession:
             "config": self.raw_config,
             "seeds": self.seeds,
             "duration_s": time.perf_counter() - self.started,
-            "outputs": [
-                {"path": str(p.relative_to(self.out_dir)), "sha256": _file_sha256(self._staged[p])}
-                for p in self.outputs
-            ],
+            "outputs": [self._output_entry(p) for p in self.outputs],
         }
         _write_json(self._stage(manifest_path), manifest)
         return manifest_path
+
+    def _output_entry(self, path: Path) -> dict:
+        entry = {"path": str(path.relative_to(self.out_dir))}
+        if path.name != "manifest.json":  # a sweep's sub-manifest holds its own duration_s
+            entry["sha256"] = _file_sha256(self._staged[path])
+        return entry
 
     def commit(self) -> None:
         """Rename every staged file into place, in the order staged."""
@@ -491,143 +499,107 @@ def _make_pool(threads: int, realizations: int):
 
 
 # ---------------------------------------------------------------------------
-# subcommand runners
+# subcommand runners: each takes (config, session, pool)
 # ---------------------------------------------------------------------------
 
 TRACE_HEADER = ["t_us", "g2_mean", "g2_stderr", "f_mean", "h_mean", "n_realizations"]
 
 
-def run_g2_trace(cfg: RunConfig, session: OutputSession, threads: int) -> None:
-    pool = _make_pool(threads, cfg.realizations)
-    try:
-        variants = [(None, cfg.schedule)]
-        if cfg.scan_n:
-            variants = [(n, cfg.schedule_for_n(n)) for n in cfg.scan_n]
-        for n, schedule in variants:
-            trace = g2_trace(
-                cfg.ensemble,
-                schedule,
-                cfg.grid,
-                mode=cfg.mode,
-                realizations=cfg.realizations,
-                pool=pool,
-            )
-            session.seeds = list(trace.seeds)
-            stem = "g2_trace" if n is None else f"g2_trace_n{n}"
-            if cfg.output_format == "csv":
-                _write_csv(session.claim(f"{stem}.csv"), TRACE_HEADER, _trace_rows(trace))
-            else:
-                _write_json(session.claim(f"{stem}.json"), _trace_json(trace))
-    finally:
-        if pool is not None:
-            pool.shutdown()
+def _write_data(session: OutputSession, stem: str, output_format: str, header, rows, payload) -> None:
+    """stem.csv from header and rows, or stem.json from payload(), as output.format asks."""
+    if output_format == "csv":
+        _write_csv(session.claim(f"{stem}.csv"), header, rows)
+    else:
+        _write_json(session.claim(f"{stem}.json"), payload())
 
 
-def run_cycles(cfg: RunConfig, session: OutputSession, threads: int) -> None:
-    pool = _make_pool(threads, cfg.realizations)
-    try:
-        trace = g2_after_cycles(
+def run_g2_trace(cfg: RunConfig, session: OutputSession, pool) -> None:
+    for n, schedule in cfg.scan_schedules.items() or [(None, cfg.schedule)]:
+        trace = g2_trace(
             cfg.ensemble,
-            cfg.schedule,
+            schedule,
+            cfg.grid,
             mode=cfg.mode,
             realizations=cfg.realizations,
             pool=pool,
         )
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        session.seeds = list(trace.seeds)
+        stem = "g2_trace" if n is None else f"g2_trace_n{n}"
+        _write_data(session, stem, cfg.output_format, TRACE_HEADER, _trace_rows(trace), lambda: _trace_json(trace))
+
+
+def run_cycles(cfg: RunConfig, session: OutputSession, pool) -> None:
+    trace = g2_after_cycles(
+        cfg.ensemble,
+        cfg.schedule,
+        mode=cfg.mode,
+        realizations=cfg.realizations,
+        pool=pool,
+    )
     session.seeds = list(trace.seeds)
     tau = cfg.reference_tau
-    if tau is None:
-        tau = cfg.schedule.total_time / len(cfg.schedule)
     n = cfg.ensemble.n_atoms
     flat = g2_from_amplitudes(np.ones(n * (n - 1) // 2), n)
+    reference = [float(decay_reference(tau, float(t))) for t in trace.grid]
     header = ["cycle", "t_us", "g2_mean", "g2_stderr", "f_mean", "h_mean", "reference"]
     rows = [["0", _fmt(0.0), _fmt(flat.g2), _fmt(0.0), _fmt(flat.f), _fmt(flat.h), _fmt(1.0)]]
-    for q, t in enumerate(trace.grid, start=1):
-        rows.append(
-            [
-                str(q),
-                _fmt(t),
-                _fmt(trace.g2_mean[q - 1]),
-                _fmt(trace.g2_stderr[q - 1]),
-                _fmt(trace.f_mean[q - 1]),
-                _fmt(trace.h_mean[q - 1]),
-                _fmt(decay_reference(tau, float(t))),
-            ]
-        )
-    if cfg.output_format == "csv":
-        _write_csv(session.claim("cycles.csv"), header, rows)
-    else:
-        payload = _trace_json(trace)
-        payload["reference_tau_us"] = tau
-        payload["reference"] = [float(decay_reference(tau, float(t))) for t in trace.grid]
-        payload["g2_flat"] = flat.g2
-        _write_json(session.claim("cycles.json"), payload)
+    for q, (row, ref) in enumerate(zip(_trace_rows(trace), reference), start=1):
+        rows.append([str(q), *row[:5], _fmt(ref)])  # row[5] is the realization count
+
+    def payload():
+        return dict(_trace_json(trace), reference_tau_us=tau, reference=reference, g2_flat=flat.g2)
+
+    _write_data(session, "cycles", cfg.output_format, header, rows, payload)
 
 
-def _parse_entangle_config(raw) -> dict:
-    _check_mapping(
-        raw, "config", ["ensemble", "entangle", "grid"], ["realizations", "output"]
-    )
+@dataclass
+class EntangleConfig:
+    """Materialized entangle configuration."""
+
+    ensemble: EnsembleSpec
+    c3_prime: float
+    c3_second: float
+    grid: np.ndarray
+    realizations: int
+    output_format: str
+
+
+def _parse_entangle_config(raw, output_format) -> EntangleConfig:
+    _check_mapping(raw, "config", ["ensemble", "entangle", "grid"], ["realizations", "output"])
     ensemble = _parse_ensemble(raw["ensemble"], "ensemble")
-    epath = "entangle"
-    _check_mapping(raw["entangle"], epath, ["n", "c3_prime", "c3_second"], [])
-    ent = {
-        # n only labels the levels; the trace depends on c3_prime and c3_second
-        "n": _as_int(raw["entangle"]["n"], f"{epath}.n", minimum=1),
-        "c3_prime": _as_float(raw["entangle"]["c3_prime"], f"{epath}.c3_prime", strict_min=0.0),
-        "c3_second": _as_float(raw["entangle"]["c3_second"], f"{epath}.c3_second", strict_min=0.0),
-    }
-    grid = _parse_grid(raw["grid"], "grid")
-    realizations = _as_int(raw.get("realizations", 100), "realizations", minimum=1)
-    fmt, _ = _parse_output(raw.get("output", {}), "output")
-    return {
-        "ensemble": ensemble,
-        "entangle": ent,
-        "grid": grid,
-        "realizations": realizations,
-        "format": fmt,
-    }
-
-
-def run_entangle(parsed: dict, session: OutputSession, threads: int) -> None:
-    ent = parsed["entangle"]
-    pool = _make_pool(threads, parsed["realizations"])
-    try:
-        grid, f, m1, m2 = entangle_trace(
-            parsed["ensemble"],
-            ent["c3_prime"],
-            ent["c3_second"],
-            parsed["grid"],
-            realizations=parsed["realizations"],
-            pool=pool,
-        )
-    finally:
-        if pool is not None:
-            pool.shutdown()
-    session.seeds = [
-        realization_seed(parsed["ensemble"].seed, r) for r in range(parsed["realizations"])
-    ]
-    header = ["t_us", "F", "abs_m1", "abs_m2"]
-    rows = (
-        [_fmt(t), _fmt(f[i]), _fmt(m1[i]), _fmt(m2[i])] for i, t in enumerate(grid)
+    ent, epath = raw["entangle"], "entangle"
+    _check_mapping(ent, epath, ["n", "c3_prime", "c3_second"], [])
+    # n only labels the levels; the trace depends on c3_prime and c3_second
+    _as_int(ent["n"], f"{epath}.n", minimum=1)
+    return EntangleConfig(
+        ensemble=ensemble,
+        c3_prime=_as_float(ent["c3_prime"], f"{epath}.c3_prime", strict_min=0.0),
+        c3_second=_as_float(ent["c3_second"], f"{epath}.c3_second", strict_min=0.0),
+        grid=_parse_grid(raw["grid"], "grid"),
+        realizations=_as_int(raw.get("realizations", 100), "realizations", minimum=1),
+        output_format=output_format,
     )
-    if parsed["format"] == "csv":
-        _write_csv(session.claim("entangle.csv"), header, rows)
-    else:
-        _write_json(
-            session.claim("entangle.json"),
-            {
-                "t_us": [float(t) for t in grid],
-                "F": [float(x) for x in f],
-                "abs_m1": [float(x) for x in m1],
-                "abs_m2": [float(x) for x in m2],
-            },
-        )
 
 
-def _parse_phasematch_config(raw) -> dict:
+def run_entangle(cfg: EntangleConfig, session: OutputSession, pool) -> None:
+    grid, f, m1, m2 = entangle_trace(
+        cfg.ensemble,
+        cfg.c3_prime,
+        cfg.c3_second,
+        cfg.grid,
+        realizations=cfg.realizations,
+        pool=pool,
+    )
+    session.seeds = [realization_seed(cfg.ensemble.seed, r) for r in range(cfg.realizations)]
+    header = ["t_us", "F", "abs_m1", "abs_m2"]
+    columns = (grid, f, m1, m2)
+    rows = ([_fmt(t), _fmt(f[i]), _fmt(m1[i]), _fmt(m2[i])] for i, t in enumerate(grid))
+    _write_data(
+        session, "entangle", cfg.output_format, header, rows, lambda: {k: v.tolist() for k, v in zip(header, columns)}
+    )
+
+
+def _parse_phasematch_config(raw, output_format) -> dict:
     _check_mapping(raw, "config", ["beams"], ["speed_m_per_s", "solve_offaxis", "output"])
     beams = []
     for i, entry in enumerate(_as_list(raw["beams"], "beams", min_len=1)):
@@ -657,7 +629,7 @@ def _period_json(x: float):
     return "inf" if math.isinf(x) else x
 
 
-def run_phasematch(parsed: dict, session: OutputSession) -> None:
+def run_phasematch(parsed: dict, session: OutputSession, pool) -> None:
     beams = parsed["beams"]
     result = evaluate_beams(beams, parsed["speed"])
     tilt = [
@@ -691,7 +663,7 @@ def run_phasematch(parsed: dict, session: OutputSession) -> None:
     _write_json(session.claim("phasematch.json"), payload)
 
 
-def _parse_oracle_config(raw) -> dict:
+def _parse_oracle_config(raw, output_format) -> dict:
     _check_mapping(raw, "config", ["seed"], ["n_atoms", "draws", "amplitude", "box_side_um", "output"])
     return {
         "n_atoms": _as_int(raw.get("n_atoms", 8), "n_atoms", minimum=2, maximum=10),
@@ -702,7 +674,7 @@ def _parse_oracle_config(raw) -> dict:
     }
 
 
-def run_oracle(parsed: dict, session: OutputSession) -> None:
+def run_oracle(parsed: dict, session: OutputSession, pool) -> None:
     n = parsed["n_atoms"]
     mu, nu = pair_index_arrays(n)
     rng = np.random.Generator(np.random.PCG64(parsed["seed"]))
@@ -739,9 +711,19 @@ def run_oracle(parsed: dict, session: OutputSession) -> None:
     )
 
 
-def _parse_sweep_config(raw) -> dict:
+@dataclass
+class Job:
+    """One validated config of a run: a plain run plans one, a sweep one per combination."""
+
+    label: str | None  # the combination's subdirectory; None for a plain run
+    subcommand: str
+    raw: dict
+    config: object  # what the subcommand's parser returned
+
+
+def _parse_sweep_config(raw, output_format) -> list[Job]:
     _check_mapping(raw, "config", ["subcommand", "base", "axes"], ["output"])
-    sub = _as_choice(raw["subcommand"], "subcommand", ("g2-trace", "cycles", "entangle"))
+    sub = _as_choice(raw["subcommand"], "subcommand", ENSEMBLE_SUBCOMMANDS)
     if not isinstance(raw["base"], dict):
         _fail("base", "expected an object")
     axes = []
@@ -751,7 +733,14 @@ def _parse_sweep_config(raw) -> dict:
         if not isinstance(axis["path"], str) or not axis["path"]:
             _fail(f"{apath}.path", "expected a nonempty dotted path")
         axes.append((axis["path"], _as_list(axis["values"], f"{apath}.values")))
-    return {"subcommand": sub, "base": raw["base"], "axes": axes}
+    jobs = []
+    for combo in itertools.product(*(values for _, values in axes)):
+        base = copy.deepcopy(raw["base"])
+        for (path, _), value in zip(axes, combo):
+            _apply_override(base, path, value)
+        fmt, _ = _parse_output(base.get("output", {}), "output")
+        jobs.append(Job(_combo_label(axes, combo), sub, base, SUBCOMMANDS[sub].parse(base, fmt)))
+    return jobs
 
 
 def _list_index(node: list, part: str, dotted: str) -> int:
@@ -792,52 +781,67 @@ def _combo_label(axes, combo) -> str:
     return "__".join(parts).replace("/", "_").replace(" ", "")
 
 
-def run_sweep(parsed: dict, session: OutputSession, threads: int) -> None:
-    import copy
-    import itertools
+@dataclass(frozen=True)
+class Subcommand:
+    """parse(raw, output_format) validates one config document; run(config, session, pool) runs it.
 
-    axes = parsed["axes"]
-    value_lists = [values for _, values in axes]
-    for combo in itertools.product(*value_lists):
-        base = copy.deepcopy(parsed["base"])
-        for (path, _), value in zip(axes, combo):
-            _apply_override(base, path, value)
-        label = _combo_label(axes, combo)
-        sub_session = session.sub_session(label, parsed["subcommand"], base)
-        _dispatch_config(parsed["subcommand"], base, sub_session, threads)
-        manifest = sub_session.finish()
-        session.outputs.extend(sub_session.outputs)
-        session.outputs.append(manifest)
-        session.seeds.extend(sub_session.seeds)
+    phasematch and oracle write JSON in this process, so they ignore the
+    format and the pool; sweep has no runner, its parser returns the jobs of
+    the subcommand it sweeps.  Runners look up what they call (g2_trace,
+    _write_csv, ...) as module globals at call time.
+    """
+
+    help: str
+    parse: Callable
+    run: Callable | None
+
+
+SUBCOMMANDS = {
+    "g2-trace": Subcommand(
+        "correlation trace versus free-interval length",
+        partial(_parse_trace_config, subcommand="g2-trace"),
+        run_g2_trace,
+    ),
+    "cycles": Subcommand(
+        "correlation after each cycle of a fixed schedule",
+        partial(_parse_trace_config, subcommand="cycles"),
+        run_cycles,
+    ),
+    "entangle": Subcommand("two-mode entanglement fidelity trace", _parse_entangle_config, run_entangle),
+    "phasematch": Subcommand(
+        "wavevector mismatch, period, off-axis zero geometry", _parse_phasematch_config, run_phasematch
+    ),
+    "oracle": Subcommand("pair-sum formula versus exact small-N correlator", _parse_oracle_config, run_oracle),
+    "sweep": Subcommand("Cartesian parameter sweep over another subcommand", _parse_sweep_config, None),
+}
+
+
+def _plan(subcommand: str, raw: dict) -> tuple[str | None, list[Job]]:
+    """The config's output dir and the run's jobs, every config parsed and validated."""
+    fmt, out_dir = _parse_output(raw.get("output", {}), "output")
+    entry = SUBCOMMANDS[subcommand]
+    if entry.run is None:
+        return out_dir, entry.parse(raw, fmt)
+    return out_dir, [Job(None, subcommand, raw, entry.parse(raw, fmt))]
+
+
+def _override_seed(raw: dict, subcommand: str, seed: int) -> None:
+    """Write seed into the config; a non-object is left for the parser to reject."""
+    if subcommand in ENSEMBLE_SUBCOMMANDS:
+        ensemble = raw.setdefault("ensemble", {})
+        if isinstance(ensemble, dict):
+            ensemble["seed"] = seed
+    elif subcommand == "oracle":
+        raw["seed"] = seed
+    elif subcommand == "sweep":
+        base = raw.setdefault("base", {})
+        if isinstance(base, dict):
+            _override_seed(base, raw.get("subcommand", ""), seed)
 
 
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
-
-
-def _dispatch_config(subcommand: str, raw: dict, session: OutputSession, threads: int) -> None:
-    if subcommand == "g2-trace":
-        run_g2_trace(_materialize_trace_config(raw, "g2-trace"), session, threads)
-    elif subcommand == "cycles":
-        run_cycles(_materialize_trace_config(raw, "cycles"), session, threads)
-    elif subcommand == "entangle":
-        run_entangle(_parse_entangle_config(raw), session, threads)
-    elif subcommand == "phasematch":
-        run_phasematch(_parse_phasematch_config(raw), session)
-    elif subcommand == "oracle":
-        run_oracle(_parse_oracle_config(raw), session)
-    else:
-        raise ConfigError(f"unknown subcommand {subcommand!r}")
-
-
-def _override_seed(raw: dict, subcommand: str, seed: int) -> None:
-    if subcommand in ("g2-trace", "cycles", "entangle"):
-        raw.setdefault("ensemble", {})["seed"] = seed
-    elif subcommand == "oracle":
-        raw["seed"] = seed
-    elif subcommand == "sweep":
-        _override_seed(raw.setdefault("base", {}), raw.get("subcommand", ""), seed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -847,15 +851,8 @@ def build_parser() -> argparse.ArgumentParser:
         "traces, cycle protocols, entanglement figures of merit, phase matching.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, desc in [
-        ("g2-trace", "correlation trace versus free-interval length"),
-        ("cycles", "correlation after each cycle of a fixed schedule"),
-        ("entangle", "two-mode entanglement fidelity trace"),
-        ("phasematch", "wavevector mismatch, period, off-axis zero geometry"),
-        ("oracle", "pair-sum formula versus exact small-N correlator"),
-        ("sweep", "Cartesian parameter sweep over another subcommand"),
-    ]:
-        p = sub.add_parser(name, help=desc)
+    for name, entry in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=entry.help)
         p.add_argument("--config", required=True, help="JSON configuration file")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
@@ -864,54 +861,53 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _positive_threads(threads: int, source: str) -> int:
+def _thread_count(flag: int | None) -> int:
+    """--threads if given, else RYDDEPHASE_THREADS (default 1); at least 1."""
+    threads, source = flag, "--threads"
+    if flag is None:
+        raw, source = os.environ.get(THREADS_ENV, "1"), THREADS_ENV
+        try:
+            threads = int(raw)
+        except ValueError:
+            raise ConfigError(f"{THREADS_ENV}: expected an integer, got {raw!r}") from None
     if threads < 1:
         raise ConfigError(f"{source}: expected an integer >= 1, got {threads}")
     return threads
 
 
-def _env_threads() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise ConfigError(f"{THREADS_ENV}: expected an integer, got {raw!r}") from None
-    return _positive_threads(threads, THREADS_ENV)
+def _run(jobs: list[Job], session: OutputSession, pool) -> None:
+    for job in jobs:
+        target = session if job.label is None else session.sub_session(job.label, job.subcommand, job.raw)
+        SUBCOMMANDS[job.subcommand].run(job.config, target, pool)
+        if target is not session:
+            session.outputs += [*target.outputs, target.finish()]
+            session.seeds += target.seeds
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.threads is None:
-            threads = _env_threads()
-        else:
-            threads = _positive_threads(args.threads, "--threads")
+        threads = _thread_count(args.threads)
         try:
             text = Path(args.config).read_text()
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON in {args.config}: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError("top-level config must be a JSON object")
+        raw = _decode(text, f" in {args.config}")
         if args.seed is not None:
             _override_seed(raw, args.subcommand, args.seed)
-        _, out_dir = _parse_output(raw.get("output", {}), "output")
+        out_dir, jobs = _plan(args.subcommand, raw)
         if args.out is not None:
             out_dir = args.out
-        if out_dir is None:
-            out_dir = "out"
-        session = OutputSession(Path(out_dir), args.subcommand, raw, args.force)
+        session = OutputSession(Path("out" if out_dir is None else out_dir), args.subcommand, raw, args.force)
+        # phasematch and oracle configs run no realizations
+        pool = _make_pool(threads, max(getattr(job.config, "realizations", 1) for job in jobs))
         try:
-            if args.subcommand == "sweep":
-                run_sweep(_parse_sweep_config(raw), session, threads)
-            else:
-                _dispatch_config(args.subcommand, raw, session, threads)
+            _run(jobs, session, pool)
             manifest = session.finish()
             session.commit()
         finally:
+            if pool is not None:
+                pool.shutdown()
             session.discard()
         print(f"wrote {len(session.outputs)} output file(s); manifest: {manifest}")
         return 0

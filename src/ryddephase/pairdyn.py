@@ -224,15 +224,15 @@ def interaction_coefficients(thetas, phis, r, c3: float) -> np.ndarray:
     return scale[:, None] * signs[None, :] * c2[:, ::-1]
 
 
-def _batched_interaction(thetas, phis, r, channel: RydbergChannel) -> np.ndarray:
-    """Stacked exchange Hamiltonians for many pair geometries, shape (n, d, d)."""
-    coeffs = interaction_coefficients(thetas, phis, r, channel.c3)
-    return np.tensordot(coeffs, exchange_tensor_operators(channel).astype(complex), axes=([1], [0]))
+def _batched_interaction(thetas, phis, r, c3: float, operators: np.ndarray) -> np.ndarray:
+    """Exchange Hamiltonians for many pair geometries, shape (n, d, d); operators: exchange_tensor_operators."""
+    return np.tensordot(interaction_coefficients(thetas, phis, r, c3), operators, axes=([1], [0]))
 
 
 def interaction_matrix(geom: PairGeometry, channel: RydbergChannel) -> np.ndarray:
     """Exchange part of the dipole-dipole operator over the pair basis."""
-    h = _batched_interaction([geom.polar_angle], [geom.azimuth], [geom.separation], channel)[0]
+    operators = exchange_tensor_operators(channel).astype(complex)
+    h = _batched_interaction([geom.polar_angle], [geom.azimuth], [geom.separation], channel.c3, operators)[0]
     err = np.max(np.abs(h - h.conj().T))
     if err > HERMITICITY_TOL:
         raise NumericsError(f"interaction part lost Hermiticity: {err:.3e}")
@@ -395,6 +395,7 @@ def numeric_pair_amplitudes(
     instantaneous = spec.pulse_model == "instantaneous"
     times = np.asarray(times, dtype=float)
 
+    operators = exchange_tensor_operators(channel).astype(complex)
     e0 = np.zeros(dim * dim, dtype=complex)
     e0[start] = 1.0
 
@@ -409,7 +410,7 @@ def numeric_pair_amplitudes(
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
         h_int = _batched_interaction(
-            np.asarray(thetas)[lo:hi], np.asarray(phis)[lo:hi], np.asarray(separations)[lo:hi], channel
+            np.asarray(thetas)[lo:hi], np.asarray(phis)[lo:hi], np.asarray(separations)[lo:hi], channel.c3, operators
         )
         lam, vec = np.linalg.eigh(h_int)
         if instantaneous:

@@ -93,11 +93,11 @@ def test_shipped_fig2_config_echoes_expected_parameters():
     cfg = parse_config((CONFIG_DIR / "fig2.json").read_text())
     assert cfg.ensemble.n_atoms == 100
     assert cfg.ensemble.box_side == 60.0
-    assert cfg.scan_n == (60, 79, 100)
+    assert tuple(cfg.scan_schedules) == (60, 79, 100)
     assert cfg.mode == "analytic"
     # scaling model: c3(100)/c3(60) = (100/60)^4
-    s60 = cfg.schedule_for_n(60).cycles[0].channel.c3
-    s100 = cfg.schedule_for_n(100).cycles[0].channel.c3
+    s60 = cfg.scan_schedules[60].cycles[0].channel.c3
+    s100 = cfg.scan_schedules[100].cycles[0].channel.c3
     assert s100 / s60 == pytest.approx((100.0 / 60.0) ** 4, rel=1e-12)
 
 
@@ -540,3 +540,76 @@ def test_sweep_rejects_unknown_path(tmp_path, capsys):
         path = write_config(tmp_path, sweep)
         assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
         assert f"config error: axes path {bad!r}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "subcommand, payload, message",
+    [
+        ("g2-trace", dict(MINIMAL, ensemble=[1, 2]), "ensemble: expected an object, got list"),
+        ("cycles", {"ensemble": [1, 2], "schedule": MINIMAL["schedule"]}, "ensemble: expected an object, got list"),
+        ("entangle", {"ensemble": 5, "entangle": {}, "grid": {}}, "ensemble: expected an object, got int"),
+        ("sweep", {"subcommand": "g2-trace", "base": 5, "axes": []}, "base: expected an object"),
+        (
+            "sweep",
+            {"subcommand": "g2-trace", "base": dict(MINIMAL, ensemble=[1, 2]), "axes": [{"path": "realizations", "values": [2]}]},
+            "ensemble: expected an object, got list",
+        ),
+    ],
+    ids=["g2-trace", "cycles", "entangle", "sweep-base", "sweep-ensemble"],
+)
+def test_seed_override_of_a_non_object_is_a_config_error(tmp_path, capsys, subcommand, payload, message):
+    path = write_config(tmp_path, payload)
+    assert main([subcommand, "--config", str(path), "--out", str(tmp_path / "o"), "--seed", "3"]) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
+def test_sweep_top_level_manifest_is_reproducible(tmp_path):
+    base = json.loads(json.dumps(MINIMAL))
+    base["realizations"] = 2
+    sweep = {"subcommand": "g2-trace", "base": base, "axes": [{"path": "ensemble.n_atoms", "values": [10, 12]}]}
+    path = write_config(tmp_path, sweep)
+    tops = []
+    for out in (tmp_path / "a", tmp_path / "b"):
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+        tops.append(json.loads((out / "manifest.json").read_text())["outputs"])
+    assert tops[0] == tops[1]
+    assert {"path": "n_atoms=10/manifest.json"} in tops[0]  # sub-manifests are listed by path only
+    assert all("sha256" in entry for entry in tops[0] if entry["path"].endswith(".csv"))
+
+
+def test_sweep_validates_every_combination_before_running_any(tmp_path, monkeypatch, capsys):
+    calls = []
+    g2_trace = cli.g2_trace
+
+    def counting_g2_trace(*args, **kwargs):
+        calls.append(1)
+        return g2_trace(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "g2_trace", counting_g2_trace)
+    base = json.loads(json.dumps(MINIMAL))
+    base["realizations"] = 2
+    sweep = {"subcommand": "g2-trace", "base": base, "axes": [{"path": "ensemble.n_atoms", "values": [10, 1]}]}
+    path = write_config(tmp_path, sweep)
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert "config error: ensemble.n_atoms: must be >= 2, got 1" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_sweep_starts_one_pool_for_all_combinations(tmp_path, monkeypatch):
+    import concurrent.futures
+
+    pools = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    base = json.loads(json.dumps(MINIMAL))
+    base["realizations"] = 2
+    sweep = {"subcommand": "g2-trace", "base": base, "axes": [{"path": "ensemble.n_atoms", "values": [10, 12]}]}
+    path = write_config(tmp_path, sweep)
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out"), "--threads", "2"]) == 0
+    assert pools == [2]

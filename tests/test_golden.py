@@ -31,8 +31,19 @@ CASES = {
         "g2-trace",
         {"ensemble.n_atoms": 8, "realizations": 2, "grid.points": 4},
     ),
+    "fig2_json": (
+        "fig2.json",
+        "g2-trace",
+        {"ensemble.n_atoms": 30, "realizations": 2, "grid.points": 8, "output.format": "json"},
+    ),
     "cycles": ("cycles.json", "cycles", {"ensemble.n_atoms": 20, "realizations": 2}),
+    "cycles_json": ("cycles.json", "cycles", {"ensemble.n_atoms": 20, "realizations": 2, "output.format": "json"}),
     "entangle": ("entangle.json", "entangle", {"ensemble.n_atoms": 20, "realizations": 2, "grid.points": 6}),
+    "entangle_json": (
+        "entangle.json",
+        "entangle",
+        {"ensemble.n_atoms": 20, "realizations": 2, "grid.points": 6, "output.format": "json"},
+    ),
     "oracle": ("oracle.json", "oracle", {"draws": 10}),
     "sweep_example": (
         "sweep_example.json",
@@ -47,13 +58,24 @@ GOLDEN = {
     "cycles": {
         "cycles.csv": "9c454c1815b8e4c80b8d4199c063f648b072d187438223d93c439595747145d2",
     },
+    "cycles_json": {
+        "cycles.json": "2dfc734d84f89fe3c7e6c86ae309ad54843c26cde19ec5b949cf71eb19d58cef",
+    },
     "entangle": {
         "entangle.csv": "f9331f313938666fd34745a280b0d6f1bc698ffe4092344ab92ee4f452fc6f12",
+    },
+    "entangle_json": {
+        "entangle.json": "03153d7a6e89da62a8f9b07e9619286c572940bbe80d80179d0205f3c3106712",
     },
     "fig2": {
         "g2_trace_n100.csv": "7300b4926f1e8e5fd323d9814fe235c1ef739be5598daa12f58a4d70b3bf414c",
         "g2_trace_n60.csv": "987e03556aed064171a19ee9520a1d93b2b0c9b98b85b131024161cdb79737ea",
         "g2_trace_n79.csv": "cf1c8fa41483315bbd2df2d58b2e307b9a2bdc83a20415353388f9108f7132d5",
+    },
+    "fig2_json": {
+        "g2_trace_n100.json": "52f7159b0e5c6e5d52e8c5f041ce7ca16f5123994080398e23a33ceebfcd8c08",
+        "g2_trace_n60.json": "bac823bda122dacd468f691ee8a0e728c4a32555e56ca94bbb0e75016c4787de",
+        "g2_trace_n79.json": "c472472977a4979e8bb93f9c152c1380c41db72914c9fe5e9d6f757f7ed8f2a4",
     },
     "fourphoton": {
         "phasematch.json": "3940f50dc62de4e425bbb3384275dc00d1d67c6f56cb1c93fb29251b9ec6c044",

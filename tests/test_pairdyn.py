@@ -501,6 +501,27 @@ def test_numeric_pair_amplitudes_do_not_depend_on_pair_order(j, pulse_model):
     assert np.array_equal(got, want)
 
 
+def test_numeric_pair_amplitudes_build_the_exchange_operators_once(monkeypatch):
+    from ryddephase import pairdyn
+
+    builds = []
+    build = pairdyn.exchange_tensor_operators
+
+    def counting_build(ch):
+        builds.append(ch)
+        return build(ch)
+
+    monkeypatch.setattr(pairdyn, "exchange_tensor_operators", counting_build)
+    rng = np.random.default_rng(61)
+    npairs = 780  # two chunks of the default 512
+    r = rng.uniform(2.0, 60.0, npairs)
+    theta = rng.uniform(0.0, math.pi, npairs)
+    phi = rng.uniform(0.0, 2.0 * math.pi, npairs)
+    cyc = CycleSpec(channel(1.5), 1.0, MicrowaveSpec(rabi=10.0))
+    numeric_pair_amplitudes(r, theta, phi, cyc, np.array([0.0, 0.3]))
+    assert len(builds) == 1
+
+
 def test_cycle_amplitude_of_a_float_is_a_scalar_equal_to_the_array_path():
     phis = np.array([0.0, 0.3, -2.0, math.pi, 7.5e6])
     phis_before = phis.copy()
