@@ -1,7 +1,7 @@
 """Command line entry point: config parsing, run orchestration, output emission.
 
-Configs are JSON with a strict schema (unknown keys are rejected, errors name
-the offending field path).  main plans a run before it runs it: every config,
+Configs are JSON with a strict schema (unknown keys are rejected, a key the
+subcommand would not read among them; errors name the offending field path).  main plans a run before it runs it: every config,
 each sweep combination included, is parsed and validated first, then one
 worker pool serves all of them.  Every run writes its data files plus a manifest
 recording the config hash, the derived per-realization seeds, the package
@@ -47,15 +47,7 @@ from .correlation import (
 )
 from .ensemble import EnsembleSpec, PackingError, pair_index_arrays, sample_positions
 from .pairdyn import CycleSpec, NumericsError
-from .phasematch import (
-    Beam,
-    PhaseMatchInfeasible,
-    evaluate_beams,
-    solve_offaxis,
-    spinwave_period,
-    motional_coherence_time,
-    wavevector_mismatch,
-)
+from .phasematch import Beam, PhaseMatchInfeasible, evaluate_beams, solve_offaxis
 from .protocol import CycleSchedule, decay_reference, entangle_trace, make_schedule
 
 THREADS_ENV = "RYDDEPHASE_THREADS"
@@ -258,9 +250,11 @@ def _parse_grid(cfg, path) -> np.ndarray:
     return np.linspace(start, stop, points) if points > 1 else np.array([start])
 
 
-def _parse_output(cfg, path):
-    _check_mapping(cfg, path, [], ["format", "dir"])
-    fmt = _as_choice(cfg.get("format", "csv"), f"{path}.format", ("csv", "json"))
+def _parse_output(cfg, path, formats, with_dir):
+    """(format, dir) of an output section; format defaults to formats[0], and
+    the section may hold it only if formats is nonempty, dir only with_dir."""
+    _check_mapping(cfg, path, [], (["format"] if formats else []) + (["dir"] if with_dir else []))
+    fmt = _as_choice(cfg.get("format", formats[0]), f"{path}.format", formats) if formats else None
     out_dir = cfg.get("dir")
     if out_dir is not None and not isinstance(out_dir, str):
         _fail(f"{path}.dir", "expected a string path")
@@ -273,7 +267,7 @@ class RunConfig:
 
     ensemble: EnsembleSpec
     schedule: CycleSchedule
-    scan_schedules: dict  # n -> schedule with s_n = p_n = n, in scan_n order; empty without scan_n
+    scan_schedules: dict  # g2-trace: n -> schedule with s_n = p_n = n, in scan_n order; empty without scan_n
     mode: str
     grid: np.ndarray | None
     realizations: int
@@ -299,9 +293,10 @@ def _decode(text: str, where: str) -> dict:
 
 def _parse_trace_config(raw, output_format, subcommand) -> RunConfig:
     required = ["ensemble", "schedule"]
-    optional = ["interaction", "mode", "realizations", "output", "scan_n"]
+    optional = ["interaction", "mode", "realizations", "output"]
     if subcommand == "g2-trace":
         required.append("grid")
+        optional.append("scan_n")
     else:
         optional.append("reference_tau_us")
     _check_mapping(raw, "config", required, optional)
@@ -353,17 +348,9 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             fh.write(",".join(row) + "\n")
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def _write_json(path: Path, obj) -> None:
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -629,35 +616,30 @@ def _period_json(x: float):
     return "inf" if math.isinf(x) else x
 
 
+def _beams_json(beams, speed: float, angles_deg: list) -> dict:
+    result = evaluate_beams(beams, speed)
+    return {
+        "dk_rad_per_um": [float(x) for x in result.mismatch],
+        "period_um": _period_json(result.period),
+        "coherence_time_us": _period_json(result.coherence_time),
+        "angles_deg": angles_deg,
+    }
+
+
 def run_phasematch(parsed: dict, session: OutputSession, pool) -> None:
     beams = parsed["beams"]
-    result = evaluate_beams(beams, parsed["speed"])
     tilt = [
         math.degrees(math.atan2(float(np.hypot(b.direction[0], b.direction[1])), float(b.direction[2])))
         for b in beams
     ]
-    payload = {
-        "dk_rad_per_um": [float(x) for x in result.mismatch],
-        "period_um": _period_json(result.period),
-        "coherence_time_us": _period_json(result.coherence_time),
-        "angles_deg": tilt,
-    }
+    payload = _beams_json(beams, parsed["speed"], tilt)
     if parsed["solve_offaxis"]:
         try:
             directions, angles, _ = solve_offaxis(
                 [b.wavelength for b in beams], [b.sign for b in beams]
             )
             off = [Beam(b.wavelength, b.sign, directions[i]) for i, b in enumerate(beams)]
-            dk = wavevector_mismatch(off)
-            period = spinwave_period(dk)
-            payload["offaxis"] = {
-                "dk_rad_per_um": [float(x) for x in dk],
-                "period_um": _period_json(period),
-                "coherence_time_us": _period_json(
-                    motional_coherence_time(period, parsed["speed"])
-                ),
-                "angles_deg": [float(math.degrees(a)) for a in angles],
-            }
+            payload["offaxis"] = _beams_json(off, parsed["speed"], [float(math.degrees(a)) for a in angles])
         except PhaseMatchInfeasible as exc:
             payload["offaxis"] = {"infeasible": str(exc)}
     _write_json(session.claim("phasematch.json"), payload)
@@ -738,7 +720,7 @@ def _parse_sweep_config(raw, output_format) -> list[Job]:
         base = copy.deepcopy(raw["base"])
         for (path, _), value in zip(axes, combo):
             _apply_override(base, path, value)
-        fmt, _ = _parse_output(base.get("output", {}), "output")
+        fmt, _ = _parse_output(base.get("output", {}), "base.output", SUBCOMMANDS[sub].formats, with_dir=False)
         jobs.append(Job(_combo_label(axes, combo), sub, base, SUBCOMMANDS[sub].parse(base, fmt)))
     return jobs
 
@@ -785,41 +767,49 @@ def _combo_label(axes, combo) -> str:
 class Subcommand:
     """parse(raw, output_format) validates one config document; run(config, session, pool) runs it.
 
-    phasematch and oracle write JSON in this process, so they ignore the
-    format and the pool; sweep has no runner, its parser returns the jobs of
-    the subcommand it sweeps.  Runners look up what they call (g2_trace,
-    _write_csv, ...) as module globals at call time.
+    formats are the output.format values the runner writes, the default
+    first.  phasematch and oracle write JSON in this process, so they ignore
+    the pool; sweep has no runner and no format of its own, its parser
+    returns the jobs of the subcommand it sweeps.  Runners look up what they
+    call (g2_trace, _write_csv, ...) as module globals at call time.
     """
 
     help: str
+    formats: tuple[str, ...]
     parse: Callable
     run: Callable | None
 
 
+DATA_FORMATS = ("csv", "json")
+
 SUBCOMMANDS = {
     "g2-trace": Subcommand(
         "correlation trace versus free-interval length",
+        DATA_FORMATS,
         partial(_parse_trace_config, subcommand="g2-trace"),
         run_g2_trace,
     ),
     "cycles": Subcommand(
         "correlation after each cycle of a fixed schedule",
+        DATA_FORMATS,
         partial(_parse_trace_config, subcommand="cycles"),
         run_cycles,
     ),
-    "entangle": Subcommand("two-mode entanglement fidelity trace", _parse_entangle_config, run_entangle),
+    "entangle": Subcommand("two-mode entanglement fidelity trace", DATA_FORMATS, _parse_entangle_config, run_entangle),
     "phasematch": Subcommand(
-        "wavevector mismatch, period, off-axis zero geometry", _parse_phasematch_config, run_phasematch
+        "wavevector mismatch, period, off-axis zero geometry", ("json",), _parse_phasematch_config, run_phasematch
     ),
-    "oracle": Subcommand("pair-sum formula versus exact small-N correlator", _parse_oracle_config, run_oracle),
-    "sweep": Subcommand("Cartesian parameter sweep over another subcommand", _parse_sweep_config, None),
+    "oracle": Subcommand(
+        "pair-sum formula versus exact small-N correlator", ("json",), _parse_oracle_config, run_oracle
+    ),
+    "sweep": Subcommand("Cartesian parameter sweep over another subcommand", (), _parse_sweep_config, None),
 }
 
 
 def _plan(subcommand: str, raw: dict) -> tuple[str | None, list[Job]]:
     """The config's output dir and the run's jobs, every config parsed and validated."""
-    fmt, out_dir = _parse_output(raw.get("output", {}), "output")
     entry = SUBCOMMANDS[subcommand]
+    fmt, out_dir = _parse_output(raw.get("output", {}), "output", entry.formats, with_dir=True)
     if entry.run is None:
         return out_dir, entry.parse(raw, fmt)
     return out_dir, [Job(None, subcommand, raw, entry.parse(raw, fmt))]

@@ -68,6 +68,7 @@ from .ensemble import PairGeometry
 
 UNITARITY_TOL = 1e-10
 HERMITICITY_TOL = 1e-12
+PAIR_CHUNK = 512  # pairs per batched eigendecomposition in numeric_pair_amplitudes
 
 
 class NumericsError(RuntimeError):
@@ -289,12 +290,12 @@ def propagate(h_sequence, dim: int | None = None) -> np.ndarray:
     return u
 
 
-def _reduced_indices(channel: RydbergChannel, spec: MicrowaveSpec, initial_m: float) -> list[int]:
-    """Pair-basis indices of the frozen two-level (s m0, p m0+dm) channel."""
+def _reduced_indices(channel: RydbergChannel, spec: MicrowaveSpec) -> list[int]:
+    """Pair-basis indices of the frozen two-level (s m0, p m0+dm) channel, m0 = POPULATED_M."""
     levels = single_atom_levels(channel)
     dim = len(levels)
-    i_s = _level_index(levels, ORBITAL_S, initial_m)
-    i_p = _level_index(levels, ORBITAL_P, initial_m + spec.delta_m)
+    i_s = _level_index(levels, ORBITAL_S, POPULATED_M)
+    i_p = _level_index(levels, ORBITAL_P, POPULATED_M + spec.delta_m)
     return [a * dim + b for a in (i_s, i_p) for b in (i_s, i_p)]
 
 
@@ -326,7 +327,7 @@ def cycle_amplitude_numeric(
     levels = single_atom_levels(cycle.channel)
     dim = len(levels)
     if reduced:
-        idx = _reduced_indices(cycle.channel, spec, POPULATED_M)
+        idx = _reduced_indices(cycle.channel, spec)
         h_int = h_int[np.ix_(idx, idx)]
         h_drive = h_drive[np.ix_(idx, idx)]
         start = 0  # |s m0, s m0> is first in the reduced ordering
@@ -376,7 +377,6 @@ def numeric_pair_amplitudes(
     phis: np.ndarray,
     cycle: CycleSpec,
     times: np.ndarray,
-    chunk: int = 512,
 ) -> np.ndarray:
     """Cycle survival amplitude of every pair at every free-interval length.
 
@@ -407,8 +407,8 @@ def numeric_pair_amplitudes(
 
     n = len(separations)
     out = np.empty((n, len(times)), dtype=complex)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
+    for lo in range(0, n, PAIR_CHUNK):
+        hi = min(lo + PAIR_CHUNK, n)
         h_int = _batched_interaction(
             np.asarray(thetas)[lo:hi], np.asarray(phis)[lo:hi], np.asarray(separations)[lo:hi], channel.c3, operators
         )

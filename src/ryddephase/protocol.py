@@ -13,12 +13,12 @@ C3''.  Over a free interval t each pair picks up the phases C3' t / R^3 and
 C3'' t / R^3; entangle_trace takes the two strengths, and n only labels the
 levels.  The trace runs its position realizations through the same
 realization loop as the correlation traces (correlation.run_realizations),
-serially or on a process pool.  Each realization evaluates all pair phases of one
-time as one numpy divide C3 * t / R^3 and turns them into the coherence
-<e^{i phi}> = 2 <A(phi)> - 1 through the shared cycle-amplitude kernel
-pairdyn.analytic_cycle_amplitude; the mean is numpy's pairwise sum, whose
-order depends on the pair count alone, so outputs are byte-identical for
-any worker count.
+serially or on a process pool.  Each realization evaluates the pair
+amplitudes A(phi) of one time through pairdyn.analytic_pair_amplitudes, the
+kernel the g2 drivers use, with R^3 computed once per realization, and turns
+them into the coherence <e^{i phi}> = 2 <A(phi)> - 1; the mean is numpy's
+pairwise sum, whose order depends on the pair count alone, so outputs are
+byte-identical for any worker count.
 """
 
 import math
@@ -33,6 +33,7 @@ from .pairdyn import (
     CycleSpec,
     _level_index,
     analytic_cycle_amplitude,
+    analytic_pair_amplitudes,
     propagate,
     single_atom_dressing,
     single_atom_levels,
@@ -127,15 +128,15 @@ def entangle_fidelity(phi_prime, phi) -> float:
         raise ValueError("entangle_fidelity needs a nonempty pair set")
     if phi_prime.shape != phi.shape:
         raise ValueError("phase sequences must cover the same pair set")
-    return _fidelity(_coherence(phi_prime.ravel()), _coherence(phi.ravel()))
+    return _fidelity(*(_coherence(analytic_cycle_amplitude(p.ravel())) for p in (phi_prime, phi)))
 
 
-def _coherence(phases: np.ndarray) -> complex:
-    """Pair coherence <e^{i phi}> = 2 <A(phi)> - 1, A the cycle amplitude (1 + e^{i phi}) / 2.
+def _coherence(amplitudes: np.ndarray) -> complex:
+    """Pair coherence <e^{i phi}> = 2 <A(phi)> - 1 from the cycle amplitudes A = (1 + e^{i phi}) / 2.
 
     The mean is numpy's pairwise sum, whose order depends on the pair count only.
     """
-    return complex(2.0 * analytic_cycle_amplitude(phases).mean() - 1.0)
+    return complex(2.0 * amplitudes.mean() - 1.0)
 
 
 def _fidelity(m1: complex, m2: complex) -> float:
@@ -146,11 +147,12 @@ def _entangle_single_realization(args) -> tuple[np.ndarray, np.ndarray, np.ndarr
     """F, |m1| and |m2| of one realization at every grid time, one time at a time."""
     ensemble, c3_prime, c3_second, grid, index = args
     _, geometry = sample_realization(ensemble, index)
-    r3 = pair_separations(geometry) ** 3
+    r = pair_separations(geometry)
+    r3 = r**3
     out = np.empty((3, len(grid)))
     for it, t in enumerate(grid):
-        m1 = _coherence(c3_prime * t / r3)
-        m2 = _coherence(c3_second * t / r3)
+        m1 = _coherence(analytic_pair_amplitudes(r, [c3_prime * t], cubes=r3))
+        m2 = _coherence(analytic_pair_amplitudes(r, [c3_second * t], cubes=r3))
         out[:, it] = _fidelity(m1, m2), abs(m1), abs(m2)
     return tuple(out)
 

@@ -195,7 +195,7 @@ def test_criterion_07_strong_dressing_equivalence():
     channel = RydbergChannel(Level(100, "s", 0.5), Level(100, "p", 0.5), 1.0)
     h = interaction_matrix(PairGeometry(r, 0.0, 0.0), channel)
     mw_probe = MicrowaveSpec(rabi=1.0)
-    idx = _reduced_indices(channel, mw_probe, 0.5)
+    idx = _reduced_indices(channel, mw_probe)
     exchange = abs(float(h[idx[1], idx[2]].real))
 
     def max_deviation(ratio, pulse_model):

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -296,6 +297,55 @@ def test_non_string_output_dir_is_a_config_error(tmp_path, monkeypatch, capsys):
     path = write_config(tmp_path, {"output": {"dir": 5}})
     assert main(["phasematch", "--config", str(path)]) == 1
     assert "config error: output.dir: expected a string path" in capsys.readouterr().err
+
+
+ORACLE = {"n_atoms": 6, "draws": 2, "seed": 21}
+PHASEMATCH = {"beams": [{"wavelength_nm": 780.0, "sign": 1}, {"wavelength_nm": 480.0, "sign": 1}], "solve_offaxis": False}
+SWEEP = {"subcommand": "g2-trace", "base": dict(MINIMAL, realizations=2), "axes": [{"path": "ensemble.n_atoms", "values": [10]}]}
+
+
+@pytest.mark.parametrize(
+    "subcommand, payload, message",
+    [
+        (
+            "cycles",
+            {"ensemble": MINIMAL["ensemble"], "schedule": MINIMAL["schedule"], "realizations": 2, "scan_n": [60, 100]},
+            "config.scan_n: unknown key",
+        ),
+        ("oracle", dict(ORACLE, output={"format": "csv"}), "output.format: expected one of ['json'], got 'csv'"),
+        ("phasematch", dict(PHASEMATCH, output={"format": "csv"}), "output.format: expected one of ['json'], got 'csv'"),
+        ("sweep", dict(SWEEP, output={"format": "json"}), "output.format: unknown key"),
+        ("sweep", dict(SWEEP, base=dict(SWEEP["base"], output={"dir": "elsewhere"})), "base.output.dir: unknown key"),
+    ],
+    ids=["cycles-scan_n", "oracle-csv", "phasematch-csv", "sweep-format", "sweep-base-dir"],
+)
+def test_keys_a_subcommand_never_reads_are_rejected(tmp_path, monkeypatch, capsys, subcommand, payload, message):
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, payload)
+    assert main([subcommand, "--config", str(path)]) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.rglob("*")] == ["config.json"]
+
+
+@pytest.mark.parametrize("subcommand, payload", [("oracle", ORACLE), ("phasematch", PHASEMATCH)])
+def test_json_only_subcommands_accept_format_json(tmp_path, subcommand, payload):
+    written = []
+    for label, extra in (("default", {}), ("json", {"output": {"format": "json"}})):
+        path = write_config(tmp_path, dict(payload, **extra))
+        assert main([subcommand, "--config", str(path), "--out", str(tmp_path / label)]) == 0
+        written.append((tmp_path / label / f"{subcommand}.json").read_bytes())
+    assert written[0] == written[1]
+
+
+WORKLOADS = runpy.run_path(str(Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"))["WORKLOADS"]
+
+
+@pytest.mark.parametrize("seed", [1, 11])
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_benchmark_workload_configs_plan(name, seed):
+    workload = WORKLOADS[name]
+    _, jobs = cli._plan(workload.subcommand, workload.config(seed))
+    assert len(jobs) == 1
 
 
 def test_numerical_failure_exit_code(tmp_path, monkeypatch):

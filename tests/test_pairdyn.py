@@ -31,7 +31,7 @@ MW = MicrowaveSpec(rabi=10.0)
 def frozen_exchange_element(ch, mw=MW, r=2.0):
     """Exchange matrix element of the frozen (m-locked) channel at theta = 0."""
     h = interaction_matrix(PairGeometry(r, 0.0, 0.0), ch)
-    idx = _reduced_indices(ch, mw, 0.5)
+    idx = _reduced_indices(ch, mw)
     return float(h[idx[1], idx[2]].real)
 
 
@@ -147,7 +147,7 @@ def test_frozen_channel_reproduces_two_state_exchange_block():
         ch = channel(j, c3=1.0)
         r = 2.0
         h = interaction_matrix(PairGeometry(r, 0.0, 0.0), ch)
-        idx = _reduced_indices(ch, MW, 0.5)
+        idx = _reduced_indices(ch, MW)
         block = h[np.ix_(idx, idx)]
         # only |s p><p s| + h.c. inside the frozen channel
         expected = np.zeros((4, 4))
