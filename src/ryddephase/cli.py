@@ -720,8 +720,13 @@ def _parse_sweep_config(raw, output_format) -> list[Job]:
         base = copy.deepcopy(raw["base"])
         for (path, _), value in zip(axes, combo):
             _apply_override(base, path, value)
-        fmt, _ = _parse_output(base.get("output", {}), "base.output", SUBCOMMANDS[sub].formats, with_dir=False)
-        jobs.append(Job(_combo_label(axes, combo), sub, base, SUBCOMMANDS[sub].parse(base, fmt)))
+        label = _combo_label(axes, combo)
+        try:
+            fmt, _ = _parse_output(base.get("output", {}), "output", SUBCOMMANDS[sub].formats, with_dir=False)
+            config = SUBCOMMANDS[sub].parse(base, fmt)
+        except ConfigError as exc:  # the combination's paths are rooted at base
+            raise ConfigError(f"base.{str(exc).removeprefix('config.')} (combination {label})") from None
+        jobs.append(Job(label, sub, base, config))
     return jobs
 
 

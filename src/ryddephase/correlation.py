@@ -25,12 +25,13 @@ too, so every row bin still receives its pairs in ascending condensed index
 and every S_mu is the same sequence of float additions: the bits are those
 of the condensed order.  Consecutive pairs, though, land in different
 bins, which avoids the store-to-load chain np.bincount runs into when it
-hits one bin again and again, as row-major order does.  The order depends on N alone, never on how
-realizations were spread over worker processes, so traces are
-byte-identical for any worker count.  A realization evaluates analytic
-amplitudes one time point at a time, with R^3 computed once, so its memory
-is O(N^2) rather than O(N^2 T); the multichannel kernel returns one batched
-(npairs, T) stack, because one eigendecomposition per pair serves all times.
+hits one bin again and again, as row-major order does.  The order depends
+on N alone, never on how realizations were spread over worker processes, so
+traces are byte-identical for any worker count.  Both modes stream one
+(npairs,) amplitude column per time point: analytic with R^3 computed once,
+multichannel from each cycle's pair spectra (one eigendecomposition per pair
+serves every time).  So a realization's memory is O(N^2), or O(N^2 d) over a
+pair basis of dimension d, whatever the grid length T.
 g2_from_amplitudes and brute_force_g2 take condensed input.
 run_realizations is the one realization loop (seed, sample, evaluate, stack
 in index order, serially or on a process pool); the entanglement trace in
@@ -53,11 +54,7 @@ from .ensemble import (
     pair_separations,
     sample_positions,
 )
-from .pairdyn import (
-    NumericsError,
-    analytic_pair_amplitudes,
-    numeric_pair_amplitudes,
-)
+from .pairdyn import NumericsError, analytic_pair_amplitudes, pair_spectra, spectral_amplitudes
 
 G2_ZERO = math.e / 4.0
 G2_ASYMPTOTE = G2_ZERO * 16.0 / 25.0
@@ -78,8 +75,9 @@ def _row_bins(mu: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Float 2k (real) and 2k + 1 (imaginary) of pair k = (mu[k], nu[k]) go to
     bins 2 mu + {0, 1} in the first array and 2 nu + {0, 1} in the second.
     """
-    part = np.array([0, 1])
-    return (2 * mu[:, None] + part).ravel(), (2 * nu[:, None] + part).ravel()
+    bins = np.repeat(2 * np.stack((mu, nu)), 2, axis=1)
+    bins[:, 1::2] += 1
+    return bins[0], bins[1]
 
 
 def _pair_layout(n: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
@@ -196,19 +194,17 @@ def _amplitude_columns(geometry: EnsembleGeometry, cycles, grid, mode: str, orde
     if mode == "multichannel":
         r, theta, phi = (x[order] for x in pair_orientations(geometry))
 
-        def cycle_stack(q, times):
+        def spectra(q):
             try:
-                return numeric_pair_amplitudes(r, theta, phi, cycles[q], times)
+                return pair_spectra(r, theta, phi, cycles[q])
             except NumericsError as exc:
                 raise NumericsError(f"cycle {q}: {exc}") from exc
 
         if grid is None:
-            per_cycle = (cycle_stack(q, np.array([c.delta_t]))[:, 0] for q, c in enumerate(cycles))
+            per_cycle = (spectral_amplitudes(spectra(q), c.delta_t) for q, c in enumerate(cycles))
             return itertools.accumulate(per_cycle, operator.mul)
-        stack = np.ones((len(r), len(grid)), dtype=complex)
-        for q in range(len(cycles)):
-            stack *= cycle_stack(q, grid)
-        return stack.T
+        every_cycle = [spectra(q) for q in range(len(cycles))]
+        return (math.prod(spectral_amplitudes(s, t) for s in every_cycle) for t in grid)
     raise ValueError(f"unknown mode {mode!r}")
 
 

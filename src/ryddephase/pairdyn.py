@@ -39,7 +39,11 @@ operator is expanded in rank-2 spherical tensors over the full (s + p_j) pair
 basis and the cycle is propagated with eigendecomposition-based exponentials
 of the piecewise-constant Hamiltonians.  Only excitation-exchange blocks
 (one atom s -> p while the other goes p -> s) are retained; double (de-)
-excitation terms are dropped as counter-rotating.
+excitation terms are dropped as counter-rotating.  For many pairs,
+pair_spectra diagonalizes each pair's exchange Hamiltonian once per cycle
+and keeps three (npairs, d) arrays over the d-dimensional pair basis;
+spectral_amplitudes turns them into one (npairs,) column per free interval,
+so memory is O(N^2 d), whatever the number of intervals.
 
 Conventions.  The pulse rotation on the populated transition is
 R(theta) = exp(+i theta sigma_x / 2), so |s> -> (|s> + i |p>)/sqrt(2) under a
@@ -68,7 +72,7 @@ from .ensemble import PairGeometry
 
 UNITARITY_TOL = 1e-10
 HERMITICITY_TOL = 1e-12
-PAIR_CHUNK = 512  # pairs per batched eigendecomposition in numeric_pair_amplitudes
+PAIR_CHUNK = 512  # pairs per batched eigendecomposition in pair_spectra
 
 
 class NumericsError(RuntimeError):
@@ -371,65 +375,58 @@ def analytic_pair_amplitudes(separations: np.ndarray, phase_products, *, cubes=N
     return amps
 
 
-def numeric_pair_amplitudes(
-    separations: np.ndarray,
-    thetas: np.ndarray,
-    phis: np.ndarray,
-    cycle: CycleSpec,
-    times: np.ndarray,
-) -> np.ndarray:
-    """Cycle survival amplitude of every pair at every free-interval length.
+def pair_spectra(separations: np.ndarray, thetas: np.ndarray, phis: np.ndarray, cycle: CycleSpec) -> tuple:
+    """Exchange eigenvalues of every pair and the cycle's two pulse vectors in its eigenbasis.
 
-    Returns shape (npairs, ntimes).  The free-interval propagator is obtained
-    from one eigendecomposition per pair and reused across all times; results
-    are identical to looping cycle_amplitude_numeric over pairs and times.
+    Returns (lam, wc, ut), each (npairs, d): with V a pair's exchange
+    eigenvectors and e0 = |s m0, s m0>, ut = V^dag U(pi/2) e0 and
+    wc = (V^dag U(3pi/2)^dag e0)^*, so the cycle amplitude at free interval t
+    is sum_i wc_i e^{-i lam_i t} ut_i (spectral_amplitudes).
     """
-    spec = cycle.microwave
-    channel = cycle.channel
+    spec, channel = cycle.microwave, cycle.channel
     levels = single_atom_levels(channel)
     dim = len(levels)
     i_s = _level_index(levels, ORBITAL_S, POPULATED_M)
-    start = i_s * dim + i_s
+    e0 = np.eye(dim * dim, dtype=complex)[i_s * dim + i_s]
     h_drive = dressing_matrix(channel, spec).astype(complex)
     t_half = 0.5 * math.pi / spec.rabi
     instantaneous = spec.pulse_model == "instantaneous"
-    times = np.asarray(times, dtype=float)
-
     operators = exchange_tensor_operators(channel).astype(complex)
-    e0 = np.zeros(dim * dim, dtype=complex)
-    e0[start] = 1.0
-
     if instantaneous:
-        p1 = propagate([(h_drive, t_half)])
-        p2 = propagate([(h_drive, 3.0 * t_half)])
-        u_fixed = p1 @ e0
-        w_fixed = p2.conj().T @ e0
+        # the pulses do not see the interaction: one u and w serve every pair
+        u = propagate([(h_drive, t_half)]) @ e0
+        w = propagate([(h_drive, 3.0 * t_half)]).conj().T @ e0
 
     n = len(separations)
-    out = np.empty((n, len(times)), dtype=complex)
+    lam = np.empty((n, dim * dim))
+    wc = np.empty((n, dim * dim), dtype=complex)
+    ut = np.empty_like(wc)
     for lo in range(0, n, PAIR_CHUNK):
         hi = min(lo + PAIR_CHUNK, n)
-        h_int = _batched_interaction(
-            np.asarray(thetas)[lo:hi], np.asarray(phis)[lo:hi], np.asarray(separations)[lo:hi], channel.c3, operators
-        )
-        lam, vec = np.linalg.eigh(h_int)
-        if instantaneous:
-            u = u_fixed
-            w = w_fixed
-        else:
+        h_int = _batched_interaction(thetas[lo:hi], phis[lo:hi], separations[lo:hi], channel.c3, operators)
+        lam[lo:hi], vec = np.linalg.eigh(h_int)
+        if not instantaneous:
             # pulses evolve under dressing + interaction simultaneously:
             # u = U(pi/2) e0 and w = U(3pi/2)^dag e0, both per pair
             lam1, vec1 = np.linalg.eigh(h_int + h_drive[None, :, :])
             c = np.einsum("pji,j->pi", vec1.conj(), e0)
             u = np.einsum("pij,pj->pi", vec1, np.exp(-1j * lam1 * t_half) * c)
             w = np.einsum("pij,pj->pi", vec1, np.exp(1j * lam1 * 3.0 * t_half) * c)
-        # A(t) = w^dag V e^{-i lam t} V^dag u, evaluated for all t at once
-        if instantaneous:
-            ut = np.einsum("pji,j->pi", vec.conj(), u)
-            wt = np.einsum("pji,j->pi", vec.conj(), w)
-        else:
-            ut = np.einsum("pji,pj->pi", vec.conj(), u)
-            wt = np.einsum("pji,pj->pi", vec.conj(), w)
-        phases = np.exp(-1j * lam[:, :, None] * times[None, None, :])
-        out[lo:hi] = np.einsum("pi,pit,pi->pt", wt.conj(), phases, ut)
+        shape = vec.shape[:2]
+        ut[lo:hi] = np.einsum("pji,pj->pi", vec.conj(), np.broadcast_to(u, shape))
+        wc[lo:hi] = np.einsum("pji,pj->pi", vec.conj(), np.broadcast_to(w, shape)).conj()
+    return lam, wc, ut
+
+
+def spectral_amplitudes(spectra: tuple, t: float) -> np.ndarray:
+    """Cycle amplitude of every pair at free interval t, shape (npairs,).
+
+    spectra is pair_spectra's (lam, wc, ut); A = sum_i wc_i e^{-i lam_i t} ut_i,
+    evaluated PAIR_CHUNK pairs at a time so the phase temporary stays small.
+    """
+    lam, wc, ut = spectra
+    out = np.empty(len(lam), dtype=complex)
+    for lo in range(0, len(lam), PAIR_CHUNK):
+        pairs = slice(lo, lo + PAIR_CHUNK)
+        out[pairs] = np.einsum("pi,pi,pi->p", wc[pairs], np.exp(-1j * lam[pairs] * t), ut[pairs])
     return out

@@ -93,7 +93,7 @@ def motional_coherence_time(period: float, speed: float) -> float:
     return period / (2.0 * math.pi * speed)
 
 
-def evaluate_beams(beams, speed: float = 0.1) -> PhaseMatchResult:
+def evaluate_beams(beams, speed: float) -> PhaseMatchResult:
     mismatch = wavevector_mismatch(beams)
     period = spinwave_period(mismatch)
     return PhaseMatchResult(mismatch, period, motional_coherence_time(period, speed))

@@ -602,7 +602,7 @@ def test_sweep_rejects_unknown_path(tmp_path, capsys):
         (
             "sweep",
             {"subcommand": "g2-trace", "base": dict(MINIMAL, ensemble=[1, 2]), "axes": [{"path": "realizations", "values": [2]}]},
-            "ensemble: expected an object, got list",
+            "base.ensemble: expected an object, got list (combination realizations=2)",
         ),
     ],
     ids=["g2-trace", "cycles", "entangle", "sweep-base", "sweep-ensemble"],
@@ -641,7 +641,7 @@ def test_sweep_validates_every_combination_before_running_any(tmp_path, monkeypa
     sweep = {"subcommand": "g2-trace", "base": base, "axes": [{"path": "ensemble.n_atoms", "values": [10, 1]}]}
     path = write_config(tmp_path, sweep)
     assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
-    assert "config error: ensemble.n_atoms: must be >= 2, got 1" in capsys.readouterr().err
+    assert "config error: base.ensemble.n_atoms: must be >= 2, got 1 (combination n_atoms=1)" in capsys.readouterr().err
     assert calls == []
 
 

@@ -25,7 +25,7 @@ from ryddephase.ensemble import (
     pair_separations,
     sample_positions,
 )
-from ryddephase.pairdyn import CycleSpec, analytic_pair_amplitudes, numeric_pair_amplitudes
+from ryddephase.pairdyn import CycleSpec, analytic_pair_amplitudes, pair_spectra, spectral_amplitudes
 from ryddephase.protocol import make_schedule
 
 
@@ -340,7 +340,8 @@ def reference_columns(ensemble, cycles, grid, mode, index):
         r, theta, phi = pair_orientations(geometry)
 
         def stack(cycle, times):
-            return numeric_pair_amplitudes(r, theta, phi, cycle, np.asarray(times))
+            spectra = pair_spectra(r, theta, phi, cycle)
+            return np.stack([spectral_amplitudes(spectra, t) for t in times], axis=1)
 
     if grid is None:  # after each cycle, at the cycles' own intervals
         per_cycle = np.stack([stack(c, [c.delta_t])[:, 0] for c in cycles], axis=1)
@@ -413,6 +414,8 @@ def test_anti_diagonal_reduction_equals_condensed_order(n):
     condensed_bins = _row_bins(*pair_index_arrays(n))
     order, bins = _pair_layout(n)
     assert np.array_equal(np.sort(order), np.arange(len(amps)))
+    mu, nu = (x[order] for x in pair_index_arrays(n))
+    assert all(np.array_equal(b, (2 * x[:, None] + np.array([0, 1])).ravel()) for b, x in zip(bins, (mu, nu)))
     want_rows = row_sums(amps, condensed_bins, n)
     got_rows = row_sums(amps[order], bins, n)
     assert got_rows.tobytes() == want_rows.tobytes()

@@ -38,6 +38,17 @@ CASES = {
     ),
     "cycles": ("cycles.json", "cycles", {"ensemble.n_atoms": 20, "realizations": 2}),
     "cycles_json": ("cycles.json", "cycles", {"ensemble.n_atoms": 20, "realizations": 2, "output.format": "json"}),
+    "cycles_multichannel": (
+        "cycles.json",
+        "cycles",
+        {
+            "mode": "multichannel",
+            "schedule.cycles.0.pulse_model": "finite_duration",
+            "schedule.cycles.2.pulse_model": "finite_duration",
+            "ensemble.n_atoms": 8,
+            "realizations": 2,
+        },
+    ),
     "entangle": ("entangle.json", "entangle", {"ensemble.n_atoms": 20, "realizations": 2, "grid.points": 6}),
     "entangle_json": (
         "entangle.json",
@@ -60,6 +71,9 @@ GOLDEN = {
     },
     "cycles_json": {
         "cycles.json": "2dfc734d84f89fe3c7e6c86ae309ad54843c26cde19ec5b949cf71eb19d58cef",
+    },
+    "cycles_multichannel": {
+        "cycles.csv": "06d978ba8a7d65d0d7efbdebf727f20a55eb346ac050916a2b866df9321f9ea8",
     },
     "entangle": {
         "entangle.csv": "f9331f313938666fd34745a280b0d6f1bc698ffe4092344ab92ee4f452fc6f12",

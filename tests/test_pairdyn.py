@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ryddephase.atomdata import Level, MicrowaveSpec, RydbergChannel
+from ryddephase.atomdata import POLARIZATIONS, POPULATED_M, Level, MicrowaveSpec, RydbergChannel, delta_m_for
 from ryddephase.ensemble import PairGeometry
 from ryddephase.pairdyn import (
     CycleSpec,
@@ -13,9 +13,10 @@ from ryddephase.pairdyn import (
     cycle_amplitude_numeric,
     dressing_matrix,
     interaction_matrix,
-    numeric_pair_amplitudes,
     pair_basis,
+    pair_spectra,
     propagate,
+    spectral_amplitudes,
     _reduced_indices,
 )
 from ryddephase.protocol import make_schedule
@@ -495,10 +496,10 @@ def test_numeric_pair_amplitudes_do_not_depend_on_pair_order(j, pulse_model):
     phi = rng.uniform(0.0, 2.0 * math.pi, npairs)
     order = rng.permutation(npairs)
     cyc = CycleSpec(channel(j), 1.0, MicrowaveSpec(rabi=10.0, pulse_model=pulse_model))
-    times = np.array([0.0, 0.3, 2.0])
-    want = numeric_pair_amplitudes(r, theta, phi, cyc, times)[order]
-    got = numeric_pair_amplitudes(r[order], theta[order], phi[order], cyc, times)
-    assert np.array_equal(got, want)
+    want = pair_spectra(r, theta, phi, cyc)
+    got = pair_spectra(r[order], theta[order], phi[order], cyc)
+    for t in (0.0, 0.3, 2.0):
+        assert np.array_equal(spectral_amplitudes(got, t), spectral_amplitudes(want, t)[order])
 
 
 def test_numeric_pair_amplitudes_build_the_exchange_operators_once(monkeypatch):
@@ -518,7 +519,7 @@ def test_numeric_pair_amplitudes_build_the_exchange_operators_once(monkeypatch):
     theta = rng.uniform(0.0, math.pi, npairs)
     phi = rng.uniform(0.0, 2.0 * math.pi, npairs)
     cyc = CycleSpec(channel(1.5), 1.0, MicrowaveSpec(rabi=10.0))
-    numeric_pair_amplitudes(r, theta, phi, cyc, np.array([0.0, 0.3]))
+    pair_spectra(r, theta, phi, cyc)
     assert len(builds) == 1
 
 
@@ -533,25 +534,37 @@ def test_cycle_amplitude_of_a_float_is_a_scalar_equal_to_the_array_path():
         assert a == arr[k]
 
 
+# every (j, polarization) whose populated transition exists; pi keeps the bare j id
+ALLOWED_DRIVES = [
+    pytest.param(j, pol, id=str(j) if pol == "pi" else f"{j}-{pol}")
+    for j in (0.5, 1.5)
+    for pol in POLARIZATIONS
+    if abs(POPULATED_M + delta_m_for(pol)) <= j
+]
+
+
 @pytest.mark.parametrize("pulse_model", ["instantaneous", "finite_duration"])
-@pytest.mark.parametrize("j", [0.5, 1.5])
-def test_numeric_pair_amplitudes_matches_loop(pulse_model, j):
+@pytest.mark.parametrize("j, polarization", ALLOWED_DRIVES)
+def test_numeric_pair_amplitudes_matches_loop(pulse_model, j, polarization):
     rng = np.random.default_rng(3)
     n = 7
     rs = rng.uniform(1.0, 8.0, n)
     thetas = rng.uniform(0.0, math.pi, n)
     phis = rng.uniform(0.0, 2 * math.pi, n)
-    mw = MicrowaveSpec(rabi=8.0, pulse_model=pulse_model)
+    mw = MicrowaveSpec(rabi=8.0, polarization=polarization, pulse_model=pulse_model)
     cyc = CycleSpec(channel(j, c3=5.0), 0.0, mw)
-    times = np.array([0.0, 0.3, 1.1])
-    batched = numeric_pair_amplitudes(rs, thetas, phis, cyc, times)
-    for i in range(n):
-        for k, t in enumerate(times):
+    spectra = pair_spectra(rs, thetas, phis, cyc)
+    _, wc, ut = spectra
+    # |A(t)| <= sum_i |wc_i| |ut_i| for every t
+    assert np.all(np.sum(np.abs(wc) * np.abs(ut), axis=1) <= 1.0 + 1e-12)
+    for t in (0.0, 0.3, 1.1):
+        batched = spectral_amplitudes(spectra, t)
+        for i in range(n):
             single = cycle_amplitude_numeric(
                 PairGeometry(rs[i], thetas[i], phis[i]),
-                CycleSpec(cyc.channel, float(t), mw),
+                CycleSpec(cyc.channel, t, mw),
             )
-            assert batched[i, k] == pytest.approx(single, abs=1e-10)
+            assert batched[i] == pytest.approx(single, abs=1e-10)
 
 
 def test_cycle_duration_includes_pulse_area():
