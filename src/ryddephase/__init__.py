@@ -7,6 +7,14 @@ a two-mode entanglement protocol, and solves multi-photon phase-matching
 geometries.
 """
 
+import os
+
+# one BLAS thread per process, before numpy loads its BLAS: the small batched
+# eigh gains nothing from threads, and pool workers would oversubscribe the
+# CPUs; a value the caller set wins (README, --threads)
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
 __version__ = "0.1.0"
 
 from .atomdata import (

@@ -93,6 +93,8 @@ def _as_float(value, path, minimum=None, strict_min=None):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {value!r}")
     value = float(value)
+    if not math.isfinite(value):
+        _fail(path, f"expected a finite number, got {value}")
     if minimum is not None and value < minimum:
         _fail(path, f"must be >= {minimum}, got {value}")
     if strict_min is not None and value <= strict_min:

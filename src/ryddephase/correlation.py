@@ -27,11 +27,12 @@ of the condensed order.  Consecutive pairs, though, land in different
 bins, which avoids the store-to-load chain np.bincount runs into when it
 hits one bin again and again, as row-major order does.  The order depends
 on N alone, never on how realizations were spread over worker processes, so
-traces are byte-identical for any worker count.  Both modes stream one
-(npairs,) amplitude column per time point: analytic with R^3 computed once,
-multichannel from each cycle's pair spectra (one eigendecomposition per pair
-serves every time).  So a realization's memory is O(N^2), or O(N^2 d) over a
-pair basis of dimension d, whatever the grid length T.
+traces are byte-identical for any worker count.  Each mode supplies one
+function t -> (npairs,) amplitude column per cycle: analytic over R^3
+computed once, multichannel over the cycle's pair spectra.  One rule
+combines them: the cycles' columns multiply.  A realization streams one
+column per time point, in O(N^2) memory, or O(N^2 d) over a pair basis of
+dimension d, whatever the grid length T.
 g2_from_amplitudes and brute_force_g2 take condensed input.
 run_realizations is the one realization loop (seed, sample, evaluate, stack
 in index order, serially or on a process pool); the entanglement trace in
@@ -42,7 +43,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial, reduce
 
 import numpy as np
 
@@ -172,40 +173,42 @@ def realization_seed(base_seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def _cycle_sources(geometry: EnsembleGeometry, cycles, mode: str, order: np.ndarray):
+    """Per cycle, in schedule order, its amplitude function t -> fresh (npairs,) column.
+
+    Entry k of every column belongs to pair order[k].  A multichannel cycle's
+    pair spectra are built when its source is drawn, so a caller that drops
+    each source before drawing the next holds one cycle's spectra at a time.
+    """
+    if mode == "analytic":
+        cubes = pair_separations(geometry)[order] ** 3
+        for cycle in cycles:
+            yield lambda t, c3=cycle.channel.c3: analytic_pair_amplitudes(cubes, c3 * t)
+    elif mode == "multichannel":
+        r, theta, phi = (x[order] for x in pair_orientations(geometry))
+        for q, cycle in enumerate(cycles):
+            try:
+                yield partial(spectral_amplitudes, pair_spectra(r, theta, phi, cycle))
+            except NumericsError as exc:
+                raise NumericsError(f"cycle {q}: {exc}") from exc
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+
+
 def _amplitude_columns(geometry: EnsembleGeometry, cycles, grid, mode: str, order: np.ndarray):
     """Pair amplitudes of one realization, one (npairs,) column per point.
 
-    order lists condensed pair indices; entry k of every column belongs to
-    pair order[k].  With a grid, each grid time replaces the free interval of
-    every cycle.  With grid None, column q is the product of cycles 0..q,
-    each at its own free interval.
+    The cycles' amplitudes multiply.  With a grid, each grid time replaces the
+    free interval of every cycle.  With grid None, column q is the product of
+    cycles 0..q, each at its own free interval; map drops each cycle's
+    source once its column is evaluated, before the next one is drawn.
     """
-    if mode == "analytic":
-        r = pair_separations(geometry)[order]
-        r3 = r**3
-
-        def amplitudes(products):
-            return analytic_pair_amplitudes(r, products, cubes=r3)
-
-        if grid is None:
-            per_cycle = (amplitudes([c.channel.c3 * c.delta_t]) for c in cycles)
-            return itertools.accumulate(per_cycle, operator.mul)
-        return (amplitudes([c.channel.c3 * t for c in cycles]) for t in grid)
-    if mode == "multichannel":
-        r, theta, phi = (x[order] for x in pair_orientations(geometry))
-
-        def spectra(q):
-            try:
-                return pair_spectra(r, theta, phi, cycles[q])
-            except NumericsError as exc:
-                raise NumericsError(f"cycle {q}: {exc}") from exc
-
-        if grid is None:
-            per_cycle = (spectral_amplitudes(spectra(q), c.delta_t) for q, c in enumerate(cycles))
-            return itertools.accumulate(per_cycle, operator.mul)
-        every_cycle = [spectra(q) for q in range(len(cycles))]
-        return (math.prod(spectral_amplitudes(s, t) for s in every_cycle) for t in grid)
-    raise ValueError(f"unknown mode {mode!r}")
+    sources = _cycle_sources(geometry, cycles, mode, order)
+    if grid is None:
+        per_cycle = map(lambda source, cycle: source(cycle.delta_t), sources, cycles)
+        return itertools.accumulate(per_cycle, operator.mul)
+    sources = list(sources)
+    return (reduce(operator.imul, (source(t) for source in sources)) for t in grid)
 
 
 def sample_realization(ensemble: EnsembleSpec, index: int) -> tuple[int, EnsembleGeometry]:

@@ -14,25 +14,23 @@ real tangent, A = (1 + i t) / (1 + t^2) with t = tan(phi / 2), which equals
 (1 + cos phi) / 2 + i sin(phi) / 2: no complex exp, and one transcendental
 per pair where cos and sin take two.  Every amplitude stays
 within 1e-15 of the values built from math.cos and math.sin, whatever the
-size of phi.  analytic_pair_amplitudes forms each pair's phase as one divide
-C3 * dT / R^3 and multiplies the per-cycle factors.
+size of phi.  analytic_pair_amplitudes evaluates one cycle for many pairs,
+each pair's phase one divide C3 * dT / R^3; a schedule's cycles multiply in
+correlation, whatever the mode.
 
 Buffer discipline.  The g2 drivers call analytic_pair_amplitudes once per
-grid point, on columns of several hundred kB (44850 pairs at N = 300).  glibc
-serves blocks that size from the top of the heap and gives them back to the
-kernel once the free space at the top passes its trim threshold (mallopt(3),
-M_TRIM_THRESHOLD, which follows the dynamic M_MMAP_THRESHOLD).  A kernel that
-frees a chain of fresh temporaries per call crosses it at every grid point,
-and every page of the next call faults in again: about 500 minor faults, two
-thirds of the call's time.  So the kernel holds as few large arrays as it
-can: the phase is one divide by R^3 and is overwritten in place by its
-tangent, the weight and its product with the tangent are written straight
-into the real and imaginary parts of the returned column
-(_cycle_amplitude_into), and only calls with several cycles take a factor
-buffer more.  The g2 drivers pass R^3 as cubes, computed once per
-realization (libm pow takes about a third of a call at N = 300), so a
-one-cycle call holds the phase and its result, too little to trigger a
-trim; without cubes, R^3 is computed per call and becomes the phase.
+cycle and grid point, on columns of several hundred kB (44850 pairs at
+N = 300).  glibc serves blocks that size from the top of the heap and gives
+them back to the kernel once the free space at the top passes its trim
+threshold (mallopt(3), M_TRIM_THRESHOLD, which follows the dynamic
+M_MMAP_THRESHOLD).  A kernel that frees a chain of fresh temporaries per call
+crosses it at every grid point, and every page of the next call faults in
+again: about 500 minor faults, two thirds of the call's time.  So the kernel
+holds two large arrays: the phase, overwritten in place by its tangent, and
+the returned column, whose real and imaginary parts receive the weight and
+its product with the tangent (_cycle_amplitude_into).  R^3 comes from the
+caller, computed once per realization (libm pow takes about a third of a
+call at N = 300).
 
 Numeric route (multichannel): the resonant exchange part of the dipole-dipole
 operator is expanded in rank-2 spherical tensors over the full (s + p_j) pair
@@ -349,30 +347,15 @@ def cycle_amplitude_numeric(
 # ---------------------------------------------------------------------------
 
 
-def analytic_pair_amplitudes(separations: np.ndarray, phase_products, *, cubes=None) -> np.ndarray:
-    """Amplitude per pair for a list of per-cycle C3 * delta_t products.
+def analytic_pair_amplitudes(cubes: np.ndarray, phase_product: float) -> np.ndarray:
+    """Closed-form amplitude of one cycle for every pair, shape (npairs,).
 
-    separations has shape (npairs,); the result multiplies the closed-form
-    cycle amplitude over all cycles, shape (npairs,).  Each cycle's phase is
-    one divide, p / R^3.  cubes, if given, is separations ** 3, computed once
-    by a caller that evaluates many grid points of the same pairs; it is read,
-    never written.  The first cycle's amplitude is written straight into the
-    result, so a one-cycle call holds two arrays: the phase (without cubes,
-    R^3 overwritten in place) and the result.
+    cubes is R^3 of each pair, computed once by a caller that evaluates many
+    times of the same pairs, and only read; phase_product is the cycle's
+    C3 * delta_t.  The phase is one divide, C3 * delta_t / R^3, and the two
+    arrays it takes (the phase and the result) are all the call holds.
     """
-    products = list(phase_products)
-    r3 = np.asarray(separations, dtype=float) ** 3 if cubes is None else cubes
-    if not products:
-        return np.ones(r3.shape, dtype=complex)
-    first, *rest = products
-    # a lone phase may overwrite an R^3 of this call's own, which no later cycle needs
-    phase = np.divide(first, r3, out=r3 if cubes is None and not rest else None)
-    amps = _cycle_amplitude_into(phase, np.empty(r3.shape, dtype=complex))
-    if rest:
-        factor = np.empty_like(amps)
-        for p in rest:
-            amps *= _cycle_amplitude_into(np.divide(p, r3, out=phase), factor)
-    return amps
+    return _cycle_amplitude_into(np.divide(phase_product, cubes), np.empty(cubes.shape, dtype=complex))
 
 
 def pair_spectra(separations: np.ndarray, thetas: np.ndarray, phis: np.ndarray, cycle: CycleSpec) -> tuple:

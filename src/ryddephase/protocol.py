@@ -31,6 +31,7 @@ from .correlation import run_realizations, sample_realization
 from .ensemble import pair_separations
 from .pairdyn import (
     CycleSpec,
+    _cycle_segments,
     _level_index,
     analytic_cycle_amplitude,
     analytic_pair_amplitudes,
@@ -99,10 +100,7 @@ def single_excitation_survival(schedule: CycleSchedule) -> complex:
     for cyc in schedule.cycles:
         spec = cyc.microwave
         h1 = single_atom_dressing(cyc.channel, spec).astype(complex)
-        t_half = 0.5 * math.pi / spec.rabi
-        dim = h1.shape[0]
-        zero = np.zeros((dim, dim), dtype=complex)
-        u = propagate([(h1, t_half), (zero, cyc.delta_t), (h1, 3.0 * t_half)])
+        u = propagate(_cycle_segments(h1, np.zeros_like(h1), spec.rabi, cyc.delta_t, True))
         levels = single_atom_levels(cyc.channel)
         i_s = _level_index(levels, "s", POPULATED_M)
         amp *= complex(u[i_s, i_s])
@@ -147,12 +145,11 @@ def _entangle_single_realization(args) -> tuple[np.ndarray, np.ndarray, np.ndarr
     """F, |m1| and |m2| of one realization at every grid time, one time at a time."""
     ensemble, c3_prime, c3_second, grid, index = args
     _, geometry = sample_realization(ensemble, index)
-    r = pair_separations(geometry)
-    r3 = r**3
+    cubes = pair_separations(geometry) ** 3
     out = np.empty((3, len(grid)))
     for it, t in enumerate(grid):
-        m1 = _coherence(analytic_pair_amplitudes(r, [c3_prime * t], cubes=r3))
-        m2 = _coherence(analytic_pair_amplitudes(r, [c3_second * t], cubes=r3))
+        m1 = _coherence(analytic_pair_amplitudes(cubes, c3_prime * t))
+        m2 = _coherence(analytic_pair_amplitudes(cubes, c3_second * t))
         out[:, it] = _fidelity(m1, m2), abs(m1), abs(m2)
     return tuple(out)
 

@@ -292,6 +292,27 @@ def test_config_error_exit_code(tmp_path):
     assert main(["g2-trace", "--config", str(tmp_path / "missing.json")]) == 1
 
 
+@pytest.mark.parametrize(
+    "config_name, subcommand, dotted, value, field",
+    [
+        ("fig2.json", "g2-trace", "grid.stop_us", math.inf, "grid.stop_us"),
+        ("cycles.json", "cycles", "schedule.cycles.0.delta_t_us", math.nan, "schedule.cycles[0].delta_t_us"),
+        ("entangle.json", "entangle", "entangle.c3_prime", math.inf, "entangle.c3_prime"),
+    ],
+)
+def test_non_finite_numbers_are_config_errors(tmp_path, capsys, config_name, subcommand, dotted, value, field):
+    # json.loads reads NaN and Infinity; they must not reach the kernels
+    raw = json.loads((CONFIG_DIR / config_name).read_text())
+    cli._apply_override(raw, dotted, value)
+    path = write_config(tmp_path, raw)  # json.dumps writes NaN / Infinity
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: {field}: expected a finite number, got {value}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_non_string_output_dir_is_a_config_error(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     path = write_config(tmp_path, {"output": {"dir": 5}})
@@ -475,6 +496,19 @@ def test_importing_the_cli_does_not_load_scipy():
     code = "import sys, ryddephase.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("user_value", [None, "3"])
+def test_importing_the_package_pins_blas_threads_unless_set(user_value):
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {k: v for k, v in os.environ.items() if k not in names}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    if user_value is not None:
+        env["OPENBLAS_NUM_THREADS"] = user_value
+    code = f"import os, ryddephase; print(*(os.environ.get(k) for k in {names!r}))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == [user_value or "1", "1", "1"]
 
 
 def test_importing_the_cli_does_not_load_the_process_pool():

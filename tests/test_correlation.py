@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -334,7 +335,7 @@ def reference_columns(ensemble, cycles, grid, mode, index):
         r = pair_separations(geometry)
 
         def stack(cycle, times):
-            return np.stack([analytic_pair_amplitudes(r, [cycle.channel.c3 * t]) for t in times], axis=1)
+            return np.stack([analytic_pair_amplitudes(r**3, cycle.channel.c3 * t) for t in times], axis=1)
 
     else:
         r, theta, phi = pair_orientations(geometry)
@@ -462,8 +463,8 @@ def test_trace_summaries_are_computed_once():
 def test_non_finite_amplitude_raises(monkeypatch, driver):
     import ryddephase.correlation as correlation
 
-    def with_nan(separations, phase_products, *, cubes=None):
-        amps = analytic_pair_amplitudes(separations, phase_products, cubes=cubes)
+    def with_nan(cubes, phase_product):
+        amps = analytic_pair_amplitudes(cubes, phase_product)
         amps[3] = complex(math.nan, 0.0)
         return amps
 
@@ -475,6 +476,23 @@ def test_non_finite_amplitude_raises(monkeypatch, driver):
             g2_trace(ens, sched, [0.5, 1.0], realizations=1)
         else:
             g2_after_cycles(ens, sched, realizations=1)
+
+
+def test_cycles_driver_holds_one_cycle_of_spectra_at_a_time(monkeypatch):
+    # a cycle's pair spectra take O(N^2 d): the next cycle's are built only once they are dropped
+    import ryddephase.correlation as correlation
+
+    built, alive = [], []
+
+    def spy(*args):
+        alive.append(sum(ref() is not None for ref in built))
+        spectra = pair_spectra(*args)
+        built.append(weakref.ref(spectra[0]))
+        return spectra
+
+    monkeypatch.setattr(correlation, "pair_spectra", spy)
+    g2_after_cycles(EnsembleSpec(8, 60.0, seed=6), two_channel_schedule(), mode="multichannel", realizations=1)
+    assert alive == [0, 0]
 
 
 FAULT_PROBE = """

@@ -23,6 +23,19 @@ from ryddephase import cli
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
+
+def _two_cycle_trace(mode: str) -> dict:
+    """Overrides running multichannel.json's g2-trace over two cycles (p_j 1/2 then 3/2)."""
+    cycle = json.loads((CONFIG_DIR / "multichannel.json").read_text())["schedule"]["cycles"][0]
+    return {
+        "schedule.cycles": [{**cycle, "p_n": 100, "p_j": p_j} for p_j in (0.5, 1.5)],
+        "mode": mode,
+        "ensemble.n_atoms": 8,
+        "realizations": 2,
+        "grid.points": 4,
+    }
+
+
 # case: (config file, subcommand, {dotted path: value})
 CASES = {
     "fig2": ("fig2.json", "g2-trace", {"ensemble.n_atoms": 30, "realizations": 2, "grid.points": 8}),
@@ -31,6 +44,8 @@ CASES = {
         "g2-trace",
         {"ensemble.n_atoms": 8, "realizations": 2, "grid.points": 4},
     ),
+    "two_cycle_trace_analytic": ("multichannel.json", "g2-trace", _two_cycle_trace("analytic")),
+    "two_cycle_trace_multichannel": ("multichannel.json", "g2-trace", _two_cycle_trace("multichannel")),
     "fig2_json": (
         "fig2.json",
         "g2-trace",
@@ -106,6 +121,12 @@ GOLDEN = {
     },
     "twophoton": {
         "phasematch.json": "022b56299aa2c1cdd25e1fe587b751c053b8b3e4780049ee3d0a3cab95065121",
+    },
+    "two_cycle_trace_analytic": {
+        "g2_trace.csv": "5a2d26ac43070429ce55d21bdd382aea1925d676a9c0daafa320a445a8075f47",
+    },
+    "two_cycle_trace_multichannel": {
+        "g2_trace.csv": "14d1e246c9bc99b575b07598e3b17ad2b6175d31a9eae6055ed9624ffdeeca7d",
     },
 }
 

@@ -54,7 +54,7 @@ def test_single_channel_phase_arithmetic():
     assert phi1 / phi2 == pytest.approx(8.0)
     r = np.array([0.5, 1.0, 2.0, 3.0])
     expected = analytic_cycle_amplitude(kernel_phase(8.0, r, 1.0))
-    assert analytic_pair_amplitudes(r, [8.0]).tobytes() == expected.tobytes()
+    assert analytic_pair_amplitudes(r**3, 8.0).tobytes() == expected.tobytes()
 
 
 def test_analytic_amplitude_values():
@@ -380,8 +380,8 @@ def _schedule(phases, r):
 
 def schedule_amplitude(sched, r):
     """Analytic amplitude of one pair at separation r through every cycle of sched."""
-    products = [c.channel.c3 * c.delta_t for c in sched.cycles]
-    return complex(analytic_pair_amplitudes(np.array([r]), products)[0])
+    cubes = np.array([r]) ** 3
+    return math.prod(complex(analytic_pair_amplitudes(cubes, c.channel.c3 * c.delta_t)[0]) for c in sched.cycles)
 
 
 def test_single_cycle_schedule_reduces_to_cycle_amplitude():
@@ -413,13 +413,10 @@ def test_two_cycle_right_angle_phases():
 
 def test_analytic_pair_amplitudes_matches_scalar():
     r = np.array([1.5, 3.0, 7.5])
-    products = [2.0, 5.0]
-    vec = analytic_pair_amplitudes(r, products)
-    for i, ri in enumerate(r):
-        expected = 1.0 + 0.0j
-        for p in products:
-            expected *= complex(analytic_cycle_amplitude(p / ri**3))
-        assert vec[i] == pytest.approx(expected, abs=1e-12)
+    for p in (2.0, 5.0):
+        vec = analytic_pair_amplitudes(r**3, p)
+        for i, ri in enumerate(r):
+            assert vec[i] == pytest.approx(complex(analytic_cycle_amplitude(p / ri**3)), abs=1e-12)
 
 
 def test_cycle_amplitude_matches_scalar_cos_sin_at_large_phases():
@@ -437,51 +434,43 @@ def test_cycle_amplitude_matches_scalar_cos_sin_at_large_phases():
 def test_analytic_pair_amplitudes_phase_is_one_divide():
     rng = np.random.default_rng(4)
     r = rng.uniform(0.1, 60.0, 300)
-    products = [2.6e4 * 60.0, 1.9e4 * 0.02]
-    vec = analytic_pair_amplitudes(r, products)
     r3 = r**3
-    for i in range(len(r)):
-        expected = 1.0 + 0.0j
-        for p in products:
+    for p in (2.6e4 * 60.0, 1.9e4 * 0.02):
+        vec = analytic_pair_amplitudes(r3, p)
+        for i in range(len(r)):
             phi = p / r3[i]
-            expected *= complex(0.5 * (1.0 + math.cos(phi)), 0.5 * math.sin(phi))
-        # a phase off by one ulp (e.g. p * (1 / R^3)) moves cos by up to 1e-7 here
-        assert abs(vec[i] - expected) <= 1e-15
+            expected = complex(0.5 * (1.0 + math.cos(phi)), 0.5 * math.sin(phi))
+            # a phase off by one ulp (e.g. p * (1 / R^3)) moves cos by up to 1e-7 here
+            assert abs(vec[i] - expected) <= 1e-15
 
 
-def reference_pair_amplitudes(separations, phase_products):
-    """The kernel built from fresh temporaries: ones times each cycle factor."""
-    r3 = np.asarray(separations, dtype=float) ** 3
-    amps = np.ones(r3.shape, dtype=complex)
-    for p in phase_products:
-        t = np.tan(0.5 * (p / r3))
-        w = 1.0 / (1.0 + t * t)
-        amps *= w + 1j * (t * w)
-    return amps
+PHASE_PRODUCTS = [0.0, 2.6e4 * 60.0, 1.9e4 * 0.02, 3.1e5 * 7.0]  # C3 * delta_t of four cycles
 
 
-@pytest.mark.parametrize("cycles", [0, 1, 2, 3])
-def test_analytic_pair_amplitudes_bit_identical_to_reference(cycles):
-    rng = np.random.default_rng(40 + cycles)
-    r = rng.uniform(0.1, 60.0, 5000)
-    r_before = r.copy()
-    products = [2.6e4 * 60.0, 1.9e4 * 0.02, 3.1e5 * 7.0][:cycles]
-    want = reference_pair_amplitudes(r, products)
-    assert np.array_equal(analytic_pair_amplitudes(r, products), want)
-    assert np.array_equal(analytic_pair_amplitudes(r, iter(products)), want)
-    assert np.array_equal(r, r_before)
+def reference_pair_amplitudes(cubes, phase_product):
+    """The kernel built from fresh temporaries."""
+    t = np.tan(0.5 * (phase_product / cubes))
+    w = 1.0 / (1.0 + t * t)
+    return w + 1j * (t * w)
 
 
-@pytest.mark.parametrize("cycles", [0, 1, 2, 3])
-def test_analytic_pair_amplitudes_with_cubes_bit_identical(cycles):
-    rng = np.random.default_rng(50 + cycles)
+@pytest.mark.parametrize("cycle", range(len(PHASE_PRODUCTS)))
+def test_analytic_pair_amplitudes_bit_identical_to_reference(cycle):
+    rng = np.random.default_rng(40 + cycle)
+    cubes = rng.uniform(0.1, 60.0, 5000) ** 3
+    p = PHASE_PRODUCTS[cycle]
+    assert np.array_equal(analytic_pair_amplitudes(cubes, p), reference_pair_amplitudes(cubes, p))
+
+
+@pytest.mark.parametrize("cycle", range(len(PHASE_PRODUCTS)))
+def test_analytic_pair_amplitudes_with_cubes_bit_identical(cycle):
+    # a realization's R^3 serves every cycle and grid point: calls only read it
+    rng = np.random.default_rng(50 + cycle)
     r = rng.uniform(0.1, 60.0, 5000)
     cubes = r**3
-    cubes_before = cubes.copy()
-    products = [2.6e4 * 60.0, 1.9e4 * 0.02, 3.1e5 * 7.0][:cycles]
-    want = analytic_pair_amplitudes(r, products)
-    assert np.array_equal(analytic_pair_amplitudes(r, products, cubes=cubes), want)
-    assert np.array_equal(cubes, cubes_before)
+    shared = [analytic_pair_amplitudes(cubes, p) for p in PHASE_PRODUCTS]
+    assert np.array_equal(cubes, r**3)
+    assert np.array_equal(shared[cycle], analytic_pair_amplitudes(r**3, PHASE_PRODUCTS[cycle]))
 
 
 @pytest.mark.parametrize("pulse_model", ["instantaneous", "finite_duration"])
