@@ -830,6 +830,8 @@ def _override_seed(raw: dict, subcommand: str, seed: int) -> None:
             ensemble["seed"] = seed
     elif subcommand == "oracle":
         raw["seed"] = seed
+    elif subcommand == "phasematch":
+        raise ConfigError("--seed: phasematch has no seed")
     elif subcommand == "sweep":
         base = raw.setdefault("base", {})
         if isinstance(base, dict):

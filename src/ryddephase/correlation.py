@@ -185,10 +185,10 @@ def _cycle_sources(geometry: EnsembleGeometry, cycles, mode: str, order: np.ndar
         for cycle in cycles:
             yield lambda t, c3=cycle.channel.c3: analytic_pair_amplitudes(cubes, c3 * t)
     elif mode == "multichannel":
-        r, theta, phi = (x[order] for x in pair_orientations(geometry))
+        r, theta = (x[order] for x in pair_orientations(geometry))
         for q, cycle in enumerate(cycles):
             try:
-                yield partial(spectral_amplitudes, pair_spectra(r, theta, phi, cycle))
+                yield partial(spectral_amplitudes, pair_spectra(r, theta, cycle))
             except NumericsError as exc:
                 raise NumericsError(f"cycle {q}: {exc}") from exc
     else:

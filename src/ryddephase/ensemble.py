@@ -134,20 +134,19 @@ def sample_positions(spec: EnsembleSpec) -> EnsembleGeometry:
     return EnsembleGeometry(points, spec.box_side, eps)
 
 
-def _orientation_rows(d: np.ndarray):
-    """(R, polar angle from z, azimuth in [0, 2 pi)) of each displacement row of d, shape (n, 3)."""
+def _polar_rows(d: np.ndarray):
+    """(R, polar angle from z) of each displacement row of d, shape (n, 3)."""
     r = np.linalg.norm(d, axis=1)
     if np.any(r < 1e-12):
         raise ValueError("coincident points have no pair geometry")
-    theta = np.arccos(np.clip(d[:, 2] / r, -1.0, 1.0))
-    phi = np.mod(np.arctan2(d[:, 1], d[:, 0]), 2.0 * math.pi)
-    return r, theta, phi
+    return r, np.arccos(np.clip(d[:, 2] / r, -1.0, 1.0))
 
 
 def pair_geometry(a, b) -> PairGeometry:
     """Geometry of the pair (a, b): R = |a - b|, orientation of a - b."""
     d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
-    return PairGeometry(*(float(x[0]) for x in _orientation_rows(d[None, :])))
+    r, theta = _polar_rows(d[None, :])
+    return PairGeometry(float(r[0]), float(theta[0]), float(np.mod(np.arctan2(d[1], d[0]), 2.0 * math.pi)))
 
 
 def pair_separations(geometry: EnsembleGeometry) -> np.ndarray:
@@ -169,6 +168,6 @@ def pair_index_arrays(n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def pair_orientations(geometry: EnsembleGeometry):
-    """(R, theta, phi) arrays of every mu < nu pair, in condensed order."""
+    """(R, theta) arrays of every mu < nu pair, in condensed order; no azimuth (pairdyn)."""
     mu, nu = pair_index_arrays(geometry.n_atoms)
-    return _orientation_rows(geometry.positions[mu] - geometry.positions[nu])
+    return _polar_rows(geometry.positions[mu] - geometry.positions[nu])

@@ -37,9 +37,17 @@ operator is expanded in rank-2 spherical tensors over the full (s + p_j) pair
 basis and the cycle is propagated with eigendecomposition-based exponentials
 of the piecewise-constant Hamiltonians.  Only excitation-exchange blocks
 (one atom s -> p while the other goes p -> s) are retained; double (de-)
-excitation terms are dropped as counter-rotating.  For many pairs,
-pair_spectra diagonalizes each pair's exchange Hamiltonian once per cycle
-and keeps three (npairs, d) arrays over the d-dimensional pair basis;
+excitation terms are dropped as counter-rotating.  The amplitude depends on
+R and theta, never on the azimuth phi of the pair axis (Walker & Saffman,
+PRA 77, 032723 (2008)): a rotation about z by phi takes the exchange term to
+its phi = 0 form and multiplies each drive coupling |p><s| by e^{i dm phi}.
+That phase is conjugation by exp(i dm phi N_p), N_p the number of p
+excitations: a gauge, since the exchange term conserves N_p and
+|s m0, s m0> has none.  So pair_spectra puts every pair axis in the xz
+plane, where all Hamiltonians are real symmetric, and diagonalizes each
+pair's exchange and pulse Hamiltonians once per cycle; the scalar oracle
+cycle_amplitude_numeric keeps phi and complex arithmetic.  pair_spectra
+keeps three (npairs, d) arrays over the d-dimensional pair basis;
 spectral_amplitudes turns them into one (npairs,) column per free interval,
 so memory is O(N^2 d), whatever the number of intervals.
 
@@ -209,6 +217,7 @@ def interaction_coefficients(thetas, phis, r, c3: float) -> np.ndarray:
 
     The weight of W_Q is -sqrt(6) (C3/R^3) (-1)^Q C^2_{-Q}(theta, phi), with
     C^2_Q the Racah-normalized rank-2 spherical harmonics of the pair axis.
+    At phi = 0 every weight is real: its imaginary part is exactly 0.
     """
     st, ct = np.sin(thetas), np.cos(thetas)
     e1 = np.exp(1j * np.asarray(phis))
@@ -227,15 +236,10 @@ def interaction_coefficients(thetas, phis, r, c3: float) -> np.ndarray:
     return scale[:, None] * signs[None, :] * c2[:, ::-1]
 
 
-def _batched_interaction(thetas, phis, r, c3: float, operators: np.ndarray) -> np.ndarray:
-    """Exchange Hamiltonians for many pair geometries, shape (n, d, d); operators: exchange_tensor_operators."""
-    return np.tensordot(interaction_coefficients(thetas, phis, r, c3), operators, axes=([1], [0]))
-
-
 def interaction_matrix(geom: PairGeometry, channel: RydbergChannel) -> np.ndarray:
-    """Exchange part of the dipole-dipole operator over the pair basis."""
-    operators = exchange_tensor_operators(channel).astype(complex)
-    h = _batched_interaction([geom.polar_angle], [geom.azimuth], [geom.separation], channel.c3, operators)[0]
+    """Exchange part of the dipole-dipole operator over the pair basis, at the pair's azimuth."""
+    weights = interaction_coefficients([geom.polar_angle], [geom.azimuth], [geom.separation], channel.c3)
+    h = np.tensordot(weights, exchange_tensor_operators(channel).astype(complex), axes=([1], [0]))[0]
     err = np.max(np.abs(h - h.conj().T))
     if err > HERMITICITY_TOL:
         raise NumericsError(f"interaction part lost Hermiticity: {err:.3e}")
@@ -302,6 +306,7 @@ def _reduced_indices(channel: RydbergChannel, spec: MicrowaveSpec) -> list[int]:
 
 
 def _cycle_segments(h_drive, h_int, rabi: float, delta_t: float, instantaneous: bool):
+    """(H, t) of the pi/2 pulse, free interval and 3pi/2 pulse; h_int may be a (pairs, d, d) stack."""
     t_half = 0.5 * math.pi / rabi
     if instantaneous:
         return [(h_drive, t_half), (h_int, delta_t), (h_drive, 3.0 * t_half)]
@@ -326,16 +331,12 @@ def cycle_amplitude_numeric(
     spec = cycle.microwave
     h_int = interaction_matrix(geom, cycle.channel)
     h_drive = dressing_matrix(cycle.channel, spec).astype(complex)
-    levels = single_atom_levels(cycle.channel)
-    dim = len(levels)
+    idx = _reduced_indices(cycle.channel, spec)
+    start = idx[0]  # |s m0, s m0>
     if reduced:
-        idx = _reduced_indices(cycle.channel, spec)
         h_int = h_int[np.ix_(idx, idx)]
         h_drive = h_drive[np.ix_(idx, idx)]
-        start = 0  # |s m0, s m0> is first in the reduced ordering
-    else:
-        i_s = _level_index(levels, ORBITAL_S, POPULATED_M)
-        start = i_s * dim + i_s
+        start = 0  # first in the reduced ordering
     segments = _cycle_segments(
         h_drive, h_int, spec.rabi, cycle.delta_t, spec.pulse_model == "instantaneous"
     )
@@ -358,46 +359,41 @@ def analytic_pair_amplitudes(cubes: np.ndarray, phase_product: float) -> np.ndar
     return _cycle_amplitude_into(np.divide(phase_product, cubes), np.empty(cubes.shape, dtype=complex))
 
 
-def pair_spectra(separations: np.ndarray, thetas: np.ndarray, phis: np.ndarray, cycle: CycleSpec) -> tuple:
+def pair_spectra(separations: np.ndarray, thetas: np.ndarray, cycle: CycleSpec) -> tuple:
     """Exchange eigenvalues of every pair and the cycle's two pulse vectors in its eigenbasis.
 
-    Returns (lam, wc, ut), each (npairs, d): with V a pair's exchange
-    eigenvectors and e0 = |s m0, s m0>, ut = V^dag U(pi/2) e0 and
-    wc = (V^dag U(3pi/2)^dag e0)^*, so the cycle amplitude at free interval t
-    is sum_i wc_i e^{-i lam_i t} ut_i (spectral_amplitudes).
+    Each pair axis lies in the xz plane, so every Hamiltonian is real
+    symmetric (module docstring).  Returns (lam, wc, ut), each (npairs, d):
+    with V a pair's exchange eigenvectors and e0 = |s m0, s m0>,
+    ut = V^T U(pi/2) e0 and wc = V^T U(3pi/2) e0 (U(3pi/2) is symmetric), so
+    the cycle amplitude at free interval t is sum_i wc_i e^{-i lam_i t} ut_i
+    (spectral_amplitudes).  Raises NumericsError when a pulse vector's squared
+    norm is more than UNITARITY_TOL from 1, which keeps |A| <= 1.
     """
     spec, channel = cycle.microwave, cycle.channel
-    levels = single_atom_levels(channel)
-    dim = len(levels)
-    i_s = _level_index(levels, ORBITAL_S, POPULATED_M)
-    e0 = np.eye(dim * dim, dtype=complex)[i_s * dim + i_s]
-    h_drive = dressing_matrix(channel, spec).astype(complex)
-    t_half = 0.5 * math.pi / spec.rabi
+    h_drive = dressing_matrix(channel, spec)
+    start = _reduced_indices(channel, spec)[0]  # e0, first of the frozen channel
+    operators = exchange_tensor_operators(channel)
     instantaneous = spec.pulse_model == "instantaneous"
-    operators = exchange_tensor_operators(channel).astype(complex)
-    if instantaneous:
-        # the pulses do not see the interaction: one u and w serve every pair
-        u = propagate([(h_drive, t_half)]) @ e0
-        w = propagate([(h_drive, 3.0 * t_half)]).conj().T @ e0
-
-    n = len(separations)
-    lam = np.empty((n, dim * dim))
-    wc = np.empty((n, dim * dim), dtype=complex)
+    n, d = len(separations), len(h_drive)
+    lam = np.empty((n, d))
+    wc = np.empty((n, d), dtype=complex)
     ut = np.empty_like(wc)
     for lo in range(0, n, PAIR_CHUNK):
         hi = min(lo + PAIR_CHUNK, n)
-        h_int = _batched_interaction(thetas[lo:hi], phis[lo:hi], separations[lo:hi], channel.c3, operators)
+        weights = interaction_coefficients(thetas[lo:hi], 0.0, separations[lo:hi], channel.c3).real
+        h_int = np.tensordot(weights, operators, axes=([1], [0]))
+        (h_pulse, t_first), _, (_, t_last) = _cycle_segments(h_drive, h_int, spec.rabi, cycle.delta_t, instantaneous)
         lam[lo:hi], vec = np.linalg.eigh(h_int)
-        if not instantaneous:
-            # pulses evolve under dressing + interaction simultaneously:
-            # u = U(pi/2) e0 and w = U(3pi/2)^dag e0, both per pair
-            lam1, vec1 = np.linalg.eigh(h_int + h_drive[None, :, :])
-            c = np.einsum("pji,j->pi", vec1.conj(), e0)
-            u = np.einsum("pij,pj->pi", vec1, np.exp(-1j * lam1 * t_half) * c)
-            w = np.einsum("pij,pj->pi", vec1, np.exp(1j * lam1 * 3.0 * t_half) * c)
-        shape = vec.shape[:2]
-        ut[lo:hi] = np.einsum("pji,pj->pi", vec.conj(), np.broadcast_to(u, shape))
-        wc[lo:hi] = np.einsum("pji,pj->pi", vec.conj(), np.broadcast_to(w, shape)).conj()
+        lam_p, vec_p = np.linalg.eigh(h_pulse)  # one (d, d) matrix for instantaneous pulses
+        # U(t) e0 = P e^{-i lam_p t} P^T e0 at both pulse lengths, as (re, im) columns of real products
+        rotated = vec_p[..., start, :, None] * np.exp(-1j * lam_p[..., None] * (t_first, t_last))
+        columns = np.matmul(vec.swapaxes(1, 2), np.matmul(vec_p, rotated.view(np.float64)))
+        vectors = columns.view(complex)  # (pairs, d, 2): ut and wc
+        drift = np.max(np.abs(np.linalg.norm(vectors, axis=1) ** 2 - 1.0))
+        if not drift <= UNITARITY_TOL:
+            raise NumericsError(f"pulse vector norm drift {drift:.3e} exceeds {UNITARITY_TOL}")
+        ut[lo:hi], wc[lo:hi] = vectors[..., 0], vectors[..., 1]
     return lam, wc, ut
 
 

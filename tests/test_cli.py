@@ -260,6 +260,15 @@ def test_seed_override_changes_data(tmp_path):
     assert manifest["config"]["ensemble"]["seed"] == 12345
 
 
+@pytest.mark.parametrize("seed", ["1", "2"])
+def test_seed_override_of_phasematch_is_a_config_error(tmp_path, capsys, seed):
+    # phase matching samples nothing, so a seed it ignored would look like a reproduced run
+    out = tmp_path / "out"
+    assert main(["phasematch", "--config", str(CONFIG_DIR / "twophoton.json"), "--out", str(out), "--seed", seed]) == 1
+    assert "config error: --seed: phasematch has no seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_scan_n_emits_one_trace_per_n(tmp_path):
     cfg = json.loads(json.dumps(MINIMAL))
     cfg["realizations"] = 2

@@ -26,7 +26,7 @@ from ryddephase.ensemble import (
     pair_separations,
     sample_positions,
 )
-from ryddephase.pairdyn import CycleSpec, analytic_pair_amplitudes, pair_spectra, spectral_amplitudes
+from ryddephase.pairdyn import CycleSpec, NumericsError, analytic_pair_amplitudes, pair_spectra, spectral_amplitudes
 from ryddephase.protocol import make_schedule
 
 
@@ -338,10 +338,10 @@ def reference_columns(ensemble, cycles, grid, mode, index):
             return np.stack([analytic_pair_amplitudes(r**3, cycle.channel.c3 * t) for t in times], axis=1)
 
     else:
-        r, theta, phi = pair_orientations(geometry)
+        r, theta = pair_orientations(geometry)
 
         def stack(cycle, times):
-            spectra = pair_spectra(r, theta, phi, cycle)
+            spectra = pair_spectra(r, theta, cycle)
             return np.stack([spectral_amplitudes(spectra, t) for t in times], axis=1)
 
     if grid is None:  # after each cycle, at the cycles' own intervals
@@ -493,6 +493,25 @@ def test_cycles_driver_holds_one_cycle_of_spectra_at_a_time(monkeypatch):
     monkeypatch.setattr(correlation, "pair_spectra", spy)
     g2_after_cycles(EnsembleSpec(8, 60.0, seed=6), two_channel_schedule(), mode="multichannel", realizations=1)
     assert alive == [0, 0]
+
+
+@pytest.mark.parametrize("driver", ["trace", "cycles"])
+def test_multichannel_pulse_vectors_must_keep_unit_norm(monkeypatch, driver):
+    # eigenvectors 1% too long break the norm of the pulse vectors that bound |A| <= 1
+    eigh = np.linalg.eigh
+
+    def stretched(a):
+        w, v = eigh(a)
+        return w, 1.01 * v
+
+    monkeypatch.setattr(np.linalg, "eigh", stretched)
+    ens = EnsembleSpec(8, 60.0, seed=6)
+    seed = realization_seed(ens.seed, 0)
+    with pytest.raises(NumericsError, match=rf"^realization 0 \(seed {seed}\): cycle 0: pulse vector norm drift"):
+        if driver == "trace":
+            g2_trace(ens, two_channel_schedule(), [0.5, 1.0], mode="multichannel", realizations=1)
+        else:
+            g2_after_cycles(ens, two_channel_schedule(), mode="multichannel", realizations=1)
 
 
 FAULT_PROBE = """

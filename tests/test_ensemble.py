@@ -196,9 +196,9 @@ def test_pair_separations_equal_scipy_pdist_bit_for_bit(n):
 def test_all_pair_geometries_matches_condensed_distances():
     # pair_orientations lists every mu < nu pair in condensed order
     geom = sample_positions(EnsembleSpec(10, 30.0, seed=3))
-    r, theta, phi = pair_orientations(geom)
+    r, theta = pair_orientations(geom)
     assert np.allclose(r, pair_separations(geom))
     mu, nu = pair_index_arrays(geom.n_atoms)
     for k in range(len(mu)):
         g = pair_geometry(geom.positions[mu[k]], geom.positions[nu[k]])
-        assert (r[k], theta[k], phi[k]) == pytest.approx((g.separation, g.polar_angle, g.azimuth), rel=1e-12)
+        assert (r[k], theta[k]) == pytest.approx((g.separation, g.polar_angle), rel=1e-12)

@@ -88,7 +88,7 @@ GOLDEN = {
         "cycles.json": "2dfc734d84f89fe3c7e6c86ae309ad54843c26cde19ec5b949cf71eb19d58cef",
     },
     "cycles_multichannel": {
-        "cycles.csv": "06d978ba8a7d65d0d7efbdebf727f20a55eb346ac050916a2b866df9321f9ea8",
+        "cycles.csv": "841df7e31ce0c418f698b397ab788fd4213d326c026d8a8f4b360a17de27daa8",
     },
     "entangle": {
         "entangle.csv": "f9331f313938666fd34745a280b0d6f1bc698ffe4092344ab92ee4f452fc6f12",
@@ -110,7 +110,7 @@ GOLDEN = {
         "phasematch.json": "3940f50dc62de4e425bbb3384275dc00d1d67c6f56cb1c93fb29251b9ec6c044",
     },
     "multichannel": {
-        "g2_trace.csv": "0f14c6333aec9cd9fc778eb2420328c911d0ecf1295984deacd328dc6b4cc6c0",
+        "g2_trace.csv": "6ae7ebbdd7f3d921d51c9c2d3d31b9daf39219ff42ccfb286582598136e59597",
     },
     "oracle": {
         "oracle.json": "49e9d64802676ef903592818d8718cb1a8492308aa5326798575254222804381",
@@ -126,7 +126,7 @@ GOLDEN = {
         "g2_trace.csv": "5a2d26ac43070429ce55d21bdd382aea1925d676a9c0daafa320a445a8075f47",
     },
     "two_cycle_trace_multichannel": {
-        "g2_trace.csv": "14d1e246c9bc99b575b07598e3b17ad2b6175d31a9eae6055ed9624ffdeeca7d",
+        "g2_trace.csv": "eb5e12ba03e2b07772ca9a96d51c3d5bb9975e2b109901ef4119d44666cccbe0",
     },
 }
 

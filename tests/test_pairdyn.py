@@ -475,23 +475,22 @@ def test_analytic_pair_amplitudes_with_cubes_bit_identical(cycle):
 
 @pytest.mark.parametrize("pulse_model", ["instantaneous", "finite_duration"])
 @pytest.mark.parametrize("j", [0.5, 1.5])
-def test_numeric_pair_amplitudes_do_not_depend_on_pair_order(j, pulse_model):
+def test_pair_spectra_do_not_depend_on_pair_order(j, pulse_model):
     # correlation evaluates the pairs of a realization in a permuted order;
     # every pair must come out the same bits wherever it sits in its chunk
     rng = np.random.default_rng(60)
     npairs = 780  # the pairs of 40 atoms, more than one chunk
     r = rng.uniform(2.0, 60.0, npairs)
     theta = rng.uniform(0.0, math.pi, npairs)
-    phi = rng.uniform(0.0, 2.0 * math.pi, npairs)
     order = rng.permutation(npairs)
     cyc = CycleSpec(channel(j), 1.0, MicrowaveSpec(rabi=10.0, pulse_model=pulse_model))
-    want = pair_spectra(r, theta, phi, cyc)
-    got = pair_spectra(r[order], theta[order], phi[order], cyc)
+    want = pair_spectra(r, theta, cyc)
+    got = pair_spectra(r[order], theta[order], cyc)
     for t in (0.0, 0.3, 2.0):
         assert np.array_equal(spectral_amplitudes(got, t), spectral_amplitudes(want, t)[order])
 
 
-def test_numeric_pair_amplitudes_build_the_exchange_operators_once(monkeypatch):
+def test_pair_spectra_build_the_exchange_operators_once(monkeypatch):
     from ryddephase import pairdyn
 
     builds = []
@@ -506,9 +505,8 @@ def test_numeric_pair_amplitudes_build_the_exchange_operators_once(monkeypatch):
     npairs = 780  # two chunks of the default 512
     r = rng.uniform(2.0, 60.0, npairs)
     theta = rng.uniform(0.0, math.pi, npairs)
-    phi = rng.uniform(0.0, 2.0 * math.pi, npairs)
     cyc = CycleSpec(channel(1.5), 1.0, MicrowaveSpec(rabi=10.0))
-    pair_spectra(r, theta, phi, cyc)
+    pair_spectra(r, theta, cyc)
     assert len(builds) == 1
 
 
@@ -534,7 +532,7 @@ ALLOWED_DRIVES = [
 
 @pytest.mark.parametrize("pulse_model", ["instantaneous", "finite_duration"])
 @pytest.mark.parametrize("j, polarization", ALLOWED_DRIVES)
-def test_numeric_pair_amplitudes_matches_loop(pulse_model, j, polarization):
+def test_pair_spectra_matches_loop(pulse_model, j, polarization):
     rng = np.random.default_rng(3)
     n = 7
     rs = rng.uniform(1.0, 8.0, n)
@@ -542,7 +540,7 @@ def test_numeric_pair_amplitudes_matches_loop(pulse_model, j, polarization):
     phis = rng.uniform(0.0, 2 * math.pi, n)
     mw = MicrowaveSpec(rabi=8.0, polarization=polarization, pulse_model=pulse_model)
     cyc = CycleSpec(channel(j, c3=5.0), 0.0, mw)
-    spectra = pair_spectra(rs, thetas, phis, cyc)
+    spectra = pair_spectra(rs, thetas, cyc)
     _, wc, ut = spectra
     # |A(t)| <= sum_i |wc_i| |ut_i| for every t
     assert np.all(np.sum(np.abs(wc) * np.abs(ut), axis=1) <= 1.0 + 1e-12)
@@ -554,6 +552,43 @@ def test_numeric_pair_amplitudes_matches_loop(pulse_model, j, polarization):
                 CycleSpec(cyc.channel, t, mw),
             )
             assert batched[i] == pytest.approx(single, abs=1e-10)
+
+
+@pytest.mark.parametrize("pulse_model", ["instantaneous", "finite_duration"])
+@pytest.mark.parametrize("j, polarization", ALLOWED_DRIVES)
+def test_pair_spectra_equal_the_complex_oracle_at_any_azimuth(pulse_model, j, polarization):
+    # the batched kernel drops phi (a gauge); the scalar oracle keeps it, at
+    # exchange phases C3 t / R^3 from 0 to about 1e5
+    rng = np.random.default_rng(70)
+    rs = np.array([1.0, 1.6, 2.5, 4.0, 8.0])
+    thetas = rng.uniform(0.0, math.pi, len(rs))
+    mw = MicrowaveSpec(rabi=8.0, polarization=polarization, pulse_model=pulse_model)
+    cyc = CycleSpec(channel(j, c3=5.0), 0.0, mw)
+    spectra = pair_spectra(rs, thetas, cyc)
+    for t in (0.0, 0.37, 41.0, 2.0e4):
+        batched = spectral_amplitudes(spectra, t)
+        for i, phis in enumerate(rng.uniform(0.0, 2.0 * math.pi, (len(rs), 4))):
+            phase = cyc.channel.c3 * t / rs[i] ** 3
+            for phi in phis:
+                single = cycle_amplitude_numeric(PairGeometry(rs[i], thetas[i], phi), CycleSpec(cyc.channel, t, mw))
+                assert abs(batched[i] - single) <= 1e-13 * (1.0 + phase)
+
+
+@pytest.mark.parametrize("pulse_model", ["instantaneous", "finite_duration"])
+def test_pair_spectra_diagonalize_real_matrices_only(monkeypatch, pulse_model):
+    eigh = np.linalg.eigh
+    dtypes = []
+
+    def spy(a):
+        dtypes.append(np.asarray(a).dtype)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    rng = np.random.default_rng(71)
+    cyc = CycleSpec(channel(1.5), 1.0, MicrowaveSpec(rabi=10.0, polarization="sigma_plus", pulse_model=pulse_model))
+    pair_spectra(rng.uniform(2.0, 60.0, 600), rng.uniform(0.0, math.pi, 600), cyc)
+    assert len(dtypes) == 4  # two chunks, one exchange and one pulse eigh each
+    assert all(dtype == np.float64 for dtype in dtypes)
 
 
 def test_cycle_duration_includes_pulse_area():
