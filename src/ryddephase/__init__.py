@@ -24,7 +24,6 @@ from .atomdata import (
     RydbergChannel,
     c3_of,
     clebsch_gordan,
-    coupling_weight,
     pair_dimension,
 )
 from .correlation import (

@@ -1,4 +1,4 @@
-"""Atomic level bookkeeping, interaction-strength models, microwave coupling weights.
+"""Atomic levels, interaction-strength models, microwave settings, Clebsch-Gordan coefficients.
 
 Unit system used throughout the package: lengths in um, times in us, angular
 frequencies in rad/us, hbar = 1.  Interaction strengths C3 then carry
@@ -26,28 +26,17 @@ def _is_half_integer(x: float) -> bool:
     return abs(2.0 * x - round(2.0 * x)) < 1e-9
 
 
-def delta_m_for(polarization: str) -> float:
-    """Magnetic quantum number change driven by a given microwave polarization."""
-    try:
-        return _DELTA_M[polarization]
-    except KeyError:
-        raise ValueError(
-            f"unknown polarization {polarization!r}, expected one of {POLARIZATIONS}"
-        ) from None
-
-
 @dataclass(frozen=True)
 class Level:
-    """A fine-structure Rydberg level, optionally pinned to a Zeeman sublevel.
+    """A fine-structure Rydberg level: the whole (n, l, j) manifold.
 
-    ``m is None`` denotes the whole (n, l, j) manifold; that form is used in
-    channel definitions.  Basis states and coupling weights require concrete m.
+    Its Zeeman sublevels are not objects of their own; pairdyn lays them out
+    by index in the single-atom basis of a channel.
     """
 
     n: int
     l: str
     j: float
-    m: float | None = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -62,16 +51,6 @@ class Level:
             abs(self.j - 0.5) < 1e-9 or abs(self.j - 1.5) < 1e-9
         ):
             raise ValueError("p levels carry j = 1/2 or 3/2")
-        if self.m is not None:
-            if not _is_half_integer(self.m):
-                raise ValueError(f"m must be half-integer, got {self.m}")
-            if abs(self.m) > self.j + 1e-9:
-                raise ValueError(f"|m| = {abs(self.m)} exceeds j = {self.j}")
-            if abs((self.j - self.m) - round(self.j - self.m)) > 1e-9:
-                raise ValueError(f"m = {self.m} is not in the j = {self.j} ladder")
-
-    def with_m(self, m: float) -> "Level":
-        return Level(self.n, self.l, self.j, m)
 
 
 @dataclass(frozen=True)
@@ -91,8 +70,6 @@ class RydbergChannel:
             raise ValueError("channel s_level must be an s level")
         if self.p_level.l != ORBITAL_P:
             raise ValueError("channel p_level must be a p level")
-        if self.s_level.m is not None or self.p_level.m is not None:
-            raise ValueError("channel levels are manifolds: leave m unset")
         if not self.c3 > 0:
             raise ValueError(f"c3 must be positive, got {self.c3}")
 
@@ -217,27 +194,3 @@ def clebsch_gordan(j1: float, m1: float, j2: float, m2: float, j: float, m: floa
             total += (-1) ** k / math.prod(parts)
         k += 1
     return norm * total
-
-
-def coupling_weight(s: Level, p: Level, polarization: str) -> float:
-    """Angular weight of the microwave transition between two Zeeman sublevels.
-
-    Normalized so that the transition driven out of the populated sublevel
-    (m = POPULATED_M, shifted by the polarization's delta m) has weight 1;
-    pulse areas are defined on that transition.  Polarization-forbidden
-    combinations return 0.
-    """
-    if s.l != ORBITAL_S or p.l != ORBITAL_P:
-        raise ValueError("coupling_weight expects an s sublevel and a p sublevel")
-    if s.m is None or p.m is None:
-        raise ValueError("coupling_weight requires concrete m on both levels")
-    dm = delta_m_for(polarization)
-    if abs((p.m - s.m) - dm) > 1e-9:
-        return 0.0
-    reference = clebsch_gordan(0.5, POPULATED_M, 1.0, dm, p.j, POPULATED_M + dm)
-    if abs(reference) < 1e-12:
-        raise ValueError(
-            f"populated transition m={POPULATED_M} -> m={POPULATED_M + dm} is "
-            f"forbidden for polarization {polarization!r} and j={p.j}"
-        )
-    return clebsch_gordan(0.5, s.m, 1.0, dm, p.j, p.m) / reference

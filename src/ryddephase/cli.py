@@ -129,19 +129,14 @@ def _as_list(value, path, min_len=1):
 
 def _parse_ensemble(cfg, path) -> EnsembleSpec:
     _check_mapping(cfg, path, ["n_atoms", "box_side_um", "seed"], ["min_separation_um"])
-    try:
-        return EnsembleSpec(
-            n_atoms=_as_int(cfg["n_atoms"], f"{path}.n_atoms", minimum=2),
-            box_side=_as_float(cfg["box_side_um"], f"{path}.box_side_um", strict_min=0.0),
-            seed=_as_int(cfg["seed"], f"{path}.seed", minimum=0, maximum=2**64 - 1),
-            min_separation=_as_float(
-                cfg.get("min_separation_um", 0.1), f"{path}.min_separation_um", strict_min=0.0
-            ),
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        _fail(path, str(exc))
+    return EnsembleSpec(
+        n_atoms=_as_int(cfg["n_atoms"], f"{path}.n_atoms", minimum=2),
+        box_side=_as_float(cfg["box_side_um"], f"{path}.box_side_um", strict_min=0.0),
+        seed=_as_int(cfg["seed"], f"{path}.seed", minimum=0, maximum=2**64 - 1),
+        min_separation=_as_float(
+            cfg.get("min_separation_um", 0.1), f"{path}.min_separation_um", strict_min=0.0
+        ),
+    )
 
 
 def _parse_interaction(cfg, path):

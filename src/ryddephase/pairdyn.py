@@ -32,12 +32,16 @@ its product with the tangent (_cycle_amplitude_into).  R^3 comes from the
 caller, computed once per realization (libm pow takes about a third of a
 call at N = 300).
 
-Numeric route (multichannel): the resonant exchange part of the dipole-dipole
-operator is expanded in rank-2 spherical tensors over the full (s + p_j) pair
-basis and the cycle is propagated with eigendecomposition-based exponentials
-of the piecewise-constant Hamiltonians.  Only excitation-exchange blocks
-(one atom s -> p while the other goes p -> s) are retained; double (de-)
-excitation terms are dropped as counter-rotating.  The amplitude depends on
+Numeric route (multichannel): each atom spans the sublevels
+[s -1/2, s +1/2, p -j, ..., p +j], found by index arithmetic
+(_transition_indices).  One table of s-p dipole elements (_dipole_blocks)
+builds both the drive, normalized so the populated transition carries the
+full Rabi frequency, and the resonant exchange part of the dipole-dipole
+operator, expanded in rank-2 spherical tensors over the pair basis.  The
+cycle is propagated with eigendecomposition-based exponentials of the
+piecewise-constant Hamiltonians.  Only excitation-exchange blocks (one atom
+s -> p while the other goes p -> s) are retained; double (de-)excitation
+terms are dropped as counter-rotating.  The amplitude depends on
 R and theta, never on the azimuth phi of the pair axis (Walker & Saffman,
 PRA 77, 032723 (2008)): a rotation about z by phi takes the exchange term to
 its phi = 0 form and multiplies each drive coupling |p><s| by e^{i dm phi}.
@@ -64,14 +68,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atomdata import (
-    ORBITAL_P,
-    ORBITAL_S,
     POPULATED_M,
-    Level,
     MicrowaveSpec,
     RydbergChannel,
     clebsch_gordan,
-    coupling_weight,
     single_atom_dimension,
 )
 from .ensemble import PairGeometry
@@ -87,7 +87,10 @@ class NumericsError(RuntimeError):
 
 @dataclass(frozen=True)
 class CycleSpec:
-    """One dressing cycle: channel, free-interval length, microwave settings."""
+    """One dressing cycle: channel, free-interval length, microwave settings.
+
+    The drive's polarization must reach a p sublevel from the populated one.
+    """
 
     channel: RydbergChannel
     delta_t: float  # us
@@ -96,6 +99,7 @@ class CycleSpec:
     def __post_init__(self):
         if self.delta_t < 0:
             raise ValueError(f"delta_t must be >= 0, got {self.delta_t}")
+        _transition_indices(self.channel, self.microwave)
 
     @property
     def duration(self) -> float:
@@ -137,54 +141,40 @@ def analytic_cycle_amplitude(phi):
 # ---------------------------------------------------------------------------
 
 
-def single_atom_levels(channel: RydbergChannel) -> list[Level]:
-    """Basis sublevels per atom: s (m ascending) then p_j (m ascending)."""
-    s, p = channel.s_level, channel.p_level
-    levels = [s.with_m(-0.5), s.with_m(0.5)]
-    m = -p.j
-    while m <= p.j + 1e-9:
-        levels.append(p.with_m(m))
-        m += 1.0
-    return levels
+def _transition_indices(channel: RydbergChannel, spec: MicrowaveSpec) -> tuple[int, int]:
+    """Single-atom basis indices of the populated transition (s m0, p m0+dm), m0 = POPULATED_M.
 
-
-def pair_basis(channel: RydbergChannel) -> tuple:
-    singles = single_atom_levels(channel)
-    return tuple((a, b) for a in singles for b in singles)
-
-
-def _level_index(levels: list[Level], orbital: str, m: float) -> int:
-    for i, lev in enumerate(levels):
-        if lev.l == orbital and lev.m is not None and abs(lev.m - m) < 1e-9:
-            return i
-    raise ValueError(f"no {orbital} sublevel with m = {m} in this channel")
+    The basis of one atom is [s -1/2, s +1/2, p -j, ..., p +j]: s m sits at
+    index m + 1/2 and p m at 2 + m + j.  Raises ValueError when the drive's
+    target sublevel m0 + dm lies outside the p level.
+    """
+    j, mp = channel.p_level.j, POPULATED_M + spec.delta_m
+    if abs(mp) > j + 1e-9:
+        raise ValueError(
+            f"populated transition m={POPULATED_M} -> m={mp} is forbidden "
+            f"for polarization {spec.polarization!r} and j={j}"
+        )
+    return round(POPULATED_M + 0.5), round(2 + mp + j)
 
 
 def _dipole_blocks(channel: RydbergChannel) -> dict:
-    """Raising (s -> p) and lowering (p -> s) blocks of the unit dipole operator.
+    """Raising (s -> p) and lowering (p -> s) blocks of the unit dipole operator, keyed by q.
 
-    up[q][p_idx(m+q), s_idx(m)] = <1/2 m; 1 q | j m+q>; the lowering block is
-    fixed by Hermiticity of the vector operator, (T_q)^dag = (-1)^q T_{-q}.
+    Over the single-atom basis (_transition_indices),
+    up[q][p(m+q), s(m)] = <1/2 m; 1 q | j m+q>: the one place an s-p dipole
+    element becomes a matrix entry.  The lowering block follows from
+    Hermiticity of the vector operator, (T_q)^dag = (-1)^q T_{-q}, as
+    down[q] = (-1)^q up[-q]^T.
     """
-    levels = single_atom_levels(channel)
-    dim = len(levels)
     j = channel.p_level.j
-    blocks = {}
-    for q in (-1, 0, 1):
-        up = np.zeros((dim, dim))
-        down = np.zeros((dim, dim))
-        for ms in (-0.5, 0.5):
+    dim = single_atom_dimension(channel)
+    ups = {q: np.zeros((dim, dim)) for q in (-1, 0, 1)}
+    for q, up in ups.items():
+        for i_s, ms in enumerate((-0.5, 0.5)):
             mp = ms + q
             if abs(mp) <= j + 1e-9:
-                cg = clebsch_gordan(0.5, ms, 1.0, float(q), j, mp)
-                up[_level_index(levels, ORBITAL_P, mp), _level_index(levels, ORBITAL_S, ms)] = cg
-        for mp in np.arange(-j, j + 0.5, 1.0):
-            ms = mp + q
-            if abs(ms) <= 0.5 + 1e-9:
-                cg = clebsch_gordan(0.5, ms, 1.0, float(-q), j, mp)
-                down[_level_index(levels, ORBITAL_S, ms), _level_index(levels, ORBITAL_P, mp)] = (-1) ** q * cg
-        blocks[q] = (up, down)
-    return blocks
+                up[round(2 + mp + j), i_s] = clebsch_gordan(0.5, ms, 1.0, float(q), j, mp)
+    return {q: (up, (-1) ** q * ups[-q].T) for q, up in ups.items()}
 
 
 def exchange_tensor_operators(channel: RydbergChannel) -> np.ndarray:
@@ -247,22 +237,15 @@ def interaction_matrix(geom: PairGeometry, channel: RydbergChannel) -> np.ndarra
 
 
 def single_atom_dressing(channel: RydbergChannel, spec: MicrowaveSpec) -> np.ndarray:
-    """-(Omega/2) X on one atom, X built from normalized coupling weights."""
-    levels = single_atom_levels(channel)
-    dim = len(levels)
-    dm = spec.delta_m
-    x = np.zeros((dim, dim))
-    for ms in (-0.5, 0.5):
-        mp = ms + dm
-        if abs(mp) > channel.p_level.j + 1e-9:
-            continue
-        s = channel.s_level.with_m(ms)
-        p = channel.p_level.with_m(mp)
-        w = coupling_weight(s, p, spec.polarization)
-        i, k = _level_index(levels, ORBITAL_S, ms), _level_index(levels, ORBITAL_P, mp)
-        x[k, i] = w
-        x[i, k] = w
-    return -0.5 * spec.rabi * x
+    """-(Omega/2) (X + X^T) on one atom, X the raising block of q = dm over its populated entry.
+
+    The populated transition so carries the full Rabi frequency; pulse areas
+    are defined on it.  Raises ValueError for a forbidden drive.
+    """
+    i_s, i_p = _transition_indices(channel, spec)
+    up, _ = _dipole_blocks(channel)[spec.delta_m]
+    x = up / up[i_p, i_s]
+    return -0.5 * spec.rabi * (x + x.T)
 
 
 def dressing_matrix(channel: RydbergChannel, spec: MicrowaveSpec) -> np.ndarray:
@@ -271,14 +254,14 @@ def dressing_matrix(channel: RydbergChannel, spec: MicrowaveSpec) -> np.ndarray:
     return np.kron(h1, eye) + np.kron(eye, h1)
 
 
-def propagate(h_sequence, dim: int | None = None) -> np.ndarray:
+def propagate(h_sequence) -> np.ndarray:
     """Time-ordered product of exp(-i H_k t_k), first segment applied first.
 
     Each segment is exponentiated exactly through its eigendecomposition;
     the result is checked against the unitarity tolerance.  An empty sequence
-    yields the identity (dim must then be supplied).
+    raises ValueError.
     """
-    u = None if dim is None else np.eye(dim, dtype=complex)
+    u = None
     for h, t in h_sequence:
         if t < 0:
             raise ValueError("segment durations must be >= 0")
@@ -289,7 +272,7 @@ def propagate(h_sequence, dim: int | None = None) -> np.ndarray:
         step = (v * np.exp(-1j * w * t)) @ v.conj().T
         u = step @ u
     if u is None:
-        raise ValueError("empty Hamiltonian sequence needs an explicit dim")
+        raise ValueError("empty Hamiltonian sequence")
     err = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
     if err > UNITARITY_TOL:
         raise NumericsError(f"propagator unitarity drift {err:.3e} exceeds {UNITARITY_TOL}")
@@ -298,10 +281,8 @@ def propagate(h_sequence, dim: int | None = None) -> np.ndarray:
 
 def _reduced_indices(channel: RydbergChannel, spec: MicrowaveSpec) -> list[int]:
     """Pair-basis indices of the frozen two-level (s m0, p m0+dm) channel, m0 = POPULATED_M."""
-    levels = single_atom_levels(channel)
-    dim = len(levels)
-    i_s = _level_index(levels, ORBITAL_S, POPULATED_M)
-    i_p = _level_index(levels, ORBITAL_P, POPULATED_M + spec.delta_m)
+    dim = single_atom_dimension(channel)
+    i_s, i_p = _transition_indices(channel, spec)
     return [a * dim + b for a in (i_s, i_p) for b in (i_s, i_p)]
 
 

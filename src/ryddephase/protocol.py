@@ -26,18 +26,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atomdata import POPULATED_M
 from .correlation import run_realizations, sample_realization
 from .ensemble import pair_separations
 from .pairdyn import (
     CycleSpec,
     _cycle_segments,
-    _level_index,
+    _transition_indices,
     analytic_cycle_amplitude,
     analytic_pair_amplitudes,
     propagate,
     single_atom_dressing,
-    single_atom_levels,
 )
 
 
@@ -101,8 +99,7 @@ def single_excitation_survival(schedule: CycleSchedule) -> complex:
         spec = cyc.microwave
         h1 = single_atom_dressing(cyc.channel, spec).astype(complex)
         u = propagate(_cycle_segments(h1, np.zeros_like(h1), spec.rabi, cyc.delta_t, True))
-        levels = single_atom_levels(cyc.channel)
-        i_s = _level_index(levels, "s", POPULATED_M)
+        i_s, _ = _transition_indices(cyc.channel, spec)
         amp *= complex(u[i_s, i_s])
     return amp
 

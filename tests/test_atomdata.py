@@ -12,10 +12,10 @@ from ryddephase.atomdata import (
     RydbergChannel,
     c3_of,
     clebsch_gordan,
-    coupling_weight,
     pair_dimension,
     single_atom_dimension,
 )
+from ryddephase.pairdyn import single_atom_dressing
 
 
 def _channel(j=0.5, c3=1.0, n=100):
@@ -36,11 +36,6 @@ def test_level_rejects_bad_quantum_numbers():
         Level(50, "s", 1.5)  # s implies j = 1/2
     with pytest.raises(ValueError):
         Level(50, "p", 2.5)
-    with pytest.raises(ValueError):
-        Level(50, "p", 1.5, m=2.5)  # |m| > j
-    with pytest.raises(ValueError):
-        Level(50, "p", 1.5, m=0.0)  # not in the half-integer ladder
-    assert Level(50, "p", 1.5, m=-1.5).m == -1.5
 
 
 def test_channel_requires_positive_c3_and_manifold_levels():
@@ -50,8 +45,6 @@ def test_channel_requires_positive_c3_and_manifold_levels():
         RydbergChannel(Level(60, "s", 0.5), Level(60, "p", 0.5), -1.0)
     with pytest.raises(ValueError):
         RydbergChannel(Level(60, "p", 0.5), Level(60, "p", 0.5), 1.0)
-    with pytest.raises(ValueError):
-        RydbergChannel(Level(60, "s", 0.5, m=0.5), Level(60, "p", 0.5), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -189,32 +182,45 @@ def test_clebsch_gordan_orthonormality():
 
 
 # ---------------------------------------------------------------------------
-# coupling weights
+# microwave drive on one atom
 # ---------------------------------------------------------------------------
 
+RABI = 10.0
 
-def test_coupling_weight_selection_rule_exhaustive():
+
+def _s_index(m):
+    return round(m + 0.5)  # single-atom basis [s -1/2, s +1/2, p -j, ..., p +j]
+
+
+def _p_index(m, j):
+    return round(2 + m + j)
+
+
+def test_single_atom_dressing_selection_rule_exhaustive():
     for j in (0.5, 1.5):
         for pol, dm in [("pi", 0.0), ("sigma_plus", 1.0), ("sigma_minus", -1.0)]:
             if abs(POPULATED_M + dm) > j:
                 continue  # populated transition forbidden, separate test
+            h = single_atom_dressing(_channel(j), MicrowaveSpec(RABI, pol))
             for ms in (-0.5, 0.5):
                 for mp in np.arange(-j, j + 0.5, 1.0):
-                    s = Level(100, "s", 0.5, ms)
-                    p = Level(100, "p", j, float(mp))
-                    w = coupling_weight(s, p, pol)
+                    i, k = _s_index(ms), _p_index(mp, j)
+                    assert h[k, i] == h[i, k]
                     if abs((mp - ms) - dm) > 1e-9:
-                        assert w == 0.0
+                        assert h[k, i] == 0.0
+            # no s-s or p-p element: the drive only moves an atom between s and p
+            assert not h[:2, :2].any() and not h[2:, 2:].any()
 
 
-def test_coupling_weight_populated_transition_is_unity():
+def test_single_atom_dressing_populated_entry_is_minus_half_rabi():
     for j in (0.5, 1.5):
-        s = Level(100, "s", 0.5, POPULATED_M)
-        p = Level(100, "p", j, POPULATED_M)  # pi polarization, dm = 0
-        assert coupling_weight(s, p, "pi") == pytest.approx(1.0, abs=1e-12)
+        for pol, dm in [("pi", 0.0), ("sigma_minus", -1.0)]:
+            h = single_atom_dressing(_channel(j), MicrowaveSpec(RABI, pol))
+            i, k = _s_index(POPULATED_M), _p_index(POPULATED_M + dm, j)
+            assert h[k, i] == pytest.approx(-0.5 * RABI, abs=1e-12)
 
 
-def test_coupling_weight_ratios_match_cg_oracle():
+def test_single_atom_dressing_ratios_match_cg_oracle():
     table = _cg_table_from_diagonalization(0.5, 1.0)
 
     def oracle(j, ms, q):
@@ -222,20 +228,17 @@ def test_coupling_weight_ratios_match_cg_oracle():
 
     for j in (0.5, 1.5):
         ref = oracle(j, POPULATED_M, 0)
+        h = single_atom_dressing(_channel(j), MicrowaveSpec(RABI, "pi"))
         for ms in (-0.5, 0.5):
-            s = Level(100, "s", 0.5, ms)
-            p = Level(100, "p", j, ms)
-            assert coupling_weight(s, p, "pi") == pytest.approx(
+            assert h[_p_index(ms, j), _s_index(ms)] / (-0.5 * RABI) == pytest.approx(
                 oracle(j, ms, 0) / ref, abs=1e-12
             )
 
 
-def test_coupling_weight_forbidden_populated_transition_raises():
+def test_single_atom_dressing_forbidden_populated_transition_raises():
     # sigma_plus out of m = +1/2 targets m = 3/2, absent for j = 1/2
-    s = Level(100, "s", 0.5, -0.5)
-    p = Level(100, "p", 0.5, 0.5)
     with pytest.raises(ValueError, match="forbidden"):
-        coupling_weight(s, p, "sigma_plus")
+        single_atom_dressing(_channel(0.5), MicrowaveSpec(RABI, "sigma_plus"))
 
 
 def test_microwave_spec_validation():

@@ -120,6 +120,42 @@ def test_duplicate_scan_n_rejected_with_index():
         parse_config(json.dumps(cfg))
 
 
+def test_unsupported_p_level_is_a_config_error(tmp_path, capsys):
+    cfg = json.loads(json.dumps(MINIMAL))
+    cfg["schedule"]["cycles"][0]["p_j"] = 2.5
+    path = write_config(tmp_path, cfg)
+    assert main(["g2-trace", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert "config error: schedule.cycles[0]: p levels carry j = 1/2 or 3/2" in capsys.readouterr().err
+
+
+# sigma_plus out of the populated m = +1/2 targets m = 3/2, which p_1/2 lacks
+FORBIDDEN_DRIVE = "populated transition m=0.5 -> m=1.5 is forbidden for polarization 'sigma_plus' and j=0.5"
+
+
+@pytest.mark.parametrize("mode", ["analytic", "multichannel"])
+def test_forbidden_drive_is_a_config_error_in_every_mode(tmp_path, capsys, mode):
+    raw = json.loads((CONFIG_DIR / "multichannel.json").read_text())
+    raw["mode"] = mode
+    raw["schedule"]["cycles"][0]["polarization"] = "sigma_plus"
+    path = write_config(tmp_path, raw)
+    out = tmp_path / "out"
+    assert main(["g2-trace", "--config", str(path), "--out", str(out), "--threads", "2"]) == 1
+    assert f"config error: schedule.cycles[0]: {FORBIDDEN_DRIVE}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_names_the_combination_with_a_forbidden_drive(tmp_path, capsys):
+    base = json.loads(json.dumps(MINIMAL))
+    base["realizations"] = 2
+    axis = {"path": "schedule.cycles.0.polarization", "values": ["pi", "sigma_plus"]}
+    path = write_config(tmp_path, {"subcommand": "g2-trace", "base": base, "axes": [axis]})
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: base.schedule.cycles[0]: {FORBIDDEN_DRIVE} (combination polarization=sigma_plus)" in err
+    assert not any(p.is_file() for p in out.rglob("*"))
+
+
 def test_log_grid_requires_positive_start():
     bad = json.loads(json.dumps(MINIMAL))
     bad["grid"] = {"start_us": 0.0, "stop_us": 2.0, "points": 5, "spacing": "log"}
@@ -449,6 +485,23 @@ def test_cycles_run_includes_reference_column(tmp_path):
     assert float(last[6]) == pytest.approx(math.exp(-2.0), rel=1e-12)
 
 
+def test_cycles_reference_column_follows_reference_tau(tmp_path):
+    cfg = {
+        "ensemble": {"n_atoms": 10, "box_side_um": 60.0, "seed": 3},
+        "schedule": MINIMAL["schedule"],
+        "realizations": 2,
+        "reference_tau_us": 5.0,
+    }
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["cycles", "--config", str(path), "--out", str(out)]) == 0
+    rows = [line.split(",") for line in (out / "cycles.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 2  # cycle 0 and the one cycle
+    for row in rows:
+        assert float(row[6]) == pytest.approx(math.exp(-float(row[1]) / 5.0), rel=1e-12)
+    assert float(rows[1][1]) == pytest.approx(1.0 + 0.2 * math.pi)
+
+
 @pytest.mark.parametrize(
     "entangle, message",
     [
@@ -547,6 +600,20 @@ def test_phasematch_run_json_contract(tmp_path):
     assert np.linalg.norm(payload["offaxis"]["dk_rad_per_um"]) <= 1e-9
 
 
+def test_phasematch_reports_an_infeasible_offaxis_geometry(tmp_path):
+    # two co-signed beams add their wavevectors: no direction cancels them
+    cfg = {
+        "beams": [{"wavelength_nm": 780.0, "sign": 1}, {"wavelength_nm": 480.0, "sign": 1}],
+        "solve_offaxis": True,
+    }
+    out = tmp_path / "out"
+    assert main(["phasematch", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
+    payload = json.loads((out / "phasematch.json").read_text())
+    assert list(payload["offaxis"]) == ["infeasible"]
+    assert "no zero-mismatch geometry found" in payload["offaxis"]["infeasible"]
+    assert payload["period_um"] == pytest.approx(1.0 / (1.0 / 0.78 + 1.0 / 0.48))
+
+
 def test_oracle_run_report(tmp_path):
     cfg = {"n_atoms": 6, "draws": 10, "seed": 21}
     path = write_config(tmp_path, cfg)
@@ -556,6 +623,40 @@ def test_oracle_run_report(tmp_path):
     assert payload["pass"] is True
     assert payload["max_rel_deviation"] <= payload["bound"] == 0.5
     assert len(payload["cases"]) == 10
+
+
+def test_seed_override_of_oracle_sets_the_seed_and_the_cases(tmp_path):
+    path = write_config(tmp_path, {"n_atoms": 6, "draws": 3, "seed": 21})
+    reports = {}
+    for name, flag in [("config", []), ("flag", ["--seed", "99"])]:
+        out = tmp_path / name
+        assert main(["oracle", "--config", str(path), "--out", str(out), *flag]) == 0
+        reports[name] = json.loads((out / "oracle.json").read_text())
+        manifest = json.loads((out / "manifest.json").read_text())
+        seed = 99 if flag else 21
+        assert reports[name]["seed"] == manifest["config"]["seed"] == seed
+        assert manifest["seeds"] == [seed]
+    assert reports["flag"]["cases"] != reports["config"]["cases"]
+    # the flag gives the cases a config with that seed gives
+    seeded = write_config(tmp_path, {"n_atoms": 6, "draws": 3, "seed": 99}, "seeded.json")
+    out = tmp_path / "seeded"
+    assert main(["oracle", "--config", str(seeded), "--out", str(out)]) == 0
+    assert json.loads((out / "oracle.json").read_text())["cases"] == reports["flag"]["cases"]
+
+
+def test_oracle_with_unit_amplitudes(tmp_path):
+    from ryddephase import g2_from_amplitudes
+
+    path = write_config(tmp_path, {"n_atoms": 6, "draws": 3, "seed": 21, "amplitude": "ones"})
+    out = tmp_path / "out"
+    assert main(["oracle", "--config", str(path), "--out", str(out)]) == 0
+    payload = json.loads((out / "oracle.json").read_text())
+    flat = g2_from_amplitudes(np.ones(15), 6).g2
+    # with no dephasing every draw gives the same g2, whatever the geometry
+    assert [case["approx_g2"] for case in payload["cases"]] == [flat] * 3
+    exact = [case["exact_g2"] for case in payload["cases"]]
+    assert exact == pytest.approx([exact[0]] * 3, rel=1e-12)
+    assert payload["pass"] is True
 
 
 def test_sweep_runs_cartesian_product(tmp_path):

@@ -46,6 +46,16 @@ CASES = {
     ),
     "two_cycle_trace_analytic": ("multichannel.json", "g2-trace", _two_cycle_trace("analytic")),
     "two_cycle_trace_multichannel": ("multichannel.json", "g2-trace", _two_cycle_trace("multichannel")),
+    "two_cycle_trace_sigma_minus": (
+        "multichannel.json",
+        "g2-trace",
+        {
+            **_two_cycle_trace("multichannel"),
+            "schedule.cycles.0.polarization": "sigma_minus",
+            "schedule.cycles.1.polarization": "sigma_minus",
+            "schedule.cycles.1.pulse_model": "finite_duration",
+        },
+    ),
     "fig2_json": (
         "fig2.json",
         "g2-trace",
@@ -127,6 +137,9 @@ GOLDEN = {
     },
     "two_cycle_trace_multichannel": {
         "g2_trace.csv": "eb5e12ba03e2b07772ca9a96d51c3d5bb9975e2b109901ef4119d44666cccbe0",
+    },
+    "two_cycle_trace_sigma_minus": {
+        "g2_trace.csv": "a9c92fde6f32dc6baed4c2c22c363aea91beefc345d98a746d020f9bb7e2afef",
     },
 }
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ryddephase.atomdata import POLARIZATIONS, POPULATED_M, Level, MicrowaveSpec, RydbergChannel, delta_m_for
+from ryddephase.atomdata import POLARIZATIONS, POPULATED_M, Level, MicrowaveSpec, RydbergChannel
 from ryddephase.ensemble import PairGeometry
 from ryddephase.pairdyn import (
     CycleSpec,
@@ -13,7 +13,6 @@ from ryddephase.pairdyn import (
     cycle_amplitude_numeric,
     dressing_matrix,
     interaction_matrix,
-    pair_basis,
     pair_spectra,
     propagate,
     spectral_amplitudes,
@@ -27,6 +26,21 @@ def channel(j=0.5, c3=1.0, n=100, p_n=None):
 
 
 MW = MicrowaveSpec(rabi=10.0)
+
+
+def pair_labels(ch):
+    """(orbital, m) of both atoms for each pair-basis state, atom 1 major.
+
+    Each atom's basis is [s -1/2, s +1/2, p -j, ..., p +j].
+    """
+    j = ch.p_level.j
+    singles = [("s", -0.5), ("s", 0.5)] + [("p", m) for m in np.arange(-j, j + 0.5)]
+    return [(a, b) for a in singles for b in singles]
+
+
+def n_p(label):
+    """Number of p excitations in a pair-basis label."""
+    return sum(1 for orbital, _ in label if orbital == "p")
 
 
 def frozen_exchange_element(ch, mw=MW, r=2.0):
@@ -81,7 +95,7 @@ def test_analytic_amplitude_equals_half_angle_form(phi):
 def test_pair_hamiltonian_dimensions(j, dim):
     assert dressing_matrix(channel(j), MW).shape == (dim, dim)
     assert interaction_matrix(PairGeometry(3.0, 0.7, 0.3), channel(j)).shape == (dim, dim)
-    assert len(pair_basis(channel(j))) == dim
+    assert len(pair_labels(channel(j))) == dim
 
 
 @pytest.mark.parametrize("j", [0.5, 1.5])
@@ -97,11 +111,7 @@ def test_hermiticity(j):
 def test_interaction_couples_only_exchange_blocks(j):
     ch = channel(j)
     h = interaction_matrix(PairGeometry(2.0, 1.0, 0.5), ch)
-    basis = pair_basis(ch)
-
-    def n_p(label):
-        return sum(1 for lev in label if lev.l == "p")
-
+    basis = pair_labels(ch)
     for i, bi in enumerate(basis):
         for k, bk in enumerate(basis):
             if h[i, k] != 0.0:
@@ -113,8 +123,8 @@ def test_interaction_couples_only_exchange_blocks(j):
 def test_m_block_structure_on_axis(j):
     ch = channel(j)
     h = interaction_matrix(PairGeometry(2.0, 0.0, 0.0), ch)
-    basis = pair_basis(ch)
-    total_m = np.array([a.m + b.m for a, b in basis])
+    basis = pair_labels(ch)
+    total_m = np.array([a[1] + b[1] for a, b in basis])
     for i in range(len(basis)):
         for k in range(len(basis)):
             if abs(total_m[i] - total_m[k]) > 1e-9:
@@ -168,7 +178,7 @@ def _cartesian_exchange_oracle(geom, ch):
     (d_x, d_y, d_z assembled from the spherical blocks), multiplies by C3/R^3,
     and keeps only the blocks that conserve the p-excitation number.
     """
-    from ryddephase.pairdyn import _dipole_blocks, pair_basis
+    from ryddephase.pairdyn import _dipole_blocks
 
     blocks = _dipole_blocks(ch)
     t = {q: blocks[q][0] + blocks[q][1] for q in (-1, 0, 1)}
@@ -184,9 +194,8 @@ def _cartesian_exchange_oracle(geom, ch):
     full = dot - 3.0 * np.kron(dr1, dr1)
     full = ch.c3 / geom.separation**3 * full
     # exchange projection: keep elements conserving the p-excitation count
-    basis = pair_basis(ch)
-    n_p = np.array([sum(1 for lev in label if lev.l == "p") for label in basis])
-    keep = (n_p[:, None] == 1) & (n_p[None, :] == 1)
+    excited = np.array([n_p(label) for label in pair_labels(ch)])
+    keep = (excited[:, None] == 1) & (excited[None, :] == 1)
     return np.where(keep, full, 0.0)
 
 
@@ -212,9 +221,9 @@ def test_interaction_scales_as_inverse_cube():
 # ---------------------------------------------------------------------------
 
 
-def test_propagate_empty_sequence_is_identity():
-    u = propagate([], dim=4)
-    assert np.array_equal(u, np.eye(4, dtype=complex))
+def test_propagate_rejects_empty_sequence():
+    with pytest.raises(ValueError, match="empty"):
+        propagate([])
 
 
 def test_propagate_zero_hamiltonian_is_identity():
@@ -526,7 +535,7 @@ ALLOWED_DRIVES = [
     pytest.param(j, pol, id=str(j) if pol == "pi" else f"{j}-{pol}")
     for j in (0.5, 1.5)
     for pol in POLARIZATIONS
-    if abs(POPULATED_M + delta_m_for(pol)) <= j
+    if abs(POPULATED_M + MicrowaveSpec(1.0, pol).delta_m) <= j
 ]
 
 
