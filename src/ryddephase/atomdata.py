@@ -45,11 +45,11 @@ class Level:
             raise ValueError(f"orbital label must be 's' or 'p', got {self.l!r}")
         if not _is_half_integer(self.j) or self.j <= 0:
             raise ValueError(f"j must be a positive half-integer, got {self.j}")
-        if self.l == ORBITAL_S and abs(self.j - 0.5) > 1e-9:
+        # snap j to the half-integer it passed as, so equal levels compare equal
+        object.__setattr__(self, "j", round(2.0 * self.j) / 2.0)
+        if self.l == ORBITAL_S and self.j != 0.5:
             raise ValueError("s levels carry j = 1/2")
-        if self.l == ORBITAL_P and not (
-            abs(self.j - 0.5) < 1e-9 or abs(self.j - 1.5) < 1e-9
-        ):
+        if self.l == ORBITAL_P and self.j not in (0.5, 1.5):
             raise ValueError("p levels carry j = 1/2 or 3/2")
 
 

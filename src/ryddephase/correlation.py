@@ -15,24 +15,19 @@ in the large-N limit (N-1)/N ~ 1.  A brute-force oracle evaluates the same
 correlator exactly on the explicit truncated state vector for small N.
 
 Each point is reduced from per-pair amplitudes without forming the N x N
-matrix: np.bincount adds every pair into rows mu and nu, and math.fsum
-combines the N row sums.  Inside a realization the pairs are taken in
-anti-diagonal order, sorted by (mu + nu, mu), rather than in condensed
-(mu < nu, row-major) order: separations or orientations are gathered in that
-order once, and every amplitude column comes out in it.  For a fixed mu, nu
-ascending means mu + nu ascending, and for a fixed nu, mu ascending does
-too, so every row bin still receives its pairs in ascending condensed index
-and every S_mu is the same sequence of float additions: the bits are those
-of the condensed order.  Consecutive pairs, though, land in different
-bins, which avoids the store-to-load chain np.bincount runs into when it
-hits one bin again and again, as row-major order does.  The order depends
-on N alone, never on how realizations were spread over worker processes, so
-traces are byte-identical for any worker count.  Each mode supplies one
-function t -> (npairs,) amplitude column per cycle: analytic over R^3
-computed once, multichannel over the cycle's pair spectra.  One rule
-combines them: the cycles' columns multiply.  A realization streams one
-column per time point, in O(N^2) memory, or O(N^2 d) over a pair basis of
-dimension d, whatever the grid length T.
+matrix.  Amplitude columns stay in condensed (mu < nu, row-major) order,
+where the pairs of row mu are contiguous; one fixed gather puts a column in
+column order (nu-major), where the pairs of column nu are.  S_mu adds these
+two segment sums (np.add.reduceat, which sums each segment pairwise), and
+math.fsum combines the N row sums.  The layout is cached per N and depends
+on N alone, never on how realizations were spread over worker processes,
+so traces are byte-identical for any worker count.
+
+Each mode supplies one function t -> (npairs,) condensed amplitude column
+per cycle: analytic over R^3 computed once, multichannel over the cycle's
+pair spectra.  One rule combines them: the cycles' columns multiply.  A
+realization streams one column per time point, in O(N^2) memory, or
+O(N^2 d) over a pair basis of dimension d, whatever the grid length T.
 g2_from_amplitudes and brute_force_g2 take condensed input.
 run_realizations is the one realization loop (seed, sample, evaluate, stack
 in index order, serially or on a process pool); the entanglement trace in
@@ -43,7 +38,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property, partial, reduce
+from functools import cached_property, lru_cache, partial, reduce
 
 import numpy as np
 
@@ -70,44 +65,49 @@ class G2Point:
     h: float
 
 
-def _row_bins(mu: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-sum bins of a complex pair column viewed as interleaved floats.
+@lru_cache
+def _pair_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row starts, column gather and column starts of the condensed pairs of n atoms.
 
-    Float 2k (real) and 2k + 1 (imaginary) of pair k = (mu[k], nu[k]) go to
-    bins 2 mu + {0, 1} in the first array and 2 nu + {0, 1} in the second.
+    Row mu < n - 1 holds the pairs (mu, nu > mu) from its start on; the
+    gather lists the condensed indices nu-major, mu ascending, and column
+    nu > 0 holds the pairs (mu < nu, nu) of the gathered column from its
+    start on.  Row n - 1 and column 0 hold no pair and have no start:
+    reduceat returns the element itself for a repeated index, not 0.
     """
-    bins = np.repeat(2 * np.stack((mu, nu)), 2, axis=1)
-    bins[:, 1::2] += 1
-    return bins[0], bins[1]
+    _, nu = pair_index_arrays(n)
+    rows, cols = np.arange(n - 1), np.arange(1, n)
+    layout = (rows * n - rows * (rows + 1) // 2, np.argsort(nu, kind="stable"), cols * (cols - 1) // 2)
+    for part in layout:  # shared by every caller through the cache
+        part.flags.writeable = False
+    return layout
 
 
-def _pair_layout(n: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Anti-diagonal pair order of a realization and its row-sum bins.
-
-    order lists the condensed pair indices sorted by (mu + nu, mu); bins is
-    _row_bins of the pairs in that order.
-    """
-    mu, nu = pair_index_arrays(n)
-    order = np.argsort(mu + nu, kind="stable")
-    return order, _row_bins(mu[order], nu[order])
-
-
-def _reduce_pairs(column: np.ndarray, bins, n: int) -> tuple[float, float, float]:
-    """(g2, f, h) of one point from a column of pair amplitudes, in fixed order.
-
-    bins is _row_bins of the column's pairs.  Each row sum S_mu accumulates
-    in column order (np.bincount); the n row sums are combined with
-    math.fsum.  A NaN or infinite amplitude makes its row sums non-finite,
-    and |A| <= 1 keeps a sum of finite amplitudes finite, so only the 2n row
-    sums are checked.
-    """
-    floats = np.ascontiguousarray(column, dtype=complex).view(np.float64)
-    rows = np.bincount(bins[0], floats, 2 * n) + np.bincount(bins[1], floats, 2 * n)
+def _row_sums(column, n: int) -> np.ndarray:
+    """Row sums S_mu of a condensed column, checked finite; a row of signed zeros sums to +0.0."""
+    row_starts, by_col, col_starts = _pair_layout(n)
+    column = np.asarray(column, dtype=complex)
+    rows = np.zeros(n, dtype=complex)
+    rows[:-1] += np.add.reduceat(column, row_starts)
+    rows[1:] += np.add.reduceat(column[by_col], col_starts)
     if not np.isfinite(rows).all():
         raise ValueError("missing pair amplitude (non-finite value)")
-    row_re, row_im = rows[0::2], rows[1::2]
-    total_re = math.fsum(row_re.tolist())
-    total_im = math.fsum(row_im.tolist())
+    return rows
+
+
+def _reduce_pairs(column, n: int) -> tuple[float, float, float]:
+    """(g2, f, h) of one point from a condensed column of pair amplitudes, in fixed order.
+
+    Each row sum S_mu adds two segment sums, its row's and its column's
+    (np.add.reduceat over the _pair_layout cached per n, pairwise within a
+    segment), into zeros; math.fsum combines the n row sums.  The order
+    depends on n alone, so the result does not depend on the worker count.
+    A non-finite amplitude makes its row sums non-finite (|A| <= 1 keeps
+    finite sums finite), so only the n row sums are checked.
+    """
+    rows = _row_sums(column, n)
+    row_re, row_im = rows.real, rows.imag
+    total_re, total_im = math.fsum(row_re.tolist()), math.fsum(row_im.tolist())
     f = (total_re * total_re + total_im * total_im) / float(n) ** 4
     h = math.fsum((row_re * row_re + row_im * row_im).tolist()) / float(n) ** 3
     return 4.0 * G2_ZERO * f / (1.0 + h) ** 2, f, h
@@ -126,8 +126,7 @@ def _condensed(amplitudes, n_atoms: int) -> np.ndarray:
 
 def g2_from_amplitudes(condensed, n_atoms: int) -> G2Point:
     """One correlation point from condensed (mu < nu, row-major) pair amplitudes."""
-    bins = _row_bins(*pair_index_arrays(n_atoms))
-    return G2Point(*_reduce_pairs(_condensed(condensed, n_atoms), bins, n_atoms))
+    return G2Point(*_reduce_pairs(_condensed(condensed, n_atoms), n_atoms))
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,19 +172,19 @@ def realization_seed(base_seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _cycle_sources(geometry: EnsembleGeometry, cycles, mode: str, order: np.ndarray):
-    """Per cycle, in schedule order, its amplitude function t -> fresh (npairs,) column.
+def _cycle_sources(geometry: EnsembleGeometry, cycles, mode: str):
+    """Per cycle, in schedule order, its amplitude function t -> fresh condensed column.
 
-    Entry k of every column belongs to pair order[k].  A multichannel cycle's
-    pair spectra are built when its source is drawn, so a caller that drops
-    each source before drawing the next holds one cycle's spectra at a time.
+    A multichannel cycle's pair spectra are built when its source is drawn,
+    so a caller that drops each source before drawing the next holds one
+    cycle's spectra at a time.
     """
     if mode == "analytic":
-        cubes = pair_separations(geometry)[order] ** 3
+        cubes = pair_separations(geometry) ** 3
         for cycle in cycles:
             yield lambda t, c3=cycle.channel.c3: analytic_pair_amplitudes(cubes, c3 * t)
     elif mode == "multichannel":
-        r, theta = (x[order] for x in pair_orientations(geometry))
+        r, theta = pair_orientations(geometry)
         for q, cycle in enumerate(cycles):
             try:
                 yield partial(spectral_amplitudes, pair_spectra(r, theta, cycle))
@@ -195,7 +194,7 @@ def _cycle_sources(geometry: EnsembleGeometry, cycles, mode: str, order: np.ndar
         raise ValueError(f"unknown mode {mode!r}")
 
 
-def _amplitude_columns(geometry: EnsembleGeometry, cycles, grid, mode: str, order: np.ndarray):
+def _amplitude_columns(geometry: EnsembleGeometry, cycles, grid, mode: str):
     """Pair amplitudes of one realization, one (npairs,) column per point.
 
     The cycles' amplitudes multiply.  With a grid, each grid time replaces the
@@ -203,7 +202,7 @@ def _amplitude_columns(geometry: EnsembleGeometry, cycles, grid, mode: str, orde
     cycles 0..q, each at its own free interval; map drops each cycle's
     source once its column is evaluated, before the next one is drawn.
     """
-    sources = _cycle_sources(geometry, cycles, mode, order)
+    sources = _cycle_sources(geometry, cycles, mode)
     if grid is None:
         per_cycle = map(lambda source, cycle: source(cycle.delta_t), sources, cycles)
         return itertools.accumulate(per_cycle, operator.mul)
@@ -222,12 +221,10 @@ def _trace_single_realization(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     """g2, f and h of one realization: sample positions, evaluate, reduce each column."""
     ensemble, cycles, grid, mode, index = args
     seed, geometry = sample_realization(ensemble, index)
-    n = ensemble.n_atoms
-    order, bins = _pair_layout(n)
     try:
         points = [
-            _reduce_pairs(column, bins, n)
-            for column in _amplitude_columns(geometry, cycles, grid, mode, order)
+            _reduce_pairs(column, ensemble.n_atoms)
+            for column in _amplitude_columns(geometry, cycles, grid, mode)
         ]
     except NumericsError as exc:
         raise NumericsError(f"realization {index} (seed {seed}): {exc}") from exc

@@ -38,6 +38,12 @@ def test_level_rejects_bad_quantum_numbers():
         Level(50, "p", 2.5)
 
 
+def test_level_snaps_j_to_its_half_integer():
+    level = Level(100, "p", 1.5000000001)
+    assert level.j == 1.5
+    assert level == Level(100, "p", 1.5)
+
+
 def test_channel_requires_positive_c3_and_manifold_levels():
     with pytest.raises(ValueError):
         RydbergChannel(Level(60, "s", 0.5), Level(60, "p", 0.5), 0.0)

@@ -72,6 +72,14 @@ def test_duplicate_p_level_rejected_with_cycle_indices():
         parse_config(json.dumps(bad))
 
 
+def test_p_level_within_half_integer_tolerance_is_not_fresh():
+    bad = json.loads(json.dumps(MINIMAL))
+    cycle = bad["schedule"]["cycles"][0]
+    bad["schedule"]["cycles"] = [{**cycle, "p_j": 1.5}, {**cycle, "p_j": 1.5000000001}]
+    with pytest.raises(ConfigError, match=r"schedule: cycles 0 and 1 reuse"):
+        parse_config(json.dumps(bad))
+
+
 def test_unresolvable_channel_rejected():
     bad = json.loads(json.dumps(MINIMAL))
     del bad["schedule"]["cycles"][0]["c3"]

@@ -316,15 +316,20 @@ def test_cycles_first_point_matches_single_cycle_trace():
 REDUCTION_RTOL = 1e-13  # row sums add at most N - 1 terms of |A| <= 1 in float64
 
 
+def point_from_rows(row_re, row_im, n):
+    """(g2, f, h) from the real and imaginary row sums, combined by math.fsum."""
+    total_re, total_im = math.fsum(row_re), math.fsum(row_im)
+    f = (total_re * total_re + total_im * total_im) / float(n) ** 4
+    h = math.fsum(re * re + im * im for re, im in zip(row_re, row_im)) / float(n) ** 3
+    return 4.0 * G2_ZERO * f / (1.0 + h) ** 2, f, h
+
+
 def fsum_point(condensed, n):
     """(g2, f, h) with every row summed by math.fsum over the full matrix."""
     nodiag = dense(condensed, n)
     row_re = [math.fsum(nodiag.real[mu].tolist()) for mu in range(n)]
     row_im = [math.fsum(nodiag.imag[mu].tolist()) for mu in range(n)]
-    total_re, total_im = math.fsum(row_re), math.fsum(row_im)
-    f = (total_re * total_re + total_im * total_im) / float(n) ** 4
-    h = math.fsum(re * re + im * im for re, im in zip(row_re, row_im)) / float(n) ** 3
-    return 4.0 * G2_ZERO * f / (1.0 + h) ** 2, f, h
+    return point_from_rows(row_re, row_im, n)
 
 
 def reference_columns(ensemble, cycles, grid, mode, index):
@@ -401,32 +406,47 @@ def test_point_from_amplitude_set_matches_fsum_reference(n):
     np.testing.assert_allclose([point.g2, point.f, point.h], want, rtol=REDUCTION_RTOL, atol=0.0)
 
 
-def row_sums(column, bins, n):
+def row_sums(column, n):
+    """Row sums S_mu added in sequence, in condensed order: np.bincount over interleaved floats."""
+    mu, nu = pair_index_arrays(n)
+    bins = np.repeat(2 * np.stack((mu, nu)), 2, axis=1)
+    bins[:, 1::2] += 1
     floats = np.ascontiguousarray(column).view(np.float64)
-    return np.bincount(bins[0], floats, 2 * n) + np.bincount(bins[1], floats, 2 * n)
+    return (np.bincount(bins[0], floats, 2 * n) + np.bincount(bins[1], floats, 2 * n)).view(complex)
 
 
 @pytest.mark.parametrize("n", [2, 3, 7, 60, 300])
-def test_anti_diagonal_reduction_equals_condensed_order(n):
-    from ryddephase.correlation import _pair_layout, _reduce_pairs, _row_bins
+def test_segment_sum_reduction_matches_sequential_order(n):
+    from ryddephase.correlation import _pair_layout, _reduce_pairs, _row_sums
+
+    mu, nu = pair_index_arrays(n)
+    row_starts, by_col, col_starts = _pair_layout(n)
+    assert np.array_equal(mu[row_starts], np.arange(n - 1))
+    assert np.array_equal(np.sort(by_col), np.arange(len(mu)))
+    assert np.array_equal(nu[by_col][col_starts], np.arange(1, n))
+    # within a segment the pairs share their row (column) and ascend in condensed index
+    assert np.array_equal(np.flatnonzero(np.diff(mu, prepend=-1)), row_starts)
+    assert np.array_equal(np.flatnonzero(np.diff(nu[by_col], prepend=-1)), col_starts)
+    assert np.all(np.diff(by_col)[np.diff(nu[by_col]) == 0] > 0)
 
     amps = random_amplitudes(n, np.random.default_rng(100 + n))
     amps[::5] = complex(-0.0, -0.0)  # signed zeros, whose sign a reordered sum could flip
-    condensed_bins = _row_bins(*pair_index_arrays(n))
-    order, bins = _pair_layout(n)
-    assert np.array_equal(np.sort(order), np.arange(len(amps)))
-    mu, nu = (x[order] for x in pair_index_arrays(n))
-    assert all(np.array_equal(b, (2 * x[:, None] + np.array([0, 1])).ravel()) for b, x in zip(bins, (mu, nu)))
-    want_rows = row_sums(amps, condensed_bins, n)
-    got_rows = row_sums(amps[order], bins, n)
-    assert got_rows.tobytes() == want_rows.tobytes()
-    assert np.array_equal(np.signbit(got_rows), np.signbit(want_rows))
-    assert np.array_equal(_reduce_pairs(amps[order], bins, n), _reduce_pairs(amps, condensed_bins, n))
-    # every row bin takes its pairs in ascending condensed index
-    for row in (bins[0][0::2] // 2, bins[1][0::2] // 2):
-        by_row = np.argsort(row, kind="stable")
-        same_row = np.diff(row[by_row]) == 0
-        assert np.all(np.diff(order[by_row])[same_row] > 0)
+    got, want = _row_sums(amps, n), row_sums(amps, n)
+    # error bound relative to the row's absolute sum: a row may cancel to near 0
+    scale = np.abs(dense(amps, n)).sum(axis=1)
+    assert np.all(np.abs(got.real - want.real) <= REDUCTION_RTOL * scale)
+    assert np.all(np.abs(got.imag - want.imag) <= REDUCTION_RTOL * scale)
+    want_point = point_from_rows(want.real.tolist(), want.imag.tolist(), n)
+    np.testing.assert_allclose(_reduce_pairs(amps, n), want_point, rtol=1e-14, atol=0.0)
+
+    # rows start from +0.0: a row of signed zeros sums to +0.0, as bincount's did
+    zeros = np.full(len(amps), complex(-0.0, -0.0))
+    assert not np.signbit(_row_sums(zeros, n).view(np.float64)).any()
+    assert np.array_equal(np.signbit(got.view(np.float64)), np.signbit(want.view(np.float64)))
+
+    amps[len(amps) // 2] = complex(math.nan, 0.0)
+    with pytest.raises(ValueError, match="missing pair amplitude"):
+        _reduce_pairs(amps, n)
 
 
 def exact_trace(ensemble, cycles, grid, mode, realizations):

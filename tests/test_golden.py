@@ -8,13 +8,21 @@ behaviour keeps these bytes; a change that moves them must record the new
 hashes and explain every changed byte.  Manifests are not hashed: they carry
 the wall-clock duration.
 
+    PYTHONPATH=src python tests/test_golden.py
+
+prints the GOLDEN table of the current code in this file's layout, so a
+re-record is one command whose output replaces the table.
+
 The hashes hold for one numpy build on one CPU family (numpy's vectorized
 tan and the BLAS behind eigh may round differently elsewhere); they were
 recorded with Python 3.11, numpy 2.4.6 and scipy 1.17.1 on x86-64.
 """
 
+import contextlib
 import hashlib
 import json
+import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -92,13 +100,13 @@ CASES = {
 
 GOLDEN = {
     "cycles": {
-        "cycles.csv": "9c454c1815b8e4c80b8d4199c063f648b072d187438223d93c439595747145d2",
+        "cycles.csv": "9415c5316860a9bb9ea58c58cbd468123a9ec203bedbd001a6e31f39bc8f65ef",
     },
     "cycles_json": {
-        "cycles.json": "2dfc734d84f89fe3c7e6c86ae309ad54843c26cde19ec5b949cf71eb19d58cef",
+        "cycles.json": "dbcf5c7a9584a44e6b4a5084ec297fb6e44cb3498654dcdf283992a86b2c1e7e",
     },
     "cycles_multichannel": {
-        "cycles.csv": "841df7e31ce0c418f698b397ab788fd4213d326c026d8a8f4b360a17de27daa8",
+        "cycles.csv": "2e22c25fbfabb7724fc814714ab46378b666b39392131ca3d8bd462dfad1a5fd",
     },
     "entangle": {
         "entangle.csv": "f9331f313938666fd34745a280b0d6f1bc698ffe4092344ab92ee4f452fc6f12",
@@ -107,39 +115,39 @@ GOLDEN = {
         "entangle.json": "03153d7a6e89da62a8f9b07e9619286c572940bbe80d80179d0205f3c3106712",
     },
     "fig2": {
-        "g2_trace_n100.csv": "7300b4926f1e8e5fd323d9814fe235c1ef739be5598daa12f58a4d70b3bf414c",
-        "g2_trace_n60.csv": "987e03556aed064171a19ee9520a1d93b2b0c9b98b85b131024161cdb79737ea",
-        "g2_trace_n79.csv": "cf1c8fa41483315bbd2df2d58b2e307b9a2bdc83a20415353388f9108f7132d5",
+        "g2_trace_n100.csv": "927dd75d41697c86464487faa85624ff7888f5572bb3a743f11e75498418ae9f",
+        "g2_trace_n60.csv": "532fce98af100a92cbf37345ee216bafe457602b03df4c3a6e189b0678360739",
+        "g2_trace_n79.csv": "8b17f808f69f867f92d5732fbd7931c585978183193a4536e1343b4b88d11d1f",
     },
     "fig2_json": {
-        "g2_trace_n100.json": "52f7159b0e5c6e5d52e8c5f041ce7ca16f5123994080398e23a33ceebfcd8c08",
-        "g2_trace_n60.json": "bac823bda122dacd468f691ee8a0e728c4a32555e56ca94bbb0e75016c4787de",
-        "g2_trace_n79.json": "c472472977a4979e8bb93f9c152c1380c41db72914c9fe5e9d6f757f7ed8f2a4",
+        "g2_trace_n100.json": "7ee5a0f31f214387fe8ab7ddff5c79443f291e7e14dfea0f861bfeaba7c1c8dc",
+        "g2_trace_n60.json": "4558f12e0d3ff9309e6659ebf93ea8ae5325088f6db99cda0105b2bdf316064f",
+        "g2_trace_n79.json": "93dce9d09dbb6c3635f2757c6769e0e3cf17b00c311299c9577ceea23c073e7f",
     },
     "fourphoton": {
         "phasematch.json": "3940f50dc62de4e425bbb3384275dc00d1d67c6f56cb1c93fb29251b9ec6c044",
     },
     "multichannel": {
-        "g2_trace.csv": "6ae7ebbdd7f3d921d51c9c2d3d31b9daf39219ff42ccfb286582598136e59597",
+        "g2_trace.csv": "da09b9b397eb03385cd0a49b16414a0f6c51d8733023573129a6c4306d03d9ed",
     },
     "oracle": {
-        "oracle.json": "49e9d64802676ef903592818d8718cb1a8492308aa5326798575254222804381",
+        "oracle.json": "6528daed7a57cd5b4311a32adad9af250c2c3f5d9f241e16b91545f3553bde53",
     },
     "sweep_example": {
-        "n_atoms=10/g2_trace.csv": "2a21f8ed435a34a799cc763dfab02e2ea4794529f549de6e2acbdb5f195ef63d",
-        "n_atoms=15/g2_trace.csv": "a6859886aff9dd3e2a72710daceabbb2e967d83df2690c80ddbecdf7dc850b43",
+        "n_atoms=10/g2_trace.csv": "7df277a4027a35c3d5828c1476cd192f2af54ef287883a49111e0e2f3414f6de",
+        "n_atoms=15/g2_trace.csv": "bbbe27806cf09961c9d1ea57c5e1cac417762773e422f876cbe5fb92aa72208f",
+    },
+    "two_cycle_trace_analytic": {
+        "g2_trace.csv": "a3247c95c61146ddc2c1a2db7b6e53a676838edb4a1b8ce9c537d869d6aef8f3",
+    },
+    "two_cycle_trace_multichannel": {
+        "g2_trace.csv": "eb61c1e577c8d2537176951f395cafdf64f1cd0a53a620708f7567fe03d9c73d",
+    },
+    "two_cycle_trace_sigma_minus": {
+        "g2_trace.csv": "03d620047ecc0ecacc8214a86a1d5311728741a1fa29a187ef898699b8d2d575",
     },
     "twophoton": {
         "phasematch.json": "022b56299aa2c1cdd25e1fe587b751c053b8b3e4780049ee3d0a3cab95065121",
-    },
-    "two_cycle_trace_analytic": {
-        "g2_trace.csv": "5a2d26ac43070429ce55d21bdd382aea1925d676a9c0daafa320a445a8075f47",
-    },
-    "two_cycle_trace_multichannel": {
-        "g2_trace.csv": "eb5e12ba03e2b07772ca9a96d51c3d5bb9975e2b109901ef4119d44666cccbe0",
-    },
-    "two_cycle_trace_sigma_minus": {
-        "g2_trace.csv": "a9c92fde6f32dc6baed4c2c22c363aea91beefc345d98a746d020f9bb7e2afef",
     },
 }
 
@@ -164,3 +172,22 @@ def run_case(name: str, tmp_path: Path) -> dict:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_shipped_config_outputs_match_golden_hashes(name, tmp_path):
     assert run_case(name, tmp_path) == GOLDEN[name]
+
+
+def golden_entry(name: str, hashes: dict) -> str:
+    """The GOLDEN entry of one case, in this file's layout."""
+    lines = [f'        "{path}": "{digest}",' for path, digest in hashes.items()]
+    return "\n".join([f'    "{name}": {{', *lines, "    },"])
+
+
+def test_recorded_entry_is_the_pinned_one(tmp_path):
+    assert golden_entry("twophoton", run_case("twophoton", tmp_path)) in Path(__file__).read_text()
+
+
+if __name__ == "__main__":
+    entries = []
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(sys.stderr):
+        for name in sorted(CASES):
+            (Path(tmp) / name).mkdir()
+            entries.append(golden_entry(name, run_case(name, Path(tmp) / name)))
+    print("GOLDEN = {", *entries, "}", sep="\n")
