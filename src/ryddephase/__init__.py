@@ -19,7 +19,6 @@ __version__ = "0.1.0"
 
 from .atomdata import (
     InteractionModel,
-    Level,
     MicrowaveSpec,
     RydbergChannel,
     c3_of,
@@ -35,7 +34,6 @@ from .correlation import (
     g2_trace,
 )
 from .ensemble import (
-    EnsembleGeometry,
     EnsembleSpec,
     PairGeometry,
     pair_geometry,

@@ -1,4 +1,7 @@
-"""Atomic levels, interaction-strength models, microwave settings, Clebsch-Gordan coefficients.
+"""Rydberg channels, interaction-strength models, microwave settings, Clebsch-Gordan coefficients.
+
+A channel holds only what varies, s_n, p_n, p_j and C3; p_level_j is the one
+rule for p_j, shared by the channel and the config's C3 table.
 
 Unit system used throughout the package: lengths in um, times in us, angular
 frequencies in rad/us, hbar = 1.  Interaction strengths C3 then carry
@@ -7,9 +10,6 @@ rad/us * um^3 and every accumulated phase C3 * t / R^3 is dimensionless.
 
 import math
 from dataclasses import dataclass
-
-ORBITAL_S = "s"
-ORBITAL_P = "p"
 
 POLARIZATIONS = ("pi", "sigma_plus", "sigma_minus")
 PULSE_MODELS = ("instantaneous", "finite_duration")
@@ -26,57 +26,42 @@ def _is_half_integer(x: float) -> bool:
     return abs(2.0 * x - round(2.0 * x)) < 1e-9
 
 
-@dataclass(frozen=True)
-class Level:
-    """A fine-structure Rydberg level: the whole (n, l, j) manifold.
-
-    Its Zeeman sublevels are not objects of their own; pairdyn lays them out
-    by index in the single-atom basis of a channel.
-    """
-
-    n: int
-    l: str
-    j: float
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"principal quantum number must be >= 1, got {self.n}")
-        if self.l not in (ORBITAL_S, ORBITAL_P):
-            raise ValueError(f"orbital label must be 's' or 'p', got {self.l!r}")
-        if not _is_half_integer(self.j) or self.j <= 0:
-            raise ValueError(f"j must be a positive half-integer, got {self.j}")
-        # snap j to the half-integer it passed as, so equal levels compare equal
-        object.__setattr__(self, "j", round(2.0 * self.j) / 2.0)
-        if self.l == ORBITAL_S and self.j != 0.5:
-            raise ValueError("s levels carry j = 1/2")
-        if self.l == ORBITAL_P and self.j not in (0.5, 1.5):
-            raise ValueError("p levels carry j = 1/2 or 3/2")
+def p_level_j(j: float) -> float:
+    """j of a dressing p level, snapped to the half-integer it passed as, so equal levels compare equal."""
+    if not _is_half_integer(j) or j <= 0:
+        raise ValueError(f"j must be a positive half-integer, got {j}")
+    j = round(2.0 * j) / 2.0
+    if j not in (0.5, 1.5):
+        raise ValueError("p levels carry j = 1/2 or 3/2")
+    return j
 
 
 @dataclass(frozen=True)
 class RydbergChannel:
-    """A target s-level plus the single dressing p-level, with its C3 strength.
+    """A target s_n s_1/2 level dressed through the p_n p_j level, with its C3 strength.
 
     The channel fixes the two-atom Hilbert space: each atom spans the two s
-    sublevels and the 2j+1 sublevels of the p-level.
+    sublevels and the 2j+1 sublevels of the p level.  The s level's l and j
+    and the p level's l have one value each, so they are not fields.
     """
 
-    s_level: Level
-    p_level: Level
+    s_n: int
+    p_n: int
+    p_j: float
     c3: float  # rad/us * um^3
 
     def __post_init__(self):
-        if self.s_level.l != ORBITAL_S:
-            raise ValueError("channel s_level must be an s level")
-        if self.p_level.l != ORBITAL_P:
-            raise ValueError("channel p_level must be a p level")
+        for n in (self.s_n, self.p_n):
+            if n < 1:
+                raise ValueError(f"principal quantum number must be >= 1, got {n}")
+        object.__setattr__(self, "p_j", p_level_j(self.p_j))
         if not self.c3 > 0:
             raise ValueError(f"c3 must be positive, got {self.c3}")
 
     @property
     def p_key(self) -> tuple[int, float]:
         """(n', j) identity of the dressing level, used for schedule validation."""
-        return (self.p_level.n, self.p_level.j)
+        return (self.p_n, self.p_j)
 
 
 @dataclass(frozen=True)
@@ -127,7 +112,7 @@ def c3_of(n: int, model: InteractionModel) -> float:
 
 def single_atom_dimension(channel: RydbergChannel) -> int:
     """Sublevel count per atom: two s states plus the 2j+1 p states."""
-    return 2 + int(round(2 * channel.p_level.j + 1))
+    return 2 + int(round(2 * channel.p_j + 1))
 
 
 def pair_dimension(channel: RydbergChannel) -> int:

@@ -21,7 +21,7 @@ import os
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 
@@ -30,12 +30,12 @@ import numpy as np
 from . import __version__
 from .atomdata import (
     InteractionModel,
-    Level,
     MicrowaveSpec,
     POLARIZATIONS,
     PULSE_MODELS,
     RydbergChannel,
     c3_of,
+    p_level_j,
 )
 from .correlation import (
     G2Trace,
@@ -140,7 +140,7 @@ def _parse_ensemble(cfg, path) -> EnsembleSpec:
 
 
 def _parse_interaction(cfg, path):
-    """Returns (model | None, table dict keyed by (s_n, p_n, p_j))."""
+    """Returns (model | None, table dict keyed by (s_n, p_n, p_j)), p_j snapped; a repeated key is an error."""
     _check_mapping(cfg, path, [], ["model", "table"])
     model = None
     if "model" in cfg:
@@ -158,21 +158,22 @@ def _parse_interaction(cfg, path):
         for i, row in enumerate(_as_list(cfg["table"], f"{path}.table")):
             rpath = f"{path}.table[{i}]"
             _check_mapping(row, rpath, ["s_n", "p_n", "p_j", "c3"], [])
-            key = (
-                _as_int(row["s_n"], f"{rpath}.s_n", minimum=1),
-                _as_int(row["p_n"], f"{rpath}.p_n", minimum=1),
-                _as_float(row["p_j"], f"{rpath}.p_j"),
-            )
-            table[key] = _as_float(row["c3"], f"{rpath}.c3", strict_min=0.0)
+            s_n = _as_int(row["s_n"], f"{rpath}.s_n", minimum=1)
+            p_n = _as_int(row["p_n"], f"{rpath}.p_n", minimum=1)
+            p_j = _as_float(row["p_j"], f"{rpath}.p_j")
+            try:
+                p_j = p_level_j(p_j)
+            except ValueError as exc:
+                _fail(f"{rpath}.p_j", str(exc))
+            if (s_n, p_n, p_j) in table:
+                _fail(rpath, f"repeats the channel {s_n}s - {p_n}p_{p_j} of an earlier row")
+            table[s_n, p_n, p_j] = _as_float(row["c3"], f"{rpath}.c3", strict_min=0.0)
     return model, table
 
 
-def _resolve_c3(s_n, p_n, p_j, explicit, model, table, path):
-    if explicit is not None:
-        return explicit
-    key = (s_n, p_n, p_j)
-    if key in table:
-        return table[key]
+def _resolve_c3(s_n, p_n, p_j, model, table, path):
+    if (s_n, p_n, p_j) in table:
+        return table[s_n, p_n, p_j]
     if model is not None:
         return c3_of(s_n, model)
     _fail(
@@ -182,7 +183,7 @@ def _resolve_c3(s_n, p_n, p_j, explicit, model, table, path):
     )
 
 
-def _parse_cycle(cfg, path, model, table, n_override=None) -> CycleSpec:
+def _parse_cycle(cfg, path, model, table) -> CycleSpec:
     _check_mapping(
         cfg,
         path,
@@ -192,16 +193,13 @@ def _parse_cycle(cfg, path, model, table, n_override=None) -> CycleSpec:
     s_n = _as_int(cfg["s_n"], f"{path}.s_n", minimum=1)
     p_n = _as_int(cfg["p_n"], f"{path}.p_n", minimum=1)
     p_j = _as_float(cfg["p_j"], f"{path}.p_j")
-    if n_override is not None:
-        s_n = p_n = n_override
-    explicit = None
-    if "c3" in cfg:
-        explicit = _as_float(cfg["c3"], f"{path}.c3", strict_min=0.0)
-        if n_override is not None:
-            explicit = None  # scan overrides re-resolve from the model/table
-    c3 = _resolve_c3(s_n, p_n, p_j, explicit, model, table, path)
     try:
-        channel = RydbergChannel(Level(s_n, "s", 0.5), Level(p_n, "p", p_j), c3)
+        p_j = p_level_j(p_j)
+        if "c3" in cfg:
+            c3 = _as_float(cfg["c3"], f"{path}.c3", strict_min=0.0)
+        else:
+            c3 = _resolve_c3(s_n, p_n, p_j, model, table, path)
+        channel = RydbergChannel(s_n, p_n, p_j, c3)
         microwave = MicrowaveSpec(
             rabi=_as_float(cfg.get("rabi_rad_per_us", 10.0), f"{path}.rabi_rad_per_us", strict_min=0.0),
             polarization=_as_choice(
@@ -220,16 +218,21 @@ def _parse_cycle(cfg, path, model, table, n_override=None) -> CycleSpec:
         _fail(path, str(exc))
 
 
-def _parse_schedule(cfg, path, model, table, n_override=None) -> CycleSchedule:
-    _check_mapping(cfg, path, ["cycles"], [])
-    cycles = [
-        _parse_cycle(c, f"{path}.cycles[{i}]", model, table, n_override)
-        for i, c in enumerate(_as_list(cfg["cycles"], f"{path}.cycles"))
-    ]
+def _schedule(cycles: list) -> CycleSchedule:
+    """make_schedule of the config's cycles, its errors reported under schedule."""
     try:
         return make_schedule(cycles)
     except ValueError as exc:
-        _fail(path, str(exc))
+        _fail("schedule", str(exc))
+
+
+def _scan_schedule(schedule: CycleSchedule, n: int, model, table) -> CycleSchedule:
+    """schedule with s_n = p_n = n in every cycle, C3 resolved again from the table or model."""
+    cycles = []
+    for q, cycle in enumerate(schedule.cycles):
+        c3 = _resolve_c3(n, n, cycle.channel.p_j, model, table, f"schedule.cycles[{q}]")
+        cycles.append(replace(cycle, channel=RydbergChannel(n, n, cycle.channel.p_j, c3)))
+    return _schedule(cycles)
 
 
 def _parse_grid(cfg, path) -> np.ndarray:
@@ -299,7 +302,9 @@ def _parse_trace_config(raw, output_format, subcommand) -> RunConfig:
     _check_mapping(raw, "config", required, optional)
     model, table = _parse_interaction(raw.get("interaction", {}), "interaction")
     ensemble = _parse_ensemble(raw["ensemble"], "ensemble")
-    schedule = _parse_schedule(raw["schedule"], "schedule", model, table)
+    _check_mapping(raw["schedule"], "schedule", ["cycles"], [])
+    cycles = _as_list(raw["schedule"]["cycles"], "schedule.cycles")
+    schedule = _schedule([_parse_cycle(c, f"schedule.cycles[{i}]", model, table) for i, c in enumerate(cycles)])
     scan_schedules = {}
     if "scan_n" in raw:
         values = _as_list(raw["scan_n"], "scan_n")
@@ -307,7 +312,7 @@ def _parse_trace_config(raw, output_format, subcommand) -> RunConfig:
         for i, n in enumerate(scan_n):
             if n in scan_schedules:
                 _fail(f"scan_n[{i}]", f"duplicate value {n}")
-            scan_schedules[n] = _parse_schedule(raw["schedule"], "schedule", model, table, n_override=n)
+            scan_schedules[n] = _scan_schedule(schedule, n, model, table)
     mode = _as_choice(raw.get("mode", "analytic"), "mode", ("analytic", "multichannel"))
     realizations = _as_int(raw.get("realizations", 100), "realizations", minimum=1)
     grid = _parse_grid(raw["grid"], "grid") if subcommand == "g2-trace" else None
@@ -524,7 +529,7 @@ def run_cycles(cfg: RunConfig, session: OutputSession, pool) -> None:
     tau = cfg.reference_tau
     n = cfg.ensemble.n_atoms
     flat = g2_from_amplitudes(np.ones(n * (n - 1) // 2), n)
-    reference = [float(decay_reference(tau, float(t))) for t in trace.grid]
+    reference = [decay_reference(tau, float(t)) for t in trace.grid]
     header = ["cycle", "t_us", "g2_mean", "g2_stderr", "f_mean", "h_mean", "reference"]
     rows = [["0", _fmt(0.0), _fmt(flat.g2), _fmt(0.0), _fmt(flat.f), _fmt(flat.h), _fmt(1.0)]]
     for q, (row, ref) in enumerate(zip(_trace_rows(trace), reference), start=1):
@@ -566,18 +571,13 @@ def _parse_entangle_config(raw, output_format) -> EntangleConfig:
 
 
 def run_entangle(cfg: EntangleConfig, session: OutputSession, pool) -> None:
-    grid, f, m1, m2 = entangle_trace(
-        cfg.ensemble,
-        cfg.c3_prime,
-        cfg.c3_second,
-        cfg.grid,
-        realizations=cfg.realizations,
-        pool=pool,
+    f, m1, m2, seeds = entangle_trace(
+        cfg.ensemble, cfg.c3_prime, cfg.c3_second, cfg.grid, realizations=cfg.realizations, pool=pool
     )
-    session.seeds = [realization_seed(cfg.ensemble.seed, r) for r in range(cfg.realizations)]
+    session.seeds = list(seeds)
     header = ["t_us", "F", "abs_m1", "abs_m2"]
-    columns = (grid, f, m1, m2)
-    rows = ([_fmt(t), _fmt(f[i]), _fmt(m1[i]), _fmt(m2[i])] for i, t in enumerate(grid))
+    columns = (cfg.grid, f, m1, m2)
+    rows = ([_fmt(t), _fmt(f[i]), _fmt(m1[i]), _fmt(m2[i])] for i, t in enumerate(cfg.grid))
     _write_data(
         session, "entangle", cfg.output_format, header, rows, lambda: {k: v.tolist() for k, v in zip(header, columns)}
     )
@@ -661,7 +661,7 @@ def run_oracle(parsed: dict, session: OutputSession, pool) -> None:
     worst = 0.0
     for draw in range(parsed["draws"]):
         seed = realization_seed(parsed["seed"], draw)
-        geometry = sample_positions(EnsembleSpec(n, parsed["box_side"], seed))
+        positions = sample_positions(EnsembleSpec(n, parsed["box_side"], seed))
         if parsed["amplitude"] == "ones":
             amps = np.ones(len(mu))
         else:
@@ -670,7 +670,7 @@ def run_oracle(parsed: dict, session: OutputSession, pool) -> None:
             phase = rng.uniform(0.0, 2.0 * math.pi, size=(n, n))
             amps = (mag * np.exp(1j * phase))[mu, nu]
         approx = g2_from_amplitudes(amps, n).g2
-        exact = brute_force_g2(geometry, amps)
+        exact = brute_force_g2(positions, amps)
         rel = abs(approx - exact) / exact if exact else abs(approx)
         worst = max(worst, rel)
         cases.append({"draw": draw, "approx_g2": approx, "exact_g2": exact, "rel_deviation": rel})

@@ -37,13 +37,12 @@ protocol runs through it as well.
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache, partial, reduce
 
 import numpy as np
 
 from .ensemble import (
-    EnsembleGeometry,
     EnsembleSpec,
     pair_index_arrays,
     pair_orientations,
@@ -172,7 +171,7 @@ def realization_seed(base_seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _cycle_sources(geometry: EnsembleGeometry, cycles, mode: str):
+def _cycle_sources(positions: np.ndarray, cycles, mode: str):
     """Per cycle, in schedule order, its amplitude function t -> fresh condensed column.
 
     A multichannel cycle's pair spectra are built when its source is drawn,
@@ -180,11 +179,11 @@ def _cycle_sources(geometry: EnsembleGeometry, cycles, mode: str):
     cycle's spectra at a time.
     """
     if mode == "analytic":
-        cubes = pair_separations(geometry) ** 3
+        cubes = pair_separations(positions) ** 3
         for cycle in cycles:
             yield lambda t, c3=cycle.channel.c3: analytic_pair_amplitudes(cubes, c3 * t)
     elif mode == "multichannel":
-        r, theta = pair_orientations(geometry)
+        r, theta = pair_orientations(positions)
         for q, cycle in enumerate(cycles):
             try:
                 yield partial(spectral_amplitudes, pair_spectra(r, theta, cycle))
@@ -194,7 +193,7 @@ def _cycle_sources(geometry: EnsembleGeometry, cycles, mode: str):
         raise ValueError(f"unknown mode {mode!r}")
 
 
-def _amplitude_columns(geometry: EnsembleGeometry, cycles, grid, mode: str):
+def _amplitude_columns(positions: np.ndarray, cycles, grid, mode: str):
     """Pair amplitudes of one realization, one (npairs,) column per point.
 
     The cycles' amplitudes multiply.  With a grid, each grid time replaces the
@@ -202,7 +201,7 @@ def _amplitude_columns(geometry: EnsembleGeometry, cycles, grid, mode: str):
     cycles 0..q, each at its own free interval; map drops each cycle's
     source once its column is evaluated, before the next one is drawn.
     """
-    sources = _cycle_sources(geometry, cycles, mode)
+    sources = _cycle_sources(positions, cycles, mode)
     if grid is None:
         per_cycle = map(lambda source, cycle: source(cycle.delta_t), sources, cycles)
         return itertools.accumulate(per_cycle, operator.mul)
@@ -210,21 +209,20 @@ def _amplitude_columns(geometry: EnsembleGeometry, cycles, grid, mode: str):
     return (reduce(operator.imul, (source(t) for source in sources)) for t in grid)
 
 
-def sample_realization(ensemble: EnsembleSpec, index: int) -> tuple[int, EnsembleGeometry]:
+def sample_realization(ensemble: EnsembleSpec, index: int) -> tuple[int, np.ndarray]:
     """Seed and sampled positions of realization index of the ensemble."""
     seed = realization_seed(ensemble.seed, index)
-    spec_r = EnsembleSpec(ensemble.n_atoms, ensemble.box_side, seed, ensemble.min_separation)
-    return seed, sample_positions(spec_r)
+    return seed, sample_positions(replace(ensemble, seed=seed))
 
 
 def _trace_single_realization(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """g2, f and h of one realization: sample positions, evaluate, reduce each column."""
     ensemble, cycles, grid, mode, index = args
-    seed, geometry = sample_realization(ensemble, index)
+    seed, positions = sample_realization(ensemble, index)
     try:
         points = [
             _reduce_pairs(column, ensemble.n_atoms)
-            for column in _amplitude_columns(geometry, cycles, grid, mode)
+            for column in _amplitude_columns(positions, cycles, grid, mode)
         ]
     except NumericsError as exc:
         raise NumericsError(f"realization {index} (seed {seed}): {exc}") from exc
@@ -296,7 +294,7 @@ def g2_after_cycles(
 DEFAULT_RETRIEVAL_K = np.array([0.0, 0.0, 7.902])  # rad/um, a typical optical k
 
 
-def brute_force_g2(geometry: EnsembleGeometry, condensed, k0=None) -> float:
+def brute_force_g2(positions: np.ndarray, condensed, k0=None) -> float:
     """Exact correlator on the explicit truncated state, for N <= 10.
 
     Builds the state vector over {vacuum, single excitations, excited pairs}
@@ -305,14 +303,14 @@ def brute_force_g2(geometry: EnsembleGeometry, condensed, k0=None) -> float:
     No large-N approximation is made, so this is the oracle against which the
     pair-sum formula is checked.
     """
-    n = geometry.n_atoms
+    n = len(positions)
     if n > 10:
         raise ValueError(f"brute-force correlator limited to N <= 10, got {n}")
     pair_amp = _condensed(condensed, n)
     k0 = DEFAULT_RETRIEVAL_K if k0 is None else np.asarray(k0, dtype=float)
     c0, c1, c2 = TRUNCATED_AMPLITUDES
 
-    phase = np.exp(1j * geometry.positions @ k0)  # e^{i k0 . r_mu}
+    phase = np.exp(1j * positions @ k0)  # e^{i k0 . r_mu}
     mu, nu = pair_index_arrays(n)
     npairs = len(mu)
 

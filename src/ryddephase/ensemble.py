@@ -1,10 +1,11 @@
 """Frozen-gas atom configurations and pair geometry extraction.
 
-Positions are sampled i.i.d. uniform in a cube and are immutable afterwards;
-all time dependence in the simulation lives in the internal dynamics, never
-in the geometry.  The random stream is PCG64 (numpy's default bit generator),
-seeded directly with the 64-bit ensemble seed, so configurations are
-bit-reproducible across runs and platforms.
+Positions are sampled i.i.d. uniform in a cube into a read-only (N, 3)
+array, the input of every pair function; all time dependence in the
+simulation lives in the internal dynamics, never in the geometry.  The
+random stream is PCG64 (numpy's default bit generator), seeded directly with
+the 64-bit ensemble seed, so configurations are bit-reproducible across runs
+and platforms.
 """
 
 import math
@@ -35,19 +36,6 @@ class EnsembleSpec:
             raise ValueError(f"min_separation must be positive, got {self.min_separation}")
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must fit an unsigned 64-bit integer")
-
-
-@dataclass(frozen=True, eq=False)
-class EnsembleGeometry:
-    """N sampled positions (um) in [0, L]^3 with pairwise distances >= min_separation."""
-
-    positions: np.ndarray  # (N, 3)
-    box_side: float
-    min_separation: float
-
-    @property
-    def n_atoms(self) -> int:
-        return self.positions.shape[0]
 
 
 @dataclass(frozen=True)
@@ -98,8 +86,8 @@ def _accepted_in_order(candidates: np.ndarray, placed: np.ndarray, eps2: float, 
     return survivors[keep][:need]
 
 
-def sample_positions(spec: EnsembleSpec) -> EnsembleGeometry:
-    """Sample N atoms uniform in the cube, rejecting closer than min_separation.
+def sample_positions(spec: EnsembleSpec) -> np.ndarray:
+    """Read-only (N, 3) positions (um), uniform in the cube, none closer than min_separation.
 
     The result is that of sequential rejection (one draw of 3 coordinates per
     candidate, accepted if it keeps min_separation from every atom placed so
@@ -131,7 +119,8 @@ def sample_positions(spec: EnsembleSpec) -> EnsembleGeometry:
         points[placed : placed + len(accepted)] = candidates[accepted]
         placed += len(accepted)
         block = SAMPLE_BLOCK
-    return EnsembleGeometry(points, spec.box_side, eps)
+    points.flags.writeable = False
+    return points
 
 
 def _polar_rows(d: np.ndarray):
@@ -149,25 +138,24 @@ def pair_geometry(a, b) -> PairGeometry:
     return PairGeometry(float(r[0]), float(theta[0]), float(np.mod(np.arctan2(d[1], d[0]), 2.0 * math.pi)))
 
 
-def pair_separations(geometry: EnsembleGeometry) -> np.ndarray:
+def pair_separations(positions: np.ndarray) -> np.ndarray:
     """Condensed pairwise distances in canonical (mu < nu, row-major) order.
 
     The squares add in axis order x, y, z, as scipy's pdist does, so the
     distances are the same bits without importing scipy.
     """
-    mu, nu = pair_index_arrays(geometry.n_atoms)
-    x = np.ascontiguousarray(geometry.positions.T)
+    mu, nu = pair_index_arrays(len(positions))
+    x = np.ascontiguousarray(positions.T)
     d0, d1, d2 = np.take(x, mu, axis=1) - np.take(x, nu, axis=1)
     return np.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
 
 
 def pair_index_arrays(n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
     """(mu, nu) index arrays matching the condensed distance ordering."""
-    mu, nu = np.triu_indices(n_atoms, k=1)
-    return mu, nu
+    return np.triu_indices(n_atoms, k=1)
 
 
-def pair_orientations(geometry: EnsembleGeometry):
+def pair_orientations(positions: np.ndarray):
     """(R, theta) arrays of every mu < nu pair, in condensed order; no azimuth (pairdyn)."""
-    mu, nu = pair_index_arrays(geometry.n_atoms)
-    return _polar_rows(geometry.positions[mu] - geometry.positions[nu])
+    mu, nu = pair_index_arrays(len(positions))
+    return _polar_rows(positions[mu] - positions[nu])

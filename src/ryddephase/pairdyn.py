@@ -148,7 +148,7 @@ def _transition_indices(channel: RydbergChannel, spec: MicrowaveSpec) -> tuple[i
     index m + 1/2 and p m at 2 + m + j.  Raises ValueError when the drive's
     target sublevel m0 + dm lies outside the p level.
     """
-    j, mp = channel.p_level.j, POPULATED_M + spec.delta_m
+    j, mp = channel.p_j, POPULATED_M + spec.delta_m
     if abs(mp) > j + 1e-9:
         raise ValueError(
             f"populated transition m={POPULATED_M} -> m={mp} is forbidden "
@@ -166,7 +166,7 @@ def _dipole_blocks(channel: RydbergChannel) -> dict:
     Hermiticity of the vector operator, (T_q)^dag = (-1)^q T_{-q}, as
     down[q] = (-1)^q up[-q]^T.
     """
-    j = channel.p_level.j
+    j = channel.p_j
     dim = single_atom_dimension(channel)
     ups = {q: np.zeros((dim, dim)) for q in (-1, 0, 1)}
     for q, up in ups.items():

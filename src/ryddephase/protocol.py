@@ -44,7 +44,11 @@ class CycleSchedule:
     """Validated ordered cycles sharing one s-level, pairwise-distinct p-levels."""
 
     cycles: tuple[CycleSpec, ...]
-    total_time: float  # us, sum of delta_t + 2pi/Omega over cycles
+
+    @property
+    def total_time(self) -> float:
+        """us, sum of delta_t + 2pi/Omega over cycles."""
+        return math.fsum(c.duration for c in self.cycles)
 
     def __len__(self) -> int:
         return len(self.cycles)
@@ -59,13 +63,12 @@ def make_schedule(specs) -> CycleSchedule:
     specs = tuple(specs)
     if not specs:
         raise ValueError("schedule needs at least one cycle")
-    s0 = specs[0].channel.s_level
+    s0 = specs[0].channel.s_n
     seen: dict[tuple[int, float], int] = {}
     for i, spec in enumerate(specs):
-        s = spec.channel.s_level
-        if (s.n, s.j) != (s0.n, s0.j):
+        if spec.channel.s_n != s0:
             raise ValueError(
-                f"cycle {i} uses s-level {s.n}s, schedule started with {s0.n}s; "
+                f"cycle {i} uses s-level {spec.channel.s_n}s, schedule started with {s0}s; "
                 "all cycles must share the target level"
             )
         key = spec.channel.p_key
@@ -76,15 +79,14 @@ def make_schedule(specs) -> CycleSchedule:
                 "unpopulated p-level"
             )
         seen[key] = i
-    total = math.fsum(c.duration for c in specs)
-    return CycleSchedule(specs, total)
+    return CycleSchedule(specs)
 
 
-def decay_reference(tau: float, t) -> float:
+def decay_reference(tau: float, t: float) -> float:
     """Exponential reference e^{-t/tau} plotted against the cycle trace."""
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    return np.exp(-np.asarray(t, dtype=float) / tau) if np.ndim(t) else math.exp(-t / tau)
+    return math.exp(-t / tau)
 
 
 def single_excitation_survival(schedule: CycleSchedule) -> complex:
@@ -141,8 +143,8 @@ def _fidelity(m1: complex, m2: complex) -> float:
 def _entangle_single_realization(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """F, |m1| and |m2| of one realization at every grid time, one time at a time."""
     ensemble, c3_prime, c3_second, grid, index = args
-    _, geometry = sample_realization(ensemble, index)
-    cubes = pair_separations(geometry) ** 3
+    _, positions = sample_realization(ensemble, index)
+    cubes = pair_separations(positions) ** 3
     out = np.empty((3, len(grid)))
     for it, t in enumerate(grid):
         m1 = _coherence(analytic_pair_amplitudes(cubes, c3_prime * t))
@@ -156,12 +158,12 @@ def entangle_trace(
 ):
     """Fidelity and coherence magnitudes versus interval length.
 
-    Returns (grid, F, |m1|, |m2|) averaged over position realizations, which
-    run on the pool when one is given; the result does not depend on it.
+    Returns (F, |m1|, |m2|) averaged over position realizations, which run
+    on the pool when one is given (the result does not depend on it), and
+    the realization seeds.
     """
-    grid = np.asarray(grid, dtype=float)
-    params = (c3_prime, c3_second, grid)
-    (fs, m1s, m2s), _ = run_realizations(
+    params = (c3_prime, c3_second, np.asarray(grid, dtype=float))
+    (fs, m1s, m2s), seeds = run_realizations(
         _entangle_single_realization, ensemble_spec, params, realizations, pool
     )
-    return grid, fs.mean(axis=0), m1s.mean(axis=0), m2s.mean(axis=0)
+    return fs.mean(axis=0), m1s.mean(axis=0), m2s.mean(axis=0), seeds

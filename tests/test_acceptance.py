@@ -11,7 +11,6 @@ import numpy as np
 
 from ryddephase.atomdata import (
     InteractionModel,
-    Level,
     MicrowaveSpec,
     RydbergChannel,
     c3_of,
@@ -54,7 +53,7 @@ RABI = 10.0  # rad/us
 
 
 def single_cycle(n, delta_t=1.0, pulse_model="instantaneous"):
-    channel = RydbergChannel(Level(n, "s", 0.5), Level(n, "p", 0.5), c3_of(n, MODEL))
+    channel = RydbergChannel(n, n, 0.5, c3_of(n, MODEL))
     mw = MicrowaveSpec(rabi=RABI, pulse_model=pulse_model)
     return make_schedule([CycleSpec(channel, delta_t, mw)])
 
@@ -62,9 +61,7 @@ def single_cycle(n, delta_t=1.0, pulse_model="instantaneous"):
 def four_cycle_schedule():
     cycles = []
     for p_n, p_j in [(100, 0.5), (99, 0.5), (100, 1.5), (99, 1.5)]:
-        channel = RydbergChannel(
-            Level(100, "s", 0.5), Level(p_n, "p", p_j), c3_of(100, MODEL)
-        )
+        channel = RydbergChannel(100, p_n, p_j, c3_of(100, MODEL))
         cycles.append(CycleSpec(channel, 1.0, MicrowaveSpec(rabi=RABI)))
     return make_schedule(cycles)
 
@@ -183,8 +180,8 @@ def test_criterion_05_multi_cycle_decay():
 
 
 def test_criterion_06_channel_dimensions():
-    d12 = pair_dimension(RydbergChannel(Level(100, "s", 0.5), Level(100, "p", 0.5), 1.0))
-    d32 = pair_dimension(RydbergChannel(Level(100, "s", 0.5), Level(100, "p", 1.5), 1.0))
+    d12 = pair_dimension(RydbergChannel(100, 100, 0.5, 1.0))
+    d32 = pair_dimension(RydbergChannel(100, 100, 1.5, 1.0))
     ok = (d12, d32) == (16, 36)
     assert report(6, ok, f"pair dimensions (j=1/2, j=3/2) = ({d12}, {d32})")
 
@@ -192,7 +189,7 @@ def test_criterion_06_channel_dimensions():
 def test_criterion_07_strong_dressing_equivalence():
     start = time.perf_counter()
     r = 2.0
-    channel = RydbergChannel(Level(100, "s", 0.5), Level(100, "p", 0.5), 1.0)
+    channel = RydbergChannel(100, 100, 0.5, 1.0)
     h = interaction_matrix(PairGeometry(r, 0.0, 0.0), channel)
     mw_probe = MicrowaveSpec(rabi=1.0)
     idx = _reduced_indices(channel, mw_probe)
@@ -228,13 +225,13 @@ def test_criterion_08_oracle_equivalence():
         rng = np.random.default_rng(1000 + n)
         worst_rel = 0.0
         for draw in range(100):
-            geometry = sample_positions(
+            positions = sample_positions(
                 EnsembleSpec(n, 60.0, seed=realization_seed(7 * n, draw))
             )
             mag = rng.uniform(0.0, 1.0, size=(n, n))
             phase = rng.uniform(0.0, 2.0 * math.pi, size=(n, n))
             amps = (mag * np.exp(1j * phase))[mu, nu]
-            exact = brute_force_g2(geometry, amps)
+            exact = brute_force_g2(positions, amps)
             approx = g2_from_amplitudes(amps, n).g2
             rel = abs(approx - exact) / exact if exact else abs(approx)
             worst_rel = max(worst_rel, rel)
@@ -304,9 +301,7 @@ def test_criterion_11_single_excitation_invariance():
     for pulse_model in ("instantaneous", "finite_duration"):
         cycles = []
         for p_n, p_j in [(100, 0.5), (99, 0.5), (100, 1.5), (99, 1.5)]:
-            channel = RydbergChannel(
-                Level(100, "s", 0.5), Level(p_n, "p", p_j), c3_of(100, MODEL)
-            )
+            channel = RydbergChannel(100, p_n, p_j, c3_of(100, MODEL))
             cycles.append(
                 CycleSpec(channel, 1.0, MicrowaveSpec(rabi=RABI, pulse_model=pulse_model))
             )

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from ryddephase.atomdata import (
     InteractionModel,
-    Level,
     MicrowaveSpec,
     POPULATED_M,
     RydbergChannel,
@@ -19,38 +18,39 @@ from ryddephase.pairdyn import single_atom_dressing
 
 
 def _channel(j=0.5, c3=1.0, n=100):
-    return RydbergChannel(Level(n, "s", 0.5), Level(n, "p", j), c3)
+    return RydbergChannel(n, n, j, c3)
 
 
 # ---------------------------------------------------------------------------
-# Level / channel invariants
+# channel invariants
 # ---------------------------------------------------------------------------
 
 
-def test_level_rejects_bad_quantum_numbers():
-    with pytest.raises(ValueError):
-        Level(0, "s", 0.5)
-    with pytest.raises(ValueError):
-        Level(50, "d", 1.5)
-    with pytest.raises(ValueError):
-        Level(50, "s", 1.5)  # s implies j = 1/2
-    with pytest.raises(ValueError):
-        Level(50, "p", 2.5)
+def test_channel_rejects_bad_quantum_numbers():
+    with pytest.raises(ValueError, match="principal quantum number must be >= 1, got 0"):
+        RydbergChannel(0, 50, 0.5, 1.0)
+    with pytest.raises(ValueError, match="principal quantum number must be >= 1, got 0"):
+        RydbergChannel(50, 0, 0.5, 1.0)
+    with pytest.raises(ValueError, match="j must be a positive half-integer, got 0.7"):
+        RydbergChannel(50, 50, 0.7, 1.0)
+    with pytest.raises(ValueError, match="j must be a positive half-integer, got -0.5"):
+        RydbergChannel(50, 50, -0.5, 1.0)
+    with pytest.raises(ValueError, match="p levels carry j = 1/2 or 3/2"):
+        RydbergChannel(50, 50, 2.5, 1.0)
 
 
-def test_level_snaps_j_to_its_half_integer():
-    level = Level(100, "p", 1.5000000001)
-    assert level.j == 1.5
-    assert level == Level(100, "p", 1.5)
+def test_channel_snaps_p_j_to_its_half_integer():
+    channel = RydbergChannel(100, 100, 1.5000000001, 1.0)
+    assert channel.p_j == 1.5
+    assert channel == RydbergChannel(100, 100, 1.5, 1.0)
+    assert channel.p_key == (100, 1.5)
 
 
-def test_channel_requires_positive_c3_and_manifold_levels():
-    with pytest.raises(ValueError):
-        RydbergChannel(Level(60, "s", 0.5), Level(60, "p", 0.5), 0.0)
-    with pytest.raises(ValueError):
-        RydbergChannel(Level(60, "s", 0.5), Level(60, "p", 0.5), -1.0)
-    with pytest.raises(ValueError):
-        RydbergChannel(Level(60, "p", 0.5), Level(60, "p", 0.5), 1.0)
+def test_channel_requires_positive_c3():
+    with pytest.raises(ValueError, match="c3 must be positive"):
+        RydbergChannel(60, 60, 0.5, 0.0)
+    with pytest.raises(ValueError, match="c3 must be positive"):
+        RydbergChannel(60, 60, 0.5, -1.0)
 
 
 # ---------------------------------------------------------------------------

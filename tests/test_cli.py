@@ -98,6 +98,37 @@ def test_c3_resolution_order_table_beats_model():
     assert parsed.schedule.cycles[0].channel.c3 == 3.3e5
 
 
+@pytest.mark.parametrize("with_model", [False, True])
+def test_c3_table_is_looked_up_by_the_snapped_p_j(with_model):
+    cfg = json.loads(json.dumps(MINIMAL))
+    cycle = cfg["schedule"]["cycles"][0]
+    del cycle["c3"]
+    cycle["p_j"] = 1.5000000001
+    cfg["interaction"] = {"table": [{"s_n": 100, "p_n": 100, "p_j": 1.5, "c3": 3.3e5}]}
+    if with_model:
+        cfg["interaction"]["model"] = {"reference_c3": 2.6e4, "reference_n": 60}
+    cfg["scan_n"] = [100]
+    parsed = parse_config(json.dumps(cfg))
+    assert parsed.schedule.cycles[0].channel.p_key == (100, 1.5)
+    assert parsed.schedule.cycles[0].channel.c3 == 3.3e5
+    assert parsed.scan_schedules[100].cycles[0].channel.c3 == 3.3e5
+
+
+def test_c3_table_row_repeating_a_snapped_channel_is_rejected():
+    cfg = json.loads(json.dumps(MINIMAL))
+    row = {"s_n": 100, "p_n": 100, "p_j": 1.5, "c3": 3.3e5}
+    cfg["interaction"] = {"table": [row, {**row, "p_j": 1.5000000001, "c3": 1.0e5}]}
+    with pytest.raises(ConfigError, match=r"^interaction\.table\[1\]: repeats the channel 100s - 100p_1\.5"):
+        parse_config(json.dumps(cfg))
+
+
+def test_c3_table_row_with_unsupported_p_j_is_rejected():
+    cfg = json.loads(json.dumps(MINIMAL))
+    cfg["interaction"] = {"table": [{"s_n": 100, "p_n": 100, "p_j": 2.5, "c3": 3.3e5}]}
+    with pytest.raises(ConfigError, match=r"^interaction\.table\[0\]\.p_j: p levels carry j = 1/2 or 3/2"):
+        parse_config(json.dumps(cfg))
+
+
 def test_shipped_fig2_config_echoes_expected_parameters():
     cfg = parse_config((CONFIG_DIR / "fig2.json").read_text())
     assert cfg.ensemble.n_atoms == 100

@@ -3,13 +3,14 @@ import os
 import subprocess
 import sys
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ryddephase.atomdata import Level, MicrowaveSpec, RydbergChannel
+from ryddephase.atomdata import MicrowaveSpec, RydbergChannel
 from ryddephase.correlation import (
     G2_ASYMPTOTE,
     G2_ZERO,
@@ -50,7 +51,7 @@ def dense(condensed, n):
 
 
 def single_cycle_schedule(c3, dt=1.0, n=100, rabi=10.0):
-    ch = RydbergChannel(Level(n, "s", 0.5), Level(n, "p", 0.5), c3)
+    ch = RydbergChannel(n, n, 0.5, c3)
     return make_schedule([CycleSpec(ch, dt, MicrowaveSpec(rabi=rabi))])
 
 
@@ -136,7 +137,7 @@ def test_condensed_amplitudes_validation():
     values[3] = np.nan
     with pytest.raises(ValueError, match="missing"):
         g2_from_amplitudes(values, 4)
-    geometry = sample_positions(EnsembleSpec(5, 60.0, seed=1))
+    positions = sample_positions(EnsembleSpec(5, 60.0, seed=1))
     # one value per mu < nu pair: a wrong count or a dense N x N matrix is rejected
     for wrong in (
         uniform_amplitudes(6, 1.0),
@@ -146,7 +147,7 @@ def test_condensed_amplitudes_validation():
         with pytest.raises(ValueError, match="expected 10 condensed pair amplitudes for 5 atoms"):
             g2_from_amplitudes(wrong, 5)
         with pytest.raises(ValueError, match="expected 10 condensed pair amplitudes for 5 atoms"):
-            brute_force_g2(geometry, wrong)
+            brute_force_g2(positions, wrong)
 
 
 @settings(max_examples=50, deadline=None)
@@ -168,46 +169,46 @@ def test_g2_nonnegative_and_bounded_property(n, seed):
 
 def test_brute_force_three_atom_hand_value():
     # same A12-only case, exact correlator: g2 = 3 e / 50
-    geometry = sample_positions(EnsembleSpec(3, 60.0, seed=2))
-    exact = brute_force_g2(geometry, [1.0, 0.0, 0.0])
+    positions = sample_positions(EnsembleSpec(3, 60.0, seed=2))
+    exact = brute_force_g2(positions, [1.0, 0.0, 0.0])
     assert exact == pytest.approx(3.0 * math.e / 50.0, rel=1e-12)
 
 
 def test_brute_force_zero_amplitudes_give_zero():
-    geometry = sample_positions(EnsembleSpec(6, 60.0, seed=3))
-    exact = brute_force_g2(geometry, uniform_amplitudes(6, 0.0))
+    positions = sample_positions(EnsembleSpec(6, 60.0, seed=3))
+    exact = brute_force_g2(positions, uniform_amplitudes(6, 0.0))
     assert exact == 0.0
 
 
 def test_brute_force_all_unit_amplitudes_within_spinwave_error():
-    geometry = sample_positions(EnsembleSpec(8, 60.0, seed=4))
+    positions = sample_positions(EnsembleSpec(8, 60.0, seed=4))
     amps = uniform_amplitudes(8, 1.0)
-    exact = brute_force_g2(geometry, amps)
+    exact = brute_force_g2(positions, amps)
     approx = g2_from_amplitudes(amps, 8).g2
     assert abs(approx - exact) / exact < 0.15
 
 
 def test_brute_force_insensitive_to_retrieval_direction():
-    geometry = sample_positions(EnsembleSpec(7, 60.0, seed=9))
+    positions = sample_positions(EnsembleSpec(7, 60.0, seed=9))
     amps = random_amplitudes(7, np.random.default_rng(8))
-    a = brute_force_g2(geometry, amps, k0=[0.0, 0.0, 7.902])
-    b = brute_force_g2(geometry, amps, k0=[2.5, -1.0, 0.3])
+    a = brute_force_g2(positions, amps, k0=[0.0, 0.0, 7.902])
+    b = brute_force_g2(positions, amps, k0=[2.5, -1.0, 0.3])
     assert a == pytest.approx(b, rel=1e-10)
 
 
 def test_brute_force_rejects_large_n():
-    geometry = sample_positions(EnsembleSpec(11, 60.0, seed=1))
+    positions = sample_positions(EnsembleSpec(11, 60.0, seed=1))
     with pytest.raises(ValueError):
-        brute_force_g2(geometry, uniform_amplitudes(11, 1.0))
+        brute_force_g2(positions, uniform_amplitudes(11, 1.0))
 
 
 @pytest.mark.parametrize("n", [4, 6, 8, 10])
 def test_pair_sum_formula_matches_oracle(n):
     rng = np.random.default_rng(100 + n)
     for draw in range(100):
-        geometry = sample_positions(EnsembleSpec(n, 60.0, seed=realization_seed(n, draw)))
+        positions = sample_positions(EnsembleSpec(n, 60.0, seed=realization_seed(n, draw)))
         amps = random_amplitudes(n, rng)
-        exact = brute_force_g2(geometry, amps)
+        exact = brute_force_g2(positions, amps)
         approx = g2_from_amplitudes(amps, n).g2
         if exact == 0.0:
             assert approx == pytest.approx(0.0, abs=1e-12)
@@ -251,14 +252,7 @@ def test_trace_time_rescaling_equivalence():
 def test_trace_monotone_onset():
     # while the largest pair phase stays below pi/4 the trace cannot rise
     ens = EnsembleSpec(50, 60.0, seed=33)
-    geomin = min(
-        np.min(np.linalg.norm(
-            sample_positions(EnsembleSpec(50, 60.0, realization_seed(33, r))).positions[:, None, :]
-            - sample_positions(EnsembleSpec(50, 60.0, realization_seed(33, r))).positions[None, :, :],
-            axis=-1,
-        )[np.triu_indices(50, 1)])
-        for r in range(3)
-    )
+    geomin = min(np.min(pair_separations(sample_positions(replace(ens, seed=realization_seed(33, r))))) for r in range(3))
     c3 = 1.0e3
     t_max = (math.pi / 4.0) * geomin**3 / c3
     grid = np.linspace(0.0, t_max, 12)[1:]
@@ -288,7 +282,7 @@ def test_multichannel_trace_at_zero_matches_analytic():
 def test_cycles_grid_is_cumulative_duration():
     cycles = [
         CycleSpec(
-            RydbergChannel(Level(100, "s", 0.5), Level(p_n, "p", p_j), 2.0e5),
+            RydbergChannel(100, p_n, p_j, 2.0e5),
             1.0,
             MicrowaveSpec(rabi=10.0),
         )
@@ -334,16 +328,15 @@ def fsum_point(condensed, n):
 
 def reference_columns(ensemble, cycles, grid, mode, index):
     """Condensed amplitude columns of one realization, straight from the pairdyn kernels."""
-    spec = EnsembleSpec(ensemble.n_atoms, ensemble.box_side, realization_seed(ensemble.seed, index))
-    geometry = sample_positions(spec)
+    positions = sample_positions(replace(ensemble, seed=realization_seed(ensemble.seed, index)))
     if mode == "analytic":
-        r = pair_separations(geometry)
+        r = pair_separations(positions)
 
         def stack(cycle, times):
             return np.stack([analytic_pair_amplitudes(r**3, cycle.channel.c3 * t) for t in times], axis=1)
 
     else:
-        r, theta = pair_orientations(geometry)
+        r, theta = pair_orientations(positions)
 
         def stack(cycle, times):
             spectra = pair_spectra(r, theta, cycle)
@@ -367,7 +360,7 @@ def two_channel_schedule():
     return make_schedule(
         [
             CycleSpec(
-                RydbergChannel(Level(100, "s", 0.5), Level(100, "p", p_j), 2.0e5),
+                RydbergChannel(100, 100, p_j, 2.0e5),
                 dt,
                 MicrowaveSpec(rabi=10.0),
             )
@@ -537,13 +530,13 @@ def test_multichannel_pulse_vectors_must_keep_unit_norm(monkeypatch, driver):
 FAULT_PROBE = """
 import resource
 import numpy as np
-from ryddephase.atomdata import Level, MicrowaveSpec, RydbergChannel
+from ryddephase.atomdata import MicrowaveSpec, RydbergChannel
 from ryddephase.correlation import g2_trace
 from ryddephase.ensemble import EnsembleSpec
 from ryddephase.pairdyn import CycleSpec
 from ryddephase.protocol import make_schedule
 
-ch = RydbergChannel(Level(60, "s", 0.5), Level(60, "p", 0.5), 2.6e4)
+ch = RydbergChannel(60, 60, 0.5, 2.6e4)
 sched = make_schedule([CycleSpec(ch, 1.0, MicrowaveSpec(rabi=10.0))])
 grid = np.geomspace(0.02, 60.0, 120)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt

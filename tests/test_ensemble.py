@@ -27,28 +27,35 @@ def test_spec_validation():
 
 
 def test_two_atoms_contained_and_separated():
-    geom = sample_positions(EnsembleSpec(2, 60.0, seed=123))
-    assert geom.positions.shape == (2, 3)
-    assert np.all(geom.positions >= 0.0) and np.all(geom.positions <= 60.0)
-    assert np.linalg.norm(geom.positions[0] - geom.positions[1]) >= 0.1
+    positions = sample_positions(EnsembleSpec(2, 60.0, seed=123))
+    assert positions.shape == (2, 3)
+    assert np.all(positions >= 0.0) and np.all(positions <= 60.0)
+    assert np.linalg.norm(positions[0] - positions[1]) >= 0.1
+
+
+def test_sampled_positions_are_read_only():
+    positions = sample_positions(EnsembleSpec(5, 60.0, seed=4))
+    assert not positions.flags.writeable
+    with pytest.raises(ValueError):
+        positions[0, 0] = 1.0
 
 
 def test_determinism_bit_identical():
     a = sample_positions(EnsembleSpec(50, 60.0, seed=987654321))
     b = sample_positions(EnsembleSpec(50, 60.0, seed=987654321))
-    assert np.array_equal(a.positions, b.positions)
+    assert np.array_equal(a, b)
 
 
 def test_different_seeds_differ():
     a = sample_positions(EnsembleSpec(50, 60.0, seed=1))
     b = sample_positions(EnsembleSpec(50, 60.0, seed=2))
-    assert not np.array_equal(a.positions, b.positions)
+    assert not np.array_equal(a, b)
 
 
 def test_min_separation_enforced():
     spec = EnsembleSpec(80, 10.0, seed=5, min_separation=1.0)
-    geom = sample_positions(spec)
-    assert pair_separations(geom).min() >= 1.0
+    positions = sample_positions(spec)
+    assert pair_separations(positions).min() >= 1.0
 
 
 def test_impossible_packing_raises_diagnostic():
@@ -93,7 +100,7 @@ def sequential_sample_positions(spec):
 def test_sample_positions_equal_sequential_rejection(n, box, min_sep):
     for seed in (1, 11, 2**63 + 5):
         spec = EnsembleSpec(n, box, seed, min_separation=min_sep)
-        assert np.array_equal(sample_positions(spec).positions, sequential_sample_positions(spec))
+        assert np.array_equal(sample_positions(spec), sequential_sample_positions(spec))
 
 
 @pytest.mark.parametrize("n, box, min_sep, seed", [(20, 2.0, 1.5, 7), (40, 2.0, 1.0, 3)])
@@ -109,8 +116,8 @@ def test_impossible_packing_fails_as_sequential_rejection_does(n, box, min_sep, 
 
 def test_all_separations_within_bounds():
     spec = EnsembleSpec(100, 60.0, seed=77)
-    geom = sample_positions(spec)
-    r = pair_separations(geom)
+    positions = sample_positions(spec)
+    r = pair_separations(positions)
     assert len(r) == 100 * 99 // 2
     assert r.min() >= spec.min_separation
     assert r.max() <= math.sqrt(3.0) * 60.0
@@ -125,8 +132,8 @@ def test_mean_pair_separation_matches_uniform_cube_constant():
     n, L = 100, 60.0
     means = []
     for seed in range(40):
-        geom = sample_positions(EnsembleSpec(n, L, seed=seed))
-        means.append(pair_separations(geom).mean())
+        positions = sample_positions(EnsembleSpec(n, L, seed=seed))
+        means.append(pair_separations(positions).mean())
     measured = float(np.mean(means))
 
     rng = np.random.Generator(np.random.PCG64(991199))
@@ -189,16 +196,16 @@ def test_pair_separations_equal_scipy_pdist_bit_for_bit(n):
     from scipy.spatial.distance import pdist
 
     for seed in (0, 1, 11, 2**63 + 5):
-        geometry = sample_positions(EnsembleSpec(n, 60.0, seed))
-        assert pair_separations(geometry).tobytes() == pdist(geometry.positions).tobytes()
+        positions = sample_positions(EnsembleSpec(n, 60.0, seed))
+        assert pair_separations(positions).tobytes() == pdist(positions).tobytes()
 
 
 def test_all_pair_geometries_matches_condensed_distances():
     # pair_orientations lists every mu < nu pair in condensed order
-    geom = sample_positions(EnsembleSpec(10, 30.0, seed=3))
-    r, theta = pair_orientations(geom)
-    assert np.allclose(r, pair_separations(geom))
-    mu, nu = pair_index_arrays(geom.n_atoms)
+    positions = sample_positions(EnsembleSpec(10, 30.0, seed=3))
+    r, theta = pair_orientations(positions)
+    assert np.allclose(r, pair_separations(positions))
+    mu, nu = pair_index_arrays(len(positions))
     for k in range(len(mu)):
-        g = pair_geometry(geom.positions[mu[k]], geom.positions[nu[k]])
+        g = pair_geometry(positions[mu[k]], positions[nu[k]])
         assert (r[k], theta[k]) == pytest.approx((g.separation, g.polar_angle), rel=1e-12)

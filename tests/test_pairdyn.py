@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ryddephase.atomdata import POLARIZATIONS, POPULATED_M, Level, MicrowaveSpec, RydbergChannel
+from ryddephase.atomdata import POLARIZATIONS, POPULATED_M, MicrowaveSpec, RydbergChannel
 from ryddephase.ensemble import PairGeometry
 from ryddephase.pairdyn import (
     CycleSpec,
@@ -22,7 +22,7 @@ from ryddephase.protocol import make_schedule
 
 
 def channel(j=0.5, c3=1.0, n=100, p_n=None):
-    return RydbergChannel(Level(n, "s", 0.5), Level(p_n or n, "p", j), c3)
+    return RydbergChannel(n, p_n or n, j, c3)
 
 
 MW = MicrowaveSpec(rabi=10.0)
@@ -33,7 +33,7 @@ def pair_labels(ch):
 
     Each atom's basis is [s -1/2, s +1/2, p -j, ..., p +j].
     """
-    j = ch.p_level.j
+    j = ch.p_j
     singles = [("s", -0.5), ("s", 0.5)] + [("p", m) for m in np.arange(-j, j + 0.5)]
     return [(a, b) for a in singles for b in singles]
 

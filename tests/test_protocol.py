@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ryddephase.atomdata import Level, MicrowaveSpec, RydbergChannel
+from ryddephase.atomdata import MicrowaveSpec, RydbergChannel
 from ryddephase.correlation import realization_seed
 from ryddephase.ensemble import EnsembleSpec, pair_separations, sample_positions
 from ryddephase.pairdyn import CycleSpec
@@ -20,7 +21,7 @@ MW = MicrowaveSpec(rabi=10.0)
 
 
 def cycle(s_n=100, p_n=100, p_j=0.5, dt=1.0, c3=2.0e5, mw=MW):
-    ch = RydbergChannel(Level(s_n, "s", 0.5), Level(p_n, "p", p_j), c3)
+    ch = RydbergChannel(s_n, p_n, p_j, c3)
     return CycleSpec(ch, dt, mw)
 
 
@@ -140,7 +141,8 @@ def test_single_excitation_survival_per_polarization():
 def test_entangle_amplitudes_zero_interval():
     # zero phase on every pair: both coherences exactly 1, F exactly 1/2
     ens = EnsembleSpec(20, 60.0, seed=6)
-    _, f, m1, m2 = entangle_trace(ens, 2.0e5, 1.6e5, [0.0], realizations=2)
+    f, m1, m2, seeds = entangle_trace(ens, 2.0e5, 1.6e5, [0.0], realizations=2)
+    assert seeds == (realization_seed(6, 0), realization_seed(6, 1))
     assert np.all(m1 == 1.0)
     assert np.all(m2 == 1.0)
     assert np.all(f == 0.5)
@@ -149,10 +151,10 @@ def test_entangle_amplitudes_zero_interval():
 def test_entangle_amplitudes_equal_strengths_and_linearity():
     ens = EnsembleSpec(20, 60.0, seed=6)
     grid = [0.0, 1.0, 2.0, 30.0]
-    _, f, m1, m2 = entangle_trace(ens, 1.5e5, 1.5e5, grid, realizations=2)
+    f, m1, m2, _ = entangle_trace(ens, 1.5e5, 1.5e5, grid, realizations=2)
     assert np.array_equal(m1, m2)
     # the phase is C3 t / R^3: doubling t equals doubling C3
-    _, f2, m1_2, m2_2 = entangle_trace(ens, 3.0e5, 3.0e5, [0.5, 1.0], realizations=2)
+    f2, m1_2, m2_2, _ = entangle_trace(ens, 3.0e5, 3.0e5, [0.5, 1.0], realizations=2)
     assert np.allclose(f2, f[1:3])
     assert np.allclose(m1_2, m1[1:3])
     assert np.allclose(m2_2, m2[1:3])
@@ -197,7 +199,7 @@ def test_entangle_fidelity_rejects_empty_or_mismatched():
 
 def test_entangle_trace_starts_at_half_and_dephases():
     ens = EnsembleSpec(40, 60.0, seed=20)
-    grid, f, m1, m2 = entangle_trace(ens, 2.0e5, 1.6e5, [0.0, 50.0], realizations=5)
+    f, m1, m2, _ = entangle_trace(ens, 2.0e5, 1.6e5, [0.0, 50.0], realizations=5)
     assert f[0] == pytest.approx(0.5, abs=1e-12)
     assert m1[0] == pytest.approx(1.0, abs=1e-12)
     assert f[1] > 0.9
@@ -216,8 +218,7 @@ def _scalar_entangle_trace(ens, c3_prime, c3_second, grid, realizations):
     """Reference: one realization at a time, one pair at a time."""
     fs, m1s, m2s = (np.zeros((realizations, len(grid))) for _ in range(3))
     for r in range(realizations):
-        spec_r = EnsembleSpec(ens.n_atoms, ens.box_side, realization_seed(ens.seed, r), ens.min_separation)
-        r3 = pair_separations(sample_positions(spec_r)) ** 3
+        r3 = pair_separations(sample_positions(replace(ens, seed=realization_seed(ens.seed, r)))) ** 3
         for it, t in enumerate(grid):
             m1 = _scalar_coherence(c3_prime * t / r3)
             m2 = _scalar_coherence(c3_second * t / r3)
@@ -230,7 +231,7 @@ def _scalar_entangle_trace(ens, c3_prime, c3_second, grid, realizations):
 def test_entangle_trace_matches_scalar_reference():
     ens = EnsembleSpec(60, 60.0, seed=31)
     grid = np.concatenate([[0.0], np.geomspace(1e-3, 200.0, 12)])
-    _, f, m1, m2 = entangle_trace(ens, 2.0e5, 1.6e5, grid, realizations=3)
+    f, m1, m2, _ = entangle_trace(ens, 2.0e5, 1.6e5, grid, realizations=3)
     ref_f, ref_m1, ref_m2 = _scalar_entangle_trace(ens, 2.0e5, 1.6e5, np.asarray(grid), 3)
     assert np.max(np.abs(f - ref_f)) <= 1e-12
     assert np.max(np.abs(m1 - ref_m1)) <= 1e-12
