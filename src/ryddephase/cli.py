@@ -134,7 +134,7 @@ def _parse_ensemble(cfg, path) -> EnsembleSpec:
         box_side=_as_float(cfg["box_side_um"], f"{path}.box_side_um", strict_min=0.0),
         seed=_as_int(cfg["seed"], f"{path}.seed", minimum=0, maximum=2**64 - 1),
         min_separation=_as_float(
-            cfg.get("min_separation_um", 0.1), f"{path}.min_separation_um", strict_min=0.0
+            cfg.get("min_separation_um", EnsembleSpec.min_separation), f"{path}.min_separation_um", strict_min=0.0
         ),
     )
 
@@ -150,7 +150,7 @@ def _parse_interaction(cfg, path):
             reference_c3=_as_float(cfg["model"]["reference_c3"], f"{mpath}.reference_c3", strict_min=0.0),
             reference_n=_as_int(cfg["model"]["reference_n"], f"{mpath}.reference_n", minimum=1),
             scaling_exponent=_as_float(
-                cfg["model"].get("scaling_exponent", 4.0), f"{mpath}.scaling_exponent"
+                cfg["model"].get("scaling_exponent", InteractionModel.scaling_exponent), f"{mpath}.scaling_exponent"
             ),
         )
     table = {}
@@ -203,10 +203,10 @@ def _parse_cycle(cfg, path, model, table) -> CycleSpec:
         microwave = MicrowaveSpec(
             rabi=_as_float(cfg.get("rabi_rad_per_us", 10.0), f"{path}.rabi_rad_per_us", strict_min=0.0),
             polarization=_as_choice(
-                cfg.get("polarization", "pi"), f"{path}.polarization", POLARIZATIONS
+                cfg.get("polarization", MicrowaveSpec.polarization), f"{path}.polarization", POLARIZATIONS
             ),
             pulse_model=_as_choice(
-                cfg.get("pulse_model", "instantaneous"), f"{path}.pulse_model", PULSE_MODELS
+                cfg.get("pulse_model", MicrowaveSpec.pulse_model), f"{path}.pulse_model", PULSE_MODELS
             ),
         )
         return CycleSpec(

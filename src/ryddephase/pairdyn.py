@@ -37,11 +37,12 @@ Numeric route (multichannel): each atom spans the sublevels
 (_transition_indices).  One table of s-p dipole elements (_dipole_blocks)
 builds both the drive, normalized so the populated transition carries the
 full Rabi frequency, and the resonant exchange part of the dipole-dipole
-operator, expanded in rank-2 spherical tensors over the pair basis.  The
+operator in Cartesian form, (C3/R^3) sum_ab (delta_ab - 3 n_a n_b) X_ab for
+the unit pair axis n (exchange_operators).  X_ab keeps only the
+excitation-exchange blocks of d_a x d_b (one atom s -> p while the other goes
+p -> s); double (de-)excitation terms are dropped as counter-rotating.  The
 cycle is propagated with eigendecomposition-based exponentials of the
-piecewise-constant Hamiltonians.  Only excitation-exchange blocks (one atom
-s -> p while the other goes p -> s) are retained; double (de-)excitation
-terms are dropped as counter-rotating.  The amplitude depends on
+piecewise-constant Hamiltonians.  The amplitude depends on
 R and theta, never on the azimuth phi of the pair axis (Walker & Saffman,
 PRA 77, 032723 (2008)): a rotation about z by phi takes the exchange term to
 its phi = 0 form and multiplies each drive coupling |p><s| by e^{i dm phi}.
@@ -158,13 +159,11 @@ def _transition_indices(channel: RydbergChannel, spec: MicrowaveSpec) -> tuple[i
 
 
 def _dipole_blocks(channel: RydbergChannel) -> dict:
-    """Raising (s -> p) and lowering (p -> s) blocks of the unit dipole operator, keyed by q.
+    """Raising (s -> p) blocks of the unit dipole operator, keyed by q.
 
     Over the single-atom basis (_transition_indices),
     up[q][p(m+q), s(m)] = <1/2 m; 1 q | j m+q>: the one place an s-p dipole
-    element becomes a matrix entry.  The lowering block follows from
-    Hermiticity of the vector operator, (T_q)^dag = (-1)^q T_{-q}, as
-    down[q] = (-1)^q up[-q]^T.
+    element becomes a matrix entry.  Each lowering part is an adjoint of these.
     """
     j = channel.p_j
     dim = single_atom_dimension(channel)
@@ -174,64 +173,40 @@ def _dipole_blocks(channel: RydbergChannel) -> dict:
             mp = ms + q
             if abs(mp) <= j + 1e-9:
                 up[round(2 + mp + j), i_s] = clebsch_gordan(0.5, ms, 1.0, float(q), j, mp)
-    return {q: (up, (-1) ** q * ups[-q].T) for q, up in ups.items()}
+    return ups
 
 
-def exchange_tensor_operators(channel: RydbergChannel) -> np.ndarray:
-    """The five rank-2 pair operators W_Q restricted to exchange blocks.
+def exchange_operators(channel: RydbergChannel) -> np.ndarray:
+    """Exchange part X_ab of d_a x d_b over the pair basis, shape (3, 3, d, d), a, b = x, y, z.
 
-    W_Q = sum_{q1+q2=Q} <1 q1; 1 q2 | 2 Q> (U_{q1} x D_{q2} + D_{q1} x U_{q2}),
-    stacked as an array of shape (5, dim^2, dim^2) with Q = -2..2.
+    U_a, the raising part of d_a, comes from the spherical blocks (d_x = (d_-1 - d_+1)/sqrt(2),
+    d_y = i (d_-1 + d_+1)/sqrt(2), d_z = d_0) and its lowering part is U_a^dag, so
+    X_ab = U_a x U_b^dag + U_a^dag x U_b is Hermitian bit for bit.  X_xy, X_yz
+    and their transposes are imaginary, every other block real.
     """
-    blocks = _dipole_blocks(channel)
-    dim = single_atom_dimension(channel)
-    out = np.zeros((5, dim * dim, dim * dim))
-    for iq, big_q in enumerate(range(-2, 3)):
-        acc = np.zeros((dim * dim, dim * dim))
-        for q1 in (-1, 0, 1):
-            q2 = big_q - q1
-            if q2 not in (-1, 0, 1):
-                continue
-            cg = clebsch_gordan(1.0, float(q1), 1.0, float(q2), 2.0, float(big_q))
-            if cg == 0.0:
-                continue
-            u1, d1 = blocks[q1]
-            u2, d2 = blocks[q2]
-            acc += cg * (np.kron(u1, d2) + np.kron(d1, u2))
-        out[iq] = acc
-    return out
+    up = _dipole_blocks(channel)
+    root2 = math.sqrt(2.0)
+    raising = np.array([(up[-1] - up[1]) / root2, 1j * (up[-1] + up[1]) / root2, up[0]])  # U_x, U_y, U_z
+    dim = raising.shape[1]
+    kron = np.einsum("aik,bjl->abijkl", raising, raising.conj().swapaxes(1, 2)).reshape(3, 3, dim * dim, dim * dim)
+    return kron + kron.conj().swapaxes(2, 3)
 
 
-def interaction_coefficients(thetas, phis, r, c3: float) -> np.ndarray:
-    """Complex weights multiplying W_Q for many pair geometries, shape (n, 5), Q = -2..2.
-
-    The weight of W_Q is -sqrt(6) (C3/R^3) (-1)^Q C^2_{-Q}(theta, phi), with
-    C^2_Q the Racah-normalized rank-2 spherical harmonics of the pair axis.
-    At phi = 0 every weight is real: its imaginary part is exactly 0.
-    """
-    st, ct = np.sin(thetas), np.cos(thetas)
-    e1 = np.exp(1j * np.asarray(phis))
-    c2 = np.stack(
-        [
-            math.sqrt(3.0 / 8.0) * st * st / (e1 * e1),
-            math.sqrt(1.5) * st * ct / e1,
-            0.5 * (3.0 * ct * ct - 1.0) * np.ones_like(e1),
-            -math.sqrt(1.5) * st * ct * e1,
-            math.sqrt(3.0 / 8.0) * st * st * e1 * e1,
-        ],
-        axis=1,
-    )  # (n, 5) ordered Q = -2..2
-    signs = np.array([(-1.0) ** q for q in range(-2, 3)])
-    scale = -math.sqrt(6.0) * c3 / np.asarray(r, dtype=float) ** 3
-    return scale[:, None] * signs[None, :] * c2[:, ::-1]
+def _dipole_tensor(axes: np.ndarray) -> np.ndarray:
+    """delta_ab - 3 n_a n_b for each unit pair axis n, shape (..., 3, 3)."""
+    return np.eye(3) - 3.0 * axes[..., :, None] * axes[..., None, :]
 
 
 def interaction_matrix(geom: PairGeometry, channel: RydbergChannel) -> np.ndarray:
-    """Exchange part of the dipole-dipole operator over the pair basis, at the pair's azimuth."""
-    weights = interaction_coefficients([geom.polar_angle], [geom.azimuth], [geom.separation], channel.c3)
-    h = np.tensordot(weights, exchange_tensor_operators(channel).astype(complex), axes=([1], [0]))[0]
+    """(C3/R^3) sum_ab (delta_ab - 3 n_a n_b) X_ab over the pair basis, n the pair axis at its azimuth.
+
+    Raises NumericsError unless Hermitian to HERMITICITY_TOL relative to its largest entry.
+    """
+    st = math.sin(geom.polar_angle)
+    axis = np.array([st * math.cos(geom.azimuth), st * math.sin(geom.azimuth), math.cos(geom.polar_angle)])
+    h = channel.c3 / geom.separation**3 * np.tensordot(_dipole_tensor(axis), exchange_operators(channel), 2)
     err = np.max(np.abs(h - h.conj().T))
-    if err > HERMITICITY_TOL:
+    if err > HERMITICITY_TOL * np.max(np.abs(h)):
         raise NumericsError(f"interaction part lost Hermiticity: {err:.3e}")
     return h
 
@@ -243,7 +218,7 @@ def single_atom_dressing(channel: RydbergChannel, spec: MicrowaveSpec) -> np.nda
     are defined on it.  Raises ValueError for a forbidden drive.
     """
     i_s, i_p = _transition_indices(channel, spec)
-    up, _ = _dipole_blocks(channel)[spec.delta_m]
+    up = _dipole_blocks(channel)[spec.delta_m]
     x = up / up[i_p, i_s]
     return -0.5 * spec.rabi * (x + x.T)
 
@@ -354,7 +329,7 @@ def pair_spectra(separations: np.ndarray, thetas: np.ndarray, cycle: CycleSpec) 
     spec, channel = cycle.microwave, cycle.channel
     h_drive = dressing_matrix(channel, spec)
     start = _reduced_indices(channel, spec)[0]  # e0, first of the frozen channel
-    operators = exchange_tensor_operators(channel)
+    operators = exchange_operators(channel).real  # exact: an xz-plane axis gives X_xy and X_yz weight 0
     instantaneous = spec.pulse_model == "instantaneous"
     n, d = len(separations), len(h_drive)
     lam = np.empty((n, d))
@@ -362,8 +337,8 @@ def pair_spectra(separations: np.ndarray, thetas: np.ndarray, cycle: CycleSpec) 
     ut = np.empty_like(wc)
     for lo in range(0, n, PAIR_CHUNK):
         hi = min(lo + PAIR_CHUNK, n)
-        weights = interaction_coefficients(thetas[lo:hi], 0.0, separations[lo:hi], channel.c3).real
-        h_int = np.tensordot(weights, operators, axes=([1], [0]))
+        axes = np.stack([np.sin(thetas[lo:hi]), np.zeros(hi - lo), np.cos(thetas[lo:hi])], axis=-1)
+        h_int = channel.c3 / separations[lo:hi, None, None] ** 3 * np.tensordot(_dipole_tensor(axes), operators, 2)
         (h_pulse, t_first), _, (_, t_last) = _cycle_segments(h_drive, h_int, spec.rabi, cycle.delta_t, instantaneous)
         lam[lo:hi], vec = np.linalg.eigh(h_int)
         lam_p, vec_p = np.linalg.eigh(h_pulse)  # one (d, d) matrix for instantaneous pulses

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from ryddephase import cli
+from ryddephase.atomdata import InteractionModel, MicrowaveSpec
 from ryddephase.cli import ConfigError, main, parse_config
+from ryddephase.ensemble import EnsembleSpec
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -47,6 +49,29 @@ def test_minimal_config_fills_defaults():
     assert cyc.microwave.polarization == "pi"
     assert cyc.microwave.pulse_model == "instantaneous"
     assert cyc.channel.c3 == 2.0e5
+
+
+MODEL_MINIMAL = dict(
+    MINIMAL,
+    interaction={"model": {"reference_c3": 2.6e4, "reference_n": 60}},
+    schedule={"cycles": [{"s_n": 120, "p_n": 120, "p_j": 0.5, "delta_t_us": 1.0}]},
+)
+
+
+@pytest.mark.parametrize(
+    "cls, field, value, parsed",
+    [
+        (EnsembleSpec, "min_separation", 0.25, lambda cfg: cfg.ensemble.min_separation),
+        (InteractionModel, "scaling_exponent", 3.0, lambda cfg: math.log2(cfg.schedule.cycles[0].channel.c3 / 2.6e4)),
+        (MicrowaveSpec, "polarization", "sigma_minus", lambda cfg: cfg.schedule.cycles[0].microwave.polarization),
+        (MicrowaveSpec, "pulse_model", "finite_duration", lambda cfg: cfg.schedule.cycles[0].microwave.pulse_model),
+    ],
+    ids=["min_separation_um", "scaling_exponent", "polarization", "pulse_model"],
+)
+def test_config_defaults_are_the_library_defaults(monkeypatch, cls, field, value, parsed):
+    # a key the config leaves out takes the library type's default, which has no second home in the CLI
+    monkeypatch.setattr(cls, field, value)
+    assert parsed(parse_config(json.dumps(MODEL_MINIMAL))) == value
 
 
 def test_unknown_keys_rejected_with_path():
@@ -225,7 +250,7 @@ def test_g2_trace_run_writes_csv_and_manifest(tmp_path):
     assert len(manifest["config_sha256"]) == 64
 
 
-def test_rerun_is_byte_identical_and_respects_force(tmp_path):
+def test_rerun_is_byte_identical_and_respects_force(tmp_path, capsys):
     cfg = json.loads(json.dumps(MINIMAL))
     cfg["realizations"] = 2
     path = write_config(tmp_path, cfg)
@@ -233,8 +258,11 @@ def test_rerun_is_byte_identical_and_respects_force(tmp_path):
     assert main(["g2-trace", "--config", str(path), "--out", str(out1)]) == 0
     assert main(["g2-trace", "--config", str(path), "--out", str(out2)]) == 0
     assert (out1 / "g2_trace.csv").read_bytes() == (out2 / "g2_trace.csv").read_bytes()
-    # refuse silent overwrite, then allow with --force
+    # refuse silent overwrite, also of a data file with no manifest beside it, then allow with --force
     assert main(["g2-trace", "--config", str(path), "--out", str(out1)]) == 1
+    (out1 / "manifest.json").unlink()
+    assert main(["g2-trace", "--config", str(path), "--out", str(out1)]) == 1
+    assert f"refusing to overwrite {out1 / 'g2_trace.csv'}; pass --force" in capsys.readouterr().err
     assert main(["g2-trace", "--config", str(path), "--out", str(out1), "--force"]) == 0
 
 
@@ -430,6 +458,56 @@ def test_keys_a_subcommand_never_reads_are_rejected(tmp_path, monkeypatch, capsy
     assert main([subcommand, "--config", str(path)]) == 1
     assert f"config error: {message}" in capsys.readouterr().err
     assert [p.name for p in tmp_path.rglob("*")] == ["config.json"]
+
+
+def _beam(**fields):
+    return dict(PHASEMATCH, beams=[dict(PHASEMATCH["beams"][0], **fields), PHASEMATCH["beams"][1]])
+
+
+@pytest.mark.parametrize(
+    "subcommand, payload, message",
+    [
+        ("g2-trace", dict(MINIMAL, grid={"start_us": 2.0, "stop_us": 2.0, "points": 5}), "grid.stop_us: must exceed start_us"),
+        ("phasematch", _beam(sign=2), "beams[0].sign: must be +1 or -1, got 2"),
+        ("phasematch", _beam(direction=[0.0, 0.0, 1.0, 0.0]), "beams[0].direction: expected 3 components"),
+        ("phasematch", _beam(direction=[0.0, 0.0, 0.0]), "beams[0].direction: zero vector"),
+        ("sweep", dict(SWEEP, axes=[{"path": "", "values": [1]}]), "axes[0].path: expected a nonempty dotted path"),
+        ("g2-trace", dict(MINIMAL, realizations=2.5), "realizations: expected an integer, got 2.5"),
+        ("g2-trace", dict(MINIMAL, grid=dict(MINIMAL["grid"], stop_us="2")), "grid.stop_us: expected a number, got '2'"),
+        ("phasematch", dict(PHASEMATCH, solve_offaxis="yes"), "solve_offaxis: expected true/false, got 'yes'"),
+        ("sweep", dict(SWEEP, axes={"path": "realizations"}), "axes: expected a list, got dict"),
+        ("g2-trace", dict(MINIMAL, schedule={"cycles": []}), "schedule.cycles: needs at least 1 entries"),
+        ("g2-trace", dict(MINIMAL, ensemble=dict(MINIMAL["ensemble"], seed=2**64)), f"ensemble.seed: must be <= {2**64 - 1}"),
+        ("g2-trace", [MINIMAL], "top-level config must be a JSON object"),
+    ],
+    ids=[
+        "empty-grid",
+        "beam-sign",
+        "beam-direction-4",
+        "beam-direction-zero",
+        "empty-axis-path",
+        "integer",
+        "number",
+        "bool",
+        "list",
+        "list-length",
+        "seed-above-64-bits",
+        "top-level-array",
+    ],
+)
+def test_malformed_values_are_config_errors_with_their_path(tmp_path, capsys, subcommand, payload, message):
+    path = write_config(tmp_path, payload)
+    assert main([subcommand, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: {message}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_axes_path_may_end_in_a_list_index():
+    raw = dict(MINIMAL, scan_n=[60, 100])
+    cli._apply_override(raw, "scan_n.1", 80)
+    assert raw["scan_n"] == [60, 80]
 
 
 @pytest.mark.parametrize("subcommand, payload", [("oracle", ORACLE), ("phasematch", PHASEMATCH)])

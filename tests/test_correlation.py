@@ -472,6 +472,11 @@ def test_trace_summaries_are_computed_once():
     assert np.array_equal(trace.g2_stderr, trace.g2.std(axis=0, ddof=1) / math.sqrt(3))
 
 
+def test_one_realization_has_a_zero_stderr_column():
+    trace = g2_trace(EnsembleSpec(10, 60.0, seed=44), single_cycle_schedule(2.0e5), [0.5, 1.0], realizations=1)
+    assert np.array_equal(trace.g2_stderr, np.zeros(2))
+
+
 @pytest.mark.parametrize("driver", ["trace", "cycles"])
 def test_non_finite_amplitude_raises(monkeypatch, driver):
     import ryddephase.correlation as correlation

@@ -8,10 +8,12 @@ behaviour keeps these bytes; a change that moves them must record the new
 hashes and explain every changed byte.  Manifests are not hashed: they carry
 the wall-clock duration.
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [DIR]
 
 prints the GOLDEN table of the current code in this file's layout, so a
-re-record is one command whose output replaces the table.
+re-record is one command whose output replaces the table.  Given DIR, it also
+keeps each case's data files under DIR/<case>/out/, so a re-record can compare
+them column by column with the same run of the parent commit.
 
 The hashes hold for one numpy build on one CPU family (numpy's vectorized
 tan and the BLAS behind eigh may round differently elsewhere); they were
@@ -106,7 +108,7 @@ GOLDEN = {
         "cycles.json": "dbcf5c7a9584a44e6b4a5084ec297fb6e44cb3498654dcdf283992a86b2c1e7e",
     },
     "cycles_multichannel": {
-        "cycles.csv": "2e22c25fbfabb7724fc814714ab46378b666b39392131ca3d8bd462dfad1a5fd",
+        "cycles.csv": "b5204781ea610052da0238e99610619be964d8de3da2cbe274a659e600d943e2",
     },
     "entangle": {
         "entangle.csv": "f9331f313938666fd34745a280b0d6f1bc698ffe4092344ab92ee4f452fc6f12",
@@ -128,7 +130,7 @@ GOLDEN = {
         "phasematch.json": "3940f50dc62de4e425bbb3384275dc00d1d67c6f56cb1c93fb29251b9ec6c044",
     },
     "multichannel": {
-        "g2_trace.csv": "da09b9b397eb03385cd0a49b16414a0f6c51d8733023573129a6c4306d03d9ed",
+        "g2_trace.csv": "f8743bac7b2e37b3b03052f2141bd9cc33f823c601e842f9c84ffec7e69239a8",
     },
     "oracle": {
         "oracle.json": "6528daed7a57cd5b4311a32adad9af250c2c3f5d9f241e16b91545f3553bde53",
@@ -141,10 +143,10 @@ GOLDEN = {
         "g2_trace.csv": "a3247c95c61146ddc2c1a2db7b6e53a676838edb4a1b8ce9c537d869d6aef8f3",
     },
     "two_cycle_trace_multichannel": {
-        "g2_trace.csv": "eb61c1e577c8d2537176951f395cafdf64f1cd0a53a620708f7567fe03d9c73d",
+        "g2_trace.csv": "040766567597c2909e871d7955c043ca288e57848ea822d7f1a94232ce3bc5ed",
     },
     "two_cycle_trace_sigma_minus": {
-        "g2_trace.csv": "03d620047ecc0ecacc8214a86a1d5311728741a1fa29a187ef898699b8d2d575",
+        "g2_trace.csv": "517338e8cdf177f8d07c938908bca22ec3bb9917ac7b11ae71c3e75c3286402b",
     },
     "twophoton": {
         "phasematch.json": "022b56299aa2c1cdd25e1fe587b751c053b8b3e4780049ee3d0a3cab95065121",
@@ -186,8 +188,10 @@ def test_recorded_entry_is_the_pinned_one(tmp_path):
 
 if __name__ == "__main__":
     entries = []
-    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(sys.stderr):
+    with contextlib.ExitStack() as stack:
+        root = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(stack.enter_context(tempfile.TemporaryDirectory()))
+        stack.enter_context(contextlib.redirect_stdout(sys.stderr))
         for name in sorted(CASES):
-            (Path(tmp) / name).mkdir()
-            entries.append(golden_entry(name, run_case(name, Path(tmp) / name)))
+            (root / name).mkdir(parents=True)
+            entries.append(golden_entry(name, run_case(name, root / name)))
     print("GOLDEN = {", *entries, "}", sep="\n")

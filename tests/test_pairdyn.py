@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ryddephase.atomdata import POLARIZATIONS, POPULATED_M, MicrowaveSpec, RydbergChannel
+from ryddephase.atomdata import POLARIZATIONS, POPULATED_M, InteractionModel, MicrowaveSpec, RydbergChannel, c3_of
 from ryddephase.ensemble import PairGeometry
 from ryddephase.pairdyn import (
     CycleSpec,
@@ -180,8 +180,8 @@ def _cartesian_exchange_oracle(geom, ch):
     """
     from ryddephase.pairdyn import _dipole_blocks
 
-    blocks = _dipole_blocks(ch)
-    t = {q: blocks[q][0] + blocks[q][1] for q in (-1, 0, 1)}
+    up = _dipole_blocks(ch)
+    t = {q: up[q] + (-1) ** q * up[-q].T for q in (-1, 0, 1)}  # (T_q)^dag = (-1)^q T_-q
     dx = (t[-1] - t[1]) / math.sqrt(2.0)
     dy = 1j * (t[-1] + t[1]) / math.sqrt(2.0)
     dz = t[0]
@@ -207,6 +207,24 @@ def test_interaction_matches_cartesian_oracle(j):
         built = interaction_matrix(geom, ch)
         oracle = _cartesian_exchange_oracle(geom, ch)
         assert np.max(np.abs(built - oracle)) <= 1e-12
+
+
+ROOT7 = math.sqrt(7.0)
+EXCHANGE_LEVELS = {  # distinct eigenvalues of the exchange operator at R = 1, C3 = 1, for any pair axis
+    0.5: [0.0, 2.0 / 3.0, 4.0 / 3.0],
+    1.5: [0.0, 1.0, 5.0 / 3.0, math.sqrt((11.0 + 4.0 * ROOT7) / 9.0), math.sqrt((11.0 - 4.0 * ROOT7) / 9.0)],
+}
+
+
+@pytest.mark.parametrize("j", [0.5, 1.5])
+def test_exchange_spectrum_at_unit_strength(j):
+    # pins the operator's normalization and sign: every level comes in a +- pair
+    levels = np.array(sorted({s * v for v in EXCHANGE_LEVELS[j] for s in (-1.0, 1.0)}))
+    for theta, phi in [(0.0, 0.0), (0.6, 1.9), (math.pi / 2, 0.3), (2.1, 4.4)]:
+        ev = np.linalg.eigvalsh(interaction_matrix(PairGeometry(1.0, theta, phi), channel(j)))
+        nearest = np.abs(ev[:, None] - levels[None, :])
+        assert np.all(nearest.min(axis=1) <= 1e-12)
+        assert np.all(nearest.min(axis=0) <= 1e-12)
 
 
 def test_interaction_scales_as_inverse_cube():
@@ -503,13 +521,13 @@ def test_pair_spectra_build_the_exchange_operators_once(monkeypatch):
     from ryddephase import pairdyn
 
     builds = []
-    build = pairdyn.exchange_tensor_operators
+    build = pairdyn.exchange_operators
 
     def counting_build(ch):
         builds.append(ch)
         return build(ch)
 
-    monkeypatch.setattr(pairdyn, "exchange_tensor_operators", counting_build)
+    monkeypatch.setattr(pairdyn, "exchange_operators", counting_build)
     rng = np.random.default_rng(61)
     npairs = 780  # two chunks of the default 512
     r = rng.uniform(2.0, 60.0, npairs)
@@ -581,6 +599,19 @@ def test_pair_spectra_equal_the_complex_oracle_at_any_azimuth(pulse_model, j, po
             for phi in phis:
                 single = cycle_amplitude_numeric(PairGeometry(rs[i], thetas[i], phi), CycleSpec(cyc.channel, t, mw))
                 assert abs(batched[i] - single) <= 1e-13 * (1.0 + phase)
+
+
+@pytest.mark.parametrize("j", [0.5, 1.5])
+def test_scalar_oracle_holds_at_the_shipped_strength(j):
+    # h scales as C3/R^3, so its Hermiticity is checked relative to max|h|; an
+    # absolute 1e-12 rejected this pair at the shipped configs' C3 (2.0e5)
+    c3 = c3_of(100, InteractionModel(26000.0, 60, 4.0))
+    geom = PairGeometry(2.0, 1.0, 0.5)
+    cyc = CycleSpec(channel(j, c3=c3), 0.0, MW)
+    spectra = pair_spectra(np.array([geom.separation]), np.array([geom.polar_angle]), cyc)
+    for t in (0.0, 1e-4, 0.01, 1.0):
+        single = cycle_amplitude_numeric(geom, CycleSpec(cyc.channel, t, MW))
+        assert abs(spectral_amplitudes(spectra, t)[0] - single) <= 1e-13 * (1.0 + c3 * t / geom.separation**3)
 
 
 @pytest.mark.parametrize("pulse_model", ["instantaneous", "finite_duration"])
