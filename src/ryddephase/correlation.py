@@ -15,20 +15,27 @@ in the large-N limit (N-1)/N ~ 1.  A brute-force oracle evaluates the same
 correlator exactly on the explicit truncated state vector for small N.
 
 Each point is reduced from per-pair amplitudes without forming the N x N
-matrix.  Amplitude columns stay in condensed (mu < nu, row-major) order,
-where the pairs of row mu are contiguous; one fixed gather puts a column in
-column order (nu-major), where the pairs of column nu are.  S_mu adds these
-two segment sums (np.add.reduceat, which sums each segment pairwise), and
-math.fsum combines the N row sums.  The layout is cached per N and depends
-on N alone, never on how realizations were spread over worker processes,
-so traces are byte-identical for any worker count.
+matrix.  The pairs are held in round-robin order: with K = N // 2, atom mu
+owns the pairs (mu, mu + k mod N), k = 1..K, one row of K slots
+(ensemble.round_robin_pairs).  For odd N that is every pair once; for even N
+the pair (mu, mu + N/2) is counted in the row of mu < N/2 and its second
+slot is zeroed.  Re A and Im A fill rows K.. of two real planes of K + N
+rows (_PairPlanes), and the last K rows are copied ahead of the first.  Then
+the partners of mu, the pairs (mu - k, mu), sit at row K + mu - k, column
+k - 1 of a plane: one fixed view with strides (K, 1 - K).  S_mu adds the
+sum over its own row and the sum over that view, each started from +0.0,
+and math.fsum combines the N row sums.  There is no gather, and the order
+depends on N alone, never on how realizations were spread over worker
+processes, so traces are byte-identical for any worker count.
 
-Each mode supplies one function t -> (npairs,) condensed amplitude column
-per cycle: analytic over R^3 computed once, multichannel over the cycle's
-pair spectra.  One rule combines them: the cycles' columns multiply.  A
-realization streams one column per time point, in O(N^2) memory, or
-O(N^2 d) over a pair basis of dimension d, whatever the grid length T.
-g2_from_amplitudes and brute_force_g2 take condensed input.
+Each mode supplies one function (t, out) -> amplitudes per cycle: analytic
+over R^3 computed once in round-robin order, multichannel over the cycle's
+pair spectra.  With out the kernel writes the planes itself; without, it
+returns a fresh complex array.  One rule combines the cycles: their
+amplitudes multiply, as complex numbers.  A realization allocates its planes
+once and streams one point at a time, in O(N^2) memory, or O(N^2 d) over a
+pair basis of dimension d, whatever the grid length T.  g2_from_amplitudes
+and brute_force_g2 take condensed (mu < nu, row-major) input.
 run_realizations is the one realization loop (seed, sample, evaluate, stack
 in index order, serially or on a process pool); the entanglement trace in
 protocol runs through it as well.
@@ -38,15 +45,17 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache, partial, reduce
+from functools import cached_property, partial, reduce
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .ensemble import (
     EnsembleSpec,
     pair_index_arrays,
     pair_orientations,
-    pair_separations,
+    round_robin_pairs,
+    round_robin_separations,
     sample_positions,
 )
 from .pairdyn import NumericsError, analytic_pair_amplitudes, pair_spectra, spectral_amplitudes
@@ -64,52 +73,60 @@ class G2Point:
     h: float
 
 
-@lru_cache
-def _pair_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row starts, column gather and column starts of the condensed pairs of n atoms.
+class _PairPlanes:
+    """Re A and Im A of every pair of n atoms in round-robin order, and the point they reduce to.
 
-    Row mu < n - 1 holds the pairs (mu, nu > mu) from its start on; the
-    gather lists the condensed indices nu-major, mu ascending, and column
-    nu > 0 holds the pairs (mu < nu, nu) of the gathered column from its
-    start on.  Row n - 1 and column 0 hold no pair and have no start:
-    reduceat returns the element itself for a repeated index, not 0.
+    owned, a (2, n, K) view with K = n // 2, holds in [0] and [1] the real
+    and imaginary amplitude of slot (mu, k - 1), the pair (mu, mu + k mod n).
+    Every slot is written before each point (module docstring).
     """
-    _, nu = pair_index_arrays(n)
-    rows, cols = np.arange(n - 1), np.arange(1, n)
-    layout = (rows * n - rows * (rows + 1) // 2, np.argsort(nu, kind="stable"), cols * (cols - 1) // 2)
-    for part in layout:  # shared by every caller through the cache
-        part.flags.writeable = False
-    return layout
 
+    def __init__(self, n: int):
+        self.n, self.k = n, n // 2
+        self._planes = np.empty((2, self.k + n, self.k))
+        self.owned = self._planes[:, self.k :]
+        # the partner in slot (mu, k - 1), the pair (mu - k, mu), lies at plane row K + mu - k, column k - 1
+        strides = self._planes.strides
+        self._partners = as_strided(
+            self._planes[:, self.k - 1 :],
+            (2, n, self.k),
+            (strides[0], strides[1], strides[2] - strides[1]),
+            writeable=False,
+        )
 
-def _row_sums(column, n: int) -> np.ndarray:
-    """Row sums S_mu of a condensed column, checked finite; a row of signed zeros sums to +0.0."""
-    row_starts, by_col, col_starts = _pair_layout(n)
-    column = np.asarray(column, dtype=complex)
-    rows = np.zeros(n, dtype=complex)
-    rows[:-1] += np.add.reduceat(column, row_starts)
-    rows[1:] += np.add.reduceat(column[by_col], col_starts)
-    if not np.isfinite(rows).all():
-        raise ValueError("missing pair amplitude (non-finite value)")
-    return rows
+    def row_sums(self) -> np.ndarray:
+        """Real and imaginary row sums S_mu of owned, shape (2, n), checked finite.
 
+        For even n the second slot of each pair (mu, mu + n/2) is zeroed
+        first; then the last K rows are copied ahead of the first, for the
+        partner view.  A row of signed zeros sums to +0.0.  A non-finite
+        amplitude makes its row sums non-finite (|A| <= 1 keeps finite sums
+        finite), so only the row sums are checked.
+        """
+        n, k = self.n, self.k
+        if n % 2 == 0:
+            self.owned[:, k:, -1] = 0.0
+        self._planes[:, :k] = self._planes[:, n:]
+        rows = self.owned.sum(axis=2, initial=0.0)
+        rows += self._partners.sum(axis=2, initial=0.0)
+        if not np.isfinite(rows).all():
+            raise ValueError("missing pair amplitude (non-finite value)")
+        return rows
 
-def _reduce_pairs(column, n: int) -> tuple[float, float, float]:
-    """(g2, f, h) of one point from a condensed column of pair amplitudes, in fixed order.
+    def point(self, amplitudes=None) -> tuple[float, float, float]:
+        """(g2, f, h) of owned; math.fsum combines the n row sums.
 
-    Each row sum S_mu adds two segment sums, its row's and its column's
-    (np.add.reduceat over the _pair_layout cached per n, pairwise within a
-    segment), into zeros; math.fsum combines the n row sums.  The order
-    depends on n alone, so the result does not depend on the worker count.
-    A non-finite amplitude makes its row sums non-finite (|A| <= 1 keeps
-    finite sums finite), so only the n row sums are checked.
-    """
-    rows = _row_sums(column, n)
-    row_re, row_im = rows.real, rows.imag
-    total_re, total_im = math.fsum(row_re.tolist()), math.fsum(row_im.tolist())
-    f = (total_re * total_re + total_im * total_im) / float(n) ** 4
-    h = math.fsum((row_re * row_re + row_im * row_im).tolist()) / float(n) ** 3
-    return 4.0 * G2_ZERO * f / (1.0 + h) ** 2, f, h
+        Complex (n, K) amplitudes in round-robin order are copied into owned
+        first; with None, owned holds the point as written.
+        """
+        if amplitudes is not None:
+            self.owned[0], self.owned[1] = amplitudes.real, amplitudes.imag
+        row_re, row_im = self.row_sums()
+        n = float(self.n)
+        total_re, total_im = math.fsum(row_re.tolist()), math.fsum(row_im.tolist())
+        f = (total_re * total_re + total_im * total_im) / n**4
+        h = math.fsum((row_re * row_re + row_im * row_im).tolist()) / n**3
+        return 4.0 * G2_ZERO * f / (1.0 + h) ** 2, f, h
 
 
 def _condensed(amplitudes, n_atoms: int) -> np.ndarray:
@@ -125,7 +142,8 @@ def _condensed(amplitudes, n_atoms: int) -> np.ndarray:
 
 def g2_from_amplitudes(condensed, n_atoms: int) -> G2Point:
     """One correlation point from condensed (mu < nu, row-major) pair amplitudes."""
-    return G2Point(*_reduce_pairs(_condensed(condensed, n_atoms), n_atoms))
+    amplitudes = np.asarray(_condensed(condensed, n_atoms), dtype=complex)
+    return G2Point(*_PairPlanes(n_atoms).point(amplitudes[round_robin_pairs(n_atoms)]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,41 +190,76 @@ def realization_seed(base_seed: int, index: int) -> int:
 
 
 def _cycle_sources(positions: np.ndarray, cycles, mode: str):
-    """Per cycle, in schedule order, its amplitude function t -> fresh condensed column.
+    """Per cycle, in schedule order, its amplitude function (t, out=None), pairs in round-robin order.
 
-    A multichannel cycle's pair spectra are built when its source is drawn,
-    so a caller that drops each source before drawing the next holds one
-    cycle's spectra at a time.
+    Called with out, a source writes Re A and Im A into the planes out;
+    without, it returns a fresh complex array.  A multichannel cycle's pair
+    spectra are built when its source is drawn, so a caller that drops each
+    source before drawing the next holds one cycle's spectra at a time.
     """
     if mode == "analytic":
-        cubes = pair_separations(positions) ** 3
+        cubes = round_robin_separations(positions)
+        cubes **= 3
         for cycle in cycles:
-            yield lambda t, c3=cycle.channel.c3: analytic_pair_amplitudes(cubes, c3 * t)
+            yield lambda t, out=None, c3=cycle.channel.c3: analytic_pair_amplitudes(cubes, c3 * t, out)
     elif mode == "multichannel":
-        r, theta = pair_orientations(positions)
+        counted = _counted_slots(len(positions))
+        r, theta = (part[round_robin_pairs(len(positions))[counted]] for part in pair_orientations(positions))
         for q, cycle in enumerate(cycles):
             try:
-                yield partial(spectral_amplitudes, pair_spectra(r, theta, cycle))
+                yield partial(_spectral_source, pair_spectra(r, theta, cycle), counted)
             except NumericsError as exc:
                 raise NumericsError(f"cycle {q}: {exc}") from exc
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
 
-def _amplitude_columns(positions: np.ndarray, cycles, grid, mode: str):
-    """Pair amplitudes of one realization, one (npairs,) column per point.
+def _counted_slots(n: int) -> np.ndarray:
+    """(n, K) mask of the round-robin slots that count a pair: all but the second slot of each (mu, mu + n/2)."""
+    counted = np.ones((n, n // 2), dtype=bool)
+    if n % 2 == 0:
+        counted[n // 2 :, -1] = False
+    return counted
 
-    The cycles' amplitudes multiply.  With a grid, each grid time replaces the
-    free interval of every cycle.  With grid None, column q is the product of
-    cycles 0..q, each at its own free interval; map drops each cycle's
-    source once its column is evaluated, before the next one is drawn.
+
+def _spectral_source(spectra: tuple, counted: np.ndarray, t: float, out=None):
+    """A multichannel cycle's amplitudes at free interval t, spectra held for the counted slots only.
+
+    Each pair is diagonalized once.  The uncounted slots are 0 in a fresh
+    (n, K) complex array and left as they are in the planes out, which
+    _PairPlanes.row_sums zeroes there.
     """
+    column = spectral_amplitudes(spectra, t)
+    if out is None:
+        out = np.zeros(counted.shape, dtype=complex)
+        out[counted] = column
+    else:
+        out[0][counted], out[1][counted] = column.real, column.imag
+    return out
+
+
+def _realization_points(positions: np.ndarray, cycles, grid, mode: str) -> list:
+    """(g2, f, h) of each point of one realization, through planes allocated once.
+
+    The cycles' amplitudes multiply as complex numbers.  With a grid, each grid
+    time replaces the free interval of every cycle, and a lone cycle writes
+    the planes itself.  With grid None, point q is the product of cycles
+    0..q, each at its own free interval; map drops each cycle's source once
+    its amplitudes are evaluated, before the next one is drawn.
+    """
+    planes = _PairPlanes(len(positions))
     sources = _cycle_sources(positions, cycles, mode)
     if grid is None:
         per_cycle = map(lambda source, cycle: source(cycle.delta_t), sources, cycles)
-        return itertools.accumulate(per_cycle, operator.mul)
-    sources = list(sources)
-    return (reduce(operator.imul, (source(t) for source in sources)) for t in grid)
+        return [planes.point(product) for product in itertools.accumulate(per_cycle, operator.mul)]
+    first, *rest = sources
+    if rest:
+        return [planes.point(reduce(operator.imul, (source(t) for source in rest), first(t))) for t in grid]
+    points = []
+    for t in grid:
+        first(t, planes.owned)
+        points.append(planes.point())
+    return points
 
 
 def sample_realization(ensemble: EnsembleSpec, index: int) -> tuple[int, np.ndarray]:
@@ -216,14 +269,11 @@ def sample_realization(ensemble: EnsembleSpec, index: int) -> tuple[int, np.ndar
 
 
 def _trace_single_realization(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """g2, f and h of one realization: sample positions, evaluate, reduce each column."""
+    """g2, f and h of one realization: sample positions, evaluate and reduce each point."""
     ensemble, cycles, grid, mode, index = args
     seed, positions = sample_realization(ensemble, index)
     try:
-        points = [
-            _reduce_pairs(column, ensemble.n_atoms)
-            for column in _amplitude_columns(positions, cycles, grid, mode)
-        ]
+        points = _realization_points(positions, cycles, grid, mode)
     except NumericsError as exc:
         raise NumericsError(f"realization {index} (seed {seed}): {exc}") from exc
     g2s, fs, hs = np.array(points).T
@@ -247,6 +297,15 @@ def run_realizations(worker, ensemble: EnsembleSpec, params: tuple, realizations
     return stacks, seeds
 
 
+def checked_time_grid(grid) -> np.ndarray:
+    """grid as a float array, checked to hold only finite times >= 0 (us)."""
+    grid = np.asarray(grid, dtype=float)
+    bad = grid[~(np.isfinite(grid) & (grid >= 0.0))]
+    if bad.size:
+        raise ValueError(f"time grid must hold finite times >= 0 us, got {bad[0]}")
+    return grid
+
+
 def g2_trace(
     ensemble: EnsembleSpec,
     schedule,
@@ -261,8 +320,10 @@ def g2_trace(
     schedule (for a single-cycle schedule this sweeps the interval directly).
     Each realization resamples atom positions from a seed derived from the
     ensemble seed and the realization index; the schedule stays fixed.
+    Raises ValueError unless the grid is nonempty, strictly increasing and
+    finite, with no time below 0.
     """
-    grid = np.asarray(grid, dtype=float)
+    grid = checked_time_grid(grid)
     if grid.size == 0:
         raise ValueError("time grid must be nonempty")
     if np.any(np.diff(grid) <= 0) and grid.size > 1:

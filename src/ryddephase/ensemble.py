@@ -2,16 +2,19 @@
 
 Positions are sampled i.i.d. uniform in a cube into a read-only (N, 3)
 array, the input of every pair function; all time dependence in the
-simulation lives in the internal dynamics, never in the geometry.  The
-random stream is PCG64 (numpy's default bit generator), seeded directly with
-the 64-bit ensemble seed, so configurations are bit-reproducible across runs
-and platforms.
+simulation lives in the internal dynamics, never in the geometry.  Pair
+functions list pairs in condensed order (mu < nu, row-major;
+pair_index_arrays) or, for the correlation reduction, in round-robin order
+(round_robin_pairs).  The random stream is PCG64 (numpy's default bit
+generator), seeded directly with the 64-bit ensemble seed, so configurations
+are bit-reproducible across runs and platforms.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 DEFAULT_MIN_SEPARATION = 0.1  # um; guards 1/R^3 against float blowup, not a physics cutoff
 
@@ -153,6 +156,42 @@ def pair_separations(positions: np.ndarray) -> np.ndarray:
 def pair_index_arrays(n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
     """(mu, nu) index arrays matching the condensed distance ordering."""
     return np.triu_indices(n_atoms, k=1)
+
+
+def round_robin_pairs(n_atoms: int) -> np.ndarray:
+    """Condensed index of every round-robin slot, shape (n, n // 2).
+
+    Slot (mu, k - 1) holds the pair of mu and (mu + k) mod n, k = 1..n // 2.
+    For odd n every pair has one slot.  For even n the pair of mu and
+    mu + n / 2 has two, (mu, n/2 - 1) and (mu + n/2, n/2 - 1), both listed here.
+    """
+    k = n_atoms // 2
+    mu = np.arange(n_atoms)[:, None]
+    nu = (mu + np.arange(1, k + 1)) % n_atoms
+    lo, hi = np.minimum(mu, nu), np.maximum(mu, nu)
+    return lo * n_atoms - lo * (lo + 1) // 2 + (hi - lo - 1)
+
+
+def round_robin_separations(positions: np.ndarray) -> np.ndarray:
+    """Pair distances in round-robin order (round_robin_pairs), shape (n, n // 2).
+
+    Each slot's distance is the same bits as the pair's in pair_separations:
+    the squares of the coordinate differences are the same (a - b and b - a
+    square alike) and add in axis order x, y, z.  Atom mu's partners are a
+    sliding window over the positions followed by their first n // 2 rows
+    again, so no index array or gathered copy is built.
+    """
+    n = len(positions)
+    k = n // 2
+    wrapped = np.concatenate([positions, positions[:k]]).T.copy()  # (3, n + k)
+    total, square = np.empty((n, k)), np.empty((n, k))
+    for axis, x in enumerate(wrapped):
+        d = total if axis == 0 else square
+        np.subtract(sliding_window_view(x, k + 1)[:n, 1:], x[:n, None], out=d)
+        d *= d
+        if axis:
+            total += square
+    return np.sqrt(total, out=total)
 
 
 def pair_orientations(positions: np.ndarray):

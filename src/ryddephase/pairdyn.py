@@ -15,22 +15,26 @@ real tangent, A = (1 + i t) / (1 + t^2) with t = tan(phi / 2), which equals
 per pair where cos and sin take two.  Every amplitude stays
 within 1e-15 of the values built from math.cos and math.sin, whatever the
 size of phi.  analytic_pair_amplitudes evaluates one cycle for many pairs,
-each pair's phase one divide C3 * dT / R^3; a schedule's cycles multiply in
-correlation, whatever the mode.
+each pair's half phase one divide (C3 * dT / 2) / R^3; a schedule's cycles
+multiply in correlation, whatever the mode.
 
-Buffer discipline.  The g2 drivers call analytic_pair_amplitudes once per
-cycle and grid point, on columns of several hundred kB (44850 pairs at
-N = 300).  glibc serves blocks that size from the top of the heap and gives
-them back to the kernel once the free space at the top passes its trim
-threshold (mallopt(3), M_TRIM_THRESHOLD, which follows the dynamic
-M_MMAP_THRESHOLD).  A kernel that frees a chain of fresh temporaries per call
-crosses it at every grid point, and every page of the next call faults in
-again: about 500 minor faults, two thirds of the call's time.  So the kernel
-holds two large arrays: the phase, overwritten in place by its tangent, and
-the returned column, whose real and imaginary parts receive the weight and
-its product with the tangent (_cycle_amplitude_into).  R^3 comes from the
-caller, computed once per realization (libm pow takes about a third of a
-call at N = 300).
+Buffer discipline.  A g2 trace evaluates one cycle per grid point on
+columns of several hundred kB (44850 pairs at N = 300).  glibc serves
+blocks that size from the top of the heap and gives them back to the kernel
+once the free space at the top passes its trim threshold (mallopt(3),
+M_TRIM_THRESHOLD, which follows the dynamic M_MMAP_THRESHOLD).  A kernel
+that frees a chain of fresh temporaries per call crosses it at every grid
+point, and every page of the next call faults in again: about 500 minor
+faults, two thirds of the call's time.  So analytic_pair_amplitudes takes
+an out array: correlation allocates one real array of Re A and Im A planes
+per realization, and a lone cycle writes every point into it.  The kernel
+builds the half phase in the Im plane, overwrites it with its tangent, and
+writes the weight and its product with the tangent in place
+(_half_angle_amplitude_into), contiguously and with no other array.  The
+cycles of a longer schedule still return fresh complex arrays: they multiply
+as complex numbers, and numpy rounds each part of that product as one fused
+multiply-add, which separate planes cannot repeat.  R^3 comes from the caller, computed once
+per realization (libm pow takes about a third of a call at N = 300).
 
 Numeric route (multichannel): each atom spans the sublevels
 [s -1/2, s +1/2, p -j, ..., p +j], found by index arithmetic
@@ -108,21 +112,18 @@ class CycleSpec:
         return self.delta_t + 2.0 * math.pi / self.microwave.rabi
 
 
-def _cycle_amplitude_into(phase: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write the closed-form cycle amplitude of phase into the complex array out.
+def _half_angle_amplitude_into(half_phase: np.ndarray, re: np.ndarray, im: np.ndarray) -> None:
+    """Write the closed-form cycle amplitude of phase = 2 half_phase into re and im.
 
-    phase is overwritten with t = tan(phase / 2); the weight w = 1 / (1 + t^2)
-    is built in out.real and t * w is written to out.imag, so no temporary
-    array is created.  Returns out.
+    half_phase is overwritten with t = tan(phase / 2) and may be im itself;
+    the weight w = 1 / (1 + t^2) is built in re and t * w is written to im,
+    so no temporary array is created.
     """
-    phase *= 0.5
-    np.tan(phase, out=phase)
-    w = out.real
-    np.multiply(phase, phase, out=w)
-    w += 1.0
-    np.divide(1.0, w, out=w)
-    np.multiply(phase, w, out=out.imag)
-    return out
+    np.tan(half_phase, out=half_phase)
+    np.multiply(half_phase, half_phase, out=re)
+    re += 1.0
+    np.divide(1.0, re, out=re)
+    np.multiply(half_phase, re, out=im)
 
 
 def analytic_cycle_amplitude(phi):
@@ -132,8 +133,10 @@ def analytic_cycle_amplitude(phi):
     number as (1 + cos phi) / 2 + i sin(phi) / 2.  Accepts scalars or arrays;
     a scalar phase gives a scalar amplitude.
     """
-    phase = np.array(phi, dtype=float)
-    out = _cycle_amplitude_into(phase, np.empty(phase.shape, dtype=complex))
+    half_phase = np.array(phi, dtype=float)
+    half_phase *= 0.5
+    out = np.empty(half_phase.shape, dtype=complex)
+    _half_angle_amplitude_into(half_phase, out.real, out.imag)
     return out if out.ndim else out[()]
 
 
@@ -304,15 +307,25 @@ def cycle_amplitude_numeric(
 # ---------------------------------------------------------------------------
 
 
-def analytic_pair_amplitudes(cubes: np.ndarray, phase_product: float) -> np.ndarray:
-    """Closed-form amplitude of one cycle for every pair, shape (npairs,).
+def analytic_pair_amplitudes(cubes: np.ndarray, phase_product: float, out=None) -> np.ndarray:
+    """Closed-form amplitude of one cycle for every pair, shape cubes.shape.
 
     cubes is R^3 of each pair, computed once by a caller that evaluates many
     times of the same pairs, and only read; phase_product is the cycle's
-    C3 * delta_t.  The phase is one divide, C3 * delta_t / R^3, and the two
-    arrays it takes (the phase and the result) are all the call holds.
+    C3 * delta_t.  The half phase is one divide, (C3 * delta_t / 2) / R^3,
+    the same bits as half of C3 * delta_t / R^3.  With out None the result
+    is a fresh complex array, and the half phase one more array.  Otherwise
+    out is a real (2, *cubes.shape) array: Re A and Im A are written into
+    out[0] and out[1], the half phase built in out[1], and out is returned;
+    the call then allocates nothing.
     """
-    return _cycle_amplitude_into(np.divide(phase_product, cubes), np.empty(cubes.shape, dtype=complex))
+    if out is None:
+        amplitudes = np.empty(cubes.shape, dtype=complex)
+        _half_angle_amplitude_into(np.divide(0.5 * phase_product, cubes), amplitudes.real, amplitudes.imag)
+        return amplitudes
+    re, im = out
+    _half_angle_amplitude_into(np.divide(0.5 * phase_product, cubes, out=im), re, im)
+    return out
 
 
 def pair_spectra(separations: np.ndarray, thetas: np.ndarray, cycle: CycleSpec) -> tuple:

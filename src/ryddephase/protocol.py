@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import run_realizations, sample_realization
+from .correlation import checked_time_grid, run_realizations, sample_realization
 from .ensemble import pair_separations
 from .pairdyn import (
     CycleSpec,
@@ -160,9 +160,10 @@ def entangle_trace(
 
     Returns (F, |m1|, |m2|) averaged over position realizations, which run
     on the pool when one is given (the result does not depend on it), and
-    the realization seeds.
+    the realization seeds.  Raises ValueError unless every grid time is
+    finite and >= 0.
     """
-    params = (c3_prime, c3_second, np.asarray(grid, dtype=float))
+    params = (c3_prime, c3_second, checked_time_grid(grid))
     (fs, m1s, m2s), seeds = run_realizations(
         _entangle_single_realization, ensemble_spec, params, realizations, pool
     )

@@ -25,6 +25,7 @@ from ryddephase.ensemble import (
     pair_index_arrays,
     pair_orientations,
     pair_separations,
+    round_robin_pairs,
     sample_positions,
 )
 from ryddephase.pairdyn import CycleSpec, NumericsError, analytic_pair_amplitudes, pair_spectra, spectral_amplitudes
@@ -271,6 +272,12 @@ def test_trace_rejects_bad_grid():
         g2_trace(ens, sched, [1.0], realizations=0)
 
 
+@pytest.mark.parametrize("grid", [[0.5, math.nan], [0.5, math.inf], [-1.0, 0.5]], ids=["nan", "inf", "negative"])
+def test_trace_rejects_non_finite_or_negative_times(grid):
+    with pytest.raises(ValueError, match="time grid must hold finite times >= 0"):
+        g2_trace(EnsembleSpec(10, 60.0, seed=1), single_cycle_schedule(1.0), grid, realizations=1)
+
+
 def test_multichannel_trace_at_zero_matches_analytic():
     ens = EnsembleSpec(12, 60.0, seed=8)
     sched = single_cycle_schedule(1.0e5, n=100)
@@ -399,47 +406,106 @@ def test_point_from_amplitude_set_matches_fsum_reference(n):
     np.testing.assert_allclose([point.g2, point.f, point.h], want, rtol=REDUCTION_RTOL, atol=0.0)
 
 
-def row_sums(column, n):
-    """Row sums S_mu added in sequence, in condensed order: np.bincount over interleaved floats."""
+LAYOUT_SIZES = [2, 3, 4, 5, 6, 7, 8, 9, 60, 61, 300, 301]
+
+
+@pytest.mark.parametrize("n", LAYOUT_SIZES)
+def test_round_robin_slots_cover_every_pair_once(n):
+    from ryddephase.correlation import _counted_slots
+
+    slots = round_robin_pairs(n)
+    assert slots.shape == (n, n // 2)
+    assert np.array_equal(np.sort(slots[_counted_slots(n)]), np.arange(n * (n - 1) // 2))
+    # slot (mu, k - 1) is the pair of mu and (mu + k) mod n
     mu, nu = pair_index_arrays(n)
-    bins = np.repeat(2 * np.stack((mu, nu)), 2, axis=1)
-    bins[:, 1::2] += 1
-    floats = np.ascontiguousarray(column).view(np.float64)
-    return (np.bincount(bins[0], floats, 2 * n) + np.bincount(bins[1], floats, 2 * n)).view(complex)
+    partner = (np.arange(n)[:, None] + np.arange(1, n // 2 + 1)) % n
+    assert np.array_equal(np.minimum(mu[slots], nu[slots]), np.minimum(np.arange(n)[:, None], partner))
+    assert np.array_equal(np.maximum(mu[slots], nu[slots]), np.maximum(np.arange(n)[:, None], partner))
 
 
-@pytest.mark.parametrize("n", [2, 3, 7, 60, 300])
-def test_segment_sum_reduction_matches_sequential_order(n):
-    from ryddephase.correlation import _pair_layout, _reduce_pairs, _row_sums
+def planes_of(amps, n):
+    from ryddephase.correlation import _PairPlanes
 
-    mu, nu = pair_index_arrays(n)
-    row_starts, by_col, col_starts = _pair_layout(n)
-    assert np.array_equal(mu[row_starts], np.arange(n - 1))
-    assert np.array_equal(np.sort(by_col), np.arange(len(mu)))
-    assert np.array_equal(nu[by_col][col_starts], np.arange(1, n))
-    # within a segment the pairs share their row (column) and ascend in condensed index
-    assert np.array_equal(np.flatnonzero(np.diff(mu, prepend=-1)), row_starts)
-    assert np.array_equal(np.flatnonzero(np.diff(nu[by_col], prepend=-1)), col_starts)
-    assert np.all(np.diff(by_col)[np.diff(nu[by_col]) == 0] > 0)
+    planes = _PairPlanes(n)
+    amps = np.asarray(amps, dtype=complex)[round_robin_pairs(n)]
+    planes.owned[0], planes.owned[1] = amps.real, amps.imag
+    return planes
 
+
+@pytest.mark.parametrize("n", LAYOUT_SIZES)
+def test_row_sums_match_the_dense_matrix(n):
     amps = random_amplitudes(n, np.random.default_rng(100 + n))
     amps[::5] = complex(-0.0, -0.0)  # signed zeros, whose sign a reordered sum could flip
-    got, want = _row_sums(amps, n), row_sums(amps, n)
+    got = planes_of(amps, n).row_sums()
+    matrix = dense(amps, n)
     # error bound relative to the row's absolute sum: a row may cancel to near 0
-    scale = np.abs(dense(amps, n)).sum(axis=1)
-    assert np.all(np.abs(got.real - want.real) <= REDUCTION_RTOL * scale)
-    assert np.all(np.abs(got.imag - want.imag) <= REDUCTION_RTOL * scale)
-    want_point = point_from_rows(want.real.tolist(), want.imag.tolist(), n)
-    np.testing.assert_allclose(_reduce_pairs(amps, n), want_point, rtol=1e-14, atol=0.0)
+    scale = np.abs(matrix).sum(axis=1)
+    want = matrix.sum(axis=1)
+    assert np.all(np.abs(got[0] - want.real) <= REDUCTION_RTOL * scale)
+    assert np.all(np.abs(got[1] - want.imag) <= REDUCTION_RTOL * scale)
+    point = g2_from_amplitudes(amps, n)
+    np.testing.assert_allclose([point.g2, point.f, point.h], fsum_point(amps, n), rtol=1e-14, atol=0.0)
 
-    # rows start from +0.0: a row of signed zeros sums to +0.0, as bincount's did
-    zeros = np.full(len(amps), complex(-0.0, -0.0))
-    assert not np.signbit(_row_sums(zeros, n).view(np.float64)).any()
-    assert np.array_equal(np.signbit(got.view(np.float64)), np.signbit(want.view(np.float64)))
 
-    amps[len(amps) // 2] = complex(math.nan, 0.0)
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 60, 61])
+def test_rows_of_signed_zeros_sum_to_positive_zero(n):
+    rows = planes_of(np.full(n * (n - 1) // 2, complex(-0.0, -0.0)), n).row_sums()
+    assert not np.signbit(rows).any()
+
+
+def nan_pairs(n):
+    """Condensed pairs in an owned slot, in a wrapped partner slot and, for even n, in a k = n/2 slot."""
+    pairs = {"owned": (0, 1), "wrapped": (0, n - 1)}
+    if n % 2 == 0:
+        pairs["half"] = (0, n // 2)
+    return pairs
+
+
+@pytest.mark.parametrize("n, where", [(n, where) for n in (4, 5, 8, 9, 60, 61) for where in nan_pairs(n)])
+def test_a_missing_amplitude_in_any_slot_raises(n, where):
+    a, b = nan_pairs(n)[where]
+    mu, nu = pair_index_arrays(n)
+    amps = random_amplitudes(n, np.random.default_rng(n))
+    amps[(mu == a) & (nu == b)] = complex(math.nan, 0.0)
     with pytest.raises(ValueError, match="missing pair amplitude"):
-        _reduce_pairs(amps, n)
+        g2_from_amplitudes(amps, n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 60, 61, 100])
+def test_unit_amplitudes_give_the_finite_n_invariant(n):
+    # the cycles row-0 invariant: f = h = ((N-1)/N)^2 when every pair amplitude is 1
+    point = g2_from_amplitudes(np.ones(n * (n - 1) // 2), n)
+    q = ((n - 1) / n) ** 2
+    assert abs(point.f - q) <= 1e-15 * q
+    assert abs(point.h - q) <= 1e-15 * q
+
+
+TRACEMALLOC_PROBE = """
+import tracemalloc
+import numpy as np
+from ryddephase.atomdata import MicrowaveSpec, RydbergChannel
+from ryddephase.correlation import g2_trace
+from ryddephase.ensemble import EnsembleSpec
+from ryddephase.pairdyn import CycleSpec
+from ryddephase.protocol import make_schedule
+
+sched = make_schedule([CycleSpec(RydbergChannel(60, 60, 0.5, 2.6e4), 1.0, MicrowaveSpec(rabi=10.0))])
+g2_trace(EnsembleSpec(300, 60.0, seed=5), sched, [1.0], realizations=1)  # first-call set-up, untraced
+for points in (24, 120):
+    tracemalloc.start()
+    g2_trace(EnsembleSpec(300, 60.0, seed=5), sched, np.geomspace(0.02, 60.0, points), realizations=1)
+    print(tracemalloc.get_traced_memory()[1])
+    tracemalloc.stop()
+"""
+
+
+def test_analytic_realization_memory_does_not_grow_with_the_grid():
+    # a fresh interpreter, so no earlier test's caches or imports enter the peak
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", TRACEMALLOC_PROBE], env=env, capture_output=True, text=True, check=True)
+    short, long = map(int, proc.stdout.split())
+    assert abs(long - short) <= 0.05 * short
 
 
 def exact_trace(ensemble, cycles, grid, mode, realizations):
@@ -481,9 +547,9 @@ def test_one_realization_has_a_zero_stderr_column():
 def test_non_finite_amplitude_raises(monkeypatch, driver):
     import ryddephase.correlation as correlation
 
-    def with_nan(cubes, phase_product):
-        amps = analytic_pair_amplitudes(cubes, phase_product)
-        amps[3] = complex(math.nan, 0.0)
+    def with_nan(cubes, phase_product, out=None):
+        amps = analytic_pair_amplitudes(cubes, phase_product, out)
+        amps[..., 0, 3] = math.nan  # the slot of the pair (0, 4); complex or both planes
         return amps
 
     monkeypatch.setattr(correlation, "analytic_pair_amplitudes", with_nan)

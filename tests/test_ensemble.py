@@ -11,6 +11,8 @@ from ryddephase.ensemble import (
     pair_index_arrays,
     pair_orientations,
     pair_separations,
+    round_robin_pairs,
+    round_robin_separations,
     sample_positions,
 )
 
@@ -198,6 +200,14 @@ def test_pair_separations_equal_scipy_pdist_bit_for_bit(n):
     for seed in (0, 1, 11, 2**63 + 5):
         positions = sample_positions(EnsembleSpec(n, 60.0, seed))
         assert pair_separations(positions).tobytes() == pdist(positions).tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 41, 300, 301])
+def test_round_robin_separations_are_the_condensed_bits(n):
+    for seed in (0, 1, 11, 2**63 + 5):
+        positions = sample_positions(EnsembleSpec(n, 60.0, seed))
+        got = round_robin_separations(positions)
+        assert got.tobytes() == pair_separations(positions)[round_robin_pairs(n)].tobytes()
 
 
 def test_all_pair_geometries_matches_condensed_distances():

@@ -102,13 +102,13 @@ CASES = {
 
 GOLDEN = {
     "cycles": {
-        "cycles.csv": "9415c5316860a9bb9ea58c58cbd468123a9ec203bedbd001a6e31f39bc8f65ef",
+        "cycles.csv": "9c454c1815b8e4c80b8d4199c063f648b072d187438223d93c439595747145d2",
     },
     "cycles_json": {
-        "cycles.json": "dbcf5c7a9584a44e6b4a5084ec297fb6e44cb3498654dcdf283992a86b2c1e7e",
+        "cycles.json": "2dfc734d84f89fe3c7e6c86ae309ad54843c26cde19ec5b949cf71eb19d58cef",
     },
     "cycles_multichannel": {
-        "cycles.csv": "b5204781ea610052da0238e99610619be964d8de3da2cbe274a659e600d943e2",
+        "cycles.csv": "20b934cd266ea71c1f98931bc0c0ecf6850c87b746330b752af8a4279ea290b4",
     },
     "entangle": {
         "entangle.csv": "f9331f313938666fd34745a280b0d6f1bc698ffe4092344ab92ee4f452fc6f12",
@@ -117,36 +117,36 @@ GOLDEN = {
         "entangle.json": "03153d7a6e89da62a8f9b07e9619286c572940bbe80d80179d0205f3c3106712",
     },
     "fig2": {
-        "g2_trace_n100.csv": "927dd75d41697c86464487faa85624ff7888f5572bb3a743f11e75498418ae9f",
-        "g2_trace_n60.csv": "532fce98af100a92cbf37345ee216bafe457602b03df4c3a6e189b0678360739",
-        "g2_trace_n79.csv": "8b17f808f69f867f92d5732fbd7931c585978183193a4536e1343b4b88d11d1f",
+        "g2_trace_n100.csv": "f5a3d87ad9cb7b380edc5789879bda58193104e518a492df19740bebd8392b60",
+        "g2_trace_n60.csv": "56cb892ddaf90d6dc03a1f1c4ff05d263920df8b543c8ca3c1f1427405ad1f55",
+        "g2_trace_n79.csv": "ced1a6134559b4af0b09e6b2a031438ad561ab36ed8d7a5b05eafed6c87c113a",
     },
     "fig2_json": {
-        "g2_trace_n100.json": "7ee5a0f31f214387fe8ab7ddff5c79443f291e7e14dfea0f861bfeaba7c1c8dc",
-        "g2_trace_n60.json": "4558f12e0d3ff9309e6659ebf93ea8ae5325088f6db99cda0105b2bdf316064f",
-        "g2_trace_n79.json": "93dce9d09dbb6c3635f2757c6769e0e3cf17b00c311299c9577ceea23c073e7f",
+        "g2_trace_n100.json": "056881bd90144abae901c0f117184219012d46b28310d302adb0719348de9405",
+        "g2_trace_n60.json": "ac0d08fdc191283032ca30ff46c3937ace215170d408ad3fc71739d0d539dfd4",
+        "g2_trace_n79.json": "fc8883bd464b8042aba69a11fe999e6e90c7dc0d170e2170207a78fd24e0fa73",
     },
     "fourphoton": {
         "phasematch.json": "3940f50dc62de4e425bbb3384275dc00d1d67c6f56cb1c93fb29251b9ec6c044",
     },
     "multichannel": {
-        "g2_trace.csv": "f8743bac7b2e37b3b03052f2141bd9cc33f823c601e842f9c84ffec7e69239a8",
+        "g2_trace.csv": "56a382d6a906f21aeceac7c32c021a77392316e3fc0f49ed219ec6246e637ef6",
     },
     "oracle": {
-        "oracle.json": "6528daed7a57cd5b4311a32adad9af250c2c3f5d9f241e16b91545f3553bde53",
+        "oracle.json": "cac64db7784fd647f25eb4a85b6875a0cc148f06673198e103a25c498c167294",
     },
     "sweep_example": {
-        "n_atoms=10/g2_trace.csv": "7df277a4027a35c3d5828c1476cd192f2af54ef287883a49111e0e2f3414f6de",
-        "n_atoms=15/g2_trace.csv": "bbbe27806cf09961c9d1ea57c5e1cac417762773e422f876cbe5fb92aa72208f",
+        "n_atoms=10/g2_trace.csv": "fd9655b77585ab0963ed560cce0e7db654a20222b37023660c040f217bfcffa2",
+        "n_atoms=15/g2_trace.csv": "3afcdf86f449e5cc6f0c1e0863f6a18051f711231b8032600aa1a8fb2754bad5",
     },
     "two_cycle_trace_analytic": {
-        "g2_trace.csv": "a3247c95c61146ddc2c1a2db7b6e53a676838edb4a1b8ce9c537d869d6aef8f3",
+        "g2_trace.csv": "b88c49d3fa4cd889cfff324048c6fa616c9b81fdfa905d5bacb135ea86649e82",
     },
     "two_cycle_trace_multichannel": {
-        "g2_trace.csv": "040766567597c2909e871d7955c043ca288e57848ea822d7f1a94232ce3bc5ed",
+        "g2_trace.csv": "c018eb8c40f228cb98a7473ba310e0c648391ae45945f96e1d5a81045aa2a84b",
     },
     "two_cycle_trace_sigma_minus": {
-        "g2_trace.csv": "517338e8cdf177f8d07c938908bca22ec3bb9917ac7b11ae71c3e75c3286402b",
+        "g2_trace.csv": "c40844f68460eebde960acd2341a7acc274fdb99ffe85accd9ccd929ed318444",
     },
     "twophoton": {
         "phasematch.json": "022b56299aa2c1cdd25e1fe587b751c053b8b3e4780049ee3d0a3cab95065121",

@@ -247,3 +247,9 @@ def test_entangle_fidelity_matches_scalar_reference():
         m1, m2 = _scalar_coherence(phi_p), _scalar_coherence(phi)
         expected = 2.0 / (2.0 + abs(m1) ** 2 + abs(m2) ** 2)
         assert abs(entangle_fidelity(phi_p, phi) - expected) <= 1e-12
+
+
+@pytest.mark.parametrize("grid", [[math.nan], [0.5, math.inf], [-1.0, 0.5]], ids=["nan", "inf", "negative"])
+def test_entangle_trace_rejects_non_finite_or_negative_times(grid):
+    with pytest.raises(ValueError, match="time grid must hold finite times >= 0"):
+        entangle_trace(EnsembleSpec(10, 60.0, seed=1), 2.0e5, 1.6e5, grid, realizations=1)
