@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 
 import argparse
 import copy
+import gc
 import hashlib
 import itertools
 import json
@@ -49,6 +50,9 @@ from .ensemble import EnsembleSpec, PackingError, pair_index_arrays, sample_posi
 from .pairdyn import CycleSpec, NumericsError
 from .phasematch import Beam, PhaseMatchInfeasible, evaluate_beams, solve_offaxis
 from .protocol import CycleSchedule, decay_reference, entangle_trace, make_schedule
+
+# here, not in __init__ or main(): the import graph lives until exit, so no collection need walk it
+gc.freeze()
 
 THREADS_ENV = "RYDDEPHASE_THREADS"
 ENSEMBLE_SUBCOMMANDS = ("g2-trace", "cycles", "entangle")  # sample positions; a sweep varies one of them

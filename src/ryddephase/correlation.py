@@ -130,7 +130,9 @@ class _PairPlanes:
 
 
 def _condensed(amplitudes, n_atoms: int) -> np.ndarray:
-    """amplitudes as an array, checked to hold one value per mu < nu pair."""
+    """amplitudes as an array, checked to hold one value per mu < nu pair of n_atoms >= 2 atoms."""
+    if n_atoms < 2:
+        raise ValueError(f"n_atoms must be at least 2, got {n_atoms}")
     amplitudes = np.asarray(amplitudes)
     npairs = n_atoms * (n_atoms - 1) // 2
     if amplitudes.shape != (npairs,):

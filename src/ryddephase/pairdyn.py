@@ -307,21 +307,24 @@ def cycle_amplitude_numeric(
 # ---------------------------------------------------------------------------
 
 
-def analytic_pair_amplitudes(cubes: np.ndarray, phase_product: float, out=None) -> np.ndarray:
-    """Closed-form amplitude of one cycle for every pair, shape cubes.shape.
+def analytic_pair_amplitudes(cubes: np.ndarray, phase_product, out=None) -> np.ndarray:
+    """Closed-form amplitude of one cycle for every pair, shape S.
 
     cubes is R^3 of each pair, computed once by a caller that evaluates many
     times of the same pairs, and only read; phase_product is the cycle's
-    C3 * delta_t.  The half phase is one divide, (C3 * delta_t / 2) / R^3,
-    the same bits as half of C3 * delta_t / R^3.  With out None the result
-    is a fresh complex array, and the half phase one more array.  Otherwise
-    out is a real (2, *cubes.shape) array: Re A and Im A are written into
-    out[0] and out[1], the half phase built in out[1], and out is returned;
-    the call then allocates nothing.
+    C3 * delta_t, a scalar or an array that broadcasts against cubes (a
+    (M, 1) column evaluates M cycles at once), and S is the broadcast shape.
+    The half phase is one divide, (C3 * delta_t / 2) / R^3, the same bits as
+    half of C3 * delta_t / R^3 whether phase_product is a scalar or an array.
+    With out None the result is a fresh complex array, and the half phase one
+    more array.  Otherwise out is a real (2, *S) array: Re A and Im A are
+    written into out[0] and out[1], the half phase built in out[1], and out
+    is returned; the call then allocates nothing.
     """
     if out is None:
-        amplitudes = np.empty(cubes.shape, dtype=complex)
-        _half_angle_amplitude_into(np.divide(0.5 * phase_product, cubes), amplitudes.real, amplitudes.imag)
+        half_phase = np.divide(0.5 * phase_product, cubes)
+        amplitudes = np.empty(half_phase.shape, dtype=complex)
+        _half_angle_amplitude_into(half_phase, amplitudes.real, amplitudes.imag)
         return amplitudes
     re, im = out
     _half_angle_amplitude_into(np.divide(0.5 * phase_product, cubes, out=im), re, im)

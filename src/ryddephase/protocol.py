@@ -15,9 +15,11 @@ levels.  The trace runs its position realizations through the same
 realization loop as the correlation traces (correlation.run_realizations),
 serially or on a process pool.  Each realization evaluates the pair
 amplitudes A(phi) of one time through pairdyn.analytic_pair_amplitudes, the
-kernel the g2 drivers use, with R^3 computed once per realization, and turns
-them into the coherence <e^{i phi}> = 2 <A(phi)> - 1; the mean is numpy's
-pairwise sum, whose order depends on the pair count alone, so outputs are
+kernel the g2 drivers use, with R^3 computed once per realization.  One call
+writes both modes, C3' and C3'' broadcast against R^3, into real Re and Im
+planes allocated once per realization; per-plane pairwise means, both modes
+per kernel call, give the coherences <e^{i phi}> = 2 <A(phi)> - 1.  The
+order of each pairwise sum depends on the pair count alone, so outputs are
 byte-identical for any worker count.
 """
 
@@ -125,15 +127,19 @@ def entangle_fidelity(phi_prime, phi) -> float:
         raise ValueError("entangle_fidelity needs a nonempty pair set")
     if phi_prime.shape != phi.shape:
         raise ValueError("phase sequences must cover the same pair set")
-    return _fidelity(*(_coherence(analytic_cycle_amplitude(p.ravel())) for p in (phi_prime, phi)))
+    amplitudes = analytic_cycle_amplitude(np.stack([phi_prime.ravel(), phi.ravel()]))
+    return _fidelity(*_coherences(np.stack([amplitudes.real, amplitudes.imag])))
 
 
-def _coherence(amplitudes: np.ndarray) -> complex:
-    """Pair coherence <e^{i phi}> = 2 <A(phi)> - 1 from the cycle amplitudes A = (1 + e^{i phi}) / 2.
+def _coherences(planes: np.ndarray) -> tuple[complex, complex]:
+    """Pair coherences <e^{i phi}> = 2 <A(phi)> - 1 of both modes.
 
-    The mean is numpy's pairwise sum, whose order depends on the pair count only.
+    planes holds the cycle amplitudes A = (1 + e^{i phi}) / 2 as
+    [Re, Im] x [mode] x pair; each of the four means is numpy's pairwise sum
+    of one contiguous plane, whose order depends on the pair count only.
     """
-    return complex(2.0 * amplitudes.mean() - 1.0)
+    (re1, re2), (im1, im2) = planes.mean(axis=2).tolist()
+    return complex(2.0 * re1 - 1.0, 2.0 * im1), complex(2.0 * re2 - 1.0, 2.0 * im2)
 
 
 def _fidelity(m1: complex, m2: complex) -> float:
@@ -141,14 +147,15 @@ def _fidelity(m1: complex, m2: complex) -> float:
 
 
 def _entangle_single_realization(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """F, |m1| and |m2| of one realization at every grid time, one time at a time."""
+    """F, |m1| and |m2| of one realization at every grid time, both modes per kernel call."""
     ensemble, c3_prime, c3_second, grid, index = args
     _, positions = sample_realization(ensemble, index)
     cubes = pair_separations(positions) ** 3
+    c3 = np.array([[c3_prime], [c3_second]])
+    planes = np.empty((2, 2, len(cubes)))  # [Re, Im] x [C3', C3''] x pair
     out = np.empty((3, len(grid)))
     for it, t in enumerate(grid):
-        m1 = _coherence(analytic_pair_amplitudes(cubes, c3_prime * t))
-        m2 = _coherence(analytic_pair_amplitudes(cubes, c3_second * t))
+        m1, m2 = _coherences(analytic_pair_amplitudes(cubes, c3 * t, planes))
         out[:, it] = _fidelity(m1, m2), abs(m1), abs(m2)
     return tuple(out)
 

@@ -703,6 +703,16 @@ def test_importing_the_cli_does_not_load_the_process_pool():
     assert proc.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("module, frozen", [("ryddephase.cli", True), ("ryddephase", False)])
+def test_only_the_cli_import_freezes_the_import_graph(module, frozen):
+    # the CLI module freezes the objects alive after its imports; a library import keeps a normal collector
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    code = f"import gc, {module}; print(gc.get_freeze_count())"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert (int(proc.stdout) > 0) is frozen
+
+
 def test_phasematch_run_json_contract(tmp_path):
     out = tmp_path / "out"
     rc = main([

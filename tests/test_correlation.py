@@ -151,6 +151,13 @@ def test_condensed_amplitudes_validation():
             brute_force_g2(positions, wrong)
 
 
+@pytest.mark.parametrize("n_atoms", [0, 1, -3])
+def test_condensed_amplitudes_need_two_atoms(n_atoms):
+    npairs = max(n_atoms * (n_atoms - 1) // 2, 0)
+    with pytest.raises(ValueError, match=rf"n_atoms must be at least 2, got {n_atoms}"):
+        g2_from_amplitudes(np.ones(npairs, dtype=complex), n_atoms)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=2, max_value=9), st.integers(min_value=0, max_value=2**31))
 def test_g2_nonnegative_and_bounded_property(n, seed):

@@ -111,10 +111,10 @@ GOLDEN = {
         "cycles.csv": "20b934cd266ea71c1f98931bc0c0ecf6850c87b746330b752af8a4279ea290b4",
     },
     "entangle": {
-        "entangle.csv": "f9331f313938666fd34745a280b0d6f1bc698ffe4092344ab92ee4f452fc6f12",
+        "entangle.csv": "bb4791ffe8e8c839cd0465c134a6c53c2ea924054c677811f68536ade397070c",
     },
     "entangle_json": {
-        "entangle.json": "03153d7a6e89da62a8f9b07e9619286c572940bbe80d80179d0205f3c3106712",
+        "entangle.json": "e31fdaa7cbea839f149b157f5a164aa66baf0f5892387010e695d6b6cde9827f",
     },
     "fig2": {
         "g2_trace_n100.csv": "f5a3d87ad9cb7b380edc5789879bda58193104e518a492df19740bebd8392b60",

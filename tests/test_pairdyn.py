@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ryddephase.atomdata import POLARIZATIONS, POPULATED_M, InteractionModel, MicrowaveSpec, RydbergChannel, c3_of
-from ryddephase.ensemble import PairGeometry
+from ryddephase.ensemble import EnsembleSpec, PairGeometry, pair_separations, sample_positions
 from ryddephase.pairdyn import (
     CycleSpec,
     analytic_cycle_amplitude,
@@ -498,6 +498,22 @@ def test_analytic_pair_amplitudes_with_cubes_bit_identical(cycle):
     shared = [analytic_pair_amplitudes(cubes, p) for p in PHASE_PRODUCTS]
     assert np.array_equal(cubes, r**3)
     assert np.array_equal(shared[cycle], analytic_pair_amplitudes(r**3, PHASE_PRODUCTS[cycle]))
+
+
+@pytest.mark.parametrize("n_atoms", [2, 3, 100])
+def test_two_mode_planes_bit_identical_to_scalar_phase_calls(n_atoms):
+    # entangle's call: a (2, 1) column of C3 t broadcast against R^3, both modes into one plane buffer
+    cubes = pair_separations(sample_positions(EnsembleSpec(n_atoms, 60.0, seed=9))) ** 3
+    c3 = np.array([[2.0e5], [1.6e5]])
+    planes = np.empty((2, 2, len(cubes)))
+    for t in (0.0, 1e-3, 0.37, 200.0):
+        assert analytic_pair_amplitudes(cubes, c3 * t, planes) is planes
+        fresh = analytic_pair_amplitudes(cubes, c3 * t)
+        assert planes[0].tobytes() == fresh.real.tobytes() and planes[1].tobytes() == fresh.imag.tobytes()
+        for mode, c3_mode in enumerate((2.0e5, 1.6e5)):
+            single = analytic_pair_amplitudes(cubes, c3_mode * t)
+            assert planes[0, mode].tobytes() == single.real.tobytes()
+            assert planes[1, mode].tobytes() == single.imag.tobytes()
 
 
 @pytest.mark.parametrize("pulse_model", ["instantaneous", "finite_duration"])
