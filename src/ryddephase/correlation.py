@@ -15,26 +15,26 @@ in the large-N limit (N-1)/N ~ 1.  A brute-force oracle evaluates the same
 correlator exactly on the explicit truncated state vector for small N.
 
 Each point is reduced from per-pair amplitudes without forming the N x N
-matrix.  The pairs are held in round-robin order: with K = N // 2, atom mu
-owns the pairs (mu, mu + k mod N), k = 1..K, one row of K slots
-(ensemble.round_robin_pairs).  For odd N that is every pair once; for even N
-the pair (mu, mu + N/2) is counted in the row of mu < N/2 and its second
-slot is zeroed.  Re A and Im A fill rows K.. of two real planes of K + N
-rows (_PairPlanes), and the last K rows are copied ahead of the first.  Then
-the partners of mu, the pairs (mu - k, mu), sit at row K + mu - k, column
-k - 1 of a plane: one fixed view with strides (K, 1 - K).  S_mu adds the
-sum over its own row and the sum over that view, each started from +0.0,
-and math.fsum combines the N row sums.  There is no gather, and the order
-depends on N alone, never on how realizations were spread over worker
-processes, so traces are byte-identical for any worker count.
+matrix, in the simulation's one pair order, round-robin: with K = N // 2,
+atom mu owns the pairs (mu, mu + k mod N), k = 1..K, one row of K slots.
+For odd N that is every pair once; for even N the second slot of each pair
+(mu, mu + N/2) is zeroed (zero_doubled_slots).  Re A and Im A fill rows K..
+of two real planes of K + N rows (_PairPlanes), and the last K rows are
+copied ahead of the first.  Then the partners of mu, the pairs (mu - k, mu),
+sit at row K + mu - k, column k - 1 of a plane: one fixed view with strides
+(K, 1 - K).  S_mu adds the sum over its own row and the sum over that view,
+each started from +0.0, and math.fsum combines the N row sums.  There is no
+gather, and the order depends on N alone, never on how realizations were
+spread over worker processes, so traces are byte-identical for any worker
+count.
 
 Each mode supplies one function (t, out) -> amplitudes per cycle: analytic
-over R^3 computed once in round-robin order, multichannel over the cycle's
-pair spectra.  With out the kernel writes the planes itself; without, it
-returns a fresh complex array.  One rule combines the cycles: their
-amplitudes multiply, as complex numbers.  A realization allocates its planes
-once and streams one point at a time, in O(N^2) memory, or O(N^2 d) over a
-pair basis of dimension d, whatever the grid length T.  g2_from_amplitudes
+over R^3 computed once, multichannel over the cycle's spectra of every slot.
+With out the kernel writes the planes itself; without, it returns a fresh
+complex (N, K) array.  One rule combines the cycles: their amplitudes
+multiply, as complex numbers.  A realization allocates its planes once and
+streams one point at a time, in O(N^2) memory, or O(N^2 d) over a pair
+basis of dimension d, whatever the grid length T.  Only g2_from_amplitudes
 and brute_force_g2 take condensed (mu < nu, row-major) input.
 run_realizations is the one realization loop (seed, sample, evaluate, stack
 in index order, serially or on a process pool); the entanglement trace in
@@ -53,7 +53,7 @@ from numpy.lib.stride_tricks import as_strided
 from .ensemble import (
     EnsembleSpec,
     pair_index_arrays,
-    pair_orientations,
+    round_robin_orientations,
     round_robin_pairs,
     round_robin_separations,
     sample_positions,
@@ -71,6 +71,23 @@ class G2Point:
     g2: float
     f: float
     h: float
+
+
+def zero_doubled_slots(planes: np.ndarray) -> None:
+    """Zero the slots of round-robin planes (..., n, K) that count no pair.
+
+    For even n these are the second slots (mu + K, K - 1) of the pairs (mu, mu + n/2).
+    """
+    n = planes.shape[-2]
+    if n % 2 == 0:
+        planes[..., n // 2 :, -1] = 0.0
+
+
+def round_robin_cubes(positions: np.ndarray) -> np.ndarray:
+    """R^3 of every round-robin slot, shape (n, n // 2), computed once per realization."""
+    cubes = round_robin_separations(positions)
+    cubes **= 3
+    return cubes
 
 
 class _PairPlanes:
@@ -97,16 +114,14 @@ class _PairPlanes:
     def row_sums(self) -> np.ndarray:
         """Real and imaginary row sums S_mu of owned, shape (2, n), checked finite.
 
-        For even n the second slot of each pair (mu, mu + n/2) is zeroed
-        first; then the last K rows are copied ahead of the first, for the
-        partner view.  A row of signed zeros sums to +0.0.  A non-finite
-        amplitude makes its row sums non-finite (|A| <= 1 keeps finite sums
-        finite), so only the row sums are checked.
+        The slots that count no pair are zeroed first; then the last K rows
+        are copied ahead of the first, for the partner view.  A row of
+        signed zeros sums to +0.0.  A non-finite amplitude makes its row sums
+        non-finite (|A| <= 1 keeps finite sums finite), so only the row sums
+        are checked.
         """
-        n, k = self.n, self.k
-        if n % 2 == 0:
-            self.owned[:, k:, -1] = 0.0
-        self._planes[:, :k] = self._planes[:, n:]
+        zero_doubled_slots(self.owned)
+        self._planes[:, : self.k] = self._planes[:, self.n :]
         rows = self.owned.sum(axis=2, initial=0.0)
         rows += self._partners.sum(axis=2, initial=0.0)
         if not np.isfinite(rows).all():
@@ -200,43 +215,26 @@ def _cycle_sources(positions: np.ndarray, cycles, mode: str):
     source before drawing the next holds one cycle's spectra at a time.
     """
     if mode == "analytic":
-        cubes = round_robin_separations(positions)
-        cubes **= 3
+        cubes = round_robin_cubes(positions)
         for cycle in cycles:
             yield lambda t, out=None, c3=cycle.channel.c3: analytic_pair_amplitudes(cubes, c3 * t, out)
     elif mode == "multichannel":
-        counted = _counted_slots(len(positions))
-        r, theta = (part[round_robin_pairs(len(positions))[counted]] for part in pair_orientations(positions))
+        r, theta = round_robin_orientations(positions)
         for q, cycle in enumerate(cycles):
             try:
-                yield partial(_spectral_source, pair_spectra(r, theta, cycle), counted)
+                yield partial(_spectral_source, pair_spectra(r.ravel(), theta.ravel(), cycle), r.shape)
             except NumericsError as exc:
                 raise NumericsError(f"cycle {q}: {exc}") from exc
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
 
-def _counted_slots(n: int) -> np.ndarray:
-    """(n, K) mask of the round-robin slots that count a pair: all but the second slot of each (mu, mu + n/2)."""
-    counted = np.ones((n, n // 2), dtype=bool)
-    if n % 2 == 0:
-        counted[n // 2 :, -1] = False
-    return counted
-
-
-def _spectral_source(spectra: tuple, counted: np.ndarray, t: float, out=None):
-    """A multichannel cycle's amplitudes at free interval t, spectra held for the counted slots only.
-
-    Each pair is diagonalized once.  The uncounted slots are 0 in a fresh
-    (n, K) complex array and left as they are in the planes out, which
-    _PairPlanes.row_sums zeroes there.
-    """
-    column = spectral_amplitudes(spectra, t)
+def _spectral_source(spectra: tuple, shape: tuple, t: float, out=None):
+    """A multichannel cycle's amplitudes of every slot of the (n, K) shape at free interval t."""
+    amplitudes = spectral_amplitudes(spectra, t).reshape(shape)
     if out is None:
-        out = np.zeros(counted.shape, dtype=complex)
-        out[counted] = column
-    else:
-        out[0][counted], out[1][counted] = column.real, column.imag
+        return amplitudes
+    out[0], out[1] = amplitudes.real, amplitudes.imag
     return out
 
 
@@ -300,8 +298,10 @@ def run_realizations(worker, ensemble: EnsembleSpec, params: tuple, realizations
 
 
 def checked_time_grid(grid) -> np.ndarray:
-    """grid as a float array, checked to hold only finite times >= 0 (us)."""
+    """grid as a float array, checked to be 1-D, nonempty and to hold only finite times >= 0 (us)."""
     grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError(f"time grid must be a nonempty 1-D sequence, got shape {grid.shape}")
     bad = grid[~(np.isfinite(grid) & (grid >= 0.0))]
     if bad.size:
         raise ValueError(f"time grid must hold finite times >= 0 us, got {bad[0]}")
@@ -322,13 +322,11 @@ def g2_trace(
     schedule (for a single-cycle schedule this sweeps the interval directly).
     Each realization resamples atom positions from a seed derived from the
     ensemble seed and the realization index; the schedule stays fixed.
-    Raises ValueError unless the grid is nonempty, strictly increasing and
-    finite, with no time below 0.
+    Raises ValueError unless the grid is 1-D, nonempty, strictly increasing
+    and finite, with no time below 0.
     """
     grid = checked_time_grid(grid)
-    if grid.size == 0:
-        raise ValueError("time grid must be nonempty")
-    if np.any(np.diff(grid) <= 0) and grid.size > 1:
+    if np.any(np.diff(grid) <= 0):
         raise ValueError("time grid must be strictly increasing")
     params = (tuple(schedule.cycles), grid, mode)
     stacks, seeds = run_realizations(_trace_single_realization, ensemble, params, realizations, pool)

@@ -2,10 +2,12 @@
 
 Positions are sampled i.i.d. uniform in a cube into a read-only (N, 3)
 array, the input of every pair function; all time dependence in the
-simulation lives in the internal dynamics, never in the geometry.  Pair
-functions list pairs in condensed order (mu < nu, row-major;
-pair_index_arrays) or, for the correlation reduction, in round-robin order
-(round_robin_pairs).  The random stream is PCG64 (numpy's default bit
+simulation lives in the internal dynamics, never in the geometry.  Pairs
+have one order, round-robin: atom mu owns the slots (mu, k - 1), the pairs
+(mu, (mu + k) mod n), k = 1..n // 2, with axis partner - self; distances and
+orientations derive from round_robin_displacements.  Condensed order
+(mu < nu, row-major; pair_index_arrays, round_robin_pairs) only reads
+amplitudes given as input.  The random stream is PCG64 (numpy's default bit
 generator), seeded directly with the 64-bit ensemble seed, so configurations
 are bit-reproducible across runs and platforms.
 """
@@ -126,31 +128,15 @@ def sample_positions(spec: EnsembleSpec) -> np.ndarray:
     return points
 
 
-def _polar_rows(d: np.ndarray):
-    """(R, polar angle from z) of each displacement row of d, shape (n, 3)."""
-    r = np.linalg.norm(d, axis=1)
-    if np.any(r < 1e-12):
-        raise ValueError("coincident points have no pair geometry")
-    return r, np.arccos(np.clip(d[:, 2] / r, -1.0, 1.0))
-
-
 def pair_geometry(a, b) -> PairGeometry:
-    """Geometry of the pair (a, b): R = |a - b|, orientation of a - b."""
-    d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
-    r, theta = _polar_rows(d[None, :])
-    return PairGeometry(float(r[0]), float(theta[0]), float(np.mod(np.arctan2(d[1], d[0]), 2.0 * math.pi)))
+    """Geometry of the pair (a, b): R = |a - b|, orientation of a - b.
 
-
-def pair_separations(positions: np.ndarray) -> np.ndarray:
-    """Condensed pairwise distances in canonical (mu < nu, row-major) order.
-
-    The squares add in axis order x, y, z, as scipy's pdist does, so the
-    distances are the same bits without importing scipy.
+    R and theta are slot (0, 0) of round_robin_orientations over [b, a], axis
+    a - b: the bits any pair has in its round-robin slot.
     """
-    mu, nu = pair_index_arrays(len(positions))
-    x = np.ascontiguousarray(positions.T)
-    d0, d1, d2 = np.take(x, mu, axis=1) - np.take(x, nu, axis=1)
-    return np.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
+    d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
+    r, theta = round_robin_orientations(np.array([b, a], dtype=float))
+    return PairGeometry(float(r[0, 0]), float(theta[0, 0]), float(np.mod(np.arctan2(d[1], d[0]), 2.0 * math.pi)))
 
 
 def pair_index_arrays(n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
@@ -172,29 +158,38 @@ def round_robin_pairs(n_atoms: int) -> np.ndarray:
     return lo * n_atoms - lo * (lo + 1) // 2 + (hi - lo - 1)
 
 
-def round_robin_separations(positions: np.ndarray) -> np.ndarray:
-    """Pair distances in round-robin order (round_robin_pairs), shape (n, n // 2).
+def round_robin_displacements(positions: np.ndarray, out=None):
+    """Yield per axis x, y, z the (n, n // 2) plane of positions[(mu + k) % n] - positions[mu].
 
-    Each slot's distance is the same bits as the pair's in pair_separations:
-    the squares of the coordinate differences are the same (a - b and b - a
-    square alike) and add in axis order x, y, z.  Atom mu's partners are a
+    Each plane is written into out when given.  Atom mu's partners are a
     sliding window over the positions followed by their first n // 2 rows
     again, so no index array or gathered copy is built.
     """
     n = len(positions)
     k = n // 2
     wrapped = np.concatenate([positions, positions[:k]]).T.copy()  # (3, n + k)
-    total, square = np.empty((n, k)), np.empty((n, k))
-    for axis, x in enumerate(wrapped):
-        d = total if axis == 0 else square
-        np.subtract(sliding_window_view(x, k + 1)[:n, 1:], x[:n, None], out=d)
-        d *= d
-        if axis:
-            total += square
+    for x in wrapped:
+        yield np.subtract(sliding_window_view(x, k + 1)[:n, 1:], x[:n, None], out=out)
+
+
+def round_robin_separations(positions: np.ndarray) -> np.ndarray:
+    """Pair distances in round-robin order (round_robin_pairs), shape (n, n // 2).
+
+    The squares add as (dx^2 + dy^2) + dz^2, as in scipy's pdist, so each
+    slot has its pair's pdist bits.  Holds the result and one plane more.
+    """
+    n = len(positions)
+    axes = round_robin_displacements(positions, np.empty((n, n // 2)))
+    total = np.square(next(axes))
+    for d in axes:
+        total += np.multiply(d, d, out=d)
     return np.sqrt(total, out=total)
 
 
-def pair_orientations(positions: np.ndarray):
-    """(R, theta) arrays of every mu < nu pair, in condensed order; no azimuth (pairdyn)."""
-    mu, nu = pair_index_arrays(len(positions))
-    return _polar_rows(positions[mu] - positions[nu])
+def round_robin_orientations(positions: np.ndarray):
+    """(R, polar angle from z) of every round-robin slot, each (n, n // 2); no azimuth (pairdyn)."""
+    r = round_robin_separations(positions)
+    if np.any(r < 1e-12):
+        raise ValueError("coincident points have no pair geometry")
+    *_, z = round_robin_displacements(positions, np.empty_like(r))  # every plane in one buffer, z last
+    return r, np.arccos(np.clip(np.divide(z, r, out=z), -1.0, 1.0, out=z), out=z)

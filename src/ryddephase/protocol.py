@@ -13,14 +13,13 @@ C3''.  Over a free interval t each pair picks up the phases C3' t / R^3 and
 C3'' t / R^3; entangle_trace takes the two strengths, and n only labels the
 levels.  The trace runs its position realizations through the same
 realization loop as the correlation traces (correlation.run_realizations),
-serially or on a process pool.  Each realization evaluates the pair
-amplitudes A(phi) of one time through pairdyn.analytic_pair_amplitudes, the
-kernel the g2 drivers use, with R^3 computed once per realization.  One call
-writes both modes, C3' and C3'' broadcast against R^3, into real Re and Im
-planes allocated once per realization; per-plane pairwise means, both modes
-per kernel call, give the coherences <e^{i phi}> = 2 <A(phi)> - 1.  The
-order of each pairwise sum depends on the pair count alone, so outputs are
-byte-identical for any worker count.
+serially or on a process pool.  A realization takes R^3 in the g2 drivers'
+round-robin pair order once, and one pairdyn.analytic_pair_amplitudes call
+per time writes both modes, C3' and C3'' broadcast against R^3, into real
+(2, 2, n, n // 2) Re and Im planes; zero_doubled_slots clears the slots that
+count no pair, and each plane's pairwise sum over the pair count gives the
+coherences <e^{i phi}> = 2 <A(phi)> - 1.  The order of each sum depends on
+the atom count alone, so outputs are byte-identical for any worker count.
 """
 
 import math
@@ -28,8 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import checked_time_grid, run_realizations, sample_realization
-from .ensemble import pair_separations
+from .correlation import checked_time_grid, round_robin_cubes, run_realizations, sample_realization, zero_doubled_slots
 from .pairdyn import (
     CycleSpec,
     _cycle_segments,
@@ -119,7 +117,8 @@ def entangle_fidelity(phi_prime, phi) -> float:
     With pair coherences m1 = <e^{i phi'}> and m2 = <e^{i phi}> over pairs,
     the cross terms carry weight |m1|^2 + |m2|^2 relative to the two target
     components, giving F = 2 / (2 + |m1|^2 + |m2|^2): 1/2 with no dephasing,
-    approaching 1 when both coherences average to zero.
+    approaching 1 when both coherences average to zero.  Raises ValueError
+    unless both phase sequences are nonempty, of one shape and finite.
     """
     phi_prime = np.asarray(phi_prime, dtype=float)
     phi = np.asarray(phi, dtype=float)
@@ -127,36 +126,37 @@ def entangle_fidelity(phi_prime, phi) -> float:
         raise ValueError("entangle_fidelity needs a nonempty pair set")
     if phi_prime.shape != phi.shape:
         raise ValueError("phase sequences must cover the same pair set")
+    if not (np.isfinite(phi_prime).all() and np.isfinite(phi).all()):
+        raise ValueError("entangle_fidelity needs finite phases")
     amplitudes = analytic_cycle_amplitude(np.stack([phi_prime.ravel(), phi.ravel()]))
-    return _fidelity(*_coherences(np.stack([amplitudes.real, amplitudes.imag])))
+    return _fidelity_terms(np.stack([amplitudes.real, amplitudes.imag]), phi.size)[0]
 
 
-def _coherences(planes: np.ndarray) -> tuple[complex, complex]:
-    """Pair coherences <e^{i phi}> = 2 <A(phi)> - 1 of both modes.
+def _fidelity_terms(planes: np.ndarray, pairs: int) -> tuple[float, float, float]:
+    """F, |m1| and |m2| from the pair coherences <e^{i phi}> = 2 <A(phi)> - 1 over pairs pairs.
 
     planes holds the cycle amplitudes A = (1 + e^{i phi}) / 2 as
-    [Re, Im] x [mode] x pair; each of the four means is numpy's pairwise sum
-    of one contiguous plane, whose order depends on the pair count only.
+    [Re, Im] x [mode] x slot, 0 in a slot that counts no pair; each sum is
+    numpy's pairwise sum of one contiguous plane, in an order fixed by its size.
     """
-    (re1, re2), (im1, im2) = planes.mean(axis=2).tolist()
-    return complex(2.0 * re1 - 1.0, 2.0 * im1), complex(2.0 * re2 - 1.0, 2.0 * im2)
-
-
-def _fidelity(m1: complex, m2: complex) -> float:
-    return 2.0 / (2.0 + abs(m1) ** 2 + abs(m2) ** 2)
+    (re1, re2), (im1, im2) = (planes.reshape(2, 2, -1).sum(axis=2) / pairs).tolist()
+    m1, m2 = abs(complex(2.0 * re1 - 1.0, 2.0 * im1)), abs(complex(2.0 * re2 - 1.0, 2.0 * im2))
+    return 2.0 / (2.0 + m1**2 + m2**2), m1, m2
 
 
 def _entangle_single_realization(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """F, |m1| and |m2| of one realization at every grid time, both modes per kernel call."""
     ensemble, c3_prime, c3_second, grid, index = args
     _, positions = sample_realization(ensemble, index)
-    cubes = pair_separations(positions) ** 3
-    c3 = np.array([[c3_prime], [c3_second]])
-    planes = np.empty((2, 2, len(cubes)))  # [Re, Im] x [C3', C3''] x pair
+    cubes = round_robin_cubes(positions)
+    c3 = np.array([c3_prime, c3_second])[:, None, None]
+    planes = np.empty((2, 2, *cubes.shape))  # [Re, Im] x [C3', C3''] x round-robin slot
+    pairs = len(positions) * (len(positions) - 1) // 2
     out = np.empty((3, len(grid)))
     for it, t in enumerate(grid):
-        m1, m2 = _coherences(analytic_pair_amplitudes(cubes, c3 * t, planes))
-        out[:, it] = _fidelity(m1, m2), abs(m1), abs(m2)
+        analytic_pair_amplitudes(cubes, c3 * t, planes)
+        zero_doubled_slots(planes)
+        out[:, it] = _fidelity_terms(planes, pairs)
     return tuple(out)
 
 
@@ -167,9 +167,13 @@ def entangle_trace(
 
     Returns (F, |m1|, |m2|) averaged over position realizations, which run
     on the pool when one is given (the result does not depend on it), and
-    the realization seeds.  Raises ValueError unless every grid time is
-    finite and >= 0.
+    the realization seeds.  Raises ValueError unless c3_prime and c3_second
+    are finite and > 0 and the grid is a nonempty 1-D sequence of finite
+    times >= 0.
     """
+    for name, c3 in (("c3_prime", c3_prime), ("c3_second", c3_second)):
+        if not (math.isfinite(c3) and c3 > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {c3}")
     params = (c3_prime, c3_second, checked_time_grid(grid))
     (fs, m1s, m2s), seeds = run_realizations(
         _entangle_single_realization, ensemble_spec, params, realizations, pool

@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial.distance import pdist
 
-from ryddephase.atomdata import MicrowaveSpec, RydbergChannel
+from ryddephase.atomdata import POLARIZATIONS, POPULATED_M, MicrowaveSpec, RydbergChannel
 from ryddephase.correlation import (
     G2_ASYMPTOTE,
     G2_ZERO,
@@ -19,17 +20,25 @@ from ryddephase.correlation import (
     g2_from_amplitudes,
     g2_trace,
     realization_seed,
+    zero_doubled_slots,
 )
 from ryddephase.ensemble import (
     EnsembleSpec,
+    pair_geometry,
     pair_index_arrays,
-    pair_orientations,
-    pair_separations,
+    round_robin_orientations,
     round_robin_pairs,
     sample_positions,
 )
-from ryddephase.pairdyn import CycleSpec, NumericsError, analytic_pair_amplitudes, pair_spectra, spectral_amplitudes
-from ryddephase.protocol import make_schedule
+from ryddephase.pairdyn import (
+    CycleSpec,
+    NumericsError,
+    analytic_pair_amplitudes,
+    cycle_amplitude_numeric,
+    pair_spectra,
+    spectral_amplitudes,
+)
+from ryddephase.protocol import entangle_trace, make_schedule
 
 
 def uniform_amplitudes(n, value):
@@ -260,7 +269,7 @@ def test_trace_time_rescaling_equivalence():
 def test_trace_monotone_onset():
     # while the largest pair phase stays below pi/4 the trace cannot rise
     ens = EnsembleSpec(50, 60.0, seed=33)
-    geomin = min(np.min(pair_separations(sample_positions(replace(ens, seed=realization_seed(33, r))))) for r in range(3))
+    geomin = min(np.min(pdist(sample_positions(replace(ens, seed=realization_seed(33, r))))) for r in range(3))
     c3 = 1.0e3
     t_max = (math.pi / 4.0) * geomin**3 / c3
     grid = np.linspace(0.0, t_max, 12)[1:]
@@ -271,8 +280,6 @@ def test_trace_monotone_onset():
 def test_trace_rejects_bad_grid():
     ens = EnsembleSpec(10, 60.0, seed=1)
     sched = single_cycle_schedule(1.0)
-    with pytest.raises(ValueError):
-        g2_trace(ens, sched, [], realizations=1)
     with pytest.raises(ValueError):
         g2_trace(ens, sched, [1.0, 0.5], realizations=1)
     with pytest.raises(ValueError):
@@ -285,12 +292,51 @@ def test_trace_rejects_non_finite_or_negative_times(grid):
         g2_trace(EnsembleSpec(10, 60.0, seed=1), single_cycle_schedule(1.0), grid, realizations=1)
 
 
+GRID_DRIVERS = {
+    "g2_trace": lambda grid: g2_trace(EnsembleSpec(10, 60.0, seed=1), single_cycle_schedule(1.0), grid, realizations=1),
+    "entangle_trace": lambda grid: entangle_trace(EnsembleSpec(10, 60.0, seed=1), 2.0e5, 1.6e5, grid, realizations=1),
+}
+
+
+@pytest.mark.parametrize("grid", [[], [[0.5, 1.0]], 0.5], ids=["empty", "2-D", "scalar"])
+@pytest.mark.parametrize("driver", GRID_DRIVERS)
+def test_drivers_reject_an_empty_or_not_1d_grid(driver, grid):
+    with pytest.raises(ValueError, match="time grid must be a nonempty 1-D sequence"):
+        GRID_DRIVERS[driver](grid)
+
+
 def test_multichannel_trace_at_zero_matches_analytic():
     ens = EnsembleSpec(12, 60.0, seed=8)
     sched = single_cycle_schedule(1.0e5, n=100)
     ta = g2_trace(ens, sched, [0.0], mode="analytic", realizations=2)
     tm = g2_trace(ens, sched, [0.0], mode="multichannel", realizations=2)
     assert np.allclose(ta.g2, tm.g2, atol=1e-10)
+
+
+# every (j, polarization) whose populated transition exists
+ALLOWED_DRIVES = [
+    (j, pol) for j in (0.5, 1.5) for pol in POLARIZATIONS if abs(POPULATED_M + MicrowaveSpec(1.0, pol).delta_m) <= j
+]
+
+
+@pytest.mark.parametrize("n", [8, 9])
+@pytest.mark.parametrize("j, polarization", ALLOWED_DRIVES)
+def test_multichannel_slots_match_the_scalar_oracle(j, polarization, n):
+    from ryddephase.correlation import _cycle_sources
+
+    positions = sample_positions(EnsembleSpec(n, 20.0, seed=12))
+    mw = MicrowaveSpec(rabi=10.0, polarization=polarization)
+    cycle = CycleSpec(RydbergChannel(100, 100, j, 2.0e5), 0.0, mw)
+    (source,) = _cycle_sources(positions, [cycle], "multichannel")
+    counted = np.ones((n, n // 2))
+    zero_doubled_slots(counted)
+    for t in (0.0, 0.37, 5.0):
+        amplitudes = source(t)
+        for mu, slot in zip(*np.nonzero(counted)):
+            geom = pair_geometry(positions[(mu + slot + 1) % n], positions[mu])
+            single = cycle_amplitude_numeric(geom, CycleSpec(cycle.channel, t, mw))
+            phase = cycle.channel.c3 * t / geom.separation**3
+            assert abs(amplitudes[mu, slot] - single) <= 1e-14 * (1.0 + phase)
 
 
 def test_cycles_grid_is_cumulative_duration():
@@ -340,17 +386,29 @@ def fsum_point(condensed, n):
     return point_from_rows(row_re, row_im, n)
 
 
+def slot_geometry(positions, a, b):
+    """pair_geometry of the atoms a < b along the axis of their round-robin slot, from its owner to the partner."""
+    owner, partner = (a, b) if b - a <= len(positions) // 2 else (b, a)
+    return pair_geometry(positions[partner], positions[owner])
+
+
 def reference_columns(ensemble, cycles, grid, mode, index):
-    """Condensed amplitude columns of one realization, straight from the pairdyn kernels."""
+    """Condensed amplitude columns of one realization, straight from the pairdyn kernels.
+
+    Each pair's R is pdist's (analytic), or its R and polar angle are
+    pair_geometry's along the axis of its round-robin slot (multichannel).
+    """
     positions = sample_positions(replace(ensemble, seed=realization_seed(ensemble.seed, index)))
     if mode == "analytic":
-        r = pair_separations(positions)
+        r = pdist(positions)
 
         def stack(cycle, times):
             return np.stack([analytic_pair_amplitudes(r**3, cycle.channel.c3 * t) for t in times], axis=1)
 
     else:
-        r, theta = pair_orientations(positions)
+        geometries = [slot_geometry(positions, a, b) for a, b in zip(*pair_index_arrays(len(positions)))]
+        r = np.array([g.separation for g in geometries])
+        theta = np.array([g.polar_angle for g in geometries])
 
         def stack(cycle, times):
             spectra = pair_spectra(r, theta, cycle)
@@ -418,16 +476,27 @@ LAYOUT_SIZES = [2, 3, 4, 5, 6, 7, 8, 9, 60, 61, 300, 301]
 
 @pytest.mark.parametrize("n", LAYOUT_SIZES)
 def test_round_robin_slots_cover_every_pair_once(n):
-    from ryddephase.correlation import _counted_slots
-
     slots = round_robin_pairs(n)
     assert slots.shape == (n, n // 2)
-    assert np.array_equal(np.sort(slots[_counted_slots(n)]), np.arange(n * (n - 1) // 2))
+    counted = np.ones(slots.shape)
+    zero_doubled_slots(counted)
+    assert np.array_equal(np.sort(slots[counted == 1.0]), np.arange(n * (n - 1) // 2))
     # slot (mu, k - 1) is the pair of mu and (mu + k) mod n
     mu, nu = pair_index_arrays(n)
     partner = (np.arange(n)[:, None] + np.arange(1, n // 2 + 1)) % n
     assert np.array_equal(np.minimum(mu[slots], nu[slots]), np.minimum(np.arange(n)[:, None], partner))
     assert np.array_equal(np.maximum(mu[slots], nu[slots]), np.maximum(np.arange(n)[:, None], partner))
+
+
+@pytest.mark.parametrize("n", LAYOUT_SIZES)
+def test_round_robin_orientations_match_pair_geometry(n):
+    # slot (mu, k - 1) is the pair of mu and (mu + k) mod n, its axis partner - self
+    positions = sample_positions(EnsembleSpec(n, 30.0, seed=3))
+    r, theta = round_robin_orientations(positions)
+    for mu in np.unique(np.linspace(0, n - 1, 24).astype(int)):  # every row of small n, 24 spread rows of large
+        for k in range(1, n // 2 + 1):
+            g = pair_geometry(positions[(mu + k) % n], positions[mu])
+            assert (r[mu, k - 1], theta[mu, k - 1]) == pytest.approx((g.separation, g.polar_angle), rel=1e-12)
 
 
 def planes_of(amps, n):

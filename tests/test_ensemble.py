@@ -1,16 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial.distance import pdist
 
 from ryddephase.ensemble import (
     EnsembleSpec,
     PackingError,
     pair_geometry,
     pair_index_arrays,
-    pair_orientations,
-    pair_separations,
+    round_robin_orientations,
     round_robin_pairs,
     round_robin_separations,
     sample_positions,
@@ -57,7 +58,7 @@ def test_different_seeds_differ():
 def test_min_separation_enforced():
     spec = EnsembleSpec(80, 10.0, seed=5, min_separation=1.0)
     positions = sample_positions(spec)
-    assert pair_separations(positions).min() >= 1.0
+    assert pdist(positions).min() >= 1.0
 
 
 def test_impossible_packing_raises_diagnostic():
@@ -119,7 +120,7 @@ def test_impossible_packing_fails_as_sequential_rejection_does(n, box, min_sep, 
 def test_all_separations_within_bounds():
     spec = EnsembleSpec(100, 60.0, seed=77)
     positions = sample_positions(spec)
-    r = pair_separations(positions)
+    r = pdist(positions)
     assert len(r) == 100 * 99 // 2
     assert r.min() >= spec.min_separation
     assert r.max() <= math.sqrt(3.0) * 60.0
@@ -135,7 +136,7 @@ def test_mean_pair_separation_matches_uniform_cube_constant():
     means = []
     for seed in range(40):
         positions = sample_positions(EnsembleSpec(n, L, seed=seed))
-        means.append(pair_separations(positions).mean())
+        means.append(pdist(positions).mean())
     measured = float(np.mean(means))
 
     rng = np.random.Generator(np.random.PCG64(991199))
@@ -195,11 +196,12 @@ def test_pair_index_arrays_are_condensed_order():
 
 @pytest.mark.parametrize("n", [2, 3, 41, 300])
 def test_pair_separations_equal_scipy_pdist_bit_for_bit(n):
-    from scipy.spatial.distance import pdist
-
+    # every condensed pair gets a round-robin slot, and its bits are pdist's
     for seed in (0, 1, 11, 2**63 + 5):
         positions = sample_positions(EnsembleSpec(n, 60.0, seed))
-        assert pair_separations(positions).tobytes() == pdist(positions).tobytes()
+        condensed = np.full(n * (n - 1) // 2, np.nan)
+        condensed[round_robin_pairs(n)] = round_robin_separations(positions)
+        assert condensed.tobytes() == pdist(positions).tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 41, 300, 301])
@@ -207,15 +209,17 @@ def test_round_robin_separations_are_the_condensed_bits(n):
     for seed in (0, 1, 11, 2**63 + 5):
         positions = sample_positions(EnsembleSpec(n, 60.0, seed))
         got = round_robin_separations(positions)
-        assert got.tobytes() == pair_separations(positions)[round_robin_pairs(n)].tobytes()
+        assert got.tobytes() == pdist(positions)[round_robin_pairs(n)].tobytes()
 
 
-def test_all_pair_geometries_matches_condensed_distances():
-    # pair_orientations lists every mu < nu pair in condensed order
-    positions = sample_positions(EnsembleSpec(10, 30.0, seed=3))
-    r, theta = pair_orientations(positions)
-    assert np.allclose(r, pair_separations(positions))
-    mu, nu = pair_index_arrays(len(positions))
-    for k in range(len(mu)):
-        g = pair_geometry(positions[mu[k]], positions[nu[k]])
-        assert (r[k], theta[k]) == pytest.approx((g.separation, g.polar_angle), rel=1e-12)
+@pytest.mark.parametrize("pair_function, peak_mb", [(round_robin_separations, 10.0), (round_robin_orientations, 28.0)])
+def test_round_robin_geometry_memory_is_bounded(pair_function, peak_mb):
+    # at N = 1000 one (n, n // 2) float plane is 4.0 MB
+    positions = sample_positions(EnsembleSpec(1000, 60.0, seed=4))
+    tracemalloc.start()
+    try:
+        pair_function(positions)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= peak_mb * 1e6

@@ -108,13 +108,13 @@ GOLDEN = {
         "cycles.json": "2dfc734d84f89fe3c7e6c86ae309ad54843c26cde19ec5b949cf71eb19d58cef",
     },
     "cycles_multichannel": {
-        "cycles.csv": "20b934cd266ea71c1f98931bc0c0ecf6850c87b746330b752af8a4279ea290b4",
+        "cycles.csv": "9dca6d23e44d09a0c84c749c12b1a12722d2890ef40ce6a777b8012c542de0bf",
     },
     "entangle": {
-        "entangle.csv": "bb4791ffe8e8c839cd0465c134a6c53c2ea924054c677811f68536ade397070c",
+        "entangle.csv": "979432a2c9ba62188f7043d46a5cd8bc8f827218be813c8a9b098b7403b3c1c1",
     },
     "entangle_json": {
-        "entangle.json": "e31fdaa7cbea839f149b157f5a164aa66baf0f5892387010e695d6b6cde9827f",
+        "entangle.json": "ab597151688e63d1fbd2d4b8862528e463679dedee3623140e7f288fbc8f6dd5",
     },
     "fig2": {
         "g2_trace_n100.csv": "f5a3d87ad9cb7b380edc5789879bda58193104e518a492df19740bebd8392b60",
@@ -130,7 +130,7 @@ GOLDEN = {
         "phasematch.json": "3940f50dc62de4e425bbb3384275dc00d1d67c6f56cb1c93fb29251b9ec6c044",
     },
     "multichannel": {
-        "g2_trace.csv": "56a382d6a906f21aeceac7c32c021a77392316e3fc0f49ed219ec6246e637ef6",
+        "g2_trace.csv": "044bc16b79177a1fc1cad94c25419fe07f6b6cfb99ffb316e03b1ccdc61bec85",
     },
     "oracle": {
         "oracle.json": "cac64db7784fd647f25eb4a85b6875a0cc148f06673198e103a25c498c167294",
@@ -143,10 +143,10 @@ GOLDEN = {
         "g2_trace.csv": "b88c49d3fa4cd889cfff324048c6fa616c9b81fdfa905d5bacb135ea86649e82",
     },
     "two_cycle_trace_multichannel": {
-        "g2_trace.csv": "c018eb8c40f228cb98a7473ba310e0c648391ae45945f96e1d5a81045aa2a84b",
+        "g2_trace.csv": "933f7e376ce54a0abfd1cf2441ca54071d961683515f1b65fa532e23eacaae31",
     },
     "two_cycle_trace_sigma_minus": {
-        "g2_trace.csv": "c40844f68460eebde960acd2341a7acc274fdb99ffe85accd9ccd929ed318444",
+        "g2_trace.csv": "198688d446019d69a39064be4ffec982274e0914464d4654ac132f5fd0057c38",
     },
     "twophoton": {
         "phasematch.json": "022b56299aa2c1cdd25e1fe587b751c053b8b3e4780049ee3d0a3cab95065121",

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial.distance import pdist
 
 from ryddephase.atomdata import POLARIZATIONS, POPULATED_M, InteractionModel, MicrowaveSpec, RydbergChannel, c3_of
-from ryddephase.ensemble import EnsembleSpec, PairGeometry, pair_separations, sample_positions
+from ryddephase.ensemble import EnsembleSpec, PairGeometry, sample_positions
 from ryddephase.pairdyn import (
     CycleSpec,
     analytic_cycle_amplitude,
@@ -502,8 +503,8 @@ def test_analytic_pair_amplitudes_with_cubes_bit_identical(cycle):
 
 @pytest.mark.parametrize("n_atoms", [2, 3, 100])
 def test_two_mode_planes_bit_identical_to_scalar_phase_calls(n_atoms):
-    # entangle's call: a (2, 1) column of C3 t broadcast against R^3, both modes into one plane buffer
-    cubes = pair_separations(sample_positions(EnsembleSpec(n_atoms, 60.0, seed=9))) ** 3
+    # two modes at once: a (2, 1) column of C3 t broadcast against R^3, both into one plane buffer
+    cubes = pdist(sample_positions(EnsembleSpec(n_atoms, 60.0, seed=9))) ** 3
     c3 = np.array([[2.0e5], [1.6e5]])
     planes = np.empty((2, 2, len(cubes)))
     for t in (0.0, 1e-3, 0.37, 200.0):

@@ -4,10 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial.distance import pdist
 
 from ryddephase.atomdata import MicrowaveSpec, RydbergChannel
 from ryddephase.correlation import realization_seed
-from ryddephase.ensemble import EnsembleSpec, pair_separations, sample_positions
+from ryddephase.ensemble import EnsembleSpec, sample_positions
 from ryddephase.pairdyn import CycleSpec
 from ryddephase.protocol import (
     decay_reference,
@@ -197,6 +198,22 @@ def test_entangle_fidelity_rejects_empty_or_mismatched():
         entangle_fidelity(np.zeros(3), np.zeros(4))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_entangle_fidelity_rejects_non_finite_phases(bad):
+    with pytest.raises(ValueError, match="finite phases"):
+        entangle_fidelity([bad], [0.0])
+    with pytest.raises(ValueError, match="finite phases"):
+        entangle_fidelity([0.0, 1.0], [1.0, bad])
+
+
+@pytest.mark.parametrize("bad", [0.0, -2.0e5, math.nan, math.inf])
+@pytest.mark.parametrize("which", ["c3_prime", "c3_second"])
+def test_entangle_trace_rejects_a_bad_c3(which, bad):
+    c3 = {"c3_prime": 2.0e5, "c3_second": 1.6e5, which: bad}
+    with pytest.raises(ValueError, match=f"{which} must be finite and > 0"):
+        entangle_trace(EnsembleSpec(10, 60.0, seed=1), c3["c3_prime"], c3["c3_second"], [0.5], realizations=1)
+
+
 def test_entangle_trace_starts_at_half_and_dephases():
     ens = EnsembleSpec(40, 60.0, seed=20)
     f, m1, m2, _ = entangle_trace(ens, 2.0e5, 1.6e5, [0.0, 50.0], realizations=5)
@@ -218,7 +235,7 @@ def _scalar_entangle_trace(ens, c3_prime, c3_second, grid, realizations):
     """Reference: one realization at a time, one pair at a time."""
     fs, m1s, m2s = (np.zeros((realizations, len(grid))) for _ in range(3))
     for r in range(realizations):
-        r3 = pair_separations(sample_positions(replace(ens, seed=realization_seed(ens.seed, r)))) ** 3
+        r3 = pdist(sample_positions(replace(ens, seed=realization_seed(ens.seed, r)))) ** 3
         for it, t in enumerate(grid):
             m1 = _scalar_coherence(c3_prime * t / r3)
             m2 = _scalar_coherence(c3_second * t / r3)
