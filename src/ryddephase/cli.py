@@ -473,13 +473,20 @@ def _trace_json(trace: G2Trace) -> dict:
     }
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS reports one, else the host's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _worker_count(threads: int, realizations: int) -> int:
-    """Workers worth starting: never more than realizations or CPUs.
+    """Workers worth starting: never more than realizations or usable CPUs.
 
     Under the fork start method the pool starts every worker at once, so an
     unclamped --threads 500 would fork 500 processes for one realization.
     """
-    return min(threads, realizations, os.cpu_count() or 1)
+    return min(threads, realizations, _usable_cpus())
 
 
 def _make_pool(threads: int, realizations: int):
@@ -843,19 +850,21 @@ def _override_seed(raw: dict, subcommand: str, seed: int) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One flat parser: the subcommand is a positional, and every subcommand takes the same five flags."""
+    subcommands = "\n".join(f"  {name:<12}{entry.help}" for name, entry in SUBCOMMANDS.items())
     parser = argparse.ArgumentParser(
         prog="ryddephase",
-        description="Dephasing of dressed Rydberg pair excitations: correlation "
-        "traces, cycle protocols, entanglement figures of merit, phase matching.",
+        description="Dephasing of dressed Rydberg pair excitations: correlation traces,\n"
+        "cycle protocols, entanglement figures of merit, phase matching.\n\n"
+        f"subcommands:\n{subcommands}",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, entry in SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=entry.help)
-        p.add_argument("--config", required=True, help="JSON configuration file")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--threads", type=int, default=None, help="worker process count")
-        p.add_argument("--force", action="store_true", help="allow overwriting outputs")
+    parser.add_argument("subcommand", choices=SUBCOMMANDS, metavar="subcommand", help="one of those listed above")
+    parser.add_argument("--config", required=True, help="JSON configuration file")
+    parser.add_argument("--out", default=None, help="output directory")
+    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
+    parser.add_argument("--threads", type=int, default=None, help="worker process count")
+    parser.add_argument("--force", action="store_true", help="allow overwriting outputs")
     return parser
 
 

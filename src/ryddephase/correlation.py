@@ -23,10 +23,10 @@ of two real planes of K + N rows (_PairPlanes), and the last K rows are
 copied ahead of the first.  Then the partners of mu, the pairs (mu - k, mu),
 sit at row K + mu - k, column k - 1 of a plane: one fixed view with strides
 (K, 1 - K).  S_mu adds the sum over its own row and the sum over that view,
-each started from +0.0, and math.fsum combines the N row sums.  There is no
-gather, and the order depends on N alone, never on how realizations were
-spread over worker processes, so traces are byte-identical for any worker
-count.
+each started from +0.0, and f and h come from numpy's pairwise sums over the
+N row sums.  There is no gather, and every summation order depends on N
+alone, never on how realizations were spread over worker processes, so
+traces are byte-identical for any worker count.
 
 Each mode supplies one function (t, out) -> amplitudes per cycle: analytic
 over R^3 computed once, multichannel over the cycle's spectra of every slot.
@@ -112,35 +112,38 @@ class _PairPlanes:
         )
 
     def row_sums(self) -> np.ndarray:
-        """Real and imaginary row sums S_mu of owned, shape (2, n), checked finite.
+        """Real and imaginary row sums S_mu of owned, shape (2, n).
 
         The slots that count no pair are zeroed first; then the last K rows
-        are copied ahead of the first, for the partner view.  A row of
-        signed zeros sums to +0.0.  A non-finite amplitude makes its row sums
-        non-finite (|A| <= 1 keeps finite sums finite), so only the row sums
-        are checked.
+        are copied ahead of the first, for the partner view, one plane at a
+        time: the two regions of one plane do not overlap, but those of both
+        planes together do, and numpy would copy them through a temporary.
+        A row of signed zeros sums to +0.0.
         """
         zero_doubled_slots(self.owned)
-        self._planes[:, : self.k] = self._planes[:, self.n :]
+        for plane in self._planes:
+            plane[: self.k] = plane[self.n :]
         rows = self.owned.sum(axis=2, initial=0.0)
         rows += self._partners.sum(axis=2, initial=0.0)
-        if not np.isfinite(rows).all():
-            raise ValueError("missing pair amplitude (non-finite value)")
         return rows
 
     def point(self, amplitudes=None) -> tuple[float, float, float]:
-        """(g2, f, h) of owned; math.fsum combines the n row sums.
+        """(g2, f, h) of owned, from numpy's pairwise sums over the n row sums.
 
         Complex (n, K) amplitudes in round-robin order are copied into owned
-        first; with None, owned holds the point as written.
+        first; with None, owned holds the point as written.  A non-finite
+        amplitude makes its row sums, and so f and h, non-finite (|A| <= 1
+        keeps finite sums finite), so only f and h are checked.
         """
         if amplitudes is not None:
             self.owned[0], self.owned[1] = amplitudes.real, amplitudes.imag
-        row_re, row_im = self.row_sums()
+        rows = self.row_sums()
         n = float(self.n)
-        total_re, total_im = math.fsum(row_re.tolist()), math.fsum(row_im.tolist())
+        total_re, total_im = rows.sum(axis=1).tolist()
         f = (total_re * total_re + total_im * total_im) / n**4
-        h = math.fsum((row_re * row_re + row_im * row_im).tolist()) / n**3
+        h = float((rows * rows).sum()) / n**3
+        if not (math.isfinite(f) and math.isfinite(h)):
+            raise ValueError("missing pair amplitude (non-finite value)")
         return 4.0 * G2_ZERO * f / (1.0 + h) ** 2, f, h
 
 

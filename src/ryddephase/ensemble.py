@@ -2,7 +2,10 @@
 
 Positions are sampled i.i.d. uniform in a cube into a read-only (N, 3)
 array, the input of every pair function; all time dependence in the
-simulation lives in the internal dynamics, never in the geometry.  Pairs
+simulation lives in the internal dynamics, never in the geometry.  The
+sampler's minimum-separation screen is a sorted-window neighbour list on x
+(Allen & Tildesley, Computer Simulation of Liquids, ch. 5), so it holds no
+N x N array.  Pairs
 have one order, round-robin: atom mu owns the slots (mu, k - 1), the pairs
 (mu, (mu + k) mod n), k = 1..n // 2, with axis partner - self; distances and
 orientations derive from round_robin_displacements.  Condensed order
@@ -59,35 +62,57 @@ class PairGeometry:
 SAMPLE_BLOCK = 256  # candidates drawn per block once the first n have been screened
 
 
-def _too_close(a: np.ndarray, b: np.ndarray, eps2: float) -> np.ndarray:
-    """(len(a), len(b)) mask of point pairs whose squared distance is below eps2.
+def _close_pairs(points: np.ndarray, eps: float, others=None) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (i, j) of every pair points[i], others[j] whose squared distance is below eps^2.
 
-    The squares add as (dx^2 + dy^2) + dz^2, the order np.sum takes over a
-    row of three, so the test is the one sequential rejection makes.
+    With others None, the pairs i != j of points, each once.  Sorted-window
+    screen (a neighbour list on one axis): others are sorted on x, and each
+    point x is tested only against those in [x - eps, x + eps], both ends
+    rounded.  The squares add as (dx^2 + dy^2) + dz^2, the order np.sum takes
+    over a row of three, so the test is the one sequential rejection makes,
+    and a pair it flags has a rounded dx^2 below eps^2, so |dx| < eps before
+    rounding: rounding is monotone, so that pair lies in the window.  Memory
+    goes with the number of pairs in the windows.
     """
-    d2 = np.zeros((len(a), len(b)))
-    for k in range(3):
-        d = np.subtract.outer(a[:, k], b[:, k])
-        d *= d
-        d2 += d
-    return d2 < eps2
+    same = others is None
+    others = points if same else others
+    order = np.argsort(others[:, 0], kind="stable")
+    x = others[order, 0]
+    hi = np.searchsorted(x, points[:, 0] + eps, side="right")
+    if same:  # point order[r] against the ranks after r in its window
+        owners, lo, hi = order, np.arange(1, len(x) + 1), hi[order]
+    else:
+        owners, lo = np.arange(len(points)), np.searchsorted(x, points[:, 0] - eps, side="left")
+    counts = hi - lo
+    i = np.repeat(owners, counts)
+    j = order[np.arange(counts.sum()) + np.repeat(lo - np.cumsum(counts) + counts, counts)]
+    d = points[i] - others[j]
+    d *= d
+    close = (d[:, 0] + d[:, 1]) + d[:, 2] < eps * eps
+    return i[close], j[close]
 
 
-def _accepted_in_order(candidates: np.ndarray, placed: np.ndarray, eps2: float, need: int) -> np.ndarray:
+def _accepted_in_order(candidates: np.ndarray, placed: np.ndarray, eps: float, need: int) -> np.ndarray:
     """Rows of candidates that sequential rejection would accept after placed, at most need.
 
     A candidate is accepted when it keeps eps from every placed point and
-    from every candidate accepted before it.  Only a candidate close to
-    another survivor of the placed points can be turned away by an earlier
-    one, so only those are decided one by one; in a dilute cloud there are
-    none.
+    from every candidate accepted before it.  Only a candidate close to an
+    earlier survivor of the placed points can be turned away, so only those
+    are decided one by one, in index order; in a dilute cloud there are none.
     """
-    survivors = np.flatnonzero(~_too_close(candidates, placed, eps2).any(axis=1))
-    close = _too_close(candidates[survivors], candidates[survivors], eps2)
-    np.fill_diagonal(close, False)
+    survivors = np.arange(len(candidates))
+    if len(placed):  # the first block has none
+        survivors = np.delete(survivors, _close_pairs(placed, eps, candidates)[1])
+    a, b = _close_pairs(candidates[survivors], eps)
+    if not len(a):  # the usual case in a dilute cloud
+        return survivors[:need]
+    earlier, later = np.minimum(a, b), np.maximum(a, b)
+    by_later = np.argsort(later, kind="stable")
+    earlier, later = earlier[by_later], later[by_later]
     keep = np.ones(len(survivors), dtype=bool)
-    for i in np.flatnonzero(close.any(axis=1)):
-        keep[i] = not (close[i, :i] & keep[:i]).any()
+    starts = np.flatnonzero(np.diff(later, prepend=-1))
+    for q, partners in zip(later[starts], np.split(earlier, starts[1:])):
+        keep[q] = not keep[partners].any()
     return survivors[keep][:need]
 
 
@@ -99,12 +124,14 @@ def sample_positions(spec: EnsembleSpec) -> np.ndarray:
     far), so the stream is deterministic for a given seed.  The candidates are
     screened in blocks: the first n draws together, which in a dilute cloud
     all pass, then SAMPLE_BLOCK at a time.  PCG64 yields the same numbers
-    whatever the block size.  Raises PackingError when placement stalls
-    (density too high for the requested minimum separation).
+    whatever the block size.  Each block's close pairs come from the
+    sorted-window screen (_close_pairs), in memory that grows with the pairs
+    whose x lie within eps, about n^2 eps / box_side: 1.2 MB at n = 4000 in
+    a 142 um box, 13 times the result.  Raises PackingError when placement
+    stalls (density too high for the requested minimum separation).
     """
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     n, eps = spec.n_atoms, spec.min_separation
-    eps2 = eps * eps
     max_attempts = 1000 * n
     points = np.empty((n, 3))
     placed = 0
@@ -120,7 +147,7 @@ def sample_positions(spec: EnsembleSpec) -> np.ndarray:
         k = min(block, max_attempts - attempts)
         candidates = rng.uniform(0.0, spec.box_side, size=(k, 3))
         attempts += k
-        accepted = _accepted_in_order(candidates, points[:placed], eps2, n - placed)
+        accepted = _accepted_in_order(candidates, points[:placed], eps, n - placed)
         points[placed : placed + len(accepted)] = candidates[accepted]
         placed += len(accepted)
         block = SAMPLE_BLOCK

@@ -311,13 +311,45 @@ def test_thread_count_below_one_is_a_config_error(tmp_path, monkeypatch, capsys,
     assert not (tmp_path / "o").exists()
 
 
-def test_worker_count_is_clamped_to_realizations_and_cpus(monkeypatch):
+@pytest.mark.parametrize("subcommand", sorted(cli.SUBCOMMANDS))
+def test_every_subcommand_parses_with_the_shared_flags(subcommand):
+    argv = [subcommand, "--config", "c.json", "--out", "o", "--seed", "3", "--threads", "2", "--force"]
+    assert vars(cli.build_parser().parse_args(argv)) == {
+        "subcommand": subcommand,
+        "config": "c.json",
+        "out": "o",
+        "seed": 3,
+        "threads": 2,
+        "force": True,
+    }
+
+
+def test_an_unknown_subcommand_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["g2trace", "--config", "c.json"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'g2trace'" in capsys.readouterr().err
+
+
+def test_usable_cpus_follow_the_affinity_mask(monkeypatch):
+    if hasattr(cli.os, "sched_getaffinity"):
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 3})
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+        assert cli._usable_cpus() == 2
+        monkeypatch.delattr(cli.os, "sched_getaffinity")
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    assert cli._usable_cpus() == 4
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli._usable_cpus() == 1
+
+
+def test_worker_count_is_clamped_to_realizations_and_cpus(monkeypatch):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
     assert cli._worker_count(500, 1) == 1
     assert cli._worker_count(500, 3) == 3
     assert cli._worker_count(500, 100) == 4
     assert cli._worker_count(2, 100) == 2
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
     assert cli._worker_count(8, 8) == 1
 
 
@@ -325,7 +357,7 @@ def test_pool_starts_only_the_clamped_worker_count(monkeypatch):
     import concurrent.futures
 
     started = []
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda max_workers: started.append(max_workers))
     assert cli._make_pool(500, 1) is None
     cli._make_pool(500, 3)
@@ -926,7 +958,7 @@ def test_sweep_starts_one_pool_for_all_combinations(tmp_path, monkeypatch):
             pools.append(max_workers)
             super().__init__(max_workers=max_workers)
 
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     base = json.loads(json.dumps(MINIMAL))
     base["realizations"] = 2

@@ -584,6 +584,26 @@ def test_analytic_realization_memory_does_not_grow_with_the_grid():
     assert abs(long - short) <= 0.05 * short
 
 
+def test_one_analytic_point_allocates_far_less_than_a_plane():
+    # at N = 1000 one (N, N // 2) plane is 4.0 MB, which a two-plane wrap copy went through
+    import tracemalloc
+
+    from ryddephase.correlation import _PairPlanes, round_robin_cubes
+
+    cubes = round_robin_cubes(sample_positions(EnsembleSpec(1000, 60.0 * (1000 / 300) ** (1 / 3), seed=7)))
+    planes = _PairPlanes(1000)
+    analytic_pair_amplitudes(cubes, 2.6e4, planes.owned)
+    planes.point()
+    tracemalloc.start()
+    try:
+        analytic_pair_amplitudes(cubes, 2.6e4 * 0.5, planes.owned)
+        planes.point()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5e6
+
+
 def exact_trace(ensemble, cycles, grid, mode, realizations):
     """(g2, f, h) stacks from condensed columns through g2_from_amplitudes."""
     points = [

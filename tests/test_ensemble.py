@@ -8,6 +8,7 @@ from scipy.spatial.distance import pdist
 
 from ryddephase.ensemble import (
     EnsembleSpec,
+    _close_pairs,
     PackingError,
     pair_geometry,
     pair_index_arrays,
@@ -116,6 +117,127 @@ def test_impossible_packing_fails_as_sequential_rejection_does(n, box, min_sep, 
     assert str(got.value) == str(want.value)
     assert f"after {1000 * n} draws" in str(got.value)
 
+
+
+# ---------------------------------------------------------------------------
+# the sorted-window screen against the dense N x N test it replaced
+# ---------------------------------------------------------------------------
+
+
+def dense_too_close(a, b, eps2, rows=512):
+    """(len(a), len(b)) mask of point pairs with (dx^2 + dy^2) + dz^2 < eps2, built in blocks of rows."""
+    mask = np.empty((len(a), len(b)), dtype=bool)
+    for lo in range(0, len(a), rows):
+        d2 = np.zeros((len(a[lo : lo + rows]), len(b)))
+        for k in range(3):
+            d = np.subtract.outer(a[lo : lo + rows, k], b[:, k])
+            d *= d
+            d2 += d
+        mask[lo : lo + rows] = d2 < eps2
+    return mask
+
+
+def dense_sample_positions(spec):
+    """The sampler as it screened with dense masks: first n candidates together, then blocks of 256."""
+    rng = np.random.Generator(np.random.PCG64(spec.seed))
+    n, eps = spec.n_atoms, spec.min_separation
+    eps2 = eps * eps
+    points = np.empty((n, 3))
+    placed = attempts = 0
+    block = n
+    while placed < n:
+        if attempts >= 1000 * n:
+            raise PackingError("stalled")
+        candidates = rng.uniform(0.0, spec.box_side, size=(min(block, 1000 * n - attempts), 3))
+        attempts += len(candidates)
+        survivors = np.flatnonzero(~dense_too_close(candidates, points[:placed], eps2).any(axis=1))
+        close = dense_too_close(candidates[survivors], candidates[survivors], eps2)
+        np.fill_diagonal(close, False)
+        keep = np.ones(len(survivors), dtype=bool)
+        for i in np.flatnonzero(close.any(axis=1)):
+            keep[i] = not (close[i, :i] & keep[:i]).any()
+        accepted = survivors[keep][: n - placed]
+        points[placed : placed + len(accepted)] = candidates[accepted]
+        placed += len(accepted)
+        block = 256
+    return points
+
+
+def screened(points, eps, others=None):
+    """The pairs _close_pairs finds, as a mask of the dense test's shape (symmetric for one set)."""
+    i, j = _close_pairs(points, eps, others)
+    mask = np.zeros((len(points), len(points if others is None else others)), dtype=bool)
+    mask[i, j] = True
+    if others is None:
+        assert not (i == j).any()
+        assert mask.sum() == len(i)  # each pair found once
+        mask |= mask.T
+    return mask
+
+
+def assert_screen_matches_dense(points, eps, others=None):
+    want = dense_too_close(points, points if others is None else others, eps * eps)
+    if others is None:
+        np.fill_diagonal(want, False)
+    assert np.array_equal(screened(points, eps, others), want)
+    return int(want.sum())
+
+
+@pytest.mark.parametrize(
+    "n, box, eps",
+    [
+        (300, 60.0, 3.0),  # dilute
+        (400, 10.0, 1.0),  # dense
+        (30, 3.0, 1.0),  # near stalling: the "barely possible" packing
+        (1000, 5.0, 0.5),  # most candidates have a close partner
+    ],
+)
+def test_sorted_window_screen_finds_exactly_the_dense_pairs(n, box, eps):
+    rng = np.random.Generator(np.random.PCG64(n))
+    points = rng.uniform(0.0, box, size=(n, 3))
+    block = min(256, n // 3)  # a block of candidates against the points placed before it, and the reverse
+    assert assert_screen_matches_dense(points, eps) > 0
+    assert assert_screen_matches_dense(points[:block], eps, points[block:]) > 0
+    assert assert_screen_matches_dense(points[block:], eps, points[:block]) > 0
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.3, 17.0, 1.0e3, 1.0e6])
+@pytest.mark.parametrize("eps", [0.1, 1.0, 3.7])
+def test_sorted_window_screen_at_one_ulp_from_eps(offset, eps):
+    # pairs along x (dy = dz = 0) whose dx is the nearest floats around eps, at coordinates of several sizes
+    ends = [offset + eps]
+    for _ in range(3):
+        ends = [np.nextafter(ends[0], -np.inf), *ends, np.nextafter(ends[-1], np.inf)]
+    points = np.zeros((1 + len(ends), 3))
+    points[:, 0] = [offset, *ends]
+    points[:, 1:] = [2.5, -1.0]
+    flagged = assert_screen_matches_dense(points[:1], eps, points[1:])
+    assert 0 < flagged < len(ends)  # the boundary falls inside the nudged ends
+    assert_screen_matches_dense(points[1:], eps, points[:1])
+    assert_screen_matches_dense(points, eps)
+
+
+@pytest.mark.parametrize("n", [60, 300, 1000, 4000])
+@pytest.mark.parametrize("density", [1, 27, 343])  # the fig2 density and 3^3, 7^3 times it
+def test_sample_positions_equal_the_dense_sampler(n, density):
+    box = 60.0 * (n / 300) ** (1 / 3) / round(density ** (1 / 3))
+    for seed in (1, 2, 3):
+        spec = EnsembleSpec(n, box, seed)
+        assert np.array_equal(sample_positions(spec), dense_sample_positions(spec))
+
+
+@pytest.mark.parametrize("n", [1000, 4000])
+def test_sample_positions_memory_is_a_few_times_its_result(n):
+    # N x N masks took 1010x and 4004x the (N, 3) result at these sizes
+    spec = EnsembleSpec(n, 60.0 * (n / 300) ** (1 / 3), seed=2)
+    sample_positions(spec)
+    tracemalloc.start()
+    try:
+        positions = sample_positions(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * positions.nbytes
 
 def test_all_separations_within_bounds():
     spec = EnsembleSpec(100, 60.0, seed=77)

@@ -13,7 +13,12 @@ the wall-clock duration.
 prints the GOLDEN table of the current code in this file's layout, so a
 re-record is one command whose output replaces the table.  Given DIR, it also
 keeps each case's data files under DIR/<case>/out/, so a re-record can compare
-them column by column with the same run of the parent commit.
+them column by column with the same run of the parent commit:
+
+    PYTHONPATH=src python tests/test_golden.py --compare OLD NEW
+
+prints, per case, data file and column (a CSV header field, or a JSON key
+path), the largest relative deviation of NEW's values from OLD's.
 
 The hashes hold for one numpy build on one CPU family (numpy's vectorized
 tan and the BLAS behind eigh may round differently elsewhere); they were
@@ -21,7 +26,9 @@ recorded with Python 3.11, numpy 2.4.6 and scipy 1.17.1 on x86-64.
 """
 
 import contextlib
+import csv
 import hashlib
+import math
 import json
 import sys
 import tempfile
@@ -102,13 +109,13 @@ CASES = {
 
 GOLDEN = {
     "cycles": {
-        "cycles.csv": "9c454c1815b8e4c80b8d4199c063f648b072d187438223d93c439595747145d2",
+        "cycles.csv": "8eb9fc224de8697dd328b3719d14e9fd9feafd7b8c5843954ced4dd421fc6764",
     },
     "cycles_json": {
-        "cycles.json": "2dfc734d84f89fe3c7e6c86ae309ad54843c26cde19ec5b949cf71eb19d58cef",
+        "cycles.json": "c6fb15959d58b67e1f0eaa1969e9a855c83ac3243f209d7ce0d309bc8787c836",
     },
     "cycles_multichannel": {
-        "cycles.csv": "9dca6d23e44d09a0c84c749c12b1a12722d2890ef40ce6a777b8012c542de0bf",
+        "cycles.csv": "1b6d96ba93cb7ee462e4b22622e1ebaaa0139499fa4798152c8c22436853a490",
     },
     "entangle": {
         "entangle.csv": "979432a2c9ba62188f7043d46a5cd8bc8f827218be813c8a9b098b7403b3c1c1",
@@ -117,36 +124,36 @@ GOLDEN = {
         "entangle.json": "ab597151688e63d1fbd2d4b8862528e463679dedee3623140e7f288fbc8f6dd5",
     },
     "fig2": {
-        "g2_trace_n100.csv": "f5a3d87ad9cb7b380edc5789879bda58193104e518a492df19740bebd8392b60",
-        "g2_trace_n60.csv": "56cb892ddaf90d6dc03a1f1c4ff05d263920df8b543c8ca3c1f1427405ad1f55",
-        "g2_trace_n79.csv": "ced1a6134559b4af0b09e6b2a031438ad561ab36ed8d7a5b05eafed6c87c113a",
+        "g2_trace_n100.csv": "405ff71a1e848256c7977d93da8429e8da45bad0ac5e1adea5cc503f62ea3728",
+        "g2_trace_n60.csv": "6b8389d92e3362fcd50f2f8e37820896c404301e7f68374374a8488e809bb5ad",
+        "g2_trace_n79.csv": "0f453b27f495c9982c1b46257ce3fbf945e3d78cdfa985ed4e847ca2e5297b83",
     },
     "fig2_json": {
-        "g2_trace_n100.json": "056881bd90144abae901c0f117184219012d46b28310d302adb0719348de9405",
-        "g2_trace_n60.json": "ac0d08fdc191283032ca30ff46c3937ace215170d408ad3fc71739d0d539dfd4",
-        "g2_trace_n79.json": "fc8883bd464b8042aba69a11fe999e6e90c7dc0d170e2170207a78fd24e0fa73",
+        "g2_trace_n100.json": "88fba9266c18c52e3e63a67f7aa1cfe71ea89224dba58b076d382010353cba0d",
+        "g2_trace_n60.json": "5fc3214c94ba2fb57442acd9fba84cd3f057814e3a367bb8dad884d13326c686",
+        "g2_trace_n79.json": "b4fb08183bac4b76cb6751e9f15ab707abeb44b1097abc14cb2feeebc9adc217",
     },
     "fourphoton": {
         "phasematch.json": "3940f50dc62de4e425bbb3384275dc00d1d67c6f56cb1c93fb29251b9ec6c044",
     },
     "multichannel": {
-        "g2_trace.csv": "044bc16b79177a1fc1cad94c25419fe07f6b6cfb99ffb316e03b1ccdc61bec85",
+        "g2_trace.csv": "8e3e0154455abe48f19055ce4c781648031b9f1b99be811ba5a8f29ccc69e0b1",
     },
     "oracle": {
-        "oracle.json": "cac64db7784fd647f25eb4a85b6875a0cc148f06673198e103a25c498c167294",
+        "oracle.json": "006826d3b5aa479cd0013f336ede821f9971e80ee65f00735892326affbc71db",
     },
     "sweep_example": {
-        "n_atoms=10/g2_trace.csv": "fd9655b77585ab0963ed560cce0e7db654a20222b37023660c040f217bfcffa2",
-        "n_atoms=15/g2_trace.csv": "3afcdf86f449e5cc6f0c1e0863f6a18051f711231b8032600aa1a8fb2754bad5",
+        "n_atoms=10/g2_trace.csv": "a4100b42f3e08ca441de2032b9590dee483f50aefe3a19901af517808ee6d767",
+        "n_atoms=15/g2_trace.csv": "810f7b60aae3afc0b04668f8ccb39a1c1d6f9de6767b832d57ffc2511bee19b9",
     },
     "two_cycle_trace_analytic": {
-        "g2_trace.csv": "b88c49d3fa4cd889cfff324048c6fa616c9b81fdfa905d5bacb135ea86649e82",
+        "g2_trace.csv": "1251d4f4be33a8d2e97ffc01f951ca61ddfd96844e4426bda44bc51e382e8966",
     },
     "two_cycle_trace_multichannel": {
-        "g2_trace.csv": "933f7e376ce54a0abfd1cf2441ca54071d961683515f1b65fa532e23eacaae31",
+        "g2_trace.csv": "2a55f4f3e2fdc1852cdfdbd88fc72e587083f87deb3de69bda8fcf1adf682506",
     },
     "two_cycle_trace_sigma_minus": {
-        "g2_trace.csv": "198688d446019d69a39064be4ffec982274e0914464d4654ac132f5fd0057c38",
+        "g2_trace.csv": "4129e10a207a4d74bb602f32d4add26f88313c8d9d1aadb990cb54a73f3153cc",
     },
     "twophoton": {
         "phasematch.json": "022b56299aa2c1cdd25e1fe587b751c053b8b3e4780049ee3d0a3cab95065121",
@@ -186,7 +193,96 @@ def test_recorded_entry_is_the_pinned_one(tmp_path):
     assert golden_entry("twophoton", run_case("twophoton", tmp_path)) in Path(__file__).read_text()
 
 
-if __name__ == "__main__":
+def _number(value):
+    """value as a float, or None for a value that is not a number (bools, text other than inf and nan)."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return None
+
+
+def data_columns(path: Path) -> dict:
+    """Numeric columns of one data file: a CSV's by header field, a JSON's by key path (list indices dropped)."""
+    columns = {}
+
+    def add(key, value):
+        if (x := _number(value)) is not None:
+            columns.setdefault(key, []).append(x)
+
+    def walk(node, key):
+        if isinstance(node, dict):
+            for name, child in node.items():
+                walk(child, f"{key}.{name}" if key else name)
+        elif isinstance(node, list):
+            for child in node:
+                walk(child, key)
+        else:
+            add(key, node)
+
+    if path.suffix == ".csv":
+        header, *rows = csv.reader(path.read_text().splitlines())
+        for row in rows:
+            for name, value in zip(header, row):
+                add(name, value)
+    else:
+        walk(json.loads(path.read_text()), "")
+    return columns
+
+
+def relative_deviation(old: list, new: list) -> float:
+    """Largest |new - old| / |old| over paired values; inf where a value left 0 or the lengths differ."""
+    if len(old) != len(new):
+        return math.inf
+    worst = 0.0
+    for a, b in zip(old, new):
+        if a != b and not (math.isnan(a) and math.isnan(b)):
+            worst = max(worst, abs(b - a) / abs(a) if a else math.inf)
+    return worst
+
+
+def compare_trees(old_root: Path, new_root: Path) -> list[str]:
+    """One line per case, data file and column of the trees written by this script: its largest relative deviation."""
+    lines = []
+    for name in sorted(CASES):
+        old_out, new_out = old_root / name / "out", new_root / name / "out"
+        for old in sorted(old_out.rglob("*")):
+            if not old.is_file() or old.name == "manifest.json":
+                continue
+            rel = old.relative_to(old_out)
+            new = new_out / rel
+            if not new.is_file():
+                lines.append(f"{name}\t{rel}\t(missing in {new_root})")
+                continue
+            want, got = data_columns(old), data_columns(new)
+            for column in sorted(want.keys() | got.keys()):
+                deviation = relative_deviation(want.get(column, []), got.get(column, []))
+                lines.append(f"{name}\t{rel}\t{column}\t{deviation:.2g}")
+    return lines
+
+
+def test_compare_reports_the_largest_relative_deviation_per_column(tmp_path):
+    files = {
+        "old": ("t_us,g2_mean\n0.5,2.0\n1.0,4.0\n", {"f": [[1.0, 0.0]], "offaxis": {"period_um": "inf"}}),
+        "new": ("t_us,g2_mean\n0.5,2.0\n1.0,4.000004\n", {"f": [[1.0, 1e-300]], "offaxis": {"period_um": "inf"}}),
+    }
+    for tree, (text, data) in files.items():
+        out = tmp_path / tree / "fig2" / "out"
+        out.mkdir(parents=True)
+        (out / "g2_trace.csv").write_text(text)
+        (out / "g2_trace.json").write_text(json.dumps(data))
+        (out / "manifest.json").write_text(json.dumps({"duration_s": len(tree)}))
+    assert compare_trees(tmp_path / "old", tmp_path / "new") == [
+        "fig2\tg2_trace.csv\tg2_mean\t1e-06",
+        "fig2\tg2_trace.csv\tt_us\t0",
+        "fig2\tg2_trace.json\tf\tinf",
+        "fig2\tg2_trace.json\toffaxis.period_um\t0",
+    ]
+
+if __name__ == "__main__" and sys.argv[1:2] == ["--compare"]:
+    print(*compare_trees(Path(sys.argv[2]), Path(sys.argv[3])), sep="\n")
+elif __name__ == "__main__":
     entries = []
     with contextlib.ExitStack() as stack:
         root = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(stack.enter_context(tempfile.TemporaryDirectory()))
