@@ -28,7 +28,7 @@ from .atomdata import (
 from .correlation import (
     G2Point,
     G2Trace,
-    brute_force_g2,
+    exact_g2,
     g2_after_cycles,
     g2_from_amplitudes,
     g2_trace,

@@ -11,8 +11,9 @@ S_mu = sum_{nu != mu} A_munu:
     h = (1/N^3) sum_mu | S_mu |^2
     g2 = 4 g2(0) f / (1 + h)^2,     g2(0) = e/4
 
-in the large-N limit (N-1)/N ~ 1.  A brute-force oracle evaluates the same
-correlator exactly on the explicit truncated state vector for small N.
+in the large-N limit (N-1)/N ~ 1.  At finite N the exact correlator of the
+truncated state is the same formula with f and h scaled by N/(N - 1)
+(exact_g2), so the pair sums carry the whole finite-N correction.
 
 Each point is reduced from per-pair amplitudes without forming the N x N
 matrix, in the simulation's one pair order, round-robin: with K = N // 2,
@@ -35,7 +36,7 @@ complex (N, K) array.  One rule combines the cycles: their amplitudes
 multiply, as complex numbers.  A realization allocates its planes once and
 streams one point at a time, in O(N^2) memory, or O(N^2 d) over a pair
 basis of dimension d, whatever the grid length T.  Only g2_from_amplitudes
-and brute_force_g2 take condensed (mu < nu, row-major) input.
+takes condensed (mu < nu, row-major) input.
 run_realizations is the one realization loop (seed, sample, evaluate, stack
 in index order, serially or on a process pool); the entanglement trace in
 protocol runs through it as well.
@@ -52,7 +53,6 @@ from numpy.lib.stride_tricks import as_strided
 
 from .ensemble import (
     EnsembleSpec,
-    pair_index_arrays,
     round_robin_orientations,
     round_robin_pairs,
     round_robin_separations,
@@ -62,8 +62,6 @@ from .pairdyn import NumericsError, analytic_pair_amplitudes, pair_spectra, spec
 
 G2_ZERO = math.e / 4.0
 G2_ASYMPTOTE = G2_ZERO * 16.0 / 25.0
-
-TRUNCATED_AMPLITUDES = (1.0 / math.sqrt(math.e), 1.0 / math.sqrt(math.e), 1.0 / math.sqrt(2.0 * math.e))
 
 
 @dataclass(frozen=True)
@@ -147,22 +145,28 @@ class _PairPlanes:
         return 4.0 * G2_ZERO * f / (1.0 + h) ** 2, f, h
 
 
-def _condensed(amplitudes, n_atoms: int) -> np.ndarray:
-    """amplitudes as an array, checked to hold one value per mu < nu pair of n_atoms >= 2 atoms."""
+def exact_g2(point: G2Point, n_atoms: int) -> float:
+    """Exact g2 of the truncated state over n_atoms atoms, from the point's f and h.
+
+    The phases e^{i k0.r_mu} of the phase-matched state cancel against those
+    of the lowering operator, so <S+ S> = (1 + h~)/e and <S+ S+ S S> = f~/e,
+    with f~ = f N/(N - 1) and h~ = h N/(N - 1) counting the N(N - 1)/2 pairs
+    exactly: g2 = e f~ / (1 + h~)^2 at any N >= 2.
+    """
+    scale = n_atoms / (n_atoms - 1)
+    return 4.0 * G2_ZERO * point.f * scale / (1.0 + point.h * scale) ** 2
+
+
+def g2_from_amplitudes(condensed, n_atoms: int) -> G2Point:
+    """One correlation point from condensed (mu < nu, row-major) pair amplitudes of n_atoms >= 2 atoms."""
     if n_atoms < 2:
         raise ValueError(f"n_atoms must be at least 2, got {n_atoms}")
-    amplitudes = np.asarray(amplitudes)
+    amplitudes = np.asarray(condensed, dtype=complex)
     npairs = n_atoms * (n_atoms - 1) // 2
     if amplitudes.shape != (npairs,):
         raise ValueError(
             f"expected {npairs} condensed pair amplitudes for {n_atoms} atoms, got shape {amplitudes.shape}"
         )
-    return amplitudes
-
-
-def g2_from_amplitudes(condensed, n_atoms: int) -> G2Point:
-    """One correlation point from condensed (mu < nu, row-major) pair amplitudes."""
-    amplitudes = np.asarray(_condensed(condensed, n_atoms), dtype=complex)
     return G2Point(*_PairPlanes(n_atoms).point(amplitudes[round_robin_pairs(n_atoms)]))
 
 
@@ -353,48 +357,3 @@ def g2_after_cycles(
     params = (cycles, None, mode)
     stacks, seeds = run_realizations(_trace_single_realization, ensemble, params, realizations, pool)
     return G2Trace(grid, *stacks, seeds)
-
-
-DEFAULT_RETRIEVAL_K = np.array([0.0, 0.0, 7.902])  # rad/um, a typical optical k
-
-
-def brute_force_g2(positions: np.ndarray, condensed, k0=None) -> float:
-    """Exact correlator on the explicit truncated state, for N <= 10.
-
-    Builds the state vector over {vacuum, single excitations, excited pairs}
-    with collective-mode phase factors, applies the collective lowering
-    operator as a sparse map, and evaluates <S+ S+ S S> / <S+ S>^2 directly.
-    No large-N approximation is made, so this is the oracle against which the
-    pair-sum formula is checked.
-    """
-    n = len(positions)
-    if n > 10:
-        raise ValueError(f"brute-force correlator limited to N <= 10, got {n}")
-    pair_amp = _condensed(condensed, n)
-    k0 = DEFAULT_RETRIEVAL_K if k0 is None else np.asarray(k0, dtype=float)
-    c0, c1, c2 = TRUNCATED_AMPLITUDES
-
-    phase = np.exp(1j * positions @ k0)  # e^{i k0 . r_mu}
-    mu, nu = pair_index_arrays(n)
-    npairs = len(mu)
-
-    # state vector: [vacuum, singles (N), pairs (npairs)]
-    psi_vac = c0
-    psi_single = c1 * phase / math.sqrt(n)
-    psi_pair = c2 * phase[mu] * phase[nu] * pair_amp / math.sqrt(npairs)
-
-    # S maps pairs -> singles and singles -> vacuum, with e^{-i k0 . r} factors
-    s_single = np.zeros(n, dtype=complex)  # singles component of S|psi>
-    np.add.at(s_single, nu, psi_pair * np.conj(phase[mu]))
-    np.add.at(s_single, mu, psi_pair * np.conj(phase[nu]))
-    s_single /= math.sqrt(n)
-    s_vac = np.sum(psi_single * np.conj(phase)) / math.sqrt(n)
-
-    norm_s = abs(s_vac) ** 2 + float(np.sum(np.abs(s_single) ** 2))
-
-    ss_vac = np.sum(s_single * np.conj(phase)) / math.sqrt(n)
-    norm_ss = abs(ss_vac) ** 2
-
-    if norm_s == 0.0:
-        return 0.0
-    return norm_ss / norm_s**2

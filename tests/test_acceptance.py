@@ -19,7 +19,6 @@ from ryddephase.atomdata import (
 from ryddephase.correlation import (
     G2_ASYMPTOTE,
     G2_ZERO,
-    brute_force_g2,
     g2_after_cycles,
     g2_from_amplitudes,
     g2_trace,
@@ -45,6 +44,8 @@ from ryddephase.protocol import (
     make_schedule,
     single_excitation_survival,
 )
+
+from statevector import brute_force_g2
 
 # shipped defaults: C3 scaling anchored at n = 60 with the quartic law
 MODEL = InteractionModel(reference_c3=2.6e4, reference_n=60, scaling_exponent=4.0)

@@ -12,7 +12,9 @@ import pytest
 from ryddephase import cli
 from ryddephase.atomdata import InteractionModel, MicrowaveSpec
 from ryddephase.cli import ConfigError, main, parse_config
-from ryddephase.ensemble import EnsembleSpec
+from ryddephase.ensemble import EnsembleSpec, sample_positions
+
+from statevector import brute_force_g2
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -478,17 +480,20 @@ SWEEP = {"subcommand": "g2-trace", "base": dict(MINIMAL, realizations=2), "axes"
             "config.scan_n: unknown key",
         ),
         ("oracle", dict(ORACLE, output={"format": "csv"}), "output.format: expected one of ['json'], got 'csv'"),
+        ("oracle", dict(ORACLE, box_side_um=60.0), "config.box_side_um: unknown key"),
         ("phasematch", dict(PHASEMATCH, output={"format": "csv"}), "output.format: expected one of ['json'], got 'csv'"),
         ("sweep", dict(SWEEP, output={"format": "json"}), "output.format: unknown key"),
         ("sweep", dict(SWEEP, base=dict(SWEEP["base"], output={"dir": "elsewhere"})), "base.output.dir: unknown key"),
     ],
-    ids=["cycles-scan_n", "oracle-csv", "phasematch-csv", "sweep-format", "sweep-base-dir"],
+    ids=["cycles-scan_n", "oracle-csv", "oracle-box_side_um", "phasematch-csv", "sweep-format", "sweep-base-dir"],
 )
 def test_keys_a_subcommand_never_reads_are_rejected(tmp_path, monkeypatch, capsys, subcommand, payload, message):
     monkeypatch.chdir(tmp_path)
     path = write_config(tmp_path, payload)
     assert main([subcommand, "--config", str(path)]) == 1
-    assert f"config error: {message}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"config error: {message}" in err
+    assert "Traceback" not in err
     assert [p.name for p in tmp_path.rglob("*")] == ["config.json"]
 
 
@@ -782,6 +787,25 @@ def test_oracle_run_report(tmp_path):
     assert payload["pass"] is True
     assert payload["max_rel_deviation"] <= payload["bound"] == 0.5
     assert len(payload["cases"]) == 10
+
+
+def test_oracle_at_large_n_matches_the_state_vector(tmp_path):
+    n, seed = 300, 21
+    path = write_config(tmp_path, {"n_atoms": n, "draws": 3, "seed": seed})
+    out = tmp_path / "out"
+    assert main(["oracle", "--config", str(path), "--out", str(out)]) == 0
+    payload = json.loads((out / "oracle.json").read_text())
+    assert payload["pass"] is True
+    assert payload["max_rel_deviation"] <= payload["bound"] == 3.0 / n
+    # the draws run_oracle makes, in its order, and any positions: the state vector ignores them
+    rng = np.random.Generator(np.random.PCG64(seed))
+    mu, nu = np.triu_indices(n, 1)
+    positions = sample_positions(EnsembleSpec(n, 60.0, seed=seed))
+    for case in payload["cases"]:
+        mag = rng.uniform(0.0, 1.0, size=(n, n))
+        phase = rng.uniform(0.0, 2.0 * math.pi, size=(n, n))
+        amps = (mag * np.exp(1j * phase))[mu, nu]
+        assert case["exact_g2"] == pytest.approx(brute_force_g2(positions, amps), rel=1e-13)
 
 
 def test_seed_override_of_oracle_sets_the_seed_and_the_cases(tmp_path):

@@ -15,7 +15,7 @@ from ryddephase.atomdata import POLARIZATIONS, POPULATED_M, MicrowaveSpec, Rydbe
 from ryddephase.correlation import (
     G2_ASYMPTOTE,
     G2_ZERO,
-    brute_force_g2,
+    exact_g2,
     g2_after_cycles,
     g2_from_amplitudes,
     g2_trace,
@@ -39,6 +39,8 @@ from ryddephase.pairdyn import (
     spectral_amplitudes,
 )
 from ryddephase.protocol import entangle_trace, make_schedule
+
+from statevector import brute_force_g2
 
 
 def uniform_amplitudes(n, value):
@@ -147,7 +149,6 @@ def test_condensed_amplitudes_validation():
     values[3] = np.nan
     with pytest.raises(ValueError, match="missing"):
         g2_from_amplitudes(values, 4)
-    positions = sample_positions(EnsembleSpec(5, 60.0, seed=1))
     # one value per mu < nu pair: a wrong count or a dense N x N matrix is rejected
     for wrong in (
         uniform_amplitudes(6, 1.0),
@@ -156,8 +157,6 @@ def test_condensed_amplitudes_validation():
     ):
         with pytest.raises(ValueError, match="expected 10 condensed pair amplitudes for 5 atoms"):
             g2_from_amplitudes(wrong, 5)
-        with pytest.raises(ValueError, match="expected 10 condensed pair amplitudes for 5 atoms"):
-            brute_force_g2(positions, wrong)
 
 
 @pytest.mark.parametrize("n_atoms", [0, 1, -3])
@@ -180,7 +179,7 @@ def test_g2_nonnegative_and_bounded_property(n, seed):
 
 
 # ---------------------------------------------------------------------------
-# brute-force oracle
+# exact correlator: the closed form against the test-side state vector
 # ---------------------------------------------------------------------------
 
 
@@ -211,12 +210,20 @@ def test_brute_force_insensitive_to_retrieval_direction():
     a = brute_force_g2(positions, amps, k0=[0.0, 0.0, 7.902])
     b = brute_force_g2(positions, amps, k0=[2.5, -1.0, 0.3])
     assert a == pytest.approx(b, rel=1e-10)
+    # nor to where the atoms sit: the same amplitudes in a 6 um box
+    c = brute_force_g2(sample_positions(EnsembleSpec(7, 6.0, seed=9)), amps)
+    assert c == pytest.approx(a, rel=1e-13)
 
 
-def test_brute_force_rejects_large_n():
-    positions = sample_positions(EnsembleSpec(11, 60.0, seed=1))
-    with pytest.raises(ValueError):
-        brute_force_g2(positions, uniform_amplitudes(11, 1.0))
+@pytest.mark.parametrize("n", [2, 3, 10, 100, 300])
+def test_exact_g2_matches_the_state_vector(n):
+    rng = np.random.default_rng(200 + n)
+    for draw in range(5):
+        positions = sample_positions(EnsembleSpec(n, 60.0, seed=realization_seed(3 * n, draw)))
+        amps = random_amplitudes(n, rng)
+        k0 = rng.normal(0.0, 5.0, size=3)
+        exact = exact_g2(g2_from_amplitudes(amps, n), n)
+        assert exact == pytest.approx(brute_force_g2(positions, amps, k0), rel=1e-13)
 
 
 @pytest.mark.parametrize("n", [4, 6, 8, 10])

@@ -140,7 +140,7 @@ GOLDEN = {
         "g2_trace.csv": "8e3e0154455abe48f19055ce4c781648031b9f1b99be811ba5a8f29ccc69e0b1",
     },
     "oracle": {
-        "oracle.json": "006826d3b5aa479cd0013f336ede821f9971e80ee65f00735892326affbc71db",
+        "oracle.json": "a4c33375a178782597298cdedba1f5e78d04d8ea7e4dd1a3673cd09451fd7221",
     },
     "sweep_example": {
         "n_atoms=10/g2_trace.csv": "a4100b42f3e08ca441de2032b9590dee483f50aefe3a19901af517808ee6d767",
