@@ -38,7 +38,7 @@ from .atomdata import (
     c3_of,
     p_level_j,
 )
-from .correlation import G2Trace, exact_g2, g2_after_cycles, g2_from_amplitudes, g2_trace
+from .correlation import G2Trace, exact_g2, g2_after_cycles, g2_from_amplitudes, g2_trace, unit_point
 from .ensemble import EnsembleSpec, PackingError, pair_index_arrays
 from .pairdyn import CycleSpec, NumericsError
 from .phasematch import Beam, PhaseMatchInfeasible, evaluate_beams, solve_offaxis
@@ -532,7 +532,7 @@ def run_cycles(cfg: RunConfig, session: OutputSession, pool) -> None:
     session.seeds = list(trace.seeds)
     tau = cfg.reference_tau
     n = cfg.ensemble.n_atoms
-    flat = g2_from_amplitudes(np.ones(n * (n - 1) // 2), n)
+    flat = unit_point(n)
     reference = [decay_reference(tau, float(t)) for t in trace.grid]
     header = ["cycle", "t_us", "g2_mean", "g2_stderr", "f_mean", "h_mean", "reference"]
     rows = [["0", _fmt(0.0), _fmt(flat.g2), _fmt(0.0), _fmt(flat.f), _fmt(flat.h), _fmt(1.0)]]
@@ -713,12 +713,15 @@ def _parse_sweep_config(raw, output_format) -> list[Job]:
         if not isinstance(axis["path"], str) or not axis["path"]:
             _fail(f"{apath}.path", "expected a nonempty dotted path")
         axes.append((axis["path"], _as_list(axis["values"], f"{apath}.values")))
-    jobs = []
+    jobs, combos = [], {}
     for combo in itertools.product(*(values for _, values in axes)):
+        label = _combo_label(axes, combo)
+        if label in combos:
+            _fail("axes", f"combinations {combos[label]} and {list(combo)} both write to {label}/")
+        combos[label] = list(combo)
         base = copy.deepcopy(raw["base"])
         for (path, _), value in zip(axes, combo):
             _apply_override(base, path, value)
-        label = _combo_label(axes, combo)
         try:
             fmt, _ = _parse_output(base.get("output", {}), "output", SUBCOMMANDS[sub].formats, with_dir=False)
             config = SUBCOMMANDS[sub].parse(base, fmt)

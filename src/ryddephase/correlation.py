@@ -157,6 +157,13 @@ def exact_g2(point: G2Point, n_atoms: int) -> float:
     return 4.0 * G2_ZERO * point.f * scale / (1.0 + point.h * scale) ** 2
 
 
+def unit_point(n_atoms: int) -> G2Point:
+    """The point of all-unit amplitudes (row sums n - 1), in the float expressions of _PairPlanes.point."""
+    n, total = float(n_atoms), float(n_atoms * (n_atoms - 1))
+    f, h = total * total / n**4, float(n_atoms * (n_atoms - 1) ** 2) / n**3
+    return G2Point(4.0 * G2_ZERO * f / (1.0 + h) ** 2, f, h)
+
+
 def g2_from_amplitudes(condensed, n_atoms: int) -> G2Point:
     """One correlation point from condensed (mu < nu, row-major) pair amplitudes of n_atoms >= 2 atoms."""
     if n_atoms < 2:

@@ -36,8 +36,8 @@ class Beam:
     direction: np.ndarray
 
     def __post_init__(self):
-        if not self.wavelength > 0:
-            raise ValueError(f"wavelength must be positive, got {self.wavelength}")
+        if not 0 < self.wavelength < math.inf:
+            raise ValueError(f"wavelength must be finite and positive, got {self.wavelength}")
         if self.sign not in (-1, 1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
         d = np.asarray(self.direction, dtype=float)
@@ -105,73 +105,62 @@ def _planar_directions(tilts: np.ndarray) -> np.ndarray:
     return np.stack([np.sin(angles), np.zeros_like(angles), np.cos(angles)], axis=1)
 
 
-def _mismatch_from_tilts(tilts, ks, signs) -> np.ndarray:
-    dirs = _planar_directions(tilts)
-    return (signs * ks) @ dirs
+def _planar_mismatch(tilts, weights) -> np.ndarray:
+    """(dk_x, dk_z) of beams with signed wavenumbers weights at these free tilts."""
+    return weights @ _planar_directions(tilts)[:, ::2]
 
 
 def solve_offaxis(wavelengths, signs):
     """Planar beam directions nulling the wavevector mismatch.
 
-    The first beam is fixed along +z; the remaining tilt angles (radians, in
-    the forward hemisphere [-pi/2, pi/2]) are found by derivative-free
-    minimization of |dk|^2, multi-started from a deterministic set of guesses.
-    Returns (directions, tilt_angles, residual) where directions has one unit
-    row per beam and tilt_angles includes the leading fixed zero.  Raises
-    PhaseMatchInfeasible when the best residual stays above EPS_K, e.g. for
-    sign patterns where no cancellation is possible.
+    The first beam is fixed along +z; the other tilts (radians) come from
+    Gauss-Newton on dk: minimum-norm least-squares steps clipped to
+    [-pi/2, pi/2], at most 60 per guess.  The answer is the first of 15
+    guesses, in a fixed order, whose iteration reaches |dk| <= EPS_K/2; it
+    goes on while a step lowers |dk|, to roundoff unless a tilt is held at
+    +-pi/2 (clipped steps shrink |dk| only linearly).  Returns (directions,
+    tilt_angles, residual): one unit row per beam, and the tilts with the
+    leading fixed zero.  Raises ValueError for a wavelength that is not
+    finite and positive or a sign other than +-1, and PhaseMatchInfeasible,
+    with the smallest final residual, when no guess does.
     """
-    from scipy.optimize import minimize  # here, so that importing the package never loads scipy
-
-    ks = np.array([_TWO_PI_NM_TO_UM / w for w in wavelengths], dtype=float)
-    signs = np.asarray(signs, dtype=float)
-    if ks.shape != signs.shape:
+    if len(wavelengths) != len(signs):
         raise ValueError("wavelengths and signs must have matching length")
-    if len(ks) < 2:
+    beams = [Beam(w, s, (0.0, 0.0, 1.0)) for w, s in zip(wavelengths, signs)]  # validates each beam
+    if len(beams) < 2:
         raise ValueError("need at least two beams")
-    nfree = len(ks) - 1
-    bounds = [(-0.5 * math.pi, 0.5 * math.pi)] * nfree
-
-    def objective(tilts):
-        dk = _mismatch_from_tilts(tilts, ks, signs)
-        return float(dk @ dk)
+    weights = np.array([b.sign * b.k for b in beams])  # signed wavenumbers, rad/um
+    nfree = len(weights) - 1
 
     rng = np.random.Generator(np.random.PCG64(7))  # fixed: every call tries the same guesses
-    guesses = [np.zeros(nfree)]
-    alternating = np.array([(-1.0) ** i for i in range(nfree)])
-    for scale in (0.3, 0.7, 1.2):
-        guesses.append(scale * alternating)
-        guesses.append(-scale * alternating)
+    alternating = (-1.0) ** np.arange(nfree)
+    guesses = [np.zeros(nfree)] + [scale * alternating for scale in (0.3, -0.3, 0.7, -0.7, 1.2, -1.2)]
     guesses.extend(rng.uniform(-0.5 * math.pi, 0.5 * math.pi, size=(8, nfree)))
 
     best_x, best_val = None, math.inf
-    for guess in guesses:
-        x = np.asarray(guess, dtype=float)
-        # two rounds of Nelder-Mead: restart sharpens terminal convergence
-        for _ in range(2):
-            res = minimize(
-                objective,
-                x,
-                method="Nelder-Mead",
-                bounds=bounds,
-                options={"xatol": 1e-14, "fatol": 1e-28, "maxiter": 4000, "maxfev": 8000},
-            )
-            x = res.x
-        val = objective(x)
+    for x in guesses:
+        dk = _planar_mismatch(x, weights)
+        val = math.hypot(*dk)
+        for _ in range(60):
+            jacobian = weights[1:] * np.stack([np.cos(x), -np.sin(x)])
+            step = np.linalg.lstsq(jacobian, -dk, rcond=None)[0]
+            trial = np.clip(x + step, -0.5 * math.pi, 0.5 * math.pi)
+            trial_dk = _planar_mismatch(trial, weights)
+            if val <= 0.5 * EPS_K and not math.hypot(*trial_dk) < val:
+                break  # converged: a further step no longer lowers |dk|
+            x, dk, val = trial, trial_dk, math.hypot(*trial_dk)
         if val < best_val:
             best_x, best_val = x, val
-        if best_val <= (0.5 * EPS_K) ** 2:
+        if best_val <= 0.5 * EPS_K:
             break
 
     directions = _planar_directions(best_x)
-    # re-verify through the public mismatch path, independent of the objective
-    beams = [
-        Beam(w, int(s), directions[i]) for i, (w, s) in enumerate(zip(wavelengths, signs))
-    ]
+    # re-verify through the public mismatch path, independent of the iteration
+    beams = [Beam(b.wavelength, b.sign, d) for b, d in zip(beams, directions)]
     residual = float(np.linalg.norm(wavevector_mismatch(beams)))
     if residual > EPS_K:
         raise PhaseMatchInfeasible(
-            f"no zero-mismatch geometry found: best residual {residual:.3e} rad/um "
+            f"no zero-mismatch geometry found: smallest final residual {residual:.3e} rad/um "
             f"exceeds tolerance {EPS_K:.1e} (sign pattern may forbid cancellation)"
         )
     angles = np.concatenate([[0.0], best_x])

@@ -706,12 +706,17 @@ def test_entangle_threaded_run_matches_serial(tmp_path):
     assert (out1 / "entangle.csv").read_bytes() == (out2 / "entangle.csv").read_bytes()
 
 
-def test_importing_the_cli_does_not_load_scipy():
+def test_importing_the_cli_does_not_load_scipy(tmp_path):
+    # nor does solving the off-axis geometry of configs/fourphoton.json
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    code = "import sys, ryddephase.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    scipy_modules = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    argv = ["phasematch", "--config", str(CONFIG_DIR / "fourphoton.json"), "--out", str(tmp_path / "pm")]
+    for run in ("", f"assert ryddephase.cli.main({argv!r}) == 0; "):
+        code = f"import sys, ryddephase.cli; {run}{scipy_modules}"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert proc.stdout.splitlines()[-1] == "[]"
+    assert "offaxis" in json.loads((tmp_path / "pm" / "phasematch.json").read_text())
 
 
 @pytest.mark.parametrize("user_value", [None, "3"])
@@ -862,14 +867,17 @@ def test_sweep_runs_cartesian_product(tmp_path):
     assert len(top["outputs"]) == 4  # two traces + two sub-manifests
 
 
-def test_sweep_combinations_writing_one_file_twice_are_a_config_error(tmp_path, capsys):
+def test_sweep_combinations_writing_one_file_twice_are_a_config_error(tmp_path, capsys, monkeypatch):
+    traces = []
+    monkeypatch.setattr(cli, "g2_trace", lambda *args, **kwargs: traces.append(1))
     base = json.loads(json.dumps(MINIMAL))
     base["realizations"] = 2
     sweep = {"subcommand": "g2-trace", "base": base, "axes": [{"path": "ensemble.n_atoms", "values": [10, 10]}]}
     path = write_config(tmp_path, sweep)
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(path), "--out", str(out)]) == 1
-    assert "n_atoms=10/g2_trace.csv would be written twice by one run" in capsys.readouterr().err
+    assert "axes: combinations [10] and [10] both write to n_atoms=10/" in capsys.readouterr().err
+    assert traces == []  # rejected when the run is planned, before any realization
     assert not any(p.is_file() for p in out.rglob("*"))
 
 

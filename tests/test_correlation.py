@@ -20,6 +20,7 @@ from ryddephase.correlation import (
     g2_from_amplitudes,
     g2_trace,
     realization_seed,
+    unit_point,
     zero_doubled_slots,
 )
 from ryddephase.ensemble import (
@@ -224,6 +225,11 @@ def test_exact_g2_matches_the_state_vector(n):
         k0 = rng.normal(0.0, 5.0, size=3)
         exact = exact_g2(g2_from_amplitudes(amps, n), n)
         assert exact == pytest.approx(brute_force_g2(positions, amps, k0), rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 300, 999, 1000])
+def test_unit_point_is_the_point_of_unit_amplitudes_bit_for_bit(n):
+    assert unit_point(n) == g2_from_amplitudes(np.ones(n * (n - 1) // 2), n)
 
 
 @pytest.mark.parametrize("n", [4, 6, 8, 10])

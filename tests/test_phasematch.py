@@ -148,3 +148,105 @@ def test_offaxis_two_beams():
     assert np.allclose(angles, 0.0)
     with pytest.raises(PhaseMatchInfeasible):
         solve_offaxis([780.0, 480.0], [1, -1])
+
+
+# (wavelengths in nm, signs, feasible), recorded from the multi-start
+# Nelder-Mead solver that Gauss-Newton replaced: default_rng(2026), 3-5 beams,
+# integer wavelengths in [400, 2400], random signs.  Its smallest residual on
+# an infeasible case was 0.136 rad/um, far above EPS_K.
+RECORDED_VERDICTS = [
+    ([758, 452, 1680, 1131, 1335], [-1, -1, 1, -1, 1], False),
+    ([1809, 2211, 1843, 754, 2117], [1, -1, -1, -1, 1], True),
+    ([2240, 965, 1672, 1608, 1906], [-1, 1, 1, 1, 1], False),
+    ([1320, 1077, 714, 956], [-1, -1, 1, 1], True),
+    ([1262, 941, 1727], [1, -1, -1], False),
+    ([2382, 1130, 730, 790], [-1, 1, -1, -1], True),
+    ([1000, 2330, 819, 2271], [1, 1, 1, 1], False),
+    ([813, 1090, 1326, 2294], [1, 1, 1, -1], False),
+    ([2201, 408, 1039, 1217], [1, -1, -1, -1], False),
+    ([611, 1802, 1256], [-1, 1, -1], False),
+    ([1560, 1653, 778, 710], [1, 1, 1, -1], True),
+    ([469, 1144, 1117, 1240], [1, -1, 1, -1], False),
+    ([1751, 1996, 1554], [1, -1, 1], False),
+    ([477, 1988, 2147], [1, 1, -1], False),
+    ([1400, 1007, 586, 749, 2210], [-1, 1, -1, -1, -1], True),
+    ([1802, 1860, 1874, 1028], [-1, 1, 1, -1], False),
+    ([1949, 1442, 2317], [1, 1, 1], False),
+    ([996, 720, 610, 2295], [-1, -1, -1, -1], False),
+    ([963, 604, 1744, 519, 1375], [-1, -1, -1, -1, 1], False),
+    ([2267, 1383, 1512, 1603], [-1, 1, 1, 1], False),
+    ([2237, 745, 776], [-1, 1, -1], False),
+    ([1566, 1678, 555, 1719, 539], [1, 1, 1, 1, -1], True),
+    ([1599, 1868, 2029, 1348, 669], [1, 1, -1, -1, -1], True),
+    ([1069, 535, 969, 1614, 1582], [1, -1, 1, 1, -1], True),
+    ([1712, 1601, 1076], [1, 1, 1], False),
+    ([1343, 960, 1068], [-1, -1, -1], False),
+    ([1510, 1243, 863, 2279, 1432], [1, 1, 1, 1, 1], False),
+    ([1955, 1037, 2119, 1027], [-1, -1, -1, 1], True),
+    ([2040, 911, 1346], [-1, 1, -1], True),
+    ([2252, 1798, 1461, 1890, 1337], [1, -1, -1, -1, 1], True),
+    ([1835, 2281, 2085, 2232, 1087], [1, 1, 1, 1, 1], False),
+    ([673, 603, 405, 1106], [-1, 1, -1, -1], False),
+    ([627, 1715, 1135], [1, -1, 1], False),
+    ([518, 2229, 1119], [-1, -1, 1], False),
+    ([877, 1752, 1736], [-1, -1, -1], False),
+    ([933, 1246, 656, 767, 1733], [1, 1, 1, -1, -1], True),
+    ([881, 1362, 1963], [-1, -1, -1], False),
+    ([1493, 2331, 1551], [-1, 1, -1], False),
+    ([1332, 1127, 815, 752, 1070], [-1, 1, 1, 1, -1], True),
+    ([1523, 547, 2134, 2107, 976], [-1, -1, 1, 1, -1], False),
+    ([1836, 760, 1838, 850], [1, -1, 1, 1], True),
+    ([2014, 1657, 1352], [1, 1, -1], False),
+    ([1726, 1211, 1043], [1, -1, 1], False),
+    ([413, 1324, 1888, 1554], [1, 1, -1, -1], False),
+    ([2211, 1567, 756, 2107], [-1, 1, -1, 1], False),
+    ([1845, 1704, 444, 813, 2147], [1, -1, 1, 1, 1], False),
+    ([556, 1216, 824, 2126], [1, -1, 1, -1], False),
+    ([944, 1503, 879], [-1, 1, -1], False),
+]
+
+
+def test_offaxis_verdicts_match_the_recorded_ones():
+    differ = []
+    for wavelengths, signs, feasible in RECORDED_VERDICTS:
+        try:
+            solve_offaxis(wavelengths, signs)
+        except PhaseMatchInfeasible:
+            found = False
+        else:
+            found = True
+        if found != feasible:
+            differ.append((wavelengths, signs, feasible))
+    assert differ == []
+
+
+def test_offaxis_ladder_tilts_are_a_gauss_newton_fixed_point():
+    _, angles, residual = solve_offaxis(LADDER, LADDER_SIGNS)
+    assert residual <= 1e-12
+    weights = np.array(LADDER_SIGNS) * 2000.0 * math.pi / np.array(LADDER)
+    dk = weights @ np.stack([np.sin(angles), np.cos(angles)], axis=1)
+    assert np.linalg.norm(dk) <= 1e-12
+    tilts = angles[1:]
+    jacobian = weights[1:] * np.stack([np.cos(tilts), -np.sin(tilts)])
+    step = np.linalg.lstsq(jacobian, -dk, rcond=None)[0]
+    np.testing.assert_allclose(np.clip(tilts + step, -0.5 * math.pi, 0.5 * math.pi), tilts, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize(
+    "wavelengths, signs, message",
+    [
+        ([795.0, 0.0, 2294.0], [1, -1, 1], "wavelength must be finite and positive"),
+        ([795.0, -1475.0, 2294.0], [1, -1, 1], "wavelength must be finite and positive"),
+        ([795.0, math.nan, 2294.0], [1, -1, 1], "wavelength must be finite and positive"),
+        ([795.0, math.inf, 2294.0], [1, -1, 1], "wavelength must be finite and positive"),
+        ([795.0, 1475.0, 2294.0], [1, 0, 1], r"sign must be \+1 or -1"),
+        ([795.0, 1475.0, 2294.0], [1, -2, 1], r"sign must be \+1 or -1"),
+        ([795.0, 1475.0, 2294.0], [1, 0.5, 1], r"sign must be \+1 or -1"),
+        ([795.0, 1475.0, 2294.0], [1, math.nan, 1], r"sign must be \+1 or -1"),
+    ],
+    ids=["zero-nm", "negative-nm", "nan-nm", "inf-nm", "sign-0", "sign-2", "sign-half", "sign-nan"],
+)
+def test_offaxis_rejects_bad_beams(wavelengths, signs, message):
+    with pytest.raises(ValueError, match=message) as info:
+        solve_offaxis(wavelengths, signs)
+    assert not isinstance(info.value, PhaseMatchInfeasible)
