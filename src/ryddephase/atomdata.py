@@ -55,8 +55,8 @@ class RydbergChannel:
             if n < 1:
                 raise ValueError(f"principal quantum number must be >= 1, got {n}")
         object.__setattr__(self, "p_j", p_level_j(self.p_j))
-        if not self.c3 > 0:
-            raise ValueError(f"c3 must be positive, got {self.c3}")
+        if not 0 < self.c3 < math.inf:
+            raise ValueError(f"c3 must be positive and finite, got {self.c3}")
 
     @property
     def p_key(self) -> tuple[int, float]:
@@ -86,13 +86,13 @@ class InteractionModel:
 class MicrowaveSpec:
     """Resonant microwave drive: Rabi frequency, polarization, pulse model."""
 
-    rabi: float  # rad/us
+    rabi: float = 10.0  # rad/us
     polarization: str = "pi"
     pulse_model: str = "instantaneous"
 
     def __post_init__(self):
-        if not self.rabi > 0:
-            raise ValueError(f"rabi must be positive, got {self.rabi}")
+        if not 0 < self.rabi < math.inf:
+            raise ValueError(f"rabi must be positive and finite, got {self.rabi}")
         if self.polarization not in POLARIZATIONS:
             raise ValueError(f"unknown polarization {self.polarization!r}")
         if self.pulse_model not in PULSE_MODELS:

@@ -198,7 +198,7 @@ def _parse_cycle(cfg, path, model, table) -> CycleSpec:
             c3 = _resolve_c3(s_n, p_n, p_j, model, table, path)
         channel = RydbergChannel(s_n, p_n, p_j, c3)
         microwave = MicrowaveSpec(
-            rabi=_as_float(cfg.get("rabi_rad_per_us", 10.0), f"{path}.rabi_rad_per_us", strict_min=0.0),
+            rabi=_as_float(cfg.get("rabi_rad_per_us", MicrowaveSpec.rabi), f"{path}.rabi_rad_per_us", strict_min=0.0),
             polarization=_as_choice(
                 cfg.get("polarization", MicrowaveSpec.polarization), f"{path}.polarization", POLARIZATIONS
             ),
@@ -550,8 +550,7 @@ class EntangleConfig:
     """Materialized entangle configuration."""
 
     ensemble: EnsembleSpec
-    c3_prime: float
-    c3_second: float
+    modes: tuple[CycleSpec, CycleSpec]
     grid: np.ndarray
     realizations: int
     output_format: str
@@ -562,12 +561,13 @@ def _parse_entangle_config(raw, output_format) -> EntangleConfig:
     ensemble = _parse_ensemble(raw["ensemble"], "ensemble")
     ent, epath = raw["entangle"], "entangle"
     _check_mapping(ent, epath, ["n", "c3_prime", "c3_second"], [])
-    # n only labels the levels; the trace depends on c3_prime and c3_second
-    _as_int(ent["n"], f"{epath}.n", minimum=1)
+    n = _as_int(ent["n"], f"{epath}.n", minimum=1)
+    c3_prime, c3_second = (_as_float(ent[key], f"{epath}.{key}", strict_min=0.0) for key in ("c3_prime", "c3_second"))
+    # (n+1)s dressed through np_1/2 with C3', ns dressed through np_3/2 with C3''
+    channels = (RydbergChannel(n + 1, n, 0.5, c3_prime), RydbergChannel(n, n, 1.5, c3_second))
     return EntangleConfig(
         ensemble=ensemble,
-        c3_prime=_as_float(ent["c3_prime"], f"{epath}.c3_prime", strict_min=0.0),
-        c3_second=_as_float(ent["c3_second"], f"{epath}.c3_second", strict_min=0.0),
+        modes=tuple(CycleSpec(channel, 0.0, MicrowaveSpec()) for channel in channels),
         grid=_parse_grid(raw["grid"], "grid"),
         realizations=_as_int(raw.get("realizations", 100), "realizations", minimum=1),
         output_format=output_format,
@@ -575,9 +575,7 @@ def _parse_entangle_config(raw, output_format) -> EntangleConfig:
 
 
 def run_entangle(cfg: EntangleConfig, session: OutputSession, pool) -> None:
-    f, m1, m2, seeds = entangle_trace(
-        cfg.ensemble, cfg.c3_prime, cfg.c3_second, cfg.grid, realizations=cfg.realizations, pool=pool
-    )
+    f, m1, m2, seeds = entangle_trace(cfg.ensemble, cfg.modes, cfg.grid, realizations=cfg.realizations, pool=pool)
     session.seeds = list(seeds)
     header = ["t_us", "F", "abs_m1", "abs_m2"]
     columns = (cfg.grid, f, m1, m2)

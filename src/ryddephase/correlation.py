@@ -38,8 +38,9 @@ streams one point at a time, in O(N^2) memory, or O(N^2 d) over a pair
 basis of dimension d, whatever the grid length T.  Only g2_from_amplitudes
 takes condensed (mu < nu, row-major) input.
 run_realizations is the one realization loop (seed, sample, evaluate, stack
-in index order, serially or on a process pool); the entanglement trace in
-protocol runs through it as well.
+in index order, serially or on a process pool).  The entanglement trace in
+protocol runs through it as well, and draws its two modes' amplitude
+functions from _cycle_sources, as the g2 drivers do.
 """
 
 import itertools
@@ -62,6 +63,11 @@ from .pairdyn import NumericsError, analytic_pair_amplitudes, pair_spectra, spec
 
 G2_ZERO = math.e / 4.0
 G2_ASYMPTOTE = G2_ZERO * 16.0 / 25.0
+
+
+def _g2(f: float, h: float, scale: float = 1.0) -> float:
+    """The one home of g2 = 4 g2(0) f~ / (1 + h~)^2, f~ = f scale, h~ = h scale; scale 1.0 is exact."""
+    return 4.0 * G2_ZERO * f * scale / (1.0 + h * scale) ** 2
 
 
 @dataclass(frozen=True)
@@ -142,7 +148,7 @@ class _PairPlanes:
         h = float((rows * rows).sum()) / n**3
         if not (math.isfinite(f) and math.isfinite(h)):
             raise ValueError("missing pair amplitude (non-finite value)")
-        return 4.0 * G2_ZERO * f / (1.0 + h) ** 2, f, h
+        return _g2(f, h), f, h
 
 
 def exact_g2(point: G2Point, n_atoms: int) -> float:
@@ -153,15 +159,14 @@ def exact_g2(point: G2Point, n_atoms: int) -> float:
     with f~ = f N/(N - 1) and h~ = h N/(N - 1) counting the N(N - 1)/2 pairs
     exactly: g2 = e f~ / (1 + h~)^2 at any N >= 2.
     """
-    scale = n_atoms / (n_atoms - 1)
-    return 4.0 * G2_ZERO * point.f * scale / (1.0 + point.h * scale) ** 2
+    return _g2(point.f, point.h, n_atoms / (n_atoms - 1))
 
 
 def unit_point(n_atoms: int) -> G2Point:
     """The point of all-unit amplitudes (row sums n - 1), in the float expressions of _PairPlanes.point."""
     n, total = float(n_atoms), float(n_atoms * (n_atoms - 1))
     f, h = total * total / n**4, float(n_atoms * (n_atoms - 1) ** 2) / n**3
-    return G2Point(4.0 * G2_ZERO * f / (1.0 + h) ** 2, f, h)
+    return G2Point(_g2(f, h), f, h)
 
 
 def g2_from_amplitudes(condensed, n_atoms: int) -> G2Point:

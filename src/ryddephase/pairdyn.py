@@ -120,7 +120,7 @@ def _half_angle_amplitude_into(half_phase: np.ndarray, re: np.ndarray, im: np.nd
     so no temporary array is created.
     """
     np.tan(half_phase, out=half_phase)
-    np.multiply(half_phase, half_phase, out=re)
+    np.square(half_phase, out=re)
     re += 1.0
     np.divide(1.0, re, out=re)
     np.multiply(half_phase, re, out=im)
@@ -312,8 +312,8 @@ def analytic_pair_amplitudes(cubes: np.ndarray, phase_product, out=None) -> np.n
 
     cubes is R^3 of each pair, computed once by a caller that evaluates many
     times of the same pairs, and only read; phase_product is the cycle's
-    C3 * delta_t, a scalar or an array that broadcasts against cubes (a
-    (M, 1) column evaluates M cycles at once), and S is the broadcast shape.
+    C3 * delta_t, a scalar or an array that broadcasts against cubes, and S
+    is the broadcast shape.
     The half phase is one divide, (C3 * delta_t / 2) / R^3, the same bits as
     half of C3 * delta_t / R^3 whether phase_product is a scalar or an array.
     With out None the result is a fresh complex array, and the half phase one

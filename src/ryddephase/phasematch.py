@@ -115,14 +115,16 @@ def solve_offaxis(wavelengths, signs):
 
     The first beam is fixed along +z; the other tilts (radians) come from
     Gauss-Newton on dk: minimum-norm least-squares steps clipped to
-    [-pi/2, pi/2], at most 60 per guess.  The answer is the first of 15
-    guesses, in a fixed order, whose iteration reaches |dk| <= EPS_K/2; it
-    goes on while a step lowers |dk|, to roundoff unless a tilt is held at
-    +-pi/2 (clipped steps shrink |dk| only linearly).  Returns (directions,
-    tilt_angles, residual): one unit row per beam, and the tilts with the
-    leading fixed zero.  Raises ValueError for a wavelength that is not
-    finite and positive or a sign other than +-1, and PhaseMatchInfeasible,
-    with the smallest final residual, when no guess does.
+    [-pi/2, pi/2], at most 60 per guess.  A tilt at +-pi/2 whose step points
+    outward is held for that step, and the step is solved on the other
+    tilts, so the rate stays quadratic at the bound.  The answer is the
+    first of 15 guesses, in a fixed order, whose iteration reaches
+    |dk| <= EPS_K/2; it goes on while a step lowers |dk|, to roundoff.
+    Returns (directions, tilt_angles, residual): one unit row per beam, and
+    the tilts with the leading fixed zero.  Raises ValueError for a
+    wavelength that is not finite and positive or a sign other than +-1, and
+    PhaseMatchInfeasible, with the smallest final residual, when no guess
+    does.
     """
     if len(wavelengths) != len(signs):
         raise ValueError("wavelengths and signs must have matching length")
@@ -144,6 +146,10 @@ def solve_offaxis(wavelengths, signs):
         for _ in range(60):
             jacobian = weights[1:] * np.stack([np.cos(x), -np.sin(x)])
             step = np.linalg.lstsq(jacobian, -dk, rcond=None)[0]
+            free = (np.abs(x) < 0.5 * math.pi) | (step * x <= 0.0)
+            if not free.all():
+                step = np.zeros(nfree)
+                step[free] = np.linalg.lstsq(jacobian[:, free], -dk, rcond=None)[0]
             trial = np.clip(x + step, -0.5 * math.pi, 0.5 * math.pi)
             trial_dk = _planar_mismatch(trial, weights)
             if val <= 0.5 * EPS_K and not math.hypot(*trial_dk) < val:

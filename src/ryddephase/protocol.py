@@ -9,14 +9,15 @@ make_schedule enforces that rule.
 
 The entanglement protocol stores two spin waves, one in (n+1)s dressed
 through np_{1/2} with strength C3', one in ns dressed through np_{3/2} with
-C3''.  Over a free interval t each pair picks up the phases C3' t / R^3 and
-C3'' t / R^3; entangle_trace takes the two strengths, and n only labels the
-levels.  The trace runs its position realizations through the same
-realization loop as the correlation traces (correlation.run_realizations),
-serially or on a process pool.  A realization takes R^3 in the g2 drivers'
-round-robin pair order once, and one pairdyn.analytic_pair_amplitudes call
-per time writes both modes, C3' and C3'' broadcast against R^3, into real
-(2, 2, n, n // 2) Re and Im planes; zero_doubled_slots clears the slots that
+C3''.  entangle_trace takes the two as cycle specs with no free interval of
+their own, and over a free interval t each pair picks up the phases
+C3' t / R^3 and C3'' t / R^3.  The trace runs its position realizations
+through the same realization loop as the correlation traces
+(correlation.run_realizations), serially or on a process pool, and draws
+each mode's amplitude function from the same sources as the g2 drivers
+(correlation._cycle_sources), once per realization.  At each time each
+source writes its mode into one half of real (2, 2, n, n // 2) Re and Im
+planes, in round-robin pair order; zero_doubled_slots clears the slots that
 count no pair, and each plane's pairwise sum over the pair count gives the
 coherences <e^{i phi}> = 2 <A(phi)> - 1.  The order of each sum depends on
 the atom count alone, so outputs are byte-identical for any worker count.
@@ -27,13 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import checked_time_grid, round_robin_cubes, run_realizations, sample_realization, zero_doubled_slots
+from .correlation import _cycle_sources, checked_time_grid, run_realizations, sample_realization, zero_doubled_slots
 from .pairdyn import (
     CycleSpec,
     _cycle_segments,
     _transition_indices,
     analytic_cycle_amplitude,
-    analytic_pair_amplitudes,
     propagate,
     single_atom_dressing,
 )
@@ -145,37 +145,34 @@ def _fidelity_terms(planes: np.ndarray, pairs: int) -> tuple[float, float, float
 
 
 def _entangle_single_realization(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """F, |m1| and |m2| of one realization at every grid time, both modes per kernel call."""
-    ensemble, c3_prime, c3_second, grid, index = args
+    """F, |m1| and |m2| of one realization at every grid time, one source call per mode."""
+    ensemble, modes, grid, index = args
     _, positions = sample_realization(ensemble, index)
-    cubes = round_robin_cubes(positions)
-    c3 = np.array([c3_prime, c3_second])[:, None, None]
-    planes = np.empty((2, 2, *cubes.shape))  # [Re, Im] x [C3', C3''] x round-robin slot
-    pairs = len(positions) * (len(positions) - 1) // 2
+    sources = list(_cycle_sources(positions, modes, "analytic"))
+    n = len(positions)
+    planes = np.empty((2, 2, n, n // 2))  # [Re, Im] x mode x round-robin slot
     out = np.empty((3, len(grid)))
     for it, t in enumerate(grid):
-        analytic_pair_amplitudes(cubes, c3 * t, planes)
+        for k, source in enumerate(sources):
+            source(t, planes[:, k])
         zero_doubled_slots(planes)
-        out[:, it] = _fidelity_terms(planes, pairs)
+        out[:, it] = _fidelity_terms(planes, n * (n - 1) // 2)
     return tuple(out)
 
 
-def entangle_trace(
-    ensemble_spec, c3_prime: float, c3_second: float, grid, realizations: int = 100, pool=None
-):
+def entangle_trace(ensemble_spec, modes, grid, realizations: int = 100, pool=None):
     """Fidelity and coherence magnitudes versus interval length.
 
-    Returns (F, |m1|, |m2|) averaged over position realizations, which run
-    on the pool when one is given (the result does not depend on it), and
-    the realization seeds.  Raises ValueError unless c3_prime and c3_second
-    are finite and > 0 and the grid is a nonempty 1-D sequence of finite
-    times >= 0.
+    modes are the two stored spin waves' cycle specs, the (n+1)s - np_1/2
+    one first; each grid time is their free interval.  Returns (F, |m1|,
+    |m2|) averaged over position realizations, which run on the pool when
+    one is given (the result does not depend on it), and the realization
+    seeds.  Raises ValueError unless there are exactly two modes and the
+    grid is a nonempty 1-D sequence of finite times >= 0.
     """
-    for name, c3 in (("c3_prime", c3_prime), ("c3_second", c3_second)):
-        if not (math.isfinite(c3) and c3 > 0):
-            raise ValueError(f"{name} must be finite and > 0, got {c3}")
-    params = (c3_prime, c3_second, checked_time_grid(grid))
-    (fs, m1s, m2s), seeds = run_realizations(
-        _entangle_single_realization, ensemble_spec, params, realizations, pool
-    )
+    modes = tuple(modes)
+    if len(modes) != 2:
+        raise ValueError(f"entangle_trace needs exactly two modes, got {len(modes)}")
+    params = (modes, checked_time_grid(grid))
+    (fs, m1s, m2s), seeds = run_realizations(_entangle_single_realization, ensemble_spec, params, realizations, pool)
     return fs.mean(axis=0), m1s.mean(axis=0), m2s.mean(axis=0), seeds

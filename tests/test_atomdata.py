@@ -51,6 +51,10 @@ def test_channel_requires_positive_c3():
         RydbergChannel(60, 60, 0.5, 0.0)
     with pytest.raises(ValueError, match="c3 must be positive"):
         RydbergChannel(60, 60, 0.5, -1.0)
+    # a non-finite C3 would reach the kernels and fail a trace as a missing pair amplitude
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="c3 must be positive and finite, got"):
+            RydbergChannel(60, 60, 0.5, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +254,12 @@ def test_single_atom_dressing_forbidden_populated_transition_raises():
 def test_microwave_spec_validation():
     with pytest.raises(ValueError):
         MicrowaveSpec(rabi=0.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="rabi must be positive and finite, got"):
+            MicrowaveSpec(rabi=bad)
     with pytest.raises(ValueError):
         MicrowaveSpec(rabi=10.0, polarization="linear")
     with pytest.raises(ValueError):
         MicrowaveSpec(rabi=10.0, pulse_model="adiabatic")
     assert MicrowaveSpec(rabi=10.0, polarization="sigma_minus").delta_m == -1.0
+    assert MicrowaveSpec() == MicrowaveSpec(rabi=10.0, polarization="pi", pulse_model="instantaneous")

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ryddephase import cli
-from ryddephase.atomdata import InteractionModel, MicrowaveSpec
+from ryddephase.atomdata import InteractionModel, MicrowaveSpec, RydbergChannel
 from ryddephase.cli import ConfigError, main, parse_config
 from ryddephase.ensemble import EnsembleSpec, sample_positions
 
@@ -67,8 +67,9 @@ MODEL_MINIMAL = dict(
         (InteractionModel, "scaling_exponent", 3.0, lambda cfg: math.log2(cfg.schedule.cycles[0].channel.c3 / 2.6e4)),
         (MicrowaveSpec, "polarization", "sigma_minus", lambda cfg: cfg.schedule.cycles[0].microwave.polarization),
         (MicrowaveSpec, "pulse_model", "finite_duration", lambda cfg: cfg.schedule.cycles[0].microwave.pulse_model),
+        (MicrowaveSpec, "rabi", 7.0, lambda cfg: cfg.schedule.cycles[0].microwave.rabi),
     ],
-    ids=["min_separation_um", "scaling_exponent", "polarization", "pulse_model"],
+    ids=["min_separation_um", "scaling_exponent", "polarization", "pulse_model", "rabi_rad_per_us"],
 )
 def test_config_defaults_are_the_library_defaults(monkeypatch, cls, field, value, parsed):
     # a key the config leaves out takes the library type's default, which has no second home in the CLI
@@ -566,6 +567,18 @@ def test_benchmark_workload_configs_plan(name, seed):
     workload = WORKLOADS[name]
     _, jobs = cli._plan(workload.subcommand, workload.config(seed))
     assert len(jobs) == 1
+
+
+@pytest.mark.parametrize("n", [1, 99])
+def test_entangle_n_names_the_two_channels(n):
+    raw = dict(WORKLOADS["entangle"].config(1), entangle={"n": n, "c3_prime": 2.0e5, "c3_second": 1.6e5})
+    (job,) = cli._plan("entangle", raw)[1]
+    # (n+1)s dressed through np_1/2 with C3', ns dressed through np_3/2 with C3'', no free interval of their own
+    assert [mode.channel for mode in job.config.modes] == [
+        RydbergChannel(n + 1, n, 0.5, 2.0e5),
+        RydbergChannel(n, n, 1.5, 1.6e5),
+    ]
+    assert all(mode.delta_t == 0.0 and mode.microwave == MicrowaveSpec() for mode in job.config.modes)
 
 
 def test_numerical_failure_exit_code(tmp_path, monkeypatch):

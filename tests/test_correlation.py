@@ -307,7 +307,9 @@ def test_trace_rejects_non_finite_or_negative_times(grid):
 
 GRID_DRIVERS = {
     "g2_trace": lambda grid: g2_trace(EnsembleSpec(10, 60.0, seed=1), single_cycle_schedule(1.0), grid, realizations=1),
-    "entangle_trace": lambda grid: entangle_trace(EnsembleSpec(10, 60.0, seed=1), 2.0e5, 1.6e5, grid, realizations=1),
+    "entangle_trace": lambda grid: entangle_trace(
+        EnsembleSpec(10, 60.0, seed=1), single_cycle_schedule(2.0e5).cycles * 2, grid, realizations=1
+    ),
 }
 
 

@@ -233,6 +233,25 @@ def test_offaxis_ladder_tilts_are_a_gauss_newton_fixed_point():
 
 
 @pytest.mark.parametrize(
+    "wavelengths, signs",
+    [
+        # its answer holds a tilt at -90 deg; clipped full steps converged only linearly there,
+        # and the 60-step cap ended them at 8.7e-13 rad/um
+        ([933, 1246, 656, 767, 1733], [1, 1, 1, -1, -1]),
+        # feasible for Nelder-Mead; no guess converged with clipped full steps
+        ([1949, 1052, 1234, 1350, 1106], [-1, 1, -1, -1, -1]),
+    ],
+    ids=["held-tilt", "found-feasible"],
+)
+def test_offaxis_converges_to_roundoff_near_the_bound(wavelengths, signs):
+    # two more of the default_rng(2026) cases above, past the recorded 48
+    _, angles, residual = solve_offaxis(wavelengths, signs)
+    weights = np.array(signs) * 2000.0 * math.pi / np.array(wavelengths)
+    dk = weights @ np.stack([np.sin(angles), np.cos(angles)], axis=1)
+    assert residual <= 1e-13 and np.linalg.norm(dk) <= 1e-13
+
+
+@pytest.mark.parametrize(
     "wavelengths, signs, message",
     [
         ([795.0, 0.0, 2294.0], [1, -1, 1], "wavelength must be finite and positive"),

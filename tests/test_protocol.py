@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import pdist
 
+from ryddephase import correlation, protocol
 from ryddephase.atomdata import MicrowaveSpec, RydbergChannel
 from ryddephase.correlation import realization_seed
 from ryddephase.ensemble import EnsembleSpec, sample_positions
@@ -19,6 +20,12 @@ from ryddephase.protocol import (
 )
 
 MW = MicrowaveSpec(rabi=10.0)
+
+
+def entangle_modes(c3_prime, c3_second, n=99):
+    """The two stored spin waves: (n+1)s through np_1/2 with C3', ns through np_3/2 with C3''."""
+    channels = (RydbergChannel(n + 1, n, 0.5, c3_prime), RydbergChannel(n, n, 1.5, c3_second))
+    return tuple(CycleSpec(channel, 0.0, MicrowaveSpec()) for channel in channels)
 
 
 def cycle(s_n=100, p_n=100, p_j=0.5, dt=1.0, c3=2.0e5, mw=MW):
@@ -142,7 +149,7 @@ def test_single_excitation_survival_per_polarization():
 def test_entangle_amplitudes_zero_interval():
     # zero phase on every pair: both coherences exactly 1, F exactly 1/2
     ens = EnsembleSpec(20, 60.0, seed=6)
-    f, m1, m2, seeds = entangle_trace(ens, 2.0e5, 1.6e5, [0.0], realizations=2)
+    f, m1, m2, seeds = entangle_trace(ens, entangle_modes(2.0e5, 1.6e5), [0.0], realizations=2)
     assert seeds == (realization_seed(6, 0), realization_seed(6, 1))
     assert np.all(m1 == 1.0)
     assert np.all(m2 == 1.0)
@@ -152,10 +159,10 @@ def test_entangle_amplitudes_zero_interval():
 def test_entangle_amplitudes_equal_strengths_and_linearity():
     ens = EnsembleSpec(20, 60.0, seed=6)
     grid = [0.0, 1.0, 2.0, 30.0]
-    f, m1, m2, _ = entangle_trace(ens, 1.5e5, 1.5e5, grid, realizations=2)
+    f, m1, m2, _ = entangle_trace(ens, entangle_modes(1.5e5, 1.5e5), grid, realizations=2)
     assert np.array_equal(m1, m2)
     # the phase is C3 t / R^3: doubling t equals doubling C3
-    f2, m1_2, m2_2, _ = entangle_trace(ens, 3.0e5, 3.0e5, [0.5, 1.0], realizations=2)
+    f2, m1_2, m2_2, _ = entangle_trace(ens, entangle_modes(3.0e5, 3.0e5), [0.5, 1.0], realizations=2)
     assert np.allclose(f2, f[1:3])
     assert np.allclose(m1_2, m1[1:3])
     assert np.allclose(m2_2, m2[1:3])
@@ -209,14 +216,39 @@ def test_entangle_fidelity_rejects_non_finite_phases(bad):
 @pytest.mark.parametrize("bad", [0.0, -2.0e5, math.nan, math.inf])
 @pytest.mark.parametrize("which", ["c3_prime", "c3_second"])
 def test_entangle_trace_rejects_a_bad_c3(which, bad):
+    # the mode's channel rejects the strength, so no bad C3 reaches entangle_trace
     c3 = {"c3_prime": 2.0e5, "c3_second": 1.6e5, which: bad}
-    with pytest.raises(ValueError, match=f"{which} must be finite and > 0"):
-        entangle_trace(EnsembleSpec(10, 60.0, seed=1), c3["c3_prime"], c3["c3_second"], [0.5], realizations=1)
+    with pytest.raises(ValueError, match="c3 must be positive"):
+        entangle_trace(EnsembleSpec(10, 60.0, seed=1), entangle_modes(**c3), [0.5], realizations=1)
+
+
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_entangle_trace_needs_exactly_two_modes(count):
+    modes = (entangle_modes(2.0e5, 1.6e5) * 2)[:count]
+    with pytest.raises(ValueError, match=f"exactly two modes, got {count}"):
+        entangle_trace(EnsembleSpec(10, 60.0, seed=1), modes, [0.5], realizations=1)
+
+
+def test_entangle_draws_both_modes_from_the_cycle_sources(monkeypatch):
+    # one amplitude pipeline: each realization draws its two sources once, as the g2 drivers do
+    ens, grid, modes = EnsembleSpec(12, 60.0, seed=4), [0.0, 0.5, 3.0], entangle_modes(2.0e5, 1.6e5)
+    expected = entangle_trace(ens, modes, grid, realizations=3)
+    draws = []
+
+    def recording_sources(positions, cycles, mode):
+        draws.append((len(positions), tuple(cycles), mode))
+        return correlation._cycle_sources(positions, cycles, mode)
+
+    monkeypatch.setattr(protocol, "_cycle_sources", recording_sources)
+    result = entangle_trace(ens, modes, grid, realizations=3)
+    assert draws == [(12, modes, "analytic")] * 3
+    for got, want in zip(result, expected):
+        assert np.array_equal(got, want)
 
 
 def test_entangle_trace_starts_at_half_and_dephases():
     ens = EnsembleSpec(40, 60.0, seed=20)
-    f, m1, m2, _ = entangle_trace(ens, 2.0e5, 1.6e5, [0.0, 50.0], realizations=5)
+    f, m1, m2, _ = entangle_trace(ens, entangle_modes(2.0e5, 1.6e5), [0.0, 50.0], realizations=5)
     assert f[0] == pytest.approx(0.5, abs=1e-12)
     assert m1[0] == pytest.approx(1.0, abs=1e-12)
     assert f[1] > 0.9
@@ -248,7 +280,7 @@ def _scalar_entangle_trace(ens, c3_prime, c3_second, grid, realizations):
 def test_entangle_trace_matches_scalar_reference():
     ens = EnsembleSpec(60, 60.0, seed=31)
     grid = np.concatenate([[0.0], np.geomspace(1e-3, 200.0, 12)])
-    f, m1, m2, _ = entangle_trace(ens, 2.0e5, 1.6e5, grid, realizations=3)
+    f, m1, m2, _ = entangle_trace(ens, entangle_modes(2.0e5, 1.6e5), grid, realizations=3)
     ref_f, ref_m1, ref_m2 = _scalar_entangle_trace(ens, 2.0e5, 1.6e5, np.asarray(grid), 3)
     assert np.max(np.abs(f - ref_f)) <= 1e-12
     assert np.max(np.abs(m1 - ref_m1)) <= 1e-12
@@ -269,4 +301,4 @@ def test_entangle_fidelity_matches_scalar_reference():
 @pytest.mark.parametrize("grid", [[math.nan], [0.5, math.inf], [-1.0, 0.5]], ids=["nan", "inf", "negative"])
 def test_entangle_trace_rejects_non_finite_or_negative_times(grid):
     with pytest.raises(ValueError, match="time grid must hold finite times >= 0"):
-        entangle_trace(EnsembleSpec(10, 60.0, seed=1), 2.0e5, 1.6e5, grid, realizations=1)
+        entangle_trace(EnsembleSpec(10, 60.0, seed=1), entangle_modes(2.0e5, 1.6e5), grid, realizations=1)
