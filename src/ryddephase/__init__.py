@@ -22,7 +22,6 @@ from .atomdata import (
     MicrowaveSpec,
     RydbergChannel,
     c3_of,
-    clebsch_gordan,
     pair_dimension,
 )
 from .correlation import (

@@ -1,4 +1,4 @@
-"""Rydberg channels, interaction-strength models, microwave settings, Clebsch-Gordan coefficients.
+"""Rydberg channels, interaction-strength models and microwave settings.
 
 A channel holds only what varies, s_n, p_n, p_j and C3; p_level_j is the one
 rule for p_j, shared by the channel and the config's C3 table.
@@ -118,64 +118,3 @@ def single_atom_dimension(channel: RydbergChannel) -> int:
 def pair_dimension(channel: RydbergChannel) -> int:
     """Dimension of the two-atom product space, (2 + (2j+1))^2."""
     return single_atom_dimension(channel) ** 2
-
-
-def _fact2(two_x: int):
-    """Factorial of two_x/2; None when two_x is odd or negative (invalid term)."""
-    if two_x < 0 or two_x % 2:
-        return None
-    return math.factorial(two_x // 2)
-
-
-def clebsch_gordan(j1: float, m1: float, j2: float, m2: float, j: float, m: float) -> float:
-    """Clebsch-Gordan coefficient <j1 m1; j2 m2 | j m> (Condon-Shortley phases).
-
-    Evaluated from the closed-form factorial sum.  Returns 0.0 whenever a
-    selection rule (m1 + m2 = m, triangle condition, |m| <= j) is violated.
-    """
-    for x in (j1, m1, j2, m2, j, m):
-        if not _is_half_integer(x):
-            raise ValueError(f"angular momentum arguments must be half-integers, got {x}")
-    if abs(m1 + m2 - m) > 1e-9:
-        return 0.0
-    if abs(m1) > j1 + 1e-9 or abs(m2) > j2 + 1e-9 or abs(m) > j + 1e-9:
-        return 0.0
-    t1 = int(round(2 * (j1 + j2 - j)))
-    t2 = int(round(2 * (j1 - j2 + j)))
-    t3 = int(round(2 * (-j1 + j2 + j)))
-    if t1 < 0 or t2 < 0 or t3 < 0:
-        return 0.0
-    norm_parts = [
-        _fact2(t1),
-        _fact2(t2),
-        _fact2(t3),
-        _fact2(int(round(2 * (j + m)))),
-        _fact2(int(round(2 * (j - m)))),
-        _fact2(int(round(2 * (j1 - m1)))),
-        _fact2(int(round(2 * (j1 + m1)))),
-        _fact2(int(round(2 * (j2 - m2)))),
-        _fact2(int(round(2 * (j2 + m2)))),
-    ]
-    denom = _fact2(int(round(2 * (j1 + j2 + j))) + 2)
-    if any(p is None for p in norm_parts) or denom is None:
-        return 0.0
-    norm = math.sqrt(
-        (2 * j + 1) * math.prod(norm_parts) / denom
-    )
-    total = 0.0
-    k_min = max(0.0, j2 - j - m1, j1 - j + m2)
-    k_max = min(j1 + j2 - j, j1 - m1, j2 + m2)
-    k = int(round(k_min))
-    while k <= int(round(k_max)) + 1e-9:
-        parts = [
-            _fact2(2 * k),
-            _fact2(int(round(2 * (j1 + j2 - j))) - 2 * k),
-            _fact2(int(round(2 * (j1 - m1))) - 2 * k),
-            _fact2(int(round(2 * (j2 + m2))) - 2 * k),
-            _fact2(int(round(2 * (j - j2 + m1))) + 2 * k),
-            _fact2(int(round(2 * (j - j1 - m2))) + 2 * k),
-        ]
-        if all(p is not None for p in parts):
-            total += (-1) ** k / math.prod(parts)
-        k += 1
-    return norm * total

@@ -307,9 +307,12 @@ def _parse_trace_config(raw, output_format, subcommand) -> RunConfig:
         values = _as_list(raw["scan_n"], "scan_n")
         scan_n = [_as_int(v, f"scan_n[{i}]", minimum=1) for i, v in enumerate(values)]
         for i, n in enumerate(scan_n):
-            if n in scan_schedules:
+            if n in scan_n[:i]:
                 _fail(f"scan_n[{i}]", f"duplicate value {n}")
-            scan_schedules[n] = _scan_schedule(schedule, n, model, table)
+        for i, cycle in enumerate(cycles):
+            if "c3" in cycle:
+                _fail(f"schedule.cycles[{i}].c3", "scan_n resolves C3 per n from the table or model; give no cycle c3")
+        scan_schedules = {n: _scan_schedule(schedule, n, model, table) for n in scan_n}
     mode = _as_choice(raw.get("mode", "analytic"), "mode", ("analytic", "multichannel"))
     realizations = _as_int(raw.get("realizations", 100), "realizations", minimum=1)
     grid = _parse_grid(raw["grid"], "grid") if subcommand == "g2-trace" else None

@@ -37,10 +37,14 @@ multiply, as complex numbers.  A realization allocates its planes once and
 streams one point at a time, in O(N^2) memory, or O(N^2 d) over a pair
 basis of dimension d, whatever the grid length T.  Only g2_from_amplitudes
 takes condensed (mu < nu, row-major) input.
-run_realizations is the one realization loop (seed, sample, evaluate, stack
-in index order, serially or on a process pool).  The entanglement trace in
-protocol runs through it as well, and draws its two modes' amplitude
-functions from _cycle_sources, as the g2 drivers do.
+
+run_realizations maps the one realization task, _trace_single_realization,
+over the realizations, serially or on a process pool: it derives the seed,
+samples the positions, evaluates a (3, T) points function on them
+(_realization_points, or protocol._entangle_points) and tags a
+NumericsError with the realization and seed.  Entangle reads each mode's
+mean amplitude from its own _PairPlanes (pair_mean), so the plane layout,
+the even-N rule and the pair count live here alone.
 """
 
 import itertools
@@ -95,7 +99,7 @@ def round_robin_cubes(positions: np.ndarray) -> np.ndarray:
 
 
 class _PairPlanes:
-    """Re A and Im A of every pair of n atoms in round-robin order, and the point they reduce to.
+    """Re A and Im A of every pair of n atoms in round-robin order, and the point or mean they reduce to.
 
     owned, a (2, n, K) view with K = n // 2, holds in [0] and [1] the real
     and imaginary amplitude of slot (mu, k - 1), the pair (mu, mu + k mod n).
@@ -137,7 +141,7 @@ class _PairPlanes:
         Complex (n, K) amplitudes in round-robin order are copied into owned
         first; with None, owned holds the point as written.  A non-finite
         amplitude makes its row sums, and so f and h, non-finite (|A| <= 1
-        keeps finite sums finite), so only f and h are checked.
+        keeps finite sums finite), so only f and h are checked: NumericsError.
         """
         if amplitudes is not None:
             self.owned[0], self.owned[1] = amplitudes.real, amplitudes.imag
@@ -147,8 +151,21 @@ class _PairPlanes:
         f = (total_re * total_re + total_im * total_im) / n**4
         h = float((rows * rows).sum()) / n**3
         if not (math.isfinite(f) and math.isfinite(h)):
-            raise ValueError("missing pair amplitude (non-finite value)")
+            raise NumericsError("non-finite pair sum")
         return _g2(f, h), f, h
+
+    def pair_mean(self) -> tuple[float, float]:
+        """Re and Im of the mean of owned over the n (n - 1) / 2 pairs.
+
+        The slots that count no pair are zeroed first; each plane is then one
+        contiguous pairwise sum, in an order fixed by n.  A non-finite
+        amplitude makes its sum non-finite: NumericsError.
+        """
+        zero_doubled_slots(self.owned)
+        re, im = (self.owned.reshape(2, -1).sum(axis=1) / (self.n * (self.n - 1) // 2)).tolist()
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise NumericsError("non-finite pair sum")
+        return re, im
 
 
 def exact_g2(point: G2Point, n_atoms: int) -> float:
@@ -179,6 +196,8 @@ def g2_from_amplitudes(condensed, n_atoms: int) -> G2Point:
         raise ValueError(
             f"expected {npairs} condensed pair amplitudes for {n_atoms} atoms, got shape {amplitudes.shape}"
         )
+    if not np.isfinite(amplitudes).all():
+        raise ValueError("missing pair amplitude (non-finite value)")
     return G2Point(*_PairPlanes(n_atoms).point(amplitudes[round_robin_pairs(n_atoms)]))
 
 
@@ -257,8 +276,8 @@ def _spectral_source(spectra: tuple, shape: tuple, t: float, out=None):
     return out
 
 
-def _realization_points(positions: np.ndarray, cycles, grid, mode: str) -> list:
-    """(g2, f, h) of each point of one realization, through planes allocated once.
+def _realization_points(positions: np.ndarray, cycles, grid, mode: str) -> np.ndarray:
+    """g2, f and h of each point of one realization, shape (3, T), through planes allocated once.
 
     The cycles' amplitudes multiply as complex numbers.  With a grid, each grid
     time replaces the free interval of every cycle, and a lone cycle writes
@@ -270,50 +289,49 @@ def _realization_points(positions: np.ndarray, cycles, grid, mode: str) -> list:
     sources = _cycle_sources(positions, cycles, mode)
     if grid is None:
         per_cycle = map(lambda source, cycle: source(cycle.delta_t), sources, cycles)
-        return [planes.point(product) for product in itertools.accumulate(per_cycle, operator.mul)]
-    first, *rest = sources
-    if rest:
-        return [planes.point(reduce(operator.imul, (source(t) for source in rest), first(t))) for t in grid]
-    points = []
-    for t in grid:
-        first(t, planes.owned)
-        points.append(planes.point())
-    return points
+        points = [planes.point(product) for product in itertools.accumulate(per_cycle, operator.mul)]
+    else:
+        first, *rest = sources
+        points = []
+        for t in grid:
+            if rest:
+                points.append(planes.point(reduce(operator.imul, (source(t) for source in rest), first(t))))
+            else:
+                first(t, planes.owned)
+                points.append(planes.point())
+    return np.array(points).T
 
 
-def sample_realization(ensemble: EnsembleSpec, index: int) -> tuple[int, np.ndarray]:
-    """Seed and sampled positions of realization index of the ensemble."""
+def _trace_single_realization(args) -> np.ndarray:
+    """The (3, T) points of one realization: derive its seed, sample its positions, evaluate.
+
+    args is (ensemble, points, params, index), the index last; points is
+    called as points(positions, *params).  A NumericsError is tagged with
+    the realization index and seed.
+    """
+    ensemble, points, params, index = args
     seed = realization_seed(ensemble.seed, index)
-    return seed, sample_positions(replace(ensemble, seed=seed))
-
-
-def _trace_single_realization(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """g2, f and h of one realization: sample positions, evaluate and reduce each point."""
-    ensemble, cycles, grid, mode, index = args
-    seed, positions = sample_realization(ensemble, index)
+    positions = sample_positions(replace(ensemble, seed=seed))
     try:
-        points = _realization_points(positions, cycles, grid, mode)
+        return points(positions, *params)
     except NumericsError as exc:
         raise NumericsError(f"realization {index} (seed {seed}): {exc}") from exc
-    g2s, fs, hs = np.array(points).T
-    return g2s, fs, hs
 
 
-def run_realizations(worker, ensemble: EnsembleSpec, params: tuple, realizations: int, pool=None):
-    """Per-realization results of worker, stacked over realizations, and the seeds.
+def run_realizations(points, ensemble: EnsembleSpec, params: tuple, realizations: int, pool=None):
+    """The three (R, T) stacks of points(positions, *params) over the realizations, and their seeds.
 
-    worker is called with (ensemble, *params, index) for each realization
-    index, in the calling process (pool None) or on the pool, and returns a
-    tuple of equal-shape arrays; result k stacks the k-th array of every
-    realization in index order, whatever the worker count.
+    Each realization is one _trace_single_realization task, in the calling
+    process (pool None) or on the pool; points, a module-level function,
+    returns a (3, T) array.  Realizations stack in index order, whatever
+    the worker count.
     """
     if realizations < 1:
         raise ValueError("realizations must be >= 1")
-    tasks = [(ensemble, *params, r) for r in range(realizations)]
-    results = list((map if pool is None else pool.map)(worker, tasks))
-    stacks = tuple(np.stack(k) for k in zip(*results))
+    tasks = [(ensemble, points, params, r) for r in range(realizations)]
+    results = list((map if pool is None else pool.map)(_trace_single_realization, tasks))
     seeds = tuple(realization_seed(ensemble.seed, r) for r in range(realizations))
-    return stacks, seeds
+    return tuple(np.stack(results, axis=1)), seeds
 
 
 def checked_time_grid(grid) -> np.ndarray:
@@ -348,7 +366,7 @@ def g2_trace(
     if np.any(np.diff(grid) <= 0):
         raise ValueError("time grid must be strictly increasing")
     params = (tuple(schedule.cycles), grid, mode)
-    stacks, seeds = run_realizations(_trace_single_realization, ensemble, params, realizations, pool)
+    stacks, seeds = run_realizations(_realization_points, ensemble, params, realizations, pool)
     return G2Trace(grid, *stacks, seeds)
 
 
@@ -367,5 +385,5 @@ def g2_after_cycles(
     cycles = tuple(schedule.cycles)
     grid = np.cumsum([c.duration for c in cycles])
     params = (cycles, None, mode)
-    stacks, seeds = run_realizations(_trace_single_realization, ensemble, params, realizations, pool)
+    stacks, seeds = run_realizations(_realization_points, ensemble, params, realizations, pool)
     return G2Trace(grid, *stacks, seeds)

@@ -76,7 +76,6 @@ from .atomdata import (
     POPULATED_M,
     MicrowaveSpec,
     RydbergChannel,
-    clebsch_gordan,
     single_atom_dimension,
 )
 from .ensemble import PairGeometry
@@ -165,8 +164,11 @@ def _dipole_blocks(channel: RydbergChannel) -> dict:
     """Raising (s -> p) blocks of the unit dipole operator, keyed by q.
 
     Over the single-atom basis (_transition_indices),
-    up[q][p(m+q), s(m)] = <1/2 m; 1 q | j m+q>: the one place an s-p dipole
-    element becomes a matrix entry.  Each lowering part is an adjoint of these.
+    up[q][p(m'), s(m)] = <1/2 m; 1 q | j m'>, m' = m + q: the one place an
+    s-p dipole element becomes a matrix entry.  The Clebsch-Gordan
+    coefficient in closed form (Condon-Shortley phases) is
+    sqrt((3/2 + 2 m m') / 3) for j = 3/2 and 2 m sqrt((3/2 - 2 m m') / 3)
+    for j = 1/2.  Each lowering part is an adjoint of these.
     """
     j = channel.p_j
     dim = single_atom_dimension(channel)
@@ -174,8 +176,12 @@ def _dipole_blocks(channel: RydbergChannel) -> dict:
     for q, up in ups.items():
         for i_s, ms in enumerate((-0.5, 0.5)):
             mp = ms + q
-            if abs(mp) <= j + 1e-9:
-                up[round(2 + mp + j), i_s] = clebsch_gordan(0.5, ms, 1.0, float(q), j, mp)
+            if abs(mp) <= j:
+                if j == 1.5:
+                    element = math.sqrt((1.5 + 2.0 * ms * mp) / 3.0)
+                else:
+                    element = 2.0 * ms * math.sqrt((1.5 - 2.0 * ms * mp) / 3.0)
+                up[round(2 + mp + j), i_s] = element
     return ups
 
 

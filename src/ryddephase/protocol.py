@@ -12,15 +12,15 @@ through np_{1/2} with strength C3', one in ns dressed through np_{3/2} with
 C3''.  entangle_trace takes the two as cycle specs with no free interval of
 their own, and over a free interval t each pair picks up the phases
 C3' t / R^3 and C3'' t / R^3.  The trace runs its position realizations
-through the same realization loop as the correlation traces
-(correlation.run_realizations), serially or on a process pool, and draws
-each mode's amplitude function from the same sources as the g2 drivers
-(correlation._cycle_sources), once per realization.  At each time each
-source writes its mode into one half of real (2, 2, n, n // 2) Re and Im
-planes, in round-robin pair order; zero_doubled_slots clears the slots that
-count no pair, and each plane's pairwise sum over the pair count gives the
-coherences <e^{i phi}> = 2 <A(phi)> - 1.  The order of each sum depends on
-the atom count alone, so outputs are byte-identical for any worker count.
+through the one realization task of the correlation traces
+(correlation.run_realizations), serially or on a process pool, which seeds
+and samples each realization and calls _entangle_points on its positions.
+That draws each mode's amplitude function from the same sources as the g2
+drivers (correlation._cycle_sources), once per realization.  At each time
+each source writes its mode's amplitudes into its own correlation._PairPlanes,
+and their pair_mean gives the coherence <e^{i phi}> = 2 <A(phi)> - 1.  The
+order of each sum depends on the atom count alone, so outputs are
+byte-identical for any worker count.
 """
 
 import math
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import _cycle_sources, checked_time_grid, run_realizations, sample_realization, zero_doubled_slots
+from .correlation import _cycle_sources, _PairPlanes, checked_time_grid, run_realizations
 from .pairdyn import (
     CycleSpec,
     _cycle_segments,
@@ -129,35 +129,35 @@ def entangle_fidelity(phi_prime, phi) -> float:
     if not (np.isfinite(phi_prime).all() and np.isfinite(phi).all()):
         raise ValueError("entangle_fidelity needs finite phases")
     amplitudes = analytic_cycle_amplitude(np.stack([phi_prime.ravel(), phi.ravel()]))
-    return _fidelity_terms(np.stack([amplitudes.real, amplitudes.imag]), phi.size)[0]
+    means = np.stack([amplitudes.real, amplitudes.imag], axis=1).sum(axis=2) / phi.size
+    return _fidelity_terms(means.tolist())[0]
 
 
-def _fidelity_terms(planes: np.ndarray, pairs: int) -> tuple[float, float, float]:
-    """F, |m1| and |m2| from the pair coherences <e^{i phi}> = 2 <A(phi)> - 1 over pairs pairs.
+def _fidelity_terms(means) -> tuple[float, float, float]:
+    """F, |m1| and |m2| from the two modes' mean amplitudes (Re <A>, Im <A>).
 
-    planes holds the cycle amplitudes A = (1 + e^{i phi}) / 2 as
-    [Re, Im] x [mode] x slot, 0 in a slot that counts no pair; each sum is
-    numpy's pairwise sum of one contiguous plane, in an order fixed by its size.
+    The cycle amplitude is A = (1 + e^{i phi}) / 2, so the pair coherence
+    is <e^{i phi}> = 2 <A> - 1.
     """
-    (re1, re2), (im1, im2) = (planes.reshape(2, 2, -1).sum(axis=2) / pairs).tolist()
+    (re1, im1), (re2, im2) = means
     m1, m2 = abs(complex(2.0 * re1 - 1.0, 2.0 * im1)), abs(complex(2.0 * re2 - 1.0, 2.0 * im2))
     return 2.0 / (2.0 + m1**2 + m2**2), m1, m2
 
 
-def _entangle_single_realization(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """F, |m1| and |m2| of one realization at every grid time, one source call per mode."""
-    ensemble, modes, grid, index = args
-    _, positions = sample_realization(ensemble, index)
+def _entangle_points(positions: np.ndarray, modes, grid) -> np.ndarray:
+    """F, |m1| and |m2| of one realization at every grid time, shape (3, T).
+
+    Each mode writes its own _PairPlanes, one source call per time, and
+    reads its mean amplitude from them.
+    """
     sources = list(_cycle_sources(positions, modes, "analytic"))
-    n = len(positions)
-    planes = np.empty((2, 2, n, n // 2))  # [Re, Im] x mode x round-robin slot
+    planes = [_PairPlanes(len(positions)) for _ in sources]
     out = np.empty((3, len(grid)))
     for it, t in enumerate(grid):
-        for k, source in enumerate(sources):
-            source(t, planes[:, k])
-        zero_doubled_slots(planes)
-        out[:, it] = _fidelity_terms(planes, n * (n - 1) // 2)
-    return tuple(out)
+        for source, mode_planes in zip(sources, planes):
+            source(t, mode_planes.owned)
+        out[:, it] = _fidelity_terms([mode_planes.pair_mean() for mode_planes in planes])
+    return out
 
 
 def entangle_trace(ensemble_spec, modes, grid, realizations: int = 100, pool=None):
@@ -174,5 +174,5 @@ def entangle_trace(ensemble_spec, modes, grid, realizations: int = 100, pool=Non
     if len(modes) != 2:
         raise ValueError(f"entangle_trace needs exactly two modes, got {len(modes)}")
     params = (modes, checked_time_grid(grid))
-    (fs, m1s, m2s), seeds = run_realizations(_entangle_single_realization, ensemble_spec, params, realizations, pool)
+    (fs, m1s, m2s), seeds = run_realizations(_entangle_points, ensemble_spec, params, realizations, pool)
     return fs.mean(axis=0), m1s.mean(axis=0), m2s.mean(axis=0), seeds

@@ -10,11 +10,10 @@ from ryddephase.atomdata import (
     POPULATED_M,
     RydbergChannel,
     c3_of,
-    clebsch_gordan,
     pair_dimension,
     single_atom_dimension,
 )
-from ryddephase.pairdyn import single_atom_dressing
+from ryddephase.pairdyn import _dipole_blocks, single_atom_dressing
 
 
 def _channel(j=0.5, c3=1.0, n=100):
@@ -105,8 +104,15 @@ def test_pair_dimensions():
 
 
 # ---------------------------------------------------------------------------
-# Clebsch-Gordan against an independent construction
+# Clebsch-Gordan coefficients of the dipole blocks against an independent construction
 # ---------------------------------------------------------------------------
+
+S_M = (-0.5, 0.5)  # the s sublevels, at single-atom indices 0 and 1
+
+
+def _block_entry(j, m1, q):
+    """<1/2 m1; 1 q | j m1 + q> as pairdyn._dipole_blocks writes it: row p(m1 + q), column s(m1)."""
+    return _dipole_blocks(_channel(j))[q][round(2 + m1 + q + j), S_M.index(m1)]
 
 
 def _angular_momentum_matrices(j):
@@ -124,7 +130,7 @@ def _angular_momentum_matrices(j):
 def _cg_table_from_diagonalization(j1, j2):
     """CG coefficients from simultaneous diagonalization of J^2 and Jz.
 
-    Independent of the closed-form factorial sum: builds the coupled basis
+    Independent of the closed form in the dipole blocks: builds the coupled basis
     from ladder-operator matrix elements and fixes signs by the standard
     highest-m1 > 0 convention.
     """
@@ -165,29 +171,31 @@ def _cg_table_from_diagonalization(j1, j2):
 def test_clebsch_gordan_matches_diagonalization_oracle(j2):
     table = _cg_table_from_diagonalization(0.5, 1.0)
     # reinterpret: we couple j1=1/2 with j2=1 into j in {1/2, 3/2}
-    for m1 in (-0.5, 0.5):
+    for m1 in S_M:
         for q in (-1, 0, 1):
-            m = m1 + q
-            if abs(m) > j2:
+            if abs(m1 + q) > j2:
                 continue
             expected = table.get((round(2 * j2), round(2 * m1), round(2 * q)), 0.0)
-            got = clebsch_gordan(0.5, m1, 1.0, q, j2, m)
-            assert got == pytest.approx(expected, abs=1e-12)
+            assert _block_entry(j2, m1, q) == pytest.approx(expected, abs=1e-12)
 
 
 def test_clebsch_gordan_selection_rules():
-    assert clebsch_gordan(0.5, 0.5, 1.0, 1.0, 0.5, 1.5) == 0.0  # |m| > j
-    assert clebsch_gordan(0.5, 0.5, 1.0, 0.0, 1.5, 1.5) == 0.0  # m1+m2 != m
-    assert clebsch_gordan(0.5, 0.5, 1.0, 0.0, 2.5, 0.5) == 0.0  # triangle violated
+    # each block q holds an entry only at p(m1 + q), s(m1), with |m1 + q| <= j
+    for j in (0.5, 1.5):
+        for q, up in _dipole_blocks(_channel(j)).items():
+            allowed = np.zeros_like(up, dtype=bool)
+            for i_s, m1 in enumerate(S_M):
+                if abs(m1 + q) <= j:
+                    allowed[round(2 + m1 + q + j), i_s] = True
+            assert np.all(up[~allowed] == 0.0)
+            assert np.all(up[allowed] != 0.0)
 
 
 def test_clebsch_gordan_orthonormality():
     # sum over j of |<j1 m1; j2 m2 | j m>|^2 = 1 for each (m1, m2)
-    for m1 in (-0.5, 0.5):
+    for m1 in S_M:
         for q in (-1, 0, 1):
-            total = sum(
-                clebsch_gordan(0.5, m1, 1.0, q, j, m1 + q) ** 2 for j in (0.5, 1.5)
-            )
+            total = sum(_block_entry(j, m1, q) ** 2 for j in (0.5, 1.5) if abs(m1 + q) <= j)
             assert total == pytest.approx(1.0, abs=1e-12)
 
 

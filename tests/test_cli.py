@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -12,6 +13,7 @@ import pytest
 from ryddephase import cli
 from ryddephase.atomdata import InteractionModel, MicrowaveSpec, RydbergChannel
 from ryddephase.cli import ConfigError, main, parse_config
+from ryddephase.correlation import realization_seed
 from ryddephase.ensemble import EnsembleSpec, sample_positions
 
 from statevector import brute_force_g2
@@ -558,7 +560,18 @@ def test_json_only_subcommands_accept_format_json(tmp_path, subcommand, payload)
     assert written[0] == written[1]
 
 
-WORKLOADS = runpy.run_path(str(Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"))["WORKLOADS"]
+PERFBENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
+WORKLOADS = runpy.run_path(str(PERFBENCH_DIR / "workloads.py"))["WORKLOADS"]
+TRACER_TARGETS = runpy.run_path(str(PERFBENCH_DIR / "tracer.py"))["TARGETS"]
+# targets the tracer has wrapped since the code under them was renamed or deleted
+STALE_TRACER_TARGETS = {
+    "ryddephase.correlation._cycles_single_realization",
+    "ryddephase.correlation.AmplitudeSet.from_condensed",
+    "ryddephase.correlation.numeric_pair_amplitudes",
+    "ryddephase.correlation.pair_separations",
+    "ryddephase.protocol.sample_positions",
+    "ryddephase.protocol.pair_separations",
+}
 
 
 @pytest.mark.parametrize("seed", [1, 11])
@@ -567,6 +580,21 @@ def test_benchmark_workload_configs_plan(name, seed):
     workload = WORKLOADS[name]
     _, jobs = cli._plan(workload.subcommand, workload.config(seed))
     assert len(jobs) == 1
+
+
+def test_perfbench_tracer_targets_resolve():
+    # the tracer wraps names where the calling module imported them: a refactor
+    # that moves one leaves its layer unmeasured, with no other test failing
+    def resolves(module_name, path):
+        obj = importlib.import_module(module_name)
+        for part in path.split("."):
+            obj = getattr(obj, part, None)
+            if obj is None:
+                return False
+        return True
+
+    unresolved = {f"{module}.{path}" for module, path, _, _ in TRACER_TARGETS if not resolves(module, path)}
+    assert unresolved <= STALE_TRACER_TARGETS
 
 
 @pytest.mark.parametrize("n", [1, 99])
@@ -591,6 +619,37 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "g2_trace", synthetic_failure)
     path = write_config(tmp_path, MINIMAL)
     assert main(["g2-trace", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+
+
+OVERFLOW_GRID = {"start_us": 0.0, "stop_us": 1e306, "points": 3}  # C3 t overflows to inf: every phase is lost
+
+
+@pytest.mark.parametrize("subcommand", ["g2-trace", "entangle"])
+def test_an_overflowing_phase_is_a_numerical_failure(tmp_path, capsys, subcommand):
+    ensemble = {"n_atoms": 6, "box_side_um": 20.0, "seed": 3}
+    if subcommand == "g2-trace":
+        cfg = dict(MINIMAL, ensemble=ensemble, grid=OVERFLOW_GRID)
+        cfg["schedule"] = {"cycles": [dict(MINIMAL["schedule"]["cycles"][0], c3=26000.0)]}
+    else:
+        cfg = {"ensemble": ensemble, "entangle": {"n": 99, "c3_prime": 26000.0, "c3_second": 26000.0}}
+        cfg["grid"] = OVERFLOW_GRID
+    cfg["realizations"] = 2
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        code = main([subcommand, "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"numerical failure: realization 0 (seed {realization_seed(3, 0)}): non-finite pair sum" in err
+    assert not out.exists()
+
+
+def test_scan_n_rejects_a_cycle_c3(tmp_path, capsys):
+    # scan_n resolves C3 per n from the table or model, so a cycle's own c3 would be dropped
+    cfg = dict(MINIMAL, interaction={"model": {"reference_c3": 2.6e4, "reference_n": 60}}, scan_n=[60, 100])
+    path = write_config(tmp_path, cfg)
+    assert main(["g2-trace", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "config error: schedule.cycles[0].c3: scan_n resolves C3 per n from the table or model" in err
 
 
 def test_failed_run_does_not_block_a_rerun(tmp_path, monkeypatch):

@@ -560,6 +560,21 @@ def test_a_missing_amplitude_in_any_slot_raises(n, where):
     amps[(mu == a) & (nu == b)] = complex(math.nan, 0.0)
     with pytest.raises(ValueError, match="missing pair amplitude"):
         g2_from_amplitudes(amps, n)
+    # the planes themselves, past g2_from_amplitudes' entry check, see every slot that counts
+    for reduce_planes in ("point", "pair_mean"):
+        with pytest.raises(NumericsError, match="^non-finite pair sum$"):
+            getattr(planes_of(amps, n), reduce_planes)()
+
+
+@pytest.mark.parametrize("n", LAYOUT_SIZES)
+def test_pair_mean_is_the_mean_over_every_pair_once(n):
+    amps = random_amplitudes(n, np.random.default_rng(200 + n))
+    planes = planes_of(amps, n)
+    if n % 2 == 0:
+        planes.owned[..., n // 2 :, -1] = 7.0  # the doubled slots must not count
+    npairs = n * (n - 1) // 2
+    want = (math.fsum(amps.real) / npairs, math.fsum(amps.imag) / npairs)
+    np.testing.assert_allclose(planes.pair_mean(), want, rtol=1e-13, atol=1e-15)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 60, 61, 100])
@@ -666,11 +681,35 @@ def test_non_finite_amplitude_raises(monkeypatch, driver):
     monkeypatch.setattr(correlation, "analytic_pair_amplitudes", with_nan)
     ens = EnsembleSpec(8, 60.0, seed=5)
     sched = single_cycle_schedule(2.0e5)
-    with pytest.raises(ValueError, match="missing pair amplitude"):
+    seed = realization_seed(ens.seed, 0)
+    with pytest.raises(NumericsError, match=rf"^realization 0 \(seed {seed}\): non-finite pair sum$"):
         if driver == "trace":
             g2_trace(ens, sched, [0.5, 1.0], realizations=1)
         else:
             g2_after_cycles(ens, sched, realizations=1)
+
+
+REALIZATION_DRIVERS = {
+    "g2_trace": lambda ens: g2_trace(ens, single_cycle_schedule(2.0e5), [0.5, 1.0], realizations=3),
+    "g2_after_cycles": lambda ens: g2_after_cycles(ens, two_channel_schedule(), realizations=3),
+    "entangle_trace": lambda ens: entangle_trace(ens, single_cycle_schedule(2.0e5).cycles * 2, [0.5, 1.0], realizations=3),
+}
+
+
+@pytest.mark.parametrize("driver", REALIZATION_DRIVERS)
+def test_every_driver_runs_one_realization_task_per_realization(monkeypatch, driver):
+    # one place seeds and samples a realization, and perfbench's tracer wraps it by name, reading args[-1]
+    import ryddephase.correlation as correlation
+
+    task, calls = correlation._trace_single_realization, []
+
+    def recording_task(args):
+        calls.append(args[-1])
+        return task(args)
+
+    monkeypatch.setattr(correlation, "_trace_single_realization", recording_task)
+    REALIZATION_DRIVERS[driver](EnsembleSpec(8, 60.0, seed=5))
+    assert calls == [0, 1, 2]
 
 
 def test_cycles_driver_holds_one_cycle_of_spectra_at_a_time(monkeypatch):

@@ -10,7 +10,7 @@ from ryddephase import correlation, protocol
 from ryddephase.atomdata import MicrowaveSpec, RydbergChannel
 from ryddephase.correlation import realization_seed
 from ryddephase.ensemble import EnsembleSpec, sample_positions
-from ryddephase.pairdyn import CycleSpec
+from ryddephase.pairdyn import CycleSpec, NumericsError, analytic_pair_amplitudes
 from ryddephase.protocol import (
     decay_reference,
     entangle_fidelity,
@@ -244,6 +244,20 @@ def test_entangle_draws_both_modes_from_the_cycle_sources(monkeypatch):
     assert draws == [(12, modes, "analytic")] * 3
     for got, want in zip(result, expected):
         assert np.array_equal(got, want)
+
+
+def test_entangle_numerics_error_names_the_realization_and_seed(monkeypatch):
+    # a non-finite amplitude makes a pair mean non-finite; the one realization task tags it
+    def with_nan(cubes, phase_product, out=None):
+        amps = analytic_pair_amplitudes(cubes, phase_product, out)
+        amps[..., 0, 0] = math.nan
+        return amps
+
+    monkeypatch.setattr(correlation, "analytic_pair_amplitudes", with_nan)
+    ens = EnsembleSpec(10, 60.0, seed=1)
+    seed = realization_seed(ens.seed, 0)
+    with pytest.raises(NumericsError, match=rf"^realization 0 \(seed {seed}\): non-finite pair sum$"):
+        entangle_trace(ens, entangle_modes(2.0e5, 1.6e5), [0.5, 1.0], realizations=2)
 
 
 def test_entangle_trace_starts_at_half_and_dephases():
