@@ -22,7 +22,7 @@ import os
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
@@ -47,7 +47,6 @@ from .protocol import CycleSchedule, decay_reference, entangle_trace, make_sched
 # here, not in __init__ or main(): the import graph lives until exit, so no collection need walk it
 gc.freeze()
 
-THREADS_ENV = "RYDDEPHASE_THREADS"
 ENSEMBLE_SUBCOMMANDS = ("g2-trace", "cycles", "entangle")  # sample positions; a sweep varies one of them
 
 
@@ -215,21 +214,13 @@ def _parse_cycle(cfg, path, model, table) -> CycleSpec:
         _fail(path, str(exc))
 
 
-def _schedule(cycles: list) -> CycleSchedule:
-    """make_schedule of the config's cycles, its errors reported under schedule."""
+def _parse_schedule(cycles: list, model, table) -> CycleSchedule:
+    """make_schedule of the config's cycles, each parsed by _parse_cycle, its errors reported under schedule."""
+    parsed = [_parse_cycle(c, f"schedule.cycles[{i}]", model, table) for i, c in enumerate(cycles)]
     try:
-        return make_schedule(cycles)
+        return make_schedule(parsed)
     except ValueError as exc:
         _fail("schedule", str(exc))
-
-
-def _scan_schedule(schedule: CycleSchedule, n: int, model, table) -> CycleSchedule:
-    """schedule with s_n = p_n = n in every cycle, C3 resolved again from the table or model."""
-    cycles = []
-    for q, cycle in enumerate(schedule.cycles):
-        c3 = _resolve_c3(n, n, cycle.channel.p_j, model, table, f"schedule.cycles[{q}]")
-        cycles.append(replace(cycle, channel=RydbergChannel(n, n, cycle.channel.p_j, c3)))
-    return _schedule(cycles)
 
 
 def _parse_grid(cfg, path) -> np.ndarray:
@@ -247,15 +238,10 @@ def _parse_grid(cfg, path) -> np.ndarray:
     return np.linspace(start, stop, points) if points > 1 else np.array([start])
 
 
-def _parse_output(cfg, path, formats, with_dir):
-    """(format, dir) of an output section; format defaults to formats[0], and
-    the section may hold it only if formats is nonempty, dir only with_dir."""
-    _check_mapping(cfg, path, [], (["format"] if formats else []) + (["dir"] if with_dir else []))
-    fmt = _as_choice(cfg.get("format", formats[0]), f"{path}.format", formats) if formats else None
-    out_dir = cfg.get("dir")
-    if out_dir is not None and not isinstance(out_dir, str):
-        _fail(f"{path}.dir", "expected a string path")
-    return fmt, out_dir
+def _parse_output(cfg, path) -> str:
+    """The format of a data-writing subcommand's output section: csv (default) or json."""
+    _check_mapping(cfg, path, [], ["format"])
+    return _as_choice(cfg.get("format", "csv"), f"{path}.format", ("csv", "json"))
 
 
 @dataclass
@@ -274,8 +260,7 @@ class RunConfig:
 
 def parse_config(text: str, subcommand: str = "g2-trace") -> RunConfig:
     """Parse and validate a g2-trace or cycles configuration document."""
-    _, jobs = _plan(subcommand, _decode(text, ""))
-    return jobs[0].config
+    return _plan(subcommand, _decode(text, ""))[0].config
 
 
 def _decode(text: str, where: str) -> dict:
@@ -288,7 +273,7 @@ def _decode(text: str, where: str) -> dict:
     return raw
 
 
-def _parse_trace_config(raw, output_format, subcommand) -> RunConfig:
+def _parse_trace_config(raw, subcommand) -> RunConfig:
     required = ["ensemble", "schedule"]
     optional = ["interaction", "mode", "realizations", "output"]
     if subcommand == "g2-trace":
@@ -301,7 +286,7 @@ def _parse_trace_config(raw, output_format, subcommand) -> RunConfig:
     ensemble = _parse_ensemble(raw["ensemble"], "ensemble")
     _check_mapping(raw["schedule"], "schedule", ["cycles"], [])
     cycles = _as_list(raw["schedule"]["cycles"], "schedule.cycles")
-    schedule = _schedule([_parse_cycle(c, f"schedule.cycles[{i}]", model, table) for i, c in enumerate(cycles)])
+    schedule = _parse_schedule(cycles, model, table)  # first: a cycle that is not an object fails here, before a merge
     scan_schedules = {}
     if "scan_n" in raw:
         values = _as_list(raw["scan_n"], "scan_n")
@@ -312,7 +297,7 @@ def _parse_trace_config(raw, output_format, subcommand) -> RunConfig:
         for i, cycle in enumerate(cycles):
             if "c3" in cycle:
                 _fail(f"schedule.cycles[{i}].c3", "scan_n resolves C3 per n from the table or model; give no cycle c3")
-        scan_schedules = {n: _scan_schedule(schedule, n, model, table) for n in scan_n}
+        scan_schedules = {n: _parse_schedule([{**c, "s_n": n, "p_n": n} for c in cycles], model, table) for n in scan_n}
     mode = _as_choice(raw.get("mode", "analytic"), "mode", ("analytic", "multichannel"))
     realizations = _as_int(raw.get("realizations", 100), "realizations", minimum=1)
     grid = _parse_grid(raw["grid"], "grid") if subcommand == "g2-trace" else None
@@ -328,7 +313,7 @@ def _parse_trace_config(raw, output_format, subcommand) -> RunConfig:
         mode=mode,
         grid=grid,
         realizations=realizations,
-        output_format=output_format,
+        output_format=_parse_output(raw.get("output", {}), "output"),
         reference_tau=tau,
     )
 
@@ -384,6 +369,9 @@ class OutputSession:
         self.seeds: list[int] = []
         self.started = time.perf_counter()
         self._staged: dict[Path, Path] = {} if staged is None else staged  # final -> temporary
+        existing = next((p for p in (out_dir, *out_dir.parents) if p.exists()), None)
+        if existing is not None and not existing.is_dir():  # else _stage's mkdir fails, after all the compute
+            raise ConfigError(f"cannot write outputs to {out_dir}: {existing} is not a directory")
         if (out_dir / "manifest.json").exists() and not force:
             raise ConfigError(
                 f"refusing to overwrite {out_dir / 'manifest.json'}; pass --force"
@@ -559,7 +547,7 @@ class EntangleConfig:
     output_format: str
 
 
-def _parse_entangle_config(raw, output_format) -> EntangleConfig:
+def _parse_entangle_config(raw) -> EntangleConfig:
     _check_mapping(raw, "config", ["ensemble", "entangle", "grid"], ["realizations", "output"])
     ensemble = _parse_ensemble(raw["ensemble"], "ensemble")
     ent, epath = raw["entangle"], "entangle"
@@ -573,7 +561,7 @@ def _parse_entangle_config(raw, output_format) -> EntangleConfig:
         modes=tuple(CycleSpec(channel, 0.0, MicrowaveSpec()) for channel in channels),
         grid=_parse_grid(raw["grid"], "grid"),
         realizations=_as_int(raw.get("realizations", 100), "realizations", minimum=1),
-        output_format=output_format,
+        output_format=_parse_output(raw.get("output", {}), "output"),
     )
 
 
@@ -588,8 +576,8 @@ def run_entangle(cfg: EntangleConfig, session: OutputSession, pool) -> None:
     )
 
 
-def _parse_phasematch_config(raw, output_format) -> dict:
-    _check_mapping(raw, "config", ["beams"], ["speed_m_per_s", "solve_offaxis", "output"])
+def _parse_phasematch_config(raw) -> dict:
+    _check_mapping(raw, "config", ["beams"], ["speed_m_per_s", "solve_offaxis"])
     beams = []
     for i, entry in enumerate(_as_list(raw["beams"], "beams", min_len=1)):
         bpath = f"beams[{i}]"
@@ -647,13 +635,12 @@ def run_phasematch(parsed: dict, session: OutputSession, pool) -> None:
     _write_json(session.claim("phasematch.json"), payload)
 
 
-def _parse_oracle_config(raw, output_format) -> dict:
-    _check_mapping(raw, "config", ["seed"], ["n_atoms", "draws", "amplitude", "output"])
+def _parse_oracle_config(raw) -> dict:
+    _check_mapping(raw, "config", ["seed"], ["n_atoms", "draws"])
     return {
         "n_atoms": _as_int(raw.get("n_atoms", 8), "n_atoms", minimum=2),
         "draws": _as_int(raw.get("draws", 100), "draws", minimum=1),
         "seed": _as_int(raw["seed"], "seed", minimum=0, maximum=2**64 - 1),
-        "amplitude": _as_choice(raw.get("amplitude", "random"), "amplitude", ("random", "ones")),
     }
 
 
@@ -664,13 +651,10 @@ def run_oracle(parsed: dict, session: OutputSession, pool) -> None:
     cases = []
     worst = 0.0
     for draw in range(parsed["draws"]):
-        if parsed["amplitude"] == "ones":
-            amps = np.ones(len(mu))
-        else:
-            # draw (n, n) values and keep the mu < nu ones: a seed's cases stay fixed
-            mag = rng.uniform(0.0, 1.0, size=(n, n))
-            phase = rng.uniform(0.0, 2.0 * math.pi, size=(n, n))
-            amps = (mag * np.exp(1j * phase))[mu, nu]
+        # draw (n, n) values and keep the mu < nu ones: a seed's cases stay fixed
+        mag = rng.uniform(0.0, 1.0, size=(n, n))
+        phase = rng.uniform(0.0, 2.0 * math.pi, size=(n, n))
+        amps = (mag * np.exp(1j * phase))[mu, nu]
         point = g2_from_amplitudes(amps, n)
         approx, exact = point.g2, exact_g2(point, n)
         rel = abs(approx - exact) / exact if exact else abs(approx)
@@ -702,8 +686,8 @@ class Job:
     config: object  # what the subcommand's parser returned
 
 
-def _parse_sweep_config(raw, output_format) -> list[Job]:
-    _check_mapping(raw, "config", ["subcommand", "base", "axes"], ["output"])
+def _parse_sweep_config(raw) -> list[Job]:
+    _check_mapping(raw, "config", ["subcommand", "base", "axes"], [])
     sub = _as_choice(raw["subcommand"], "subcommand", ENSEMBLE_SUBCOMMANDS)
     if not isinstance(raw["base"], dict):
         _fail("base", "expected an object")
@@ -724,8 +708,7 @@ def _parse_sweep_config(raw, output_format) -> list[Job]:
         for (path, _), value in zip(axes, combo):
             _apply_override(base, path, value)
         try:
-            fmt, _ = _parse_output(base.get("output", {}), "output", SUBCOMMANDS[sub].formats, with_dir=False)
-            config = SUBCOMMANDS[sub].parse(base, fmt)
+            config = SUBCOMMANDS[sub].parse(base)
         except ConfigError as exc:  # the combination's paths are rooted at base
             raise ConfigError(f"base.{str(exc).removeprefix('config.')} (combination {label})") from None
         jobs.append(Job(label, sub, base, config))
@@ -772,70 +755,64 @@ def _combo_label(axes, combo) -> str:
 
 @dataclass(frozen=True)
 class Subcommand:
-    """parse(raw, output_format) validates one config document; run(config, session, pool) runs it.
+    """parse(raw) validates one config document; run(config, session, pool) runs it.
 
-    formats are the output.format values the runner writes, the default
-    first.  phasematch and oracle write JSON in this process, so they ignore
-    the pool; sweep has no runner and no format of its own, its parser
-    returns the jobs of the subcommand it sweeps.  Runners look up what they
-    call (g2_trace, _write_csv, ...) as module globals at call time.
+    g2-trace, cycles and entangle read output.format (csv or json);
+    phasematch and oracle write JSON in this process, so they take no output
+    section and ignore the pool; sweep has no runner and no output of its
+    own, its parser returns the jobs of the subcommand it sweeps.  Runners
+    look up what they call (g2_trace, _write_csv, ...) as module globals at
+    call time.
     """
 
     help: str
-    formats: tuple[str, ...]
     parse: Callable
     run: Callable | None
 
 
-DATA_FORMATS = ("csv", "json")
-
 SUBCOMMANDS = {
     "g2-trace": Subcommand(
         "correlation trace versus free-interval length",
-        DATA_FORMATS,
         partial(_parse_trace_config, subcommand="g2-trace"),
         run_g2_trace,
     ),
     "cycles": Subcommand(
         "correlation after each cycle of a fixed schedule",
-        DATA_FORMATS,
         partial(_parse_trace_config, subcommand="cycles"),
         run_cycles,
     ),
-    "entangle": Subcommand("two-mode entanglement fidelity trace", DATA_FORMATS, _parse_entangle_config, run_entangle),
+    "entangle": Subcommand("two-mode entanglement fidelity trace", _parse_entangle_config, run_entangle),
     "phasematch": Subcommand(
-        "wavevector mismatch, period, off-axis zero geometry", ("json",), _parse_phasematch_config, run_phasematch
+        "wavevector mismatch, period, off-axis zero geometry", _parse_phasematch_config, run_phasematch
     ),
-    "oracle": Subcommand(
-        "pair-sum formula versus exact finite-N correlator", ("json",), _parse_oracle_config, run_oracle
-    ),
-    "sweep": Subcommand("Cartesian parameter sweep over another subcommand", (), _parse_sweep_config, None),
+    "oracle": Subcommand("pair-sum formula versus exact finite-N correlator", _parse_oracle_config, run_oracle),
+    "sweep": Subcommand("Cartesian parameter sweep over another subcommand", _parse_sweep_config, None),
 }
 
 
-def _plan(subcommand: str, raw: dict) -> tuple[str | None, list[Job]]:
-    """The config's output dir and the run's jobs, every config parsed and validated."""
+def _plan(subcommand: str, raw: dict) -> list[Job]:
+    """The run's jobs, every config parsed and validated: one for a plain run, one per sweep combination."""
     entry = SUBCOMMANDS[subcommand]
-    fmt, out_dir = _parse_output(raw.get("output", {}), "output", entry.formats, with_dir=True)
     if entry.run is None:
-        return out_dir, entry.parse(raw, fmt)
-    return out_dir, [Job(None, subcommand, raw, entry.parse(raw, fmt))]
+        return entry.parse(raw)
+    return [Job(None, subcommand, raw, entry.parse(raw))]
 
 
 def _override_seed(raw: dict, subcommand: str, seed: int) -> None:
-    """Write seed into the config; a non-object is left for the parser to reject."""
+    """Write seed into the config; a section that is missing or not an object, or a sweep of a
+    subcommand with no ensemble, is left for the parser to reject, as it would be without --seed."""
     if subcommand in ENSEMBLE_SUBCOMMANDS:
-        ensemble = raw.setdefault("ensemble", {})
+        ensemble = raw.get("ensemble")
         if isinstance(ensemble, dict):
             ensemble["seed"] = seed
     elif subcommand == "oracle":
         raw["seed"] = seed
     elif subcommand == "phasematch":
         raise ConfigError("--seed: phasematch has no seed")
-    elif subcommand == "sweep":
-        base = raw.setdefault("base", {})
+    elif subcommand == "sweep" and raw.get("subcommand") in ENSEMBLE_SUBCOMMANDS:
+        base = raw.get("base")
         if isinstance(base, dict):
-            _override_seed(base, raw.get("subcommand", ""), seed)
+            _override_seed(base, raw["subcommand"], seed)
 
 
 # ---------------------------------------------------------------------------
@@ -855,25 +832,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("subcommand", choices=SUBCOMMANDS, metavar="subcommand", help="one of those listed above")
     parser.add_argument("--config", required=True, help="JSON configuration file")
-    parser.add_argument("--out", default=None, help="output directory")
+    parser.add_argument("--out", default="out", help="output directory (default: out)")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--threads", type=int, default=None, help="worker process count")
+    parser.add_argument("--threads", type=int, default=1, help="worker process count, at least 1 (default: 1)")
     parser.add_argument("--force", action="store_true", help="allow overwriting outputs")
     return parser
-
-
-def _thread_count(flag: int | None) -> int:
-    """--threads if given, else RYDDEPHASE_THREADS (default 1); at least 1."""
-    threads, source = flag, "--threads"
-    if flag is None:
-        raw, source = os.environ.get(THREADS_ENV, "1"), THREADS_ENV
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise ConfigError(f"{THREADS_ENV}: expected an integer, got {raw!r}") from None
-    if threads < 1:
-        raise ConfigError(f"{source}: expected an integer >= 1, got {threads}")
-    return threads
 
 
 def _run(jobs: list[Job], session: OutputSession, pool) -> None:
@@ -888,20 +851,19 @@ def _run(jobs: list[Job], session: OutputSession, pool) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        threads = _thread_count(args.threads)
+        if args.threads < 1:
+            raise ConfigError(f"--threads: expected an integer >= 1, got {args.threads}")
         try:
             text = Path(args.config).read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
         raw = _decode(text, f" in {args.config}")
         if args.seed is not None:
             _override_seed(raw, args.subcommand, args.seed)
-        out_dir, jobs = _plan(args.subcommand, raw)
-        if args.out is not None:
-            out_dir = args.out
-        session = OutputSession(Path("out" if out_dir is None else out_dir), args.subcommand, raw, args.force)
+        jobs = _plan(args.subcommand, raw)
+        session = OutputSession(Path(args.out), args.subcommand, raw, args.force)
         # phasematch and oracle configs run no realizations
-        pool = _make_pool(threads, max(getattr(job.config, "realizations", 1) for job in jobs))
+        pool = _make_pool(args.threads, max(getattr(job.config, "realizations", 1) for job in jobs))
         try:
             _run(jobs, session, pool)
             manifest = session.finish()

@@ -313,7 +313,8 @@ def _trace_single_realization(args) -> np.ndarray:
     seed = realization_seed(ensemble.seed, index)
     positions = sample_positions(replace(ensemble, seed=seed))
     try:
-        return points(positions, *params)
+        with np.errstate(all="ignore"):  # an overflowing phase is reported as the NumericsError below
+            return points(positions, *params)
     except NumericsError as exc:
         raise NumericsError(f"realization {index} (seed {seed}): {exc}") from exc
 

@@ -5,13 +5,14 @@ import os
 import runpy
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ryddephase import cli
-from ryddephase.atomdata import InteractionModel, MicrowaveSpec, RydbergChannel
+from ryddephase.atomdata import InteractionModel, MicrowaveSpec, RydbergChannel, c3_of
 from ryddephase.cli import ConfigError, main, parse_config
 from ryddephase.correlation import realization_seed
 from ryddephase.ensemble import EnsembleSpec, sample_positions
@@ -19,6 +20,7 @@ from ryddephase.ensemble import EnsembleSpec, sample_positions
 from statevector import brute_force_g2
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+MODEL = {"reference_c3": 2.6e4, "reference_n": 60}
 
 MINIMAL = {
     "ensemble": {"n_atoms": 20, "box_side_um": 60.0, "seed": 7},
@@ -281,38 +283,15 @@ def test_threaded_run_matches_serial(tmp_path):
     assert (out1 / "g2_trace.csv").read_bytes() == (out2 / "g2_trace.csv").read_bytes()
 
 
-def test_thread_env_variable(tmp_path, monkeypatch):
-    cfg = json.loads(json.dumps(MINIMAL))
-    cfg["realizations"] = 3
-    path = write_config(tmp_path, cfg)
-    out1, out2 = tmp_path / "env", tmp_path / "flag"
-    monkeypatch.setenv("RYDDEPHASE_THREADS", "2")
-    assert main(["g2-trace", "--config", str(path), "--out", str(out1)]) == 0
-    monkeypatch.delenv("RYDDEPHASE_THREADS")
-    assert main(["g2-trace", "--config", str(path), "--out", str(out2)]) == 0
-    assert (out1 / "g2_trace.csv").read_bytes() == (out2 / "g2_trace.csv").read_bytes()
-
-
-def test_thread_env_variable_must_be_an_integer(tmp_path, monkeypatch, capsys):
-    path = write_config(tmp_path, MINIMAL)
-    monkeypatch.setenv("RYDDEPHASE_THREADS", "abc")
-    assert main(["g2-trace", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
-    assert "config error: RYDDEPHASE_THREADS" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
-
-
-@pytest.mark.parametrize("source", ["--threads", "RYDDEPHASE_THREADS"])
+@pytest.mark.parametrize("spelling", ["--threads", "--threads="])
 @pytest.mark.parametrize("value", ["0", "-2"])
-def test_thread_count_below_one_is_a_config_error(tmp_path, monkeypatch, capsys, source, value):
+def test_thread_count_below_one_is_a_config_error(tmp_path, capsys, spelling, value):
+    # argparse takes a separate "-2" as the flag's value only while no option looks like a negative number
+    flag = [spelling + value] if spelling.endswith("=") else [spelling, value]
     path = write_config(tmp_path, MINIMAL)
-    argv = ["g2-trace", "--config", str(path), "--out", str(tmp_path / "o")]
-    if source == "--threads":
-        argv += ["--threads", value]
-    else:
-        monkeypatch.setenv("RYDDEPHASE_THREADS", value)
-    assert main(argv) == 1
+    assert main(["g2-trace", "--config", str(path), "--out", str(tmp_path / "o"), *flag]) == 1
     err = capsys.readouterr().err
-    assert f"config error: {source}: expected an integer >= 1, got {value}" in err
+    assert f"config error: --threads: expected an integer >= 1, got {value}" in err
     assert not (tmp_path / "o").exists()
 
 
@@ -327,6 +306,8 @@ def test_every_subcommand_parses_with_the_shared_flags(subcommand):
         "threads": 2,
         "force": True,
     }
+    defaults = vars(cli.build_parser().parse_args([subcommand, "--config", "c.json"]))
+    assert defaults == {"subcommand": subcommand, "config": "c.json", "out": "out", "seed": None, "threads": 1, "force": False}
 
 
 def test_an_unknown_subcommand_exits_2(capsys):
@@ -422,6 +403,29 @@ def test_scan_n_emits_one_trace_per_n(tmp_path):
     assert (out / "g2_trace_n100.csv").exists()
 
 
+def test_scan_n_schedules_resolve_each_channel_from_the_table_then_the_model():
+    # per n, the parsed schedule with s_n = p_n = n and C3 looked up again: the table row where
+    # (n, n, p_j) has one, else the model at n; drive and free interval carry over unchanged
+    table = [{"s_n": 79, "p_n": 79, "p_j": 1.5, "c3": 1.25e5}, {"s_n": 100, "p_n": 100, "p_j": 0.5, "c3": 2.1e5}]
+    cycle = {"s_n": 90, "p_n": 90, "delta_t_us": 0.5, "rabi_rad_per_us": 12.0, "polarization": "sigma_minus"}
+    raw = dict(
+        MINIMAL,
+        interaction={"model": MODEL, "table": table},
+        schedule={"cycles": [dict(cycle, p_j=0.5), dict(cycle, p_j=1.5000000001, pulse_model="finite_duration")]},
+        scan_n=[60, 79, 100],
+    )
+    cfg = parse_config(json.dumps(raw))
+    model = InteractionModel(**MODEL)
+    c3 = {(79, 1.5): 1.25e5, (100, 0.5): 2.1e5}
+    assert list(cfg.scan_schedules) == [60, 79, 100]
+    for n, schedule in cfg.scan_schedules.items():
+        expected = []
+        for plain in cfg.schedule.cycles:
+            p_j = plain.channel.p_j
+            expected.append(replace(plain, channel=RydbergChannel(n, n, p_j, c3.get((n, p_j), c3_of(n, model)))))
+        assert list(schedule.cycles) == expected
+
+
 def test_json_output_mirrors_csv_columns(tmp_path):
     cfg = json.loads(json.dumps(MINIMAL))
     cfg["realizations"] = 2
@@ -433,6 +437,25 @@ def test_json_output_mirrors_csv_columns(tmp_path):
     for key in ("t_us", "g2_mean", "g2_stderr", "f_mean", "h_mean", "n_realizations"):
         assert key in payload
     assert np.array(payload["per_realization"]["g2"]).shape == (2, 5)
+
+
+@pytest.mark.parametrize("case", ["config-not-utf-8", "out-is-a-file", "out-below-a-file"])
+def test_unusable_paths_exit_1_without_a_traceback(tmp_path, capsys, case):
+    path = write_config(tmp_path, MINIMAL)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory")
+    out = {"out-is-a-file": blocker, "out-below-a-file": blocker / "out"}.get(case, tmp_path / "out")
+    if case == "config-not-utf-8":
+        path.write_bytes(b"\xff\xfe" + json.dumps(MINIMAL).encode("utf-16-le"))
+    assert main(["g2-trace", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    if case == "config-not-utf-8":
+        assert "config error: cannot read config: 'utf-8' codec can't decode" in err
+    else:
+        assert f"config error: cannot write outputs to {out}: {blocker} is not a directory" in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["blocker", "config.json"]
+    assert blocker.read_text() == "not a directory"
 
 
 def test_config_error_exit_code(tmp_path):
@@ -462,14 +485,13 @@ def test_non_finite_numbers_are_config_errors(tmp_path, capsys, config_name, sub
     assert not out.exists()
 
 
-def test_non_string_output_dir_is_a_config_error(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    path = write_config(tmp_path, {"output": {"dir": 5}})
-    assert main(["phasematch", "--config", str(path)]) == 1
-    assert "config error: output.dir: expected a string path" in capsys.readouterr().err
-
-
 ORACLE = {"n_atoms": 6, "draws": 2, "seed": 21}
+ENTANGLE = {
+    "ensemble": {"n_atoms": 12, "box_side_um": 60.0, "seed": 5},
+    "entangle": {"n": 99, "c3_prime": 2.0e5, "c3_second": 1.6e5},
+    "grid": {"start_us": 0.0, "stop_us": 1.0, "points": 2},
+    "realizations": 2,
+}
 PHASEMATCH = {"beams": [{"wavelength_nm": 780.0, "sign": 1}, {"wavelength_nm": 480.0, "sign": 1}], "solve_offaxis": False}
 SWEEP = {"subcommand": "g2-trace", "base": dict(MINIMAL, realizations=2), "axes": [{"path": "ensemble.n_atoms", "values": [10]}]}
 
@@ -482,13 +504,30 @@ SWEEP = {"subcommand": "g2-trace", "base": dict(MINIMAL, realizations=2), "axes"
             {"ensemble": MINIMAL["ensemble"], "schedule": MINIMAL["schedule"], "realizations": 2, "scan_n": [60, 100]},
             "config.scan_n: unknown key",
         ),
-        ("oracle", dict(ORACLE, output={"format": "csv"}), "output.format: expected one of ['json'], got 'csv'"),
+        ("oracle", dict(ORACLE, output={"format": "csv"}), "config.output: unknown key"),
         ("oracle", dict(ORACLE, box_side_um=60.0), "config.box_side_um: unknown key"),
-        ("phasematch", dict(PHASEMATCH, output={"format": "csv"}), "output.format: expected one of ['json'], got 'csv'"),
-        ("sweep", dict(SWEEP, output={"format": "json"}), "output.format: unknown key"),
+        ("phasematch", dict(PHASEMATCH, output={"format": "csv"}), "config.output: unknown key"),
+        ("sweep", dict(SWEEP, output={"format": "json"}), "config.output: unknown key"),
         ("sweep", dict(SWEEP, base=dict(SWEEP["base"], output={"dir": "elsewhere"})), "base.output.dir: unknown key"),
+        ("g2-trace", dict(MINIMAL, output={"format": "csv", "dir": "elsewhere"}), "output.dir: unknown key"),
+        ("entangle", dict(ENTANGLE, output={"dir": "elsewhere"}), "output.dir: unknown key"),
+        ("oracle", dict(ORACLE, amplitude="ones"), "config.amplitude: unknown key"),
+        ("oracle", dict(ORACLE, output={"format": "json"}), "config.output: unknown key"),
+        ("phasematch", dict(PHASEMATCH, output={"format": "json"}), "config.output: unknown key"),
     ],
-    ids=["cycles-scan_n", "oracle-csv", "oracle-box_side_um", "phasematch-csv", "sweep-format", "sweep-base-dir"],
+    ids=[
+        "cycles-scan_n",
+        "oracle-csv",
+        "oracle-box_side_um",
+        "phasematch-csv",
+        "sweep-format",
+        "sweep-base-dir",
+        "g2-trace-dir",
+        "entangle-dir",
+        "oracle-amplitude",
+        "oracle-json",
+        "phasematch-json",
+    ],
 )
 def test_keys_a_subcommand_never_reads_are_rejected(tmp_path, monkeypatch, capsys, subcommand, payload, message):
     monkeypatch.chdir(tmp_path)
@@ -519,6 +558,12 @@ def _beam(**fields):
         ("g2-trace", dict(MINIMAL, schedule={"cycles": []}), "schedule.cycles: needs at least 1 entries"),
         ("g2-trace", dict(MINIMAL, ensemble=dict(MINIMAL["ensemble"], seed=2**64)), f"ensemble.seed: must be <= {2**64 - 1}"),
         ("g2-trace", [MINIMAL], "top-level config must be a JSON object"),
+        ("g2-trace", dict(MINIMAL, schedule={"cycles": [5]}), "schedule.cycles[0]: expected an object, got int"),
+        (
+            "g2-trace",
+            dict(MINIMAL, schedule={"cycles": ["cycle"]}, scan_n=[60], interaction={"model": MODEL}),
+            "schedule.cycles[0]: expected an object, got str",
+        ),
     ],
     ids=[
         "empty-grid",
@@ -533,6 +578,8 @@ def _beam(**fields):
         "list-length",
         "seed-above-64-bits",
         "top-level-array",
+        "cycle-not-an-object",
+        "scan_n-cycle-not-an-object",
     ],
 )
 def test_malformed_values_are_config_errors_with_their_path(tmp_path, capsys, subcommand, payload, message):
@@ -548,16 +595,6 @@ def test_axes_path_may_end_in_a_list_index():
     raw = dict(MINIMAL, scan_n=[60, 100])
     cli._apply_override(raw, "scan_n.1", 80)
     assert raw["scan_n"] == [60, 80]
-
-
-@pytest.mark.parametrize("subcommand, payload", [("oracle", ORACLE), ("phasematch", PHASEMATCH)])
-def test_json_only_subcommands_accept_format_json(tmp_path, subcommand, payload):
-    written = []
-    for label, extra in (("default", {}), ("json", {"output": {"format": "json"}})):
-        path = write_config(tmp_path, dict(payload, **extra))
-        assert main([subcommand, "--config", str(path), "--out", str(tmp_path / label)]) == 0
-        written.append((tmp_path / label / f"{subcommand}.json").read_bytes())
-    assert written[0] == written[1]
 
 
 PERFBENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
@@ -578,8 +615,7 @@ STALE_TRACER_TARGETS = {
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_benchmark_workload_configs_plan(name, seed):
     workload = WORKLOADS[name]
-    _, jobs = cli._plan(workload.subcommand, workload.config(seed))
-    assert len(jobs) == 1
+    assert len(cli._plan(workload.subcommand, workload.config(seed))) == 1
 
 
 def test_perfbench_tracer_targets_resolve():
@@ -600,7 +636,7 @@ def test_perfbench_tracer_targets_resolve():
 @pytest.mark.parametrize("n", [1, 99])
 def test_entangle_n_names_the_two_channels(n):
     raw = dict(WORKLOADS["entangle"].config(1), entangle={"n": n, "c3_prime": 2.0e5, "c3_second": 1.6e5})
-    (job,) = cli._plan("entangle", raw)[1]
+    (job,) = cli._plan("entangle", raw)
     # (n+1)s dressed through np_1/2 with C3', ns dressed through np_3/2 with C3'', no free interval of their own
     assert [mode.channel for mode in job.config.modes] == [
         RydbergChannel(n + 1, n, 0.5, 2.0e5),
@@ -625,7 +661,7 @@ OVERFLOW_GRID = {"start_us": 0.0, "stop_us": 1e306, "points": 3}  # C3 t overflo
 
 
 @pytest.mark.parametrize("subcommand", ["g2-trace", "entangle"])
-def test_an_overflowing_phase_is_a_numerical_failure(tmp_path, capsys, subcommand):
+def test_an_overflowing_phase_is_a_numerical_failure(tmp_path, subcommand):
     ensemble = {"n_atoms": 6, "box_side_um": 20.0, "seed": 3}
     if subcommand == "g2-trace":
         cfg = dict(MINIMAL, ensemble=ensemble, grid=OVERFLOW_GRID)
@@ -635,11 +671,14 @@ def test_an_overflowing_phase_is_a_numerical_failure(tmp_path, capsys, subcomman
         cfg["grid"] = OVERFLOW_GRID
     cfg["realizations"] = 2
     out = tmp_path / "out"
-    with np.errstate(all="ignore"):
-        code = main([subcommand, "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert f"numerical failure: realization 0 (seed {realization_seed(3, 0)}): non-finite pair sum" in err
+    # a fresh process with the default warning filters, two workers: what a user's terminal shows
+    argv = [subcommand, "--config", str(write_config(tmp_path, cfg)), "--out", str(out), "--threads", "2"]
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "ryddephase.cli", *argv], env=env, capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert f"numerical failure: realization 0 (seed {realization_seed(3, 0)}): non-finite pair sum" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr  # numpy's overflow warnings stay inside the realization
     assert not out.exists()
 
 
@@ -904,21 +943,6 @@ def test_seed_override_of_oracle_sets_the_seed_and_the_cases(tmp_path):
     assert json.loads((out / "oracle.json").read_text())["cases"] == reports["flag"]["cases"]
 
 
-def test_oracle_with_unit_amplitudes(tmp_path):
-    from ryddephase import g2_from_amplitudes
-
-    path = write_config(tmp_path, {"n_atoms": 6, "draws": 3, "seed": 21, "amplitude": "ones"})
-    out = tmp_path / "out"
-    assert main(["oracle", "--config", str(path), "--out", str(out)]) == 0
-    payload = json.loads((out / "oracle.json").read_text())
-    flat = g2_from_amplitudes(np.ones(15), 6).g2
-    # with no dephasing every draw gives the same g2, whatever the geometry
-    assert [case["approx_g2"] for case in payload["cases"]] == [flat] * 3
-    exact = [case["exact_g2"] for case in payload["cases"]]
-    assert exact == pytest.approx([exact[0]] * 3, rel=1e-12)
-    assert payload["pass"] is True
-
-
 def test_sweep_runs_cartesian_product(tmp_path):
     base = json.loads(json.dumps(MINIMAL))
     base["realizations"] = 2
@@ -956,12 +980,7 @@ def test_sweep_combinations_writing_one_file_twice_are_a_config_error(tmp_path, 
 def test_sweep_over_entangle(tmp_path):
     sweep = {
         "subcommand": "entangle",
-        "base": {
-            "ensemble": {"n_atoms": 12, "box_side_um": 60.0, "seed": 5},
-            "entangle": {"n": 99, "c3_prime": 2.0e5, "c3_second": 1.6e5},
-            "grid": {"start_us": 0.0, "stop_us": 1.0, "points": 2},
-            "realizations": 2,
-        },
+        "base": ENTANGLE,
         "axes": [{"path": "entangle.c3_prime", "values": [100000.0, 200000.0]}],
     }
     path = write_config(tmp_path, sweep)
@@ -1017,6 +1036,28 @@ def test_sweep_rejects_unknown_path(tmp_path, capsys):
 def test_seed_override_of_a_non_object_is_a_config_error(tmp_path, capsys, subcommand, payload, message):
     path = write_config(tmp_path, payload)
     assert main([subcommand, "--config", str(path), "--out", str(tmp_path / "o"), "--seed", "3"]) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [None, "3"])
+@pytest.mark.parametrize(
+    "subcommand, payload, message",
+    [
+        (
+            "sweep",
+            {"subcommand": "phasematch", "base": PHASEMATCH, "axes": []},
+            "subcommand: expected one of ['cycles', 'entangle', 'g2-trace'], got 'phasematch'",
+        ),
+        ("sweep", {"subcommand": "g2-trace", "axes": []}, "config.base: missing required key"),
+        ("g2-trace", {"schedule": MINIMAL["schedule"], "grid": MINIMAL["grid"]}, "config.ensemble: missing required key"),
+    ],
+    ids=["sweep-of-phasematch", "sweep-without-base", "g2-trace-without-ensemble"],
+)
+def test_seed_override_leaves_the_parser_error_unchanged(tmp_path, capsys, subcommand, payload, message, seed):
+    # --seed writes only into a section that can hold it, so the config is reported as it would be without it
+    path = write_config(tmp_path, payload)
+    argv = [subcommand, "--config", str(path), "--out", str(tmp_path / "o")] + (["--seed", seed] if seed else [])
+    assert main(argv) == 1
     assert f"config error: {message}" in capsys.readouterr().err
 
 
