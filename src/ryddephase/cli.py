@@ -1,9 +1,10 @@
 """Command line entry point: config parsing, run orchestration, output emission.
 
 Configs are JSON with a strict schema (unknown keys are rejected, a key the
-subcommand would not read among them; errors name the offending field path).  main plans a run before it runs it: every config,
-each sweep combination included, is parsed and validated first, then one
-worker pool serves all of them.  Every run writes its data files plus a manifest
+subcommand would not read among them; errors name the offending field path).
+main plans a run before it runs it: every config, each sweep combination
+included, is parsed and validated and its output directory checked first,
+then one worker pool serves all of them.  Every run writes its data files plus a manifest
 recording the config hash, the derived per-realization seeds, the package
 version and the wall-clock duration; re-running the same config and seed
 reproduces the data files byte for byte, regardless of the thread count.
@@ -255,7 +256,6 @@ class RunConfig:
     grid: np.ndarray | None
     realizations: int
     output_format: str
-    reference_tau: float | None = None  # cycles only: tau of the e^(-T/tau) reference column
 
 
 def parse_config(text: str, subcommand: str = "g2-trace") -> RunConfig:
@@ -279,8 +279,6 @@ def _parse_trace_config(raw, subcommand) -> RunConfig:
     if subcommand == "g2-trace":
         required.append("grid")
         optional.append("scan_n")
-    else:
-        optional.append("reference_tau_us")
     _check_mapping(raw, "config", required, optional)
     model, table = _parse_interaction(raw.get("interaction", {}), "interaction")
     ensemble = _parse_ensemble(raw["ensemble"], "ensemble")
@@ -301,11 +299,6 @@ def _parse_trace_config(raw, subcommand) -> RunConfig:
     mode = _as_choice(raw.get("mode", "analytic"), "mode", ("analytic", "multichannel"))
     realizations = _as_int(raw.get("realizations", 100), "realizations", minimum=1)
     grid = _parse_grid(raw["grid"], "grid") if subcommand == "g2-trace" else None
-    tau = None
-    if subcommand == "cycles":  # the reference defaults to the mean cycle duration
-        tau = schedule.total_time / len(schedule)
-        if "reference_tau_us" in raw:
-            tau = _as_float(raw["reference_tau_us"], "reference_tau_us", strict_min=0.0)
     return RunConfig(
         ensemble=ensemble,
         schedule=schedule,
@@ -314,7 +307,6 @@ def _parse_trace_config(raw, subcommand) -> RunConfig:
         grid=grid,
         realizations=realizations,
         output_format=_parse_output(raw.get("output", {}), "output"),
-        reference_tau=tau,
     )
 
 
@@ -323,16 +315,12 @@ def _parse_trace_config(raw, subcommand) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x) -> str:
-    """Shortest round-trip decimal form; byte-stable across platforms."""
-    return repr(float(x))
-
-
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    """A cell is str(x) for an int, else repr(float(x)): the shortest round-trip form, byte-stable across platforms."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(row) + "\n")
+            fh.write(",".join(str(x) if isinstance(x, int) else repr(float(x)) for x in row) + "\n")
 
 
 def _write_json(path: Path, obj) -> None:
@@ -428,25 +416,20 @@ class OutputSession:
             os.replace(temporary, final)
 
 
-def _trace_rows(trace: G2Trace):
-    for it, t in enumerate(trace.grid):
-        yield [
-            _fmt(t),
-            _fmt(trace.g2_mean[it]),
-            _fmt(trace.g2_stderr[it]),
-            _fmt(trace.f_mean[it]),
-            _fmt(trace.h_mean[it]),
-            str(trace.realizations),
-        ]
+def _trace_columns(trace: G2Trace) -> dict:
+    """The trace's five summary columns, by name."""
+    return {
+        "t_us": trace.grid,
+        "g2_mean": trace.g2_mean,
+        "g2_stderr": trace.g2_stderr,
+        "f_mean": trace.f_mean,
+        "h_mean": trace.h_mean,
+    }
 
 
 def _trace_json(trace: G2Trace) -> dict:
     return {
-        "t_us": [float(t) for t in trace.grid],
-        "g2_mean": [float(x) for x in trace.g2_mean],
-        "g2_stderr": [float(x) for x in trace.g2_stderr],
-        "f_mean": [float(x) for x in trace.f_mean],
-        "h_mean": [float(x) for x in trace.h_mean],
+        **{name: [float(x) for x in column] for name, column in _trace_columns(trace).items()},
         "n_realizations": trace.realizations,
         "seeds": list(trace.seeds),
         "per_realization": {
@@ -486,54 +469,41 @@ def _make_pool(threads: int, realizations: int):
 # subcommand runners: each takes (config, session, pool)
 # ---------------------------------------------------------------------------
 
-TRACE_HEADER = ["t_us", "g2_mean", "g2_stderr", "f_mean", "h_mean", "n_realizations"]
 
-
-def _write_data(session: OutputSession, stem: str, output_format: str, header, rows, payload) -> None:
-    """stem.csv from header and rows, or stem.json from payload(), as output.format asks."""
+def _write_data(session: OutputSession, stem: str, output_format: str, columns: dict, payload) -> None:
+    """stem.csv with one column per entry of columns (ragged columns raise), or stem.json from payload()."""
     if output_format == "csv":
-        _write_csv(session.claim(f"{stem}.csv"), header, rows)
+        _write_csv(session.claim(f"{stem}.csv"), list(columns), zip(*columns.values(), strict=True))
     else:
         _write_json(session.claim(f"{stem}.json"), payload())
 
 
 def run_g2_trace(cfg: RunConfig, session: OutputSession, pool) -> None:
     for n, schedule in cfg.scan_schedules.items() or [(None, cfg.schedule)]:
-        trace = g2_trace(
-            cfg.ensemble,
-            schedule,
-            cfg.grid,
-            mode=cfg.mode,
-            realizations=cfg.realizations,
-            pool=pool,
-        )
+        trace = g2_trace(cfg.ensemble, schedule, cfg.grid, mode=cfg.mode, realizations=cfg.realizations, pool=pool)
         session.seeds = list(trace.seeds)
         stem = "g2_trace" if n is None else f"g2_trace_n{n}"
-        _write_data(session, stem, cfg.output_format, TRACE_HEADER, _trace_rows(trace), lambda: _trace_json(trace))
+        columns = dict(_trace_columns(trace), n_realizations=[trace.realizations] * len(trace.grid))
+        _write_data(session, stem, cfg.output_format, columns, lambda: _trace_json(trace))
 
 
 def run_cycles(cfg: RunConfig, session: OutputSession, pool) -> None:
-    trace = g2_after_cycles(
-        cfg.ensemble,
-        cfg.schedule,
-        mode=cfg.mode,
-        realizations=cfg.realizations,
-        pool=pool,
-    )
+    trace = g2_after_cycles(cfg.ensemble, cfg.schedule, mode=cfg.mode, realizations=cfg.realizations, pool=pool)
     session.seeds = list(trace.seeds)
-    tau = cfg.reference_tau
-    n = cfg.ensemble.n_atoms
-    flat = unit_point(n)
+    tau = cfg.schedule.total_time / len(cfg.schedule)  # the reference decays over the mean cycle duration
     reference = [decay_reference(tau, float(t)) for t in trace.grid]
-    header = ["cycle", "t_us", "g2_mean", "g2_stderr", "f_mean", "h_mean", "reference"]
-    rows = [["0", _fmt(0.0), _fmt(flat.g2), _fmt(0.0), _fmt(flat.f), _fmt(flat.h), _fmt(1.0)]]
-    for q, (row, ref) in enumerate(zip(_trace_rows(trace), reference), start=1):
-        rows.append([str(q), *row[:5], _fmt(ref)])  # row[5] is the realization count
+    flat = unit_point(cfg.ensemble.n_atoms)
+    start = (0.0, flat.g2, 0.0, flat.f, flat.h)  # the pre-protocol point, in _trace_columns order
+    columns = {
+        "cycle": range(len(reference) + 1),
+        **{name: [x, *column] for x, (name, column) in zip(start, _trace_columns(trace).items(), strict=True)},
+        "reference": [1.0, *reference],
+    }
 
     def payload():
         return dict(_trace_json(trace), reference_tau_us=tau, reference=reference, g2_flat=flat.g2)
 
-    _write_data(session, "cycles", cfg.output_format, header, rows, payload)
+    _write_data(session, "cycles", cfg.output_format, columns, payload)
 
 
 @dataclass
@@ -568,12 +538,8 @@ def _parse_entangle_config(raw) -> EntangleConfig:
 def run_entangle(cfg: EntangleConfig, session: OutputSession, pool) -> None:
     f, m1, m2, seeds = entangle_trace(cfg.ensemble, cfg.modes, cfg.grid, realizations=cfg.realizations, pool=pool)
     session.seeds = list(seeds)
-    header = ["t_us", "F", "abs_m1", "abs_m2"]
-    columns = (cfg.grid, f, m1, m2)
-    rows = ([_fmt(t), _fmt(f[i]), _fmt(m1[i]), _fmt(m2[i])] for i, t in enumerate(cfg.grid))
-    _write_data(
-        session, "entangle", cfg.output_format, header, rows, lambda: {k: v.tolist() for k, v in zip(header, columns)}
-    )
+    columns = {"t_us": cfg.grid, "F": f, "abs_m1": m1, "abs_m2": m2}
+    _write_data(session, "entangle", cfg.output_format, columns, lambda: {k: v.tolist() for k, v in columns.items()})
 
 
 def _parse_phasematch_config(raw) -> dict:
@@ -599,6 +565,8 @@ def _parse_phasematch_config(raw) -> dict:
         beams.append(Beam(wavelength, sign, direction / norm))
     speed = _as_float(raw.get("speed_m_per_s", 0.1), "speed_m_per_s", strict_min=0.0)
     do_offaxis = _as_bool(raw.get("solve_offaxis", True), "solve_offaxis")
+    if do_offaxis and len(beams) < 2:
+        _fail("beams", "the off-axis solver needs at least two beams; set solve_offaxis to false")
     return {"beams": beams, "speed": speed, "solve_offaxis": do_offaxis}
 
 
@@ -839,15 +807,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run(jobs: list[Job], session: OutputSession, pool) -> None:
-    for job in jobs:
-        target = session if job.label is None else session.sub_session(job.label, job.subcommand, job.raw)
-        SUBCOMMANDS[job.subcommand].run(job.config, target, pool)
-        if target is not session:
-            session.outputs += [*target.outputs, target.finish()]
-            session.seeds += target.seeds
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -862,10 +821,19 @@ def main(argv=None) -> int:
             _override_seed(raw, args.subcommand, args.seed)
         jobs = _plan(args.subcommand, raw)
         session = OutputSession(Path(args.out), args.subcommand, raw, args.force)
+        # each sweep combination's session checks its directory now, before any work
+        targets = [
+            session if job.label is None else session.sub_session(job.label, job.subcommand, job.raw) for job in jobs
+        ]
         # phasematch and oracle configs run no realizations
         pool = _make_pool(args.threads, max(getattr(job.config, "realizations", 1) for job in jobs))
         try:
-            _run(jobs, session, pool)
+            for job, target in zip(jobs, targets):
+                target.started = time.perf_counter()  # a manifest's duration_s counts its own job's run
+                SUBCOMMANDS[job.subcommand].run(job.config, target, pool)
+                if target is not session:
+                    session.outputs += [*target.outputs, target.finish()]
+                    session.seeds += target.seeds
             manifest = session.finish()
             session.commit()
         finally:

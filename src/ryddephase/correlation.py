@@ -216,7 +216,7 @@ class G2Trace:
         return self.g2.shape[0]
 
     # each summary reduces the whole (R, T) array, so it is computed once
-    # for a writer that reads it row by row
+    # per trace, however often it is read
 
     @cached_property
     def g2_mean(self) -> np.ndarray:

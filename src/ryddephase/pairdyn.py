@@ -8,8 +8,10 @@ during the free interval and the cycle survival amplitude is
 
     A(phi) = exp(i phi / 2) cos(phi / 2) = (1 + exp(i phi)) / 2.
 
-analytic_cycle_amplitude is the one place for this closed form, shared by
-the g2 drivers and the entanglement coherences.  It is evaluated from one
+_half_angle_amplitude_into is the one place for this closed form: both
+analytic_cycle_amplitude (scalars and arrays, as entangle_fidelity uses it)
+and analytic_pair_amplitudes (the per-pair kernel the g2 and entangle
+drivers reach through correlation's sources) call it.  It is evaluated from one
 real tangent, A = (1 + i t) / (1 + t^2) with t = tan(phi / 2), which equals
 (1 + cos phi) / 2 + i sin(phi) / 2: no complex exp, and one transcendental
 per pair where cos and sin take two.  Every amplitude stays

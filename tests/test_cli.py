@@ -514,6 +514,11 @@ SWEEP = {"subcommand": "g2-trace", "base": dict(MINIMAL, realizations=2), "axes"
         ("oracle", dict(ORACLE, amplitude="ones"), "config.amplitude: unknown key"),
         ("oracle", dict(ORACLE, output={"format": "json"}), "config.output: unknown key"),
         ("phasematch", dict(PHASEMATCH, output={"format": "json"}), "config.output: unknown key"),
+        (
+            "cycles",
+            {"ensemble": MINIMAL["ensemble"], "schedule": MINIMAL["schedule"], "reference_tau_us": 5.0},
+            "config.reference_tau_us: unknown key",
+        ),
     ],
     ids=[
         "cycles-scan_n",
@@ -527,6 +532,7 @@ SWEEP = {"subcommand": "g2-trace", "base": dict(MINIMAL, realizations=2), "axes"
         "oracle-amplitude",
         "oracle-json",
         "phasematch-json",
+        "cycles-reference_tau_us",
     ],
 )
 def test_keys_a_subcommand_never_reads_are_rejected(tmp_path, monkeypatch, capsys, subcommand, payload, message):
@@ -589,6 +595,19 @@ def test_malformed_values_are_config_errors_with_their_path(tmp_path, capsys, su
     assert f"config error: {message}" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_one_beam_needs_the_offaxis_solver_off(tmp_path, capsys):
+    one_beam = {"beams": PHASEMATCH["beams"][:1]}  # solve_offaxis defaults to true
+    out = tmp_path / "out"
+    assert main(["phasematch", "--config", str(write_config(tmp_path, one_beam)), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error: beams: " in err
+    assert "Traceback" not in err
+    assert not out.exists()
+    path = write_config(tmp_path, dict(one_beam, solve_offaxis=False))
+    assert main(["phasematch", "--config", str(path), "--out", str(out)]) == 0
+    assert "offaxis" not in json.loads((out / "phasematch.json").read_text())
 
 
 def test_axes_path_may_end_in_a_list_index():
@@ -748,23 +767,6 @@ def test_cycles_run_includes_reference_column(tmp_path):
     last = lines[-1].split(",")
     assert float(last[1]) == pytest.approx(2 * tau)
     assert float(last[6]) == pytest.approx(math.exp(-2.0), rel=1e-12)
-
-
-def test_cycles_reference_column_follows_reference_tau(tmp_path):
-    cfg = {
-        "ensemble": {"n_atoms": 10, "box_side_um": 60.0, "seed": 3},
-        "schedule": MINIMAL["schedule"],
-        "realizations": 2,
-        "reference_tau_us": 5.0,
-    }
-    path = write_config(tmp_path, cfg)
-    out = tmp_path / "out"
-    assert main(["cycles", "--config", str(path), "--out", str(out)]) == 0
-    rows = [line.split(",") for line in (out / "cycles.csv").read_text().splitlines()[1:]]
-    assert len(rows) == 2  # cycle 0 and the one cycle
-    for row in rows:
-        assert float(row[6]) == pytest.approx(math.exp(-float(row[1]) / 5.0), rel=1e-12)
-    assert float(rows[1][1]) == pytest.approx(1.0 + 0.2 * math.pi)
 
 
 @pytest.mark.parametrize(
@@ -1091,6 +1093,35 @@ def test_sweep_validates_every_combination_before_running_any(tmp_path, monkeypa
     assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
     assert "config error: base.ensemble.n_atoms: must be >= 2, got 1 (combination n_atoms=1)" in capsys.readouterr().err
     assert calls == []
+
+
+@pytest.mark.parametrize("blocker", ["file", "manifest"])
+def test_sweep_checks_every_combination_directory_before_running_any(tmp_path, monkeypatch, capsys, blocker):
+    calls = []
+    g2_trace = cli.g2_trace
+
+    def counting_g2_trace(*args, **kwargs):
+        calls.append(1)
+        return g2_trace(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "g2_trace", counting_g2_trace)
+    path = write_config(tmp_path, dict(SWEEP, axes=[{"path": "ensemble.n_atoms", "values": [50, 100]}]))
+    out = tmp_path / "out"
+    late = out / "n_atoms=100"
+    if blocker == "file":
+        out.mkdir()
+        late.write_text("not a directory")
+        message = f"cannot write outputs to {late}: {late} is not a directory"
+    else:
+        late.mkdir(parents=True)
+        (late / "manifest.json").write_text("{}")
+        message = f"refusing to overwrite {late / 'manifest.json'}; pass --force"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: {message}" in err
+    assert "Traceback" not in err
+    assert calls == []
+    assert not (out / "n_atoms=50").exists()
 
 
 def test_sweep_starts_one_pool_for_all_combinations(tmp_path, monkeypatch):

@@ -178,6 +178,10 @@ def run_case(name: str, tmp_path: Path) -> dict:
     }
 
 
+def test_every_shipped_config_has_a_case():
+    assert {config for config, _, _ in CASES.values()} == {p.name for p in CONFIG_DIR.glob("*.json")}
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_shipped_config_outputs_match_golden_hashes(name, tmp_path):
     assert run_case(name, tmp_path) == GOLDEN[name]
