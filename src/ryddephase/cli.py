@@ -3,8 +3,8 @@
 Configs are JSON with a strict schema (unknown keys are rejected, a key the
 subcommand would not read among them; errors name the offending field path).
 main plans a run before it runs it: every config, each sweep combination
-included, is parsed and validated and its output directory checked first,
-then one worker pool serves all of them.  Every run writes its data files plus a manifest
+included, is parsed and validated and every file it writes named and checked
+first, then one worker pool serves all of them.  Every run writes its data files plus a manifest
 recording the config hash, the derived per-realization seeds, the package
 version and the wall-clock duration; re-running the same config and seed
 reproduces the data files byte for byte, regardless of the thread count.
@@ -89,7 +89,10 @@ def _as_int(value, path, minimum=None, maximum=None):
 def _as_float(value, path, minimum=None, strict_min=None):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        _fail(path, "expected a finite number, got an integer too large for a float")
     if not math.isfinite(value):
         _fail(path, f"expected a finite number, got {value}")
     if minimum is not None and value < minimum:
@@ -263,10 +266,20 @@ def parse_config(text: str, subcommand: str = "g2-trace") -> RunConfig:
     return _plan(subcommand, _decode(text, ""))[0].config
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict; a key repeated in one object is an error, not a silent overwrite."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"key {key!r} repeats in one object")
+        obj[key] = value
+    return obj
+
+
 def _decode(text: str, where: str) -> dict:
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, an over-long integer or a repeated key; deep nesting
         raise ConfigError(f"invalid JSON{where}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("top-level config must be a JSON object")
@@ -334,85 +347,60 @@ def _config_sha256(raw: dict) -> str:
     return hashlib.sha256(canon).hexdigest()
 
 
-def _file_sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 class OutputSession:
-    """Collects planned output files, enforces the overwrite policy, writes the manifest.
+    """The staging table of a run: every file it writes, final path -> temporary path.
 
-    Files, manifests included, are written under temporary names (claim
-    returns one) and commit renames them into place once the whole run has
-    succeeded, the top-level manifest last, so a failed run leaves no file
-    that would block a re-run.  A sweep's sub-sessions stage their files in
-    the top-level session's table.
+    main stages every file of a run when it plans it, data files before their
+    manifest; stage refuses a directory that is or lies below a file, an
+    existing path without --force and a path named twice, so a refused run
+    does no work.  commit renames the files, written under their temporary
+    names, into place in staging order once the whole run has succeeded.
     """
 
-    def __init__(self, out_dir: Path, subcommand: str, raw_config: dict, force: bool, staged=None):
-        self.out_dir = out_dir
-        self.subcommand = subcommand
-        self.raw_config = raw_config
+    def __init__(self, force: bool):
         self.force = force
-        self.outputs: list[Path] = []
-        self.seeds: list[int] = []
-        self.started = time.perf_counter()
-        self._staged: dict[Path, Path] = {} if staged is None else staged  # final -> temporary
-        existing = next((p for p in (out_dir, *out_dir.parents) if p.exists()), None)
-        if existing is not None and not existing.is_dir():  # else _stage's mkdir fails, after all the compute
-            raise ConfigError(f"cannot write outputs to {out_dir}: {existing} is not a directory")
-        if (out_dir / "manifest.json").exists() and not force:
-            raise ConfigError(
-                f"refusing to overwrite {out_dir / 'manifest.json'}; pass --force"
-            )
+        self.staged: dict[Path, Path] = {}
 
-    def sub_session(self, label: str, subcommand: str, raw_config: dict) -> "OutputSession":
-        return OutputSession(self.out_dir / label, subcommand, raw_config, self.force, self._staged)
-
-    def _stage(self, path: Path) -> Path:
+    def stage(self, path: Path) -> None:
+        existing = next((p for p in path.parents if p.exists()), None)
+        if existing is not None and not existing.is_dir():
+            raise ConfigError(f"cannot write outputs to {path.parent}: {existing} is not a directory")
         if path.exists() and not self.force:
             raise ConfigError(f"refusing to overwrite {path}; pass --force")
-        if path in self._staged:
+        if path in self.staged:
             raise ConfigError(f"{path} would be written twice by one run")
-        path.parent.mkdir(parents=True, exist_ok=True)
-        temporary = path.with_name(path.name + ".partial")
-        self._staged[path] = temporary
-        return temporary
+        self.staged[path] = path.with_name(path.name + ".partial")
 
-    def claim(self, name: str) -> Path:
-        """Temporary path to write output name to."""
-        path = self.out_dir / name
-        temporary = self._stage(path)
-        self.outputs.append(path)
-        return temporary
+    def temporary(self, path: Path) -> Path:
+        """The temporary path to write staged path to, its directory made."""
+        self.staged[path].parent.mkdir(parents=True, exist_ok=True)
+        return self.staged[path]
 
     def discard(self) -> None:
         """Delete staged files not renamed into place (after a failure)."""
-        for temporary in self._staged.values():
+        for temporary in self.staged.values():
             temporary.unlink(missing_ok=True)
 
-    def finish(self) -> Path:
-        manifest_path = self.out_dir / "manifest.json"
+    def finish(self, path: Path, subcommand: str, raw: dict, seeds: list, started: float, outputs: list) -> None:
+        """Write the manifest staged at path, listing outputs (written files) by path and each data file's sha256."""
+        entries = [{"path": str(p.relative_to(path.parent))} for p in outputs]
+        for entry, p in zip(entries, outputs):
+            if p.name != "manifest.json":  # a sweep's sub-manifest holds its own duration_s
+                entry["sha256"] = hashlib.sha256(self.staged[p].read_bytes()).hexdigest()
         manifest = {
-            "subcommand": self.subcommand,
+            "subcommand": subcommand,
             "version": __version__,
-            "config_sha256": _config_sha256(self.raw_config),
-            "config": self.raw_config,
-            "seeds": self.seeds,
-            "duration_s": time.perf_counter() - self.started,
-            "outputs": [self._output_entry(p) for p in self.outputs],
+            "config_sha256": _config_sha256(raw),
+            "config": raw,
+            "seeds": seeds,
+            "duration_s": time.perf_counter() - started,
+            "outputs": entries,
         }
-        _write_json(self._stage(manifest_path), manifest)
-        return manifest_path
-
-    def _output_entry(self, path: Path) -> dict:
-        entry = {"path": str(path.relative_to(self.out_dir))}
-        if path.name != "manifest.json":  # a sweep's sub-manifest holds its own duration_s
-            entry["sha256"] = _file_sha256(self._staged[path])
-        return entry
+        _write_json(self.temporary(path), manifest)
 
     def commit(self) -> None:
         """Rename every staged file into place, in the order staged."""
-        for final, temporary in self._staged.items():
+        for final, temporary in self.staged.items():
             os.replace(temporary, final)
 
 
@@ -466,30 +454,32 @@ def _make_pool(threads: int, realizations: int):
 
 
 # ---------------------------------------------------------------------------
-# subcommand runners: each takes (config, session, pool)
+# subcommand runners: each takes (config, ..., pool) and returns (seeds, columns, payload)
 # ---------------------------------------------------------------------------
 
 
-def _write_data(session: OutputSession, stem: str, output_format: str, columns: dict, payload) -> None:
-    """stem.csv with one column per entry of columns (ragged columns raise), or stem.json from payload()."""
-    if output_format == "csv":
-        _write_csv(session.claim(f"{stem}.csv"), list(columns), zip(*columns.values(), strict=True))
+def _write_data(path: Path, columns: dict, payload) -> None:
+    """The staged <name>.partial: columns as CSV columns (ragged ones raise) for a .csv name, else payload() as JSON."""
+    if path.with_suffix("").suffix == ".csv":
+        _write_csv(path, list(columns), zip(*columns.values(), strict=True))
     else:
-        _write_json(session.claim(f"{stem}.json"), payload())
+        _write_json(path, payload())
 
 
-def run_g2_trace(cfg: RunConfig, session: OutputSession, pool) -> None:
-    for n, schedule in cfg.scan_schedules.items() or [(None, cfg.schedule)]:
-        trace = g2_trace(cfg.ensemble, schedule, cfg.grid, mode=cfg.mode, realizations=cfg.realizations, pool=pool)
-        session.seeds = list(trace.seeds)
-        stem = "g2_trace" if n is None else f"g2_trace_n{n}"
-        columns = dict(_trace_columns(trace), n_realizations=[trace.realizations] * len(trace.grid))
-        _write_data(session, stem, cfg.output_format, columns, lambda: _trace_json(trace))
+def run_g2_trace(cfg: RunConfig, schedule: CycleSchedule, pool):
+    trace = g2_trace(cfg.ensemble, schedule, cfg.grid, mode=cfg.mode, realizations=cfg.realizations, pool=pool)
+    columns = dict(_trace_columns(trace), n_realizations=[trace.realizations] * len(trace.grid))
+    return list(trace.seeds), columns, lambda: _trace_json(trace)
 
 
-def run_cycles(cfg: RunConfig, session: OutputSession, pool) -> None:
+def _g2_trace_files(cfg: RunConfig) -> dict:
+    """g2_trace.<format>, or one g2_trace_n<n>.<format> per scan_n value."""
+    stems = {f"g2_trace_n{n}": s for n, s in cfg.scan_schedules.items()} or {"g2_trace": cfg.schedule}
+    return {f"{stem}.{cfg.output_format}": partial(run_g2_trace, cfg, s) for stem, s in stems.items()}
+
+
+def run_cycles(cfg: RunConfig, pool):
     trace = g2_after_cycles(cfg.ensemble, cfg.schedule, mode=cfg.mode, realizations=cfg.realizations, pool=pool)
-    session.seeds = list(trace.seeds)
     tau = cfg.schedule.total_time / len(cfg.schedule)  # the reference decays over the mean cycle duration
     reference = [decay_reference(tau, float(t)) for t in trace.grid]
     flat = unit_point(cfg.ensemble.n_atoms)
@@ -503,7 +493,7 @@ def run_cycles(cfg: RunConfig, session: OutputSession, pool) -> None:
     def payload():
         return dict(_trace_json(trace), reference_tau_us=tau, reference=reference, g2_flat=flat.g2)
 
-    _write_data(session, "cycles", cfg.output_format, columns, payload)
+    return list(trace.seeds), columns, payload
 
 
 @dataclass
@@ -535,11 +525,10 @@ def _parse_entangle_config(raw) -> EntangleConfig:
     )
 
 
-def run_entangle(cfg: EntangleConfig, session: OutputSession, pool) -> None:
+def run_entangle(cfg: EntangleConfig, pool):
     f, m1, m2, seeds = entangle_trace(cfg.ensemble, cfg.modes, cfg.grid, realizations=cfg.realizations, pool=pool)
-    session.seeds = list(seeds)
     columns = {"t_us": cfg.grid, "F": f, "abs_m1": m1, "abs_m2": m2}
-    _write_data(session, "entangle", cfg.output_format, columns, lambda: {k: v.tolist() for k, v in columns.items()})
+    return list(seeds), columns, lambda: {k: v.tolist() for k, v in columns.items()}
 
 
 def _parse_phasematch_config(raw) -> dict:
@@ -559,7 +548,10 @@ def _parse_phasematch_config(raw) -> dict:
         )
         if direction.shape != (3,):
             _fail(f"{bpath}.direction", "expected 3 components")
-        norm = np.linalg.norm(direction)
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(direction)
+        if not math.isfinite(norm):
+            _fail(f"{bpath}.direction", "its length overflows; scale the components down")
         if norm < 1e-12:
             _fail(f"{bpath}.direction", "zero vector")
         beams.append(Beam(wavelength, sign, direction / norm))
@@ -584,7 +576,7 @@ def _beams_json(beams, speed: float, angles_deg: list) -> dict:
     }
 
 
-def run_phasematch(parsed: dict, session: OutputSession, pool) -> None:
+def run_phasematch(parsed: dict, pool):
     beams = parsed["beams"]
     tilt = [
         math.degrees(math.atan2(float(np.hypot(b.direction[0], b.direction[1])), float(b.direction[2])))
@@ -600,7 +592,7 @@ def run_phasematch(parsed: dict, session: OutputSession, pool) -> None:
             payload["offaxis"] = _beams_json(off, parsed["speed"], [float(math.degrees(a)) for a in angles])
         except PhaseMatchInfeasible as exc:
             payload["offaxis"] = {"infeasible": str(exc)}
-    _write_json(session.claim("phasematch.json"), payload)
+    return [], None, lambda: payload
 
 
 def _parse_oracle_config(raw) -> dict:
@@ -612,7 +604,7 @@ def _parse_oracle_config(raw) -> dict:
     }
 
 
-def run_oracle(parsed: dict, session: OutputSession, pool) -> None:
+def run_oracle(parsed: dict, pool):
     n = parsed["n_atoms"]
     mu, nu = pair_index_arrays(n)
     rng = np.random.Generator(np.random.PCG64(parsed["seed"]))
@@ -628,20 +620,16 @@ def run_oracle(parsed: dict, session: OutputSession, pool) -> None:
         rel = abs(approx - exact) / exact if exact else abs(approx)
         worst = max(worst, rel)
         cases.append({"draw": draw, "approx_g2": approx, "exact_g2": exact, "rel_deviation": rel})
-    session.seeds = [parsed["seed"]]
     bound = 3.0 / n
-    _write_json(
-        session.claim("oracle.json"),
-        {
-            "n_atoms": n,
-            "draws": parsed["draws"],
-            "seed": parsed["seed"],
-            "max_rel_deviation": worst,
-            "bound": bound,
-            "pass": bool(worst <= bound),
-            "cases": cases,
-        },
-    )
+    return [parsed["seed"]], None, lambda: {
+        "n_atoms": n,
+        "draws": parsed["draws"],
+        "seed": parsed["seed"],
+        "max_rel_deviation": worst,
+        "bound": bound,
+        "pass": bool(worst <= bound),
+        "cases": cases,
+    }
 
 
 @dataclass
@@ -723,37 +711,48 @@ def _combo_label(axes, combo) -> str:
 
 @dataclass(frozen=True)
 class Subcommand:
-    """parse(raw) validates one config document; run(config, session, pool) runs it.
+    """parse(raw) validates one config document; files(config) names its data files, each with its fill.
 
-    g2-trace, cycles and entangle read output.format (csv or json);
-    phasematch and oracle write JSON in this process, so they take no output
-    section and ignore the pool; sweep has no runner and no output of its
-    own, its parser returns the jobs of the subcommand it sweeps.  Runners
-    look up what they call (g2_trace, _write_csv, ...) as module globals at
-    call time.
+    fill(pool) computes one file and returns (seeds, columns, payload): its
+    realization seeds, its CSV columns by name and a function returning its
+    JSON document.  g2-trace, cycles and entangle read output.format (csv or
+    json); phasematch and oracle write JSON and ignore the pool; sweep has no
+    files of its own, its parser returns the jobs of the subcommand it sweeps.
+    Runners look up what they call (g2_trace, ...) as module globals at call time.
     """
 
     help: str
     parse: Callable
-    run: Callable | None
+    files: Callable | None
+
+
+def _one_file(stem: str, run: Callable) -> Callable:
+    """files of a subcommand that writes stem.<output.format>, stem.json where its config has no output section."""
+    return lambda config: {f"{stem}.{getattr(config, 'output_format', 'json')}": partial(run, config)}
 
 
 SUBCOMMANDS = {
     "g2-trace": Subcommand(
         "correlation trace versus free-interval length",
         partial(_parse_trace_config, subcommand="g2-trace"),
-        run_g2_trace,
+        _g2_trace_files,
     ),
     "cycles": Subcommand(
         "correlation after each cycle of a fixed schedule",
         partial(_parse_trace_config, subcommand="cycles"),
-        run_cycles,
+        _one_file("cycles", run_cycles),
     ),
-    "entangle": Subcommand("two-mode entanglement fidelity trace", _parse_entangle_config, run_entangle),
+    "entangle": Subcommand(
+        "two-mode entanglement fidelity trace", _parse_entangle_config, _one_file("entangle", run_entangle)
+    ),
     "phasematch": Subcommand(
-        "wavevector mismatch, period, off-axis zero geometry", _parse_phasematch_config, run_phasematch
+        "wavevector mismatch, period, off-axis zero geometry",
+        _parse_phasematch_config,
+        _one_file("phasematch", run_phasematch),
     ),
-    "oracle": Subcommand("pair-sum formula versus exact finite-N correlator", _parse_oracle_config, run_oracle),
+    "oracle": Subcommand(
+        "pair-sum formula versus exact finite-N correlator", _parse_oracle_config, _one_file("oracle", run_oracle)
+    ),
     "sweep": Subcommand("Cartesian parameter sweep over another subcommand", _parse_sweep_config, None),
 }
 
@@ -761,7 +760,7 @@ SUBCOMMANDS = {
 def _plan(subcommand: str, raw: dict) -> list[Job]:
     """The run's jobs, every config parsed and validated: one for a plain run, one per sweep combination."""
     entry = SUBCOMMANDS[subcommand]
-    if entry.run is None:
+    if entry.files is None:
         return entry.parse(raw)
     return [Job(None, subcommand, raw, entry.parse(raw))]
 
@@ -820,27 +819,37 @@ def main(argv=None) -> int:
         if args.seed is not None:
             _override_seed(raw, args.subcommand, args.seed)
         jobs = _plan(args.subcommand, raw)
-        session = OutputSession(Path(args.out), args.subcommand, raw, args.force)
-        # each sweep combination's session checks its directory now, before any work
-        targets = [
-            session if job.label is None else session.sub_session(job.label, job.subcommand, job.raw) for job in jobs
-        ]
+        out, session = Path(args.out), OutputSession(args.force)
+        # every file of the run is named and checked now, before any work: each job's data files, then its manifest
+        planned = []
+        for job in jobs:
+            directory = out if job.label is None else out / job.label
+            files = {directory / name: fill for name, fill in SUBCOMMANDS[job.subcommand].files(job.config).items()}
+            planned.append((job, files, directory / "manifest.json"))
+            for path in [*files, directory / "manifest.json"]:
+                session.stage(path)
+        if args.subcommand == "sweep":
+            session.stage(out / "manifest.json")
         # phasematch and oracle configs run no realizations
         pool = _make_pool(args.threads, max(getattr(job.config, "realizations", 1) for job in jobs))
         try:
-            for job, target in zip(jobs, targets):
-                target.started = time.perf_counter()  # a manifest's duration_s counts its own job's run
-                SUBCOMMANDS[job.subcommand].run(job.config, target, pool)
-                if target is not session:
-                    session.outputs += [*target.outputs, target.finish()]
-                    session.seeds += target.seeds
-            manifest = session.finish()
+            started, seeds, outputs = time.perf_counter(), [], []
+            for job, files, manifest in planned:
+                job_started = time.perf_counter()  # a manifest's duration_s counts its own job's run
+                for path, fill in files.items():
+                    job_seeds, columns, payload = fill(pool)  # every file of a job draws the same realizations
+                    _write_data(session.temporary(path), columns, payload)
+                session.finish(manifest, job.subcommand, job.raw, job_seeds, job_started, list(files))
+                seeds += job_seeds
+                outputs += [*files, manifest]
+            if args.subcommand == "sweep":
+                session.finish(out / "manifest.json", "sweep", raw, seeds, started, outputs)
             session.commit()
         finally:
             if pool is not None:
                 pool.shutdown()
             session.discard()
-        print(f"wrote {len(session.outputs)} output file(s); manifest: {manifest}")
+        print(f"wrote {len(session.staged) - 1} output file(s); manifest: {out / 'manifest.json'}")
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

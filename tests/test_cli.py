@@ -485,6 +485,53 @@ def test_non_finite_numbers_are_config_errors(tmp_path, capsys, config_name, sub
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            json.dumps(MINIMAL).replace('"box_side_um": 60.0', '"box_side_um": ' + "9" * 401),
+            "ensemble.box_side_um: expected a finite number, got an integer too large for a float",
+        ),
+        (
+            json.dumps(MINIMAL).replace('"box_side_um": 60.0', '"box_side_um": ' + "9" * 5001),
+            "invalid JSON in {path}: Exceeds the limit (4300 digits) for integer string conversion",
+        ),
+        (
+            json.dumps(MINIMAL)[:-1] + ', "deep": ' + "[" * 100_000 + "]" * 100_000 + "}",
+            "invalid JSON in {path}: maximum recursion depth exceeded",
+        ),
+    ],
+    ids=["integer-beyond-float", "integer-beyond-the-digit-limit", "nested-100000-deep"],
+)
+def test_malformed_numbers_and_documents_are_config_errors(tmp_path, capsys, text, message):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert main(["g2-trace", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: {message.format(path=path)}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        (json.dumps(dict(MINIMAL, realizations=2))[:-1] + ', "realizations": 3}', "realizations"),
+        (json.dumps(MINIMAL).replace('"seed": 7', '"seed": 7, "seed": 8'), "seed"),
+    ],
+    ids=["top-level", "nested"],
+)
+def test_a_repeated_json_key_is_a_config_error(tmp_path, capsys, text, key):
+    # json.loads keeps the last of two equal keys: the run would use, and the manifest record, only that one
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert main(["g2-trace", "--config", str(path), "--out", str(out)]) == 1
+    assert f"config error: invalid JSON in {path}: key {key!r} repeats in one object" in capsys.readouterr().err
+    assert not out.exists()
+
+
 ORACLE = {"n_atoms": 6, "draws": 2, "seed": 21}
 ENTANGLE = {
     "ensemble": {"n_atoms": 12, "box_side_um": 60.0, "seed": 5},
@@ -556,6 +603,8 @@ def _beam(**fields):
         ("phasematch", _beam(sign=2), "beams[0].sign: must be +1 or -1, got 2"),
         ("phasematch", _beam(direction=[0.0, 0.0, 1.0, 0.0]), "beams[0].direction: expected 3 components"),
         ("phasematch", _beam(direction=[0.0, 0.0, 0.0]), "beams[0].direction: zero vector"),
+        # numpy's overflow warning in the norm is an error under this suite's warning filter
+        ("phasematch", _beam(direction=[1e200, 1e200, 0.0]), "beams[0].direction: its length overflows"),
         ("sweep", dict(SWEEP, axes=[{"path": "", "values": [1]}]), "axes[0].path: expected a nonempty dotted path"),
         ("g2-trace", dict(MINIMAL, realizations=2.5), "realizations: expected an integer, got 2.5"),
         ("g2-trace", dict(MINIMAL, grid=dict(MINIMAL["grid"], stop_us="2")), "grid.stop_us: expected a number, got '2'"),
@@ -576,6 +625,7 @@ def _beam(**fields):
         "beam-sign",
         "beam-direction-4",
         "beam-direction-zero",
+        "beam-direction-overflow",
         "empty-axis-path",
         "integer",
         "number",
@@ -608,6 +658,48 @@ def test_one_beam_needs_the_offaxis_solver_off(tmp_path, capsys):
     path = write_config(tmp_path, dict(one_beam, solve_offaxis=False))
     assert main(["phasematch", "--config", str(path), "--out", str(out)]) == 0
     assert "offaxis" not in json.loads((out / "phasematch.json").read_text())
+
+
+SCAN = dict(
+    MINIMAL,
+    realizations=2,
+    schedule={"cycles": [{k: v for k, v in MINIMAL["schedule"]["cycles"][0].items() if k != "c3"}]},
+    interaction={"model": MODEL},
+    scan_n=[60, 100],
+)
+CYCLES = {"ensemble": MINIMAL["ensemble"], "schedule": MINIMAL["schedule"], "realizations": 2}
+
+
+@pytest.mark.parametrize(
+    "subcommand, payload, name, entry",
+    [
+        ("g2-trace", dict(MINIMAL, realizations=2), "g2_trace.csv", "g2_trace"),
+        ("g2-trace", SCAN, "g2_trace_n100.csv", "g2_trace"),  # the later of two traces
+        ("cycles", CYCLES, "cycles.csv", "g2_after_cycles"),
+        ("entangle", ENTANGLE, "entangle.csv", "entangle_trace"),
+        ("phasematch", PHASEMATCH, "phasematch.json", "evaluate_beams"),
+        ("oracle", ORACLE, "oracle.json", "g2_from_amplitudes"),
+    ],
+    ids=["g2-trace", "g2-trace-scan_n", "cycles", "entangle", "phasematch", "oracle"],
+)
+def test_a_stray_data_file_is_refused_before_any_work(tmp_path, monkeypatch, capsys, subcommand, payload, name, entry):
+    calls = []
+    compute = getattr(cli, entry)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return compute(*args, **kwargs)
+
+    monkeypatch.setattr(cli, entry, counting)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / name).write_text("stray")  # no manifest beside it
+    assert main([subcommand, "--config", str(write_config(tmp_path, payload)), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: refusing to overwrite {out / name}; pass --force" in err
+    assert calls == []
+    assert [p.name for p in out.iterdir()] == [name]
+    assert (out / name).read_text() == "stray"
 
 
 def test_axes_path_may_end_in_a_list_index():
@@ -1095,7 +1187,7 @@ def test_sweep_validates_every_combination_before_running_any(tmp_path, monkeypa
     assert calls == []
 
 
-@pytest.mark.parametrize("blocker", ["file", "manifest"])
+@pytest.mark.parametrize("blocker", ["file", "manifest", "data-file"])
 def test_sweep_checks_every_combination_directory_before_running_any(tmp_path, monkeypatch, capsys, blocker):
     calls = []
     g2_trace = cli.g2_trace
@@ -1112,10 +1204,14 @@ def test_sweep_checks_every_combination_directory_before_running_any(tmp_path, m
         out.mkdir()
         late.write_text("not a directory")
         message = f"cannot write outputs to {late}: {late} is not a directory"
-    else:
+    elif blocker == "manifest":
         late.mkdir(parents=True)
         (late / "manifest.json").write_text("{}")
         message = f"refusing to overwrite {late / 'manifest.json'}; pass --force"
+    else:  # a data file with no manifest beside it
+        late.mkdir(parents=True)
+        (late / "g2_trace.csv").write_text("stray")
+        message = f"refusing to overwrite {late / 'g2_trace.csv'}; pass --force"
     assert main(["sweep", "--config", str(path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert f"config error: {message}" in err

@@ -6,7 +6,9 @@ points), runs it through cli.main at --threads 1 and compares the sha256 of
 every data file it writes with the table below.  A refactor that keeps
 behaviour keeps these bytes; a change that moves them must record the new
 hashes and explain every changed byte.  Manifests are not hashed: they carry
-the wall-clock duration.
+the wall-clock duration; each case checks instead that its manifests list
+exactly the files written beside and below them, each data file with the
+sha256 of the bytes committed to disk.
 
     PYTHONPATH=src python tests/test_golden.py [DIR]
 
@@ -161,6 +163,10 @@ GOLDEN = {
 }
 
 
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def run_case(name: str, tmp_path: Path) -> dict:
     """sha256 of each data file the shrunk config writes, keyed by relative path."""
     config_name, subcommand, overrides = CASES[name]
@@ -172,10 +178,30 @@ def run_case(name: str, tmp_path: Path) -> dict:
     out = tmp_path / "out"
     assert cli.main([subcommand, "--config", str(config), "--out", str(out), "--threads", "1"]) == 0
     return {
-        str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
+        str(p.relative_to(out)): _sha256(p)
         for p in sorted(out.rglob("*"))
         if p.is_file() and p.name != "manifest.json"
     }
+
+
+def listed_and_written(out: Path) -> list:
+    """(what a manifest's outputs list, the files beside and below it) for each manifest under out.
+
+    Both are {relative path: sha256}; a sweep's sub-manifests carry no sha256 (None), so each
+    holds its own duration_s.
+    """
+    pairs = []
+    for manifest in sorted(out.rglob("manifest.json")):
+        entries = json.loads(manifest.read_text())["outputs"]
+        listed = {entry["path"]: entry.get("sha256") for entry in entries}
+        assert len(listed) == len(entries)
+        written = {
+            str(p.relative_to(manifest.parent)): None if p.name == "manifest.json" else _sha256(p)
+            for p in manifest.parent.rglob("*")
+            if p.is_file() and p != manifest
+        }
+        pairs.append((listed, written))
+    return pairs
 
 
 def test_every_shipped_config_has_a_case():
@@ -185,6 +211,15 @@ def test_every_shipped_config_has_a_case():
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_shipped_config_outputs_match_golden_hashes(name, tmp_path):
     assert run_case(name, tmp_path) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_manifests_list_and_hash_every_written_file(name, tmp_path):
+    run_case(name, tmp_path)
+    pairs = listed_and_written(tmp_path / "out")
+    assert len(pairs) == (3 if CASES[name][1] == "sweep" else 1)  # a sweep: the top-level and its two combinations' 
+    for listed, written in pairs:
+        assert listed == written
 
 
 def golden_entry(name: str, hashes: dict) -> str:
