@@ -34,16 +34,12 @@ from .correlation import (
 )
 from .ensemble import (
     EnsembleSpec,
-    PairGeometry,
-    pair_geometry,
     sample_positions,
 )
 from .pairdyn import (
     CycleSpec,
     NumericsError,
     analytic_cycle_amplitude,
-    cycle_amplitude_numeric,
-    propagate,
 )
 from .phasematch import (
     Beam,
@@ -58,5 +54,4 @@ from .protocol import (
     decay_reference,
     entangle_fidelity,
     make_schedule,
-    single_excitation_survival,
 )

@@ -49,6 +49,7 @@ from .protocol import CycleSchedule, decay_reference, entangle_trace, make_sched
 gc.freeze()
 
 ENSEMBLE_SUBCOMMANDS = ("g2-trace", "cycles", "entangle")  # sample positions; a sweep varies one of them
+MAX_COUNT = 2**31 - 1  # of every count and principal quantum number: past it numpy or float(n) fails mid-run
 
 
 class ConfigError(ValueError):
@@ -130,7 +131,7 @@ def _as_list(value, path, min_len=1):
 def _parse_ensemble(cfg, path) -> EnsembleSpec:
     _check_mapping(cfg, path, ["n_atoms", "box_side_um", "seed"], ["min_separation_um"])
     return EnsembleSpec(
-        n_atoms=_as_int(cfg["n_atoms"], f"{path}.n_atoms", minimum=2),
+        n_atoms=_as_int(cfg["n_atoms"], f"{path}.n_atoms", minimum=2, maximum=MAX_COUNT),
         box_side=_as_float(cfg["box_side_um"], f"{path}.box_side_um", strict_min=0.0),
         seed=_as_int(cfg["seed"], f"{path}.seed", minimum=0, maximum=2**64 - 1),
         min_separation=_as_float(
@@ -148,7 +149,7 @@ def _parse_interaction(cfg, path):
         _check_mapping(cfg["model"], mpath, ["reference_c3", "reference_n"], ["scaling_exponent"])
         model = InteractionModel(
             reference_c3=_as_float(cfg["model"]["reference_c3"], f"{mpath}.reference_c3", strict_min=0.0),
-            reference_n=_as_int(cfg["model"]["reference_n"], f"{mpath}.reference_n", minimum=1),
+            reference_n=_as_int(cfg["model"]["reference_n"], f"{mpath}.reference_n", minimum=1, maximum=MAX_COUNT),
             scaling_exponent=_as_float(
                 cfg["model"].get("scaling_exponent", InteractionModel.scaling_exponent), f"{mpath}.scaling_exponent"
             ),
@@ -158,8 +159,8 @@ def _parse_interaction(cfg, path):
         for i, row in enumerate(_as_list(cfg["table"], f"{path}.table")):
             rpath = f"{path}.table[{i}]"
             _check_mapping(row, rpath, ["s_n", "p_n", "p_j", "c3"], [])
-            s_n = _as_int(row["s_n"], f"{rpath}.s_n", minimum=1)
-            p_n = _as_int(row["p_n"], f"{rpath}.p_n", minimum=1)
+            s_n = _as_int(row["s_n"], f"{rpath}.s_n", minimum=1, maximum=MAX_COUNT)
+            p_n = _as_int(row["p_n"], f"{rpath}.p_n", minimum=1, maximum=MAX_COUNT)
             p_j = _as_float(row["p_j"], f"{rpath}.p_j")
             try:
                 p_j = p_level_j(p_j)
@@ -190,8 +191,8 @@ def _parse_cycle(cfg, path, model, table) -> CycleSpec:
         ["s_n", "p_n", "p_j", "delta_t_us"],
         ["rabi_rad_per_us", "polarization", "pulse_model", "c3"],
     )
-    s_n = _as_int(cfg["s_n"], f"{path}.s_n", minimum=1)
-    p_n = _as_int(cfg["p_n"], f"{path}.p_n", minimum=1)
+    s_n = _as_int(cfg["s_n"], f"{path}.s_n", minimum=1, maximum=MAX_COUNT)
+    p_n = _as_int(cfg["p_n"], f"{path}.p_n", minimum=1, maximum=MAX_COUNT)
     p_j = _as_float(cfg["p_j"], f"{path}.p_j")
     try:
         p_j = p_level_j(p_j)
@@ -231,15 +232,18 @@ def _parse_grid(cfg, path) -> np.ndarray:
     _check_mapping(cfg, path, ["start_us", "stop_us", "points"], ["spacing"])
     start = _as_float(cfg["start_us"], f"{path}.start_us", minimum=0.0)
     stop = _as_float(cfg["stop_us"], f"{path}.stop_us", minimum=0.0)
-    points = _as_int(cfg["points"], f"{path}.points", minimum=1)
+    points = _as_int(cfg["points"], f"{path}.points", minimum=1, maximum=MAX_COUNT)
     spacing = _as_choice(cfg.get("spacing", "linear"), f"{path}.spacing", ("linear", "log"))
     if points > 1 and stop <= start:
         _fail(f"{path}.stop_us", "must exceed start_us for multi-point grids")
-    if spacing == "log":
-        if start <= 0:
-            _fail(f"{path}.start_us", "log spacing needs start_us > 0")
-        return np.geomspace(start, stop, points)
-    return np.linspace(start, stop, points) if points > 1 else np.array([start])
+    if spacing == "log" and start <= 0:
+        _fail(f"{path}.start_us", "log spacing needs start_us > 0")
+    if points == 1:
+        return np.array([start])
+    grid = (np.geomspace if spacing == "log" else np.linspace)(start, stop, points)
+    if np.any(np.diff(grid) <= 0):
+        _fail(path, f"{points} points from {start} to {stop} us repeat a time in float64; widen the range")
+    return grid
 
 
 def _parse_output(cfg, path) -> str:
@@ -301,7 +305,7 @@ def _parse_trace_config(raw, subcommand) -> RunConfig:
     scan_schedules = {}
     if "scan_n" in raw:
         values = _as_list(raw["scan_n"], "scan_n")
-        scan_n = [_as_int(v, f"scan_n[{i}]", minimum=1) for i, v in enumerate(values)]
+        scan_n = [_as_int(v, f"scan_n[{i}]", minimum=1, maximum=MAX_COUNT) for i, v in enumerate(values)]
         for i, n in enumerate(scan_n):
             if n in scan_n[:i]:
                 _fail(f"scan_n[{i}]", f"duplicate value {n}")
@@ -310,7 +314,7 @@ def _parse_trace_config(raw, subcommand) -> RunConfig:
                 _fail(f"schedule.cycles[{i}].c3", "scan_n resolves C3 per n from the table or model; give no cycle c3")
         scan_schedules = {n: _parse_schedule([{**c, "s_n": n, "p_n": n} for c in cycles], model, table) for n in scan_n}
     mode = _as_choice(raw.get("mode", "analytic"), "mode", ("analytic", "multichannel"))
-    realizations = _as_int(raw.get("realizations", 100), "realizations", minimum=1)
+    realizations = _as_int(raw.get("realizations", 100), "realizations", minimum=1, maximum=MAX_COUNT)
     grid = _parse_grid(raw["grid"], "grid") if subcommand == "g2-trace" else None
     return RunConfig(
         ensemble=ensemble,
@@ -512,7 +516,7 @@ def _parse_entangle_config(raw) -> EntangleConfig:
     ensemble = _parse_ensemble(raw["ensemble"], "ensemble")
     ent, epath = raw["entangle"], "entangle"
     _check_mapping(ent, epath, ["n", "c3_prime", "c3_second"], [])
-    n = _as_int(ent["n"], f"{epath}.n", minimum=1)
+    n = _as_int(ent["n"], f"{epath}.n", minimum=1, maximum=MAX_COUNT)
     c3_prime, c3_second = (_as_float(ent[key], f"{epath}.{key}", strict_min=0.0) for key in ("c3_prime", "c3_second"))
     # (n+1)s dressed through np_1/2 with C3', ns dressed through np_3/2 with C3''
     channels = (RydbergChannel(n + 1, n, 0.5, c3_prime), RydbergChannel(n, n, 1.5, c3_second))
@@ -520,7 +524,7 @@ def _parse_entangle_config(raw) -> EntangleConfig:
         ensemble=ensemble,
         modes=tuple(CycleSpec(channel, 0.0, MicrowaveSpec()) for channel in channels),
         grid=_parse_grid(raw["grid"], "grid"),
-        realizations=_as_int(raw.get("realizations", 100), "realizations", minimum=1),
+        realizations=_as_int(raw.get("realizations", 100), "realizations", minimum=1, maximum=MAX_COUNT),
         output_format=_parse_output(raw.get("output", {}), "output"),
     )
 
@@ -598,8 +602,8 @@ def run_phasematch(parsed: dict, pool):
 def _parse_oracle_config(raw) -> dict:
     _check_mapping(raw, "config", ["seed"], ["n_atoms", "draws"])
     return {
-        "n_atoms": _as_int(raw.get("n_atoms", 8), "n_atoms", minimum=2),
-        "draws": _as_int(raw.get("draws", 100), "draws", minimum=1),
+        "n_atoms": _as_int(raw.get("n_atoms", 8), "n_atoms", minimum=2, maximum=MAX_COUNT),
+        "draws": _as_int(raw.get("draws", 100), "draws", minimum=1, maximum=MAX_COUNT),
         "seed": _as_int(raw["seed"], "seed", minimum=0, maximum=2**64 - 1),
     }
 

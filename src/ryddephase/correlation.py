@@ -180,10 +180,10 @@ def exact_g2(point: G2Point, n_atoms: int) -> float:
 
 
 def unit_point(n_atoms: int) -> G2Point:
-    """The point of all-unit amplitudes (row sums n - 1), in the float expressions of _PairPlanes.point."""
-    n, total = float(n_atoms), float(n_atoms * (n_atoms - 1))
-    f, h = total * total / n**4, float(n_atoms * (n_atoms - 1) ** 2) / n**3
-    return G2Point(_g2(f, h), f, h)
+    """The point of all-unit amplitudes (row sums n - 1), reduced by _PairPlanes.point."""
+    planes = _PairPlanes(n_atoms)
+    planes.owned[0], planes.owned[1] = 1.0, 0.0
+    return G2Point(*planes.point())
 
 
 def g2_from_amplitudes(condensed, n_atoms: int) -> G2Point:

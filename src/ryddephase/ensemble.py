@@ -8,14 +8,14 @@ sampler's minimum-separation screen is a sorted-window neighbour list on x
 N x N array.  Pairs
 have one order, round-robin: atom mu owns the slots (mu, k - 1), the pairs
 (mu, (mu + k) mod n), k = 1..n // 2, with axis partner - self; distances and
-orientations derive from round_robin_displacements.  Condensed order
+orientations (R and the polar angle, never the azimuth, a gauge of the
+multichannel kernel: pairdyn) derive from round_robin_displacements.  Condensed order
 (mu < nu, row-major; pair_index_arrays, round_robin_pairs) only reads
 amplitudes given as input.  The random stream is PCG64 (numpy's default bit
 generator), seeded directly with the 64-bit ensemble seed, so configurations
 are bit-reproducible across runs and platforms.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,19 +44,6 @@ class EnsembleSpec:
             raise ValueError(f"min_separation must be positive, got {self.min_separation}")
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must fit an unsigned 64-bit integer")
-
-
-@dataclass(frozen=True)
-class PairGeometry:
-    """Separation and interatomic-axis orientation of one atom pair.
-
-    polar_angle is measured from the quantization (z) axis; azimuth is the
-    axis azimuth in the xy plane.
-    """
-
-    separation: float  # um
-    polar_angle: float  # rad, in [0, pi]
-    azimuth: float  # rad, in [0, 2 pi)
 
 
 SAMPLE_BLOCK = 256  # candidates drawn per block once the first n have been screened
@@ -153,17 +140,6 @@ def sample_positions(spec: EnsembleSpec) -> np.ndarray:
         block = SAMPLE_BLOCK
     points.flags.writeable = False
     return points
-
-
-def pair_geometry(a, b) -> PairGeometry:
-    """Geometry of the pair (a, b): R = |a - b|, orientation of a - b.
-
-    R and theta are slot (0, 0) of round_robin_orientations over [b, a], axis
-    a - b: the bits any pair has in its round-robin slot.
-    """
-    d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
-    r, theta = round_robin_orientations(np.array([b, a], dtype=float))
-    return PairGeometry(float(r[0, 0]), float(theta[0, 0]), float(np.mod(np.arctan2(d[1], d[0]), 2.0 * math.pi)))
 
 
 def pair_index_arrays(n_atoms: int) -> tuple[np.ndarray, np.ndarray]:

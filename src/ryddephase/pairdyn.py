@@ -56,8 +56,8 @@ That phase is conjugation by exp(i dm phi N_p), N_p the number of p
 excitations: a gauge, since the exchange term conserves N_p and
 |s m0, s m0> has none.  So pair_spectra puts every pair axis in the xz
 plane, where all Hamiltonians are real symmetric, and diagonalizes each
-pair's exchange and pulse Hamiltonians once per cycle; the scalar oracle
-cycle_amplitude_numeric keeps phi and complex arithmetic.  pair_spectra
+pair's exchange and pulse Hamiltonians once per cycle: the package's one
+multichannel propagator (tests/reference.py keeps phi, pair by pair).  pair_spectra
 keeps three (npairs, d) arrays over the d-dimensional pair basis;
 spectral_amplitudes turns them into one (npairs,) column per free interval,
 so memory is O(N^2 d), whatever the number of intervals.
@@ -80,10 +80,8 @@ from .atomdata import (
     RydbergChannel,
     single_atom_dimension,
 )
-from .ensemble import PairGeometry
 
 UNITARITY_TOL = 1e-10
-HERMITICITY_TOL = 1e-12
 PAIR_CHUNK = 512  # pairs per batched eigendecomposition in pair_spectra
 
 
@@ -208,20 +206,6 @@ def _dipole_tensor(axes: np.ndarray) -> np.ndarray:
     return np.eye(3) - 3.0 * axes[..., :, None] * axes[..., None, :]
 
 
-def interaction_matrix(geom: PairGeometry, channel: RydbergChannel) -> np.ndarray:
-    """(C3/R^3) sum_ab (delta_ab - 3 n_a n_b) X_ab over the pair basis, n the pair axis at its azimuth.
-
-    Raises NumericsError unless Hermitian to HERMITICITY_TOL relative to its largest entry.
-    """
-    st = math.sin(geom.polar_angle)
-    axis = np.array([st * math.cos(geom.azimuth), st * math.sin(geom.azimuth), math.cos(geom.polar_angle)])
-    h = channel.c3 / geom.separation**3 * np.tensordot(_dipole_tensor(axis), exchange_operators(channel), 2)
-    err = np.max(np.abs(h - h.conj().T))
-    if err > HERMITICITY_TOL * np.max(np.abs(h)):
-        raise NumericsError(f"interaction part lost Hermiticity: {err:.3e}")
-    return h
-
-
 def single_atom_dressing(channel: RydbergChannel, spec: MicrowaveSpec) -> np.ndarray:
     """-(Omega/2) (X + X^T) on one atom, X the raising block of q = dm over its populated entry.
 
@@ -238,31 +222,6 @@ def dressing_matrix(channel: RydbergChannel, spec: MicrowaveSpec) -> np.ndarray:
     h1 = single_atom_dressing(channel, spec)
     eye = np.eye(h1.shape[0])
     return np.kron(h1, eye) + np.kron(eye, h1)
-
-
-def propagate(h_sequence) -> np.ndarray:
-    """Time-ordered product of exp(-i H_k t_k), first segment applied first.
-
-    Each segment is exponentiated exactly through its eigendecomposition;
-    the result is checked against the unitarity tolerance.  An empty sequence
-    raises ValueError.
-    """
-    u = None
-    for h, t in h_sequence:
-        if t < 0:
-            raise ValueError("segment durations must be >= 0")
-        h = np.asarray(h)
-        if u is None:
-            u = np.eye(h.shape[0], dtype=complex)
-        w, v = np.linalg.eigh(h)
-        step = (v * np.exp(-1j * w * t)) @ v.conj().T
-        u = step @ u
-    if u is None:
-        raise ValueError("empty Hamiltonian sequence")
-    err = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
-    if err > UNITARITY_TOL:
-        raise NumericsError(f"propagator unitarity drift {err:.3e} exceeds {UNITARITY_TOL}")
-    return u
 
 
 def _reduced_indices(channel: RydbergChannel, spec: MicrowaveSpec) -> list[int]:
@@ -282,32 +241,6 @@ def _cycle_segments(h_drive, h_int, rabi: float, delta_t: float, instantaneous: 
         (h_int, delta_t),
         (h_drive + h_int, 3.0 * t_half),
     ]
-
-
-def cycle_amplitude_numeric(
-    geom: PairGeometry,
-    cycle: CycleSpec,
-    reduced: bool = False,
-) -> complex:
-    """<s m0, s m0| U_cycle |s m0, s m0> for one dressing cycle.
-
-    reduced=True freezes both atoms to the populated sublevel and the single
-    driven p sublevel, recovering the two-level-per-atom model used for
-    cross-validation against the closed form.
-    """
-    spec = cycle.microwave
-    h_int = interaction_matrix(geom, cycle.channel)
-    h_drive = dressing_matrix(cycle.channel, spec).astype(complex)
-    idx = _reduced_indices(cycle.channel, spec)
-    start = idx[0]  # |s m0, s m0>
-    if reduced:
-        h_int = h_int[np.ix_(idx, idx)]
-        h_drive = h_drive[np.ix_(idx, idx)]
-        start = 0  # first in the reduced ordering
-    segments = _cycle_segments(
-        h_drive, h_int, spec.rabi, cycle.delta_t, spec.pulse_model == "instantaneous"
-    )
-    return complex(propagate(segments)[start, start])
 
 
 # ---------------------------------------------------------------------------

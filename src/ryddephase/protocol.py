@@ -5,7 +5,9 @@ A schedule strings together full 2pi cycles.  Repeating cycles is only
 meaningful when every cycle couples the target s-level to a fresh, still
 unpopulated p-level: reusing a p-level carries coherence from one cycle into
 the next and the per-cycle amplitudes no longer multiply independently.
-make_schedule enforces that rule.
+make_schedule enforces that rule.  A lone excitation comes back through every
+cycle (a full 2pi rotation): the tests propagate that with their scalar
+reference, which the package does not carry.
 
 The entanglement protocol stores two spin waves, one in (n+1)s dressed
 through np_{1/2} with strength C3', one in ns dressed through np_{3/2} with
@@ -29,14 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlation import _cycle_sources, _PairPlanes, checked_time_grid, run_realizations
-from .pairdyn import (
-    CycleSpec,
-    _cycle_segments,
-    _transition_indices,
-    analytic_cycle_amplitude,
-    propagate,
-    single_atom_dressing,
-)
+from .pairdyn import CycleSpec, analytic_cycle_amplitude
 
 
 @dataclass(frozen=True)
@@ -87,23 +82,6 @@ def decay_reference(tau: float, t: float) -> float:
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
     return math.exp(-t / tau)
-
-
-def single_excitation_survival(schedule: CycleSchedule) -> complex:
-    """Amplitude for a lone excited atom to return to |s m0> through the schedule.
-
-    Each cycle is a full single-particle 2pi rotation, so the magnitude is 1
-    up to the fixed frame phase; this propagates the single-atom dynamics
-    numerically rather than asserting it.
-    """
-    amp = 1.0 + 0.0j
-    for cyc in schedule.cycles:
-        spec = cyc.microwave
-        h1 = single_atom_dressing(cyc.channel, spec).astype(complex)
-        u = propagate(_cycle_segments(h1, np.zeros_like(h1), spec.rabi, cyc.delta_t, True))
-        i_s, _ = _transition_indices(cyc.channel, spec)
-        amp *= complex(u[i_s, i_s])
-    return amp
 
 
 # ---------------------------------------------------------------------------

@@ -24,12 +24,10 @@ from ryddephase.correlation import (
     g2_trace,
     realization_seed,
 )
-from ryddephase.ensemble import EnsembleSpec, PairGeometry, sample_positions
+from ryddephase.ensemble import EnsembleSpec, sample_positions
 from ryddephase.pairdyn import (
     CycleSpec,
     analytic_cycle_amplitude,
-    cycle_amplitude_numeric,
-    interaction_matrix,
     _reduced_indices,
 )
 from ryddephase.phasematch import (
@@ -39,12 +37,9 @@ from ryddephase.phasematch import (
     spinwave_period,
     wavevector_mismatch,
 )
-from ryddephase.protocol import (
-    entangle_fidelity,
-    make_schedule,
-    single_excitation_survival,
-)
+from ryddephase.protocol import entangle_fidelity, make_schedule
 
+from reference import PairGeometry, cycle_amplitude_numeric, interaction_matrix, single_excitation_survival
 from statevector import brute_force_g2
 
 # shipped defaults: C3 scaling anchored at n = 60 with the quartic law

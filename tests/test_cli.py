@@ -232,6 +232,9 @@ def test_log_grid_requires_positive_start():
     bad["grid"] = {"start_us": 0.0, "stop_us": 2.0, "points": 5, "spacing": "log"}
     with pytest.raises(ConfigError, match="start_us"):
         parse_config(json.dumps(bad))
+    # one point is start_us whatever the spacing; numpy's geomspace rejects a stop_us of 0
+    bad["grid"] = {"start_us": 1.5, "stop_us": 0.0, "points": 1, "spacing": "log"}
+    assert parse_config(json.dumps(bad)).grid.tolist() == [1.5]
 
 
 # ---------------------------------------------------------------------------
@@ -643,6 +646,57 @@ def test_malformed_values_are_config_errors_with_their_path(tmp_path, capsys, su
     assert main([subcommand, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert f"config error: {message}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+HUGE = 10**400  # JSON reads it; float() and numpy's shapes cannot hold it
+SCAN_MODEL = dict(MINIMAL, schedule={"cycles": [{"s_n": 100, "p_n": 100, "p_j": 0.5, "delta_t_us": 1.0}]})
+
+
+@pytest.mark.parametrize(
+    "subcommand, payload, field",
+    [
+        ("g2-trace", dict(MINIMAL, ensemble=dict(MINIMAL["ensemble"], n_atoms=HUGE)), "ensemble.n_atoms"),
+        ("g2-trace", dict(MINIMAL, ensemble=dict(MINIMAL["ensemble"], n_atoms=2**40)), "ensemble.n_atoms"),
+        ("g2-trace", dict(MINIMAL, grid=dict(MINIMAL["grid"], points=HUGE)), "grid.points"),
+        ("g2-trace", dict(MINIMAL, grid=dict(MINIMAL["grid"], points=2**62)), "grid.points"),
+        ("g2-trace", dict(SCAN_MODEL, scan_n=[HUGE], interaction={"model": MODEL}), "scan_n[0]"),
+        ("g2-trace", dict(MINIMAL, realizations=HUGE), "realizations"),
+        ("entangle", dict(ENTANGLE, entangle=dict(ENTANGLE["entangle"], n=HUGE)), "entangle.n"),
+        ("oracle", dict(ORACLE, n_atoms=HUGE), "n_atoms"),
+        ("oracle", dict(ORACLE, draws=HUGE), "draws"),
+    ],
+    ids=["n_atoms-huge", "n_atoms-2^40", "points-huge", "points-2^62", "scan_n", "realizations", "entangle-n", "oracle-n_atoms", "oracle-draws"],
+)
+def test_oversized_counts_are_config_errors(tmp_path, capsys, subcommand, payload, field):
+    message = f"{field}: must be <= {cli.MAX_COUNT}, got "
+    # planning first: without the bound, some of these runs would hang or exhaust memory
+    with pytest.raises(ConfigError) as excinfo:
+        cli._plan(subcommand, payload)
+    assert str(excinfo.value).startswith(message)
+    path = write_config(tmp_path, payload)
+    assert main([subcommand, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: {message}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("subcommand, payload", [("g2-trace", MINIMAL), ("entangle", ENTANGLE)])
+@pytest.mark.parametrize(
+    "grid",
+    [
+        {"start_us": 0.0, "stop_us": 5e-324, "points": 3},
+        {"start_us": 1.0, "stop_us": 1.0000000000000002, "points": 5, "spacing": "log"},
+    ],
+    ids=["linear-subnormal", "log-one-ulp"],
+)
+def test_a_grid_whose_times_repeat_is_a_config_error(tmp_path, capsys, subcommand, payload, grid):
+    path = write_config(tmp_path, dict(payload, grid=grid))
+    assert main([subcommand, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: grid: {grid['points']} points from " in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 

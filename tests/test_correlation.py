@@ -25,7 +25,6 @@ from ryddephase.correlation import (
 )
 from ryddephase.ensemble import (
     EnsembleSpec,
-    pair_geometry,
     pair_index_arrays,
     round_robin_orientations,
     round_robin_pairs,
@@ -35,12 +34,12 @@ from ryddephase.pairdyn import (
     CycleSpec,
     NumericsError,
     analytic_pair_amplitudes,
-    cycle_amplitude_numeric,
     pair_spectra,
     spectral_amplitudes,
 )
 from ryddephase.protocol import entangle_trace, make_schedule
 
+from reference import cycle_amplitude_numeric, pair_geometry
 from statevector import brute_force_g2
 
 

@@ -6,20 +6,19 @@ from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import pdist
 
 from ryddephase.atomdata import POLARIZATIONS, POPULATED_M, InteractionModel, MicrowaveSpec, RydbergChannel, c3_of
-from ryddephase.ensemble import EnsembleSpec, PairGeometry, sample_positions
+from ryddephase.ensemble import EnsembleSpec, sample_positions
 from ryddephase.pairdyn import (
     CycleSpec,
     analytic_cycle_amplitude,
     analytic_pair_amplitudes,
-    cycle_amplitude_numeric,
     dressing_matrix,
-    interaction_matrix,
     pair_spectra,
-    propagate,
     spectral_amplitudes,
     _reduced_indices,
 )
 from ryddephase.protocol import make_schedule
+
+from reference import PairGeometry, cycle_amplitude_numeric, interaction_matrix, propagate
 
 
 def channel(j=0.5, c3=1.0, n=100, p_n=None):

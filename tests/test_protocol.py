@@ -16,8 +16,9 @@ from ryddephase.protocol import (
     entangle_fidelity,
     entangle_trace,
     make_schedule,
-    single_excitation_survival,
 )
+
+from reference import single_excitation_survival
 
 MW = MicrowaveSpec(rabi=10.0)
 
