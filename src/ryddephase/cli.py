@@ -246,6 +246,23 @@ def _parse_grid(cfg, path) -> np.ndarray:
     return grid
 
 
+def _parse_realizations(raw, points: int) -> int:
+    """realizations (default 100), refused when its (3, R, T) float64 results exceed physical memory.
+
+    A count that passes MAX_COUNT can still ask for terabytes of results;
+    refusing it here turns an out-of-memory kill mid-run into exit 1.
+    """
+    realizations = _as_int(raw.get("realizations", 100), "realizations", minimum=1, maximum=MAX_COUNT)
+    need, physical = 24 * realizations * points, os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > physical:
+        _fail(
+            "realizations",
+            f"{realizations} realizations of {points} points need {need / 1e9:.1f} GB of results, "
+            f"more than the {physical / 1e9:.1f} GB of physical memory",
+        )
+    return realizations
+
+
 def _parse_output(cfg, path) -> str:
     """The format of a data-writing subcommand's output section: csv (default) or json."""
     _check_mapping(cfg, path, [], ["format"])
@@ -314,8 +331,8 @@ def _parse_trace_config(raw, subcommand) -> RunConfig:
                 _fail(f"schedule.cycles[{i}].c3", "scan_n resolves C3 per n from the table or model; give no cycle c3")
         scan_schedules = {n: _parse_schedule([{**c, "s_n": n, "p_n": n} for c in cycles], model, table) for n in scan_n}
     mode = _as_choice(raw.get("mode", "analytic"), "mode", ("analytic", "multichannel"))
-    realizations = _as_int(raw.get("realizations", 100), "realizations", minimum=1, maximum=MAX_COUNT)
     grid = _parse_grid(raw["grid"], "grid") if subcommand == "g2-trace" else None
+    realizations = _parse_realizations(raw, len(schedule) if grid is None else len(grid))
     return RunConfig(
         ensemble=ensemble,
         schedule=schedule,
@@ -520,11 +537,12 @@ def _parse_entangle_config(raw) -> EntangleConfig:
     c3_prime, c3_second = (_as_float(ent[key], f"{epath}.{key}", strict_min=0.0) for key in ("c3_prime", "c3_second"))
     # (n+1)s dressed through np_1/2 with C3', ns dressed through np_3/2 with C3''
     channels = (RydbergChannel(n + 1, n, 0.5, c3_prime), RydbergChannel(n, n, 1.5, c3_second))
+    grid = _parse_grid(raw["grid"], "grid")
     return EntangleConfig(
         ensemble=ensemble,
         modes=tuple(CycleSpec(channel, 0.0, MicrowaveSpec()) for channel in channels),
-        grid=_parse_grid(raw["grid"], "grid"),
-        realizations=_as_int(raw.get("realizations", 100), "realizations", minimum=1, maximum=MAX_COUNT),
+        grid=grid,
+        realizations=_parse_realizations(raw, len(grid)),
         output_format=_parse_output(raw.get("output", {}), "output"),
     )
 

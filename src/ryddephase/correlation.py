@@ -32,19 +32,25 @@ traces are byte-identical for any worker count.
 Each mode supplies one function (t, out) -> amplitudes per cycle: analytic
 over R^3 computed once, multichannel over the cycle's spectra of every slot.
 With out the kernel writes the planes itself; without, it returns a fresh
-complex (N, K) array.  One rule combines the cycles: their amplitudes
-multiply, as complex numbers.  A realization allocates its planes once and
-streams one point at a time, in O(N^2) memory, or O(N^2 d) over a pair
-basis of dimension d, whatever the grid length T.  Only g2_from_amplitudes
+complex (N, K) array.  An analytic source also takes a (B, 1, 1) column of
+times and then writes (2, B, N, K) planes, B times in one elementwise call.
+One rule combines the cycles: their amplitudes multiply, as complex
+numbers.  A realization allocates its planes once and streams one point at
+a time, in O(N^2) memory, or O(N^2 d) over a pair basis of dimension d,
+whatever the grid length T.  Only g2_from_amplitudes
 takes condensed (mu < nu, row-major) input.
 
 run_realizations maps the one realization task, _trace_single_realization,
 over the realizations, serially or on a process pool: it derives the seed,
 samples the positions, evaluates a (3, T) points function on them
-(_realization_points, or protocol._entangle_points) and tags a
-NumericsError with the realization and seed.  Entangle reads each mode's
-mean amplitude from its own _PairPlanes (pair_mean), so the plane layout,
-the even-N rule and the pair count live here alone.
+(_realization_points, or protocol._entangle_points), returns the seed with
+the points and tags a NumericsError with the realization and seed.
+Entangle evaluates its grid in blocks of times and reads every time's mean
+amplitude from one pair_mean over the block's (2, B, N, K) planes: each
+time's plane is still one contiguous pairwise sum, so the block length
+changes no bit, and the even-N rule and the pair count live here alone.
+g2 points are not blocked: each needs its own row sums through the partner
+view.
 """
 
 import itertools
@@ -98,8 +104,24 @@ def round_robin_cubes(positions: np.ndarray) -> np.ndarray:
     return cubes
 
 
+def pair_mean(planes: np.ndarray) -> np.ndarray:
+    """Re and Im of the mean over the n (n - 1) / 2 pairs of round-robin planes (2, ..., n, K), shape (2, ...).
+
+    The slots that count no pair are zeroed first; each (n, K) plane is then
+    one contiguous pairwise sum, in an order fixed by n, so a leading block
+    axis changes no bit of any mean.  A non-finite amplitude makes its sum
+    non-finite: NumericsError.
+    """
+    zero_doubled_slots(planes)
+    n = planes.shape[-2]
+    means = planes.reshape(*planes.shape[:-2], -1).sum(axis=-1) / (n * (n - 1) // 2)
+    if not np.isfinite(means).all():
+        raise NumericsError("non-finite pair sum")
+    return means
+
+
 class _PairPlanes:
-    """Re A and Im A of every pair of n atoms in round-robin order, and the point or mean they reduce to.
+    """Re A and Im A of every pair of n atoms in round-robin order, and the g2 point they reduce to.
 
     owned, a (2, n, K) view with K = n // 2, holds in [0] and [1] the real
     and imaginary amplitude of slot (mu, k - 1), the pair (mu, mu + k mod n).
@@ -153,19 +175,6 @@ class _PairPlanes:
         if not (math.isfinite(f) and math.isfinite(h)):
             raise NumericsError("non-finite pair sum")
         return _g2(f, h), f, h
-
-    def pair_mean(self) -> tuple[float, float]:
-        """Re and Im of the mean of owned over the n (n - 1) / 2 pairs.
-
-        The slots that count no pair are zeroed first; each plane is then one
-        contiguous pairwise sum, in an order fixed by n.  A non-finite
-        amplitude makes its sum non-finite: NumericsError.
-        """
-        zero_doubled_slots(self.owned)
-        re, im = (self.owned.reshape(2, -1).sum(axis=1) / (self.n * (self.n - 1) // 2)).tolist()
-        if not (math.isfinite(re) and math.isfinite(im)):
-            raise NumericsError("non-finite pair sum")
-        return re, im
 
 
 def exact_g2(point: G2Point, n_atoms: int) -> float:
@@ -248,9 +257,12 @@ def _cycle_sources(positions: np.ndarray, cycles, mode: str):
     """Per cycle, in schedule order, its amplitude function (t, out=None), pairs in round-robin order.
 
     Called with out, a source writes Re A and Im A into the planes out;
-    without, it returns a fresh complex array.  A multichannel cycle's pair
-    spectra are built when its source is drawn, so a caller that drops each
-    source before drawing the next holds one cycle's spectra at a time.
+    without, it returns a fresh complex array.  An analytic source also
+    accepts a (B, 1, 1) column of times, for (2, B, n, K) planes out: the
+    kernel is elementwise, so each time's amplitudes keep their bits.  A
+    multichannel cycle's pair spectra are built when its source is drawn,
+    so a caller that drops each source before drawing the next holds one
+    cycle's spectra at a time.
     """
     if mode == "analytic":
         cubes = round_robin_cubes(positions)
@@ -302,8 +314,8 @@ def _realization_points(positions: np.ndarray, cycles, grid, mode: str) -> np.nd
     return np.array(points).T
 
 
-def _trace_single_realization(args) -> np.ndarray:
-    """The (3, T) points of one realization: derive its seed, sample its positions, evaluate.
+def _trace_single_realization(args) -> tuple[int, np.ndarray]:
+    """The seed and the (3, T) points of one realization: derive its seed, sample its positions, evaluate.
 
     args is (ensemble, points, params, index), the index last; points is
     called as points(positions, *params).  A NumericsError is tagged with
@@ -314,7 +326,7 @@ def _trace_single_realization(args) -> np.ndarray:
     positions = sample_positions(replace(ensemble, seed=seed))
     try:
         with np.errstate(all="ignore"):  # an overflowing phase is reported as the NumericsError below
-            return points(positions, *params)
+            return seed, points(positions, *params)
     except NumericsError as exc:
         raise NumericsError(f"realization {index} (seed {seed}): {exc}") from exc
 
@@ -324,15 +336,21 @@ def run_realizations(points, ensemble: EnsembleSpec, params: tuple, realizations
 
     Each realization is one _trace_single_realization task, in the calling
     process (pool None) or on the pool; points, a module-level function,
-    returns a (3, T) array.  Realizations stack in index order, whatever
-    the worker count.
+    returns a (3, T) array.  Serially, each task is made when it runs (a
+    pool submits them all); each result is copied into one (3, R, T) stack
+    as it arrives, so the caller holds 24 R T bytes of results.
+    Realizations stack in index order, whatever the worker count.
     """
     if realizations < 1:
         raise ValueError("realizations must be >= 1")
-    tasks = [(ensemble, points, params, r) for r in range(realizations)]
-    results = list((map if pool is None else pool.map)(_trace_single_realization, tasks))
-    seeds = tuple(realization_seed(ensemble.seed, r) for r in range(realizations))
-    return tuple(np.stack(results, axis=1)), seeds
+    tasks = ((ensemble, points, params, r) for r in range(realizations))
+    stack, seeds = None, []
+    for r, (seed, result) in enumerate((map if pool is None else pool.map)(_trace_single_realization, tasks)):
+        if stack is None:
+            stack = np.empty((3, realizations, result.shape[1]))
+        stack[:, r] = result
+        seeds.append(seed)
+    return tuple(stack), tuple(seeds)
 
 
 def checked_time_grid(grid) -> np.ndarray:

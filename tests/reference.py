@@ -6,6 +6,10 @@ the axis azimuth as a gauge (Walker & Saffman, PRA 77, 032723 (2008)).  This
 module keeps the azimuth and complex arithmetic, one pair and one matrix
 exponential at a time, so the tests check that claim against an independent
 evaluation that shares only the operators with the kernel.
+
+It also keeps entangle's unblocked realization loop (entangle_points): one
+source call per mode and grid time, which the blocked loop of
+protocol._entangle_points must match bit for bit.
 """
 
 import math
@@ -13,6 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ryddephase.correlation import _cycle_sources, pair_mean
 from ryddephase.ensemble import round_robin_orientations
 from ryddephase.pairdyn import (
     UNITARITY_TOL,
@@ -25,6 +30,7 @@ from ryddephase.pairdyn import (
     exchange_operators,
     single_atom_dressing,
 )
+from ryddephase.protocol import _fidelity_terms
 
 HERMITICITY_TOL = 1e-12  # relative to the largest entry: h scales as C3 / R^3
 
@@ -100,3 +106,16 @@ def single_excitation_survival(schedule) -> complex:
         i_s, _ = _transition_indices(cycle.channel, spec)
         amp *= complex(propagate(_cycle_segments(h1, np.zeros_like(h1), spec.rabi, cycle.delta_t, True))[i_s, i_s])
     return amp
+
+
+def entangle_points(positions, modes, grid) -> np.ndarray:
+    """F, |m1| and |m2| of one realization, shape (3, T): each mode writes its own (2, n, K) planes, one time per call."""
+    sources = list(_cycle_sources(positions, modes, "analytic"))
+    n = len(positions)
+    planes = [np.empty((2, n, n // 2)) for _ in sources]
+    out = np.empty((3, len(grid)))
+    for it, t in enumerate(grid):
+        for source, mode_planes in zip(sources, planes):
+            source(t, mode_planes)
+        out[:, it] = _fidelity_terms([pair_mean(mode_planes).tolist() for mode_planes in planes])
+    return out

@@ -683,6 +683,32 @@ def test_oversized_counts_are_config_errors(tmp_path, capsys, subcommand, payloa
     assert not (tmp_path / "out").exists()
 
 
+MANY_POINTS = {"start_us": 0.0, "stop_us": 2.0, "points": 10_000}  # 2**31 - 1 realizations of them: 515 TB of results
+
+
+@pytest.mark.parametrize(
+    "subcommand, payload, field",
+    [
+        ("g2-trace", dict(MINIMAL, grid=MANY_POINTS, realizations=cli.MAX_COUNT), "realizations"),
+        ("entangle", dict(ENTANGLE, grid=MANY_POINTS, realizations=cli.MAX_COUNT), "realizations"),
+        ("sweep", dict(SWEEP, base=dict(MINIMAL, grid=MANY_POINTS, realizations=cli.MAX_COUNT)), "base.realizations"),
+    ],
+    ids=["g2-trace", "entangle", "sweep"],
+)
+def test_results_beyond_physical_memory_are_config_errors(tmp_path, capsys, subcommand, payload, field):
+    # an accepted count whose (3, R, T) result stack cannot fit exits 1 at plan time, not in an out-of-memory kill
+    message = f"{field}: {cli.MAX_COUNT} realizations of 10000 points need 515396.1 GB of results, more than the "
+    with pytest.raises(ConfigError) as excinfo:
+        cli._plan(subcommand, payload)
+    assert str(excinfo.value).startswith(message)
+    path = write_config(tmp_path, payload)
+    assert main([subcommand, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: {message}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("subcommand, payload", [("g2-trace", MINIMAL), ("entangle", ENTANGLE)])
 @pytest.mark.parametrize(
     "grid",

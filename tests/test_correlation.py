@@ -19,6 +19,7 @@ from ryddephase.correlation import (
     g2_after_cycles,
     g2_from_amplitudes,
     g2_trace,
+    pair_mean,
     realization_seed,
     unit_point,
     zero_doubled_slots,
@@ -560,20 +561,40 @@ def test_a_missing_amplitude_in_any_slot_raises(n, where):
     with pytest.raises(ValueError, match="missing pair amplitude"):
         g2_from_amplitudes(amps, n)
     # the planes themselves, past g2_from_amplitudes' entry check, see every slot that counts
-    for reduce_planes in ("point", "pair_mean"):
+    for reduce_planes in (lambda planes: planes.point(), lambda planes: pair_mean(planes.owned)):
         with pytest.raises(NumericsError, match="^non-finite pair sum$"):
-            getattr(planes_of(amps, n), reduce_planes)()
+            reduce_planes(planes_of(amps, n))
 
 
 @pytest.mark.parametrize("n", LAYOUT_SIZES)
 def test_pair_mean_is_the_mean_over_every_pair_once(n):
     amps = random_amplitudes(n, np.random.default_rng(200 + n))
-    planes = planes_of(amps, n)
+    planes = planes_of(amps, n).owned
     if n % 2 == 0:
-        planes.owned[..., n // 2 :, -1] = 7.0  # the doubled slots must not count
+        planes[..., n // 2 :, -1] = 7.0  # the doubled slots must not count
     npairs = n * (n - 1) // 2
     want = (math.fsum(amps.real) / npairs, math.fsum(amps.imag) / npairs)
-    np.testing.assert_allclose(planes.pair_mean(), want, rtol=1e-13, atol=1e-15)
+    np.testing.assert_allclose(pair_mean(planes), want, rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", LAYOUT_SIZES)
+def test_pair_mean_over_a_block_axis_is_each_times_mean_bit_for_bit(n):
+    # entangle reduces B grid times at once from (2, B, n, K) planes; each time is still its own pairwise sum
+    rng = np.random.default_rng(300 + n)
+    times = [planes_of(random_amplitudes(n, rng), n).owned for _ in range(3)]
+    block = np.stack(times, axis=1)
+    if n % 2 == 0:
+        block[..., n // 2 :, -1] = 7.0  # the doubled slots must not count
+    npairs = n * (n - 1) // 2
+    got = pair_mean(block)
+    assert got.shape == (2, 3)
+    for b, planes in enumerate(times):
+        assert np.array_equal(got[:, b], pair_mean(planes))
+        want = [math.fsum(plane.ravel()) / npairs for plane in planes]
+        np.testing.assert_allclose(got[:, b], want, rtol=1e-13, atol=1e-15)
+    block[1, 2, 0, 0] = math.nan  # a missing amplitude at the last time of the block
+    with pytest.raises(NumericsError, match="^non-finite pair sum$"):
+        pair_mean(block)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 60, 61, 100])

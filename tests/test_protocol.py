@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +22,7 @@ from ryddephase.protocol import (
     make_schedule,
 )
 
-from reference import single_excitation_survival
+from reference import entangle_points, single_excitation_survival
 
 MW = MicrowaveSpec(rabi=10.0)
 
@@ -259,6 +263,56 @@ def test_entangle_numerics_error_names_the_realization_and_seed(monkeypatch):
     seed = realization_seed(ens.seed, 0)
     with pytest.raises(NumericsError, match=rf"^realization 0 \(seed {seed}\): non-finite pair sum$"):
         entangle_trace(ens, entangle_modes(2.0e5, 1.6e5), [0.5, 1.0], realizations=2)
+
+
+def block_length(n):
+    return max(1, protocol.BLOCK_SLOTS // (n * (n // 2)))
+
+
+@pytest.mark.parametrize("n", [100, 101])
+@pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 1)], ids=["1", "B-1", "B", "B+1", "2B+1"])
+def test_entangle_blocks_match_the_one_time_per_call_loop(monkeypatch, n, blocks, extra):
+    # the blocked loop evaluates B grid times per source call; every byte matches one time per call
+    b = block_length(n)
+    grid = np.linspace(0.0, 5.0, blocks * b + extra)
+    positions = sample_positions(EnsembleSpec(n, 60.0, seed=n))
+    modes = entangle_modes(2.0e5, 1.6e5)
+    want = entangle_points(positions, modes, grid)
+    assert b > 2 and np.array_equal(protocol._entangle_points(positions, modes, grid), want)
+    for slots in (1, 10**9):  # one time per block, and the whole grid in one block
+        monkeypatch.setattr(protocol, "BLOCK_SLOTS", slots)
+        assert np.array_equal(protocol._entangle_points(positions, modes, grid), want)
+
+
+ENTANGLE_TRACEMALLOC_PROBE = """
+import tracemalloc
+import numpy as np
+from ryddephase.atomdata import MicrowaveSpec, RydbergChannel
+from ryddephase.ensemble import EnsembleSpec
+from ryddephase.pairdyn import CycleSpec
+from ryddephase.protocol import entangle_trace
+
+channels = (RydbergChannel(100, 99, 0.5, 2.0e5), RydbergChannel(99, 99, 1.5, 1.6e5))
+modes = tuple(CycleSpec(channel, 0.0, MicrowaveSpec()) for channel in channels)
+entangle_trace(EnsembleSpec(100, 60.0, seed=5), modes, [1.0], realizations=1)  # first-call set-up, untraced
+for points in (51, 501):
+    grid = np.linspace(0.0, 5.0, points)
+    tracemalloc.start()
+    entangle_trace(EnsembleSpec(100, 60.0, seed=5), modes, grid, realizations=1)
+    print(tracemalloc.get_traced_memory()[1])
+    tracemalloc.stop()
+"""
+
+
+def test_entangle_realization_memory_does_not_grow_with_the_grid():
+    # one (2, B, n, K) buffer per realization, whatever T is; a fresh interpreter keeps other tests' caches out
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", ENTANGLE_TRACEMALLOC_PROBE], env=env, capture_output=True, text=True, check=True
+    )
+    short, long = map(int, proc.stdout.split())
+    assert abs(long - short) <= 0.05 * short
 
 
 def test_entangle_trace_starts_at_half_and_dephases():
