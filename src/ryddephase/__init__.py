@@ -39,7 +39,6 @@ from .ensemble import (
 from .pairdyn import (
     CycleSpec,
     NumericsError,
-    analytic_cycle_amplitude,
 )
 from .phasematch import (
     Beam,
@@ -52,6 +51,5 @@ from .phasematch import (
 from .protocol import (
     CycleSchedule,
     decay_reference,
-    entangle_fidelity,
     make_schedule,
 )

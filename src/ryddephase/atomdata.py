@@ -104,10 +104,23 @@ class MicrowaveSpec:
 
 
 def c3_of(n: int, model: InteractionModel) -> float:
-    """Channel strength at principal quantum number n under a scaling model."""
+    """Channel strength at principal quantum number n under a scaling model.
+
+    Raises ValueError unless the strength is a positive finite float: a
+    large scaling exponent can overflow the power, or underflow it to 0.
+    """
     if n < 1:
         raise ValueError(f"principal quantum number must be >= 1, got {n}")
-    return model.reference_c3 * (n / model.reference_n) ** model.scaling_exponent
+    try:
+        c3 = model.reference_c3 * (n / model.reference_n) ** model.scaling_exponent
+    except OverflowError:
+        c3 = math.inf
+    if not 0 < c3 < math.inf:
+        raise ValueError(
+            f"the scaling model gives C3 = {c3} at n = {n}, outside the float range: "
+            f"{model.reference_c3} * ({n} / {model.reference_n}) ** {model.scaling_exponent}"
+        )
+    return c3
 
 
 def single_atom_dimension(channel: RydbergChannel) -> int:

@@ -40,7 +40,7 @@ from .atomdata import (
     p_level_j,
 )
 from .correlation import G2Trace, exact_g2, g2_after_cycles, g2_from_amplitudes, g2_trace, unit_point
-from .ensemble import EnsembleSpec, PackingError, pair_index_arrays
+from .ensemble import EnsembleSpec, PackingError, round_robin_pairs
 from .pairdyn import CycleSpec, NumericsError
 from .phasematch import Beam, PhaseMatchInfeasible, evaluate_beams, solve_offaxis
 from .protocol import CycleSchedule, decay_reference, entangle_trace, make_schedule
@@ -372,7 +372,8 @@ class OutputSession:
     """The staging table of a run: every file it writes, final path -> temporary path.
 
     main stages every file of a run when it plans it, data files before their
-    manifest; stage refuses a directory that is or lies below a file, an
+    manifest; stage refuses a directory that is or lies below a file, a
+    directory where a file or its temporary goes (even with --force), an
     existing path without --force and a path named twice, so a refused run
     does no work.  commit renames the files, written under their temporary
     names, into place in staging order once the whole run has succeeded.
@@ -386,11 +387,15 @@ class OutputSession:
         existing = next((p for p in path.parents if p.exists()), None)
         if existing is not None and not existing.is_dir():
             raise ConfigError(f"cannot write outputs to {path.parent}: {existing} is not a directory")
+        temporary = path.with_name(path.name + ".partial")
+        for target in (path, temporary):
+            if target.is_dir():
+                raise ConfigError(f"cannot write {path}: {target} is a directory")
         if path.exists() and not self.force:
             raise ConfigError(f"refusing to overwrite {path}; pass --force")
         if path in self.staged:
             raise ConfigError(f"{path} would be written twice by one run")
-        self.staged[path] = path.with_name(path.name + ".partial")
+        self.staged[path] = temporary
 
     def temporary(self, path: Path) -> Path:
         """The temporary path to write staged path to, its directory made."""
@@ -628,16 +633,15 @@ def _parse_oracle_config(raw) -> dict:
 
 def run_oracle(parsed: dict, pool):
     n = parsed["n_atoms"]
-    mu, nu = pair_index_arrays(n)
+    slots = round_robin_pairs(n)
     rng = np.random.Generator(np.random.PCG64(parsed["seed"]))
     cases = []
     worst = 0.0
     for draw in range(parsed["draws"]):
-        # draw (n, n) values and keep the mu < nu ones: a seed's cases stay fixed
+        # draw (n, n) values and keep each pair's mu < nu value, in its round-robin slots: a seed's cases stay fixed
         mag = rng.uniform(0.0, 1.0, size=(n, n))
         phase = rng.uniform(0.0, 2.0 * math.pi, size=(n, n))
-        amps = (mag * np.exp(1j * phase))[mu, nu]
-        point = g2_from_amplitudes(amps, n)
+        point = g2_from_amplitudes((mag * np.exp(1j * phase))[slots])
         approx, exact = point.g2, exact_g2(point, n)
         rel = abs(approx - exact) / exact if exact else abs(approx)
         worst = max(worst, rel)

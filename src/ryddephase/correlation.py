@@ -37,11 +37,12 @@ times and then writes (2, B, N, K) planes, B times in one elementwise call.
 One rule combines the cycles: their amplitudes multiply, as complex
 numbers.  A realization allocates its planes once and streams one point at
 a time, in O(N^2) memory, or O(N^2 d) over a pair basis of dimension d,
-whatever the grid length T.  Only g2_from_amplitudes
-takes condensed (mu < nu, row-major) input.
+whatever the grid length T.  g2_from_amplitudes reduces one point from
+complex amplitudes given in the same (N, K) order.
 
 run_realizations maps the one realization task, _trace_single_realization,
-over the realizations, serially or on a process pool: it derives the seed,
+over the realizations, serially or on a process pool with a few tasks per
+worker in flight (_pool_map): it derives the seed,
 samples the positions, evaluates a (3, T) points function on them
 (_realization_points, or protocol._entangle_points), returns the seed with
 the points and tags a NumericsError with the realization and seed.
@@ -53,6 +54,7 @@ g2 points are not blocked: each needs its own row sums through the partner
 view.
 """
 
+import collections
 import itertools
 import math
 import operator
@@ -65,7 +67,6 @@ from numpy.lib.stride_tricks import as_strided
 from .ensemble import (
     EnsembleSpec,
     round_robin_orientations,
-    round_robin_pairs,
     round_robin_separations,
     sample_positions,
 )
@@ -73,6 +74,7 @@ from .pairdyn import NumericsError, analytic_pair_amplitudes, pair_spectra, spec
 
 G2_ZERO = math.e / 4.0
 G2_ASYMPTOTE = G2_ZERO * 16.0 / 25.0
+POOL_TASKS_PER_WORKER = 4  # realizations submitted to a pool and not yet taken, per worker (_pool_map)
 
 
 def _g2(f: float, h: float, scale: float = 1.0) -> float:
@@ -195,19 +197,21 @@ def unit_point(n_atoms: int) -> G2Point:
     return G2Point(*planes.point())
 
 
-def g2_from_amplitudes(condensed, n_atoms: int) -> G2Point:
-    """One correlation point from condensed (mu < nu, row-major) pair amplitudes of n_atoms >= 2 atoms."""
-    if n_atoms < 2:
-        raise ValueError(f"n_atoms must be at least 2, got {n_atoms}")
-    amplitudes = np.asarray(condensed, dtype=complex)
-    npairs = n_atoms * (n_atoms - 1) // 2
-    if amplitudes.shape != (npairs,):
-        raise ValueError(
-            f"expected {npairs} condensed pair amplitudes for {n_atoms} atoms, got shape {amplitudes.shape}"
-        )
+def g2_from_amplitudes(amplitudes) -> G2Point:
+    """One correlation point from complex pair amplitudes in round-robin order, shape (n, n // 2), n >= 2.
+
+    Slot (mu, k - 1) holds the pair of mu and (mu + k) mod n
+    (ensemble.round_robin_pairs); for even n the second slot of each pair
+    (mu, mu + n/2) counts no pair.  Raises ValueError on any other shape or
+    a non-finite value in any slot.
+    """
+    amplitudes = np.asarray(amplitudes, dtype=complex)
+    n = amplitudes.shape[0] if amplitudes.ndim == 2 else 0
+    if n < 2 or amplitudes.shape != (n, n // 2):
+        raise ValueError(f"expected (n, n // 2) round-robin pair amplitudes with n >= 2, got shape {amplitudes.shape}")
     if not np.isfinite(amplitudes).all():
         raise ValueError("missing pair amplitude (non-finite value)")
-    return G2Point(*_PairPlanes(n_atoms).point(amplitudes[round_robin_pairs(n_atoms)]))
+    return G2Point(*_PairPlanes(n).point(amplitudes))
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,21 +335,44 @@ def _trace_single_realization(args) -> tuple[int, np.ndarray]:
         raise NumericsError(f"realization {index} (seed {seed}): {exc}") from exc
 
 
+def _pool_map(pool, fn, tasks):
+    """fn of each task on the pool, in task order, with at most POOL_TASKS_PER_WORKER per worker in flight.
+
+    Executor.map submits every task before it yields, about 2 kB each, so
+    its memory grows with the task count.  Futures still queued when the
+    caller stops (a failed realization) are cancelled.
+    """
+    limit = POOL_TASKS_PER_WORKER * pool._max_workers  # the worker count of a concurrent.futures executor
+    pending = collections.deque()
+    try:
+        for task in tasks:
+            if len(pending) == limit:
+                yield pending.popleft().result()
+            pending.append(pool.submit(fn, task))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
+
+
 def run_realizations(points, ensemble: EnsembleSpec, params: tuple, realizations: int, pool=None):
     """The three (R, T) stacks of points(positions, *params) over the realizations, and their seeds.
 
     Each realization is one _trace_single_realization task, in the calling
     process (pool None) or on the pool; points, a module-level function,
-    returns a (3, T) array.  Serially, each task is made when it runs (a
-    pool submits them all); each result is copied into one (3, R, T) stack
-    as it arrives, so the caller holds 24 R T bytes of results.
-    Realizations stack in index order, whatever the worker count.
+    returns a (3, T) array.  Each task is made when it runs, or on a pool
+    when it is submitted, a few per worker ahead (_pool_map); each result is
+    copied into one (3, R, T) stack as it arrives, so the caller holds
+    24 R T bytes of results.  Realizations stack in index order, whatever
+    the worker count.
     """
     if realizations < 1:
         raise ValueError("realizations must be >= 1")
     tasks = ((ensemble, points, params, r) for r in range(realizations))
+    results = (map if pool is None else partial(_pool_map, pool))(_trace_single_realization, tasks)
     stack, seeds = None, []
-    for r, (seed, result) in enumerate((map if pool is None else pool.map)(_trace_single_realization, tasks)):
+    for r, (seed, result) in enumerate(results):
         if stack is None:
             stack = np.empty((3, realizations, result.shape[1]))
         stack[:, r] = result

@@ -9,11 +9,10 @@ N x N array.  Pairs
 have one order, round-robin: atom mu owns the slots (mu, k - 1), the pairs
 (mu, (mu + k) mod n), k = 1..n // 2, with axis partner - self; distances and
 orientations (R and the polar angle, never the azimuth, a gauge of the
-multichannel kernel: pairdyn) derive from round_robin_displacements.  Condensed order
-(mu < nu, row-major; pair_index_arrays, round_robin_pairs) only reads
-amplitudes given as input.  The random stream is PCG64 (numpy's default bit
-generator), seeded directly with the 64-bit ensemble seed, so configurations
-are bit-reproducible across runs and platforms.
+multichannel kernel: pairdyn) derive from round_robin_displacements, and
+round_robin_pairs names each slot's two atoms.  The random stream is PCG64
+(numpy's default bit generator), seeded directly with the 64-bit ensemble
+seed, so configurations are bit-reproducible across runs and platforms.
 """
 
 from dataclasses import dataclass
@@ -142,23 +141,16 @@ def sample_positions(spec: EnsembleSpec) -> np.ndarray:
     return points
 
 
-def pair_index_arrays(n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
-    """(mu, nu) index arrays matching the condensed distance ordering."""
-    return np.triu_indices(n_atoms, k=1)
-
-
-def round_robin_pairs(n_atoms: int) -> np.ndarray:
-    """Condensed index of every round-robin slot, shape (n, n // 2).
+def round_robin_pairs(n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
+    """The atoms (lo, hi) of every round-robin slot, lower index first, each of shape (n, n // 2).
 
     Slot (mu, k - 1) holds the pair of mu and (mu + k) mod n, k = 1..n // 2.
     For odd n every pair has one slot.  For even n the pair of mu and
     mu + n / 2 has two, (mu, n/2 - 1) and (mu + n/2, n/2 - 1), both listed here.
     """
-    k = n_atoms // 2
     mu = np.arange(n_atoms)[:, None]
-    nu = (mu + np.arange(1, k + 1)) % n_atoms
-    lo, hi = np.minimum(mu, nu), np.maximum(mu, nu)
-    return lo * n_atoms - lo * (lo + 1) // 2 + (hi - lo - 1)
+    nu = (mu + np.arange(1, n_atoms // 2 + 1)) % n_atoms
+    return np.minimum(mu, nu), np.maximum(mu, nu)
 
 
 def round_robin_displacements(positions: np.ndarray, out=None):

@@ -8,10 +8,10 @@ during the free interval and the cycle survival amplitude is
 
     A(phi) = exp(i phi / 2) cos(phi / 2) = (1 + exp(i phi)) / 2.
 
-_half_angle_amplitude_into is the one place for this closed form: both
-analytic_cycle_amplitude (scalars and arrays, as entangle_fidelity uses it)
-and analytic_pair_amplitudes (the per-pair kernel the g2 and entangle
-drivers reach through correlation's sources) call it.  It is evaluated from one
+_half_angle_amplitude_into is the one place for this closed form, and
+analytic_pair_amplitudes (the per-pair kernel the g2 and entangle drivers
+reach through correlation's sources) its one caller in the package; the
+tests' scalar form (tests/reference.py) calls it too.  It is evaluated from one
 real tangent, A = (1 + i t) / (1 + t^2) with t = tan(phi / 2), which equals
 (1 + cos phi) / 2 + i sin(phi) / 2: no complex exp, and one transcendental
 per pair where cos and sin take two.  Every amplitude stays
@@ -123,20 +123,6 @@ def _half_angle_amplitude_into(half_phase: np.ndarray, re: np.ndarray, im: np.nd
     re += 1.0
     np.divide(1.0, re, out=re)
     np.multiply(half_phase, re, out=im)
-
-
-def analytic_cycle_amplitude(phi):
-    """Closed-form cycle survival amplitude (1 + e^{i phi}) / 2.
-
-    Evaluated as (1 + i t) / (1 + t^2) with t = tan(phi / 2), the same
-    number as (1 + cos phi) / 2 + i sin(phi) / 2.  Accepts scalars or arrays;
-    a scalar phase gives a scalar amplitude.
-    """
-    half_phase = np.array(phi, dtype=float)
-    half_phase *= 0.5
-    out = np.empty(half_phase.shape, dtype=complex)
-    _half_angle_amplitude_into(half_phase, out.real, out.imag)
-    return out if out.ndim else out[()]
 
 
 # ---------------------------------------------------------------------------

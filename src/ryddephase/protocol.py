@@ -22,7 +22,8 @@ drivers (correlation._cycle_sources), once per realization.  The grid runs
 in blocks of BLOCK_SLOTS // (n K) times (at least one): per block, each
 source writes its mode's amplitudes at the block's column of times into one
 (2, B, n, K) buffer, which both modes reuse, and correlation.pair_mean gives
-every time's coherence <e^{i phi}> = 2 <A(phi)> - 1 from it.  One call per
+every time's coherence <e^{i phi}> = 2 <A(phi)> - 1 from it; F is
+2 / (2 + |m1|^2 + |m2|^2) of the two coherences (_fidelity_terms).  One call per
 block and mode takes the per-call overhead off most times, and memory stays
 O(max(n^2, BLOCK_SLOTS)) whatever the grid length.  The kernel is
 elementwise and each time's mean one pairwise sum whose order depends on the
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlation import _cycle_sources, checked_time_grid, pair_mean, run_realizations
-from .pairdyn import CycleSpec, analytic_cycle_amplitude
+from .pairdyn import CycleSpec
 
 # pair slots per entangle block of B grid times, n K each.  One N = 100 realization of a 51-point
 # grid took 3.50, 2.86, 2.55, 2.38, 2.44 and 2.80 ms at B = 1, 2, 4, 8, 16 and 52 (medians of 20
@@ -98,28 +99,6 @@ def decay_reference(tau: float, t: float) -> float:
 # ---------------------------------------------------------------------------
 # two-spin-wave entanglement
 # ---------------------------------------------------------------------------
-
-
-def entangle_fidelity(phi_prime, phi) -> float:
-    """Projection fidelity onto the phase-matched two-mode target state.
-
-    With pair coherences m1 = <e^{i phi'}> and m2 = <e^{i phi}> over pairs,
-    the cross terms carry weight |m1|^2 + |m2|^2 relative to the two target
-    components, giving F = 2 / (2 + |m1|^2 + |m2|^2): 1/2 with no dephasing,
-    approaching 1 when both coherences average to zero.  Raises ValueError
-    unless both phase sequences are nonempty, of one shape and finite.
-    """
-    phi_prime = np.asarray(phi_prime, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    if phi_prime.size == 0 or phi.size == 0:
-        raise ValueError("entangle_fidelity needs a nonempty pair set")
-    if phi_prime.shape != phi.shape:
-        raise ValueError("phase sequences must cover the same pair set")
-    if not (np.isfinite(phi_prime).all() and np.isfinite(phi).all()):
-        raise ValueError("entangle_fidelity needs finite phases")
-    amplitudes = analytic_cycle_amplitude(np.stack([phi_prime.ravel(), phi.ravel()]))
-    means = np.stack([amplitudes.real, amplitudes.imag], axis=1).sum(axis=2) / phi.size
-    return _fidelity_terms(means.tolist())[0]
 
 
 def _fidelity_terms(means) -> tuple[float, float, float]:

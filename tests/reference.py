@@ -1,4 +1,4 @@
-"""Scalar multichannel reference propagator, for tests.
+"""Test-side references: the scalar multichannel propagator and the package's retired second paths.
 
 The package evaluates every cycle amplitude through one batched kernel
 (pairdyn.pair_spectra), which puts each pair axis in the xz plane and so drops
@@ -10,6 +10,13 @@ evaluation that shares only the operators with the kernel.
 It also keeps entangle's unblocked realization loop (entangle_points): one
 source call per mode and grid time, which the blocked loop of
 protocol._entangle_points must match bit for bit.
+
+The package's one pair order is round-robin.  Tests that build amplitudes
+in condensed order (mu < nu, row-major, as np.triu_indices and scipy's pdist
+list pairs) reduce them through g2_from_condensed, which gathers them into
+their round-robin slots.  The closed-form amplitude of a scalar or an array
+of phases (analytic_cycle_amplitude) and F from two modes' pair phases
+(entangle_fidelity) live here too: no run of the package needs either.
 """
 
 import math
@@ -17,13 +24,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ryddephase.correlation import _cycle_sources, pair_mean
-from ryddephase.ensemble import round_robin_orientations
+from ryddephase.correlation import _cycle_sources, g2_from_amplitudes, pair_mean
+from ryddephase.ensemble import round_robin_orientations, round_robin_pairs
 from ryddephase.pairdyn import (
     UNITARITY_TOL,
     NumericsError,
     _cycle_segments,
     _dipole_tensor,
+    _half_angle_amplitude_into,
     _reduced_indices,
     _transition_indices,
     dressing_matrix,
@@ -119,3 +127,59 @@ def entangle_points(positions, modes, grid) -> np.ndarray:
             source(t, mode_planes)
         out[:, it] = _fidelity_terms([pair_mean(mode_planes).tolist() for mode_planes in planes])
     return out
+
+
+def round_robin_of_condensed(condensed, n: int) -> np.ndarray:
+    """Condensed (mu < nu, row-major) pair amplitudes of n atoms in their round-robin slots, shape (n, n // 2)."""
+    full = np.zeros((n, n), dtype=complex)
+    full[np.triu_indices(n, 1)] = condensed
+    return full[round_robin_pairs(n)]
+
+
+def g2_from_condensed(condensed, n_atoms: int):
+    """correlation.g2_from_amplitudes of condensed (mu < nu, row-major) pair amplitudes of n_atoms >= 2 atoms."""
+    if n_atoms < 2:
+        raise ValueError(f"n_atoms must be at least 2, got {n_atoms}")
+    amplitudes = np.asarray(condensed, dtype=complex)
+    npairs = n_atoms * (n_atoms - 1) // 2
+    if amplitudes.shape != (npairs,):
+        raise ValueError(
+            f"expected {npairs} condensed pair amplitudes for {n_atoms} atoms, got shape {amplitudes.shape}"
+        )
+    return g2_from_amplitudes(round_robin_of_condensed(amplitudes, n_atoms))
+
+
+def analytic_cycle_amplitude(phi):
+    """Closed-form cycle survival amplitude (1 + e^{i phi}) / 2, through the package's one home of the formula.
+
+    Evaluated as (1 + i t) / (1 + t^2) with t = tan(phi / 2), the same
+    number as (1 + cos phi) / 2 + i sin(phi) / 2.  Accepts scalars or arrays;
+    a scalar phase gives a scalar amplitude.
+    """
+    half_phase = np.array(phi, dtype=float)
+    half_phase *= 0.5
+    out = np.empty(half_phase.shape, dtype=complex)
+    _half_angle_amplitude_into(half_phase, out.real, out.imag)
+    return out if out.ndim else out[()]
+
+
+def entangle_fidelity(phi_prime, phi) -> float:
+    """Projection fidelity onto the phase-matched two-mode target state, from the two modes' pair phases.
+
+    With pair coherences m1 = <e^{i phi'}> and m2 = <e^{i phi}> over pairs,
+    the cross terms carry weight |m1|^2 + |m2|^2 relative to the two target
+    components, giving F = 2 / (2 + |m1|^2 + |m2|^2): 1/2 with no dephasing,
+    approaching 1 when both coherences average to zero.  Raises ValueError
+    unless both phase sequences are nonempty, of one shape and finite.
+    """
+    phi_prime = np.asarray(phi_prime, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    if phi_prime.size == 0 or phi.size == 0:
+        raise ValueError("entangle_fidelity needs a nonempty pair set")
+    if phi_prime.shape != phi.shape:
+        raise ValueError("phase sequences must cover the same pair set")
+    if not (np.isfinite(phi_prime).all() and np.isfinite(phi).all()):
+        raise ValueError("entangle_fidelity needs finite phases")
+    amplitudes = analytic_cycle_amplitude(np.stack([phi_prime.ravel(), phi.ravel()]))
+    means = np.stack([amplitudes.real, amplitudes.imag], axis=1).sum(axis=2) / phi.size
+    return _fidelity_terms(means.tolist())[0]

@@ -10,8 +10,6 @@ import math
 
 import numpy as np
 
-from ryddephase.ensemble import pair_index_arrays
-
 DEFAULT_RETRIEVAL_K = np.array([0.0, 0.0, 7.902])  # rad/um, a typical optical k
 
 TRUNCATED_AMPLITUDES = (1.0 / math.sqrt(math.e), 1.0 / math.sqrt(math.e), 1.0 / math.sqrt(2.0 * math.e))
@@ -32,7 +30,7 @@ def brute_force_g2(positions: np.ndarray, condensed, k0=None) -> float:
     c0, c1, c2 = TRUNCATED_AMPLITUDES
 
     phase = np.exp(1j * positions @ k0)  # e^{i k0 . r_mu}
-    mu, nu = pair_index_arrays(n)
+    mu, nu = np.triu_indices(n, 1)
     npairs = len(mu)
 
     # state vector: [vacuum, singles (N), pairs (npairs)]

@@ -20,14 +20,12 @@ from ryddephase.correlation import (
     G2_ASYMPTOTE,
     G2_ZERO,
     g2_after_cycles,
-    g2_from_amplitudes,
     g2_trace,
     realization_seed,
 )
 from ryddephase.ensemble import EnsembleSpec, sample_positions
 from ryddephase.pairdyn import (
     CycleSpec,
-    analytic_cycle_amplitude,
     _reduced_indices,
 )
 from ryddephase.phasematch import (
@@ -37,9 +35,17 @@ from ryddephase.phasematch import (
     spinwave_period,
     wavevector_mismatch,
 )
-from ryddephase.protocol import entangle_fidelity, make_schedule
+from ryddephase.protocol import make_schedule
 
-from reference import PairGeometry, cycle_amplitude_numeric, interaction_matrix, single_excitation_survival
+from reference import (
+    PairGeometry,
+    analytic_cycle_amplitude,
+    cycle_amplitude_numeric,
+    entangle_fidelity,
+    g2_from_condensed,
+    interaction_matrix,
+    single_excitation_survival,
+)
 from statevector import brute_force_g2
 
 # shipped defaults: C3 scaling anchored at n = 60 with the quartic law
@@ -92,7 +98,7 @@ def test_criterion_02_asymptote():
     oracle_vals = []
     for _ in range(100):
         phi = rng.uniform(0.0, 2.0 * math.pi * 16.0, size=n * (n - 1) // 2)
-        oracle_vals.append(g2_from_amplitudes(0.5 * (1.0 + np.exp(1j * phi)), n).g2)
+        oracle_vals.append(g2_from_condensed(0.5 * (1.0 + np.exp(1j * phi)), n).g2)
     oracle_mean = float(np.mean(oracle_vals))
     oracle_se = float(np.std(oracle_vals, ddof=1) / math.sqrt(len(oracle_vals)))
 
@@ -228,7 +234,7 @@ def test_criterion_08_oracle_equivalence():
             phase = rng.uniform(0.0, 2.0 * math.pi, size=(n, n))
             amps = (mag * np.exp(1j * phase))[mu, nu]
             exact = brute_force_g2(positions, amps)
-            approx = g2_from_amplitudes(amps, n).g2
+            approx = g2_from_condensed(amps, n).g2
             rel = abs(approx - exact) / exact if exact else abs(approx)
             worst_rel = max(worst_rel, rel)
         worst[n] = worst_rel

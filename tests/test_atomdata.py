@@ -78,6 +78,17 @@ def test_c3_exponent_zero_disables_scaling():
         assert c3_of(n, model) == 7.0
 
 
+@pytest.mark.parametrize(
+    "reference_c3, exponent, n",
+    [(2.6e4, 5000.0, 100), (2.6e4, -5000.0, 100), (1e300, 40.0, 100), (2.6e4, 5000.0, 1)],
+    ids=["power-overflows", "power-underflows", "product-overflows", "below-reference"],
+)
+def test_c3_outside_the_float_range_is_a_value_error(reference_c3, exponent, n):
+    model = InteractionModel(reference_c3=reference_c3, reference_n=60, scaling_exponent=exponent)
+    with pytest.raises(ValueError, match=rf"C3 = (inf|0\.0) at n = {n}, outside the float range"):
+        c3_of(n, model)
+
+
 def test_c3_rejects_nonpositive_reference():
     with pytest.raises(ValueError):
         InteractionModel(reference_c3=0.0, reference_n=60)

@@ -14,9 +14,10 @@ import pytest
 from ryddephase import cli
 from ryddephase.atomdata import InteractionModel, MicrowaveSpec, RydbergChannel, c3_of
 from ryddephase.cli import ConfigError, main, parse_config
-from ryddephase.correlation import realization_seed
+from ryddephase.correlation import exact_g2, realization_seed
 from ryddephase.ensemble import EnsembleSpec, sample_positions
 
+from reference import g2_from_condensed
 from statevector import brute_force_g2
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -782,6 +783,32 @@ def test_a_stray_data_file_is_refused_before_any_work(tmp_path, monkeypatch, cap
     assert (out / name).read_text() == "stray"
 
 
+@pytest.mark.parametrize("blocked", ["entangle.csv", "manifest.json", "entangle.csv.partial"])
+def test_a_directory_at_an_output_path_is_refused_before_any_work_even_with_force(
+    tmp_path, monkeypatch, capsys, blocked
+):
+    # --force may replace a file, never a directory: renaming onto one would fail after the run,
+    # and a blocked manifest would leave the data file committed without it
+    calls = []
+    compute = cli.entangle_trace
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return compute(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "entangle_trace", counting)
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    assert main(["entangle", "--config", str(write_config(tmp_path, ENTANGLE)), "--out", str(out), "--force"]) == 1
+    err = capsys.readouterr().err
+    final = out / blocked.removesuffix(".partial")
+    assert f"config error: cannot write {final}: {out / blocked} is a directory" in err
+    assert "Traceback" not in err
+    assert calls == []
+    assert [p.name for p in out.iterdir()] == [blocked]
+    assert list((out / blocked).iterdir()) == []
+
+
 def test_axes_path_may_end_in_a_list_index():
     raw = dict(MINIMAL, scan_n=[60, 100])
     cli._apply_override(raw, "scan_n.1", 80)
@@ -880,6 +907,21 @@ def test_scan_n_rejects_a_cycle_c3(tmp_path, capsys):
     assert main(["g2-trace", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert "config error: schedule.cycles[0].c3: scan_n resolves C3 per n from the table or model" in err
+
+
+@pytest.mark.parametrize(
+    "config, subcommand, n",
+    [("cycles.json", "cycles", 100), ("fig2.json", "g2-trace", 79)],
+    ids=["cycles", "fig2-scan_n"],  # fig2's own cycle is at the reference n = 60; its scan_n = 79 overflows
+)
+def test_an_overflowing_model_c3_is_a_config_error(tmp_path, capsys, config, subcommand, n):
+    raw = json.loads((CONFIG_DIR / config).read_text())
+    raw["interaction"]["model"]["scaling_exponent"] = 5000
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(write_config(tmp_path, raw)), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: schedule.cycles[0]: the scaling model gives C3 = inf at n = {n}" in err
+    assert not out.exists()
 
 
 def test_failed_run_does_not_block_a_rerun(tmp_path, monkeypatch):
@@ -1096,6 +1138,20 @@ def test_oracle_at_large_n_matches_the_state_vector(tmp_path):
         phase = rng.uniform(0.0, 2.0 * math.pi, size=(n, n))
         amps = (mag * np.exp(1j * phase))[mu, nu]
         assert case["exact_g2"] == pytest.approx(brute_force_g2(positions, amps), rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 60, 301])
+def test_oracle_cases_are_those_of_the_condensed_draws_bit_for_bit(n):
+    # run_oracle gathers each (n, n) draw straight into round-robin slots; the mu < nu values, in
+    # condensed order, must give the same points to the last bit
+    seed, draws = 31, 3
+    _, _, payload = cli.run_oracle({"n_atoms": n, "draws": draws, "seed": seed}, None)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    for case in payload()["cases"]:
+        mag = rng.uniform(0.0, 1.0, size=(n, n))
+        phase = rng.uniform(0.0, 2.0 * math.pi, size=(n, n))
+        point = g2_from_condensed((mag * np.exp(1j * phase))[np.triu_indices(n, 1)], n)
+        assert (case["approx_g2"], case["exact_g2"]) == (point.g2, exact_g2(point, n))
 
 
 def test_seed_override_of_oracle_sets_the_seed_and_the_cases(tmp_path):

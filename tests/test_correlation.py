@@ -26,7 +26,6 @@ from ryddephase.correlation import (
 )
 from ryddephase.ensemble import (
     EnsembleSpec,
-    pair_index_arrays,
     round_robin_orientations,
     round_robin_pairs,
     sample_positions,
@@ -40,7 +39,7 @@ from ryddephase.pairdyn import (
 )
 from ryddephase.protocol import entangle_trace, make_schedule
 
-from reference import cycle_amplitude_numeric, pair_geometry
+from reference import cycle_amplitude_numeric, g2_from_condensed, pair_geometry, round_robin_of_condensed
 from statevector import brute_force_g2
 
 
@@ -103,17 +102,17 @@ def test_random_phase_mean_amplitude_is_half():
 def test_all_unit_amplitudes_finite_n():
     # f = h = ((N-1)/N)^2 exactly; g2 -> e/4 as N grows
     for n in (10, 100):
-        point = g2_from_amplitudes(uniform_amplitudes(n, 1.0), n)
+        point = g2_from_condensed(uniform_amplitudes(n, 1.0), n)
         q = ((n - 1) / n) ** 2
         assert point.f == pytest.approx(q, rel=1e-12)
         assert point.h == pytest.approx(q, rel=1e-12)
         assert point.g2 == pytest.approx(math.e * q / (1 + q) ** 2, rel=1e-12)
-    point = g2_from_amplitudes(uniform_amplitudes(100, 1.0), 100)
+    point = g2_from_condensed(uniform_amplitudes(100, 1.0), 100)
     assert abs(point.g2 - G2_ZERO) / G2_ZERO < 0.02
 
 
 def test_all_half_amplitudes_approach_asymptote():
-    point = g2_from_amplitudes(uniform_amplitudes(5000, 0.5), 5000)
+    point = g2_from_condensed(uniform_amplitudes(5000, 0.5), 5000)
     assert point.f == pytest.approx(0.25, rel=1e-3)
     assert point.h == pytest.approx(0.25, rel=1e-3)
     assert point.g2 == pytest.approx(G2_ASYMPTOTE, rel=2e-3)
@@ -121,7 +120,7 @@ def test_all_half_amplitudes_approach_asymptote():
 
 def test_three_atom_hand_case():
     # A12 = 1, A13 = A23 = 0: f = |2/9|^2, h = 2/27, g2 = 36 e / 841
-    point = g2_from_amplitudes([1.0, 0.0, 0.0], 3)  # pairs (0, 1), (0, 2), (1, 2)
+    point = g2_from_condensed([1.0, 0.0, 0.0], 3)  # pairs (0, 1), (0, 2), (1, 2)
     assert point.f == pytest.approx(4.0 / 81.0, rel=1e-12)
     assert point.h == pytest.approx(2.0 / 27.0, rel=1e-12)
     assert point.g2 == pytest.approx(36.0 * math.e / 841.0, rel=1e-12)
@@ -131,7 +130,7 @@ def test_double_sum_against_direct_loops():
     rng = np.random.default_rng(5)
     n = 6
     amps = random_amplitudes(n, rng)
-    point = g2_from_amplitudes(amps, n)
+    point = g2_from_condensed(amps, n)
     values = dense(amps, n)
     total = sum(
         values[mu, nu] for mu in range(n) for nu in range(n) if nu != mu
@@ -149,7 +148,7 @@ def test_condensed_amplitudes_validation():
     values = uniform_amplitudes(4, 1.0)
     values[3] = np.nan
     with pytest.raises(ValueError, match="missing"):
-        g2_from_amplitudes(values, 4)
+        g2_from_condensed(values, 4)
     # one value per mu < nu pair: a wrong count or a dense N x N matrix is rejected
     for wrong in (
         uniform_amplitudes(6, 1.0),
@@ -157,21 +156,54 @@ def test_condensed_amplitudes_validation():
         np.ones((5, 5), dtype=complex),
     ):
         with pytest.raises(ValueError, match="expected 10 condensed pair amplitudes for 5 atoms"):
-            g2_from_amplitudes(wrong, 5)
+            g2_from_condensed(wrong, 5)
 
 
 @pytest.mark.parametrize("n_atoms", [0, 1, -3])
 def test_condensed_amplitudes_need_two_atoms(n_atoms):
     npairs = max(n_atoms * (n_atoms - 1) // 2, 0)
     with pytest.raises(ValueError, match=rf"n_atoms must be at least 2, got {n_atoms}"):
-        g2_from_amplitudes(np.ones(npairs, dtype=complex), n_atoms)
+        g2_from_condensed(np.ones(npairs, dtype=complex), n_atoms)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(10,), (5, 5), (5, 3), (5, 1), (4, 1), (2, 2, 1), (0, 0), (1, 0), ()],
+    ids=["condensed", "dense", "wide", "narrow", "narrow-even", "3-d", "no-atoms", "one-atom", "scalar"],
+)
+def test_round_robin_amplitudes_need_shape_n_by_half_n(shape):
+    with pytest.raises(ValueError, match=r"expected \(n, n // 2\) round-robin pair amplitudes with n >= 2"):
+        g2_from_amplitudes(np.ones(shape, dtype=complex))
+
+
+@pytest.mark.parametrize("n", [2, 4, 5])
+def test_round_robin_amplitudes_must_be_finite_in_every_slot(n):
+    for slot in [(0, 0), (n - 1, n // 2 - 1)]:  # for even n the last is a doubled slot, which counts no pair
+        for bad in (math.nan, math.inf, complex(0.0, -math.inf)):
+            amps = np.ones((n, n // 2), dtype=complex)
+            amps[slot] = bad
+            with pytest.raises(ValueError, match="missing pair amplitude"):
+                g2_from_amplitudes(amps)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 60, 301])
+def test_round_robin_amplitudes_read_each_pair_once(n):
+    # the second slot of each (mu, mu + n/2) pair of even n is not read, and the input is left as given
+    rng = np.random.default_rng(n)
+    amps = round_robin_of_condensed(random_amplitudes(n, rng), n)
+    point = g2_from_amplitudes(amps)
+    if n % 2 == 0:
+        amps[n // 2 :, -1] = 7.0 - 3.0j
+        assert g2_from_amplitudes(amps) == point
+        assert np.all(amps[n // 2 :, -1] == 7.0 - 3.0j)
+    assert g2_from_amplitudes(amps.tolist()) == point
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=2, max_value=9), st.integers(min_value=0, max_value=2**31))
 def test_g2_nonnegative_and_bounded_property(n, seed):
     amps = random_amplitudes(n, np.random.default_rng(seed))
-    point = g2_from_amplitudes(amps, n)
+    point = g2_from_condensed(amps, n)
     assert point.g2 >= 0.0
     assert point.f >= 0.0
     assert point.h >= 0.0
@@ -201,7 +233,7 @@ def test_brute_force_all_unit_amplitudes_within_spinwave_error():
     positions = sample_positions(EnsembleSpec(8, 60.0, seed=4))
     amps = uniform_amplitudes(8, 1.0)
     exact = brute_force_g2(positions, amps)
-    approx = g2_from_amplitudes(amps, 8).g2
+    approx = g2_from_condensed(amps, 8).g2
     assert abs(approx - exact) / exact < 0.15
 
 
@@ -223,13 +255,13 @@ def test_exact_g2_matches_the_state_vector(n):
         positions = sample_positions(EnsembleSpec(n, 60.0, seed=realization_seed(3 * n, draw)))
         amps = random_amplitudes(n, rng)
         k0 = rng.normal(0.0, 5.0, size=3)
-        exact = exact_g2(g2_from_amplitudes(amps, n), n)
+        exact = exact_g2(g2_from_condensed(amps, n), n)
         assert exact == pytest.approx(brute_force_g2(positions, amps, k0), rel=1e-13)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 7, 300, 999, 1000])
 def test_unit_point_is_the_point_of_unit_amplitudes_bit_for_bit(n):
-    assert unit_point(n) == g2_from_amplitudes(np.ones(n * (n - 1) // 2), n)
+    assert unit_point(n) == g2_from_amplitudes(np.ones((n, n // 2)))
 
 
 @pytest.mark.parametrize("n", [4, 6, 8, 10])
@@ -239,7 +271,7 @@ def test_pair_sum_formula_matches_oracle(n):
         positions = sample_positions(EnsembleSpec(n, 60.0, seed=realization_seed(n, draw)))
         amps = random_amplitudes(n, rng)
         exact = brute_force_g2(positions, amps)
-        approx = g2_from_amplitudes(amps, n).g2
+        approx = g2_from_condensed(amps, n).g2
         if exact == 0.0:
             assert approx == pytest.approx(0.0, abs=1e-12)
         else:
@@ -421,7 +453,7 @@ def reference_columns(ensemble, cycles, grid, mode, index):
             return np.stack([analytic_pair_amplitudes(r**3, cycle.channel.c3 * t) for t in times], axis=1)
 
     else:
-        geometries = [slot_geometry(positions, a, b) for a, b in zip(*pair_index_arrays(len(positions)))]
+        geometries = [slot_geometry(positions, a, b) for a, b in zip(*np.triu_indices(len(positions), 1))]
         r = np.array([g.separation for g in geometries])
         theta = np.array([g.polar_angle for g in geometries])
 
@@ -481,7 +513,7 @@ def test_cycles_match_fsum_reference(mode, n):
 @pytest.mark.parametrize("n", [2, 7, 64])
 def test_point_from_amplitude_set_matches_fsum_reference(n):
     amps = random_amplitudes(n, np.random.default_rng(n))
-    point = g2_from_amplitudes(amps, n)
+    point = g2_from_condensed(amps, n)
     want = fsum_point(amps, n)
     np.testing.assert_allclose([point.g2, point.f, point.h], want, rtol=REDUCTION_RTOL, atol=0.0)
 
@@ -491,16 +523,17 @@ LAYOUT_SIZES = [2, 3, 4, 5, 6, 7, 8, 9, 60, 61, 300, 301]
 
 @pytest.mark.parametrize("n", LAYOUT_SIZES)
 def test_round_robin_slots_cover_every_pair_once(n):
-    slots = round_robin_pairs(n)
-    assert slots.shape == (n, n // 2)
-    counted = np.ones(slots.shape)
+    lo, hi = round_robin_pairs(n)
+    assert lo.shape == hi.shape == (n, n // 2)
+    counted = np.ones(lo.shape)
     zero_doubled_slots(counted)
-    assert np.array_equal(np.sort(slots[counted == 1.0]), np.arange(n * (n - 1) // 2))
-    # slot (mu, k - 1) is the pair of mu and (mu + k) mod n
-    mu, nu = pair_index_arrays(n)
-    partner = (np.arange(n)[:, None] + np.arange(1, n // 2 + 1)) % n
-    assert np.array_equal(np.minimum(mu[slots], nu[slots]), np.minimum(np.arange(n)[:, None], partner))
-    assert np.array_equal(np.maximum(mu[slots], nu[slots]), np.maximum(np.arange(n)[:, None], partner))
+    counts = counted == 1.0
+    assert sorted(zip(lo[counts].tolist(), hi[counts].tolist())) == list(zip(*np.triu_indices(n, 1)))
+    # slot (mu, k - 1) is the pair of mu and (mu + k) mod n, lower index first
+    mu = np.arange(n)[:, None]
+    partner = (mu + np.arange(1, n // 2 + 1)) % n
+    assert np.array_equal(lo, np.minimum(mu, partner))
+    assert np.array_equal(hi, np.maximum(mu, partner))
 
 
 @pytest.mark.parametrize("n", LAYOUT_SIZES)
@@ -518,7 +551,7 @@ def planes_of(amps, n):
     from ryddephase.correlation import _PairPlanes
 
     planes = _PairPlanes(n)
-    amps = np.asarray(amps, dtype=complex)[round_robin_pairs(n)]
+    amps = round_robin_of_condensed(np.asarray(amps, dtype=complex), n)
     planes.owned[0], planes.owned[1] = amps.real, amps.imag
     return planes
 
@@ -534,7 +567,7 @@ def test_row_sums_match_the_dense_matrix(n):
     want = matrix.sum(axis=1)
     assert np.all(np.abs(got[0] - want.real) <= REDUCTION_RTOL * scale)
     assert np.all(np.abs(got[1] - want.imag) <= REDUCTION_RTOL * scale)
-    point = g2_from_amplitudes(amps, n)
+    point = g2_from_condensed(amps, n)
     np.testing.assert_allclose([point.g2, point.f, point.h], fsum_point(amps, n), rtol=1e-14, atol=0.0)
 
 
@@ -555,11 +588,11 @@ def nan_pairs(n):
 @pytest.mark.parametrize("n, where", [(n, where) for n in (4, 5, 8, 9, 60, 61) for where in nan_pairs(n)])
 def test_a_missing_amplitude_in_any_slot_raises(n, where):
     a, b = nan_pairs(n)[where]
-    mu, nu = pair_index_arrays(n)
+    mu, nu = np.triu_indices(n, 1)
     amps = random_amplitudes(n, np.random.default_rng(n))
     amps[(mu == a) & (nu == b)] = complex(math.nan, 0.0)
     with pytest.raises(ValueError, match="missing pair amplitude"):
-        g2_from_amplitudes(amps, n)
+        g2_from_condensed(amps, n)
     # the planes themselves, past g2_from_amplitudes' entry check, see every slot that counts
     for reduce_planes in (lambda planes: planes.point(), lambda planes: pair_mean(planes.owned)):
         with pytest.raises(NumericsError, match="^non-finite pair sum$"):
@@ -600,7 +633,7 @@ def test_pair_mean_over_a_block_axis_is_each_times_mean_bit_for_bit(n):
 @pytest.mark.parametrize("n", [2, 3, 4, 60, 61, 100])
 def test_unit_amplitudes_give_the_finite_n_invariant(n):
     # the cycles row-0 invariant: f = h = ((N-1)/N)^2 when every pair amplitude is 1
-    point = g2_from_amplitudes(np.ones(n * (n - 1) // 2), n)
+    point = g2_from_amplitudes(np.ones((n, n // 2)))
     q = ((n - 1) / n) ** 2
     assert abs(point.f - q) <= 1e-15 * q
     assert abs(point.h - q) <= 1e-15 * q
@@ -655,9 +688,9 @@ def test_one_analytic_point_allocates_far_less_than_a_plane():
 
 
 def exact_trace(ensemble, cycles, grid, mode, realizations):
-    """(g2, f, h) stacks from condensed columns through g2_from_amplitudes."""
+    """(g2, f, h) stacks from condensed columns, gathered into round-robin slots for g2_from_amplitudes."""
     points = [
-        [tuple(vars(g2_from_amplitudes(col, ensemble.n_atoms)).values()) for col in columns.T]
+        [tuple(vars(g2_from_condensed(col, ensemble.n_atoms)).values()) for col in columns.T]
         for columns in (reference_columns(ensemble, cycles, grid, mode, r) for r in range(realizations))
     ]
     return np.moveaxis(np.array(points), 2, 0)
@@ -674,6 +707,70 @@ def test_drivers_bit_identical_to_condensed_order(mode, n):
     ]:
         for got, expected in zip((trace.g2, trace.f, trace.h), want):
             assert np.array_equal(got, expected)
+
+
+class LazyExecutor:
+    """A concurrent.futures stand-in whose futures run their task when the result is taken.
+
+    It records the most futures submitted and not yet taken at once, and
+    which tasks ran.
+    """
+
+    def __init__(self, workers):
+        self._max_workers = workers
+        self.queued, self.most, self.ran = 0, 0, []
+
+    def submit(self, fn, task):
+        executor = self
+
+        class Future:
+            cancelled = False
+
+            def result(self):
+                executor.queued -= 1
+                executor.ran.append(task[-1])
+                return fn(task)
+
+            def cancel(self):
+                self.cancelled = True
+                executor.queued -= 1
+
+        self.queued += 1
+        self.most = max(self.most, self.queued)
+        return Future()
+
+
+@pytest.mark.parametrize("workers, realizations", [(1, 1), (2, 3), (2, 8), (2, 9), (3, 40)])
+def test_pool_submission_is_bounded_and_stacks_as_the_serial_run(workers, realizations):
+    from ryddephase.correlation import POOL_TASKS_PER_WORKER, _realization_points, run_realizations
+
+    params = (tuple(single_cycle_schedule(2.0e5).cycles), np.array([0.3, 1.0]), "analytic")
+    ens = EnsembleSpec(6, 60.0, seed=45)
+    pool = LazyExecutor(workers)
+    stacks, seeds = run_realizations(_realization_points, ens, params, realizations, pool)
+    want_stacks, want_seeds = run_realizations(_realization_points, ens, params, realizations)
+    assert seeds == want_seeds
+    assert all(np.array_equal(got, want) for got, want in zip(stacks, want_stacks, strict=True))
+    assert pool.most == min(realizations, POOL_TASKS_PER_WORKER * workers)
+    assert pool.ran == list(range(realizations)) and pool.queued == 0
+
+
+def test_a_failed_pool_realization_cancels_the_queued_ones():
+    from ryddephase.correlation import run_realizations
+
+    calls = []
+
+    def fails_third(positions):  # the executor runs each task in this process, in index order
+        calls.append(1)
+        if len(calls) == 3:
+            raise NumericsError("synthetic")
+        return np.zeros((3, 1))
+
+    pool = LazyExecutor(2)
+    with pytest.raises(NumericsError, match=r"^realization 2 \(seed \d+\): synthetic$"):
+        run_realizations(fails_third, EnsembleSpec(4, 60.0, seed=46), (), 50, pool)
+    assert pool.ran == [0, 1, 2]
+    assert pool.queued == 0  # the other queued futures were cancelled, not run
 
 
 def test_trace_summaries_are_computed_once():

@@ -4,13 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import pdist, squareform
 
 from ryddephase.ensemble import (
     EnsembleSpec,
     _close_pairs,
     PackingError,
-    pair_index_arrays,
     round_robin_orientations,
     round_robin_pairs,
     round_robin_separations,
@@ -317,10 +316,11 @@ def test_pair_geometry_swap_symmetry(coords):
         assert d_phi == pytest.approx(math.pi, abs=1e-6)
 
 
-def test_pair_index_arrays_are_condensed_order():
-    mu, nu = pair_index_arrays(4)
-    assert list(zip(mu.tolist(), nu.tolist())) == [
-        (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+def test_round_robin_pairs_name_each_slots_atoms_lower_index_first():
+    lo, hi = round_robin_pairs(4)
+    # slot (mu, k - 1) is the pair of mu and (mu + k) mod 4; the pairs (0, 2) and (1, 3) have two slots
+    assert list(zip(lo.ravel().tolist(), hi.ravel().tolist())) == [
+        (0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (0, 2), (0, 3), (1, 3),
     ]
 
 
@@ -329,9 +329,9 @@ def test_pair_separations_equal_scipy_pdist_bit_for_bit(n):
     # every condensed pair gets a round-robin slot, and its bits are pdist's
     for seed in (0, 1, 11, 2**63 + 5):
         positions = sample_positions(EnsembleSpec(n, 60.0, seed))
-        condensed = np.full(n * (n - 1) // 2, np.nan)
-        condensed[round_robin_pairs(n)] = round_robin_separations(positions)
-        assert condensed.tobytes() == pdist(positions).tobytes()
+        full = np.full((n, n), np.nan)
+        full[round_robin_pairs(n)] = round_robin_separations(positions)
+        assert full[np.triu_indices(n, 1)].tobytes() == pdist(positions).tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 41, 300, 301])
@@ -339,7 +339,7 @@ def test_round_robin_separations_are_the_condensed_bits(n):
     for seed in (0, 1, 11, 2**63 + 5):
         positions = sample_positions(EnsembleSpec(n, 60.0, seed))
         got = round_robin_separations(positions)
-        assert got.tobytes() == pdist(positions)[round_robin_pairs(n)].tobytes()
+        assert got.tobytes() == squareform(pdist(positions))[round_robin_pairs(n)].tobytes()
 
 
 @pytest.mark.parametrize("pair_function, peak_mb", [(round_robin_separations, 10.0), (round_robin_orientations, 28.0)])

@@ -9,7 +9,6 @@ from ryddephase.atomdata import POLARIZATIONS, POPULATED_M, InteractionModel, Mi
 from ryddephase.ensemble import EnsembleSpec, sample_positions
 from ryddephase.pairdyn import (
     CycleSpec,
-    analytic_cycle_amplitude,
     analytic_pair_amplitudes,
     dressing_matrix,
     pair_spectra,
@@ -18,7 +17,7 @@ from ryddephase.pairdyn import (
 )
 from ryddephase.protocol import make_schedule
 
-from reference import PairGeometry, cycle_amplitude_numeric, interaction_matrix, propagate
+from reference import PairGeometry, analytic_cycle_amplitude, cycle_amplitude_numeric, interaction_matrix, propagate
 
 
 def channel(j=0.5, c3=1.0, n=100, p_n=None):

@@ -17,12 +17,11 @@ from ryddephase.ensemble import EnsembleSpec, sample_positions
 from ryddephase.pairdyn import CycleSpec, NumericsError, analytic_pair_amplitudes
 from ryddephase.protocol import (
     decay_reference,
-    entangle_fidelity,
     entangle_trace,
     make_schedule,
 )
 
-from reference import entangle_points, single_excitation_survival
+from reference import entangle_fidelity, entangle_points, single_excitation_survival
 
 MW = MicrowaveSpec(rabi=10.0)
 
