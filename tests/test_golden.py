@@ -63,6 +63,12 @@ CASES = {
         "g2-trace",
         {"ensemble.n_atoms": 8, "realizations": 2, "grid.points": 4},
     ),
+    # a full block of grid times and a short last one: B = 11 at 60 atoms
+    "multichannel_blocks": (
+        "multichannel.json",
+        "g2-trace",
+        {"ensemble.n_atoms": 60, "realizations": 2, "grid.points": 12, "output.format": "json"},
+    ),
     "two_cycle_trace_analytic": ("multichannel.json", "g2-trace", _two_cycle_trace("analytic")),
     "two_cycle_trace_multichannel": ("multichannel.json", "g2-trace", _two_cycle_trace("multichannel")),
     "two_cycle_trace_sigma_minus": (
@@ -79,6 +85,12 @@ CASES = {
         "fig2.json",
         "g2-trace",
         {"ensemble.n_atoms": 30, "realizations": 2, "grid.points": 8, "output.format": "json"},
+    ),
+    # two full blocks of grid times and a short last one: B = 10 at 61 atoms (correlation.BLOCK_SLOTS)
+    "fig2_blocks": (
+        "fig2.json",
+        "g2-trace",
+        {"ensemble.n_atoms": 61, "realizations": 2, "grid.points": 23, "output.format": "json"},
     ),
     "cycles": ("cycles.json", "cycles", {"ensemble.n_atoms": 20, "realizations": 2}),
     "cycles_json": ("cycles.json", "cycles", {"ensemble.n_atoms": 20, "realizations": 2, "output.format": "json"}),
@@ -130,6 +142,11 @@ GOLDEN = {
         "g2_trace_n60.csv": "6b8389d92e3362fcd50f2f8e37820896c404301e7f68374374a8488e809bb5ad",
         "g2_trace_n79.csv": "0f453b27f495c9982c1b46257ce3fbf945e3d78cdfa985ed4e847ca2e5297b83",
     },
+    "fig2_blocks": {
+        "g2_trace_n100.json": "5c8817019df70fa04a1eeb37032602896e794a93a5cad957862d670861b26ba7",
+        "g2_trace_n60.json": "cadb581b547330c4b8e57e8851dc29ef5fa5536e3674823a9776667edf246ae1",
+        "g2_trace_n79.json": "639a39da52298ca6c72af7386d01d85dbdaefd32da3e5df35d4f3760f70e5762",
+    },
     "fig2_json": {
         "g2_trace_n100.json": "88fba9266c18c52e3e63a67f7aa1cfe71ea89224dba58b076d382010353cba0d",
         "g2_trace_n60.json": "5fc3214c94ba2fb57442acd9fba84cd3f057814e3a367bb8dad884d13326c686",
@@ -140,6 +157,9 @@ GOLDEN = {
     },
     "multichannel": {
         "g2_trace.csv": "8e3e0154455abe48f19055ce4c781648031b9f1b99be811ba5a8f29ccc69e0b1",
+    },
+    "multichannel_blocks": {
+        "g2_trace.json": "919062bce521ca20ff9eadafb5bc4f210756e2d11d32d37defe37f3c5b3f605f",
     },
     "oracle": {
         "oracle.json": "a4c33375a178782597298cdedba1f5e78d04d8ea7e4dd1a3673cd09451fd7221",
