@@ -330,6 +330,10 @@ def _parse_trace_config(raw, subcommand) -> RunConfig:
             if "c3" in cycle:
                 _fail(f"schedule.cycles[{i}].c3", "scan_n resolves C3 per n from the table or model; give no cycle c3")
         scan_schedules = {n: _parse_schedule([{**c, "s_n": n, "p_n": n} for c in cycles], model, table) for n in scan_n}
+    if subcommand == "cycles":  # the trace's time axis
+        for i, t in enumerate(schedule.wall_times):
+            if not math.isfinite(t):
+                _fail(f"schedule.cycles[{i}]", "wall-clock time (delta_t_us + 2 pi / rabi_rad_per_us) overflows")
     mode = _as_choice(raw.get("mode", "analytic"), "mode", ("analytic", "multichannel"))
     grid = _parse_grid(raw["grid"], "grid") if subcommand == "g2-trace" else None
     realizations = _parse_realizations(raw, len(schedule) if grid is None else len(grid))

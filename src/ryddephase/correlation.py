@@ -15,43 +15,33 @@ in the large-N limit (N-1)/N ~ 1.  At finite N the exact correlator of the
 truncated state is the same formula with f and h scaled by N/(N - 1)
 (exact_g2), so the pair sums carry the whole finite-N correction.
 
-Each point is reduced from per-pair amplitudes without forming the N x N
-matrix, in the simulation's one pair order, round-robin: with K = N // 2,
-atom mu owns the pairs (mu, mu + k mod N), k = 1..K, one row of K slots.
-For odd N that is every pair once; for even N the second slot of each pair
-(mu, mu + N/2) is zeroed (zero_doubled_slots).  Re A and Im A fill rows K..
-of two real planes of K + N rows (_PairPlanes), and the last K rows are
-copied ahead of the first.  Then the partners of mu, the pairs (mu - k, mu),
-sit at row K + mu - k, column k - 1 of a plane: one fixed view with strides
-(K, 1 - K).  S_mu adds the sum over its own row and the sum over that view,
-each started from +0.0, and f and h come from numpy's pairwise sums over the
-N row sums.  There is no gather, and every summation order depends on N
-alone, never on how realizations were spread over worker processes, so
-traces are byte-identical for any worker count.
+Each point is reduced without forming the N x N matrix, in the one pair
+order, round-robin: with K = N // 2, atom mu owns the pairs (mu, mu + k mod
+N), k = 1..K, one row of K slots.  For odd N that is every pair once; for
+even N the second slot of each pair (mu, mu + N/2) is zeroed
+(zero_doubled_slots).  Re A and Im A fill rows K.. of two real planes of
+K + N rows per time (_PairPlanes), and the last K rows are copied ahead of
+the first.  Then the partners of mu, the pairs (mu - k, mu), sit at row
+K + mu - k, column k - 1 of a plane: one fixed view with strides (K, 1 - K).
+S_mu adds the sum over its own row and the sum over that view, each started
+from +0.0, and f and h come from numpy's pairwise sums over the N row sums.
 
-Each mode supplies one function (t, out) -> amplitudes per cycle: analytic
-over R^3 computed once, multichannel over the cycle's spectra of every slot.
-With out the kernel writes the planes itself; without, it returns a fresh
-complex (N, K) array.  An analytic source also takes a (B, 1, 1) column of
-times and then writes (2, B, N, K) planes, B times in one elementwise call.
-One rule combines the cycles: their amplitudes multiply, as complex
-numbers.  A realization allocates its planes once and streams one point at
-a time, in O(N^2) memory, or O(N^2 d) over a pair basis of dimension d,
-whatever the grid length T.  g2_from_amplitudes reduces one point from
-complex amplitudes given in the same (N, K) order.
+Every grid runs through one block loop, block_points: B = max(1,
+BLOCK_SLOTS // (N K)) grid times per block, as a (B, 1, 1) column of times
+to each cycle's source (analytic over R^3 computed once, multichannel over
+the cycle's spectra of every slot).  A lone cycle's source writes the
+block's planes; the cycles of a longer schedule multiply as complex numbers
+and their product is copied in.  Buffers are allocated once per
+realization, so memory is O(N^2 + BLOCK_SLOTS), or O(N^2 d) over a pair
+basis of dimension d, whatever the grid length T.  Each time's amplitudes
+and sums have the bits of a block of one time, in orders fixed by N, so
+output does not depend on the block length or the worker count.
 
 run_realizations maps the one realization task, _trace_single_realization,
-over the realizations, serially or on a process pool with a few tasks per
-worker in flight (_pool_map): it derives the seed,
-samples the positions, evaluates a (3, T) points function on them
-(_realization_points, or protocol._entangle_points), returns the seed with
-the points and tags a NumericsError with the realization and seed.
-Entangle evaluates its grid in blocks of times and reads every time's mean
-amplitude from one pair_mean over the block's (2, B, N, K) planes: each
-time's plane is still one contiguous pairwise sum, so the block length
-changes no bit, and the even-N rule and the pair count live here alone.
-g2 points are not blocked: each needs its own row sums through the partner
-view.
+over the realizations, serially or a few per worker ahead on a process pool
+(_pool_map): it derives the seed, samples the positions, evaluates a (3, T)
+points function on them (_realization_points, or protocol._entangle_points)
+and tags a NumericsError with the realization and seed.
 """
 
 import collections
@@ -75,6 +65,11 @@ from .pairdyn import NumericsError, analytic_pair_amplitudes, pair_spectra, spec
 G2_ZERO = math.e / 4.0
 G2_ASYMPTOTE = G2_ZERO * 16.0 / 25.0
 POOL_TASKS_PER_WORKER = 4  # realizations submitted to a pool and not yet taken, per worker (_pool_map)
+# pair slots per block of B grid times, n K each (block_points).  One N = 100 entangle realization of a 51-point
+# grid took 3.50, 2.86, 2.55, 2.38, 2.44 and 2.80 ms at B = 1, 2, 4, 8, 16 and 52 (medians of 20 runs, one
+# core).  B = 4 keeps most of the gain in half the buffer of B = 8: 320 kB at N = 100, where B = 8 held
+# 0.6 MB more peak RSS in the entangle benchmark and no more throughput in it.
+BLOCK_SLOTS = 20_000
 
 
 def _g2(f: float, h: float, scale: float = 1.0) -> float:
@@ -89,14 +84,14 @@ class G2Point:
     h: float
 
 
-def zero_doubled_slots(planes: np.ndarray) -> None:
-    """Zero the slots of round-robin planes (..., n, K) that count no pair.
-
-    For even n these are the second slots (mu + K, K - 1) of the pairs (mu, mu + n/2).
-    """
+def doubled_slots(planes: np.ndarray) -> np.ndarray:
+    """The slots of round-robin planes (..., n, K) that count no pair: for even n, (mu + K, K - 1) of (mu, mu + n/2)."""
     n = planes.shape[-2]
-    if n % 2 == 0:
-        planes[..., n // 2 :, -1] = 0.0
+    return planes[..., n // 2 if n % 2 == 0 else n :, -1]
+
+
+def zero_doubled_slots(planes: np.ndarray) -> None:
+    doubled_slots(planes)[...] = 0.0
 
 
 def round_robin_cubes(positions: np.ndarray) -> np.ndarray:
@@ -123,60 +118,57 @@ def pair_mean(planes: np.ndarray) -> np.ndarray:
 
 
 class _PairPlanes:
-    """Re A and Im A of every pair of n atoms in round-robin order, and the g2 point they reduce to.
+    """Re A and Im A of every pair of n atoms at block times, in round-robin order, and their g2 points.
 
-    owned, a (2, n, K) view with K = n // 2, holds in [0] and [1] the real
-    and imaginary amplitude of slot (mu, k - 1), the pair (mu, mu + k mod n).
-    Every slot is written before each point (module docstring).
+    owned, a (2, block, n, K) view with K = n // 2 of the time-major
+    (block, 2, K + n, K) buffer, holds Re A and Im A of slot (mu, k - 1), the
+    pair (mu, mu + k mod n), at each time, all written before each reduction.
     """
 
-    def __init__(self, n: int):
-        self.n, self.k = n, n // 2
-        self._planes = np.empty((2, self.k + n, self.k))
-        self.owned = self._planes[:, self.k :]
+    def __init__(self, n: int, block: int = 1, buffer=None):
+        self.n, self.k, self.block = n, n // 2, block
+        self._n3, self._n4 = float(n) ** 3, float(n) ** 4
+        self.buffer = np.empty((block, 2, self.k + n, self.k)) if buffer is None else buffer
+        self._owned = self.buffer[:, :, self.k :]
+        self.owned = self._owned.swapaxes(0, 1)
+        self._doubled, self._rows = doubled_slots(self._owned), np.empty((2, block, 2, n))
+        self._wraps = [(self.buffer[:, part, : self.k], self.buffer[:, part, n:]) for part in (0, 1)]
         # the partner in slot (mu, k - 1), the pair (mu - k, mu), lies at plane row K + mu - k, column k - 1
-        strides = self._planes.strides
-        self._partners = as_strided(
-            self._planes[:, self.k - 1 :],
-            (2, n, self.k),
-            (strides[0], strides[1], strides[2] - strides[1]),
-            writeable=False,
-        )
+        strides = self.buffer.strides
+        shape, strides = (block, 2, n, self.k), (*strides[:3], strides[3] - strides[2])
+        self._partners = as_strided(self.buffer[:, :, self.k - 1 :], shape, strides, writeable=False)
 
     def row_sums(self) -> np.ndarray:
-        """Real and imaginary row sums S_mu of owned, shape (2, n).
+        """Real and imaginary row sums S_mu of each time of owned, shape (block, 2, n).
 
-        The slots that count no pair are zeroed first; then the last K rows
-        are copied ahead of the first, for the partner view, one plane at a
-        time: the two regions of one plane do not overlap, but those of both
-        planes together do, and numpy would copy them through a temporary.
-        A row of signed zeros sums to +0.0.
+        The slots that count no pair are zeroed; the last K rows of each
+        plane are copied ahead of its first, for the partner view, Re and Im
+        apart (numpy copies through a temporary where regions overlap).  A
+        row of signed zeros sums to +0.0.
         """
-        zero_doubled_slots(self.owned)
-        for plane in self._planes:
-            plane[: self.k] = plane[self.n :]
-        rows = self.owned.sum(axis=2, initial=0.0)
-        rows += self._partners.sum(axis=2, initial=0.0)
+        self._doubled[...] = 0.0
+        for target, source in self._wraps:
+            target[...] = source
+        rows = self._owned.sum(axis=3, initial=0.0, out=self._rows[0])
+        rows += self._partners.sum(axis=3, initial=0.0, out=self._rows[1])
         return rows
 
-    def point(self, amplitudes=None) -> tuple[float, float, float]:
-        """(g2, f, h) of owned, from numpy's pairwise sums over the n row sums.
+    def points(self) -> list:
+        """(g2, f, h) of each time of owned: numpy's pairwise sums over its row sums, then the scalar _g2.
 
-        Complex (n, K) amplitudes in round-robin order are copied into owned
-        first; with None, owned holds the point as written.  A non-finite
-        amplitude makes its row sums, and so f and h, non-finite (|A| <= 1
-        keeps finite sums finite), so only f and h are checked: NumericsError.
+        A non-finite amplitude makes f or h non-finite (|A| <= 1 keeps finite
+        sums finite), so only they are checked: NumericsError.
         """
-        if amplitudes is not None:
-            self.owned[0], self.owned[1] = amplitudes.real, amplitudes.imag
         rows = self.row_sums()
-        n = float(self.n)
-        total_re, total_im = rows.sum(axis=1).tolist()
-        f = (total_re * total_re + total_im * total_im) / n**4
-        h = float((rows * rows).sum()) / n**3
-        if not (math.isfinite(f) and math.isfinite(h)):
-            raise NumericsError("non-finite pair sum")
-        return _g2(f, h), f, h
+        totals = rows.sum(axis=2).tolist()
+        squares = np.square(rows, out=rows).reshape(self.block, -1).sum(axis=1).tolist()
+        points = []
+        for (total_re, total_im), square in zip(totals, squares):
+            f, h = (total_re * total_re + total_im * total_im) / self._n4, square / self._n3
+            if not (math.isfinite(f) and math.isfinite(h)):
+                raise NumericsError("non-finite pair sum")
+            points.append((_g2(f, h), f, h))
+        return points
 
 
 def exact_g2(point: G2Point, n_atoms: int) -> float:
@@ -191,10 +183,10 @@ def exact_g2(point: G2Point, n_atoms: int) -> float:
 
 
 def unit_point(n_atoms: int) -> G2Point:
-    """The point of all-unit amplitudes (row sums n - 1), reduced by _PairPlanes.point."""
+    """The point of all-unit amplitudes (row sums n - 1), reduced by _PairPlanes.points."""
     planes = _PairPlanes(n_atoms)
     planes.owned[0], planes.owned[1] = 1.0, 0.0
-    return G2Point(*planes.point())
+    return G2Point(*planes.points()[0])
 
 
 def g2_from_amplitudes(amplitudes) -> G2Point:
@@ -211,7 +203,9 @@ def g2_from_amplitudes(amplitudes) -> G2Point:
         raise ValueError(f"expected (n, n // 2) round-robin pair amplitudes with n >= 2, got shape {amplitudes.shape}")
     if not np.isfinite(amplitudes).all():
         raise ValueError("missing pair amplitude (non-finite value)")
-    return G2Point(*_PairPlanes(n).point(amplitudes))
+    planes = _PairPlanes(n)
+    planes.owned[0, 0], planes.owned[1, 0] = amplitudes.real, amplitudes.imag
+    return G2Point(*planes.points()[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,20 +252,18 @@ def realization_seed(base_seed: int, index: int) -> int:
 
 
 def _cycle_sources(positions: np.ndarray, cycles, mode: str):
-    """Per cycle, in schedule order, its amplitude function (t, out=None), pairs in round-robin order.
+    """Per cycle, in schedule order, its amplitude function (times, out=None), pairs in round-robin order.
 
-    Called with out, a source writes Re A and Im A into the planes out;
-    without, it returns a fresh complex array.  An analytic source also
-    accepts a (B, 1, 1) column of times, for (2, B, n, K) planes out: the
-    kernel is elementwise, so each time's amplitudes keep their bits.  A
-    multichannel cycle's pair spectra are built when its source is drawn,
-    so a caller that drops each source before drawing the next holds one
-    cycle's spectra at a time.
+    times is a (B, 1, 1) column of free intervals.  A source writes Re A and
+    Im A into (2, B, n, K) planes out, or returns a fresh complex (B, n, K)
+    array.  A multichannel cycle's pair spectra are built when its source is
+    drawn, so a caller that drops each source before drawing the next holds
+    one cycle's spectra at a time.
     """
     if mode == "analytic":
         cubes = round_robin_cubes(positions)
         for cycle in cycles:
-            yield lambda t, out=None, c3=cycle.channel.c3: analytic_pair_amplitudes(cubes, c3 * t, out)
+            yield lambda times, out=None, c3=cycle.channel.c3: analytic_pair_amplitudes(cubes, c3 * times, out)
     elif mode == "multichannel":
         r, theta = round_robin_orientations(positions)
         for q, cycle in enumerate(cycles):
@@ -283,39 +275,59 @@ def _cycle_sources(positions: np.ndarray, cycles, mode: str):
         raise ValueError(f"unknown mode {mode!r}")
 
 
-def _spectral_source(spectra: tuple, shape: tuple, t: float, out=None):
-    """A multichannel cycle's amplitudes of every slot of the (n, K) shape at free interval t."""
-    amplitudes = spectral_amplitudes(spectra, t).reshape(shape)
-    if out is None:
-        return amplitudes
+def _write(out: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
     out[0], out[1] = amplitudes.real, amplitudes.imag
     return out
 
 
-def _realization_points(positions: np.ndarray, cycles, grid, mode: str) -> np.ndarray:
-    """g2, f and h of each point of one realization, shape (3, T), through planes allocated once.
+def _spectral_source(spectra: tuple, shape: tuple, times: np.ndarray, out=None):
+    """A multichannel cycle's amplitudes of every slot of the (n, K) shape, one spectral_amplitudes call per time."""
+    amplitudes = np.stack([spectral_amplitudes(spectra, t) for t in times.ravel()]).reshape(len(times), *shape)
+    return amplitudes if out is None else _write(out, amplitudes)
 
-    The cycles' amplitudes multiply as complex numbers.  With a grid, each grid
-    time replaces the free interval of every cycle, and a lone cycle writes
-    the planes itself.  With grid None, point q is the product of cycles
-    0..q, each at its own free interval; map drops each cycle's source once
-    its amplitudes are evaluated, before the next one is drawn.
+
+def block_points(n: int, grid: np.ndarray, evaluator) -> np.ndarray:
+    """The (3, T) points of one realization of n atoms over grid, B = max(1, BLOCK_SLOTS // (n K)) times per block.
+
+    evaluator(B) allocates the buffers of B times and returns evaluate, which
+    maps a block's (b, 1, 1) column of times, b <= B, to b 3-tuples.
     """
-    planes = _PairPlanes(len(positions))
+    block = max(1, BLOCK_SLOTS // (n * (n // 2)))
+    evaluate = evaluator(min(block, len(grid)))
+    out, column = np.empty((len(grid), 3)), grid[:, None, None]
+    for start in range(0, len(grid), block):
+        out[start : start + block] = evaluate(column[start : start + block])
+    return out.T
+
+
+def _g2_block(fill, planes: _PairPlanes, times: np.ndarray) -> list:
+    if len(times) < planes.block:  # the short last block, on the first times of the buffer
+        planes = _PairPlanes(planes.n, len(times), planes.buffer[: len(times)])
+    fill(times, planes.owned)
+    return planes.points()
+
+
+def _realization_points(positions: np.ndarray, cycles, grid, mode: str) -> np.ndarray:
+    """g2, f and h of each point of one realization, shape (3, T), through block_points.
+
+    With a grid, each grid time replaces the free interval of every cycle.
+    With grid None, the times are the cycles' own free intervals and point q
+    the product of cycles 0..q; each cycle's source is drawn when its point
+    is due and dropped once evaluated.
+    """
     sources = _cycle_sources(positions, cycles, mode)
     if grid is None:
-        per_cycle = map(lambda source, cycle: source(cycle.delta_t), sources, cycles)
-        points = [planes.point(product) for product in itertools.accumulate(per_cycle, operator.mul)]
+        grid = np.array([cycle.delta_t for cycle in cycles])
+        per_cycle = map(lambda source, t: source(t[None]), sources, grid[:, None, None])
+        products = itertools.accumulate(per_cycle, operator.mul)
+        fill = lambda times, out: _write(out, np.concatenate([next(products) for _ in times]))
+    elif len(cycles) == 1:
+        (fill,) = sources
     else:
         first, *rest = sources
-        points = []
-        for t in grid:
-            if rest:
-                points.append(planes.point(reduce(operator.imul, (source(t) for source in rest), first(t))))
-            else:
-                first(t, planes.owned)
-                points.append(planes.point())
-    return np.array(points).T
+        fill = lambda times, out: _write(out, reduce(operator.imul, (s(times) for s in rest), first(times)))
+    n = len(positions)
+    return block_points(n, grid, lambda size: partial(_g2_block, fill, _PairPlanes(n, size)))
 
 
 def _trace_single_realization(args) -> tuple[int, np.ndarray]:
@@ -360,11 +372,9 @@ def run_realizations(points, ensemble: EnsembleSpec, params: tuple, realizations
     """The three (R, T) stacks of points(positions, *params) over the realizations, and their seeds.
 
     Each realization is one _trace_single_realization task, in the calling
-    process (pool None) or on the pool; points, a module-level function,
-    returns a (3, T) array.  Each task is made when it runs, or on a pool
-    when it is submitted, a few per worker ahead (_pool_map); each result is
-    copied into one (3, R, T) stack as it arrives, so the caller holds
-    24 R T bytes of results.  Realizations stack in index order, whatever
+    process (pool None) or on the pool, a few per worker ahead (_pool_map);
+    points, a module-level function, returns a (3, T) array.  Each result is
+    copied into one (3, R, T) stack as it arrives, in index order, whatever
     the worker count.
     """
     if realizations < 1:
@@ -425,11 +435,11 @@ def g2_after_cycles(
 ) -> G2Trace:
     """Correlation after each successive cycle of a fixed schedule.
 
-    The trace grid is the cumulative wall-clock time (free intervals plus the
-    2pi of pulse area per cycle).
+    The trace grid is the cumulative wall-clock time (schedule.wall_times:
+    free intervals plus the 2pi of pulse area per cycle).  Raises ValueError
+    when a cumulative time is not finite.
     """
-    cycles = tuple(schedule.cycles)
-    grid = np.cumsum([c.duration for c in cycles])
-    params = (cycles, None, mode)
+    grid = checked_time_grid(schedule.wall_times)
+    params = (tuple(schedule.cycles), None, mode)
     stacks, seeds = run_realizations(_realization_points, ensemble, params, realizations, pool)
     return G2Trace(grid, *stacks, seeds)

@@ -20,23 +20,20 @@ size of phi.  analytic_pair_amplitudes evaluates one cycle for many pairs,
 each pair's half phase one divide (C3 * dT / 2) / R^3; a schedule's cycles
 multiply in correlation, whatever the mode.
 
-Buffer discipline.  A g2 trace evaluates one cycle per grid point on
-columns of several hundred kB (44850 pairs at N = 300).  glibc serves
-blocks that size from the top of the heap and gives them back to the kernel
-once the free space at the top passes its trim threshold (mallopt(3),
-M_TRIM_THRESHOLD, which follows the dynamic M_MMAP_THRESHOLD).  A kernel
-that frees a chain of fresh temporaries per call crosses it at every grid
-point, and every page of the next call faults in again: about 500 minor
-faults, two thirds of the call's time.  So analytic_pair_amplitudes takes
-an out array: correlation allocates one real array of Re A and Im A planes
-per realization, and a lone cycle writes every point into it.  The kernel
-builds the half phase in the Im plane, overwrites it with its tangent, and
-writes the weight and its product with the tangent in place
-(_half_angle_amplitude_into), contiguously and with no other array.  The
-cycles of a longer schedule still return fresh complex arrays: they multiply
-as complex numbers, and numpy rounds each part of that product as one fused
-multiply-add, which separate planes cannot repeat.  R^3 comes from the caller, computed once
-per realization (libm pow takes about a third of a call at N = 300).
+Buffer discipline.  A kernel that frees a chain of fresh temporaries of
+several hundred kB per call (44850 pairs at N = 300) crosses glibc's trim
+threshold (mallopt(3), M_TRIM_THRESHOLD) at every call, and every page of
+the next call faults in again: about 500 minor faults, two thirds of the
+call's time.  So analytic_pair_amplitudes takes an out array: correlation
+allocates the Re A and Im A planes of a block of times once per
+realization, and a lone cycle writes them in place
+(_half_angle_amplitude_into: half phase, then its tangent, in the Im plane;
+the weight and its product with the tangent), with no other array.  The
+cycles of a longer schedule return fresh complex arrays: they multiply as
+complex numbers, and numpy rounds each part of that product as one fused
+multiply-add, which separate planes cannot repeat.  R^3 comes from the
+caller, computed once per realization (libm pow takes about a third of a
+call at N = 300).
 
 Numeric route (multichannel): each atom spans the sublevels
 [s -1/2, s +1/2, p -j, ..., p +j], found by index arithmetic

@@ -15,35 +15,25 @@ C3''.  entangle_trace takes the two as cycle specs with no free interval of
 their own, and over a free interval t each pair picks up the phases
 C3' t / R^3 and C3'' t / R^3.  The trace runs its position realizations
 through the one realization task of the correlation traces
-(correlation.run_realizations), serially or on a process pool, which seeds
-and samples each realization and calls _entangle_points on its positions.
-That draws each mode's amplitude function from the same sources as the g2
-drivers (correlation._cycle_sources), once per realization.  The grid runs
-in blocks of BLOCK_SLOTS // (n K) times (at least one): per block, each
-source writes its mode's amplitudes at the block's column of times into one
-(2, B, n, K) buffer, which both modes reuse, and correlation.pair_mean gives
-every time's coherence <e^{i phi}> = 2 <A(phi)> - 1 from it; F is
-2 / (2 + |m1|^2 + |m2|^2) of the two coherences (_fidelity_terms).  One call per
-block and mode takes the per-call overhead off most times, and memory stays
-O(max(n^2, BLOCK_SLOTS)) whatever the grid length.  The kernel is
-elementwise and each time's mean one pairwise sum whose order depends on the
-atom count alone, so outputs are byte-identical for any block length and
-any worker count.
+(correlation.run_realizations), which calls _entangle_points on each
+realization's positions.  That draws each mode's amplitude function from the
+same sources as the g2 drivers (correlation._cycle_sources) and runs the
+grid through their one block loop (correlation.block_points).  Per block,
+each source writes its mode's amplitudes into one (2, B, n, K) buffer, which
+both modes reuse, and correlation.pair_mean gives every time's coherence
+<e^{i phi}> = 2 <A(phi)> - 1; F is 2 / (2 + |m1|^2 + |m2|^2) of the two
+coherences (_fidelity_terms).
 """
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .correlation import _cycle_sources, checked_time_grid, pair_mean, run_realizations
+from .correlation import _cycle_sources, block_points, checked_time_grid, pair_mean, run_realizations
 from .pairdyn import CycleSpec
-
-# pair slots per entangle block of B grid times, n K each.  One N = 100 realization of a 51-point
-# grid took 3.50, 2.86, 2.55, 2.38, 2.44 and 2.80 ms at B = 1, 2, 4, 8, 16 and 52 (medians of 20
-# runs, one core).  B = 4 keeps most of the gain in half the buffer of B = 8: 320 kB at N = 100,
-# where B = 8 held 0.6 MB more peak RSS in the entangle benchmark and no more throughput in it.
-BLOCK_SLOTS = 20_000
 
 
 @dataclass(frozen=True)
@@ -56,6 +46,11 @@ class CycleSchedule:
     def total_time(self) -> float:
         """us, sum of delta_t + 2pi/Omega over cycles."""
         return math.fsum(c.duration for c in self.cycles)
+
+    @property
+    def wall_times(self) -> list[float]:
+        """us after each cycle: the running sum of delta_t + 2pi/Omega in schedule order, as Python floats."""
+        return list(itertools.accumulate(c.duration for c in self.cycles))
 
     def __len__(self) -> int:
         return len(self.cycles)
@@ -112,28 +107,21 @@ def _fidelity_terms(means) -> tuple[float, float, float]:
     return 2.0 / (2.0 + m1**2 + m2**2), m1, m2
 
 
-def _entangle_points(positions: np.ndarray, modes, grid) -> np.ndarray:
-    """F, |m1| and |m2| of one realization at every grid time, shape (3, T).
+def _entangle_block(sources, buffer: np.ndarray, times: np.ndarray) -> list:
+    """(F, |m1|, |m2|) at each time of a block: each mode writes the planes, and pair_mean reads them."""
+    planes = buffer[:, : len(times)]
+    means = []
+    for source in sources:
+        source(times, planes)
+        means.append(pair_mean(planes).T.tolist())
+    return [_fidelity_terms(pair) for pair in zip(*means)]
 
-    The grid runs in blocks of B = BLOCK_SLOTS // (n K) times (at least one).
-    Per block, each mode's source writes its amplitudes at the block's
-    column of times into one (2, B, n, K) buffer, shared by both modes, and
-    pair_mean reads every time's mean from it before the next mode writes.
-    """
+
+def _entangle_points(positions: np.ndarray, modes, grid) -> np.ndarray:
+    """F, |m1| and |m2| of one realization at every grid time, shape (3, T)."""
     sources = list(_cycle_sources(positions, modes, "analytic"))
     n = len(positions)
-    block = max(1, BLOCK_SLOTS // (n * (n // 2)))
-    buffer = np.empty((2, min(block, len(grid)), n, n // 2))
-    out = np.empty((3, len(grid)))
-    for start in range(0, len(grid), block):
-        times = grid[start : start + block]
-        planes = buffer[:, : len(times)]
-        means = []
-        for source in sources:
-            source(times[:, None, None], planes)
-            means.append(pair_mean(planes).T.tolist())
-        out[:, start : start + len(times)] = np.array([_fidelity_terms(pair) for pair in zip(*means)]).T
-    return out
+    return block_points(n, grid, lambda size: partial(_entangle_block, sources, np.empty((2, size, n, n // 2))))
 
 
 def entangle_trace(ensemble_spec, modes, grid, realizations: int = 100, pool=None):

@@ -7,9 +7,9 @@ module keeps the azimuth and complex arithmetic, one pair and one matrix
 exponential at a time, so the tests check that claim against an independent
 evaluation that shares only the operators with the kernel.
 
-It also keeps entangle's unblocked realization loop (entangle_points): one
-source call per mode and grid time, which the blocked loop of
-protocol._entangle_points must match bit for bit.
+It also keeps the unblocked realization loops of g2 (g2_points) and
+entangle (entangle_points): one source call per cycle or mode and grid
+time, which the blocks of correlation.block_points must match bit for bit.
 
 The package's one pair order is round-robin.  Tests that build amplitudes
 in condensed order (mu < nu, row-major, as np.triu_indices and scipy's pdist
@@ -19,7 +19,9 @@ of phases (analytic_cycle_amplitude) and F from two modes' pair phases
 (entangle_fidelity) live here too: no run of the package needs either.
 """
 
+import functools
 import math
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -117,16 +119,26 @@ def single_excitation_survival(schedule) -> complex:
 
 
 def entangle_points(positions, modes, grid) -> np.ndarray:
-    """F, |m1| and |m2| of one realization, shape (3, T): each mode writes its own (2, n, K) planes, one time per call."""
+    """F, |m1| and |m2| of one realization, shape (3, T): each mode writes its own (2, 1, n, K) planes, one time per call."""
     sources = list(_cycle_sources(positions, modes, "analytic"))
     n = len(positions)
-    planes = [np.empty((2, n, n // 2)) for _ in sources]
+    planes = [np.empty((2, 1, n, n // 2)) for _ in sources]
     out = np.empty((3, len(grid)))
     for it, t in enumerate(grid):
         for source, mode_planes in zip(sources, planes):
-            source(t, mode_planes)
-        out[:, it] = _fidelity_terms([pair_mean(mode_planes).tolist() for mode_planes in planes])
+            source(np.full((1, 1, 1), t), mode_planes)
+        out[:, it] = _fidelity_terms([pair_mean(mode_planes)[:, 0].tolist() for mode_planes in planes])
     return out
+
+
+def g2_points(positions, cycles, grid, mode: str) -> np.ndarray:
+    """g2, f and h of one realization, shape (3, T): one call per source and time, each point from g2_from_amplitudes."""
+    sources = list(_cycle_sources(positions, cycles, mode))
+    points = []
+    for t in grid:
+        amplitudes = functools.reduce(operator.mul, [source(np.full((1, 1, 1), t))[0] for source in sources])
+        points.append(tuple(vars(g2_from_amplitudes(amplitudes)).values()))
+    return np.array(points).T
 
 
 def round_robin_of_condensed(condensed, n: int) -> np.ndarray:

@@ -924,6 +924,26 @@ def test_an_overflowing_model_c3_is_a_config_error(tmp_path, capsys, config, sub
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "overrides, cycle",
+    [
+        ({"rabi_rad_per_us": 1e-320}, 0),  # 2 pi / Omega overflows: t_us inf, reference nan
+        ({"delta_t_us": 1e308}, 1),  # numpy warned on the cumulative sum, then the phases overflowed
+        ({"delta_t_us": 1e308, "c3": 1e-200}, 1),  # finite phases: every realization ran, then fsum raised
+    ],
+    ids=["pulse-area", "intervals", "intervals-small-c3"],
+)
+def test_a_cycles_time_axis_that_overflows_is_a_config_error(tmp_path, capsys, overrides, cycle):
+    raw = json.loads((CONFIG_DIR / "cycles.json").read_text())
+    raw["ensemble"]["n_atoms"], raw["realizations"] = 10, 1
+    raw["schedule"]["cycles"] = [dict(c, **overrides) for c in raw["schedule"]["cycles"]]
+    out = tmp_path / "out"
+    assert main(["cycles", "--config", str(write_config(tmp_path, raw)), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"config error: schedule.cycles[{cycle}]: wall-clock time (delta_t_us + 2 pi / rabi_rad_per_us) overflows\n"
+    assert not out.exists()
+
+
 def test_failed_run_does_not_block_a_rerun(tmp_path, monkeypatch):
     from ryddephase.pairdyn import NumericsError
 

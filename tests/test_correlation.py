@@ -12,9 +12,11 @@ from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import pdist
 
 from ryddephase.atomdata import POLARIZATIONS, POPULATED_M, MicrowaveSpec, RydbergChannel
+import ryddephase.correlation as correlation
 from ryddephase.correlation import (
     G2_ASYMPTOTE,
     G2_ZERO,
+    _g2,
     exact_g2,
     g2_after_cycles,
     g2_from_amplitudes,
@@ -39,7 +41,7 @@ from ryddephase.pairdyn import (
 )
 from ryddephase.protocol import entangle_trace, make_schedule
 
-from reference import cycle_amplitude_numeric, g2_from_condensed, pair_geometry, round_robin_of_condensed
+from reference import cycle_amplitude_numeric, g2_from_condensed, g2_points, pair_geometry, round_robin_of_condensed
 from statevector import brute_force_g2
 
 
@@ -378,7 +380,7 @@ def test_multichannel_slots_match_the_scalar_oracle(j, polarization, n):
     counted = np.ones((n, n // 2))
     zero_doubled_slots(counted)
     for t in (0.0, 0.37, 5.0):
-        amplitudes = source(t)
+        amplitudes = source(np.full((1, 1, 1), t))[0]
         for mu, slot in zip(*np.nonzero(counted)):
             geom = pair_geometry(positions[(mu + slot + 1) % n], positions[mu])
             single = cycle_amplitude_numeric(geom, CycleSpec(cycle.channel, t, mw))
@@ -400,6 +402,26 @@ def test_cycles_grid_is_cumulative_duration():
     trace = g2_after_cycles(ens, sched, realizations=2)
     tau = 1.0 + 2.0 * math.pi / 10.0
     assert np.allclose(trace.grid, tau * np.arange(1, 5))
+
+
+def test_cycles_grid_that_overflows_is_refused():
+    sched = make_schedule(
+        [CycleSpec(RydbergChannel(100, 100, p_j, 1e-200), 1e308, MicrowaveSpec(rabi=10.0)) for p_j in (0.5, 1.5)]
+    )
+    with pytest.raises(ValueError, match="time grid must hold finite times >= 0 us, got inf"):
+        g2_after_cycles(EnsembleSpec(6, 60.0, seed=13), sched, realizations=1)
+
+
+def test_each_g2_is_the_scalar_g2_of_its_own_f_and_h():
+    # numpy's ** 2 of an array is a multiply, not the scalar's pow: _g2 of the (R, T) arrays differs in 10 of these
+    trace = g2_trace(
+        EnsembleSpec(10, 28.0, seed=20260810),
+        single_cycle_schedule(2.6e4, n=60),
+        np.geomspace(0.02, 60.0, 12),
+        realizations=1000,
+    )
+    want = [[_g2(f, h) for f, h in zip(fs, hs)] for fs, hs in zip(trace.f.tolist(), trace.h.tolist())]
+    assert trace.g2.size == 12_000 and np.array_equal(trace.g2, want)
 
 
 def test_cycles_first_point_matches_single_cycle_trace():
@@ -560,7 +582,7 @@ def planes_of(amps, n):
 def test_row_sums_match_the_dense_matrix(n):
     amps = random_amplitudes(n, np.random.default_rng(100 + n))
     amps[::5] = complex(-0.0, -0.0)  # signed zeros, whose sign a reordered sum could flip
-    got = planes_of(amps, n).row_sums()
+    (got,) = planes_of(amps, n).row_sums()
     matrix = dense(amps, n)
     # error bound relative to the row's absolute sum: a row may cancel to near 0
     scale = np.abs(matrix).sum(axis=1)
@@ -594,7 +616,7 @@ def test_a_missing_amplitude_in_any_slot_raises(n, where):
     with pytest.raises(ValueError, match="missing pair amplitude"):
         g2_from_condensed(amps, n)
     # the planes themselves, past g2_from_amplitudes' entry check, see every slot that counts
-    for reduce_planes in (lambda planes: planes.point(), lambda planes: pair_mean(planes.owned)):
+    for reduce_planes in (lambda planes: planes.points(), lambda planes: pair_mean(planes.owned)):
         with pytest.raises(NumericsError, match="^non-finite pair sum$"):
             reduce_planes(planes_of(amps, n))
 
@@ -602,7 +624,7 @@ def test_a_missing_amplitude_in_any_slot_raises(n, where):
 @pytest.mark.parametrize("n", LAYOUT_SIZES)
 def test_pair_mean_is_the_mean_over_every_pair_once(n):
     amps = random_amplitudes(n, np.random.default_rng(200 + n))
-    planes = planes_of(amps, n).owned
+    planes = planes_of(amps, n).owned[:, 0]
     if n % 2 == 0:
         planes[..., n // 2 :, -1] = 7.0  # the doubled slots must not count
     npairs = n * (n - 1) // 2
@@ -614,7 +636,7 @@ def test_pair_mean_is_the_mean_over_every_pair_once(n):
 def test_pair_mean_over_a_block_axis_is_each_times_mean_bit_for_bit(n):
     # entangle reduces B grid times at once from (2, B, n, K) planes; each time is still its own pairwise sum
     rng = np.random.default_rng(300 + n)
-    times = [planes_of(random_amplitudes(n, rng), n).owned for _ in range(3)]
+    times = [planes_of(random_amplitudes(n, rng), n).owned[:, 0] for _ in range(3)]
     block = np.stack(times, axis=1)
     if n % 2 == 0:
         block[..., n // 2 :, -1] = 7.0  # the doubled slots must not count
@@ -667,6 +689,39 @@ def test_analytic_realization_memory_does_not_grow_with_the_grid():
     assert abs(long - short) <= 0.05 * short
 
 
+BLOCKED_TRACEMALLOC_PROBE = """
+import tracemalloc
+import numpy as np
+from ryddephase.atomdata import MicrowaveSpec, RydbergChannel
+from ryddephase.correlation import g2_trace
+from ryddephase.ensemble import EnsembleSpec
+from ryddephase.pairdyn import CycleSpec
+from ryddephase.protocol import make_schedule
+
+channels = [RydbergChannel(60, 60, p_j, 2.6e4) for p_j in (0.5, 1.5)]
+for cycles in (1, 2):  # a lone cycle writes the planes; two cycles' complex product is copied in
+    sched = make_schedule([CycleSpec(channel, 1.0, MicrowaveSpec(rabi=10.0)) for channel in channels[:cycles]])
+    g2_trace(EnsembleSpec(60, 40.0, seed=5), sched, [1.0], realizations=1)  # first-call set-up, untraced
+    for points in (24, 240):
+        tracemalloc.start()
+        g2_trace(EnsembleSpec(60, 40.0, seed=5), sched, np.geomspace(0.02, 60.0, points), realizations=1)
+        print(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+"""
+
+
+def test_blocked_realization_memory_does_not_grow_with_the_grid():
+    # N = 60 runs blocks of B = 11 grid times: one buffer of B times per realization, whatever T is
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", BLOCKED_TRACEMALLOC_PROBE], env=env, capture_output=True, text=True, check=True
+    )
+    peaks = list(map(int, proc.stdout.split()))
+    for short, long in (peaks[:2], peaks[2:]):
+        assert abs(long - short) <= 0.05 * short
+
+
 def test_one_analytic_point_allocates_far_less_than_a_plane():
     # at N = 1000 one (N, N // 2) plane is 4.0 MB, which a two-plane wrap copy went through
     import tracemalloc
@@ -676,11 +731,11 @@ def test_one_analytic_point_allocates_far_less_than_a_plane():
     cubes = round_robin_cubes(sample_positions(EnsembleSpec(1000, 60.0 * (1000 / 300) ** (1 / 3), seed=7)))
     planes = _PairPlanes(1000)
     analytic_pair_amplitudes(cubes, 2.6e4, planes.owned)
-    planes.point()
+    planes.points()
     tracemalloc.start()
     try:
         analytic_pair_amplitudes(cubes, 2.6e4 * 0.5, planes.owned)
-        planes.point()
+        planes.points()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -707,6 +762,34 @@ def test_drivers_bit_identical_to_condensed_order(mode, n):
     ]:
         for got, expected in zip((trace.g2, trace.f, trace.h), want):
             assert np.array_equal(got, expected)
+
+
+def g2_block_length(n):
+    return max(1, correlation.BLOCK_SLOTS // (n * (n // 2)))
+
+
+G2_BLOCK_CASES = {
+    "analytic": (single_cycle_schedule(2.0e5), "analytic"),
+    "multichannel": (single_cycle_schedule(2.0e5), "multichannel"),
+    "two-cycle-analytic": (two_channel_schedule(), "analytic"),
+}
+
+
+@pytest.mark.parametrize("n", [20, 21])
+@pytest.mark.parametrize("case", sorted(G2_BLOCK_CASES))
+def test_g2_blocks_match_the_one_time_per_call_reference(monkeypatch, case, n):
+    # block_points evaluates B grid times per source call; every byte matches one time per call
+    schedule, mode = G2_BLOCK_CASES[case]
+    cycles = tuple(schedule.cycles)
+    b = g2_block_length(n)
+    grid = np.geomspace(0.02, 60.0, 2 * b + 1)
+    positions = sample_positions(EnsembleSpec(n, 30.0, seed=n))
+    want = g2_points(positions, cycles, grid, mode)
+    for slots in (correlation.BLOCK_SLOTS, 1, 10**9):  # the rule's B, one time per block, the whole grid in one
+        monkeypatch.setattr(correlation, "BLOCK_SLOTS", slots)
+        for length in (1, b - 1, b, b + 1, 2 * b + 1):
+            got = correlation._realization_points(positions, cycles, grid[:length], mode)
+            assert np.array_equal(got, want[:, :length])
 
 
 class LazyExecutor:

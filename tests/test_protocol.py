@@ -265,7 +265,7 @@ def test_entangle_numerics_error_names_the_realization_and_seed(monkeypatch):
 
 
 def block_length(n):
-    return max(1, protocol.BLOCK_SLOTS // (n * (n // 2)))
+    return max(1, correlation.BLOCK_SLOTS // (n * (n // 2)))
 
 
 @pytest.mark.parametrize("n", [100, 101])
@@ -279,7 +279,7 @@ def test_entangle_blocks_match_the_one_time_per_call_loop(monkeypatch, n, blocks
     want = entangle_points(positions, modes, grid)
     assert b > 2 and np.array_equal(protocol._entangle_points(positions, modes, grid), want)
     for slots in (1, 10**9):  # one time per block, and the whole grid in one block
-        monkeypatch.setattr(protocol, "BLOCK_SLOTS", slots)
+        monkeypatch.setattr(correlation, "BLOCK_SLOTS", slots)
         assert np.array_equal(protocol._entangle_points(positions, modes, grid), want)
 
 
