@@ -37,14 +37,14 @@ basis of dimension d, whatever the grid length T.  Each time's amplitudes
 and sums have the bits of a block of one time, in orders fixed by N, so
 output does not depend on the block length or the worker count.
 
-run_realizations maps the one realization task, _trace_single_realization,
-over the realizations, serially or a few per worker ahead on a process pool
-(_pool_map): it derives the seed, samples the positions, evaluates a (3, T)
-points function on them (_realization_points, or protocol._entangle_points)
-and tags a NumericsError with the realization and seed.
+run_realizations maps one task, _trace_realizations, over contiguous ranges
+of realizations: [0, R) in the calling process, or a bounded number of ranges
+on a process pool.  Per index it runs _trace_single_realization: derive the
+seed, sample the positions, evaluate a (3, T) points function on them
+(_realization_points, or protocol._entangle_points), and tag a NumericsError
+with the realization and seed.
 """
 
-import collections
 import itertools
 import math
 import operator
@@ -64,7 +64,7 @@ from .pairdyn import NumericsError, analytic_pair_amplitudes, pair_spectra, spec
 
 G2_ZERO = math.e / 4.0
 G2_ASYMPTOTE = G2_ZERO * 16.0 / 25.0
-POOL_TASKS_PER_WORKER = 4  # realizations submitted to a pool and not yet taken, per worker (_pool_map)
+RANGES_PER_WORKER = 16  # contiguous realization ranges per pool worker, each one task (run_realizations)
 # pair slots per block of B grid times, n K each (block_points).  One N = 100 entangle realization of a 51-point
 # grid took 3.50, 2.86, 2.55, 2.38, 2.44 and 2.80 ms at B = 1, 2, 4, 8, 16 and 52 (medians of 20 runs, one
 # core).  B = 4 keeps most of the gain in half the buffer of B = 8: 320 kB at N = 100, where B = 8 held
@@ -347,46 +347,45 @@ def _trace_single_realization(args) -> tuple[int, np.ndarray]:
         raise NumericsError(f"realization {index} (seed {seed}): {exc}") from exc
 
 
-def _pool_map(pool, fn, tasks):
-    """fn of each task on the pool, in task order, with at most POOL_TASKS_PER_WORKER per worker in flight.
+def _trace_realizations(args) -> tuple[list, np.ndarray]:
+    """The seeds and the (3, stop - start, T) slab of realizations start..stop - 1, one _trace_single_realization each.
 
-    Executor.map submits every task before it yields, about 2 kB each, so
-    its memory grows with the task count.  Futures still queued when the
-    caller stops (a failed realization) are cancelled.
+    args is (ensemble, points, params, start, stop).
     """
-    limit = POOL_TASKS_PER_WORKER * pool._max_workers  # the worker count of a concurrent.futures executor
-    pending = collections.deque()
-    try:
-        for task in tasks:
-            if len(pending) == limit:
-                yield pending.popleft().result()
-            pending.append(pool.submit(fn, task))
-        while pending:
-            yield pending.popleft().result()
-    finally:
-        for future in pending:
-            future.cancel()
+    ensemble, points, params, start, stop = args
+    slab, seeds = None, []
+    for index in range(start, stop):
+        seed, result = _trace_single_realization((ensemble, points, params, index))
+        if slab is None:
+            slab = np.empty((3, stop - start, result.shape[1]))
+        slab[:, index - start] = result
+        seeds.append(seed)
+    return seeds, slab
 
 
 def run_realizations(points, ensemble: EnsembleSpec, params: tuple, realizations: int, pool=None):
     """The three (R, T) stacks of points(positions, *params) over the realizations, and their seeds.
 
-    Each realization is one _trace_single_realization task, in the calling
-    process (pool None) or on the pool, a few per worker ahead (_pool_map);
-    points, a module-level function, returns a (3, T) array.  Each result is
-    copied into one (3, R, T) stack as it arrives, in index order, whatever
-    the worker count.
+    points, a module-level function, returns a (3, T) array.  One
+    _trace_realizations task runs [0, R) in the calling process (pool None),
+    its slab the stack; or pool.map gets m = min(R, RANGES_PER_WORKER *
+    workers) ranges, bounds R i // m, and each slab is copied into one
+    (3, R, T) stack in index order.  The bytes do not depend on the worker
+    count or the range length.  A failed realization cancels the queued
+    ranges; ranges already running, at most 1/RANGES_PER_WORKER of a
+    worker's share of the run, finish before pool.shutdown() returns.
     """
     if realizations < 1:
         raise ValueError("realizations must be >= 1")
-    tasks = ((ensemble, points, params, r) for r in range(realizations))
-    results = (map if pool is None else partial(_pool_map, pool))(_trace_single_realization, tasks)
+    ranges = 1 if pool is None else min(realizations, RANGES_PER_WORKER * pool._max_workers)
+    bounds = [realizations * i // ranges for i in range(ranges + 1)]
+    tasks = [(ensemble, points, params, start, stop) for start, stop in itertools.pairwise(bounds)]
     stack, seeds = None, []
-    for r, (seed, result) in enumerate(results):
-        if stack is None:
-            stack = np.empty((3, realizations, result.shape[1]))
-        stack[:, r] = result
-        seeds.append(seed)
+    for start, (range_seeds, slab) in zip(bounds, (map if pool is None else pool.map)(_trace_realizations, tasks)):
+        if stack is None:  # one range's slab is the stack: numpy assigns an array to itself as a no-op
+            stack = slab if ranges == 1 else np.empty((3, realizations, slab.shape[2]))
+        stack[:, start : start + len(range_seeds)] = slab
+        seeds += range_seeds
     return tuple(stack), tuple(seeds)
 
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import os
 import subprocess
@@ -722,6 +723,37 @@ def test_blocked_realization_memory_does_not_grow_with_the_grid():
         assert abs(long - short) <= 0.05 * short
 
 
+SERIAL_TRACEMALLOC_PROBE = """
+import tracemalloc
+import numpy as np
+from ryddephase.atomdata import MicrowaveSpec, RydbergChannel
+from ryddephase.correlation import _realization_points, run_realizations
+from ryddephase.ensemble import EnsembleSpec
+from ryddephase.pairdyn import CycleSpec
+
+cycles = (CycleSpec(RydbergChannel(60, 60, 0.5, 2.6e4), 1.0, MicrowaveSpec(rabi=10.0)),)
+params, ens = (cycles, np.geomspace(0.02, 60.0, 50), "analytic"), EnsembleSpec(10, 60.0, seed=5)
+run_realizations(_realization_points, ens, params, 200)  # first-call set-up, untraced
+for realizations in (1, 200):
+    tracemalloc.start()
+    run_realizations(_realization_points, ens, params, realizations)
+    print(tracemalloc.get_traced_memory()[1])
+    tracemalloc.stop()
+"""
+
+
+def test_serial_realizations_hold_one_stack():
+    # R = 200, T = 50: the (3, R, T) stack is 240 kB, which a slab copy or a concatenate of slabs would add again
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", SERIAL_TRACEMALLOC_PROBE], env=env, capture_output=True, text=True, check=True
+    )
+    one, many = map(int, proc.stdout.split())
+    # one realization's peak holds its buffers; 96 kB covers 200 seeds and the interpreter's free lists
+    assert many <= one + 3 * 200 * 50 * 8 + 96 * 1024
+
+
 def test_one_analytic_point_allocates_far_less_than_a_plane():
     # at N = 1000 one (N, N // 2) plane is 4.0 MB, which a two-plane wrap copy went through
     import tracemalloc
@@ -792,40 +824,46 @@ def test_g2_blocks_match_the_one_time_per_call_reference(monkeypatch, case, n):
             assert np.array_equal(got, want[:, :length])
 
 
-class LazyExecutor:
-    """A concurrent.futures stand-in whose futures run their task when the result is taken.
+class NotRun(Exception):
+    pass
 
-    It records the most futures submitted and not yet taken at once, and
-    which tasks ran.
+
+class LazyExecutor(concurrent.futures.Executor):
+    """An executor whose futures run their task in this process when the result is taken.
+
+    Executor.map submits every task through submit, in order, and cancels the
+    futures still queued when a result raises.  It records every future, and
+    the (start, stop) range of each task submitted and of each that ran; with
+    run False, no task runs and every result raises NotRun.
     """
 
-    def __init__(self, workers):
+    def __init__(self, workers, run=True):
         self._max_workers = workers
-        self.queued, self.most, self.ran = 0, 0, []
+        self.run, self.futures, self.submitted, self.ran = run, [], [], []
 
     def submit(self, fn, task):
         executor = self
 
-        class Future:
-            cancelled = False
+        class LazyFuture(concurrent.futures.Future):
+            def result(self, timeout=None):
+                if not executor.run:
+                    raise NotRun
+                if not self.done() and self.set_running_or_notify_cancel():
+                    executor.ran.append(task[3:])
+                    try:
+                        self.set_result(fn(task))
+                    except Exception as exc:
+                        self.set_exception(exc)
+                return super().result(timeout)
 
-            def result(self):
-                executor.queued -= 1
-                executor.ran.append(task[-1])
-                return fn(task)
-
-            def cancel(self):
-                self.cancelled = True
-                executor.queued -= 1
-
-        self.queued += 1
-        self.most = max(self.most, self.queued)
-        return Future()
+        self.submitted.append(task[3:])
+        self.futures.append(LazyFuture())
+        return self.futures[-1]
 
 
 @pytest.mark.parametrize("workers, realizations", [(1, 1), (2, 3), (2, 8), (2, 9), (3, 40)])
 def test_pool_submission_is_bounded_and_stacks_as_the_serial_run(workers, realizations):
-    from ryddephase.correlation import POOL_TASKS_PER_WORKER, _realization_points, run_realizations
+    from ryddephase.correlation import RANGES_PER_WORKER, _realization_points, run_realizations
 
     params = (tuple(single_cycle_schedule(2.0e5).cycles), np.array([0.3, 1.0]), "analytic")
     ens = EnsembleSpec(6, 60.0, seed=45)
@@ -834,26 +872,53 @@ def test_pool_submission_is_bounded_and_stacks_as_the_serial_run(workers, realiz
     want_stacks, want_seeds = run_realizations(_realization_points, ens, params, realizations)
     assert seeds == want_seeds
     assert all(np.array_equal(got, want) for got, want in zip(stacks, want_stacks, strict=True))
-    assert pool.most == min(realizations, POOL_TASKS_PER_WORKER * workers)
-    assert pool.ran == list(range(realizations)) and pool.queued == 0
+    ranges = min(realizations, RANGES_PER_WORKER * workers)
+    assert pool.ran == [(realizations * i // ranges, realizations * (i + 1) // ranges) for i in range(ranges)]
+    # a million realizations are still RANGES_PER_WORKER contiguous ranges per worker
+    idle = LazyExecutor(workers, run=False)
+    with pytest.raises(NotRun):
+        run_realizations(_realization_points, ens, params, 10**6, idle)
+    bounds = idle.submitted
+    assert len(bounds) == RANGES_PER_WORKER * workers and idle.ran == []
+    assert bounds[0][0] == 0 and bounds[-1][1] == 10**6
+    assert all(stop == start for (_, stop), (start, _) in zip(bounds, bounds[1:]))
+
+
+@pytest.mark.parametrize("workers, per_worker", [(1, 23), (1, 3), (1, 1), (2, 2)])
+def test_stacks_do_not_depend_on_the_range_length(monkeypatch, workers, per_worker):
+    # R = 23: ranges of 1, of 7 or 8, of 23, and on two processes of 5 or 6, whose slabs are pickled
+    from ryddephase.correlation import _realization_points, run_realizations
+
+    monkeypatch.setattr(correlation, "RANGES_PER_WORKER", per_worker)
+    params = (tuple(single_cycle_schedule(2.0e5).cycles), np.array([0.3, 1.0, 2.0]), "analytic")
+    ens = EnsembleSpec(7, 60.0, seed=47)
+    with LazyExecutor(1) if workers == 1 else concurrent.futures.ProcessPoolExecutor(workers) as pool:
+        stacks, seeds = run_realizations(_realization_points, ens, params, 23, pool)
+    want_stacks, want_seeds = run_realizations(_realization_points, ens, params, 23)
+    assert seeds == want_seeds
+    assert all(np.array_equal(got, want) for got, want in zip(stacks, want_stacks, strict=True))
+    if workers == 1:
+        assert pool.ran == [(23 * i // per_worker, 23 * (i + 1) // per_worker) for i in range(per_worker)]
 
 
 def test_a_failed_pool_realization_cancels_the_queued_ones():
-    from ryddephase.correlation import run_realizations
+    from ryddephase.correlation import RANGES_PER_WORKER, run_realizations
 
     calls = []
 
-    def fails_third(positions):  # the executor runs each task in this process, in index order
+    def fails_third(positions):  # the executor runs each range in this process, in index order
         calls.append(1)
         if len(calls) == 3:
             raise NumericsError("synthetic")
         return np.zeros((3, 1))
 
     pool = LazyExecutor(2)
+    realizations = 3 * RANGES_PER_WORKER * 2  # ranges of three: the third realization fails in the first range
     with pytest.raises(NumericsError, match=r"^realization 2 \(seed \d+\): synthetic$"):
-        run_realizations(fails_third, EnsembleSpec(4, 60.0, seed=46), (), 50, pool)
-    assert pool.ran == [0, 1, 2]
-    assert pool.queued == 0  # the other queued futures were cancelled, not run
+        run_realizations(fails_third, EnsembleSpec(4, 60.0, seed=46), (), realizations, pool)
+    assert pool.ran == [(0, 3)] and len(calls) == 3
+    assert len(pool.futures) == 2 * RANGES_PER_WORKER
+    assert all(future.cancelled() for future in pool.futures[1:])  # the queued ranges were cancelled, not run
 
 
 def test_trace_summaries_are_computed_once():
