@@ -22,7 +22,6 @@ from .atomdata import (
     MicrowaveSpec,
     RydbergChannel,
     c3_of,
-    pair_dimension,
 )
 from .correlation import (
     G2Point,
@@ -42,7 +41,6 @@ from .pairdyn import (
 )
 from .phasematch import (
     Beam,
-    PhaseMatchResult,
     motional_coherence_time,
     solve_offaxis,
     spinwave_period,

@@ -127,7 +127,3 @@ def single_atom_dimension(channel: RydbergChannel) -> int:
     """Sublevel count per atom: two s states plus the 2j+1 p states."""
     return 2 + int(round(2 * channel.p_j + 1))
 
-
-def pair_dimension(channel: RydbergChannel) -> int:
-    """Dimension of the two-atom product space, (2 + (2j+1))^2."""
-    return single_atom_dimension(channel) ** 2

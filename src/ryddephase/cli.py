@@ -42,7 +42,9 @@ from .atomdata import (
 from .correlation import G2Trace, exact_g2, g2_after_cycles, g2_from_amplitudes, g2_trace, unit_point
 from .ensemble import EnsembleSpec, PackingError, round_robin_pairs
 from .pairdyn import CycleSpec, NumericsError
-from .phasematch import Beam, PhaseMatchInfeasible, evaluate_beams, solve_offaxis
+from .phasematch import (
+    Beam, PhaseMatchInfeasible, motional_coherence_time, solve_offaxis, spinwave_period, wavevector_mismatch
+)
 from .protocol import CycleSchedule, decay_reference, entangle_trace, make_schedule
 
 # here, not in __init__ or main(): the import graph lives until exit, so no collection need walk it
@@ -128,10 +130,21 @@ def _as_list(value, path, min_len=1):
 # ---------------------------------------------------------------------------
 
 
+def _fit_memory(path: str, need: int, what: str, of: str) -> None:
+    """Refuse what needs more bytes than physical memory: exit 1 at plan time, not a numpy MemoryError mid-run."""
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > physical:
+        _fail(
+            path, f"{what} need {need / 1e9:.1f} GB of {of}, more than the {physical / 1e9:.1f} GB of physical memory"
+        )
+
+
 def _parse_ensemble(cfg, path) -> EnsembleSpec:
     _check_mapping(cfg, path, ["n_atoms", "box_side_um", "seed"], ["min_separation_um"])
+    n = _as_int(cfg["n_atoms"], f"{path}.n_atoms", minimum=2, maximum=MAX_COUNT)
+    _fit_memory(f"{path}.n_atoms", 16 * n * (n // 2), f"{n} atoms", "pair planes")  # two (n, n // 2) float64 planes
     return EnsembleSpec(
-        n_atoms=_as_int(cfg["n_atoms"], f"{path}.n_atoms", minimum=2, maximum=MAX_COUNT),
+        n_atoms=n,
         box_side=_as_float(cfg["box_side_um"], f"{path}.box_side_um", strict_min=0.0),
         seed=_as_int(cfg["seed"], f"{path}.seed", minimum=0, maximum=2**64 - 1),
         min_separation=_as_float(
@@ -228,7 +241,9 @@ def _parse_schedule(cycles: list, model, table) -> CycleSchedule:
         _fail("schedule", str(exc))
 
 
-def _parse_grid(cfg, path) -> np.ndarray:
+def _parse_grid(raw) -> tuple[np.ndarray, int]:
+    """The time grid and the realizations count, checked on the point count before the grid is built."""
+    cfg, path = raw["grid"], "grid"
     _check_mapping(cfg, path, ["start_us", "stop_us", "points"], ["spacing"])
     start = _as_float(cfg["start_us"], f"{path}.start_us", minimum=0.0)
     stop = _as_float(cfg["stop_us"], f"{path}.stop_us", minimum=0.0)
@@ -238,12 +253,13 @@ def _parse_grid(cfg, path) -> np.ndarray:
         _fail(f"{path}.stop_us", "must exceed start_us for multi-point grids")
     if spacing == "log" and start <= 0:
         _fail(f"{path}.start_us", "log spacing needs start_us > 0")
+    realizations = _parse_realizations(raw, points)  # its 24 R T bytes of results bound the grid's 8 T
     if points == 1:
-        return np.array([start])
+        return np.array([start]), realizations
     grid = (np.geomspace if spacing == "log" else np.linspace)(start, stop, points)
     if np.any(np.diff(grid) <= 0):
         _fail(path, f"{points} points from {start} to {stop} us repeat a time in float64; widen the range")
-    return grid
+    return grid, realizations
 
 
 def _parse_realizations(raw, points: int) -> int:
@@ -253,13 +269,8 @@ def _parse_realizations(raw, points: int) -> int:
     refusing it here turns an out-of-memory kill mid-run into exit 1.
     """
     realizations = _as_int(raw.get("realizations", 100), "realizations", minimum=1, maximum=MAX_COUNT)
-    need, physical = 24 * realizations * points, os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > physical:
-        _fail(
-            "realizations",
-            f"{realizations} realizations of {points} points need {need / 1e9:.1f} GB of results, "
-            f"more than the {physical / 1e9:.1f} GB of physical memory",
-        )
+    need = 24 * realizations * points
+    _fit_memory("realizations", need, f"{realizations} realizations of {points} points", "results")
     return realizations
 
 
@@ -335,8 +346,10 @@ def _parse_trace_config(raw, subcommand) -> RunConfig:
             if not math.isfinite(t):
                 _fail(f"schedule.cycles[{i}]", "wall-clock time (delta_t_us + 2 pi / rabi_rad_per_us) overflows")
     mode = _as_choice(raw.get("mode", "analytic"), "mode", ("analytic", "multichannel"))
-    grid = _parse_grid(raw["grid"], "grid") if subcommand == "g2-trace" else None
-    realizations = _parse_realizations(raw, len(schedule) if grid is None else len(grid))
+    if subcommand == "g2-trace":
+        grid, realizations = _parse_grid(raw)
+    else:
+        grid, realizations = None, _parse_realizations(raw, len(schedule))
     return RunConfig(
         ensemble=ensemble,
         schedule=schedule,
@@ -510,7 +523,7 @@ def _g2_trace_files(cfg: RunConfig) -> dict:
 
 def run_cycles(cfg: RunConfig, pool):
     trace = g2_after_cycles(cfg.ensemble, cfg.schedule, mode=cfg.mode, realizations=cfg.realizations, pool=pool)
-    tau = cfg.schedule.total_time / len(cfg.schedule)  # the reference decays over the mean cycle duration
+    tau = cfg.schedule.wall_times[-1] / len(cfg.schedule)  # the reference decays over the mean cycle duration
     reference = [decay_reference(tau, float(t)) for t in trace.grid]
     flat = unit_point(cfg.ensemble.n_atoms)
     start = (0.0, flat.g2, 0.0, flat.f, flat.h)  # the pre-protocol point, in _trace_columns order
@@ -546,12 +559,12 @@ def _parse_entangle_config(raw) -> EntangleConfig:
     c3_prime, c3_second = (_as_float(ent[key], f"{epath}.{key}", strict_min=0.0) for key in ("c3_prime", "c3_second"))
     # (n+1)s dressed through np_1/2 with C3', ns dressed through np_3/2 with C3''
     channels = (RydbergChannel(n + 1, n, 0.5, c3_prime), RydbergChannel(n, n, 1.5, c3_second))
-    grid = _parse_grid(raw["grid"], "grid")
+    grid, realizations = _parse_grid(raw)
     return EntangleConfig(
         ensemble=ensemble,
         modes=tuple(CycleSpec(channel, 0.0, MicrowaveSpec()) for channel in channels),
         grid=grid,
-        realizations=_parse_realizations(raw, len(grid)),
+        realizations=realizations,
         output_format=_parse_output(raw.get("output", {}), "output"),
     )
 
@@ -586,6 +599,11 @@ def _parse_phasematch_config(raw) -> dict:
         if norm < 1e-12:
             _fail(f"{bpath}.direction", "zero vector")
         beams.append(Beam(wavelength, sign, direction / norm))
+        if not math.isfinite(beams[-1].k):
+            _fail(f"{bpath}.wavelength_nm", f"too short: the wavenumber 2000 pi / {wavelength} (rad/um) overflows")
+    total = sum(b.k for b in beams)  # bounds |dk|, whose square the period's norm takes
+    if not math.isfinite(total * total):
+        _fail("beams", f"the wavenumbers sum to {total:.3e} rad/um, past the float range of |dk|^2")
     speed = _as_float(raw.get("speed_m_per_s", 0.1), "speed_m_per_s", strict_min=0.0)
     do_offaxis = _as_bool(raw.get("solve_offaxis", True), "solve_offaxis")
     if do_offaxis and len(beams) < 2:
@@ -598,11 +616,12 @@ def _period_json(x: float):
 
 
 def _beams_json(beams, speed: float, angles_deg: list) -> dict:
-    result = evaluate_beams(beams, speed)
+    mismatch = wavevector_mismatch(beams)
+    period = spinwave_period(mismatch)
     return {
-        "dk_rad_per_um": [float(x) for x in result.mismatch],
-        "period_um": _period_json(result.period),
-        "coherence_time_us": _period_json(result.coherence_time),
+        "dk_rad_per_um": [float(x) for x in mismatch],
+        "period_um": _period_json(period),
+        "coherence_time_us": _period_json(motional_coherence_time(period, speed)),
         "angles_deg": angles_deg,
     }
 
@@ -628,8 +647,10 @@ def run_phasematch(parsed: dict, pool):
 
 def _parse_oracle_config(raw) -> dict:
     _check_mapping(raw, "config", ["seed"], ["n_atoms", "draws"])
+    n = _as_int(raw.get("n_atoms", 8), "n_atoms", minimum=2, maximum=MAX_COUNT)
+    _fit_memory("n_atoms", 16 * n * n, f"{n} atoms", "draws")  # each draw's two (n, n) float64 arrays
     return {
-        "n_atoms": _as_int(raw.get("n_atoms", 8), "n_atoms", minimum=2, maximum=MAX_COUNT),
+        "n_atoms": n,
         "draws": _as_int(raw.get("draws", 100), "draws", minimum=1, maximum=MAX_COUNT),
         "seed": _as_int(raw["seed"], "seed", minimum=0, maximum=2**64 - 1),
     }

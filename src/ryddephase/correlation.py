@@ -19,7 +19,7 @@ Each point is reduced without forming the N x N matrix, in the one pair
 order, round-robin: with K = N // 2, atom mu owns the pairs (mu, mu + k mod
 N), k = 1..K, one row of K slots.  For odd N that is every pair once; for
 even N the second slot of each pair (mu, mu + N/2) is zeroed
-(zero_doubled_slots).  Re A and Im A fill rows K.. of two real planes of
+(doubled_slots).  Re A and Im A fill rows K.. of two real planes of
 K + N rows per time (_PairPlanes), and the last K rows are copied ahead of
 the first.  Then the partners of mu, the pairs (mu - k, mu), sit at row
 K + mu - k, column k - 1 of a plane: one fixed view with strides (K, 1 - K).
@@ -90,10 +90,6 @@ def doubled_slots(planes: np.ndarray) -> np.ndarray:
     return planes[..., n // 2 if n % 2 == 0 else n :, -1]
 
 
-def zero_doubled_slots(planes: np.ndarray) -> None:
-    doubled_slots(planes)[...] = 0.0
-
-
 def round_robin_cubes(positions: np.ndarray) -> np.ndarray:
     """R^3 of every round-robin slot, shape (n, n // 2), computed once per realization."""
     cubes = round_robin_separations(positions)
@@ -109,7 +105,7 @@ def pair_mean(planes: np.ndarray) -> np.ndarray:
     axis changes no bit of any mean.  A non-finite amplitude makes its sum
     non-finite: NumericsError.
     """
-    zero_doubled_slots(planes)
+    doubled_slots(planes)[...] = 0.0
     n = planes.shape[-2]
     means = planes.reshape(*planes.shape[:-2], -1).sum(axis=-1) / (n * (n - 1) // 2)
     if not np.isfinite(means).all():
@@ -183,10 +179,8 @@ def exact_g2(point: G2Point, n_atoms: int) -> float:
 
 
 def unit_point(n_atoms: int) -> G2Point:
-    """The point of all-unit amplitudes (row sums n - 1), reduced by _PairPlanes.points."""
-    planes = _PairPlanes(n_atoms)
-    planes.owned[0], planes.owned[1] = 1.0, 0.0
-    return G2Point(*planes.points()[0])
+    """The point of all-unit amplitudes (row sums n - 1)."""
+    return g2_from_amplitudes(np.ones((n_atoms, n_atoms // 2)))
 
 
 def g2_from_amplitudes(amplitudes) -> G2Point:

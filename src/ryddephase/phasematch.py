@@ -53,13 +53,6 @@ class Beam:
         return _TWO_PI_NM_TO_UM / self.wavelength
 
 
-@dataclass(frozen=True, eq=False)
-class PhaseMatchResult:
-    mismatch: np.ndarray  # rad/um
-    period: float  # um, math.inf when matched
-    coherence_time: float  # us, math.inf when matched
-
-
 def wavevector_mismatch(beams) -> np.ndarray:
     """Signed sum of beam wavevectors, rad/um."""
     beams = list(beams)
@@ -91,12 +84,6 @@ def motional_coherence_time(period: float, speed: float) -> float:
     if not period > 0:
         raise ValueError(f"period must be positive, got {period}")
     return period / (2.0 * math.pi * speed)
-
-
-def evaluate_beams(beams, speed: float) -> PhaseMatchResult:
-    mismatch = wavevector_mismatch(beams)
-    period = spinwave_period(mismatch)
-    return PhaseMatchResult(mismatch, period, motional_coherence_time(period, speed))
 
 
 def _planar_directions(tilts: np.ndarray) -> np.ndarray:

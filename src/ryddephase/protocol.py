@@ -43,11 +43,6 @@ class CycleSchedule:
     cycles: tuple[CycleSpec, ...]
 
     @property
-    def total_time(self) -> float:
-        """us, sum of delta_t + 2pi/Omega over cycles."""
-        return math.fsum(c.duration for c in self.cycles)
-
-    @property
     def wall_times(self) -> list[float]:
         """us after each cycle: the running sum of delta_t + 2pi/Omega in schedule order, as Python floats."""
         return list(itertools.accumulate(c.duration for c in self.cycles))

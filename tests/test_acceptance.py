@@ -14,7 +14,6 @@ from ryddephase.atomdata import (
     MicrowaveSpec,
     RydbergChannel,
     c3_of,
-    pair_dimension,
 )
 from ryddephase.correlation import (
     G2_ASYMPTOTE,
@@ -27,6 +26,7 @@ from ryddephase.ensemble import EnsembleSpec, sample_positions
 from ryddephase.pairdyn import (
     CycleSpec,
     _reduced_indices,
+    dressing_matrix,
 )
 from ryddephase.phasematch import (
     Beam,
@@ -166,7 +166,7 @@ def test_criterion_05_multi_cycle_decay():
     g = trace.g2_mean
     monotone = bool(np.all(np.diff(g) < 0.0))
     below_asymptote = bool(g[-1] < G2_ASYMPTOTE)
-    tau = schedule.total_time / len(schedule)
+    tau = schedule.wall_times[-1] / len(schedule)
     slope = float(np.polyfit(trace.grid, np.log(g), 1)[0])
     tau_fit = -1.0 / slope
     within = tau / 2.0 <= tau_fit <= 2.0 * tau
@@ -182,8 +182,9 @@ def test_criterion_05_multi_cycle_decay():
 
 
 def test_criterion_06_channel_dimensions():
-    d12 = pair_dimension(RydbergChannel(100, 100, 0.5, 1.0))
-    d32 = pair_dimension(RydbergChannel(100, 100, 1.5, 1.0))
+    # the pair basis the propagator builds, one side of its dressing matrix
+    d12 = dressing_matrix(RydbergChannel(100, 100, 0.5, 1.0), MicrowaveSpec()).shape[0]
+    d32 = dressing_matrix(RydbergChannel(100, 100, 1.5, 1.0), MicrowaveSpec()).shape[0]
     ok = (d12, d32) == (16, 36)
     assert report(6, ok, f"pair dimensions (j=1/2, j=3/2) = ({d12}, {d32})")
 

@@ -10,10 +10,9 @@ from ryddephase.atomdata import (
     POPULATED_M,
     RydbergChannel,
     c3_of,
-    pair_dimension,
     single_atom_dimension,
 )
-from ryddephase.pairdyn import _dipole_blocks, single_atom_dressing
+from ryddephase.pairdyn import _dipole_blocks, dressing_matrix, single_atom_dressing
 
 
 def _channel(j=0.5, c3=1.0, n=100):
@@ -108,8 +107,9 @@ def test_c3_homogeneity(n, k):
 
 
 def test_pair_dimensions():
-    assert pair_dimension(_channel(j=0.5)) == 16
-    assert pair_dimension(_channel(j=1.5)) == 36
+    # the basis the propagator builds: (2 + (2j + 1))^2 pair states
+    assert dressing_matrix(_channel(j=0.5), MicrowaveSpec()).shape == (16, 16)
+    assert dressing_matrix(_channel(j=1.5), MicrowaveSpec()).shape == (36, 36)
     assert single_atom_dimension(_channel(j=0.5)) == 4
     assert single_atom_dimension(_channel(j=1.5)) == 6
 

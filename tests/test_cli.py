@@ -5,6 +5,7 @@ import os
 import runpy
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -181,7 +182,7 @@ def test_shipped_cycles_config_is_four_distinct_channels():
     assert keys == [(100, 0.5), (99, 0.5), (100, 1.5), (99, 1.5)]
     assert all(c.delta_t == 1.0 for c in cfg.schedule.cycles)
     assert all(c.microwave.rabi == 10.0 for c in cfg.schedule.cycles)
-    assert cfg.schedule.total_time == pytest.approx(4.0 * (1.0 + 0.2 * math.pi))
+    assert cfg.schedule.wall_times[-1] == pytest.approx(4.0 * (1.0 + 0.2 * math.pi))
 
 
 def test_duplicate_scan_n_rejected_with_index():
@@ -685,23 +686,54 @@ def test_oversized_counts_are_config_errors(tmp_path, capsys, subcommand, payloa
 
 
 MANY_POINTS = {"start_us": 0.0, "stop_us": 2.0, "points": 10_000}  # 2**31 - 1 realizations of them: 515 TB of results
+STACK = f"{cli.MAX_COUNT} realizations of 10000 points need 515396.1 GB of results"
+GRID = f"100 realizations of {cli.MAX_COUNT} points need 5154.0 GB of results"  # refused before np.linspace's 17 GB
+PLANES = "1000000 atoms need 8000.0 GB of pair planes"  # two (N, N // 2) float64 planes
+DRAWS = "1000000 atoms need 16000.0 GB of draws"  # two (n, n) float64 draws
+MANY_ATOMS = dict(MINIMAL["ensemble"], n_atoms=10**6)
+SWEEP_ATOMS = dict(SWEEP, axes=[{"path": "ensemble.n_atoms", "values": [10, 10**6]}])
 
 
 @pytest.mark.parametrize(
-    "subcommand, payload, field",
+    "subcommand, payload, field, need",
     [
-        ("g2-trace", dict(MINIMAL, grid=MANY_POINTS, realizations=cli.MAX_COUNT), "realizations"),
-        ("entangle", dict(ENTANGLE, grid=MANY_POINTS, realizations=cli.MAX_COUNT), "realizations"),
-        ("sweep", dict(SWEEP, base=dict(MINIMAL, grid=MANY_POINTS, realizations=cli.MAX_COUNT)), "base.realizations"),
+        ("g2-trace", dict(MINIMAL, grid=MANY_POINTS, realizations=cli.MAX_COUNT), "realizations", STACK),
+        ("entangle", dict(ENTANGLE, grid=MANY_POINTS, realizations=cli.MAX_COUNT), "realizations", STACK),
+        (
+            "sweep",
+            dict(SWEEP, base=dict(MINIMAL, grid=MANY_POINTS, realizations=cli.MAX_COUNT)),
+            "base.realizations",
+            STACK,
+        ),
+        ("g2-trace", dict(MINIMAL, grid=dict(MANY_POINTS, points=cli.MAX_COUNT), realizations=100), "realizations", GRID),
+        ("entangle", dict(ENTANGLE, grid=dict(MANY_POINTS, points=cli.MAX_COUNT), realizations=100), "realizations", GRID),
+        ("g2-trace", dict(MINIMAL, ensemble=MANY_ATOMS), "ensemble.n_atoms", PLANES),
+        ("cycles", {"ensemble": MANY_ATOMS, "schedule": MINIMAL["schedule"]}, "ensemble.n_atoms", PLANES),
+        ("entangle", dict(ENTANGLE, ensemble=MANY_ATOMS), "ensemble.n_atoms", PLANES),
+        ("sweep", SWEEP_ATOMS, "base.ensemble.n_atoms", PLANES),
+        ("oracle", dict(ORACLE, n_atoms=10**6), "n_atoms", DRAWS),
     ],
-    ids=["g2-trace", "entangle", "sweep"],
+    ids=[
+        "g2-trace",
+        "entangle",
+        "sweep",
+        "g2-trace-points",
+        "entangle-points",
+        "g2-trace-n_atoms",
+        "cycles-n_atoms",
+        "entangle-n_atoms",
+        "sweep-n_atoms",
+        "oracle-n_atoms",
+    ],
 )
-def test_results_beyond_physical_memory_are_config_errors(tmp_path, capsys, subcommand, payload, field):
-    # an accepted count whose (3, R, T) result stack cannot fit exits 1 at plan time, not in an out-of-memory kill
-    message = f"{field}: {cli.MAX_COUNT} realizations of 10000 points need 515396.1 GB of results, more than the "
+def test_results_beyond_physical_memory_are_config_errors(tmp_path, capsys, subcommand, payload, field, need):
+    # an accepted count whose arrays cannot fit exits 1 at plan time, not in a MemoryError or an out-of-memory kill
+    message = f"{field}: {need}, more than the "
     with pytest.raises(ConfigError) as excinfo:
         cli._plan(subcommand, payload)
     assert str(excinfo.value).startswith(message)
+    if subcommand == "sweep":  # the first combination that does not fit
+        assert str(excinfo.value).endswith(f" (combination n_atoms={payload['axes'][0]['values'][-1]})")
     path = write_config(tmp_path, payload)
     assert main([subcommand, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
@@ -741,6 +773,28 @@ def test_one_beam_needs_the_offaxis_solver_off(tmp_path, capsys):
     assert "offaxis" not in json.loads((out / "phasematch.json").read_text())
 
 
+@pytest.mark.parametrize(
+    "beams, solve_offaxis, field",
+    [
+        ([(1e-320, 1), (480.0, -1)], False, "beams[0].wavelength_nm"),  # 2000 pi / 1e-320 is inf
+        ([(4e-305, 1)] * 4, True, "beams"),  # each wavenumber finite, their sum not
+        ([(1e-160, 1), (480.0, -1)], False, "beams"),  # a finite sum whose square, |dk|^2, is not
+    ],
+    ids=["wavenumber", "sum", "square"],
+)
+def test_an_overflowing_wavenumber_is_a_config_error(tmp_path, capsys, beams, solve_offaxis, field):
+    payload = {"beams": [{"wavelength_nm": w, "sign": s} for w, s in beams], "solve_offaxis": solve_offaxis}
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["phasematch", "--config", str(write_config(tmp_path, payload)), "--out", str(out)]) == 1
+    assert caught == []
+    err = capsys.readouterr().err
+    assert f"config error: {field}: " in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 SCAN = dict(
     MINIMAL,
     realizations=2,
@@ -758,7 +812,7 @@ CYCLES = {"ensemble": MINIMAL["ensemble"], "schedule": MINIMAL["schedule"], "rea
         ("g2-trace", SCAN, "g2_trace_n100.csv", "g2_trace"),  # the later of two traces
         ("cycles", CYCLES, "cycles.csv", "g2_after_cycles"),
         ("entangle", ENTANGLE, "entangle.csv", "entangle_trace"),
-        ("phasematch", PHASEMATCH, "phasematch.json", "evaluate_beams"),
+        ("phasematch", PHASEMATCH, "phasematch.json", "wavevector_mismatch"),
         ("oracle", ORACLE, "oracle.json", "g2_from_amplitudes"),
     ],
     ids=["g2-trace", "g2-trace-scan_n", "cycles", "entangle", "phasematch", "oracle"],

@@ -18,6 +18,7 @@ from ryddephase.correlation import (
     G2_ASYMPTOTE,
     G2_ZERO,
     _g2,
+    doubled_slots,
     exact_g2,
     g2_after_cycles,
     g2_from_amplitudes,
@@ -25,7 +26,6 @@ from ryddephase.correlation import (
     pair_mean,
     realization_seed,
     unit_point,
-    zero_doubled_slots,
 )
 from ryddephase.ensemble import (
     EnsembleSpec,
@@ -379,7 +379,7 @@ def test_multichannel_slots_match_the_scalar_oracle(j, polarization, n):
     cycle = CycleSpec(RydbergChannel(100, 100, j, 2.0e5), 0.0, mw)
     (source,) = _cycle_sources(positions, [cycle], "multichannel")
     counted = np.ones((n, n // 2))
-    zero_doubled_slots(counted)
+    doubled_slots(counted)[...] = 0.0
     for t in (0.0, 0.37, 5.0):
         amplitudes = source(np.full((1, 1, 1), t))[0]
         for mu, slot in zip(*np.nonzero(counted)):
@@ -549,7 +549,7 @@ def test_round_robin_slots_cover_every_pair_once(n):
     lo, hi = round_robin_pairs(n)
     assert lo.shape == hi.shape == (n, n // 2)
     counted = np.ones(lo.shape)
-    zero_doubled_slots(counted)
+    doubled_slots(counted)[...] = 0.0
     counts = counted == 1.0
     assert sorted(zip(lo[counts].tolist(), hi[counts].tolist())) == list(zip(*np.triu_indices(n, 1)))
     # slot (mu, k - 1) is the pair of mu and (mu + k) mod n, lower index first
@@ -752,6 +752,52 @@ def test_serial_realizations_hold_one_stack():
     one, many = map(int, proc.stdout.split())
     # one realization's peak holds its buffers; 96 kB covers 200 seeds and the interpreter's free lists
     assert many <= one + 3 * 200 * 50 * 8 + 96 * 1024
+
+
+CYCLIC_GARBAGE_PROBE = """
+import gc
+import numpy as np
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from ryddephase.atomdata import MicrowaveSpec, RydbergChannel
+from ryddephase.correlation import g2_after_cycles, g2_trace
+from ryddephase.ensemble import EnsembleSpec
+from ryddephase.pairdyn import CycleSpec
+from ryddephase.protocol import entangle_trace, make_schedule
+
+def cycle(p_n, p_j, c3=2.6e4, delta_t=1.0):
+    return CycleSpec(RydbergChannel(100, p_n, p_j, c3), delta_t, MicrowaveSpec(rabi=10.0))
+
+one = make_schedule([cycle(100, 0.5)])
+four = make_schedule([cycle(p_n, p_j) for p_n in (100, 99) for p_j in (0.5, 1.5)])
+modes = (cycle(99, 0.5, 2.0e5, 0.0), cycle(99, 1.5, 1.6e5, 0.0))
+ens, grid, x = EnsembleSpec(10, 60.0, seed=5), np.geomspace(0.02, 60.0, 12), np.arange(20.0)
+drivers = {
+    "g2_after_cycles": lambda: g2_after_cycles(ens, four, realizations=200),
+    "g2_trace one cycle": lambda: g2_trace(ens, one, grid, realizations=200),
+    "g2_trace four cycles": lambda: g2_trace(ens, four, grid, realizations=200),
+    "entangle_trace": lambda: entangle_trace(ens, modes, grid, realizations=200),
+    "multichannel g2_trace": lambda: g2_trace(ens, one, grid[:4], mode="multichannel", realizations=20),
+    "stride tricks": lambda: [(sliding_window_view(x, 5), as_strided(x, (4, 5), (8, 8))) for _ in range(1000)],
+}
+gc.disable()
+for name, run in drivers.items():
+    run()  # warm-up: first-call set-up and caches
+    gc.collect()
+    run()
+    print(f"{name}: {gc.collect()}")
+"""
+
+
+def test_realizations_leave_no_cyclic_garbage():
+    # with the cyclic collector off, what a run leaves for it to free would pile up: each driver must leave nothing
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", CYCLIC_GARBAGE_PROBE], env=env, capture_output=True, text=True, check=True
+    )
+    collected = dict(line.rsplit(": ", 1) for line in proc.stdout.splitlines())
+    assert len(collected) == 6
+    assert collected == dict.fromkeys(collected, "0")
 
 
 def test_one_analytic_point_allocates_far_less_than_a_plane():

@@ -9,7 +9,6 @@ from ryddephase.phasematch import (
     Beam,
     EPS_K,
     PhaseMatchInfeasible,
-    evaluate_beams,
     motional_coherence_time,
     solve_offaxis,
     spinwave_period,
@@ -72,12 +71,6 @@ def test_coherence_time_edge_cases():
         motional_coherence_time(1.0, 0.0)
     with pytest.raises(ValueError):
         motional_coherence_time(-1.0, 0.1)
-
-
-def test_evaluate_beams_bundles_results():
-    res = evaluate_beams(ladder_beams(), speed=0.1)
-    assert res.period == pytest.approx(48.099, abs=1e-3)
-    assert res.coherence_time == pytest.approx(res.period / (2.0 * math.pi * 0.1), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
