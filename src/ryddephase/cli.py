@@ -51,7 +51,19 @@ from .protocol import CycleSchedule, decay_reference, entangle_trace, make_sched
 gc.freeze()
 
 ENSEMBLE_SUBCOMMANDS = ("g2-trace", "cycles", "entangle")  # sample positions; a sweep varies one of them
-MAX_COUNT = 2**31 - 1  # of every count and principal quantum number: past it numpy or float(n) fails mid-run
+MAX_COUNT = 2**31 - 1  # of every count: past it numpy fails mid-run
+# The closed range of every float and count field, keyed by its name (its path's last name, without an index).
+# They make every derived number finite, the largest phase C3 t / min_separation_um^3 included: the README's
+# "Input ranges" gives the argument.  A beam's sign and p_j are choices, not ranges.
+RANGES = {
+    "n_atoms": (2, MAX_COUNT), "points": (1, MAX_COUNT), "realizations": (1, MAX_COUNT), "draws": (1, MAX_COUNT),
+    "seed": (0, 2**64 - 1), "scaling_exponent": (0.0, 12.0), "rabi_rad_per_us": (1e-3, 1e6),
+    **dict.fromkeys(["s_n", "p_n", "reference_n", "scan_n", "n"], (1, 500)),  # principal quantum numbers
+    **dict.fromkeys(["c3", "reference_c3", "c3_prime", "c3_second"], (1e-3, 1e9)),  # rad/us um^3
+    **dict.fromkeys(["delta_t_us", "start_us", "stop_us"], (0.0, 1e6)),
+    **dict.fromkeys(["box_side_um", "min_separation_um"], (1e-3, 1e5)),
+    "wavelength_nm": (10.0, 1e5), "direction": (-1e6, 1e6), "speed_m_per_s": (1e-6, 3e8),
+}
 
 
 class ConfigError(ValueError):
@@ -79,17 +91,24 @@ def _check_mapping(obj, path, required, optional):
             _fail(f"{path}.{key}", "missing required key")
 
 
-def _as_int(value, path, minimum=None, maximum=None):
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(path, f"expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        _fail(path, f"must be >= {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        _fail(path, f"must be <= {maximum}, got {value}")
+def _in_range(value, path):
+    """value, refused outside the closed range RANGES gives the field at path."""
+    low, high = RANGES[path.rsplit(".", 1)[-1].split("[", 1)[0]]
+    if value < low:
+        _fail(path, f"must be >= {low}, got {value}")
+    if value > high:
+        _fail(path, f"must be <= {high}, got {value}")
     return value
 
 
-def _as_float(value, path, minimum=None, strict_min=None):
+def _as_int(value, path):
+    if isinstance(value, bool) or not isinstance(value, int):
+        _fail(path, f"expected an integer, got {value!r}")
+    return _in_range(value, path)
+
+
+def _as_number(value, path) -> float:
+    """value as a finite float, with no range: _as_float adds the range, p_j is snapped by p_level_j."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {value!r}")
     try:
@@ -98,11 +117,11 @@ def _as_float(value, path, minimum=None, strict_min=None):
         _fail(path, "expected a finite number, got an integer too large for a float")
     if not math.isfinite(value):
         _fail(path, f"expected a finite number, got {value}")
-    if minimum is not None and value < minimum:
-        _fail(path, f"must be >= {minimum}, got {value}")
-    if strict_min is not None and value <= strict_min:
-        _fail(path, f"must be > {strict_min}, got {value}")
     return value
+
+
+def _as_float(value, path):
+    return _in_range(_as_number(value, path), path)
 
 
 def _as_choice(value, path, choices):
@@ -141,14 +160,14 @@ def _fit_memory(path: str, need: int, what: str, of: str) -> None:
 
 def _parse_ensemble(cfg, path) -> EnsembleSpec:
     _check_mapping(cfg, path, ["n_atoms", "box_side_um", "seed"], ["min_separation_um"])
-    n = _as_int(cfg["n_atoms"], f"{path}.n_atoms", minimum=2, maximum=MAX_COUNT)
+    n = _as_int(cfg["n_atoms"], f"{path}.n_atoms")
     _fit_memory(f"{path}.n_atoms", 16 * n * (n // 2), f"{n} atoms", "pair planes")  # two (n, n // 2) float64 planes
     return EnsembleSpec(
         n_atoms=n,
-        box_side=_as_float(cfg["box_side_um"], f"{path}.box_side_um", strict_min=0.0),
-        seed=_as_int(cfg["seed"], f"{path}.seed", minimum=0, maximum=2**64 - 1),
+        box_side=_as_float(cfg["box_side_um"], f"{path}.box_side_um"),
+        seed=_as_int(cfg["seed"], f"{path}.seed"),
         min_separation=_as_float(
-            cfg.get("min_separation_um", EnsembleSpec.min_separation), f"{path}.min_separation_um", strict_min=0.0
+            cfg.get("min_separation_um", EnsembleSpec.min_separation), f"{path}.min_separation_um"
         ),
     )
 
@@ -161,8 +180,8 @@ def _parse_interaction(cfg, path):
         mpath = f"{path}.model"
         _check_mapping(cfg["model"], mpath, ["reference_c3", "reference_n"], ["scaling_exponent"])
         model = InteractionModel(
-            reference_c3=_as_float(cfg["model"]["reference_c3"], f"{mpath}.reference_c3", strict_min=0.0),
-            reference_n=_as_int(cfg["model"]["reference_n"], f"{mpath}.reference_n", minimum=1, maximum=MAX_COUNT),
+            reference_c3=_as_float(cfg["model"]["reference_c3"], f"{mpath}.reference_c3"),
+            reference_n=_as_int(cfg["model"]["reference_n"], f"{mpath}.reference_n"),
             scaling_exponent=_as_float(
                 cfg["model"].get("scaling_exponent", InteractionModel.scaling_exponent), f"{mpath}.scaling_exponent"
             ),
@@ -172,16 +191,15 @@ def _parse_interaction(cfg, path):
         for i, row in enumerate(_as_list(cfg["table"], f"{path}.table")):
             rpath = f"{path}.table[{i}]"
             _check_mapping(row, rpath, ["s_n", "p_n", "p_j", "c3"], [])
-            s_n = _as_int(row["s_n"], f"{rpath}.s_n", minimum=1, maximum=MAX_COUNT)
-            p_n = _as_int(row["p_n"], f"{rpath}.p_n", minimum=1, maximum=MAX_COUNT)
-            p_j = _as_float(row["p_j"], f"{rpath}.p_j")
+            s_n, p_n = _as_int(row["s_n"], f"{rpath}.s_n"), _as_int(row["p_n"], f"{rpath}.p_n")
+            p_j = _as_number(row["p_j"], f"{rpath}.p_j")
             try:
                 p_j = p_level_j(p_j)
             except ValueError as exc:
                 _fail(f"{rpath}.p_j", str(exc))
             if (s_n, p_n, p_j) in table:
                 _fail(rpath, f"repeats the channel {s_n}s - {p_n}p_{p_j} of an earlier row")
-            table[s_n, p_n, p_j] = _as_float(row["c3"], f"{rpath}.c3", strict_min=0.0)
+            table[s_n, p_n, p_j] = _as_float(row["c3"], f"{rpath}.c3")
     return model, table
 
 
@@ -204,18 +222,17 @@ def _parse_cycle(cfg, path, model, table) -> CycleSpec:
         ["s_n", "p_n", "p_j", "delta_t_us"],
         ["rabi_rad_per_us", "polarization", "pulse_model", "c3"],
     )
-    s_n = _as_int(cfg["s_n"], f"{path}.s_n", minimum=1, maximum=MAX_COUNT)
-    p_n = _as_int(cfg["p_n"], f"{path}.p_n", minimum=1, maximum=MAX_COUNT)
-    p_j = _as_float(cfg["p_j"], f"{path}.p_j")
+    s_n, p_n = _as_int(cfg["s_n"], f"{path}.s_n"), _as_int(cfg["p_n"], f"{path}.p_n")
+    p_j = _as_number(cfg["p_j"], f"{path}.p_j")
     try:
         p_j = p_level_j(p_j)
         if "c3" in cfg:
-            c3 = _as_float(cfg["c3"], f"{path}.c3", strict_min=0.0)
+            c3 = _as_float(cfg["c3"], f"{path}.c3")
         else:
             c3 = _resolve_c3(s_n, p_n, p_j, model, table, path)
         channel = RydbergChannel(s_n, p_n, p_j, c3)
         microwave = MicrowaveSpec(
-            rabi=_as_float(cfg.get("rabi_rad_per_us", MicrowaveSpec.rabi), f"{path}.rabi_rad_per_us", strict_min=0.0),
+            rabi=_as_float(cfg.get("rabi_rad_per_us", MicrowaveSpec.rabi), f"{path}.rabi_rad_per_us"),
             polarization=_as_choice(
                 cfg.get("polarization", MicrowaveSpec.polarization), f"{path}.polarization", POLARIZATIONS
             ),
@@ -223,9 +240,7 @@ def _parse_cycle(cfg, path, model, table) -> CycleSpec:
                 cfg.get("pulse_model", MicrowaveSpec.pulse_model), f"{path}.pulse_model", PULSE_MODELS
             ),
         )
-        return CycleSpec(
-            channel, _as_float(cfg["delta_t_us"], f"{path}.delta_t_us", minimum=0.0), microwave
-        )
+        return CycleSpec(channel, _as_float(cfg["delta_t_us"], f"{path}.delta_t_us"), microwave)
     except ValueError as exc:
         if isinstance(exc, ConfigError):
             raise
@@ -245,9 +260,8 @@ def _parse_grid(raw) -> tuple[np.ndarray, int]:
     """The time grid and the realizations count, checked on the point count before the grid is built."""
     cfg, path = raw["grid"], "grid"
     _check_mapping(cfg, path, ["start_us", "stop_us", "points"], ["spacing"])
-    start = _as_float(cfg["start_us"], f"{path}.start_us", minimum=0.0)
-    stop = _as_float(cfg["stop_us"], f"{path}.stop_us", minimum=0.0)
-    points = _as_int(cfg["points"], f"{path}.points", minimum=1, maximum=MAX_COUNT)
+    start, stop = _as_float(cfg["start_us"], f"{path}.start_us"), _as_float(cfg["stop_us"], f"{path}.stop_us")
+    points = _as_int(cfg["points"], f"{path}.points")
     spacing = _as_choice(cfg.get("spacing", "linear"), f"{path}.spacing", ("linear", "log"))
     if points > 1 and stop <= start:
         _fail(f"{path}.stop_us", "must exceed start_us for multi-point grids")
@@ -268,7 +282,7 @@ def _parse_realizations(raw, points: int) -> int:
     A count that passes MAX_COUNT can still ask for terabytes of results;
     refusing it here turns an out-of-memory kill mid-run into exit 1.
     """
-    realizations = _as_int(raw.get("realizations", 100), "realizations", minimum=1, maximum=MAX_COUNT)
+    realizations = _as_int(raw.get("realizations", 100), "realizations")
     need = 24 * realizations * points
     _fit_memory("realizations", need, f"{realizations} realizations of {points} points", "results")
     return realizations
@@ -333,7 +347,7 @@ def _parse_trace_config(raw, subcommand) -> RunConfig:
     scan_schedules = {}
     if "scan_n" in raw:
         values = _as_list(raw["scan_n"], "scan_n")
-        scan_n = [_as_int(v, f"scan_n[{i}]", minimum=1, maximum=MAX_COUNT) for i, v in enumerate(values)]
+        scan_n = [_as_int(v, f"scan_n[{i}]") for i, v in enumerate(values)]
         for i, n in enumerate(scan_n):
             if n in scan_n[:i]:
                 _fail(f"scan_n[{i}]", f"duplicate value {n}")
@@ -341,10 +355,6 @@ def _parse_trace_config(raw, subcommand) -> RunConfig:
             if "c3" in cycle:
                 _fail(f"schedule.cycles[{i}].c3", "scan_n resolves C3 per n from the table or model; give no cycle c3")
         scan_schedules = {n: _parse_schedule([{**c, "s_n": n, "p_n": n} for c in cycles], model, table) for n in scan_n}
-    if subcommand == "cycles":  # the trace's time axis
-        for i, t in enumerate(schedule.wall_times):
-            if not math.isfinite(t):
-                _fail(f"schedule.cycles[{i}]", "wall-clock time (delta_t_us + 2 pi / rabi_rad_per_us) overflows")
     mode = _as_choice(raw.get("mode", "analytic"), "mode", ("analytic", "multichannel"))
     if subcommand == "g2-trace":
         grid, realizations = _parse_grid(raw)
@@ -555,8 +565,8 @@ def _parse_entangle_config(raw) -> EntangleConfig:
     ensemble = _parse_ensemble(raw["ensemble"], "ensemble")
     ent, epath = raw["entangle"], "entangle"
     _check_mapping(ent, epath, ["n", "c3_prime", "c3_second"], [])
-    n = _as_int(ent["n"], f"{epath}.n", minimum=1, maximum=MAX_COUNT)
-    c3_prime, c3_second = (_as_float(ent[key], f"{epath}.{key}", strict_min=0.0) for key in ("c3_prime", "c3_second"))
+    n = _as_int(ent["n"], f"{epath}.n")
+    c3_prime, c3_second = (_as_float(ent[key], f"{epath}.{key}") for key in ("c3_prime", "c3_second"))
     # (n+1)s dressed through np_1/2 with C3', ns dressed through np_3/2 with C3''
     channels = (RydbergChannel(n + 1, n, 0.5, c3_prime), RydbergChannel(n, n, 1.5, c3_second))
     grid, realizations = _parse_grid(raw)
@@ -581,30 +591,19 @@ def _parse_phasematch_config(raw) -> dict:
     for i, entry in enumerate(_as_list(raw["beams"], "beams", min_len=1)):
         bpath = f"beams[{i}]"
         _check_mapping(entry, bpath, ["wavelength_nm", "sign"], ["direction"])
-        wavelength = _as_float(entry["wavelength_nm"], f"{bpath}.wavelength_nm", strict_min=0.0)
-        sign = _as_int(entry["sign"], f"{bpath}.sign")
-        if sign not in (-1, 1):
-            _fail(f"{bpath}.sign", f"must be +1 or -1, got {sign}")
-        direction = entry.get("direction", [0.0, 0.0, 1.0])
-        direction = np.asarray(
-            [_as_float(v, f"{bpath}.direction[{k}]") for k, v in enumerate(_as_list(direction, f"{bpath}.direction", 3))],
-            dtype=float,
-        )
+        wavelength = _as_float(entry["wavelength_nm"], f"{bpath}.wavelength_nm")
+        sign = entry["sign"]
+        if type(sign) is not int or sign not in (-1, 1):
+            _fail(f"{bpath}.sign", f"must be +1 or -1, got {sign!r}")
+        components = _as_list(entry.get("direction", [0.0, 0.0, 1.0]), f"{bpath}.direction", 3)
+        direction = np.array([_as_float(v, f"{bpath}.direction[{k}]") for k, v in enumerate(components)])
         if direction.shape != (3,):
             _fail(f"{bpath}.direction", "expected 3 components")
-        with np.errstate(over="ignore"):
-            norm = np.linalg.norm(direction)
-        if not math.isfinite(norm):
-            _fail(f"{bpath}.direction", "its length overflows; scale the components down")
+        norm = np.linalg.norm(direction)
         if norm < 1e-12:
             _fail(f"{bpath}.direction", "zero vector")
         beams.append(Beam(wavelength, sign, direction / norm))
-        if not math.isfinite(beams[-1].k):
-            _fail(f"{bpath}.wavelength_nm", f"too short: the wavenumber 2000 pi / {wavelength} (rad/um) overflows")
-    total = sum(b.k for b in beams)  # bounds |dk|, whose square the period's norm takes
-    if not math.isfinite(total * total):
-        _fail("beams", f"the wavenumbers sum to {total:.3e} rad/um, past the float range of |dk|^2")
-    speed = _as_float(raw.get("speed_m_per_s", 0.1), "speed_m_per_s", strict_min=0.0)
+    speed = _as_float(raw.get("speed_m_per_s", 0.1), "speed_m_per_s")
     do_offaxis = _as_bool(raw.get("solve_offaxis", True), "solve_offaxis")
     if do_offaxis and len(beams) < 2:
         _fail("beams", "the off-axis solver needs at least two beams; set solve_offaxis to false")
@@ -647,12 +646,12 @@ def run_phasematch(parsed: dict, pool):
 
 def _parse_oracle_config(raw) -> dict:
     _check_mapping(raw, "config", ["seed"], ["n_atoms", "draws"])
-    n = _as_int(raw.get("n_atoms", 8), "n_atoms", minimum=2, maximum=MAX_COUNT)
+    n = _as_int(raw.get("n_atoms", 8), "n_atoms")
     _fit_memory("n_atoms", 16 * n * n, f"{n} atoms", "draws")  # each draw's two (n, n) float64 arrays
     return {
         "n_atoms": n,
-        "draws": _as_int(raw.get("draws", 100), "draws", minimum=1, maximum=MAX_COUNT),
-        "seed": _as_int(raw["seed"], "seed", minimum=0, maximum=2**64 - 1),
+        "draws": _as_int(raw.get("draws", 100), "draws"),
+        "seed": _as_int(raw["seed"], "seed"),
     }
 
 

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import json
 import math
 import os
@@ -17,6 +18,9 @@ from ryddephase.atomdata import InteractionModel, MicrowaveSpec, RydbergChannel,
 from ryddephase.cli import ConfigError, main, parse_config
 from ryddephase.correlation import exact_g2, realization_seed
 from ryddephase.ensemble import EnsembleSpec, sample_positions
+from ryddephase.pairdyn import CycleSpec, analytic_pair_amplitudes
+from ryddephase.phasematch import EPS_K, Beam, motional_coherence_time, spinwave_period
+from ryddephase.protocol import make_schedule
 
 from reference import g2_from_condensed
 from statevector import brute_force_g2
@@ -608,8 +612,8 @@ def _beam(**fields):
         ("phasematch", _beam(sign=2), "beams[0].sign: must be +1 or -1, got 2"),
         ("phasematch", _beam(direction=[0.0, 0.0, 1.0, 0.0]), "beams[0].direction: expected 3 components"),
         ("phasematch", _beam(direction=[0.0, 0.0, 0.0]), "beams[0].direction: zero vector"),
-        # numpy's overflow warning in the norm is an error under this suite's warning filter
-        ("phasematch", _beam(direction=[1e200, 1e200, 0.0]), "beams[0].direction: its length overflows"),
+        # a component out of range, not a norm that overflows
+        ("phasematch", _beam(direction=[1e200, 1e200, 0.0]), "beams[0].direction[0]: must be <= 1000000.0, got 1e+200"),
         ("sweep", dict(SWEEP, axes=[{"path": "", "values": [1]}]), "axes[0].path: expected a nonempty dotted path"),
         ("g2-trace", dict(MINIMAL, realizations=2.5), "realizations: expected an integer, got 2.5"),
         ("g2-trace", dict(MINIMAL, grid=dict(MINIMAL["grid"], stop_us="2")), "grid.stop_us: expected a number, got '2'"),
@@ -657,22 +661,22 @@ SCAN_MODEL = dict(MINIMAL, schedule={"cycles": [{"s_n": 100, "p_n": 100, "p_j": 
 
 
 @pytest.mark.parametrize(
-    "subcommand, payload, field",
+    "subcommand, payload, field, high",
     [
-        ("g2-trace", dict(MINIMAL, ensemble=dict(MINIMAL["ensemble"], n_atoms=HUGE)), "ensemble.n_atoms"),
-        ("g2-trace", dict(MINIMAL, ensemble=dict(MINIMAL["ensemble"], n_atoms=2**40)), "ensemble.n_atoms"),
-        ("g2-trace", dict(MINIMAL, grid=dict(MINIMAL["grid"], points=HUGE)), "grid.points"),
-        ("g2-trace", dict(MINIMAL, grid=dict(MINIMAL["grid"], points=2**62)), "grid.points"),
-        ("g2-trace", dict(SCAN_MODEL, scan_n=[HUGE], interaction={"model": MODEL}), "scan_n[0]"),
-        ("g2-trace", dict(MINIMAL, realizations=HUGE), "realizations"),
-        ("entangle", dict(ENTANGLE, entangle=dict(ENTANGLE["entangle"], n=HUGE)), "entangle.n"),
-        ("oracle", dict(ORACLE, n_atoms=HUGE), "n_atoms"),
-        ("oracle", dict(ORACLE, draws=HUGE), "draws"),
+        ("g2-trace", dict(MINIMAL, ensemble=dict(MINIMAL["ensemble"], n_atoms=HUGE)), "ensemble.n_atoms", cli.MAX_COUNT),
+        ("g2-trace", dict(MINIMAL, ensemble=dict(MINIMAL["ensemble"], n_atoms=2**40)), "ensemble.n_atoms", cli.MAX_COUNT),
+        ("g2-trace", dict(MINIMAL, grid=dict(MINIMAL["grid"], points=HUGE)), "grid.points", cli.MAX_COUNT),
+        ("g2-trace", dict(MINIMAL, grid=dict(MINIMAL["grid"], points=2**62)), "grid.points", cli.MAX_COUNT),
+        ("g2-trace", dict(SCAN_MODEL, scan_n=[HUGE], interaction={"model": MODEL}), "scan_n[0]", 500),  # a level
+        ("g2-trace", dict(MINIMAL, realizations=HUGE), "realizations", cli.MAX_COUNT),
+        ("entangle", dict(ENTANGLE, entangle=dict(ENTANGLE["entangle"], n=HUGE)), "entangle.n", 500),  # a level
+        ("oracle", dict(ORACLE, n_atoms=HUGE), "n_atoms", cli.MAX_COUNT),
+        ("oracle", dict(ORACLE, draws=HUGE), "draws", cli.MAX_COUNT),
     ],
     ids=["n_atoms-huge", "n_atoms-2^40", "points-huge", "points-2^62", "scan_n", "realizations", "entangle-n", "oracle-n_atoms", "oracle-draws"],
 )
-def test_oversized_counts_are_config_errors(tmp_path, capsys, subcommand, payload, field):
-    message = f"{field}: must be <= {cli.MAX_COUNT}, got "
+def test_oversized_counts_are_config_errors(tmp_path, capsys, subcommand, payload, field, high):
+    message = f"{field}: must be <= {high}, got "
     # planning first: without the bound, some of these runs would hang or exhaust memory
     with pytest.raises(ConfigError) as excinfo:
         cli._plan(subcommand, payload)
@@ -774,24 +778,37 @@ def test_one_beam_needs_the_offaxis_solver_off(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "beams, solve_offaxis, field",
+    "beams, solve_offaxis",
     [
-        ([(1e-320, 1), (480.0, -1)], False, "beams[0].wavelength_nm"),  # 2000 pi / 1e-320 is inf
-        ([(4e-305, 1)] * 4, True, "beams"),  # each wavenumber finite, their sum not
-        ([(1e-160, 1), (480.0, -1)], False, "beams"),  # a finite sum whose square, |dk|^2, is not
+        ([(1e-320, 1), (480.0, -1)], False),  # 2000 pi / 1e-320 is inf
+        ([(4e-305, 1)] * 4, True),  # each wavenumber finite, their sum not
+        ([(1e-160, 1), (480.0, -1)], False),  # a finite sum whose square, |dk|^2, is not
     ],
     ids=["wavenumber", "sum", "square"],
 )
-def test_an_overflowing_wavenumber_is_a_config_error(tmp_path, capsys, beams, solve_offaxis, field):
+def test_an_overflowing_wavenumber_is_a_config_error(tmp_path, capsys, beams, solve_offaxis):
+    # the wavelength is below its range, so no wavenumber, sum or square is formed
     payload = {"beams": [{"wavelength_nm": w, "sign": s} for w, s in beams], "solve_offaxis": solve_offaxis}
     out = tmp_path / "out"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(["phasematch", "--config", str(write_config(tmp_path, payload)), "--out", str(out)]) == 1
     assert caught == []
-    err = capsys.readouterr().err
-    assert f"config error: {field}: " in err
-    assert "Traceback" not in err
+    assert capsys.readouterr().err == f"config error: beams[0].wavelength_nm: must be >= 10.0, got {beams[0][0]}\n"
+    assert not out.exists()
+
+
+def test_a_speed_below_its_range_is_a_config_error(tmp_path, capsys):
+    # without its range, the coherence time period / (2 pi v) of this unmatched geometry overflows to "inf",
+    # the value of a matched one
+    payload = {"beams": [{"wavelength_nm": 780.0, "sign": 1}, {"wavelength_nm": 480.0, "sign": -1}]}
+    payload["speed_m_per_s"] = 5e-324
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["phasematch", "--config", str(write_config(tmp_path, payload)), "--out", str(out)]) == 1
+    assert caught == []
+    assert capsys.readouterr() == ("", "config error: speed_m_per_s: must be >= 1e-06, got 5e-324\n")
     assert not out.exists()
 
 
@@ -930,10 +947,14 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch):
 
 
 OVERFLOW_GRID = {"start_us": 0.0, "stop_us": 1e306, "points": 3}  # C3 t overflows to inf: every phase is lost
+WIDE_TIMES = (  # the CLI with no upper bound on times
+    "import math, sys; from ryddephase import cli; "
+    "cli.RANGES['stop_us'] = (0.0, math.inf); sys.exit(cli.main(sys.argv[1:]))"
+)
 
 
 @pytest.mark.parametrize("subcommand", ["g2-trace", "entangle"])
-def test_an_overflowing_phase_is_a_numerical_failure(tmp_path, subcommand):
+def test_an_overflowing_phase_is_a_numerical_failure(tmp_path, capsys, subcommand):
     ensemble = {"n_atoms": 6, "box_side_um": 20.0, "seed": 3}
     if subcommand == "g2-trace":
         cfg = dict(MINIMAL, ensemble=ensemble, grid=OVERFLOW_GRID)
@@ -943,12 +964,16 @@ def test_an_overflowing_phase_is_a_numerical_failure(tmp_path, subcommand):
         cfg["grid"] = OVERFLOW_GRID
     cfg["realizations"] = 2
     out = tmp_path / "out"
-    # a fresh process with the default warning filters, two workers: what a user's terminal shows
     argv = [subcommand, "--config", str(write_config(tmp_path, cfg)), "--out", str(out), "--threads", "2"]
+    assert main(argv) == 1  # the range on times refuses it when the run is planned
+    assert capsys.readouterr() == ("", "config error: grid.stop_us: must be <= 1000000.0, got 1e+306\n")
+    # the library still raises NumericsError: a fresh process that widens the range, with the default
+    # warning filters and two workers, shows what a user's terminal would
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "ryddephase.cli", *argv], env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", WIDE_TIMES, *argv], env=env, capture_output=True, text=True)
     assert proc.returncode == 2
+    assert proc.stdout == ""
     assert f"numerical failure: realization 0 (seed {realization_seed(3, 0)}): non-finite pair sum" in proc.stderr
     assert "RuntimeWarning" not in proc.stderr  # numpy's overflow warnings stay inside the realization
     assert not out.exists()
@@ -969,33 +994,71 @@ def test_scan_n_rejects_a_cycle_c3(tmp_path, capsys):
     ids=["cycles", "fig2-scan_n"],  # fig2's own cycle is at the reference n = 60; its scan_n = 79 overflows
 )
 def test_an_overflowing_model_c3_is_a_config_error(tmp_path, capsys, config, subcommand, n):
+    # C3 = inf at n: the exponent is out of its range, so no model C3 overflows
     raw = json.loads((CONFIG_DIR / config).read_text())
     raw["interaction"]["model"]["scaling_exponent"] = 5000
     out = tmp_path / "out"
-    assert main([subcommand, "--config", str(write_config(tmp_path, raw)), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert f"config error: schedule.cycles[0]: the scaling model gives C3 = inf at n = {n}" in err
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([subcommand, "--config", str(write_config(tmp_path, raw)), "--out", str(out)]) == 1
+    assert caught == []
+    assert capsys.readouterr() == ("", "config error: interaction.model.scaling_exponent: must be <= 12.0, got 5000.0\n")
     assert not out.exists()
 
 
 @pytest.mark.parametrize(
-    "overrides, cycle",
+    "overrides, message",
     [
-        ({"rabi_rad_per_us": 1e-320}, 0),  # 2 pi / Omega overflows: t_us inf, reference nan
-        ({"delta_t_us": 1e308}, 1),  # numpy warned on the cumulative sum, then the phases overflowed
-        ({"delta_t_us": 1e308, "c3": 1e-200}, 1),  # finite phases: every realization ran, then fsum raised
+        # without its range, 2 pi / Omega overflows: t_us inf, reference nan
+        ({"rabi_rad_per_us": 1e-320}, "rabi_rad_per_us: must be >= 0.001, got 1e-320"),
+        # without its range, the cumulative sum overflows with a numpy warning, then the phases
+        ({"delta_t_us": 1e308}, "delta_t_us: must be <= 1000000.0, got 1e+308"),
+        # without the ranges, the phases stay finite: every realization runs, then fsum raises
+        ({"delta_t_us": 1e308, "c3": 1e-200}, "c3: must be >= 0.001, got 1e-200"),
     ],
     ids=["pulse-area", "intervals", "intervals-small-c3"],
 )
-def test_a_cycles_time_axis_that_overflows_is_a_config_error(tmp_path, capsys, overrides, cycle):
+def test_a_cycles_time_axis_that_overflows_is_a_config_error(tmp_path, capsys, overrides, message):
     raw = json.loads((CONFIG_DIR / "cycles.json").read_text())
     raw["ensemble"]["n_atoms"], raw["realizations"] = 10, 1
     raw["schedule"]["cycles"] = [dict(c, **overrides) for c in raw["schedule"]["cycles"]]
     out = tmp_path / "out"
-    assert main(["cycles", "--config", str(write_config(tmp_path, raw)), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err == f"config error: schedule.cycles[{cycle}]: wall-clock time (delta_t_us + 2 pi / rabi_rad_per_us) overflows\n"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["cycles", "--config", str(write_config(tmp_path, raw)), "--out", str(out)]) == 1
+    assert caught == []
+    assert capsys.readouterr() == ("", f"config error: schedule.cycles[0].{message}\n")
     assert not out.exists()
+
+
+def test_the_ranges_keep_every_derived_number_finite():
+    # the README's "Input ranges" argument, evaluated at the ends of the ranges: narrowing or widening one
+    # range must keep every number below finite
+    r = cli.RANGES
+    corners = itertools.product(*(r[name] for name in ("reference_c3", "reference_n", "scaling_exponent", "s_n")))
+    model_c3 = [c3_of(n, InteractionModel(c3, n0, exponent)) for c3, n0, exponent, n in corners]  # raises unless finite
+    assert 0 < min(model_c3) and r["scan_n"] == r["s_n"]
+    c3_high = max(*model_c3, *r["c3"], *r["c3_prime"], *r["c3_second"])
+    # each wavenumber, their sum over more beams than a config can list, and |dk|^2
+    k_high = max(Beam(w, 1, (0.0, 0.0, 1.0)).k for w in r["wavelength_nm"])
+    total = 2**63 * k_high
+    assert math.isfinite(total * total)
+    # the longest cycles schedule: one cycle per distinct p-level, each of the longest interval and pulse
+    levels = range(r["p_n"][0], r["p_n"][1] + 1)
+    drive = MicrowaveSpec(rabi=r["rabi_rad_per_us"][0])
+    channels = [RydbergChannel(levels[-1], p_n, p_j, 1.0) for p_n in levels for p_j in (0.5, 1.5)]
+    schedule = make_schedule(CycleSpec(channel, r["delta_t_us"][1], drive) for channel in channels)
+    assert len(schedule) == 2 * len(levels) and math.isfinite(schedule.wall_times[-1])
+    # the coherence time of an unmatched geometry: the longest period, at the lowest speed
+    period = spinwave_period([np.nextafter(EPS_K, 1.0), 0.0, 0.0])
+    assert math.isfinite(motional_coherence_time(period, r["speed_m_per_s"][0]))
+    # the largest phase, C3 over the closest pair's R^3 for a whole cycle, far below the float range, so the
+    # multichannel energies, a few times C3 / R^3, are finite too; and the widest pair's R^3
+    t_high = max(r["stop_us"][1], r["delta_t_us"][1]) + 2.0 * math.pi / r["rabi_rad_per_us"][0]
+    cube = r["min_separation_um"][0] ** 3
+    assert 0.0 < cube and c3_high * t_high / cube < 1e300
+    assert np.isfinite(analytic_pair_amplitudes(np.array([cube]), c3_high * t_high)).all()
+    assert math.isfinite((math.sqrt(3.0) * r["box_side_um"][1]) ** 3)
 
 
 def test_failed_run_does_not_block_a_rerun(tmp_path, monkeypatch):
@@ -1062,7 +1125,7 @@ def test_cycles_run_includes_reference_column(tmp_path):
     [
         ({"c3_prime": 2.0e5, "c3_second": 1.6e5}, "entangle.n: missing required key"),
         ({"n": 0, "c3_prime": 2.0e5, "c3_second": 1.6e5}, "entangle.n: must be >= 1"),
-        ({"n": 99, "c3_prime": 0.0, "c3_second": 1.6e5}, "entangle.c3_prime: must be > 0.0"),
+        ({"n": 99, "c3_prime": 0.0, "c3_second": 1.6e5}, "entangle.c3_prime: must be >= 0.001, got 0.0"),
     ],
 )
 def test_entangle_level_label_and_strengths_are_validated(tmp_path, capsys, entangle, message):

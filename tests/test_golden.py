@@ -12,19 +12,28 @@ sha256 of the bytes committed to disk.
 
     PYTHONPATH=src python tests/test_golden.py [DIR]
 
-prints the GOLDEN table of the current code in this file's layout, so a
-re-record is one command whose output replaces the table.  Given DIR, it also
-keeps each case's data files under DIR/<case>/out/, so a re-record can compare
-them column by column with the same run of the parent commit:
+prints the golden table of the current code, at the numpy dispatch level
+this CPU runs, in this file's layout, so a re-record is one command whose
+output replaces the table.  Given DIR, it also keeps each case's data files
+under DIR/<case>/out/, so a re-record can compare them column by column with
+the same run of the parent commit:
 
     PYTHONPATH=src python tests/test_golden.py --compare OLD NEW
 
 prints, per case, data file and column (a CSV header field, or a JSON key
 path), the largest relative deviation of NEW's values from OLD's.
 
-The hashes hold for one numpy build on one CPU family (numpy's vectorized
-tan and the LAPACK behind eigh and lstsq may round differently elsewhere);
-they were recorded with Python 3.11 and numpy 2.4.6 on x86-64.
+numpy picks its SIMD kernels by CPU when it loads, and its float64 tan,
+power and exp round some results differently with AVX-512 than without.  So
+there is one table per dispatch level, and the test takes the one of the
+level numpy runs at (numpy's __cpu_features__) and fails on a level with no
+table.  GOLDEN_X86_V4 holds the hashes with AVX-512; GOLDEN_X86_V3 holds
+them without it, as on an AVX2-only CPU, and was recorded on the same CPU by
+
+    NPY_DISABLE_CPU_FEATURES="X86_V4,AVX512_ICL,AVX512_SPR" PYTHONPATH=src python tests/test_golden.py
+
+Both were recorded with Python 3.11 and numpy 2.4.6 on x86-64; the LAPACK
+behind eigh and lstsq may round differently in another numpy build.
 """
 
 import contextlib
@@ -37,6 +46,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
+from numpy._core._multiarray_umath import __cpu_features__
 
 from ryddephase import cli
 
@@ -121,7 +131,7 @@ CASES = {
     "twophoton": ("twophoton.json", "phasematch", {}),
 }
 
-GOLDEN = {
+GOLDEN_X86_V4 = {
     "cycles": {
         "cycles.csv": "8eb9fc224de8697dd328b3719d14e9fd9feafd7b8c5843954ced4dd421fc6764",
     },
@@ -182,6 +192,71 @@ GOLDEN = {
     },
 }
 
+GOLDEN_X86_V3 = {
+    "cycles": {
+        "cycles.csv": "c28ccc10e32d20ea86406d3520542bb3bf6a732c37e388aaf23440b21550ff7d",
+    },
+    "cycles_json": {
+        "cycles.json": "5401fe9691d4bda0b493df73bd48a28dc63e182d7532f51584519f87a1217320",
+    },
+    "cycles_multichannel": {
+        "cycles.csv": "5582bd8e2e952e6f49c6adddd085e533a20b026f5d15ffcf32fc9528e3979c3c",
+    },
+    "entangle": {
+        "entangle.csv": "76e47f6d6650b70a329d34166376bfbee3f32a00515468067e351592aa777547",
+    },
+    "entangle_json": {
+        "entangle.json": "b44c9c8cdca3061988413b30fed49e881d6dffac459a2cab590d225d08e919ae",
+    },
+    "fig2": {
+        "g2_trace_n100.csv": "88a3aedb82d1d64753d5de6c3f3fa57c81d33c8178806233abf352eceba7728a",
+        "g2_trace_n60.csv": "617fec49663ee7374029cd2ccddb77e26b18569b9e5af10ddaf9935eeac4cefa",
+        "g2_trace_n79.csv": "9a1e890fd46c0f53a7c214eb30a443e9ca82de550821fff098ff31278f7a10e5",
+    },
+    "fig2_blocks": {
+        "g2_trace_n100.json": "e374e49adf5c54a0261d08332925a0e9ba2c98153bd8f13606860cb5f94f6f2f",
+        "g2_trace_n60.json": "8169c317dd49fa5ef1472a64d317fc19dbf3632a6c2a140fd48c70e67b65110d",
+        "g2_trace_n79.json": "e99c174ee051aaa9217bd8c7fb5c8968b6d2feac8f44f66086adaf0d537551d8",
+    },
+    "fig2_json": {
+        "g2_trace_n100.json": "115a6dae7b5d1a1c6a83ad346ff3a2e4aec5e338f62e4e890c4382e6530e3440",
+        "g2_trace_n60.json": "92773f6f3ddf9cf6d90ef3e0bacbf3d3cce1f3de904dd981f89bc23ed0c74d75",
+        "g2_trace_n79.json": "eedd6482c519433b29ed72f3f94f778f232ff6d33650f45da35f66d2088400e1",
+    },
+    "fourphoton": {
+        "phasematch.json": "9e50b275c5eb8e592d24df9cf25c2b561bbf27be99ac95c759f08bb7940e09c5",
+    },
+    "multichannel": {
+        "g2_trace.csv": "cb0808fe8ae6df92ddb2d552eac673d614012b29181ffc1b6cfaf5459c662f27",
+    },
+    "multichannel_blocks": {
+        "g2_trace.json": "c950e27bbd16e0ff5e5a9acf82994c4f95d30b229d8f1e03d6e95f6e06109a66",
+    },
+    "oracle": {
+        "oracle.json": "a4c33375a178782597298cdedba1f5e78d04d8ea7e4dd1a3673cd09451fd7221",
+    },
+    "sweep_example": {
+        "n_atoms=10/g2_trace.csv": "ec129d01f614e33a98080df24ef51ad876f1ace6c6c35af3673e86139f9b8be7",
+        "n_atoms=15/g2_trace.csv": "1af42a3585717f8c0223421ab024450719c93957abacc79cad485405acac30ca",
+    },
+    "two_cycle_trace_analytic": {
+        "g2_trace.csv": "6b5b5c2b6ea6b8725dfef2fb419b18ab662f8999f9a65a1c84fde58c63ab2c3e",
+    },
+    "two_cycle_trace_multichannel": {
+        "g2_trace.csv": "15dae43e79d88de981a3e067ce1682717cb3cd9ede659f8367d9204ae8865edb",
+    },
+    "two_cycle_trace_sigma_minus": {
+        "g2_trace.csv": "fb559609b1b5063958d6a779333ad1626f010ae26bd8781d6c073f25b902c28e",
+    },
+    "twophoton": {
+        "phasematch.json": "022b56299aa2c1cdd25e1fe587b751c053b8b3e4780049ee3d0a3cab95065121",
+    },
+}
+
+GOLDEN_TABLES = {"X86_V4": GOLDEN_X86_V4, "X86_V3": GOLDEN_X86_V3}
+# the highest x86-64 level numpy dispatches at, or None (another architecture, or below AVX2)
+LEVEL = next((level for level in GOLDEN_TABLES if __cpu_features__.get(level)), None)
+
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -230,7 +305,8 @@ def test_every_shipped_config_has_a_case():
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_shipped_config_outputs_match_golden_hashes(name, tmp_path):
-    assert run_case(name, tmp_path) == GOLDEN[name]
+    assert LEVEL in GOLDEN_TABLES, "no golden table for the numpy dispatch level of this CPU"
+    assert run_case(name, tmp_path) == GOLDEN_TABLES[LEVEL][name]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -349,4 +425,4 @@ elif __name__ == "__main__":
         for name in sorted(CASES):
             (root / name).mkdir(parents=True)
             entries.append(golden_entry(name, run_case(name, root / name)))
-    print("GOLDEN = {", *entries, "}", sep="\n")
+    print(f"GOLDEN_{LEVEL} = {{", *entries, "}", sep="\n")
