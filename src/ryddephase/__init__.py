@@ -28,7 +28,6 @@ from .correlation import (
     G2Trace,
     exact_g2,
     g2_after_cycles,
-    g2_from_amplitudes,
     g2_trace,
 )
 from .ensemble import (

@@ -39,8 +39,8 @@ from .atomdata import (
     c3_of,
     p_level_j,
 )
-from .correlation import G2Trace, exact_g2, g2_after_cycles, g2_from_amplitudes, g2_trace, unit_point
-from .ensemble import EnsembleSpec, PackingError, round_robin_pairs
+from .correlation import G2Trace, g2_after_cycles, g2_trace, unit_point
+from .ensemble import EnsembleSpec, PackingError
 from .pairdyn import CycleSpec, NumericsError
 from .phasematch import (
     Beam, PhaseMatchInfeasible, motional_coherence_time, solve_offaxis, spinwave_period, wavevector_mismatch
@@ -56,7 +56,7 @@ MAX_COUNT = 2**31 - 1  # of every count: past it numpy fails mid-run
 # They make every derived number finite, the largest phase C3 t / min_separation_um^3 included: the README's
 # "Input ranges" gives the argument.  A beam's sign and p_j are choices, not ranges.
 RANGES = {
-    "n_atoms": (2, MAX_COUNT), "points": (1, MAX_COUNT), "realizations": (1, MAX_COUNT), "draws": (1, MAX_COUNT),
+    "n_atoms": (2, MAX_COUNT), "points": (1, MAX_COUNT), "realizations": (1, MAX_COUNT),
     "seed": (0, 2**64 - 1), "scaling_exponent": (0.0, 12.0), "rabi_rad_per_us": (1e-3, 1e6),
     **dict.fromkeys(["s_n", "p_n", "reference_n", "scan_n", "n"], (1, 500)),  # principal quantum numbers
     **dict.fromkeys(["c3", "reference_c3", "c3_prime", "c3_second"], (1e-3, 1e9)),  # rad/us um^3
@@ -108,7 +108,7 @@ def _as_int(value, path):
 
 
 def _as_number(value, path) -> float:
-    """value as a finite float, with no range: _as_float adds the range, p_j is snapped by p_level_j."""
+    """value as a finite float, with no range: _as_float adds the range, _as_p_j snaps it to a p level."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {value!r}")
     try:
@@ -122,6 +122,15 @@ def _as_number(value, path) -> float:
 
 def _as_float(value, path):
     return _in_range(_as_number(value, path), path)
+
+
+def _as_p_j(value, path) -> float:
+    """value snapped by p_level_j, the one p-level j rule; refused at path."""
+    value = _as_number(value, path)
+    try:
+        return p_level_j(value)
+    except ValueError as exc:
+        _fail(path, str(exc))
 
 
 def _as_choice(value, path, choices):
@@ -192,11 +201,7 @@ def _parse_interaction(cfg, path):
             rpath = f"{path}.table[{i}]"
             _check_mapping(row, rpath, ["s_n", "p_n", "p_j", "c3"], [])
             s_n, p_n = _as_int(row["s_n"], f"{rpath}.s_n"), _as_int(row["p_n"], f"{rpath}.p_n")
-            p_j = _as_number(row["p_j"], f"{rpath}.p_j")
-            try:
-                p_j = p_level_j(p_j)
-            except ValueError as exc:
-                _fail(f"{rpath}.p_j", str(exc))
+            p_j = _as_p_j(row["p_j"], f"{rpath}.p_j")
             if (s_n, p_n, p_j) in table:
                 _fail(rpath, f"repeats the channel {s_n}s - {p_n}p_{p_j} of an earlier row")
             table[s_n, p_n, p_j] = _as_float(row["c3"], f"{rpath}.c3")
@@ -223,9 +228,8 @@ def _parse_cycle(cfg, path, model, table) -> CycleSpec:
         ["rabi_rad_per_us", "polarization", "pulse_model", "c3"],
     )
     s_n, p_n = _as_int(cfg["s_n"], f"{path}.s_n"), _as_int(cfg["p_n"], f"{path}.p_n")
-    p_j = _as_number(cfg["p_j"], f"{path}.p_j")
+    p_j = _as_p_j(cfg["p_j"], f"{path}.p_j")
     try:
-        p_j = p_level_j(p_j)
         if "c3" in cfg:
             c3 = _as_float(cfg["c3"], f"{path}.c3")
         else:
@@ -644,44 +648,6 @@ def run_phasematch(parsed: dict, pool):
     return [], None, lambda: payload
 
 
-def _parse_oracle_config(raw) -> dict:
-    _check_mapping(raw, "config", ["seed"], ["n_atoms", "draws"])
-    n = _as_int(raw.get("n_atoms", 8), "n_atoms")
-    _fit_memory("n_atoms", 16 * n * n, f"{n} atoms", "draws")  # each draw's two (n, n) float64 arrays
-    return {
-        "n_atoms": n,
-        "draws": _as_int(raw.get("draws", 100), "draws"),
-        "seed": _as_int(raw["seed"], "seed"),
-    }
-
-
-def run_oracle(parsed: dict, pool):
-    n = parsed["n_atoms"]
-    slots = round_robin_pairs(n)
-    rng = np.random.Generator(np.random.PCG64(parsed["seed"]))
-    cases = []
-    worst = 0.0
-    for draw in range(parsed["draws"]):
-        # draw (n, n) values and keep each pair's mu < nu value, in its round-robin slots: a seed's cases stay fixed
-        mag = rng.uniform(0.0, 1.0, size=(n, n))
-        phase = rng.uniform(0.0, 2.0 * math.pi, size=(n, n))
-        point = g2_from_amplitudes((mag * np.exp(1j * phase))[slots])
-        approx, exact = point.g2, exact_g2(point, n)
-        rel = abs(approx - exact) / exact if exact else abs(approx)
-        worst = max(worst, rel)
-        cases.append({"draw": draw, "approx_g2": approx, "exact_g2": exact, "rel_deviation": rel})
-    bound = 3.0 / n
-    return [parsed["seed"]], None, lambda: {
-        "n_atoms": n,
-        "draws": parsed["draws"],
-        "seed": parsed["seed"],
-        "max_rel_deviation": worst,
-        "bound": bound,
-        "pass": bool(worst <= bound),
-        "cases": cases,
-    }
-
-
 @dataclass
 class Job:
     """One validated config of a run: a plain run plans one, a sweep one per combination."""
@@ -766,7 +732,7 @@ class Subcommand:
     fill(pool) computes one file and returns (seeds, columns, payload): its
     realization seeds, its CSV columns by name and a function returning its
     JSON document.  g2-trace, cycles and entangle read output.format (csv or
-    json); phasematch and oracle write JSON and ignore the pool; sweep has no
+    json); phasematch writes JSON and ignores the pool; sweep has no
     files of its own, its parser returns the jobs of the subcommand it sweeps.
     Runners look up what they call (g2_trace, ...) as module globals at call time.
     """
@@ -800,9 +766,6 @@ SUBCOMMANDS = {
         _parse_phasematch_config,
         _one_file("phasematch", run_phasematch),
     ),
-    "oracle": Subcommand(
-        "pair-sum formula versus exact finite-N correlator", _parse_oracle_config, _one_file("oracle", run_oracle)
-    ),
     "sweep": Subcommand("Cartesian parameter sweep over another subcommand", _parse_sweep_config, None),
 }
 
@@ -822,8 +785,6 @@ def _override_seed(raw: dict, subcommand: str, seed: int) -> None:
         ensemble = raw.get("ensemble")
         if isinstance(ensemble, dict):
             ensemble["seed"] = seed
-    elif subcommand == "oracle":
-        raw["seed"] = seed
     elif subcommand == "phasematch":
         raise ConfigError("--seed: phasematch has no seed")
     elif subcommand == "sweep" and raw.get("subcommand") in ENSEMBLE_SUBCOMMANDS:
@@ -880,7 +841,7 @@ def main(argv=None) -> int:
                 session.stage(path)
         if args.subcommand == "sweep":
             session.stage(out / "manifest.json")
-        # phasematch and oracle configs run no realizations
+        # phasematch configs run no realizations
         pool = _make_pool(args.threads, max(getattr(job.config, "realizations", 1) for job in jobs))
         try:
             started, seeds, outputs = time.perf_counter(), [], []

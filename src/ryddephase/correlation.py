@@ -179,27 +179,15 @@ def exact_g2(point: G2Point, n_atoms: int) -> float:
 
 
 def unit_point(n_atoms: int) -> G2Point:
-    """The point of all-unit amplitudes (row sums n - 1)."""
-    return g2_from_amplitudes(np.ones((n_atoms, n_atoms // 2)))
+    """The point of all-unit amplitudes, in closed form.
 
-
-def g2_from_amplitudes(amplitudes) -> G2Point:
-    """One correlation point from complex pair amplitudes in round-robin order, shape (n, n // 2), n >= 2.
-
-    Slot (mu, k - 1) holds the pair of mu and (mu + k) mod n
-    (ensemble.round_robin_pairs); for even n the second slot of each pair
-    (mu, mu + n/2) counts no pair.  Raises ValueError on any other shape or
-    a non-finite value in any slot.
+    Every row sum is n - 1 (Im 0), so the sums over the row sums are exact
+    integers, and f and h take the float steps of _PairPlanes.points on them.
     """
-    amplitudes = np.asarray(amplitudes, dtype=complex)
-    n = amplitudes.shape[0] if amplitudes.ndim == 2 else 0
-    if n < 2 or amplitudes.shape != (n, n // 2):
-        raise ValueError(f"expected (n, n // 2) round-robin pair amplitudes with n >= 2, got shape {amplitudes.shape}")
-    if not np.isfinite(amplitudes).all():
-        raise ValueError("missing pair amplitude (non-finite value)")
-    planes = _PairPlanes(n)
-    planes.owned[0, 0], planes.owned[1, 0] = amplitudes.real, amplitudes.imag
-    return G2Point(*planes.points()[0])
+    t = float(n_atoms * (n_atoms - 1))
+    f = (t * t + 0.0) / float(n_atoms) ** 4
+    h = float(n_atoms * (n_atoms - 1) ** 2) / float(n_atoms) ** 3
+    return G2Point(_g2(f, h), f, h)
 
 
 @dataclass(frozen=True, eq=False)

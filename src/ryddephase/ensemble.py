@@ -9,10 +9,10 @@ N x N array.  Pairs
 have one order, round-robin: atom mu owns the slots (mu, k - 1), the pairs
 (mu, (mu + k) mod n), k = 1..n // 2, with axis partner - self; distances and
 orientations (R and the polar angle, never the azimuth, a gauge of the
-multichannel kernel: pairdyn) derive from round_robin_displacements, and
-round_robin_pairs names each slot's two atoms.  The random stream is PCG64
-(numpy's default bit generator), seeded directly with the 64-bit ensemble
-seed, so configurations are bit-reproducible across runs and platforms.
+multichannel kernel: pairdyn) derive from round_robin_displacements.  The
+random stream is PCG64 (numpy's default bit generator), seeded directly with
+the 64-bit ensemble seed, so configurations are bit-reproducible across runs
+and platforms.
 """
 
 from dataclasses import dataclass
@@ -141,18 +141,6 @@ def sample_positions(spec: EnsembleSpec) -> np.ndarray:
     return points
 
 
-def round_robin_pairs(n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
-    """The atoms (lo, hi) of every round-robin slot, lower index first, each of shape (n, n // 2).
-
-    Slot (mu, k - 1) holds the pair of mu and (mu + k) mod n, k = 1..n // 2.
-    For odd n every pair has one slot.  For even n the pair of mu and
-    mu + n / 2 has two, (mu, n/2 - 1) and (mu + n/2, n/2 - 1), both listed here.
-    """
-    mu = np.arange(n_atoms)[:, None]
-    nu = (mu + np.arange(1, n_atoms // 2 + 1)) % n_atoms
-    return np.minimum(mu, nu), np.maximum(mu, nu)
-
-
 def round_robin_displacements(positions: np.ndarray, out=None):
     """Yield per axis x, y, z the (n, n // 2) plane of positions[(mu + k) % n] - positions[mu].
 
@@ -168,7 +156,7 @@ def round_robin_displacements(positions: np.ndarray, out=None):
 
 
 def round_robin_separations(positions: np.ndarray) -> np.ndarray:
-    """Pair distances in round-robin order (round_robin_pairs), shape (n, n // 2).
+    """Pair distances in round-robin order, shape (n, n // 2): slot (mu, k - 1) holds mu and (mu + k) mod n.
 
     The squares add as (dx^2 + dy^2) + dz^2, as in scipy's pdist, so each
     slot has its pair's pdist bits.  Holds the result and one plane more.

@@ -11,11 +11,14 @@ It also keeps the unblocked realization loops of g2 (g2_points) and
 entangle (entangle_points): one source call per cycle or mode and grid
 time, which the blocks of correlation.block_points must match bit for bit.
 
-The package's one pair order is round-robin.  Tests that build amplitudes
-in condensed order (mu < nu, row-major, as np.triu_indices and scipy's pdist
-list pairs) reduce them through g2_from_condensed, which gathers them into
-their round-robin slots.  The closed-form amplitude of a scalar or an array
-of phases (analytic_cycle_amplitude) and F from two modes' pair phases
+The package's one pair order is round-robin.  g2_from_amplitudes reduces
+one point of (n, n // 2) round-robin amplitudes through the package's planes
+(correlation._PairPlanes), and round_robin_pairs names each slot's two
+atoms.  Tests that build amplitudes in condensed order (mu < nu, row-major,
+as np.triu_indices and scipy's pdist list pairs) reduce them through
+g2_from_condensed, which gathers them into their round-robin slots.  The
+closed-form amplitude of a scalar or an array of phases
+(analytic_cycle_amplitude) and F from two modes' pair phases
 (entangle_fidelity) live here too: no run of the package needs either.
 """
 
@@ -26,8 +29,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ryddephase.correlation import _cycle_sources, g2_from_amplitudes, pair_mean
-from ryddephase.ensemble import round_robin_orientations, round_robin_pairs
+from ryddephase.correlation import G2Point, _cycle_sources, _PairPlanes, pair_mean
+from ryddephase.ensemble import round_robin_orientations
 from ryddephase.pairdyn import (
     UNITARITY_TOL,
     NumericsError,
@@ -139,6 +142,44 @@ def g2_points(positions, cycles, grid, mode: str) -> np.ndarray:
         amplitudes = functools.reduce(operator.mul, [source(np.full((1, 1, 1), t))[0] for source in sources])
         points.append(tuple(vars(g2_from_amplitudes(amplitudes)).values()))
     return np.array(points).T
+
+
+def round_robin_pairs(n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
+    """The atoms (lo, hi) of every round-robin slot, lower index first, each of shape (n, n // 2).
+
+    Slot (mu, k - 1) holds the pair of mu and (mu + k) mod n, k = 1..n // 2.
+    For odd n every pair has one slot.  For even n the pair of mu and
+    mu + n / 2 has two, (mu, n/2 - 1) and (mu + n/2, n/2 - 1), both listed here.
+    """
+    mu = np.arange(n_atoms)[:, None]
+    nu = (mu + np.arange(1, n_atoms // 2 + 1)) % n_atoms
+    return np.minimum(mu, nu), np.maximum(mu, nu)
+
+
+def g2_from_amplitudes(amplitudes) -> G2Point:
+    """One correlation point from complex pair amplitudes in round-robin order, shape (n, n // 2), n >= 2.
+
+    Slot (mu, k - 1) holds the pair of mu and (mu + k) mod n
+    (round_robin_pairs); for even n the second slot of each pair
+    (mu, mu + n/2) counts no pair.  Raises ValueError on any other shape or
+    a non-finite value in any slot.
+    """
+    amplitudes = np.asarray(amplitudes, dtype=complex)
+    n = amplitudes.shape[0] if amplitudes.ndim == 2 else 0
+    if n < 2 or amplitudes.shape != (n, n // 2):
+        raise ValueError(f"expected (n, n // 2) round-robin pair amplitudes with n >= 2, got shape {amplitudes.shape}")
+    if not np.isfinite(amplitudes).all():
+        raise ValueError("missing pair amplitude (non-finite value)")
+    planes = _PairPlanes(n)
+    planes.owned[0, 0], planes.owned[1, 0] = amplitudes.real, amplitudes.imag
+    return G2Point(*planes.points()[0])
+
+
+def random_pair_matrix(n: int, rng) -> np.ndarray:
+    """An (n, n) draw of magnitudes in [0, 1) times phases in [0, 2 pi), in that order; each pair reads its mu < nu value."""
+    mag = rng.uniform(0.0, 1.0, size=(n, n))
+    phase = rng.uniform(0.0, 2.0 * math.pi, size=(n, n))
+    return mag * np.exp(1j * phase)
 
 
 def round_robin_of_condensed(condensed, n: int) -> np.ndarray:

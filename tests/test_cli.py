@@ -22,7 +22,7 @@ from ryddephase.pairdyn import CycleSpec, analytic_pair_amplitudes
 from ryddephase.phasematch import EPS_K, Beam, motional_coherence_time, spinwave_period
 from ryddephase.protocol import make_schedule
 
-from reference import g2_from_condensed
+from reference import g2_from_amplitudes, g2_from_condensed, random_pair_matrix, round_robin_pairs
 from statevector import brute_force_g2
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -198,11 +198,15 @@ def test_duplicate_scan_n_rejected_with_index():
 
 
 def test_unsupported_p_level_is_a_config_error(tmp_path, capsys):
+    # at the field, as in a table row, with or without scan_n
     cfg = json.loads(json.dumps(MINIMAL))
     cfg["schedule"]["cycles"][0]["p_j"] = 2.5
-    path = write_config(tmp_path, cfg)
-    assert main(["g2-trace", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
-    assert "config error: schedule.cycles[0]: p levels carry j = 1/2 or 3/2" in capsys.readouterr().err
+    scan = dict(MODEL_MINIMAL, schedule={"cycles": [dict(MODEL_MINIMAL["schedule"]["cycles"][0], p_j=2.5)]})
+    for payload in (cfg, dict(scan, scan_n=[60, 100])):
+        path = write_config(tmp_path, payload)
+        assert main(["g2-trace", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "config error: schedule.cycles[0].p_j: p levels carry j = 1/2 or 3/2\n"
+        assert not (tmp_path / "out").exists()
 
 
 # sigma_plus out of the populated m = +1/2 targets m = 3/2, which p_1/2 lacks
@@ -320,10 +324,11 @@ def test_every_subcommand_parses_with_the_shared_flags(subcommand):
 
 
 def test_an_unknown_subcommand_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["g2trace", "--config", "c.json"])
-    assert exc.value.code == 2
-    assert "invalid choice: 'g2trace'" in capsys.readouterr().err
+    for name in ("g2trace", "oracle"):
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--config", "c.json"])
+        assert exc.value.code == 2
+        assert f"invalid choice: '{name}'" in capsys.readouterr().err
 
 
 def test_usable_cpus_follow_the_affinity_mask(monkeypatch):
@@ -541,7 +546,6 @@ def test_a_repeated_json_key_is_a_config_error(tmp_path, capsys, text, key):
     assert not out.exists()
 
 
-ORACLE = {"n_atoms": 6, "draws": 2, "seed": 21}
 ENTANGLE = {
     "ensemble": {"n_atoms": 12, "box_side_um": 60.0, "seed": 5},
     "entangle": {"n": 99, "c3_prime": 2.0e5, "c3_second": 1.6e5},
@@ -560,15 +564,11 @@ SWEEP = {"subcommand": "g2-trace", "base": dict(MINIMAL, realizations=2), "axes"
             {"ensemble": MINIMAL["ensemble"], "schedule": MINIMAL["schedule"], "realizations": 2, "scan_n": [60, 100]},
             "config.scan_n: unknown key",
         ),
-        ("oracle", dict(ORACLE, output={"format": "csv"}), "config.output: unknown key"),
-        ("oracle", dict(ORACLE, box_side_um=60.0), "config.box_side_um: unknown key"),
         ("phasematch", dict(PHASEMATCH, output={"format": "csv"}), "config.output: unknown key"),
         ("sweep", dict(SWEEP, output={"format": "json"}), "config.output: unknown key"),
         ("sweep", dict(SWEEP, base=dict(SWEEP["base"], output={"dir": "elsewhere"})), "base.output.dir: unknown key"),
         ("g2-trace", dict(MINIMAL, output={"format": "csv", "dir": "elsewhere"}), "output.dir: unknown key"),
         ("entangle", dict(ENTANGLE, output={"dir": "elsewhere"}), "output.dir: unknown key"),
-        ("oracle", dict(ORACLE, amplitude="ones"), "config.amplitude: unknown key"),
-        ("oracle", dict(ORACLE, output={"format": "json"}), "config.output: unknown key"),
         ("phasematch", dict(PHASEMATCH, output={"format": "json"}), "config.output: unknown key"),
         (
             "cycles",
@@ -578,15 +578,11 @@ SWEEP = {"subcommand": "g2-trace", "base": dict(MINIMAL, realizations=2), "axes"
     ],
     ids=[
         "cycles-scan_n",
-        "oracle-csv",
-        "oracle-box_side_um",
         "phasematch-csv",
         "sweep-format",
         "sweep-base-dir",
         "g2-trace-dir",
         "entangle-dir",
-        "oracle-amplitude",
-        "oracle-json",
         "phasematch-json",
         "cycles-reference_tau_us",
     ],
@@ -670,10 +666,8 @@ SCAN_MODEL = dict(MINIMAL, schedule={"cycles": [{"s_n": 100, "p_n": 100, "p_j": 
         ("g2-trace", dict(SCAN_MODEL, scan_n=[HUGE], interaction={"model": MODEL}), "scan_n[0]", 500),  # a level
         ("g2-trace", dict(MINIMAL, realizations=HUGE), "realizations", cli.MAX_COUNT),
         ("entangle", dict(ENTANGLE, entangle=dict(ENTANGLE["entangle"], n=HUGE)), "entangle.n", 500),  # a level
-        ("oracle", dict(ORACLE, n_atoms=HUGE), "n_atoms", cli.MAX_COUNT),
-        ("oracle", dict(ORACLE, draws=HUGE), "draws", cli.MAX_COUNT),
     ],
-    ids=["n_atoms-huge", "n_atoms-2^40", "points-huge", "points-2^62", "scan_n", "realizations", "entangle-n", "oracle-n_atoms", "oracle-draws"],
+    ids=["n_atoms-huge", "n_atoms-2^40", "points-huge", "points-2^62", "scan_n", "realizations", "entangle-n"],
 )
 def test_oversized_counts_are_config_errors(tmp_path, capsys, subcommand, payload, field, high):
     message = f"{field}: must be <= {high}, got "
@@ -693,7 +687,6 @@ MANY_POINTS = {"start_us": 0.0, "stop_us": 2.0, "points": 10_000}  # 2**31 - 1 r
 STACK = f"{cli.MAX_COUNT} realizations of 10000 points need 515396.1 GB of results"
 GRID = f"100 realizations of {cli.MAX_COUNT} points need 5154.0 GB of results"  # refused before np.linspace's 17 GB
 PLANES = "1000000 atoms need 8000.0 GB of pair planes"  # two (N, N // 2) float64 planes
-DRAWS = "1000000 atoms need 16000.0 GB of draws"  # two (n, n) float64 draws
 MANY_ATOMS = dict(MINIMAL["ensemble"], n_atoms=10**6)
 SWEEP_ATOMS = dict(SWEEP, axes=[{"path": "ensemble.n_atoms", "values": [10, 10**6]}])
 
@@ -715,7 +708,6 @@ SWEEP_ATOMS = dict(SWEEP, axes=[{"path": "ensemble.n_atoms", "values": [10, 10**
         ("cycles", {"ensemble": MANY_ATOMS, "schedule": MINIMAL["schedule"]}, "ensemble.n_atoms", PLANES),
         ("entangle", dict(ENTANGLE, ensemble=MANY_ATOMS), "ensemble.n_atoms", PLANES),
         ("sweep", SWEEP_ATOMS, "base.ensemble.n_atoms", PLANES),
-        ("oracle", dict(ORACLE, n_atoms=10**6), "n_atoms", DRAWS),
     ],
     ids=[
         "g2-trace",
@@ -727,7 +719,6 @@ SWEEP_ATOMS = dict(SWEEP, axes=[{"path": "ensemble.n_atoms", "values": [10, 10**
         "cycles-n_atoms",
         "entangle-n_atoms",
         "sweep-n_atoms",
-        "oracle-n_atoms",
     ],
 )
 def test_results_beyond_physical_memory_are_config_errors(tmp_path, capsys, subcommand, payload, field, need):
@@ -830,9 +821,8 @@ CYCLES = {"ensemble": MINIMAL["ensemble"], "schedule": MINIMAL["schedule"], "rea
         ("cycles", CYCLES, "cycles.csv", "g2_after_cycles"),
         ("entangle", ENTANGLE, "entangle.csv", "entangle_trace"),
         ("phasematch", PHASEMATCH, "phasematch.json", "wavevector_mismatch"),
-        ("oracle", ORACLE, "oracle.json", "g2_from_amplitudes"),
     ],
-    ids=["g2-trace", "g2-trace-scan_n", "cycles", "entangle", "phasematch", "oracle"],
+    ids=["g2-trace", "g2-trace-scan_n", "cycles", "entangle", "phasematch"],
 )
 def test_a_stray_data_file_is_refused_before_any_work(tmp_path, monkeypatch, capsys, subcommand, payload, name, entry):
     calls = []
@@ -893,6 +883,8 @@ TRACER_TARGETS = runpy.run_path(str(PERFBENCH_DIR / "tracer.py"))["TARGETS"]
 STALE_TRACER_TARGETS = {
     "ryddephase.correlation._cycles_single_realization",
     "ryddephase.correlation.AmplitudeSet.from_condensed",
+    "ryddephase.cli.g2_from_amplitudes",
+    "ryddephase.correlation.g2_from_amplitudes",
     "ryddephase.correlation.numeric_pair_amplitudes",
     "ryddephase.correlation.pair_separations",
     "ryddephase.protocol.sample_positions",
@@ -1247,67 +1239,28 @@ def test_phasematch_reports_an_infeasible_offaxis_geometry(tmp_path):
     assert payload["period_um"] == pytest.approx(1.0 / (1.0 / 0.78 + 1.0 / 0.48))
 
 
-def test_oracle_run_report(tmp_path):
-    cfg = {"n_atoms": 6, "draws": 10, "seed": 21}
-    path = write_config(tmp_path, cfg)
-    out = tmp_path / "out"
-    assert main(["oracle", "--config", str(path), "--out", str(out)]) == 0
-    payload = json.loads((out / "oracle.json").read_text())
-    assert payload["pass"] is True
-    assert payload["max_rel_deviation"] <= payload["bound"] == 0.5
-    assert len(payload["cases"]) == 10
-
-
-def test_oracle_at_large_n_matches_the_state_vector(tmp_path):
+def test_oracle_at_large_n_matches_the_state_vector():
+    # random amplitudes in their round-robin slots, and any positions: the state vector ignores them
     n, seed = 300, 21
-    path = write_config(tmp_path, {"n_atoms": n, "draws": 3, "seed": seed})
-    out = tmp_path / "out"
-    assert main(["oracle", "--config", str(path), "--out", str(out)]) == 0
-    payload = json.loads((out / "oracle.json").read_text())
-    assert payload["pass"] is True
-    assert payload["max_rel_deviation"] <= payload["bound"] == 3.0 / n
-    # the draws run_oracle makes, in its order, and any positions: the state vector ignores them
     rng = np.random.Generator(np.random.PCG64(seed))
-    mu, nu = np.triu_indices(n, 1)
     positions = sample_positions(EnsembleSpec(n, 60.0, seed=seed))
-    for case in payload["cases"]:
-        mag = rng.uniform(0.0, 1.0, size=(n, n))
-        phase = rng.uniform(0.0, 2.0 * math.pi, size=(n, n))
-        amps = (mag * np.exp(1j * phase))[mu, nu]
-        assert case["exact_g2"] == pytest.approx(brute_force_g2(positions, amps), rel=1e-13)
+    for _ in range(3):
+        draw = random_pair_matrix(n, rng)
+        point = g2_from_amplitudes(draw[round_robin_pairs(n)])
+        exact = exact_g2(point, n)
+        assert exact == pytest.approx(brute_force_g2(positions, draw[np.triu_indices(n, 1)]), rel=1e-13)
+        assert abs(point.g2 - exact) <= exact / n
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 9, 60, 301])
 def test_oracle_cases_are_those_of_the_condensed_draws_bit_for_bit(n):
-    # run_oracle gathers each (n, n) draw straight into round-robin slots; the mu < nu values, in
-    # condensed order, must give the same points to the last bit
-    seed, draws = 31, 3
-    _, _, payload = cli.run_oracle({"n_atoms": n, "draws": draws, "seed": seed}, None)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    for case in payload()["cases"]:
-        mag = rng.uniform(0.0, 1.0, size=(n, n))
-        phase = rng.uniform(0.0, 2.0 * math.pi, size=(n, n))
-        point = g2_from_condensed((mag * np.exp(1j * phase))[np.triu_indices(n, 1)], n)
-        assert (case["approx_g2"], case["exact_g2"]) == (point.g2, exact_g2(point, n))
-
-
-def test_seed_override_of_oracle_sets_the_seed_and_the_cases(tmp_path):
-    path = write_config(tmp_path, {"n_atoms": 6, "draws": 3, "seed": 21})
-    reports = {}
-    for name, flag in [("config", []), ("flag", ["--seed", "99"])]:
-        out = tmp_path / name
-        assert main(["oracle", "--config", str(path), "--out", str(out), *flag]) == 0
-        reports[name] = json.loads((out / "oracle.json").read_text())
-        manifest = json.loads((out / "manifest.json").read_text())
-        seed = 99 if flag else 21
-        assert reports[name]["seed"] == manifest["config"]["seed"] == seed
-        assert manifest["seeds"] == [seed]
-    assert reports["flag"]["cases"] != reports["config"]["cases"]
-    # the flag gives the cases a config with that seed gives
-    seeded = write_config(tmp_path, {"n_atoms": 6, "draws": 3, "seed": 99}, "seeded.json")
-    out = tmp_path / "seeded"
-    assert main(["oracle", "--config", str(seeded), "--out", str(out)]) == 0
-    assert json.loads((out / "oracle.json").read_text())["cases"] == reports["flag"]["cases"]
+    # an (n, n) draw gathered straight into round-robin slots and its mu < nu values in condensed order
+    # must give the same points to the last bit
+    rng = np.random.Generator(np.random.PCG64(31))
+    for _ in range(3):
+        draw = random_pair_matrix(n, rng)
+        point = g2_from_amplitudes(draw[round_robin_pairs(n)])
+        assert point == g2_from_condensed(draw[np.triu_indices(n, 1)], n)
 
 
 def test_sweep_runs_cartesian_product(tmp_path):

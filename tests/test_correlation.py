@@ -17,11 +17,11 @@ import ryddephase.correlation as correlation
 from ryddephase.correlation import (
     G2_ASYMPTOTE,
     G2_ZERO,
+    G2Point,
     _g2,
     doubled_slots,
     exact_g2,
     g2_after_cycles,
-    g2_from_amplitudes,
     g2_trace,
     pair_mean,
     realization_seed,
@@ -30,7 +30,6 @@ from ryddephase.correlation import (
 from ryddephase.ensemble import (
     EnsembleSpec,
     round_robin_orientations,
-    round_robin_pairs,
     sample_positions,
 )
 from ryddephase.pairdyn import (
@@ -42,7 +41,16 @@ from ryddephase.pairdyn import (
 )
 from ryddephase.protocol import entangle_trace, make_schedule
 
-from reference import cycle_amplitude_numeric, g2_from_condensed, g2_points, pair_geometry, round_robin_of_condensed
+from reference import (
+    cycle_amplitude_numeric,
+    g2_from_amplitudes,
+    g2_from_condensed,
+    g2_points,
+    pair_geometry,
+    random_pair_matrix,
+    round_robin_of_condensed,
+    round_robin_pairs,
+)
 from statevector import brute_force_g2
 
 
@@ -51,10 +59,8 @@ def uniform_amplitudes(n, value):
 
 
 def random_amplitudes(n, rng):
-    """Condensed amplitudes: the mu < nu entries of (n, n) uniform draws."""
-    mag = rng.uniform(0.0, 1.0, size=(n, n))
-    phase = rng.uniform(0.0, 2.0 * math.pi, size=(n, n))
-    return (mag * np.exp(1j * phase))[np.triu_indices(n, 1)]
+    """Condensed amplitudes: the mu < nu entries of an (n, n) random_pair_matrix."""
+    return random_pair_matrix(n, rng)[np.triu_indices(n, 1)]
 
 
 def dense(condensed, n):
@@ -265,6 +271,30 @@ def test_exact_g2_matches_the_state_vector(n):
 @pytest.mark.parametrize("n", [2, 3, 4, 7, 300, 999, 1000])
 def test_unit_point_is_the_point_of_unit_amplitudes_bit_for_bit(n):
     assert unit_point(n) == g2_from_amplitudes(np.ones((n, n // 2)))
+    planes = correlation._PairPlanes(n)
+    planes.owned[0], planes.owned[1] = 1.0, 0.0
+    assert planes.row_sums().tolist() == [[[n - 1.0] * n, [0.0] * n]]
+
+
+def test_unit_point_is_the_point_of_unit_row_sums_at_every_n_to_3000():
+    # the planes' own f, h and g2 steps on rows of n - 1 and 0, the row sums of unit amplitudes (test above),
+    # without the O(n^2) planes that would take about a minute over every n
+    for n in range(2, 3001):
+        planes = correlation._PairPlanes(n)
+        planes.row_sums = lambda n=n: np.array([[[n - 1.0] * n, [0.0] * n]])
+        assert unit_point(n) == G2Point(*planes.points()[0]), n
+
+
+@pytest.mark.parametrize("n, seed", [(2, 1), (3, 2), (8, 3), (50, 4)])
+def test_pair_sum_g2_over_the_exact_g2_is_within_its_finite_n_bounds(n, seed):
+    # g2 / exact_g2 = (1 + h s)^2 / (s (1 + h)^2), s = n / (n - 1), rises with h from 1 - 1/n at h = 0 to
+    # 1 + 1/(4 n (n - 1)) at h = 1, whatever f; random amplitudes in their round-robin slots vary h
+    rng = np.random.Generator(np.random.PCG64(seed))
+    low, high = 1.0 - 1.0 / n, 1.0 + 1.0 / (4.0 * n * (n - 1))
+    ulps = 8 * np.finfo(float).eps
+    for _ in range(300):
+        point = g2_from_amplitudes(random_pair_matrix(n, rng)[round_robin_pairs(n)])
+        assert low - ulps <= point.g2 / exact_g2(point, n) <= high + ulps
 
 
 @pytest.mark.parametrize("n", [4, 6, 8, 10])

@@ -11,12 +11,11 @@ from ryddephase.ensemble import (
     _close_pairs,
     PackingError,
     round_robin_orientations,
-    round_robin_pairs,
     round_robin_separations,
     sample_positions,
 )
 
-from reference import pair_geometry
+from reference import pair_geometry, round_robin_pairs
 
 
 def test_spec_validation():

@@ -121,7 +121,6 @@ CASES = {
         "entangle",
         {"ensemble.n_atoms": 20, "realizations": 2, "grid.points": 6, "output.format": "json"},
     ),
-    "oracle": ("oracle.json", "oracle", {"draws": 10}),
     "sweep_example": (
         "sweep_example.json",
         "sweep",
@@ -170,9 +169,6 @@ GOLDEN_X86_V4 = {
     },
     "multichannel_blocks": {
         "g2_trace.json": "919062bce521ca20ff9eadafb5bc4f210756e2d11d32d37defe37f3c5b3f605f",
-    },
-    "oracle": {
-        "oracle.json": "a4c33375a178782597298cdedba1f5e78d04d8ea7e4dd1a3673cd09451fd7221",
     },
     "sweep_example": {
         "n_atoms=10/g2_trace.csv": "a4100b42f3e08ca441de2032b9590dee483f50aefe3a19901af517808ee6d767",
@@ -231,9 +227,6 @@ GOLDEN_X86_V3 = {
     },
     "multichannel_blocks": {
         "g2_trace.json": "c950e27bbd16e0ff5e5a9acf82994c4f95d30b229d8f1e03d6e95f6e06109a66",
-    },
-    "oracle": {
-        "oracle.json": "a4c33375a178782597298cdedba1f5e78d04d8ea7e4dd1a3673cd09451fd7221",
     },
     "sweep_example": {
         "n_atoms=10/g2_trace.csv": "ec129d01f614e33a98080df24ef51ad876f1ace6c6c35af3673e86139f9b8be7",
