@@ -25,13 +25,14 @@ the first.  Then the partners of mu, the pairs (mu - k, mu), sit at row
 K + mu - k, column k - 1 of a plane: one fixed view with strides (K, 1 - K).
 S_mu adds the sum over its own row and the sum over that view, each started
 from +0.0, and f and h come from numpy's pairwise sums over the N row sums.
+Entangle reads each time's mean over the pairs, one sum over its N K slots.
 
 Every grid runs through one block loop, block_points: B = max(1,
 BLOCK_SLOTS // (N K)) grid times per block, as a (B, 1, 1) column of times
 to each cycle's source (analytic over R^3 computed once, multichannel over
 the cycle's spectra of every slot).  A lone cycle's source writes the
 block's planes; the cycles of a longer schedule multiply as complex numbers
-and their product is copied in.  Buffers are allocated once per
+and their product is copied in.  block_points allocates the planes once per
 realization, so memory is O(N^2 + BLOCK_SLOTS), or O(N^2 d) over a pair
 basis of dimension d, whatever the grid length T.  Each time's amplitudes
 and sums have the bits of a block of one time, in orders fixed by N, so
@@ -67,7 +68,7 @@ G2_ASYMPTOTE = G2_ZERO * 16.0 / 25.0
 RANGES_PER_WORKER = 16  # contiguous realization ranges per pool worker, each one task (run_realizations)
 # pair slots per block of B grid times, n K each (block_points).  One N = 100 entangle realization of a 51-point
 # grid took 3.50, 2.86, 2.55, 2.38, 2.44 and 2.80 ms at B = 1, 2, 4, 8, 16 and 52 (medians of 20 runs, one
-# core).  B = 4 keeps most of the gain in half the buffer of B = 8: 320 kB at N = 100, where B = 8 held
+# core).  B = 4 keeps most of the gain in half the buffer of B = 8, 480 kB of planes at N = 100; B = 8 held
 # 0.6 MB more peak RSS in the entangle benchmark and no more throughput in it.
 BLOCK_SLOTS = 20_000
 
@@ -97,24 +98,8 @@ def round_robin_cubes(positions: np.ndarray) -> np.ndarray:
     return cubes
 
 
-def pair_mean(planes: np.ndarray) -> np.ndarray:
-    """Re and Im of the mean over the n (n - 1) / 2 pairs of round-robin planes (2, ..., n, K), shape (2, ...).
-
-    The slots that count no pair are zeroed first; each (n, K) plane is then
-    one contiguous pairwise sum, in an order fixed by n, so a leading block
-    axis changes no bit of any mean.  A non-finite amplitude makes its sum
-    non-finite: NumericsError.
-    """
-    doubled_slots(planes)[...] = 0.0
-    n = planes.shape[-2]
-    means = planes.reshape(*planes.shape[:-2], -1).sum(axis=-1) / (n * (n - 1) // 2)
-    if not np.isfinite(means).all():
-        raise NumericsError("non-finite pair sum")
-    return means
-
-
 class _PairPlanes:
-    """Re A and Im A of every pair of n atoms at block times, in round-robin order, and their g2 points.
+    """Re A and Im A of every pair of n atoms at block times, in round-robin order; their g2 points and pair means.
 
     owned, a (2, block, n, K) view with K = n // 2 of the time-major
     (block, 2, K + n, K) buffer, holds Re A and Im A of slot (mu, k - 1), the
@@ -149,6 +134,19 @@ class _PairPlanes:
         rows += self._partners.sum(axis=3, initial=0.0, out=self._rows[1])
         return rows
 
+    def means(self) -> np.ndarray:
+        """Re and Im of the mean over the n (n - 1) / 2 pairs of each time of owned, shape (2, block).
+
+        Each time's (n, K) plane, its slots that count no pair zeroed, is one
+        contiguous pairwise sum, so the block length changes no bit.  A
+        non-finite mean: NumericsError.
+        """
+        self._doubled[...] = 0.0
+        means = self.owned.reshape(2, self.block, -1).sum(axis=2) / (self.n * (self.n - 1) // 2)
+        if not np.isfinite(means).all():
+            raise NumericsError("non-finite pair sum")
+        return means
+
     def points(self) -> list:
         """(g2, f, h) of each time of owned: numpy's pairwise sums over its row sums, then the scalar _g2.
 
@@ -173,8 +171,10 @@ def exact_g2(point: G2Point, n_atoms: int) -> float:
     The phases e^{i k0.r_mu} of the phase-matched state cancel against those
     of the lowering operator, so <S+ S> = (1 + h~)/e and <S+ S+ S S> = f~/e,
     with f~ = f N/(N - 1) and h~ = h N/(N - 1) counting the N(N - 1)/2 pairs
-    exactly: g2 = e f~ / (1 + h~)^2 at any N >= 2.
+    exactly: g2 = e f~ / (1 + h~)^2 at any N >= 2.  Raises ValueError below 2.
     """
+    if n_atoms < 2:
+        raise ValueError(f"exact_g2 needs n_atoms >= 2, got {n_atoms}")
     return _g2(point.f, point.h, n_atoms / (n_atoms - 1))
 
 
@@ -268,23 +268,24 @@ def _spectral_source(spectra: tuple, shape: tuple, times: np.ndarray, out=None):
     return amplitudes if out is None else _write(out, amplitudes)
 
 
-def block_points(n: int, grid: np.ndarray, evaluator) -> np.ndarray:
+def block_points(n: int, grid: np.ndarray, reduce_block) -> np.ndarray:
     """The (3, T) points of one realization of n atoms over grid, B = max(1, BLOCK_SLOTS // (n K)) times per block.
 
-    evaluator(B) allocates the buffers of B times and returns evaluate, which
-    maps a block's (b, 1, 1) column of times, b <= B, to b 3-tuples.
+    reduce_block(planes, times) maps a block's (b, 1, 1) column of times to
+    b 3-tuples, on _PairPlanes of b times: one buffer of min(B, T) times.
     """
     block = max(1, BLOCK_SLOTS // (n * (n // 2)))
-    evaluate = evaluator(min(block, len(grid)))
+    planes = _PairPlanes(n, min(block, len(grid)))
     out, column = np.empty((len(grid), 3)), grid[:, None, None]
     for start in range(0, len(grid), block):
-        out[start : start + block] = evaluate(column[start : start + block])
+        times = column[start : start + block]
+        if len(times) < planes.block:  # the short last block, on the first times of the buffer
+            planes = _PairPlanes(n, len(times), planes.buffer[: len(times)])
+        out[start : start + block] = reduce_block(planes, times)
     return out.T
 
 
 def _g2_block(fill, planes: _PairPlanes, times: np.ndarray) -> list:
-    if len(times) < planes.block:  # the short last block, on the first times of the buffer
-        planes = _PairPlanes(planes.n, len(times), planes.buffer[: len(times)])
     fill(times, planes.owned)
     return planes.points()
 
@@ -308,8 +309,7 @@ def _realization_points(positions: np.ndarray, cycles, grid, mode: str) -> np.nd
     else:
         first, *rest = sources
         fill = lambda times, out: _write(out, reduce(operator.imul, (s(times) for s in rest), first(times)))
-    n = len(positions)
-    return block_points(n, grid, lambda size: partial(_g2_block, fill, _PairPlanes(n, size)))
+    return block_points(len(positions), grid, partial(_g2_block, fill))
 
 
 def _trace_single_realization(args) -> tuple[int, np.ndarray]:

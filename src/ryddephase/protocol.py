@@ -18,9 +18,9 @@ through the one realization task of the correlation traces
 (correlation.run_realizations), which calls _entangle_points on each
 realization's positions.  That draws each mode's amplitude function from the
 same sources as the g2 drivers (correlation._cycle_sources) and runs the
-grid through their one block loop (correlation.block_points).  Per block,
-each source writes its mode's amplitudes into one (2, B, n, K) buffer, which
-both modes reuse, and correlation.pair_mean gives every time's coherence
+grid through their one block loop (correlation.block_points), which owns
+the planes.  Per block, each source writes its mode's amplitudes into the
+planes, which both modes reuse, and their means give every time's coherence
 <e^{i phi}> = 2 <A(phi)> - 1; F is 2 / (2 + |m1|^2 + |m2|^2) of the two
 coherences (_fidelity_terms).
 """
@@ -32,7 +32,7 @@ from functools import partial
 
 import numpy as np
 
-from .correlation import _cycle_sources, block_points, checked_time_grid, pair_mean, run_realizations
+from .correlation import _cycle_sources, block_points, checked_time_grid, run_realizations
 from .pairdyn import CycleSpec
 
 
@@ -102,21 +102,19 @@ def _fidelity_terms(means) -> tuple[float, float, float]:
     return 2.0 / (2.0 + m1**2 + m2**2), m1, m2
 
 
-def _entangle_block(sources, buffer: np.ndarray, times: np.ndarray) -> list:
-    """(F, |m1|, |m2|) at each time of a block: each mode writes the planes, and pair_mean reads them."""
-    planes = buffer[:, : len(times)]
+def _entangle_block(sources, planes, times: np.ndarray) -> list:
+    """(F, |m1|, |m2|) at each time of a block: each mode writes the planes, then reads their means."""
     means = []
     for source in sources:
-        source(times, planes)
-        means.append(pair_mean(planes).T.tolist())
+        source(times, planes.owned)
+        means.append(planes.means().T.tolist())
     return [_fidelity_terms(pair) for pair in zip(*means)]
 
 
 def _entangle_points(positions: np.ndarray, modes, grid) -> np.ndarray:
     """F, |m1| and |m2| of one realization at every grid time, shape (3, T)."""
     sources = list(_cycle_sources(positions, modes, "analytic"))
-    n = len(positions)
-    return block_points(n, grid, lambda size: partial(_entangle_block, sources, np.empty((2, size, n, n // 2))))
+    return block_points(len(positions), grid, partial(_entangle_block, sources))
 
 
 def entangle_trace(ensemble_spec, modes, grid, realizations: int = 100, pool=None):

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ryddephase.correlation import G2Point, _cycle_sources, _PairPlanes, pair_mean
+from ryddephase.correlation import G2Point, _cycle_sources, _PairPlanes
 from ryddephase.ensemble import round_robin_orientations
 from ryddephase.pairdyn import (
     UNITARITY_TOL,
@@ -122,15 +122,14 @@ def single_excitation_survival(schedule) -> complex:
 
 
 def entangle_points(positions, modes, grid) -> np.ndarray:
-    """F, |m1| and |m2| of one realization, shape (3, T): each mode writes its own (2, 1, n, K) planes, one time per call."""
+    """F, |m1| and |m2| of one realization, shape (3, T): each mode writes its own one-time planes, one time per call."""
     sources = list(_cycle_sources(positions, modes, "analytic"))
-    n = len(positions)
-    planes = [np.empty((2, 1, n, n // 2)) for _ in sources]
+    planes = [_PairPlanes(len(positions)) for _ in sources]
     out = np.empty((3, len(grid)))
     for it, t in enumerate(grid):
         for source, mode_planes in zip(sources, planes):
-            source(np.full((1, 1, 1), t), mode_planes)
-        out[:, it] = _fidelity_terms([pair_mean(mode_planes)[:, 0].tolist() for mode_planes in planes])
+            source(np.full((1, 1, 1), t), mode_planes.owned)
+        out[:, it] = _fidelity_terms([mode_planes.means()[:, 0].tolist() for mode_planes in planes])
     return out
 
 

@@ -23,7 +23,6 @@ from ryddephase.correlation import (
     exact_g2,
     g2_after_cycles,
     g2_trace,
-    pair_mean,
     realization_seed,
     unit_point,
 )
@@ -266,6 +265,13 @@ def test_exact_g2_matches_the_state_vector(n):
         k0 = rng.normal(0.0, 5.0, size=3)
         exact = exact_g2(g2_from_condensed(amps, n), n)
         assert exact == pytest.approx(brute_force_g2(positions, amps, k0), rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [1, 0, -3])
+def test_exact_g2_below_two_atoms_raises(n):
+    # N / (N - 1) counts the pairs of N >= 2 atoms; below that it divides by zero or returns a plausible number
+    with pytest.raises(ValueError, match=rf"^exact_g2 needs n_atoms >= 2, got {n}$"):
+        exact_g2(unit_point(2), n)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 7, 300, 999, 1000])
@@ -647,7 +653,7 @@ def test_a_missing_amplitude_in_any_slot_raises(n, where):
     with pytest.raises(ValueError, match="missing pair amplitude"):
         g2_from_condensed(amps, n)
     # the planes themselves, past g2_from_amplitudes' entry check, see every slot that counts
-    for reduce_planes in (lambda planes: planes.points(), lambda planes: pair_mean(planes.owned)):
+    for reduce_planes in (lambda planes: planes.points(), lambda planes: planes.means()):
         with pytest.raises(NumericsError, match="^non-finite pair sum$"):
             reduce_planes(planes_of(amps, n))
 
@@ -655,32 +661,36 @@ def test_a_missing_amplitude_in_any_slot_raises(n, where):
 @pytest.mark.parametrize("n", LAYOUT_SIZES)
 def test_pair_mean_is_the_mean_over_every_pair_once(n):
     amps = random_amplitudes(n, np.random.default_rng(200 + n))
-    planes = planes_of(amps, n).owned[:, 0]
+    planes = planes_of(amps, n)
     if n % 2 == 0:
-        planes[..., n // 2 :, -1] = 7.0  # the doubled slots must not count
+        planes.owned[..., n // 2 :, -1] = 7.0  # the doubled slots must not count
     npairs = n * (n - 1) // 2
-    want = (math.fsum(amps.real) / npairs, math.fsum(amps.imag) / npairs)
-    np.testing.assert_allclose(pair_mean(planes), want, rtol=1e-13, atol=1e-15)
+    want = [[math.fsum(amps.real) / npairs], [math.fsum(amps.imag) / npairs]]
+    np.testing.assert_allclose(planes.means(), want, rtol=1e-13, atol=1e-15)
 
 
 @pytest.mark.parametrize("n", LAYOUT_SIZES)
 def test_pair_mean_over_a_block_axis_is_each_times_mean_bit_for_bit(n):
-    # entangle reduces B grid times at once from (2, B, n, K) planes; each time is still its own pairwise sum
+    # entangle reduces B grid times at once from the planes of a block; each time is still its own pairwise sum
     rng = np.random.default_rng(300 + n)
-    times = [planes_of(random_amplitudes(n, rng), n).owned[:, 0] for _ in range(3)]
-    block = np.stack(times, axis=1)
-    if n % 2 == 0:
-        block[..., n // 2 :, -1] = 7.0  # the doubled slots must not count
-    npairs = n * (n - 1) // 2
-    got = pair_mean(block)
-    assert got.shape == (2, 3)
+    times = [planes_of(random_amplitudes(n, rng), n) for _ in range(3)]
+    block = correlation._PairPlanes(n, 3)
     for b, planes in enumerate(times):
-        assert np.array_equal(got[:, b], pair_mean(planes))
-        want = [math.fsum(plane.ravel()) / npairs for plane in planes]
-        np.testing.assert_allclose(got[:, b], want, rtol=1e-13, atol=1e-15)
-    block[1, 2, 0, 0] = math.nan  # a missing amplitude at the last time of the block
+        block.owned[:, b] = planes.owned[:, 0]
+    if n % 2 == 0:
+        block.owned[..., n // 2 :, -1] = 7.0  # the doubled slots must not count
+    npairs = n * (n - 1) // 2
+    # the whole block, and the short last block that block_points cuts from the buffer's first times
+    for length in (3, 2):
+        got = correlation._PairPlanes(n, length, block.buffer[:length]).means()
+        assert got.shape == (2, length)
+        for b, planes in enumerate(times[:length]):
+            assert np.array_equal(got[:, b], planes.means()[:, 0])
+            want = [math.fsum(plane.ravel()) / npairs for plane in planes.owned[:, 0]]
+            np.testing.assert_allclose(got[:, b], want, rtol=1e-13, atol=1e-15)
+    block.owned[1, 2, 0, 0] = math.nan  # a missing amplitude at the last time of the block
     with pytest.raises(NumericsError, match="^non-finite pair sum$"):
-        pair_mean(block)
+        block.means()
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 60, 61, 100])

@@ -304,7 +304,7 @@ for points in (51, 501):
 
 
 def test_entangle_realization_memory_does_not_grow_with_the_grid():
-    # one (2, B, n, K) buffer per realization, whatever T is; a fresh interpreter keeps other tests' caches out
+    # one block of planes per realization, whatever T is; a fresh interpreter keeps other tests' caches out
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
