@@ -39,7 +39,7 @@ from .atomdata import (
     c3_of,
     p_level_j,
 )
-from .correlation import G2Trace, g2_after_cycles, g2_trace, unit_point
+from .correlation import G2Trace, g2_after_cycles, g2_trace, realization_bytes, unit_point
 from .ensemble import EnsembleSpec, PackingError
 from .pairdyn import CycleSpec, NumericsError
 from .phasematch import (
@@ -169,10 +169,8 @@ def _fit_memory(path: str, need: int, what: str, of: str) -> None:
 
 def _parse_ensemble(cfg, path) -> EnsembleSpec:
     _check_mapping(cfg, path, ["n_atoms", "box_side_um", "seed"], ["min_separation_um"])
-    n = _as_int(cfg["n_atoms"], f"{path}.n_atoms")
-    _fit_memory(f"{path}.n_atoms", 16 * n * (n // 2), f"{n} atoms", "pair planes")  # two (n, n // 2) float64 planes
     return EnsembleSpec(
-        n_atoms=n,
+        n_atoms=_as_int(cfg["n_atoms"], f"{path}.n_atoms"),
         box_side=_as_float(cfg["box_side_um"], f"{path}.box_side_um"),
         seed=_as_int(cfg["seed"], f"{path}.seed"),
         min_separation=_as_float(
@@ -220,7 +218,8 @@ def _resolve_c3(s_n, p_n, p_j, model, table, path):
     )
 
 
-def _parse_cycle(cfg, path, model, table) -> CycleSpec:
+def _parse_cycle(cfg, path, model, table, scan_n=None) -> CycleSpec:
+    """The cycle at path; with scan_n, its s_n and p_n checked and then both replaced by scan_n, C3 resolved there."""
     _check_mapping(
         cfg,
         path,
@@ -228,6 +227,10 @@ def _parse_cycle(cfg, path, model, table) -> CycleSpec:
         ["rabi_rad_per_us", "polarization", "pulse_model", "c3"],
     )
     s_n, p_n = _as_int(cfg["s_n"], f"{path}.s_n"), _as_int(cfg["p_n"], f"{path}.p_n")
+    if scan_n is not None:
+        if "c3" in cfg:
+            _fail(f"{path}.c3", "scan_n resolves C3 per n from the table or model; give no cycle c3")
+        s_n = p_n = scan_n
     p_j = _as_p_j(cfg["p_j"], f"{path}.p_j")
     try:
         if "c3" in cfg:
@@ -251,9 +254,9 @@ def _parse_cycle(cfg, path, model, table) -> CycleSpec:
         _fail(path, str(exc))
 
 
-def _parse_schedule(cycles: list, model, table) -> CycleSchedule:
+def _parse_schedule(cycles: list, model, table, scan_n=None) -> CycleSchedule:
     """make_schedule of the config's cycles, each parsed by _parse_cycle, its errors reported under schedule."""
-    parsed = [_parse_cycle(c, f"schedule.cycles[{i}]", model, table) for i, c in enumerate(cycles)]
+    parsed = [_parse_cycle(c, f"schedule.cycles[{i}]", model, table, scan_n) for i, c in enumerate(cycles)]
     try:
         return make_schedule(parsed)
     except ValueError as exc:
@@ -300,11 +303,11 @@ def _parse_output(cfg, path) -> str:
 
 @dataclass
 class RunConfig:
-    """Materialized g2-trace / cycles configuration."""
+    """Materialized g2-trace, cycles or entangle configuration; schedules maps each data file's stem to the
+    cycles it runs: g2_trace (or g2_trace_n<n> per scan_n value, in order), cycles, or entangle's two modes."""
 
     ensemble: EnsembleSpec
-    schedule: CycleSchedule
-    scan_schedules: dict  # g2-trace: n -> schedule with s_n = p_n = n, in scan_n order; empty without scan_n
+    schedules: dict
     mode: str
     grid: np.ndarray | None
     realizations: int
@@ -312,7 +315,7 @@ class RunConfig:
 
 
 def parse_config(text: str, subcommand: str = "g2-trace") -> RunConfig:
-    """Parse and validate a g2-trace or cycles configuration document."""
+    """Parse and validate a g2-trace, cycles or entangle configuration document."""
     return _plan(subcommand, _decode(text, ""))[0].config
 
 
@@ -347,27 +350,26 @@ def _parse_trace_config(raw, subcommand) -> RunConfig:
     ensemble = _parse_ensemble(raw["ensemble"], "ensemble")
     _check_mapping(raw["schedule"], "schedule", ["cycles"], [])
     cycles = _as_list(raw["schedule"]["cycles"], "schedule.cycles")
-    schedule = _parse_schedule(cycles, model, table)  # first: a cycle that is not an object fails here, before a merge
-    scan_schedules = {}
     if "scan_n" in raw:
         values = _as_list(raw["scan_n"], "scan_n")
         scan_n = [_as_int(v, f"scan_n[{i}]") for i, v in enumerate(values)]
         for i, n in enumerate(scan_n):
             if n in scan_n[:i]:
                 _fail(f"scan_n[{i}]", f"duplicate value {n}")
-        for i, cycle in enumerate(cycles):
-            if "c3" in cycle:
-                _fail(f"schedule.cycles[{i}].c3", "scan_n resolves C3 per n from the table or model; give no cycle c3")
-        scan_schedules = {n: _parse_schedule([{**c, "s_n": n, "p_n": n} for c in cycles], model, table) for n in scan_n}
+        schedules = {f"g2_trace_n{n}": _parse_schedule(cycles, model, table, n) for n in scan_n}
+    else:
+        schedules = {subcommand.replace("-", "_"): _parse_schedule(cycles, model, table)}
     mode = _as_choice(raw.get("mode", "analytic"), "mode", ("analytic", "multichannel"))
     if subcommand == "g2-trace":
         grid, realizations = _parse_grid(raw)
     else:
-        grid, realizations = None, _parse_realizations(raw, len(schedule))
+        grid, realizations = None, _parse_realizations(raw, len(cycles))
+    points = None if grid is None else len(grid)
+    need = max(realization_bytes(ensemble.n_atoms, mode, s.cycles, points) for s in schedules.values())
+    _fit_memory("ensemble.n_atoms", need, f"{ensemble.n_atoms} atoms", "one realization's arrays")
     return RunConfig(
         ensemble=ensemble,
-        schedule=schedule,
-        scan_schedules=scan_schedules,
+        schedules=schedules,
         mode=mode,
         grid=grid,
         realizations=realizations,
@@ -492,17 +494,13 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _worker_count(threads: int, realizations: int) -> int:
-    """Workers worth starting: never more than realizations or usable CPUs.
+def _make_pool(threads: int, realizations: int):
+    """A pool of the workers worth starting, never more than realizations or usable CPUs; None for one.
 
     Under the fork start method the pool starts every worker at once, so an
     unclamped --threads 500 would fork 500 processes for one realization.
     """
-    return min(threads, realizations, _usable_cpus())
-
-
-def _make_pool(threads: int, realizations: int):
-    workers = _worker_count(threads, realizations)
+    workers = min(threads, realizations, _usable_cpus())
     if workers <= 1:
         return None
     from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing only when needed
@@ -529,15 +527,9 @@ def run_g2_trace(cfg: RunConfig, schedule: CycleSchedule, pool):
     return list(trace.seeds), columns, lambda: _trace_json(trace)
 
 
-def _g2_trace_files(cfg: RunConfig) -> dict:
-    """g2_trace.<format>, or one g2_trace_n<n>.<format> per scan_n value."""
-    stems = {f"g2_trace_n{n}": s for n, s in cfg.scan_schedules.items()} or {"g2_trace": cfg.schedule}
-    return {f"{stem}.{cfg.output_format}": partial(run_g2_trace, cfg, s) for stem, s in stems.items()}
-
-
-def run_cycles(cfg: RunConfig, pool):
-    trace = g2_after_cycles(cfg.ensemble, cfg.schedule, mode=cfg.mode, realizations=cfg.realizations, pool=pool)
-    tau = cfg.schedule.wall_times[-1] / len(cfg.schedule)  # the reference decays over the mean cycle duration
+def run_cycles(cfg: RunConfig, schedule: CycleSchedule, pool):
+    trace = g2_after_cycles(cfg.ensemble, schedule, mode=cfg.mode, realizations=cfg.realizations, pool=pool)
+    tau = schedule.wall_times[-1] / len(schedule)  # the reference decays over the mean cycle duration
     reference = [decay_reference(tau, float(t)) for t in trace.grid]
     flat = unit_point(cfg.ensemble.n_atoms)
     start = (0.0, flat.g2, 0.0, flat.f, flat.h)  # the pre-protocol point, in _trace_columns order
@@ -553,18 +545,7 @@ def run_cycles(cfg: RunConfig, pool):
     return list(trace.seeds), columns, payload
 
 
-@dataclass
-class EntangleConfig:
-    """Materialized entangle configuration."""
-
-    ensemble: EnsembleSpec
-    modes: tuple[CycleSpec, CycleSpec]
-    grid: np.ndarray
-    realizations: int
-    output_format: str
-
-
-def _parse_entangle_config(raw) -> EntangleConfig:
+def _parse_entangle_config(raw) -> RunConfig:
     _check_mapping(raw, "config", ["ensemble", "entangle", "grid"], ["realizations", "output"])
     ensemble = _parse_ensemble(raw["ensemble"], "ensemble")
     ent, epath = raw["entangle"], "entangle"
@@ -573,18 +554,23 @@ def _parse_entangle_config(raw) -> EntangleConfig:
     c3_prime, c3_second = (_as_float(ent[key], f"{epath}.{key}") for key in ("c3_prime", "c3_second"))
     # (n+1)s dressed through np_1/2 with C3', ns dressed through np_3/2 with C3''
     channels = (RydbergChannel(n + 1, n, 0.5, c3_prime), RydbergChannel(n, n, 1.5, c3_second))
+    modes = tuple(CycleSpec(channel, 0.0, MicrowaveSpec()) for channel in channels)
     grid, realizations = _parse_grid(raw)
-    return EntangleConfig(
+    # the modes write the planes in turn, as one analytic cycle does
+    need = realization_bytes(ensemble.n_atoms, "analytic", modes[:1], len(grid))
+    _fit_memory("ensemble.n_atoms", need, f"{ensemble.n_atoms} atoms", "one realization's arrays")
+    return RunConfig(
         ensemble=ensemble,
-        modes=tuple(CycleSpec(channel, 0.0, MicrowaveSpec()) for channel in channels),
+        schedules={"entangle": modes},
+        mode="analytic",
         grid=grid,
         realizations=realizations,
         output_format=_parse_output(raw.get("output", {}), "output"),
     )
 
 
-def run_entangle(cfg: EntangleConfig, pool):
-    f, m1, m2, seeds = entangle_trace(cfg.ensemble, cfg.modes, cfg.grid, realizations=cfg.realizations, pool=pool)
+def run_entangle(cfg: RunConfig, modes: tuple, pool):
+    f, m1, m2, seeds = entangle_trace(cfg.ensemble, modes, cfg.grid, realizations=cfg.realizations, pool=pool)
     columns = {"t_us": cfg.grid, "F": f, "abs_m1": m1, "abs_m2": m2}
     return list(seeds), columns, lambda: {k: v.tolist() for k, v in columns.items()}
 
@@ -687,34 +673,27 @@ def _parse_sweep_config(raw) -> list[Job]:
     return jobs
 
 
-def _list_index(node: list, part: str, dotted: str) -> int:
-    try:
-        index = int(part)
-        node[index]
-    except (ValueError, IndexError):
-        _fail(f"axes path {dotted!r}", f"segment {part!r} is not an index of a {len(node)}-entry list")
-    return index
-
-
 def _apply_override(cfg: dict, dotted: str, value):
-    parts = dotted.split(".")
-    node = cfg
-    for part in parts[:-1]:
+    """Set value at a dotted path of cfg, each segment a list index or a dict key; the leaf key may be new."""
+    parts, node = dotted.split("."), cfg
+    for depth, part in enumerate(parts, 1):
+        leaf = depth == len(parts)  # by position: short segments are interned, so identity cannot tell
         if isinstance(node, list):
-            node = node[_list_index(node, part, dotted)]
+            try:
+                key = int(part)
+                node[key]
+            except (ValueError, IndexError):
+                _fail(f"axes path {dotted!r}", f"segment {part!r} is not an index of a {len(node)}-entry list")
         elif isinstance(node, dict):
-            if part not in node:
+            if not leaf and part not in node:
                 _fail(f"axes path {dotted!r}", f"segment {part!r} not present in base config")
-            node = node[part]
+            key = part
         else:
-            _fail(f"axes path {dotted!r}", f"cannot descend into {type(node).__name__}")
-    leaf = parts[-1]
-    if isinstance(node, list):
-        node[_list_index(node, leaf, dotted)] = value
-    elif isinstance(node, dict):
-        node[leaf] = value
-    else:
-        _fail(f"axes path {dotted!r}", "cannot assign")
+            _fail(f"axes path {dotted!r}", "cannot assign" if leaf else f"cannot descend into {type(node).__name__}")
+        if leaf:
+            node[key] = value
+        else:
+            node = node[key]
 
 
 def _combo_label(axes, combo) -> str:
@@ -731,10 +710,11 @@ class Subcommand:
 
     fill(pool) computes one file and returns (seeds, columns, payload): its
     realization seeds, its CSV columns by name and a function returning its
-    JSON document.  g2-trace, cycles and entangle read output.format (csv or
-    json); phasematch writes JSON and ignores the pool; sweep has no
-    files of its own, its parser returns the jobs of the subcommand it sweeps.
-    Runners look up what they call (g2_trace, ...) as module globals at call time.
+    JSON document.  g2-trace, cycles and entangle parse to a RunConfig and
+    share one file rule, _trace_files; phasematch writes phasematch.json and
+    ignores the pool; sweep has no files of its own, its parser returns the
+    jobs of the subcommand it sweeps.  Runners look up what they call
+    (g2_trace, ...) as module globals at call time.
     """
 
     help: str
@@ -742,29 +722,29 @@ class Subcommand:
     files: Callable | None
 
 
-def _one_file(stem: str, run: Callable) -> Callable:
-    """files of a subcommand that writes stem.<output.format>, stem.json where its config has no output section."""
-    return lambda config: {f"{stem}.{getattr(config, 'output_format', 'json')}": partial(run, config)}
+def _trace_files(run: Callable, cfg: RunConfig) -> dict:
+    """<stem>.<output.format> for each of cfg's schedules, filled by run(cfg, schedule, pool)."""
+    return {f"{stem}.{cfg.output_format}": partial(run, cfg, schedule) for stem, schedule in cfg.schedules.items()}
 
 
 SUBCOMMANDS = {
     "g2-trace": Subcommand(
         "correlation trace versus free-interval length",
         partial(_parse_trace_config, subcommand="g2-trace"),
-        _g2_trace_files,
+        partial(_trace_files, run_g2_trace),
     ),
     "cycles": Subcommand(
         "correlation after each cycle of a fixed schedule",
         partial(_parse_trace_config, subcommand="cycles"),
-        _one_file("cycles", run_cycles),
+        partial(_trace_files, run_cycles),
     ),
     "entangle": Subcommand(
-        "two-mode entanglement fidelity trace", _parse_entangle_config, _one_file("entangle", run_entangle)
+        "two-mode entanglement fidelity trace", _parse_entangle_config, partial(_trace_files, run_entangle)
     ),
     "phasematch": Subcommand(
         "wavevector mismatch, period, off-axis zero geometry",
         _parse_phasematch_config,
-        _one_file("phasematch", run_phasematch),
+        lambda parsed: {"phasematch.json": partial(run_phasematch, parsed)},
     ),
     "sweep": Subcommand("Cartesian parameter sweep over another subcommand", _parse_sweep_config, None),
 }

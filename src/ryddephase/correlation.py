@@ -34,9 +34,11 @@ the cycle's spectra of every slot).  A lone cycle's source writes the
 block's planes; the cycles of a longer schedule multiply as complex numbers
 and their product is copied in.  block_points allocates the planes once per
 realization, so memory is O(N^2 + BLOCK_SLOTS), or O(N^2 d) over a pair
-basis of dimension d, whatever the grid length T.  Each time's amplitudes
-and sums have the bits of a block of one time, in orders fixed by N, so
-output does not depend on the block length or the worker count.
+basis of dimension d, whatever the grid length T; realization_bytes bounds
+it, for the CLI to refuse at plan time what physical memory cannot hold.
+Each time's amplitudes and sums have the bits of a block of one time, in
+orders fixed by N, so output does not depend on the block length or the
+worker count.
 
 run_realizations maps one task, _trace_realizations, over contiguous ranges
 of realizations: [0, R) in the calling process, or a bounded number of ranges
@@ -55,13 +57,14 @@ from functools import cached_property, partial, reduce
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from .atomdata import single_atom_dimension
 from .ensemble import (
     EnsembleSpec,
     round_robin_orientations,
     round_robin_separations,
     sample_positions,
 )
-from .pairdyn import NumericsError, analytic_pair_amplitudes, pair_spectra, spectral_amplitudes
+from .pairdyn import PAIR_CHUNK, NumericsError, analytic_pair_amplitudes, pair_spectra, spectral_amplitudes
 
 G2_ZERO = math.e / 4.0
 G2_ASYMPTOTE = G2_ZERO * 16.0 / 25.0
@@ -268,14 +271,19 @@ def _spectral_source(spectra: tuple, shape: tuple, times: np.ndarray, out=None):
     return amplitudes if out is None else _write(out, amplitudes)
 
 
+def _block_length(n: int, points: int) -> int:
+    """Grid times per block for n atoms: B = max(1, BLOCK_SLOTS // (n K)), at most the grid's points."""
+    return min(max(1, BLOCK_SLOTS // (n * (n // 2))), points)
+
+
 def block_points(n: int, grid: np.ndarray, reduce_block) -> np.ndarray:
-    """The (3, T) points of one realization of n atoms over grid, B = max(1, BLOCK_SLOTS // (n K)) times per block.
+    """The (3, T) points of one realization of n atoms over grid, _block_length(n, T) times per block.
 
     reduce_block(planes, times) maps a block's (b, 1, 1) column of times to
-    b 3-tuples, on _PairPlanes of b times: one buffer of min(B, T) times.
+    b 3-tuples, on _PairPlanes of b times: one buffer of a block's times.
     """
-    block = max(1, BLOCK_SLOTS // (n * (n // 2)))
-    planes = _PairPlanes(n, min(block, len(grid)))
+    block = _block_length(n, len(grid))
+    planes = _PairPlanes(n, block)
     out, column = np.empty((len(grid), 3)), grid[:, None, None]
     for start in range(0, len(grid), block):
         times = column[start : start + block]
@@ -310,6 +318,34 @@ def _realization_points(positions: np.ndarray, cycles, grid, mode: str) -> np.nd
         first, *rest = sources
         fill = lambda times, out: _write(out, reduce(operator.imul, (s(times) for s in rest), first(times)))
     return block_points(len(positions), grid, partial(_g2_block, fill))
+
+
+def realization_bytes(n: int, mode: str, cycles, points: int | None) -> int:
+    """An upper bound on the bytes _realization_points holds at once for n atoms, the cycles and points grid times.
+
+    points None runs the cycles' own free intervals.  With K = n // 2, P = n K
+    slots and b = _block_length grid times per block, it counts:
+    - the planes, 16 b (P + K^2), and R^3 (8 P) or multichannel R and theta (16 P);
+    - unless one analytic cycle writes the planes in place over a grid, at
+      most four complex (b, n, K) amplitude arrays alive at once, 64 b P;
+    - multichannel, 40 d P bytes of pair_spectra over each cycle's pair basis
+      of dimension d, for every cycle alive at once (all of a grid's, one at
+      a time with points None), and pair_spectra's working set, at most nine
+      (PAIR_CHUNK, d, d) float64 stacks;
+    - 1 MB of numpy's ufunc buffers and small arrays.
+    protocol._entangle_points holds what one analytic cycle holds: each mode
+    writes the planes in turn.
+    """
+    k = n // 2
+    slots, block = n * k, _block_length(n, len(cycles) if points is None else points)
+    held = 16 * block * (slots + k * k) + 2**20
+    if not (mode == "analytic" and len(cycles) == 1 and points is not None):
+        held += 64 * block * slots
+    if mode == "analytic":
+        return held + 8 * slots
+    dims = [single_atom_dimension(cycle.channel) ** 2 for cycle in cycles]
+    alive = max(dims) if points is None else sum(dims)
+    return held + 16 * slots + 40 * alive * slots + 72 * PAIR_CHUNK * max(dims) ** 2
 
 
 def _trace_single_realization(args) -> tuple[int, np.ndarray]:

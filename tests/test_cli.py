@@ -7,14 +7,13 @@ import runpy
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ryddephase import cli
-from ryddephase.atomdata import InteractionModel, MicrowaveSpec, RydbergChannel, c3_of
+from ryddephase.atomdata import InteractionModel, MicrowaveSpec, RydbergChannel, c3_of, p_level_j
 from ryddephase.cli import ConfigError, main, parse_config
 from ryddephase.correlation import exact_g2, realization_seed
 from ryddephase.ensemble import EnsembleSpec, sample_positions
@@ -50,13 +49,17 @@ def write_config(tmp_path, payload, name="config.json"):
 # ---------------------------------------------------------------------------
 
 
+def first_cycle(cfg):
+    return cfg.schedules["g2_trace"].cycles[0]
+
+
 def test_minimal_config_fills_defaults():
     cfg = parse_config(json.dumps(MINIMAL))
     assert cfg.ensemble.min_separation == 0.1
     assert cfg.realizations == 100
     assert cfg.mode == "analytic"
     assert cfg.output_format == "csv"
-    cyc = cfg.schedule.cycles[0]
+    cyc = first_cycle(cfg)
     assert cyc.microwave.rabi == 10.0
     assert cyc.microwave.polarization == "pi"
     assert cyc.microwave.pulse_model == "instantaneous"
@@ -74,10 +77,10 @@ MODEL_MINIMAL = dict(
     "cls, field, value, parsed",
     [
         (EnsembleSpec, "min_separation", 0.25, lambda cfg: cfg.ensemble.min_separation),
-        (InteractionModel, "scaling_exponent", 3.0, lambda cfg: math.log2(cfg.schedule.cycles[0].channel.c3 / 2.6e4)),
-        (MicrowaveSpec, "polarization", "sigma_minus", lambda cfg: cfg.schedule.cycles[0].microwave.polarization),
-        (MicrowaveSpec, "pulse_model", "finite_duration", lambda cfg: cfg.schedule.cycles[0].microwave.pulse_model),
-        (MicrowaveSpec, "rabi", 7.0, lambda cfg: cfg.schedule.cycles[0].microwave.rabi),
+        (InteractionModel, "scaling_exponent", 3.0, lambda cfg: math.log2(first_cycle(cfg).channel.c3 / 2.6e4)),
+        (MicrowaveSpec, "polarization", "sigma_minus", lambda cfg: first_cycle(cfg).microwave.polarization),
+        (MicrowaveSpec, "pulse_model", "finite_duration", lambda cfg: first_cycle(cfg).microwave.pulse_model),
+        (MicrowaveSpec, "rabi", 7.0, lambda cfg: first_cycle(cfg).microwave.rabi),
     ],
     ids=["min_separation_um", "scaling_exponent", "polarization", "pulse_model", "rabi_rad_per_us"],
 )
@@ -133,7 +136,7 @@ def test_c3_resolution_order_table_beats_model():
         "table": [{"s_n": 100, "p_n": 100, "p_j": 0.5, "c3": 3.3e5}],
     }
     parsed = parse_config(json.dumps(cfg))
-    assert parsed.schedule.cycles[0].channel.c3 == 3.3e5
+    assert first_cycle(parsed).channel.c3 == 3.3e5
 
 
 @pytest.mark.parametrize("with_model", [False, True])
@@ -146,10 +149,9 @@ def test_c3_table_is_looked_up_by_the_snapped_p_j(with_model):
     if with_model:
         cfg["interaction"]["model"] = {"reference_c3": 2.6e4, "reference_n": 60}
     cfg["scan_n"] = [100]
-    parsed = parse_config(json.dumps(cfg))
-    assert parsed.schedule.cycles[0].channel.p_key == (100, 1.5)
-    assert parsed.schedule.cycles[0].channel.c3 == 3.3e5
-    assert parsed.scan_schedules[100].cycles[0].channel.c3 == 3.3e5
+    (cycle,) = parse_config(json.dumps(cfg)).schedules["g2_trace_n100"].cycles
+    assert cycle.channel.p_key == (100, 1.5)
+    assert cycle.channel.c3 == 3.3e5
 
 
 def test_c3_table_row_repeating_a_snapped_channel_is_rejected():
@@ -171,22 +173,22 @@ def test_shipped_fig2_config_echoes_expected_parameters():
     cfg = parse_config((CONFIG_DIR / "fig2.json").read_text())
     assert cfg.ensemble.n_atoms == 100
     assert cfg.ensemble.box_side == 60.0
-    assert tuple(cfg.scan_schedules) == (60, 79, 100)
+    assert tuple(cfg.schedules) == ("g2_trace_n60", "g2_trace_n79", "g2_trace_n100")
     assert cfg.mode == "analytic"
     # scaling model: c3(100)/c3(60) = (100/60)^4
-    s60 = cfg.scan_schedules[60].cycles[0].channel.c3
-    s100 = cfg.scan_schedules[100].cycles[0].channel.c3
+    s60 = cfg.schedules["g2_trace_n60"].cycles[0].channel.c3
+    s100 = cfg.schedules["g2_trace_n100"].cycles[0].channel.c3
     assert s100 / s60 == pytest.approx((100.0 / 60.0) ** 4, rel=1e-12)
 
 
 def test_shipped_cycles_config_is_four_distinct_channels():
     text = (CONFIG_DIR / "cycles.json").read_text()
-    cfg = parse_config(text, subcommand="cycles")
-    keys = [c.channel.p_key for c in cfg.schedule.cycles]
+    schedule = parse_config(text, subcommand="cycles").schedules["cycles"]
+    keys = [c.channel.p_key for c in schedule.cycles]
     assert keys == [(100, 0.5), (99, 0.5), (100, 1.5), (99, 1.5)]
-    assert all(c.delta_t == 1.0 for c in cfg.schedule.cycles)
-    assert all(c.microwave.rabi == 10.0 for c in cfg.schedule.cycles)
-    assert cfg.schedule.wall_times[-1] == pytest.approx(4.0 * (1.0 + 0.2 * math.pi))
+    assert all(c.delta_t == 1.0 for c in schedule.cycles)
+    assert all(c.microwave.rabi == 10.0 for c in schedule.cycles)
+    assert schedule.wall_times[-1] == pytest.approx(4.0 * (1.0 + 0.2 * math.pi))
 
 
 def test_duplicate_scan_n_rejected_with_index():
@@ -343,26 +345,15 @@ def test_usable_cpus_follow_the_affinity_mask(monkeypatch):
     assert cli._usable_cpus() == 1
 
 
-def test_worker_count_is_clamped_to_realizations_and_cpus(monkeypatch):
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
-    assert cli._worker_count(500, 1) == 1
-    assert cli._worker_count(500, 3) == 3
-    assert cli._worker_count(500, 100) == 4
-    assert cli._worker_count(2, 100) == 2
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
-    assert cli._worker_count(8, 8) == 1
-
-
 def test_pool_starts_only_the_clamped_worker_count(monkeypatch):
     import concurrent.futures
 
-    started = []
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda max_workers: started.append(max_workers))
-    assert cli._make_pool(500, 1) is None
-    cli._make_pool(500, 3)
-    cli._make_pool(500, 100)
-    assert started == [3, 4]
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda max_workers: max_workers)
+    # (usable CPUs, --threads, realizations) -> workers: never more than realizations or CPUs, and no pool for one
+    cases = [(4, 500, 1, None), (4, 500, 3, 3), (4, 500, 100, 4), (4, 2, 100, 2), (1, 8, 8, None)]
+    for cpus, threads, realizations, workers in cases:
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        assert cli._make_pool(threads, realizations) == workers
 
 
 def test_cycles_threaded_run_matches_serial(tmp_path):
@@ -417,6 +408,16 @@ def test_scan_n_emits_one_trace_per_n(tmp_path):
     assert (out / "g2_trace_n100.csv").exists()
 
 
+def test_scan_n_needs_no_c3_for_the_channel_it_replaces(tmp_path):
+    # a table alone, with no row for the cycle's own 60s - 60p_1/2: scan_n replaces that channel before C3 is resolved
+    table = [{"s_n": n, "p_n": n, "p_j": 0.5, "c3": c3} for n, c3 in ((79, 1.0e5), (100, 2.0e5))]
+    cycles = [{"s_n": 60, "p_n": 60, "p_j": 0.5, "delta_t_us": 1.0}]
+    cfg = dict(MINIMAL, realizations=2, interaction={"table": table}, schedule={"cycles": cycles}, scan_n=[79, 100])
+    out = tmp_path / "out"
+    assert main(["g2-trace", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["g2_trace_n100.csv", "g2_trace_n79.csv", "manifest.json"]
+
+
 def test_scan_n_schedules_resolve_each_channel_from_the_table_then_the_model():
     # per n, the parsed schedule with s_n = p_n = n and C3 looked up again: the table row where
     # (n, n, p_j) has one, else the model at n; drive and free interval carry over unchanged
@@ -431,13 +432,16 @@ def test_scan_n_schedules_resolve_each_channel_from_the_table_then_the_model():
     cfg = parse_config(json.dumps(raw))
     model = InteractionModel(**MODEL)
     c3 = {(79, 1.5): 1.25e5, (100, 0.5): 2.1e5}
-    assert list(cfg.scan_schedules) == [60, 79, 100]
-    for n, schedule in cfg.scan_schedules.items():
+    assert list(cfg.schedules) == ["g2_trace_n60", "g2_trace_n79", "g2_trace_n100"]
+    for n in raw["scan_n"]:
         expected = []
-        for plain in cfg.schedule.cycles:
-            p_j = plain.channel.p_j
-            expected.append(replace(plain, channel=RydbergChannel(n, n, p_j, c3.get((n, p_j), c3_of(n, model)))))
-        assert list(schedule.cycles) == expected
+        for plain in raw["schedule"]["cycles"]:
+            p_j = p_level_j(plain["p_j"])
+            pulse_model = plain.get("pulse_model", MicrowaveSpec.pulse_model)
+            drive = MicrowaveSpec(plain["rabi_rad_per_us"], plain["polarization"], pulse_model)
+            channel = RydbergChannel(n, n, p_j, c3.get((n, p_j), c3_of(n, model)))
+            expected.append(CycleSpec(channel, plain["delta_t_us"], drive))
+        assert list(cfg.schedules[f"g2_trace_n{n}"].cycles) == expected
 
 
 def test_json_output_mirrors_csv_columns(tmp_path):
@@ -686,7 +690,10 @@ def test_oversized_counts_are_config_errors(tmp_path, capsys, subcommand, payloa
 MANY_POINTS = {"start_us": 0.0, "stop_us": 2.0, "points": 10_000}  # 2**31 - 1 realizations of them: 515 TB of results
 STACK = f"{cli.MAX_COUNT} realizations of 10000 points need 515396.1 GB of results"
 GRID = f"100 realizations of {cli.MAX_COUNT} points need 5154.0 GB of results"  # refused before np.linspace's 17 GB
-PLANES = "1000000 atoms need 8000.0 GB of pair planes"  # two (N, N // 2) float64 planes
+# correlation.realization_bytes: planes and R^3, 32 B per pair slot at one grid time per block, for one analytic
+# cycle over a grid (as for entangle); 64 B more per slot for a fresh product array without a grid
+PLANES = "1000000 atoms need 16000.0 GB of one realization's arrays"
+PRODUCTS = "1000000 atoms need 48000.0 GB of one realization's arrays"
 MANY_ATOMS = dict(MINIMAL["ensemble"], n_atoms=10**6)
 SWEEP_ATOMS = dict(SWEEP, axes=[{"path": "ensemble.n_atoms", "values": [10, 10**6]}])
 
@@ -705,7 +712,7 @@ SWEEP_ATOMS = dict(SWEEP, axes=[{"path": "ensemble.n_atoms", "values": [10, 10**
         ("g2-trace", dict(MINIMAL, grid=dict(MANY_POINTS, points=cli.MAX_COUNT), realizations=100), "realizations", GRID),
         ("entangle", dict(ENTANGLE, grid=dict(MANY_POINTS, points=cli.MAX_COUNT), realizations=100), "realizations", GRID),
         ("g2-trace", dict(MINIMAL, ensemble=MANY_ATOMS), "ensemble.n_atoms", PLANES),
-        ("cycles", {"ensemble": MANY_ATOMS, "schedule": MINIMAL["schedule"]}, "ensemble.n_atoms", PLANES),
+        ("cycles", {"ensemble": MANY_ATOMS, "schedule": MINIMAL["schedule"]}, "ensemble.n_atoms", PRODUCTS),
         ("entangle", dict(ENTANGLE, ensemble=MANY_ATOMS), "ensemble.n_atoms", PLANES),
         ("sweep", SWEEP_ATOMS, "base.ensemble.n_atoms", PLANES),
     ],
@@ -899,6 +906,38 @@ def test_benchmark_workload_configs_plan(name, seed):
     assert len(cli._plan(workload.subcommand, workload.config(seed))) == 1
 
 
+# each shipped config's subcommand and the data files its plan names, {} standing for its output.format
+SHIPPED_FILES = {
+    "cycles": ("cycles", ["cycles.{}"]),
+    "entangle": ("entangle", ["entangle.{}"]),
+    "fig2": ("g2-trace", ["g2_trace_n60.{}", "g2_trace_n79.{}", "g2_trace_n100.{}"]),
+    "fourphoton": ("phasematch", ["phasematch.json"]),
+    "multichannel": ("g2-trace", ["g2_trace.{}"]),
+    "sweep_example": ("sweep", ["n_atoms=50/g2_trace.{}", "n_atoms=100/g2_trace.{}"]),
+    "twophoton": ("phasematch", ["phasematch.json"]),
+}
+
+
+FORMATS = {"phasematch": [None]}  # phasematch has no output section
+
+
+@pytest.mark.parametrize(
+    "name, fmt", [(name, fmt) for name, (sub, _) in SHIPPED_FILES.items() for fmt in FORMATS.get(sub, ["csv", "json"])]
+)
+def test_plan_names_each_schedule_stem_with_the_output_format(name, fmt):
+    assert set(SHIPPED_FILES) == {p.stem for p in CONFIG_DIR.glob("*.json")}
+    subcommand, expected = SHIPPED_FILES[name]
+    raw = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    if fmt is not None:
+        (raw["base"] if subcommand == "sweep" else raw)["output"] = {"format": fmt}
+    files = [
+        f"{job.label}/{file}" if job.label else file
+        for job in cli._plan(subcommand, raw)
+        for file in cli.SUBCOMMANDS[job.subcommand].files(job.config)
+    ]
+    assert files == [file.format(fmt) for file in expected]
+
+
 def test_perfbench_tracer_targets_resolve():
     # the tracer wraps names where the calling module imported them: a refactor
     # that moves one leaves its layer unmeasured, with no other test failing
@@ -917,13 +956,13 @@ def test_perfbench_tracer_targets_resolve():
 @pytest.mark.parametrize("n", [1, 99])
 def test_entangle_n_names_the_two_channels(n):
     raw = dict(WORKLOADS["entangle"].config(1), entangle={"n": n, "c3_prime": 2.0e5, "c3_second": 1.6e5})
-    (job,) = cli._plan("entangle", raw)
     # (n+1)s dressed through np_1/2 with C3', ns dressed through np_3/2 with C3'', no free interval of their own
-    assert [mode.channel for mode in job.config.modes] == [
+    modes = parse_config(json.dumps(raw), "entangle").schedules["entangle"]
+    assert [mode.channel for mode in modes] == [
         RydbergChannel(n + 1, n, 0.5, 2.0e5),
         RydbergChannel(n, n, 1.5, 1.6e5),
     ]
-    assert all(mode.delta_t == 0.0 and mode.microwave == MicrowaveSpec() for mode in job.config.modes)
+    assert all(mode.delta_t == 0.0 and mode.microwave == MicrowaveSpec() for mode in modes)
 
 
 def test_numerical_failure_exit_code(tmp_path, monkeypatch):

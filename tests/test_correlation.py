@@ -860,6 +860,52 @@ def test_one_analytic_point_allocates_far_less_than_a_plane():
     assert peak < 0.5e6
 
 
+FOUR_CHANNELS = [(100, 0.5), (99, 0.5), (100, 1.5), (99, 1.5)]
+# (mode, N, (p_n, p_j) of each cycle, grid points or None for the cycles' own intervals, pulse model); at N = 400
+# a block is one grid time, at N <= 100 several
+MEMORY_CASES = {
+    "analytic-one-cycle": ("analytic", 400, FOUR_CHANNELS[:1], 5, "instantaneous"),
+    "analytic-two-cycles": ("analytic", 400, FOUR_CHANNELS[:2], 5, "instantaneous"),
+    "analytic-four-cycles-blocked": ("analytic", 40, FOUR_CHANNELS, 30, "instantaneous"),
+    "grid-none": ("analytic", 400, FOUR_CHANNELS, None, "instantaneous"),
+    "grid-none-blocked": ("analytic", 100, FOUR_CHANNELS, None, "instantaneous"),
+    "entangle": ("entangle", 400, [(99, 0.5), (99, 1.5)], 51, "instantaneous"),
+    "entangle-blocked": ("entangle", 100, [(99, 0.5), (99, 1.5)], 51, "instantaneous"),
+    "multichannel-j1/2": ("multichannel", 60, [(100, 0.5)], 5, "instantaneous"),
+    "multichannel-j3/2": ("multichannel", 60, [(100, 1.5)], 5, "instantaneous"),
+    "multichannel-j3/2-finite-pulses": ("multichannel", 60, [(100, 1.5)], 5, "finite_duration"),
+    "multichannel-two-cycles": ("multichannel", 60, [(100, 0.5), (100, 1.5)], 5, "instantaneous"),
+    "multichannel-grid-none": ("multichannel", 60, [(100, 0.5), (100, 1.5)], None, "instantaneous"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MEMORY_CASES))
+def test_realization_bytes_bound_the_traced_peak(case):
+    # the plan-time memory rule is not below what one realization allocates at its peak
+    import tracemalloc
+
+    from ryddephase.correlation import _realization_points, realization_bytes
+    from ryddephase.protocol import _entangle_points
+
+    mode, n, channels, points, pulse_model = MEMORY_CASES[case]
+    drive = MicrowaveSpec(pulse_model=pulse_model)
+    cycles = tuple(CycleSpec(RydbergChannel(100, p_n, p_j, 2.6e4), 1.0, drive) for p_n, p_j in channels)
+    positions = sample_positions(EnsembleSpec(n, 60.0 * (n / 100) ** (1 / 3), seed=3))
+    grid = None if points is None else np.geomspace(0.02, 60.0, points)
+    if mode == "entangle":  # the CLI's rule: the modes write the planes in turn, as one analytic cycle does
+        bound, run, args = realization_bytes(n, "analytic", cycles[:1], points), _entangle_points, (cycles, grid)
+    else:
+        bound, run, args = realization_bytes(n, mode, cycles, points), _realization_points, (cycles, grid, mode)
+    run(positions, *args)  # first-call set-up, untraced
+    tracemalloc.start()
+    try:
+        run(positions, *args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
+
+
 def exact_trace(ensemble, cycles, grid, mode, realizations):
     """(g2, f, h) stacks from condensed columns, gathered into round-robin slots for g2_from_amplitudes."""
     points = [
