@@ -27,7 +27,6 @@ from .correlation import (
     G2Point,
     G2Trace,
     exact_g2,
-    g2_after_cycles,
     g2_trace,
 )
 from .ensemble import (
@@ -46,7 +45,6 @@ from .phasematch import (
     wavevector_mismatch,
 )
 from .protocol import (
-    CycleSchedule,
     decay_reference,
     make_schedule,
 )

@@ -39,13 +39,13 @@ from .atomdata import (
     c3_of,
     p_level_j,
 )
-from .correlation import G2Trace, g2_after_cycles, g2_trace, realization_bytes, unit_point
+from .correlation import G2Trace, g2_trace, realization_bytes, unit_point
 from .ensemble import EnsembleSpec, PackingError
 from .pairdyn import CycleSpec, NumericsError
 from .phasematch import (
     Beam, PhaseMatchInfeasible, motional_coherence_time, solve_offaxis, spinwave_period, wavevector_mismatch
 )
-from .protocol import CycleSchedule, decay_reference, entangle_trace, make_schedule
+from .protocol import decay_reference, entangle_trace, make_schedule
 
 # here, not in __init__ or main(): the import graph lives until exit, so no collection need walk it
 gc.freeze()
@@ -91,9 +91,9 @@ def _check_mapping(obj, path, required, optional):
             _fail(f"{path}.{key}", "missing required key")
 
 
-def _in_range(value, path):
-    """value, refused outside the closed range RANGES gives the field at path."""
-    low, high = RANGES[path.rsplit(".", 1)[-1].split("[", 1)[0]]
+def _in_range(value, path, field=None):
+    """value, refused at path outside the closed range RANGES gives field, by default the field at path."""
+    low, high = RANGES[field or path.rsplit(".", 1)[-1].split("[", 1)[0]]
     if value < low:
         _fail(path, f"must be >= {low}, got {value}")
     if value > high:
@@ -254,7 +254,7 @@ def _parse_cycle(cfg, path, model, table, scan_n=None) -> CycleSpec:
         _fail(path, str(exc))
 
 
-def _parse_schedule(cycles: list, model, table, scan_n=None) -> CycleSchedule:
+def _parse_schedule(cycles: list, model, table, scan_n=None) -> tuple[CycleSpec, ...]:
     """make_schedule of the config's cycles, each parsed by _parse_cycle, its errors reported under schedule."""
     parsed = [_parse_cycle(c, f"schedule.cycles[{i}]", model, table, scan_n) for i, c in enumerate(cycles)]
     try:
@@ -307,7 +307,7 @@ class RunConfig:
     cycles it runs: g2_trace (or g2_trace_n<n> per scan_n value, in order), cycles, or entangle's two modes."""
 
     ensemble: EnsembleSpec
-    schedules: dict
+    schedules: dict[str, tuple[CycleSpec, ...]]
     mode: str
     grid: np.ndarray | None
     realizations: int
@@ -365,7 +365,7 @@ def _parse_trace_config(raw, subcommand) -> RunConfig:
     else:
         grid, realizations = None, _parse_realizations(raw, len(cycles))
     points = None if grid is None else len(grid)
-    need = max(realization_bytes(ensemble.n_atoms, mode, s.cycles, points) for s in schedules.values())
+    need = max(realization_bytes(ensemble.n_atoms, mode, s, points) for s in schedules.values())
     _fit_memory("ensemble.n_atoms", need, f"{ensemble.n_atoms} atoms", "one realization's arrays")
     return RunConfig(
         ensemble=ensemble,
@@ -421,6 +421,11 @@ class OutputSession:
         if existing is not None and not existing.is_dir():
             raise ConfigError(f"cannot write outputs to {path.parent}: {existing} is not a directory")
         temporary = path.with_name(path.name + ".partial")
+        if existing is not None:  # a name the file system refuses would fail mid-run, in mkdir or open
+            limit = os.pathconf(existing, "PC_NAME_MAX")
+            for part in temporary.relative_to(existing).parts:
+                if len(os.fsencode(part)) > limit:
+                    raise ConfigError(f"cannot write outputs to {existing}: the name {part!r} is over {limit} bytes")
         for target in (path, temporary):
             if target.is_dir():
                 raise ConfigError(f"cannot write {path}: {target} is a directory")
@@ -521,15 +526,15 @@ def _write_data(path: Path, columns: dict, payload) -> None:
         _write_json(path, payload())
 
 
-def run_g2_trace(cfg: RunConfig, schedule: CycleSchedule, pool):
+def run_g2_trace(cfg: RunConfig, schedule: tuple, pool):
     trace = g2_trace(cfg.ensemble, schedule, cfg.grid, mode=cfg.mode, realizations=cfg.realizations, pool=pool)
     columns = dict(_trace_columns(trace), n_realizations=[trace.realizations] * len(trace.grid))
     return list(trace.seeds), columns, lambda: _trace_json(trace)
 
 
-def run_cycles(cfg: RunConfig, schedule: CycleSchedule, pool):
-    trace = g2_after_cycles(cfg.ensemble, schedule, mode=cfg.mode, realizations=cfg.realizations, pool=pool)
-    tau = schedule.wall_times[-1] / len(schedule)  # the reference decays over the mean cycle duration
+def run_cycles(cfg: RunConfig, schedule: tuple, pool):
+    trace = g2_trace(cfg.ensemble, schedule, cfg.grid, mode=cfg.mode, realizations=cfg.realizations, pool=pool)
+    tau = float(trace.grid[-1]) / len(schedule)  # the reference decays over the mean cycle duration
     reference = [decay_reference(tau, float(t)) for t in trace.grid]
     flat = unit_point(cfg.ensemble.n_atoms)
     start = (0.0, flat.g2, 0.0, flat.f, flat.h)  # the pre-protocol point, in _trace_columns order
@@ -655,6 +660,9 @@ def _parse_sweep_config(raw) -> list[Job]:
         _check_mapping(axis, apath, ["path", "values"], [])
         if not isinstance(axis["path"], str) or not axis["path"]:
             _fail(f"{apath}.path", "expected a nonempty dotted path")
+        for j, (earlier, _) in enumerate(axes):  # one path equal to or under the other: the later axis overwrites
+            if all(a == b for a, b in zip(axis["path"].split("."), earlier.split("."))):
+                _fail(f"{apath}.path", f"{axis['path']!r} overlaps axes[{j}].path {earlier!r}")
         axes.append((axis["path"], _as_list(axis["values"], f"{apath}.values")))
     jobs, combos = [], {}
     for combo in itertools.product(*(values for _, values in axes)):
@@ -678,12 +686,10 @@ def _apply_override(cfg: dict, dotted: str, value):
     parts, node = dotted.split("."), cfg
     for depth, part in enumerate(parts, 1):
         leaf = depth == len(parts)  # by position: short segments are interned, so identity cannot tell
-        if isinstance(node, list):
-            try:
-                key = int(part)
-                node[key]
-            except (ValueError, IndexError):
+        if isinstance(node, list):  # an index is spelled str(i), i in [0, len): one spelling per entry
+            if part not in map(str, range(len(node))):
                 _fail(f"axes path {dotted!r}", f"segment {part!r} is not an index of a {len(node)}-entry list")
+            key = int(part)
         elif isinstance(node, dict):
             if not leaf and part not in node:
                 _fail(f"axes path {dotted!r}", f"segment {part!r} not present in base config")
@@ -802,6 +808,8 @@ def main(argv=None) -> int:
     try:
         if args.threads < 1:
             raise ConfigError(f"--threads: expected an integer >= 1, got {args.threads}")
+        if args.seed is not None:
+            _in_range(args.seed, "--seed", "seed")
         try:
             text = Path(args.config).read_text()
         except (OSError, UnicodeDecodeError) as exc:

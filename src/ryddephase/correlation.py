@@ -420,43 +420,30 @@ def checked_time_grid(grid) -> np.ndarray:
 
 def g2_trace(
     ensemble: EnsembleSpec,
-    schedule,
-    grid,
+    cycles,
+    grid=None,
     mode: str = "analytic",
     realizations: int = 100,
     pool=None,
 ) -> G2Trace:
-    """Correlation trace versus the free-interval length of the schedule.
+    """Correlation trace of a schedule's cycles, versus their free interval or after each cycle.
 
-    Each grid time is applied as the free interval of every cycle in the
-    schedule (for a single-cycle schedule this sweeps the interval directly).
-    Each realization resamples atom positions from a seed derived from the
-    ensemble seed and the realization index; the schedule stays fixed.
-    Raises ValueError unless the grid is 1-D, nonempty, strictly increasing
-    and finite, with no time below 0.
+    With a grid, each grid time is applied as the free interval of every
+    cycle (for a single cycle this sweeps the interval directly).  With grid
+    None, point q follows cycles 0..q at their own free intervals, and the
+    trace grid is the cumulative wall-clock time: the running sum of
+    delta_t + 2pi/Omega in schedule order.  Each realization resamples atom
+    positions from a seed derived from the ensemble seed and the realization
+    index; the cycles stay fixed.  Raises ValueError unless the grid is 1-D,
+    nonempty, strictly increasing and finite, with no time below 0, or, with
+    grid None, when a cumulative time is not finite.
     """
-    grid = checked_time_grid(grid)
-    if np.any(np.diff(grid) <= 0):
-        raise ValueError("time grid must be strictly increasing")
-    params = (tuple(schedule.cycles), grid, mode)
-    stacks, seeds = run_realizations(_realization_points, ensemble, params, realizations, pool)
-    return G2Trace(grid, *stacks, seeds)
-
-
-def g2_after_cycles(
-    ensemble: EnsembleSpec,
-    schedule,
-    mode: str = "analytic",
-    realizations: int = 100,
-    pool=None,
-) -> G2Trace:
-    """Correlation after each successive cycle of a fixed schedule.
-
-    The trace grid is the cumulative wall-clock time (schedule.wall_times:
-    free intervals plus the 2pi of pulse area per cycle).  Raises ValueError
-    when a cumulative time is not finite.
-    """
-    grid = checked_time_grid(schedule.wall_times)
-    params = (tuple(schedule.cycles), None, mode)
-    stacks, seeds = run_realizations(_realization_points, ensemble, params, realizations, pool)
-    return G2Trace(grid, *stacks, seeds)
+    cycles = tuple(cycles)
+    if grid is None:
+        trace_grid = checked_time_grid(list(itertools.accumulate(c.duration for c in cycles)))
+    else:
+        grid = trace_grid = checked_time_grid(grid)
+        if np.any(np.diff(grid) <= 0):
+            raise ValueError("time grid must be strictly increasing")
+    stacks, seeds = run_realizations(_realization_points, ensemble, (cycles, grid, mode), realizations, pool)
+    return G2Trace(trace_grid, *stacks, seeds)

@@ -17,7 +17,7 @@ C3' t / R^3 and C3'' t / R^3.  The trace runs its position realizations
 through the one realization task of the correlation traces
 (correlation.run_realizations), which calls _entangle_points on each
 realization's positions.  That draws each mode's amplitude function from the
-same sources as the g2 drivers (correlation._cycle_sources) and runs the
+same sources as correlation.g2_trace (_cycle_sources) and runs the
 grid through their one block loop (correlation.block_points), which owns
 the planes.  Per block, each source writes its mode's amplitudes into the
 planes, which both modes reuse, and their means give every time's coherence
@@ -25,9 +25,7 @@ planes, which both modes reuse, and their means give every time's coherence
 coherences (_fidelity_terms).
 """
 
-import itertools
 import math
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -36,23 +34,8 @@ from .correlation import _cycle_sources, block_points, checked_time_grid, run_re
 from .pairdyn import CycleSpec
 
 
-@dataclass(frozen=True)
-class CycleSchedule:
-    """Validated ordered cycles sharing one s-level, pairwise-distinct p-levels."""
-
-    cycles: tuple[CycleSpec, ...]
-
-    @property
-    def wall_times(self) -> list[float]:
-        """us after each cycle: the running sum of delta_t + 2pi/Omega in schedule order, as Python floats."""
-        return list(itertools.accumulate(c.duration for c in self.cycles))
-
-    def __len__(self) -> int:
-        return len(self.cycles)
-
-
-def make_schedule(specs) -> CycleSchedule:
-    """Validate cycle specs into a schedule.
+def make_schedule(specs) -> tuple[CycleSpec, ...]:
+    """The cycle specs as a tuple, validated as a schedule.
 
     Rejects an empty list, mismatched s-levels, and any repeated dressing
     (n', j) p-level, naming the offending cycle indices.
@@ -76,7 +59,7 @@ def make_schedule(specs) -> CycleSchedule:
                 "unpopulated p-level"
             )
         seen[key] = i
-    return CycleSchedule(specs)
+    return specs
 
 
 def decay_reference(tau: float, t: float) -> float:

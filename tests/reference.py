@@ -113,7 +113,7 @@ def single_excitation_survival(schedule) -> complex:
     to a frame phase; this propagates the single-atom dynamics to check it.
     """
     amp = 1.0 + 0.0j
-    for cycle in schedule.cycles:
+    for cycle in schedule:
         spec = cycle.microwave
         h1 = single_atom_dressing(cycle.channel, spec)
         i_s, _ = _transition_indices(cycle.channel, spec)

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -50,7 +51,7 @@ def write_config(tmp_path, payload, name="config.json"):
 
 
 def first_cycle(cfg):
-    return cfg.schedules["g2_trace"].cycles[0]
+    return cfg.schedules["g2_trace"][0]
 
 
 def test_minimal_config_fills_defaults():
@@ -149,7 +150,7 @@ def test_c3_table_is_looked_up_by_the_snapped_p_j(with_model):
     if with_model:
         cfg["interaction"]["model"] = {"reference_c3": 2.6e4, "reference_n": 60}
     cfg["scan_n"] = [100]
-    (cycle,) = parse_config(json.dumps(cfg)).schedules["g2_trace_n100"].cycles
+    (cycle,) = parse_config(json.dumps(cfg)).schedules["g2_trace_n100"]
     assert cycle.channel.p_key == (100, 1.5)
     assert cycle.channel.c3 == 3.3e5
 
@@ -176,19 +177,19 @@ def test_shipped_fig2_config_echoes_expected_parameters():
     assert tuple(cfg.schedules) == ("g2_trace_n60", "g2_trace_n79", "g2_trace_n100")
     assert cfg.mode == "analytic"
     # scaling model: c3(100)/c3(60) = (100/60)^4
-    s60 = cfg.schedules["g2_trace_n60"].cycles[0].channel.c3
-    s100 = cfg.schedules["g2_trace_n100"].cycles[0].channel.c3
+    s60 = cfg.schedules["g2_trace_n60"][0].channel.c3
+    s100 = cfg.schedules["g2_trace_n100"][0].channel.c3
     assert s100 / s60 == pytest.approx((100.0 / 60.0) ** 4, rel=1e-12)
 
 
 def test_shipped_cycles_config_is_four_distinct_channels():
     text = (CONFIG_DIR / "cycles.json").read_text()
     schedule = parse_config(text, subcommand="cycles").schedules["cycles"]
-    keys = [c.channel.p_key for c in schedule.cycles]
+    keys = [c.channel.p_key for c in schedule]
     assert keys == [(100, 0.5), (99, 0.5), (100, 1.5), (99, 1.5)]
-    assert all(c.delta_t == 1.0 for c in schedule.cycles)
-    assert all(c.microwave.rabi == 10.0 for c in schedule.cycles)
-    assert schedule.wall_times[-1] == pytest.approx(4.0 * (1.0 + 0.2 * math.pi))
+    assert all(c.delta_t == 1.0 for c in schedule)
+    assert all(c.microwave.rabi == 10.0 for c in schedule)
+    assert sum(c.duration for c in schedule) == pytest.approx(4.0 * (1.0 + 0.2 * math.pi))
 
 
 def test_duplicate_scan_n_rejected_with_index():
@@ -441,7 +442,7 @@ def test_scan_n_schedules_resolve_each_channel_from_the_table_then_the_model():
             drive = MicrowaveSpec(plain["rabi_rad_per_us"], plain["polarization"], pulse_model)
             channel = RydbergChannel(n, n, p_j, c3.get((n, p_j), c3_of(n, model)))
             expected.append(CycleSpec(channel, plain["delta_t_us"], drive))
-        assert list(cfg.schedules[f"g2_trace_n{n}"].cycles) == expected
+        assert list(cfg.schedules[f"g2_trace_n{n}"]) == expected
 
 
 def test_json_output_mirrors_csv_columns(tmp_path):
@@ -825,7 +826,7 @@ CYCLES = {"ensemble": MINIMAL["ensemble"], "schedule": MINIMAL["schedule"], "rea
     [
         ("g2-trace", dict(MINIMAL, realizations=2), "g2_trace.csv", "g2_trace"),
         ("g2-trace", SCAN, "g2_trace_n100.csv", "g2_trace"),  # the later of two traces
-        ("cycles", CYCLES, "cycles.csv", "g2_after_cycles"),
+        ("cycles", CYCLES, "cycles.csv", "g2_trace"),
         ("entangle", ENTANGLE, "entangle.csv", "entangle_trace"),
         ("phasematch", PHASEMATCH, "phasematch.json", "wavevector_mismatch"),
     ],
@@ -889,6 +890,7 @@ TRACER_TARGETS = runpy.run_path(str(PERFBENCH_DIR / "tracer.py"))["TARGETS"]
 # targets the tracer has wrapped since the code under them was renamed or deleted
 STALE_TRACER_TARGETS = {
     "ryddephase.correlation._cycles_single_realization",
+    "ryddephase.cli.g2_after_cycles",
     "ryddephase.correlation.AmplitudeSet.from_condensed",
     "ryddephase.cli.g2_from_amplitudes",
     "ryddephase.correlation.g2_from_amplitudes",
@@ -1079,7 +1081,7 @@ def test_the_ranges_keep_every_derived_number_finite():
     drive = MicrowaveSpec(rabi=r["rabi_rad_per_us"][0])
     channels = [RydbergChannel(levels[-1], p_n, p_j, 1.0) for p_n in levels for p_j in (0.5, 1.5)]
     schedule = make_schedule(CycleSpec(channel, r["delta_t_us"][1], drive) for channel in channels)
-    assert len(schedule) == 2 * len(levels) and math.isfinite(schedule.wall_times[-1])
+    assert len(schedule) == 2 * len(levels) and math.isfinite(sum(c.duration for c in schedule))
     # the coherence time of an unmatched geometry: the longest period, at the lowest speed
     period = spinwave_period([np.nextafter(EPS_K, 1.0), 0.0, 0.0])
     assert math.isfinite(motional_coherence_time(period, r["speed_m_per_s"][0]))
@@ -1375,6 +1377,77 @@ def test_sweep_rejects_unknown_path(tmp_path, capsys):
         path = write_config(tmp_path, sweep)
         assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
         assert f"config error: axes path {bad!r}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("segment", ["-1", "01", "+1", " 1", "1 ", "\u0661"])
+def test_a_list_index_is_only_its_plain_spelling(segment):
+    # int() reads each of these as an index: two spellings of one entry would let two axes set one field
+    raw = dict(MINIMAL, scan_n=[60, 100])
+    with pytest.raises(ConfigError, match=rf"segment {re.escape(repr(segment))} is not an index of a 2-entry list"):
+        cli._apply_override(raw, f"scan_n.{segment}", 80)
+    assert raw["scan_n"] == [60, 100]
+
+
+def test_the_shipped_sweep_refuses_a_negative_index_before_any_work(tmp_path, capsys):
+    sweep = json.loads((CONFIG_DIR / "sweep_example.json").read_text())
+    sweep["axes"] = [
+        {"path": "schedule.cycles.0.delta_t_us", "values": [0.5]},
+        {"path": "schedule.cycles.-1.delta_t_us", "values": [2.0]},
+    ]
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(write_config(tmp_path, sweep)), "--out", str(out)]) == 1
+    err = "config error: axes path 'schedule.cycles.-1.delta_t_us': segment '-1' is not an index of a 1-entry list\n"
+    assert capsys.readouterr().err == err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        ("schedule.cycles.0.delta_t_us", "schedule.cycles.0.delta_t_us"),
+        ("schedule.cycles.0", "schedule.cycles.0.delta_t_us"),
+        ("schedule.cycles.0.delta_t_us", "schedule.cycles"),
+    ],
+    ids=["equal", "under", "over"],
+)
+def test_sweep_refuses_two_axes_on_one_field(tmp_path, capsys, monkeypatch, first, second):
+    # the later axis would overwrite what the earlier set, and the label would name a value the run never used
+    traces = []
+    monkeypatch.setattr(cli, "g2_trace", lambda *args, **kwargs: traces.append(1))
+    values = {"schedule.cycles": [[]], "schedule.cycles.0": [{}]}
+    axes = [{"path": path, "values": values.get(path, [0.5])} for path in (first, second)]
+    sweep = {"subcommand": "g2-trace", "base": json.loads(json.dumps(MINIMAL)), "axes": axes}
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(write_config(tmp_path, sweep)), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: axes[1].path: {second!r} overlaps axes[0].path {first!r}\n"
+    assert traces == [] and not out.exists()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("subcommand", ["g2-trace", "sweep"])
+def test_a_seed_out_of_range_is_reported_at_the_flag(tmp_path, capsys, subcommand, seed):
+    config = CONFIG_DIR / ("sweep_example.json" if subcommand == "sweep" else "multichannel.json")
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(config), "--out", str(out), "--seed", str(seed)]) == 1
+    bound = ">= 0" if seed < 0 else f"<= {2**64 - 1}"
+    assert capsys.readouterr().err == f"config error: --seed: must be {bound}, got {seed}\n"
+    assert not out.exists()
+
+
+def test_an_output_name_the_file_system_refuses_exits_1_before_any_work(tmp_path, capsys, monkeypatch):
+    # a combination label past the name limit used to fail in mkdir after the work, with a traceback
+    traces = []
+    monkeypatch.setattr(cli, "g2_trace", lambda *args, **kwargs: traces.append(1))
+    scan_n = list(range(100, 170))
+    sweep = {"subcommand": "g2-trace", "base": SCAN, "axes": [{"path": "scan_n", "values": [scan_n]}]}
+    label = cli._combo_label([("scan_n", None)], [scan_n])
+    limit = os.pathconf(tmp_path, "PC_NAME_MAX")
+    assert len(label.encode()) > limit
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(write_config(tmp_path, sweep)), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"config error: cannot write outputs to {tmp_path}: the name {label!r} is over {limit} bytes\n"
+    assert traces == [] and not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,6 @@ from ryddephase.correlation import (
     _g2,
     doubled_slots,
     exact_g2,
-    g2_after_cycles,
     g2_trace,
     realization_seed,
     unit_point,
@@ -379,7 +378,7 @@ def test_trace_rejects_non_finite_or_negative_times(grid):
 GRID_DRIVERS = {
     "g2_trace": lambda grid: g2_trace(EnsembleSpec(10, 60.0, seed=1), single_cycle_schedule(1.0), grid, realizations=1),
     "entangle_trace": lambda grid: entangle_trace(
-        EnsembleSpec(10, 60.0, seed=1), single_cycle_schedule(2.0e5).cycles * 2, grid, realizations=1
+        EnsembleSpec(10, 60.0, seed=1), single_cycle_schedule(2.0e5) * 2, grid, realizations=1
     ),
 }
 
@@ -436,7 +435,7 @@ def test_cycles_grid_is_cumulative_duration():
     ]
     sched = make_schedule(cycles)
     ens = EnsembleSpec(20, 60.0, seed=13)
-    trace = g2_after_cycles(ens, sched, realizations=2)
+    trace = g2_trace(ens, sched, realizations=2)
     tau = 1.0 + 2.0 * math.pi / 10.0
     assert np.allclose(trace.grid, tau * np.arange(1, 5))
 
@@ -446,7 +445,7 @@ def test_cycles_grid_that_overflows_is_refused():
         [CycleSpec(RydbergChannel(100, 100, p_j, 1e-200), 1e308, MicrowaveSpec(rabi=10.0)) for p_j in (0.5, 1.5)]
     )
     with pytest.raises(ValueError, match="time grid must hold finite times >= 0 us, got inf"):
-        g2_after_cycles(EnsembleSpec(6, 60.0, seed=13), sched, realizations=1)
+        g2_trace(EnsembleSpec(6, 60.0, seed=13), sched, realizations=1)
 
 
 def test_each_g2_is_the_scalar_g2_of_its_own_f_and_h():
@@ -462,11 +461,14 @@ def test_each_g2_is_the_scalar_g2_of_its_own_f_and_h():
 
 
 def test_cycles_first_point_matches_single_cycle_trace():
+    # grid None runs the cycle at its own free interval: the same bits as a grid of that one time
     ens = EnsembleSpec(25, 60.0, seed=14)
     sched = single_cycle_schedule(2.0e5, dt=1.0)
-    by_cycles = g2_after_cycles(ens, sched, realizations=3)
-    by_trace = g2_trace(ens, sched, [1.0], realizations=3)
-    assert np.allclose(by_cycles.g2[:, 0], by_trace.g2[:, 0], atol=1e-12)
+    for mode in ("analytic", "multichannel"):
+        by_cycles = g2_trace(ens, sched, mode=mode, realizations=3)
+        by_trace = g2_trace(ens, sched, [1.0], mode=mode, realizations=3)
+        for got, want in [(by_cycles.g2, by_trace.g2), (by_cycles.f, by_trace.f), (by_cycles.h, by_trace.h)]:
+            assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -558,15 +560,15 @@ def test_trace_matches_fsum_reference(mode, n):
     sched = two_channel_schedule()
     grid = np.geomspace(0.05, 20.0, 7)
     trace = g2_trace(ens, sched, grid, mode=mode, realizations=3)
-    assert_matches_reference(trace, reference_trace(ens, sched.cycles, grid, mode, 3))
+    assert_matches_reference(trace, reference_trace(ens, sched, grid, mode, 3))
 
 
 @pytest.mark.parametrize("mode, n", [("analytic", 30), ("multichannel", 12)])
 def test_cycles_match_fsum_reference(mode, n):
     ens = EnsembleSpec(n, 60.0, seed=42)
     sched = two_channel_schedule()
-    trace = g2_after_cycles(ens, sched, mode=mode, realizations=3)
-    assert_matches_reference(trace, reference_trace(ens, sched.cycles, None, mode, 3))
+    trace = g2_trace(ens, sched, mode=mode, realizations=3)
+    assert_matches_reference(trace, reference_trace(ens, sched, None, mode, 3))
 
 
 @pytest.mark.parametrize("n", [2, 7, 64])
@@ -799,7 +801,7 @@ import gc
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from ryddephase.atomdata import MicrowaveSpec, RydbergChannel
-from ryddephase.correlation import g2_after_cycles, g2_trace
+from ryddephase.correlation import g2_trace
 from ryddephase.ensemble import EnsembleSpec
 from ryddephase.pairdyn import CycleSpec
 from ryddephase.protocol import entangle_trace, make_schedule
@@ -812,7 +814,7 @@ four = make_schedule([cycle(p_n, p_j) for p_n in (100, 99) for p_j in (0.5, 1.5)
 modes = (cycle(99, 0.5, 2.0e5, 0.0), cycle(99, 1.5, 1.6e5, 0.0))
 ens, grid, x = EnsembleSpec(10, 60.0, seed=5), np.geomspace(0.02, 60.0, 12), np.arange(20.0)
 drivers = {
-    "g2_after_cycles": lambda: g2_after_cycles(ens, four, realizations=200),
+    "g2_trace after each cycle": lambda: g2_trace(ens, four, realizations=200),
     "g2_trace one cycle": lambda: g2_trace(ens, one, grid, realizations=200),
     "g2_trace four cycles": lambda: g2_trace(ens, four, grid, realizations=200),
     "entangle_trace": lambda: entangle_trace(ens, modes, grid, realizations=200),
@@ -921,8 +923,8 @@ def test_drivers_bit_identical_to_condensed_order(mode, n):
     sched = two_channel_schedule()
     grid = np.geomspace(0.05, 20.0, 7)
     for trace, want in [
-        (g2_trace(ens, sched, grid, mode=mode, realizations=2), exact_trace(ens, sched.cycles, grid, mode, 2)),
-        (g2_after_cycles(ens, sched, mode=mode, realizations=2), exact_trace(ens, sched.cycles, None, mode, 2)),
+        (g2_trace(ens, sched, grid, mode=mode, realizations=2), exact_trace(ens, sched, grid, mode, 2)),
+        (g2_trace(ens, sched, mode=mode, realizations=2), exact_trace(ens, sched, None, mode, 2)),
     ]:
         for got, expected in zip((trace.g2, trace.f, trace.h), want):
             assert np.array_equal(got, expected)
@@ -944,7 +946,7 @@ G2_BLOCK_CASES = {
 def test_g2_blocks_match_the_one_time_per_call_reference(monkeypatch, case, n):
     # block_points evaluates B grid times per source call; every byte matches one time per call
     schedule, mode = G2_BLOCK_CASES[case]
-    cycles = tuple(schedule.cycles)
+    cycles = schedule
     b = g2_block_length(n)
     grid = np.geomspace(0.02, 60.0, 2 * b + 1)
     positions = sample_positions(EnsembleSpec(n, 30.0, seed=n))
@@ -997,7 +999,7 @@ class LazyExecutor(concurrent.futures.Executor):
 def test_pool_submission_is_bounded_and_stacks_as_the_serial_run(workers, realizations):
     from ryddephase.correlation import RANGES_PER_WORKER, _realization_points, run_realizations
 
-    params = (tuple(single_cycle_schedule(2.0e5).cycles), np.array([0.3, 1.0]), "analytic")
+    params = (single_cycle_schedule(2.0e5), np.array([0.3, 1.0]), "analytic")
     ens = EnsembleSpec(6, 60.0, seed=45)
     pool = LazyExecutor(workers)
     stacks, seeds = run_realizations(_realization_points, ens, params, realizations, pool)
@@ -1022,7 +1024,7 @@ def test_stacks_do_not_depend_on_the_range_length(monkeypatch, workers, per_work
     from ryddephase.correlation import _realization_points, run_realizations
 
     monkeypatch.setattr(correlation, "RANGES_PER_WORKER", per_worker)
-    params = (tuple(single_cycle_schedule(2.0e5).cycles), np.array([0.3, 1.0, 2.0]), "analytic")
+    params = (single_cycle_schedule(2.0e5), np.array([0.3, 1.0, 2.0]), "analytic")
     ens = EnsembleSpec(7, 60.0, seed=47)
     with LazyExecutor(1) if workers == 1 else concurrent.futures.ProcessPoolExecutor(workers) as pool:
         stacks, seeds = run_realizations(_realization_points, ens, params, 23, pool)
@@ -1083,13 +1085,13 @@ def test_non_finite_amplitude_raises(monkeypatch, driver):
         if driver == "trace":
             g2_trace(ens, sched, [0.5, 1.0], realizations=1)
         else:
-            g2_after_cycles(ens, sched, realizations=1)
+            g2_trace(ens, sched, realizations=1)
 
 
 REALIZATION_DRIVERS = {
     "g2_trace": lambda ens: g2_trace(ens, single_cycle_schedule(2.0e5), [0.5, 1.0], realizations=3),
-    "g2_after_cycles": lambda ens: g2_after_cycles(ens, two_channel_schedule(), realizations=3),
-    "entangle_trace": lambda ens: entangle_trace(ens, single_cycle_schedule(2.0e5).cycles * 2, [0.5, 1.0], realizations=3),
+    "g2_after_cycles": lambda ens: g2_trace(ens, two_channel_schedule(), realizations=3),  # grid None: after each cycle
+    "entangle_trace": lambda ens: entangle_trace(ens, single_cycle_schedule(2.0e5) * 2, [0.5, 1.0], realizations=3),
 }
 
 
@@ -1122,7 +1124,7 @@ def test_cycles_driver_holds_one_cycle_of_spectra_at_a_time(monkeypatch):
         return spectra
 
     monkeypatch.setattr(correlation, "pair_spectra", spy)
-    g2_after_cycles(EnsembleSpec(8, 60.0, seed=6), two_channel_schedule(), mode="multichannel", realizations=1)
+    g2_trace(EnsembleSpec(8, 60.0, seed=6), two_channel_schedule(), mode="multichannel", realizations=1)
     assert alive == [0, 0]
 
 
@@ -1142,7 +1144,7 @@ def test_multichannel_pulse_vectors_must_keep_unit_norm(monkeypatch, driver):
         if driver == "trace":
             g2_trace(ens, two_channel_schedule(), [0.5, 1.0], mode="multichannel", realizations=1)
         else:
-            g2_after_cycles(ens, two_channel_schedule(), mode="multichannel", realizations=1)
+            g2_trace(ens, two_channel_schedule(), mode="multichannel", realizations=1)
 
 
 FAULT_PROBE = """

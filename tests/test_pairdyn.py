@@ -407,7 +407,7 @@ def _schedule(phases, r):
 def schedule_amplitude(sched, r):
     """Analytic amplitude of one pair at separation r through every cycle of sched."""
     cubes = np.array([r]) ** 3
-    return math.prod(complex(analytic_pair_amplitudes(cubes, c.channel.c3 * c.delta_t)[0]) for c in sched.cycles)
+    return math.prod(complex(analytic_pair_amplitudes(cubes, c.channel.c3 * c.delta_t)[0]) for c in sched)
 
 
 def test_single_cycle_schedule_reduces_to_cycle_amplitude():

@@ -57,13 +57,13 @@ def four_cycle_schedule(dt=1.0, rabi=10.0, pulse_model="instantaneous"):
 def test_four_cycle_schedule_total_time():
     sched = four_cycle_schedule(dt=1.0, rabi=10.0)
     # per cycle: 1 us + 2 pi / (10 rad/us) = 1.6283 us
-    assert sched.wall_times[-1] == pytest.approx(4.0 * (1.0 + 0.2 * math.pi), rel=1e-12)
-    assert sched.wall_times[-1] == pytest.approx(6.5133, abs=1e-4)
+    assert sum(c.duration for c in sched) == pytest.approx(4.0 * (1.0 + 0.2 * math.pi), rel=1e-12)
+    assert sum(c.duration for c in sched) == pytest.approx(6.5133, abs=1e-4)
 
 
 def test_single_cycle_total_time():
     sched = make_schedule([cycle(dt=2.5)])
-    assert sched.wall_times[-1] == pytest.approx(2.5 + 2.0 * math.pi / 10.0, rel=1e-12)
+    assert sum(c.duration for c in sched) == pytest.approx(2.5 + 2.0 * math.pi / 10.0, rel=1e-12)
 
 
 def test_duplicate_p_level_rejected_naming_both_cycles():
@@ -97,7 +97,7 @@ def test_schedule_validation_is_total(p_levels):
     unique = len(set(p_levels)) == len(p_levels)
     if unique:
         sched = make_schedule(cycles)
-        assert [c.channel.p_key for c in sched.cycles] == [
+        assert [c.channel.p_key for c in sched] == [
             (pn, pj) for pn, pj in p_levels
         ]
     else:
